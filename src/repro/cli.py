@@ -55,7 +55,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from typing import Sequence
 
 from repro.api import ResultSet, explain_report
@@ -460,6 +462,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         query_timeout=args.timeout,
         page_size=args.page_size,
     )
+    # SIGTERM is a clean shutdown exactly as SIGINT is: both close the
+    # tenant sessions (WAL fold, catalog flush).  The main thread waits on
+    # an event the handlers set, so a signal ends the wait at once.  (The
+    # wait polls because the kernel may hand the signal to a connection
+    # thread, and CPython runs handlers only when the main thread wakes.)
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda _signum, _frame: stop.set())
     server = QueryServer(_serve_tenants(args), config)
     server.start()
     tenants = ", ".join(server.pool.names())
@@ -470,11 +480,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     try:
-        import time
-
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
+        while not stop.wait(0.5):
+            pass
         print("shutting down", file=sys.stderr)
     finally:
         server.stop()

@@ -195,10 +195,7 @@ class MutationBatch:
                 # fsync'd before the in-memory swap, so a query can never
                 # observe state the log would not reproduce.
                 db._storage.commit(self._staged)
-            store = db.store
-            for name, triples in self._staged.items():
-                store = store.with_relation(name, triples)
-            db.store = store
+            db.store = db.store.with_relations(self._staged)
             db._invalidate(self._staged)
             if db._storage is not None:
                 db._storage.maybe_compact(db)

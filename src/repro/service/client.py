@@ -24,7 +24,7 @@ import base64
 import json
 import os
 import socket
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Any, Iterator, Mapping, Optional
 from urllib.parse import urlparse
 
@@ -79,22 +79,27 @@ class ServiceClient:
         self.close()
         return False
 
-    def _request(self, method: str, path: str, payload=None):
+    def _roundtrip(self, method: str, path: str, body, headers):
         conn = self._connection()
-        body = None if payload is None else json.dumps(payload).encode()
-        headers = {"Content-Type": "application/json"} if body else {}
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
-            raw = response.read()
+            return response, response.read()
+        except (OSError, HTTPException):
+            # Never keep a connection that failed mid-request: its state
+            # machine would answer every later call with CannotSendRequest.
+            self.close()
+            raise
+
+    def _request(self, method: str, path: str, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        headers = {"Content-Type": "application/json"} if body else {}
+        try:
+            response, raw = self._roundtrip(method, path, body, headers)
         except OSError:
             # One reconnect: the pooled connection may have been closed
             # by a keep-alive timeout on the server side.
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
+            response, raw = self._roundtrip(method, path, body, headers)
         content_type = response.getheader("Content-Type", "")
         if content_type.startswith("text/plain"):
             if response.status >= 400:

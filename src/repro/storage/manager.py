@@ -148,8 +148,8 @@ class DurableStore:
         self.wal = WriteAheadLog(os.path.join(self.root, WAL_DIR))
         for _seq, record in self.wal.recover(min_seq=wal_seq):
             relations = record.get("relations", {})
-            for name, triples in relations.items():
-                store = store.with_relation(name, triples)
+            store = store.with_relations(relations)
+            for name in relations:
                 self.rel_versions[name] = self.rel_versions.get(name, 0) + 1
             self.store_version += 1
         self.store = store

@@ -23,10 +23,12 @@ Opening is *lazy on two levels*: the columnar arrays alias the mapped
 pages (nothing is read until a kernel touches them), and the
 :class:`SegmentStore` facade decodes a relation's Python-object
 ``frozenset`` only when a set-backend consumer actually asks for it —
-the columnar/sharded backends never do.  Payload CRCs are verified by
-``repro fsck`` and at snapshot time, not on every open (checking would
-fault in every page and defeat the zero-copy open); headers are always
-validated.
+the columnar/sharded backends never do.  Both survive mutation: a store
+derived from a :class:`SegmentStore` shares the mapped arrays of every
+relation it did not replace and is still lazy.  Payload CRCs are
+verified by ``repro fsck`` and at snapshot time, not on every open
+(checking would fault in every page and defeat the zero-copy open);
+headers are always validated.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.errors import StoreCorruptionError, UnknownRelationError
 from repro.storage.fsutil import fsync_dir, fsync_enabled, tmp_sibling
 from repro.triplestore.columnar import ColumnarStore
-from repro.triplestore.model import DEFAULT_RELATION, Obj, Triple, Triplestore
+from repro.triplestore.model import DEFAULT_RELATION, Triple, Triplestore
 
 __all__ = [
     "FORMAT_VERSION",
@@ -243,47 +245,33 @@ def write_store_segments(store: Triplestore, gen_dir: str | os.PathLike) -> dict
 # --------------------------------------------------------------------- #
 
 
-class _MappedColumnarStore(ColumnarStore):
-    """A :class:`ColumnarStore` whose arrays alias mmap'd segment files.
-
-    Built by :func:`open_store_segments` via slot filling — the parent
-    ``__init__`` (which encodes from a :class:`Triplestore`) never
-    runs.  Holds the mmaps so the views stay valid; :meth:`release`
-    drops them best-effort (live exported views block a real unmap).
-    """
-
-    __slots__ = ("_maps",)
-
-    def release(self) -> None:
-        maps, self._maps = self._maps, []
-        for mapped in maps:
-            try:
-                mapped.close()
-            except BufferError:  # pragma: no cover — views still exported
-                pass
-
-
 class SegmentStore(Triplestore):
     """A :class:`Triplestore` served from mmap'd segments, decoded lazily.
 
     The columnar/sharded backends run directly on the mapped arrays
-    (``columnar()`` returns the :class:`_MappedColumnarStore`); the
+    (``columnar()`` returns a :class:`ColumnarStore` whose arrays alias
+    the file pages, which keeps the mappings alive); the
     Python-``frozenset`` form of a relation is decoded only when a
-    set-backend consumer asks for it, and cached.  Mutation helpers
-    (``with_relation`` …) materialise everything first and return plain
-    in-memory stores — durability of mutations is the WAL's job
+    set-backend consumer asks for it, and cached — an undecoded relation
+    is ``None`` in the relation dictionary.
+
+    Derivation (``with_relations`` …) is the base class's structural
+    sharing and stays lazy: the derived store is again a
+    :class:`SegmentStore` over the same mappings, holding the replaced
+    relations as frozensets and everything else still undecoded.
+    Durability of mutations is the WAL's job
     (:mod:`repro.storage.wal`), not this view's.
     """
 
-    __slots__ = ("_order",)
+    __slots__ = ()
 
     # -- lazy decode ---------------------------------------------------- #
 
-    def _decoded(self, name: str) -> frozenset:
+    def relation(self, name: str = DEFAULT_RELATION) -> frozenset[Triple]:
         rel = self._relations.get(name)
         if rel is None:
             if name not in self._relations:
-                raise UnknownRelationError(name, self._order)
+                raise UnknownRelationError(name, self.relation_names)
             cs = self._columnar
             rel = cs.decode_triples(cs.relation_keys(name))
             self._relations[name] = rel
@@ -291,32 +279,25 @@ class SegmentStore(Triplestore):
 
     def materialize(self) -> "SegmentStore":
         """Decode every relation into its ``frozenset`` form (idempotent)."""
-        for name in self._order:
-            self._decoded(name)
+        for name in self._relations:
+            self.relation(name)
         return self
 
     # -- Triplestore surface, decode-free where possible ----------------- #
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        return self._order
-
-    def relation(self, name: str = DEFAULT_RELATION) -> frozenset[Triple]:
-        return self._decoded(name)
 
     def all_triples(self) -> frozenset[Triple]:
         self.materialize()
         return super().all_triples()
 
     def __contains__(self, triple: Triple) -> bool:
+        cs = self._columnar
         try:
-            key = self._columnar.encode_triple_key(tuple(triple))
+            key = cs.encode_triple_key(tuple(triple))
         except (TypeError, ValueError):
             return False
         if key < 0:
             return False
-        cs = self._columnar
-        for name in self._order:
+        for name in self._relations:
             keys = cs.relation_keys(name)
             i = int(np.searchsorted(keys, key))
             if i < len(keys) and keys[i] == key:
@@ -329,7 +310,7 @@ class SegmentStore(Triplestore):
 
     def __len__(self) -> int:
         cs = self._columnar
-        return sum(len(cs.relation_keys(name)) for name in self._order)
+        return sum(len(cs.relation_keys(name)) for name in self._relations)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SegmentStore):
@@ -341,23 +322,9 @@ class SegmentStore(Triplestore):
         self.materialize()
         return super().__hash__()
 
-    def with_relation(self, name: str, triples: Iterable[Triple]) -> Triplestore:
-        self.materialize()
-        return super().with_relation(name, triples)
-
-    def with_rho(self, rho: Mapping[Obj, Any]) -> Triplestore:
-        self.materialize()
-        return super().with_rho(rho)
-
-    def release(self) -> None:
-        """Drop the segment mappings (safe once nothing executes on them)."""
-        cs = self._columnar
-        if isinstance(cs, _MappedColumnarStore):
-            cs.release()
-
     def __repr__(self) -> str:
         cs = self._columnar
-        rels = ", ".join(f"{n}:{len(cs.relation_keys(n))}" for n in self._order)
+        rels = ", ".join(f"{n}:{len(cs.relation_keys(n))}" for n in self._relations)
         return f"SegmentStore(|O|={len(self._objects)}, {rels})"
 
 
@@ -375,49 +342,34 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
 
     meta = pickle.loads(read_segment(seg_path(block["meta"]), expect_kind=KIND_PICKLE))
     objects = meta["objects"]
-    dv_values = meta["dv_values"]
-
-    maps: list[mmap.mmap] = []
 
     def mapped(entry: Mapping[str, Any]) -> np.ndarray:
-        arr, mm = map_segment(seg_path(entry))
+        # The view keeps its mapping alive; dropping it unmaps the file.
+        arr, _mapping = map_segment(seg_path(entry))
         if len(arr) != entry["count"]:
-            mm.close()
             raise StoreCorruptionError(
                 f"segment {seg_path(entry)} holds {len(arr)} items, manifest "
                 f"says {entry['count']}"
             )
-        maps.append(mm)
         return arr
 
-    cs = object.__new__(_MappedColumnarStore)
-    cs.objects = objects
-    cs.n = meta["n"]
-    cs.radix = meta["radix"]
-    cs._code_of = {o: i for i, o in enumerate(objects)}
-    obj_array = np.empty(len(objects), dtype=object)
-    obj_array[:] = objects
-    cs._obj_array = obj_array
-    cs.dv_values = dv_values
-    cs._dv_code_of = {v: i for i, v in enumerate(dv_values)}
-    cs.dv_codes = mapped(block["dv_codes"])
-    cs._relations = {e["name"]: mapped(e) for e in block["relations"]}
-    cs._columns = {}
-    cs._active = mapped(block["active"])
-    cs._maps = maps
-    if cs.n != len(objects):  # pragma: no cover — manifest/meta disagree
+    if meta["n"] != len(objects):  # pragma: no cover — manifest/meta disagree
         raise StoreCorruptionError(
             f"meta segment in {gen_dir} names {len(objects)} objects but "
-            f"records n={cs.n}"
+            f"records n={meta['n']}"
         )
-
     store = object.__new__(SegmentStore)
-    store._order = tuple(e["name"] for e in block["relations"])
-    store._relations = {name: None for name in store._order}
+    store._relations = {e["name"]: None for e in block["relations"]}
     store._rho = dict(meta["rho"])
     store._objects = frozenset(objects)
     store._indexes = {}
     store._stats = None
-    store._columnar = cs
+    store._columnar = ColumnarStore.from_encoded(
+        objects,
+        meta["dv_values"],
+        mapped(block["dv_codes"]),
+        {e["name"]: mapped(e) for e in block["relations"]},
+        mapped(block["active"]),
+    )
     store._sharded = {}
     return store

@@ -22,11 +22,27 @@ triples.  Everything here is derived data: a :class:`ColumnarStore` is a
 read-only view of an immutable :class:`Triplestore`, built lazily and
 cached on the store like its hash indexes and statistics
 (:meth:`Triplestore.columnar`).
+
+**Sharing contract.**  A store derived from one that already has a
+columnar view (``with_relations`` and friends) gets its view from
+:meth:`ColumnarStore.derive`, not from a rebuild: the dictionary
+(``objects``, the object→code map, the decode array, ``dv_*``) and the
+key/column arrays of every relation the derivation did not replace are
+the parent's *by reference*; only the replaced relations are encoded.
+When the new triples bring objects outside the universe the dictionary
+grows once — codes always follow ``repr`` order, so the old codes map to
+the new ones monotonically, re-coded packed keys are still sorted, and
+the derived view equals a from-scratch build field by field without a
+re-sort.  Because versions share arrays, every array a view holds is
+read-only (``writeable=False``): an engine that wrote into an input in
+place would corrupt every version and cached result sharing it, so it
+raises instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from bisect import bisect_right
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -54,6 +70,12 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark an array a store holds (and versions share) as immutable."""
+    arr.setflags(write=False)
+    return arr
 
 
 class ColumnarStore:
@@ -92,7 +114,39 @@ class ColumnarStore:
     )
 
     def __init__(self, store: Triplestore) -> None:
-        objs = sorted(store.objects, key=repr)
+        """Encode ``store`` from scratch (a store with no parent view)."""
+        self._set_dictionary(sorted(store.objects, key=repr))
+        self._encode_rho(store.rho)
+        self._relations: dict[str, np.ndarray] = {
+            name: _readonly(self.encode_triples(store.relation(name)))
+            for name in store.relation_names
+        }
+        self._columns: dict[str, np.ndarray] = {}
+        self._active: np.ndarray | None = None
+
+    @classmethod
+    def from_encoded(
+        cls,
+        objects: list[Obj],
+        dv_values: list[Any],
+        dv_codes: np.ndarray,
+        relations: Mapping[str, np.ndarray],
+        active: np.ndarray,
+    ) -> "ColumnarStore":
+        """A view over arrays that are already encoded (mmap'd segments,
+        shared-memory publications); the arrays are aliased, not copied."""
+        cs = object.__new__(cls)
+        cs._set_dictionary(objects)
+        cs.dv_values = dv_values
+        cs._dv_code_of = {v: i for i, v in enumerate(dv_values)}
+        cs.dv_codes = _readonly(dv_codes)
+        cs._relations = {name: _readonly(keys) for name, keys in relations.items()}
+        cs._columns = {}
+        cs._active = _readonly(active)
+        return cs
+
+    def _set_dictionary(self, objs: list[Obj]) -> None:
+        """Install the ``repr``-sorted universe ``objs`` as the dictionary."""
         if len(objs) > _MAX_ENCODABLE_OBJECTS:
             raise TriplestoreError(
                 f"cannot pack triples over {len(objs)} objects into int64 keys "
@@ -105,19 +159,121 @@ class ColumnarStore:
         # An object-dtype array for vectorised decoding (code → object).
         self._obj_array = np.empty(len(objs), dtype=object)
         self._obj_array[:] = objs
+        _readonly(self._obj_array)
 
-        values = sorted({store.rho(o) for o in objs}, key=repr)
-        self.dv_values: list[Any] = values
-        self._dv_code_of: dict[Any, int] = {v: i for i, v in enumerate(values)}
-        self.dv_codes = np.array(
-            [self._dv_code_of[store.rho(o)] for o in objs], dtype=np.int64
+    def _encode_rho(self, rho: Callable[[Obj], Any]) -> None:
+        """Dictionary-encode the data values of the whole universe."""
+        assigned = [rho(o) for o in self.objects]
+        self.dv_values: list[Any] = sorted(set(assigned), key=repr)
+        self._dv_code_of: dict[Any, int] = {v: i for i, v in enumerate(self.dv_values)}
+        code = self._dv_code_of
+        self.dv_codes = _readonly(
+            np.fromiter((code[v] for v in assigned), np.int64, len(assigned))
         )
 
-        self._relations: dict[str, np.ndarray] = {}
+    # ------------------------------------------------------------------ #
+    # Derivation: the view of a store derived from this view's store
+    # ------------------------------------------------------------------ #
+
+    def derive(
+        self,
+        store: Triplestore,
+        replaced: Collection[str],
+        new_objects: Collection[Obj],
+        rho_changed: bool,
+    ) -> "ColumnarStore":
+        """The columnar view of ``store``, a store derived from this view's.
+
+        ``replaced`` names the relations of ``store`` whose content is
+        new (they are encoded); every other relation of ``store`` is one
+        of this view's and its arrays are shared.  ``new_objects`` are
+        the objects of ``store`` outside this view's universe;
+        ``rho_changed`` says ρ was replaced.  The result equals
+        ``ColumnarStore(store)`` field by field.
+        """
+        child = object.__new__(ColumnarStore)
+        remap = None
+        if new_objects:
+            fresh = sorted(new_objects, key=repr)
+            remap = child._grow_dictionary(self, fresh)
+        else:
+            child.objects, child.n, child.radix = self.objects, self.n, self.radix
+            child._code_of, child._obj_array = self._code_of, self._obj_array
+        if rho_changed:
+            child._encode_rho(store.rho)
+        elif remap is None:
+            child.dv_values, child._dv_code_of = self.dv_values, self._dv_code_of
+            child.dv_codes = self.dv_codes
+        else:
+            child._grow_rho(self, store.rho, fresh, remap)
+        relations: dict[str, np.ndarray] = {}
         for name in store.relation_names:
-            self._relations[name] = self.encode_triples(store.relation(name))
-        self._columns: dict[str, np.ndarray] = {}
-        self._active: np.ndarray | None = None
+            if name in replaced:
+                relations[name] = _readonly(child.encode_triples(store.relation(name)))
+            elif remap is None:
+                relations[name] = self._relations[name]
+            else:
+                # Monotone remap: the re-coded keys are still sorted unique.
+                relations[name] = _readonly(
+                    child.pack(remap[self.unpack(self._relations[name])])
+                )
+        child._relations = relations
+        child._columns = {}
+        if remap is None:
+            for name, columns in list(self._columns.items()):
+                if name in relations and name not in replaced:
+                    child._columns[name] = columns
+        # The active set survives only when the relation set did.
+        same = not replaced and len(relations) == len(self._relations)
+        child._active = self._active if same else None
+        return child
+
+    def _grow_dictionary(self, parent: "ColumnarStore", fresh: list[Obj]) -> np.ndarray:
+        """Install ``parent``'s universe plus the ``repr``-sorted ``fresh``.
+
+        Returns ``remap``: ``remap[old_code]`` is the new code of a
+        parent object — strictly increasing, because both universes are
+        in ``repr`` order.
+        """
+        old = parent.objects
+        # Where each fresh object lands among the old ones (non-decreasing).
+        at = [bisect_right(old, repr(o), key=repr) for o in fresh]
+        objs: list[Obj] = []
+        prev = 0
+        for pos, obj in zip(at, fresh):
+            objs += old[prev:pos]
+            objs.append(obj)
+            prev = pos
+        objs += old[prev:]
+        self._set_dictionary(objs)
+        # An old object moves up by the number of fresh ones landing at or
+        # before it.
+        old_codes = np.arange(len(old), dtype=np.int64)
+        return old_codes + np.searchsorted(
+            np.array(at, dtype=np.int64), old_codes, side="right"
+        )
+
+    def _grow_rho(
+        self,
+        parent: "ColumnarStore",
+        rho: Callable[[Obj], Any],
+        fresh: list[Obj],
+        remap: np.ndarray,
+    ) -> None:
+        """Extend ``parent``'s ρ encoding to the grown dictionary."""
+        fresh_values = [rho(o) for o in fresh]
+        code = parent._dv_code_of
+        if any(v not in code for v in fresh_values):
+            # A fresh object carries a data value no old object has (ρ
+            # already mapped an object outside the universe): the value
+            # dictionary itself changes.
+            self._encode_rho(rho)
+            return
+        self.dv_values, self._dv_code_of = parent.dv_values, code
+        dv_codes = np.empty(self.n, dtype=np.int64)
+        dv_codes[remap] = parent.dv_codes
+        dv_codes[[self._code_of[o] for o in fresh]] = [code[v] for v in fresh_values]
+        self.dv_codes = _readonly(dv_codes)
 
     # ------------------------------------------------------------------ #
     # Encoding and decoding
@@ -248,22 +404,19 @@ class ColumnarStore:
         """Relation ``name`` as an ``(N, 3)`` code-column array (cached)."""
         cached = self._columns.get(name)
         if cached is None:
-            cached = self.unpack(self.relation_keys(name))
+            cached = _readonly(self.unpack(self.relation_keys(name)))
             self._columns[name] = cached
         return cached
 
     def active_codes(self) -> np.ndarray:
         """Codes of objects occurring in some stored triple (domain of U)."""
         if self._active is None:
-            if self._relations:
-                pieces = [c.ravel() for c in map(self.unpack, self._relations.values())]
-                self._active = (
-                    sorted_unique(np.concatenate(pieces))
-                    if pieces
-                    else np.empty(0, np.int64)
-                )
-            else:  # pragma: no cover — stores always have ≥1 relation
-                self._active = np.empty(0, dtype=np.int64)
+            pieces = [c.ravel() for c in map(self.unpack, self._relations.values())]
+            self._active = _readonly(
+                sorted_unique(np.concatenate(pieces))
+                if pieces
+                else np.empty(0, dtype=np.int64)
+            )
         return self._active
 
     def __repr__(self) -> str:

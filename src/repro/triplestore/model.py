@@ -15,11 +15,19 @@ The model is deliberately closed under query evaluation: the result of a
 TriAL expression is a plain ``frozenset`` of triples over ``O`` that can be
 installed back into a store with :meth:`Triplestore.with_relation`, making
 composition (the paper's closure property) a one-liner.
+
+Stores are immutable, so a derived store (``with_relation[s]``,
+``add_triple``, ``with_rho``, ``restrict``) is a *structural-sharing
+version* of its parent: it reuses the parent's frozensets, object set, ρ
+dictionary, hash indexes, statistics and columnar arrays for everything
+the derivation did not touch.  Deriving costs what the delta costs, and
+a chain of versions (one per commit) holds one copy of what they have in
+common.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.errors import TriplestoreError, UnknownRelationError
@@ -194,35 +202,94 @@ class Triplestore:
     # Derived stores (closure / composition support)
     # ------------------------------------------------------------------ #
 
-    def with_relation(self, name: str, triples: Iterable[Triple]) -> "Triplestore":
-        """A new store with ``name`` (re)bound to ``triples``.
+    def _derive(
+        self,
+        relations: dict[str, "frozenset[Triple] | None"],
+        replaced: Collection[str] = (),
+        rho: dict[Obj, Any] | None = None,
+    ) -> "Triplestore":
+        """A version of this store that shares what it does not change.
+
+        ``relations`` is the derived store's full relation dictionary;
+        ``replaced`` names the entries whose content is new, every other
+        entry is this store's own object.  ``rho`` replaces the
+        data-value function when given.  Objects are retained, so the
+        universe only grows.
+
+        The derived store shares this store's frozensets, object set, ρ
+        dictionary, hash indexes and computed statistics for every
+        relation it keeps, and — when this store has a columnar view —
+        gets a view that shares the dictionary and the kept relations'
+        arrays (:meth:`ColumnarStore.derive`).  A store that never asked
+        for :meth:`columnar` derives stores that have none either.
+        """
+        if not relations:
+            relations, replaced = {DEFAULT_RELATION: frozenset()}, (DEFAULT_RELATION,)
+        new_objects = {c for name in replaced for t in relations[name] for c in t}
+        new_objects -= self._objects
+        child = object.__new__(type(self))
+        child._relations = relations
+        child._rho = self._rho if rho is None else rho
+        child._objects = self._objects | new_objects if new_objects else self._objects
+        # (Snapshots of the caches: a concurrent reader may be filling them.)
+        child._indexes = {
+            key: idx
+            for key, idx in list(self._indexes.items())
+            if key[0] in relations and key[0] not in replaced
+        }
+        child._stats = None
+        if self._stats is not None:
+            child.stats().seed(
+                s
+                for s in self._stats.computed().values()
+                if s.name in relations and s.name not in replaced
+            )
+        child._columnar = (
+            None
+            if self._columnar is None
+            else self._columnar.derive(child, replaced, new_objects, rho is not None)
+        )
+        child._sharded = {}
+        return child
+
+    def with_relations(
+        self, mapping: Mapping[str, Iterable[Triple]]
+    ) -> "Triplestore":
+        """A new store with every ``name`` of ``mapping`` (re)bound.
 
         This is how query results are composed back into stores: the
         closure property of TriAL means any expression result is a valid
-        relation for a new store.
+        relation for a new store.  One derivation for the whole mapping
+        — a batch or a WAL record is one store version; the relations it
+        does not name are shared with this store, not rebuilt.
         """
-        rels: dict[str, Iterable[Triple]] = dict(self._relations)
-        rels[name] = frozenset(_as_triple(t) for t in triples)
-        return Triplestore(rels, self._rho, self._objects)
+        relations = dict(self._relations)
+        for name, triples in mapping.items():
+            relations[str(name)] = frozenset(_as_triple(t) for t in triples)
+        return self._derive(relations, tuple(str(name) for name in mapping))
+
+    def with_relation(self, name: str, triples: Iterable[Triple]) -> "Triplestore":
+        """A new store with ``name`` (re)bound to ``triples``."""
+        return self.with_relations({name: triples})
 
     def add_triple(self, triple: Triple, name: str = DEFAULT_RELATION) -> "Triplestore":
         """A new store with ``triple`` added to relation ``name``.
 
         Mutation-by-derivation: the original store — and its cached
         indexes, statistics and columnar view — is untouched; the derived
-        store starts with fresh (empty) caches, so nothing can go stale.
+        store shares them for every other relation.
 
         >>> t = Triplestore([("a", "p", "b")])
         >>> t2 = t.add_triple(("b", "p", "c"))
         >>> len(t), len(t2)
         (1, 2)
         """
-        existing = self._relations.get(name, frozenset())
+        existing = self.relation(name) if name in self._relations else frozenset()
         return self.with_relation(name, existing | {_as_triple(triple)})
 
     def with_rho(self, rho: Mapping[Obj, Any]) -> "Triplestore":
         """A new store with the data-value function replaced."""
-        return Triplestore(self._relations, rho, self._objects)
+        return self._derive(dict(self._relations), rho=dict(rho or {}))
 
     def restrict(self, names: Iterable[str]) -> "Triplestore":
         """A new store keeping only the given relations (objects retained).
@@ -230,8 +297,12 @@ class Triplestore:
         Raises :class:`UnknownRelationError` for missing names, like
         :meth:`relation` and :meth:`index`.
         """
-        keep = {n: self.relation(n) for n in names}
-        return Triplestore(keep, self._rho, self._objects)
+        keep = {}
+        for name in names:
+            if name not in self._relations:
+                raise UnknownRelationError(name, self.relation_names)
+            keep[name] = self._relations[name]
+        return self._derive(keep)
 
     # ------------------------------------------------------------------ #
     # Indexes

@@ -120,6 +120,8 @@ class ShardedColumnarStore:
         cached = self._shards.get(name)
         if cached is None:
             cached = self.partition(self.cs.relation_keys(name), self.key_pos)
+            for shard in cached:  # cached and handed to every query: immutable
+                shard.setflags(write=False)
             self._shards[name] = cached
         return cached
 
@@ -132,6 +134,8 @@ class ShardedColumnarStore:
         cached = self._columns.get(name)
         if cached is None:
             cached = [self.cs.unpack(shard) for shard in self.relation_shards(name)]
+            for block in cached:
+                block.setflags(write=False)
             self._columns[name] = cached
         return cached
 

@@ -319,9 +319,12 @@ def attach_worker_store(name: str) -> AttachedStore:
         off, length = manifest["arrays"][key]
         if not length:
             return np.empty(0, dtype=np.int64)
-        return np.ndarray(
+        view = np.ndarray(
             (length,), dtype=np.int64, buffer=buf, offset=region_start + off
         )
+        # Every worker maps the same bytes: nobody writes through a view.
+        view.setflags(write=False)
+        return view
 
     def unpickle(key: str) -> Any:
         off, nbytes = manifest["pickles"][key]
@@ -330,20 +333,9 @@ def attach_worker_store(name: str) -> AttachedStore:
     objects = unpickle("objects")
     dv_values = unpickle("dv_values")
 
-    cs = object.__new__(_ShmColumnarView)
-    cs.objects = objects
-    cs.n = manifest["n"]
-    cs.radix = manifest["radix"]
-    cs._code_of = {o: i for i, o in enumerate(objects)}
-    obj_array = np.empty(len(objects), dtype=object)
-    obj_array[:] = objects
-    cs._obj_array = obj_array
-    cs.dv_values = dv_values
-    cs._dv_code_of = {v: i for i, v in enumerate(dv_values)}
-    cs.dv_codes = array("dv_codes")
-    cs._relations = {}
-    cs._columns = {}
-    cs._active = array("active")
+    cs = _ShmColumnarView.from_encoded(
+        objects, dv_values, array("dv_codes"), {}, array("active")
+    )
     cs._shard_keys = {
         rel: [array(f"rel:{rel}:{s}") for s in range(manifest["k"])]
         for rel in manifest["relations"]

@@ -7,7 +7,10 @@ A :class:`TriplestoreStats` catalog holds, per relation,
   (subject, predicate, object),
 
 computed lazily and cached alongside the store's lazy index cache —
-stores are immutable by convention, so neither cache ever invalidates.
+stores are immutable by convention, so neither cache ever invalidates,
+and a derived store inherits the entries of the relations it shares
+with its parent.  Where the store has a columnar view the distincts are
+counted on its integer code columns.
 The planner (:mod:`repro.core.plan`) uses these numbers to pick hash
 join build sides, estimate equality selectivities and decide between a
 full scan and an index lookup.
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
+
+from repro.triplestore.columnar import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.triplestore.model import Triplestore
@@ -74,9 +79,16 @@ class TriplestoreStats:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
-        triples = self._store.relation(name)
-        distinct = tuple(len({t[i] for t in triples}) for i in range(3))
-        stats = RelationStats(name, len(triples), distinct)  # type: ignore[arg-type]
+        cs = self._store._columnar
+        if cs is not None:
+            # Count on the code columns: no tuple is decoded, which for an
+            # mmap'd relation would cost more memory than the relation.
+            rows = cs.unpack(cs.relation_keys(name))
+            distinct = tuple(len(sorted_unique(rows[:, i])) for i in range(3))
+        else:
+            rows = self._store.relation(name)
+            distinct = tuple(len({t[i] for t in rows}) for i in range(3))
+        stats = RelationStats(name, len(rows), distinct)  # type: ignore[arg-type]
         self._cache[name] = stats
         return stats
 

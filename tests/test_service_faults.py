@@ -265,3 +265,27 @@ def test_admission_queue_timeout_is_429():
             ] == 1
             assert series["repro_admission_inflight"] == 0
             assert series["repro_admission_queued"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Client: a failed request never wedges the connection
+# --------------------------------------------------------------------- #
+
+
+def test_client_recovers_after_refused_connect():
+    """A refused connect used to leave the retry's ``HTTPConnection``
+    mid-request, and every later call raised ``CannotSendRequest`` even
+    once the server was up (benchmarks/e2e finding 11)."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+    with pytest.raises(OSError):
+        client.health()
+    db = Database(random_store(20, 200, seed=4))
+    with QueryServer(db, ServiceConfig(port=port)):
+        with client:
+            assert client.health()["status"] == "ok"
+            assert client.query("E")["total"] == len(db.store)

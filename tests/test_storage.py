@@ -6,6 +6,11 @@ import glob
 import json
 import os
 import pickle
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -143,13 +148,15 @@ class TestStoreSegments:
             "E"
         ).tolist()
 
-    def test_mutation_returns_plain_store(self, tmp_path):
+    def test_mutation_stays_lazy_over_the_same_mappings(self, tmp_path):
         store = make_store()
         block = write_store_segments(store, tmp_path / "gen")
         reopened = open_store_segments(tmp_path / "gen", block)
         grown = reopened.with_relation("N", (("n", "m", "o"),))
-        assert type(grown) is Triplestore
+        assert type(grown) is SegmentStore
+        assert grown._relations["E"] is None  # nothing was decoded
         assert grown.relation("N") == frozenset({("n", "m", "o")})
+        assert grown == store.with_relation("N", (("n", "m", "o"),))
 
 
 # --------------------------------------------------------------------- #
@@ -536,3 +543,48 @@ class TestServeStorePath:
         finally:
             for db in tenants.values():
                 db.close()
+
+    def test_sigterm_closes_sessions_like_sigint(self, tmp_path):
+        """SIGTERM is a clean way down: exit 0, WAL folded, catalog written."""
+        from repro.service import ServiceClient
+
+        root = str(tmp_path / "s")
+        ds = DurableStore(root)
+        ds.open()
+        ds.commit({"E": TRIPLES})  # one unfolded WAL record
+        ds.close()
+        assert os.path.getsize(os.path.join(root, "wal", "wal.log")) > 0
+        log_path = tmp_path / "serve.log"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        with open(log_path, "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", root, "--port", "0"],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+            )
+        try:
+            deadline = time.monotonic() + 60.0
+            banner = None
+            while banner is None:
+                assert proc.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "no banner from repro serve"
+                banner = re.search(r"serving .* on (http://\S+)", log_path.read_text())
+                time.sleep(0.01)
+            with ServiceClient(banner.group(1)) as client:
+                assert client.query(Q)["total"] == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "shutting down" in log_path.read_text()
+        assert os.path.getsize(os.path.join(root, "wal", "wal.log")) == 0
+        assert os.path.exists(os.path.join(root, "catalog", "stats.json"))
+        assert fsck_store(root) == []
+        reopened = DurableStore(root)
+        assert reopened.open().relation("E") == frozenset(TRIPLES)
+        assert reopened.generation == 2  # the fold wrote a new snapshot
+        reopened.close()
