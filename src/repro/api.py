@@ -97,6 +97,10 @@ class _SetRows:
         stop = len(self.rows) if limit is None else offset + limit
         return iter(self.ordered()[offset:stop])
 
+    def wire_rows(self, offset: int, limit: Optional[int]) -> None:
+        # No code columns to render from; the caller converts row by row.
+        return None
+
     def contains(self, row: Any) -> bool:
         return row in self.rows
 
@@ -136,6 +140,10 @@ class _ColumnarRows:
         decode = self.cs.decode_list
         for start in range(offset, stop, self.CHUNK):
             yield from decode(keys[start : min(start + self.CHUNK, stop)])
+
+    def wire_rows(self, offset: int, limit: Optional[int]) -> list:
+        stop = None if limit is None else offset + limit
+        return self.cs.wire_rows(self.keys[offset:stop])
 
     def contains(self, row: Any) -> bool:
         if not (isinstance(row, tuple) and len(row) == 3):
@@ -258,6 +266,14 @@ class ResultSet(AbstractSet):
     def first(self) -> Optional[tuple]:
         """The first row of this window, or ``None`` when empty."""
         return next(iter(self), None)
+
+    def wire_rows(self) -> Optional[list]:
+        """This window as JSON-ready rows in iteration order, rendered
+        straight from the code columns (:meth:`ColumnarStore.wire_rows`:
+        JSON-native objects as themselves, ``repr`` for the rest) — or
+        ``None`` when the payload is a set of tuples and there are no
+        columns to render from.  The query service's egress path."""
+        return self._rows.wire_rows(self._offset, self._limit)
 
     def pairs(self) -> frozenset:
         """π₁,₃ — the binary-query convention of §6.2, as (subject, object)

@@ -264,11 +264,16 @@ class ServiceClient:
                     return
 
     def _ws_socket(self) -> socket.socket:
-        """A socket with the WebSocket handshake completed."""
+        """A socket with the WebSocket handshake completed.
+
+        ``TCP_NODELAY`` as on the HTTP connection (``http.client`` sets
+        it): a small frame never waits for the server's ACK of the last.
+        """
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             key = base64.b64encode(os.urandom(16)).decode()
             handshake = (
                 f"GET /v1/ws HTTP/1.1\r\n"

@@ -51,6 +51,7 @@ from repro.errors import (
     UnboundParameterError,
     UnknownRelationError,
 )
+from repro.triplestore.columnar import JSON_NATIVE
 
 __all__ = [
     "error_body",
@@ -231,11 +232,9 @@ def error_body(exc: BaseException) -> dict:
 
 
 def jsonable_row(row: Any) -> list:
-    """One result row as a JSON array (repr for non-native objects)."""
-    out = []
-    for value in row:
-        if value is None or isinstance(value, (str, int, float, bool)):
-            out.append(value)
-        else:
-            out.append(repr(value))
-    return out
+    """One result row as a JSON array (repr for non-native objects).
+
+    The per-row form of the rule; keys-backed results leave through its
+    column-wise form, :meth:`ColumnarStore.wire_rows`.
+    """
+    return [v if isinstance(v, JSON_NATIVE) else repr(v) for v in row]

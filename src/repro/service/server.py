@@ -14,12 +14,19 @@ over a threading HTTP server (stdlib only):
 Execution discipline: every query passes the
 :class:`~repro.service.admission.AdmissionController` (bounded
 in-flight, bounded queue → structured 429s under overload), runs under
-the per-query time budget (a worker thread join; on process-sharded
-tenants the budget is *also* mapped onto the worker pool's
-``REPRO_SHARD_TIMEOUT`` deadline machinery, so expiry aborts the shard
-workers rather than orphaning them), and streams rows off the lazy
-:class:`~repro.api.ResultSet` cursor — an HTTP ``limit`` or a WebSocket
-page decodes only the rows it returns, never the full result.
+the per-query time budget (a bounded wait on a long-lived budget worker
+thread; on process-sharded tenants the budget is *also* mapped onto the
+worker pool's ``REPRO_SHARD_TIMEOUT`` deadline machinery, so expiry
+aborts the shard workers rather than orphaning them), and streams rows
+off the lazy :class:`~repro.api.ResultSet` cursor — an HTTP ``limit`` or
+a WebSocket page decodes only the rows it returns, never the full
+result.
+
+Wire discipline: nothing on the way out waits for a timer.  Every
+message — an HTTP response, the 101 upgrade, a WebSocket frame — is
+handed to the socket as one buffer in one call, and accepted sockets
+carry ``TCP_NODELAY``, so no part of a message queues behind the peer's
+delayed ACK of another.
 
 Failure discipline: *every* response has a structured JSON body (see
 :mod:`repro.service.protocol`), including 500s; a
@@ -31,7 +38,10 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from queue import SimpleQueue
 from time import perf_counter
 from typing import Mapping, Union
 
@@ -59,6 +69,9 @@ from repro.service.protocol import (
 
 __all__ = ["QueryServer"]
 
+#: Seconds between the accept loop's checks for a shutdown request.
+_ACCEPT_POLL = 0.05
+
 #: Known routes, for the bounded ``route`` metric label.
 _ROUTES = {
     "/healthz",
@@ -82,6 +95,81 @@ def _status_label(exc: BaseException) -> str:
     if isinstance(exc, ProtocolError):
         return "protocol_error"
     return "error"
+
+
+class _BudgetWorker:
+    """A long-lived thread that runs queries, one at a time, for handler
+    threads that wait on it with a time budget.
+
+    A worker whose query overran the budget is never handed another: it
+    finishes (or is aborted by the shard deadline), then exits.
+    """
+
+    def __init__(self) -> None:
+        self.spent = False
+        self._jobs: SimpleQueue = SimpleQueue()
+        self._done = threading.Event()
+        self._outcome: tuple | None = None
+        threading.Thread(
+            target=self._loop, name="repro-budget-worker", daemon=True
+        ).start()
+
+    def _loop(self) -> None:
+        while (fn := self._jobs.get()) is not None:
+            try:
+                self._outcome = (fn(), None)
+            except BaseException as exc:  # re-raised by the waiting handler
+                self._outcome = (None, exc)
+            del fn  # an idle worker keeps no request alive
+            self._done.set()
+
+    def run(self, fn, timeout: float):
+        """``fn()``'s value (or its exception), or QueryTimeoutError once
+        ``timeout`` seconds have passed — which leaves the worker spent."""
+        self._jobs.put(fn)
+        if not self._done.wait(timeout):
+            self.retire()
+            raise QueryTimeoutError(timeout)
+        self._done.clear()
+        value, error = self._outcome
+        self._outcome = None
+        if error is not None:
+            raise error
+        return value
+
+    def retire(self) -> None:
+        """Exit once the job in hand, if any, is done."""
+        self.spent = True
+        self._jobs.put(None)
+
+
+def _egress(rs, lang: str):
+    """``(total, render)`` of a result about to leave the server.
+
+    ``render(offset, limit)`` is that window of the result as JSON-ready
+    rows, and costs only the window: keys-backed results are rendered
+    from the cursor's code columns, pair-language results are sorted
+    here, once, and converted slice by slice.
+    """
+    if get_language(lang).pairs:
+        pairs = sorted(rs.pairs(), key=repr)
+
+        def render(offset: int, limit) -> list:
+            stop = None if limit is None else offset + limit
+            return [jsonable_row(p) for p in pairs[offset:stop]]
+
+        return len(pairs), render
+
+    def render(offset: int, limit) -> list:
+        window = rs.offset(offset) if offset else rs
+        if limit is not None:
+            window = window.limit(limit)
+        rows = window.wire_rows()
+        if rows is None:  # set-backed payload: no columns to render from
+            rows = [jsonable_row(t) for t in window]
+        return rows
+
+    return rs.total, render
 
 
 class QueryServer:
@@ -128,6 +216,9 @@ class QueryServer:
             queue_gauge=self._m_queued,
             rejection_counter=self._m_rejections,
         )
+        # Idle budget workers, most recently used last.  Admission
+        # bounds the queries in flight, and so the workers ever idle here.
+        self._idle_workers: deque[_BudgetWorker] = deque()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -241,6 +332,8 @@ class QueryServer:
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            # How long stop() may have to wait for the accept loop.
+            kwargs={"poll_interval": _ACCEPT_POLL},
             name="repro-service",
             daemon=True,
         )
@@ -268,6 +361,8 @@ class QueryServer:
             if self._thread is not None:
                 self._thread.join(timeout=5.0)
                 self._thread = None
+        while self._idle_workers:
+            self._idle_workers.pop().retire()
         self.pool.close()
 
     def __enter__(self) -> "QueryServer":
@@ -284,47 +379,33 @@ class QueryServer:
     def _run_with_budget(self, fn):
         """Run ``fn`` under the per-query time budget.
 
-        The budget is enforced by joining a worker thread: on expiry the
-        request is answered with a structured
+        The query runs on a budget worker and this (handler) thread
+        waits for it, at most the budget: on expiry the request is
+        answered with a structured
         :class:`~repro.errors.QueryTimeoutError` while the worker drains
         in the background (on process-sharded tenants the mapped shard
         deadline also aborts the workers, so nothing keeps computing).
+        Workers are started when no idle one is at hand and go back to
+        the idle stack when their query made the budget; one that did
+        not is left to finish and exit.
         """
         timeout = self.config.query_timeout
         if timeout is None:
             return fn()
-        box: dict = {}
-        done = threading.Event()
-
-        def target() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # reported, not swallowed
-                box["error"] = exc
-            finally:
-                done.set()
-
-        worker = threading.Thread(target=target, daemon=True)
-        worker.start()
-        if not done.wait(timeout):
-            raise QueryTimeoutError(timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
+        try:
+            worker = self._idle_workers.pop()
+        except IndexError:
+            worker = _BudgetWorker()
+        try:
+            return worker.run(fn, timeout)
+        finally:
+            if not worker.spent:
+                self._idle_workers.append(worker)
 
     def _render_rows(self, rs, lang: str, limit, offset: int) -> dict:
         """Serialize one window of a result, decoding only that window."""
-        if get_language(lang).pairs:
-            pairs = sorted(rs.pairs(), key=repr)
-            total = len(pairs)
-            stop = total if limit is None else offset + limit
-            rows = [jsonable_row(p) for p in pairs[offset:stop]]
-        else:
-            total = rs.total
-            window = rs.offset(offset) if offset else rs
-            if limit is not None:
-                window = window.limit(limit)
-            rows = [jsonable_row(t) for t in window]
+        total, render = _egress(rs, lang)
+        rows = render(offset, limit)
         return {"rows": rows, "total": total, "returned": len(rows)}
 
     def _execute_request(self, req: dict) -> dict:
@@ -424,27 +505,12 @@ class QueryServer:
                     req["query"], lang=req["lang"], **req["params"]
                 )
             )
-        if get_language(lang).pairs:
-            rows = [jsonable_row(p) for p in sorted(rs.pairs(), key=repr)]
-            total = len(rows)
-            pages = [
-                rows[i : i + page_size] for i in range(0, total, page_size)
-            ]
-            for seq, page in enumerate(pages):
-                self._m_ws_pages.inc()
-                yield {"id": qid, "seq": seq, "rows": page}
-            npages = len(pages)
-        else:
-            total = rs.total
-            npages = 0
-            for seq, page in enumerate(rs.pages(page_size)):
-                self._m_ws_pages.inc()
-                yield {
-                    "id": qid,
-                    "seq": seq,
-                    "rows": [jsonable_row(t) for t in page],
-                }
-                npages += 1
+        total, render = _egress(rs, lang)
+        npages = 0
+        for start in range(0, total, page_size):
+            self._m_ws_pages.inc()
+            yield {"id": qid, "seq": npages, "rows": render(start, page_size)}
+            npages += 1
         yield {"id": qid, "done": True, "total": total, "pages": npages}
 
 
@@ -462,6 +528,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout: a stalled peer (e.g. a deliberately truncated
     #: body) cannot pin a handler thread forever.
     timeout = 60.0
+    #: ``TCP_NODELAY`` on every accepted socket: a small message (the
+    #: ``done`` frame closing a stream) is sent at once instead of
+    #: waiting for the peer to acknowledge the page before it.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------- #
 
@@ -471,21 +541,35 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_label(self, path: str) -> str:
         return path if path in _ROUTES else "other"
 
+    def _send(self, status: int, headers: list, body: bytes = b"") -> None:
+        """One response, one segment: head and body leave in one write.
+
+        ``send_response`` / ``end_headers`` would hand the head to the
+        socket by itself and the body in a second write.  The head is
+        the one they build: status line, ``Server``, ``Date``, then
+        ``headers`` — and none at all for an HTTP/0.9 request.
+        """
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            lines = [
+                f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+            ]
+            lines += [f"{name}: {value}" for name, value in headers]
+            head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head + body)
+
     def _respond(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond_text(status, json.dumps(payload), "application/json")
 
     def _respond_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status,
+            [("Content-Type", content_type), ("Content-Length", len(body))],
+            body,
+        )
 
     def _finish(self, path: str, status: int, payload: dict) -> None:
         self.qs._m_http.labels(
@@ -610,12 +694,14 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
             return
-        self.send_response(101, "Switching Protocols")
-        self.send_header("Upgrade", "websocket")
-        self.send_header("Connection", "Upgrade")
-        self.send_header("Sec-WebSocket-Accept", wsproto.accept_key(key))
-        self.end_headers()
-        self.wfile.flush()
+        self._send(
+            101,
+            [
+                ("Upgrade", "websocket"),
+                ("Connection", "Upgrade"),
+                ("Sec-WebSocket-Accept", wsproto.accept_key(key)),
+            ],
+        )
         self.close_connection = True
         self.qs._m_http.labels(route="/v1/ws", status="101").inc()
         self.qs._m_ws_conns.inc()

@@ -71,6 +71,20 @@ class Frame:
     fin: bool = True
 
 
+def _xor_mask(payload: bytes, key: bytes) -> bytes:
+    """Mask or unmask ``payload`` with the 4-byte ``key`` (RFC 6455 §5.3).
+
+    XOR is its own inverse, so one function serves both directions.  The
+    whole buffer is XORed as one integer against the repeated key — a
+    page-sized payload costs two conversions, not a bytecode per byte.
+    """
+    n = len(payload)
+    repeated = (key * (n // 4 + 1))[:n]
+    return (
+        int.from_bytes(payload, "big") ^ int.from_bytes(repeated, "big")
+    ).to_bytes(n, "big")
+
+
 def _read_exact(sock: socket.socket, n: int) -> bytes:
     """Read exactly ``n`` bytes or raise ProtocolError on truncation."""
     chunks = []
@@ -126,9 +140,7 @@ def read_frame(
     mask = _read_exact(sock, 4) if masked else b""
     payload = _read_exact(sock, length) if length else b""
     if masked and payload:
-        payload = bytes(
-            b ^ mask[i % 4] for i, b in enumerate(payload)
-        )
+        payload = _xor_mask(payload, mask)
     return Frame(opcode, payload, fin)
 
 
@@ -139,7 +151,12 @@ def send_frame(
     *,
     mask: bool,
 ) -> None:
-    """Send one (FIN) frame; masks iff ``mask`` (the client side)."""
+    """Send one (FIN) frame; masks iff ``mask`` (the client side).
+
+    Header and payload leave in a single ``sendall``: a frame is never
+    split across writes, so no part of it can queue behind the peer's
+    delayed ACK of the other.
+    """
     header = bytearray([0x80 | opcode])
     length = len(payload)
     mask_bit = 0x80 if mask else 0x00
@@ -154,7 +171,7 @@ def send_frame(
     if mask:
         key = os.urandom(4)
         header += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _xor_mask(payload, key)
     sock.sendall(bytes(header) + payload)
 
 

@@ -26,7 +26,8 @@ cached on the store like its hash indexes and statistics
 **Sharing contract.**  A store derived from one that already has a
 columnar view (``with_relations`` and friends) gets its view from
 :meth:`ColumnarStore.derive`, not from a rebuild: the dictionary
-(``objects``, the object→code map, the decode array, ``dv_*``) and the
+(``objects``, the object→code map, the decode array and the wire array
+of :meth:`ColumnarStore.wire_array`, ``dv_*``) and the
 key/column arrays of every relation the derivation did not replace are
 the parent's *by reference*; only the replaced relations are encoded.
 When the new triples bring objects outside the universe the dictionary
@@ -49,7 +50,12 @@ import numpy as np
 from repro.errors import TriplestoreError
 from repro.triplestore.model import Obj, Triple, Triplestore
 
-__all__ = ["ColumnarStore", "sorted_unique"]
+__all__ = ["JSON_NATIVE", "ColumnarStore", "sorted_unique"]
+
+#: The object types JSON carries as themselves.  Store objects are
+#: arbitrary Python values; on the service wire every other object
+#: crosses as its ``repr`` (the CLI's display convention).
+JSON_NATIVE = (str, int, float, bool, type(None))
 
 #: Packed keys are ``(s·n + p)·n + o`` in int64; n³ must stay below 2^63.
 _MAX_ENCODABLE_OBJECTS = 2_097_151
@@ -105,6 +111,7 @@ class ColumnarStore:
         "radix",
         "_code_of",
         "_obj_array",
+        "_wire_cell",
         "dv_values",
         "dv_codes",
         "_dv_code_of",
@@ -160,6 +167,9 @@ class ColumnarStore:
         self._obj_array = np.empty(len(objs), dtype=object)
         self._obj_array[:] = objs
         _readonly(self._obj_array)
+        # Filled by wire_array(); a cell, so that every version sharing
+        # this dictionary shares the array whichever of them fills it.
+        self._wire_cell: list = [None]
 
     def _encode_rho(self, rho: Callable[[Obj], Any]) -> None:
         """Dictionary-encode the data values of the whole universe."""
@@ -199,6 +209,7 @@ class ColumnarStore:
         else:
             child.objects, child.n, child.radix = self.objects, self.n, self.radix
             child._code_of, child._obj_array = self._code_of, self._obj_array
+            child._wire_cell = self._wire_cell
         if rho_changed:
             child._encode_rho(store.rho)
         elif remap is None:
@@ -354,6 +365,38 @@ class ColumnarStore:
                 arr[columns[:, 2]].tolist(),
             )
         )
+
+    def wire_array(self) -> np.ndarray:
+        """The decode array of the service wire format (code → JSON value).
+
+        :data:`JSON_NATIVE` objects are themselves, every other object
+        is its ``repr``.  When the whole universe is native this *is* the
+        decode array; otherwise it is a copy with the other objects
+        replaced.  Built on first use — only result egress asks for it —
+        and shared by every version that shares the dictionary.
+        """
+        cell = self._wire_cell
+        if cell[0] is None:
+            wire = self._obj_array
+            foreign = [
+                i for i, o in enumerate(self.objects) if not isinstance(o, JSON_NATIVE)
+            ]
+            if foreign:
+                wire = wire.copy()
+                for i in foreign:
+                    wire[i] = repr(self.objects[i])
+                _readonly(wire)
+            cell[0] = wire
+        return cell[0]
+
+    def wire_rows(self, keys: np.ndarray) -> list[list]:
+        """Packed keys as JSON-ready rows, *preserving key order*.
+
+        Equal to ``[jsonable_row(t) for t in decode_list(keys)]`` of the
+        service protocol, in one gather over the code columns: no tuple
+        and no per-value type test per row.
+        """
+        return self.wire_array()[self.unpack(keys)].tolist()
 
     def decode_pairs(self, keys: np.ndarray) -> frozenset[tuple[Obj, Obj]]:
         """π₁,₃ of a packed-key array, deduplicated *before* decoding.

@@ -34,13 +34,14 @@ def _fresh_server() -> QueryServer:
     """The pinned server shape: one set tenant, one sharded tenant.
 
     Everything that shows in the exposition is fixed — tenant names,
-    backends, the thread executor (no worker processes), and a config
+    backends (pinned, so ``REPRO_BACKEND`` cannot move the default
+    tenant's), the thread executor (no worker processes), and a config
     whose values do not appear in any metric.
     """
     from repro.core.engines.sharded import ShardedEngine
 
     tenants = {
-        "default": Database(GOLDEN_STORE),
+        "default": Database(GOLDEN_STORE, backend="set"),
         "sharded": Database(
             GOLDEN_STORE, ShardedEngine(shards=4, executor="thread")
         ),
