@@ -9,21 +9,27 @@ instead of Python sets of tuples:
 * intermediate relations are sorted unique ``int64`` *packed-key* arrays
   (``(s·n + p)·n + o``), so union/difference/intersection are sorted
   merges (``np.union1d`` and friends);
-* hash joins lower to ``np.searchsorted`` merge joins on composite
-  integer keys built from the cross equalities (θ keys compare object
-  codes, η keys compare dictionary-encoded ρ-codes);
-* selections and residual filters evaluate conditions as whole-column
-  boolean masks;
+* hash joins lower to one build-then-probe kernel over *access paths*
+  (:class:`~repro.triplestore.columnar.AccessPath`): the build operand's
+  rows grouped by the composite key of the cross equalities (θ keys
+  compare object codes, η keys dictionary-encoded ρ-codes).  Where the
+  planner chose the store's index (``via store-index``) the path is the
+  base relation's own, cached on the store and shared by its versions —
+  the join neither unpacks nor sorts the relation;
+* constant lookups (:class:`~repro.core.plan.IndexLookupOp`) are a slice
+  of the relation's path, the residual evaluated on that slice; other
+  selections evaluate conditions as whole-column boolean masks;
 * general Kleene stars run the same semi-naive fixpoint as
-  :class:`~repro.core.plan.StarOp`, one vectorised join per round;
+  :class:`~repro.core.plan.StarOp`: the constant operand is indexed
+  once, each round probes it with the frontier;
 * reach-shaped stars (:class:`~repro.core.plan.ReachStarOp`) use
   semi-naive *boolean matrix* iteration over the ``|O|×|O|`` adjacency
   matrix — the array representation the paper's Section 5 cost model is
   stated over — when the density/size heuristic of
-  :func:`repro.core.plan.lower_plan` picked the dense strategy, and
-  per-source BFS otherwise.  The dense path re-checks the object-count
-  guard against the actual store at run time and falls back to sparse on
-  :class:`~repro.errors.MatrixTooLargeError`.
+  :func:`repro.core.plan.lower_plan` picked the dense strategy, and the
+  semi-naive join fixpoint otherwise.  The dense path re-checks the
+  object-count guard against the actual store at run time and falls
+  back to sparse on :class:`~repro.errors.MatrixTooLargeError`.
 
 Cross-backend agreement with the set executors (and the NaiveEngine
 oracle) is enforced by the randomized differential harness in
@@ -39,6 +45,7 @@ import numpy as np
 from repro.errors import EvaluationBudgetError, MatrixTooLargeError, UnboundParameterError
 from repro.core.conditions import Cond
 from repro.core.expressions import (
+    LEFT,
     REACH_COND_ANY,
     REACH_COND_SAME_LABEL,
     REACH_OUT,
@@ -65,7 +72,7 @@ from repro.core.plan import (
     compile_plan,
 )
 from repro.core.positions import Const, Param
-from repro.triplestore.columnar import ColumnarStore, sorted_unique
+from repro.triplestore.columnar import AccessPath, ColumnarStore, KeyPart, sorted_unique
 from repro.triplestore.model import Triplestore
 
 __all__ = ["VectorEngine", "VectorExecContext"]
@@ -180,88 +187,120 @@ def _resolve_pair(cs: ColumnarStore, cond: Cond, term, lcols, li, rcols, ri):
 
 
 # --------------------------------------------------------------------- #
-# The merge join
+# The join kernel: build an access path on one operand, probe it with the other
 # --------------------------------------------------------------------- #
 
 
-#: Composite join keys are folded radix-by-radix; past this magnitude the
-#: next fold could overflow int64, so keys are first compressed to dense
-#: ranks (which preserves cross-side equality exactly).
+#: Composite join keys fold one radix per cross equality; equalities whose
+#: radix would push the key range past this stay out of the key and are
+#: checked on the matched pairs instead (the fold must not wrap int64).
 _MAX_COMPOSITE_KEY = 2**62
 
 
-def _join_keys(
-    cs: ColumnarStore, spec: JoinSpec, lcols: np.ndarray, rcols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite integer join keys for both operands (one per cross eq)."""
-    lkey = np.zeros(len(lcols), dtype=np.int64)
-    rkey = np.zeros(len(rcols), dtype=np.int64)
+def _join_key(
+    cs: ColumnarStore, spec: JoinSpec
+) -> tuple[tuple[KeyPart, ...], tuple[KeyPart, ...], tuple[Cond, ...]]:
+    """The spec's equi-join key on each operand, and the pair conditions.
+
+    One key part per cross equality — θ compares object codes, η the
+    dictionary-encoded ρ-codes — as far as the composite fits int64.
+    The pair conditions are the cross inequalities plus any equality the
+    key could not take.
+    """
+    lkey: list[KeyPart] = []
+    rkey: list[KeyPart] = []
+    pairwise = list(spec.cross_neq)
     key_range = 1
     for cond in spec.cross_eq:
-        lcomp = lcols[:, cond.left.index]
-        rcomp = rcols[:, cond.right.index - 3]
-        if cond.on_data:
-            lcomp = cs.dv_codes[lcomp]
-            rcomp = cs.dv_codes[rcomp]
-            radix = max(cs.n_data_values, 1)
-        else:
-            radix = max(cs.n, 1)
+        radix = max(cs.n_data_values, 1) if cond.on_data else cs.radix
         if key_range > _MAX_COMPOSITE_KEY // radix:
-            # Re-rank the partial keys densely over both sides before
-            # folding in the next component (many cross equalities over a
-            # huge universe would otherwise wrap int64 and silently match
-            # unrelated rows).
-            ranks = sorted_unique(np.concatenate((lkey, rkey)))
-            lkey = np.searchsorted(ranks, lkey)
-            rkey = np.searchsorted(ranks, rkey)
-            key_range = len(ranks)
-        lkey = lkey * radix + lcomp
-        rkey = rkey * radix + rcomp
+            pairwise.append(cond)
+            continue
         key_range *= radix
-    return lkey, rkey
+        lkey.append((cond.left.index, cond.on_data))
+        rkey.append((cond.right.index - 3, cond.on_data))
+    return tuple(lkey), tuple(rkey), tuple(pairwise)
+
+
+def _probe(
+    cs: ColumnarStore, path: AccessPath, key: tuple[KeyPart, ...], cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched ``(probe row, build row)`` index pairs of ``cols`` against
+    ``path``: every build row whose key equals the probe row's ``key``."""
+    if path.offsets is not None:
+        probe = None
+        code = cols[:, key[0][0]]
+        lo, hi = path.offsets[code], path.offsets[code + 1]
+    else:
+        # Sorted needles make both binary searches walk the key column
+        # front to back instead of jumping through it.
+        needles = cs.key_column(cols, key)
+        probe = np.argsort(needles)
+        needles = needles[probe]
+        lo = np.searchsorted(path.keys, needles, side="left")
+        hi = np.searchsorted(path.keys, needles, side="right")
+    counts = (hi - lo).astype(np.int64, copy=False)
+    total = int(counts.sum())
+    pi = np.repeat(np.arange(len(cols)) if probe is None else probe, counts)
+    # Pair t of probe row r sits at lo[r] + (t - first pair of r).
+    at = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return pi, at if path.perm is None else path.perm[at].astype(np.intp)
 
 
 def _merge_join(
-    cs: ColumnarStore, spec: JoinSpec, lcols: np.ndarray, rcols: np.ndarray
+    cs: ColumnarStore,
+    spec: JoinSpec,
+    lcols: np.ndarray,
+    rcols: np.ndarray,
+    build_side: str = RIGHT,
+    path: Optional[AccessPath] = None,
 ) -> np.ndarray:
     """Join two pre-filtered operand column blocks; packed-key output.
 
-    With cross equalities this is a sort/searchsorted merge join; without
-    them it is the cartesian product the algebra demands.  Cross
-    inequalities are applied as a mask over the matched pairs, and the
-    output spec's projection is a vectorised gather.
+    The one join of the columnar backends: the ``build_side`` operand is
+    indexed on its half of the equi-join key and probed with the other.
+    ``path`` is the build operand's access path when the caller already
+    holds one (a base relation's, from the store; a fixpoint's constant
+    operand, built once outside the loop); otherwise it is built here.
+    Without cross equalities the join is the operand's own projection
+    when nothing links the two sides, and the cartesian product the
+    algebra demands otherwise.  Pair conditions are applied as a mask
+    over the matched pairs, the output projection is a vectorised gather.
     """
     n_left, n_right = len(lcols), len(rcols)
     if n_left == 0 or n_right == 0:
         return _EMPTY
-    if spec.cross_eq:
-        lkey, rkey = _join_keys(cs, spec, lcols, rcols)
-        order = np.argsort(rkey, kind="stable")
-        sorted_rkey = rkey[order]
-        lo = np.searchsorted(sorted_rkey, lkey, side="left")
-        hi = np.searchsorted(sorted_rkey, lkey, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY
-        li = np.repeat(np.arange(n_left), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        ri = order[np.repeat(lo, counts) + offsets]
+    lkey, rkey, pairwise = _join_key(cs, spec)
+    i, j, k = spec.out
+    n = cs.radix
+    if lkey:
+        if build_side == RIGHT:
+            path = path if path is not None else cs.build_path(rcols, rkey)
+            li, ri = _probe(cs, path, lkey, lcols)
+        else:
+            path = path if path is not None else cs.build_path(lcols, lkey)
+            ri, li = _probe(cs, path, rkey, rcols)
     else:
+        side = spec.one_sided()
+        if side is not None:
+            # Nothing links the operands and the output reads one of
+            # them: the other only had to be non-empty.
+            cols = lcols if side == LEFT else rcols
+            return sorted_unique(
+                (cols[:, i % 3] * n + cols[:, j % 3]) * n + cols[:, k % 3]
+            )
         li = np.repeat(np.arange(n_left), n_right)
         ri = np.tile(np.arange(n_right), n_left)
-    if spec.cross_neq:
-        mask = _pair_mask(cs, spec.cross_neq, lcols, li, rcols, ri)
+    if pairwise:
+        mask = _pair_mask(cs, pairwise, lcols, li, rcols, ri)
         li, ri = li[mask], ri[mask]
-        if len(li) == 0:
-            return _EMPTY
+    if len(li) == 0:
+        return _EMPTY
     # Pack the projection directly from per-column gathers — no (M, 3)
     # intermediate; this is the join's hot path.
-    i, j, k = spec.out
     a = lcols[:, i][li] if i < 3 else rcols[:, i - 3][ri]
     b = lcols[:, j][li] if j < 3 else rcols[:, j - 3][ri]
     c = lcols[:, k][li] if k < 3 else rcols[:, k - 3][ri]
-    n = cs.radix
     return sorted_unique((a * n + b) * n + c)
 
 
@@ -410,21 +449,26 @@ class VectorExecContext:
             f"no columnar execution for {type(op).__name__}"
         )
 
+    def _cols(self, op: PlanOp, keys: np.ndarray) -> np.ndarray:
+        """Code columns of ``op``'s result ``keys`` — for a base relation
+        the store's cached block, not a fresh unpack."""
+        if isinstance(op, ScanOp):
+            return self.cs.relation_columns(op.name)
+        return self.cs.unpack(keys)
+
     def _index_lookup(self, op: IndexLookupOp) -> np.ndarray:
         cs = self.cs
-        keys = cs.relation_keys(op.name)
-        cols = cs.relation_columns(op.name)
-        mask = np.ones(len(cols), dtype=bool)
-        for pos, value in zip(op.positions, op.bound_key()):
-            mask &= cols[:, pos] == cs.code_of(value)
+        needle = cs.key_of([cs.code_of(value) for value in op.bound_key()])
+        rows = cs.access_path(op.name, op.positions).rows(needle)
+        keys = cs.relation_keys(op.name)[rows]
         if op.residual:
-            mask &= _local_mask(cs, op.residual, cols)
-        return keys[mask]
+            # Evaluated on the looked-up rows only.
+            keys = keys[_local_mask(cs, op.residual, cs.relation_columns(op.name)[rows])]
+        return keys
 
     def _filter(self, op: FilterOp) -> np.ndarray:
         keys = self.run(op.child)
-        cols = self.cs.unpack(keys)
-        return keys[_local_mask(self.cs, op.conditions, cols)]
+        return keys[_local_mask(self.cs, op.conditions, self._cols(op.child, keys))]
 
     def _join(self, op: HashJoinOp) -> np.ndarray:
         cs = self.cs
@@ -436,41 +480,66 @@ class VectorExecContext:
         right = self.run(op.right)
         if not spec.gate_open(self.rho):
             return _EMPTY
-        lcols = cs.unpack(left)
-        rcols = cs.unpack(right)
+        lcols = self._cols(op.left, left)
+        rcols = self._cols(op.right, right)
         if spec.left_local:
             lcols = lcols[_local_mask(cs, spec.left_local, lcols)]
         if spec.right_local:
             rcols = rcols[_local_mask(cs, spec.right_local, rcols)]
-        return _merge_join(cs, spec, lcols, rcols)
+        build_right = op.build_side == RIGHT
+        lkey, rkey, _ = _join_key(cs, spec)
+        key = rkey if build_right else lkey
+        if not key:
+            path = None
+        elif op.index_positions is not None:
+            # The planner chose the store's index: the build child is an
+            # unfiltered base relation, whose path every query shares.
+            name = (op.right if build_right else op.left).name
+            path = cs.access_path(name, tuple(pos for pos, _ in key))
+        else:
+            path = cs.build_path(rcols if build_right else lcols, key, presorted=True)
+        return _merge_join(cs, spec, lcols, rcols, op.build_side, path)
 
     def _star(self, op: StarOp) -> np.ndarray:
-        cs = self.cs
-        spec = op.spec
         base = self.run(op.child)
-        if not spec.gate_open(self.rho):
+        if not op.spec.gate_open(self.rho):
             return base
-        base_cols = cs.unpack(base)
-        # The constant operand's local filter is applied once, outside
-        # the loop — the columnar analogue of StarOp's hoisted index.
-        const_local = spec.right_local if op.side == RIGHT else spec.left_local
-        const_cols = base_cols
+        return self._fixpoint(op.spec, op.side, base, self._cols(op.child, base))
+
+    def _fixpoint(
+        self, spec: JoinSpec, side: str, base: np.ndarray, base_cols: np.ndarray
+    ) -> np.ndarray:
+        """Semi-naive closure of ``base`` under the spec's join.
+
+        The constant operand (right for a right star, left for a left
+        one) is filtered and indexed once, outside the loop — the
+        columnar analogue of :class:`StarOp`'s hoisted hash index; each
+        round probes it with the frontier.
+        """
+        cs = self.cs
+        const_right = side == RIGHT
+        const_local = spec.right_local if const_right else spec.left_local
+        varying_local = spec.left_local if const_right else spec.right_local
+        const = base_cols
         if const_local:
-            const_cols = base_cols[_local_mask(cs, const_local, base_cols)]
-        varying_local = spec.left_local if op.side == RIGHT else spec.right_local
+            const = const[_local_mask(cs, const_local, const)]
+        lkey, rkey, _ = _join_key(cs, spec)
+        key = rkey if const_right else lkey
+        path = cs.build_path(const, key, presorted=True) if key and len(const) else None
         acc = base
-        frontier = base
-        while frontier.size:
-            varying = cs.unpack(frontier)
+        varying = base_cols
+        while True:
             if varying_local:
                 varying = varying[_local_mask(cs, varying_local, varying)]
-            if op.side == RIGHT:
-                produced = _merge_join(cs, spec, varying, const_cols)
+            if const_right:
+                produced = _merge_join(cs, spec, varying, const, RIGHT, path)
             else:
-                produced = _merge_join(cs, spec, const_cols, varying)
+                produced = _merge_join(cs, spec, const, varying, LEFT, path)
             frontier = _diff_sorted(produced, acc)
+            if not frontier.size:
+                return acc
             acc = _union_sorted(acc, frontier)
-        return acc
+            varying = cs.unpack(frontier)
 
     # -- reachability stars --------------------------------------------- #
 
@@ -500,25 +569,11 @@ class VectorExecContext:
                 # cached per expression and reused across stores); fall
                 # back to the sparse strategy rather than refuse.
                 pass
-        return self._reach_sparse(base, op.same_label)
-
-    def _reach_sparse(self, keys: np.ndarray, same_label: bool) -> np.ndarray:
-        """Sparse reach strategy: the semi-naive columnar join fixpoint.
-
-        Proposition 5's reach stars are ordinary right stars with a fixed
-        shape, so the generic vectorised fixpoint applies verbatim —
-        rounds are bounded by the graph diameter, each one a merge join.
-        """
-        cs = self.cs
-        spec = _REACH_SPEC_SAME if same_label else _REACH_SPEC_ANY
-        base_cols = cs.unpack(keys)
-        acc = keys
-        frontier = keys
-        while frontier.size:
-            produced = _merge_join(cs, spec, cs.unpack(frontier), base_cols)
-            frontier = _diff_sorted(produced, acc)
-            acc = _union_sorted(acc, frontier)
-        return acc
+        # Sparse strategy: Proposition 5's reach stars are ordinary right
+        # stars of a fixed shape, so the semi-naive join fixpoint applies
+        # verbatim — rounds are bounded by the graph diameter.
+        spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
+        return self._fixpoint(spec, RIGHT, base, self._cols(op.child, base))
 
     # -- the universal relation ----------------------------------------- #
 
@@ -556,7 +611,8 @@ class VectorEngine(HashJoinEngine):
         the columnar entry point).
     max_matrix_objects:
         Object-count guard for the dense boolean-matrix reachability
-        strategy; above it the sparse per-source BFS runs instead.
+        strategy; above it the sparse strategy (the semi-naive join
+        fixpoint) runs instead.
     """
 
     plans_reach_stars = True

@@ -237,6 +237,22 @@ class JoinSpec:
             return tuple(c.right.index - 3 for c in self.cross_eq)  # type: ignore[union-attr]
         return tuple(c.left.index for c in self.cross_eq)  # type: ignore[union-attr]
 
+    def one_sided(self) -> Optional[str]:
+        """The operand the whole output reads, when nothing links the two.
+
+        A join with no cross (in)equalities whose output positions all
+        come from one operand is that operand's projection — the other
+        operand only has to be non-empty — so no pair need be
+        enumerated (NRE ``a.[b]`` and GXPath ``a/[<b>]`` compile to
+        ``join[1,1,1](X, X)``).  ``None`` for every other join.
+        """
+        if self.cross_eq or self.cross_neq:
+            return None
+        sides = {i < 3 for i in self.out}
+        if len(sides) == 2:
+            return None
+        return LEFT if sides.pop() else RIGHT
+
     def execute(
         self,
         left: Iterable[Triple],
@@ -261,6 +277,10 @@ class JoinSpec:
             right = self.filter_right(right, rho)
         if not left or not right:
             return set()
+        side = self.one_sided()
+        if side is not None:
+            i, j, k = (p % 3 for p in self.out)
+            return {(t[i], t[j], t[k]) for t in (left if side == LEFT else right)}
         key_left, key_right = self.key_extractors(rho)
 
         if build_side == RIGHT:

@@ -28,8 +28,9 @@ columnar view (``with_relations`` and friends) gets its view from
 :meth:`ColumnarStore.derive`, not from a rebuild: the dictionary
 (``objects``, the object→code map, the decode array and the wire array
 of :meth:`ColumnarStore.wire_array`, ``dv_*``) and the
-key/column arrays of every relation the derivation did not replace are
-the parent's *by reference*; only the replaced relations are encoded.
+key/column arrays and access paths (:class:`AccessPath`) of every
+relation the derivation did not replace are the parent's *by reference*;
+only the replaced relations are encoded.
 When the new triples bring objects outside the universe the dictionary
 grows once — codes always follow ``repr`` order, so the old codes map to
 the new ones monotonically, re-coded packed keys are still sorted, and
@@ -43,6 +44,7 @@ raises instead.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Mapping
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from repro.errors import TriplestoreError
 from repro.triplestore.model import Obj, Triple, Triplestore
 
-__all__ = ["JSON_NATIVE", "ColumnarStore", "sorted_unique"]
+__all__ = ["JSON_NATIVE", "AccessPath", "ColumnarStore", "KeyPart", "sorted_unique"]
 
 #: The object types JSON carries as themselves.  Store objects are
 #: arbitrary Python values; on the service wire every other object
@@ -59,6 +61,16 @@ JSON_NATIVE = (str, int, float, bool, type(None))
 
 #: Packed keys are ``(s·n + p)·n + o`` in int64; n³ must stay below 2^63.
 _MAX_ENCODABLE_OBJECTS = 2_097_151
+
+#: One component of an access-path key: a triple position (0..2) and
+#: whether it compares ρ-codes (η) instead of object codes (θ).
+KeyPart = tuple[int, bool]
+
+#: A single-θ path addresses its groups by object code through an array
+#: of ``n + 1`` offsets; past this many codes per row (a small operand in
+#: a large universe) the offsets would outweigh the rows they index, and
+#: the path keeps the sorted key column instead.
+_OFFSETS_MAX_FANOUT = 16
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -82,6 +94,41 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark an array a store holds (and versions share) as immutable."""
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(frozen=True, slots=True)
+class AccessPath:
+    """The rows of one relation (or join operand) grouped by a key.
+
+    ``perm`` lists the row indices stably sorted by the key, in the
+    narrowest integer dtype that holds the row count; it is ``None`` when
+    the rows already are in key order (packed-key order is SPO order, so
+    position 1 and its prefixes need no permutation).  A single θ
+    position addresses its groups by code — the rows
+    ``perm[offsets[c]:offsets[c + 1]]`` hold code ``c``; every other key
+    keeps ``keys``, the sorted composite key column, to be probed with
+    ``np.searchsorted``.  Exactly one of ``offsets`` and ``keys`` is set;
+    all arrays are read-only.
+    """
+
+    perm: np.ndarray | None
+    offsets: np.ndarray | None
+    keys: np.ndarray | None
+
+    def rows(self, needle: int) -> slice | np.ndarray:
+        """The rows whose key equals ``needle``, ascending (an index).
+
+        A negative needle (a constant outside the dictionary) matches
+        nothing.
+        """
+        if needle < 0:
+            lo = hi = 0
+        elif self.offsets is not None:
+            lo, hi = self.offsets[needle], self.offsets[needle + 1]
+        else:
+            lo = np.searchsorted(self.keys, needle, side="left")
+            hi = np.searchsorted(self.keys, needle, side="right")
+        return slice(lo, hi) if self.perm is None else self.perm[lo:hi]
 
 
 class ColumnarStore:
@@ -117,6 +164,7 @@ class ColumnarStore:
         "_dv_code_of",
         "_relations",
         "_columns",
+        "_paths",
         "_active",
     )
 
@@ -129,6 +177,7 @@ class ColumnarStore:
             for name in store.relation_names
         }
         self._columns: dict[str, np.ndarray] = {}
+        self._paths: dict[str, dict[tuple[int, ...], AccessPath]] = {}
         self._active: np.ndarray | None = None
 
     @classmethod
@@ -149,6 +198,7 @@ class ColumnarStore:
         cs.dv_codes = _readonly(dv_codes)
         cs._relations = {name: _readonly(keys) for name, keys in relations.items()}
         cs._columns = {}
+        cs._paths = {}
         cs._active = _readonly(active)
         return cs
 
@@ -230,10 +280,16 @@ class ColumnarStore:
                 )
         child._relations = relations
         child._columns = {}
+        child._paths = {}
         if remap is None:
             for name, columns in list(self._columns.items()):
                 if name in relations and name not in replaced:
                     child._columns[name] = columns
+            # The per-relation path table itself is shared, so a path
+            # built later by either version serves both.
+            for name in relations:
+                if name not in replaced:
+                    child._paths[name] = self._paths.setdefault(name, {})
         # The active set survives only when the relation set did.
         same = not replaced and len(relations) == len(self._relations)
         child._active = self._active if same else None
@@ -454,13 +510,83 @@ class ColumnarStore:
     def active_codes(self) -> np.ndarray:
         """Codes of objects occurring in some stored triple (domain of U)."""
         if self._active is None:
-            pieces = [c.ravel() for c in map(self.unpack, self._relations.values())]
+            pieces = [self.relation_columns(name).ravel() for name in self._relations]
             self._active = _readonly(
                 sorted_unique(np.concatenate(pieces))
                 if pieces
                 else np.empty(0, dtype=np.int64)
             )
         return self._active
+
+    # ------------------------------------------------------------------ #
+    # Access paths
+    # ------------------------------------------------------------------ #
+
+    def key_column(self, cols: np.ndarray, key: tuple[KeyPart, ...]) -> np.ndarray:
+        """The composite int64 key of each row of ``cols`` on ``key``.
+
+        Components fold radix by radix (``n`` for θ, the data-value count
+        for η), so equal keys mean equal components on any two operands
+        of this store; the caller keeps the key's range inside int64.
+        """
+        out = None
+        for pos, on_data in key:
+            part = self.dv_codes[cols[:, pos]] if on_data else cols[:, pos]
+            radix = max(self.n_data_values, 1) if on_data else self.radix
+            out = part if out is None else out * radix + part
+        return out
+
+    def key_of(self, codes: Iterable[int]) -> int:
+        """The composite θ key of one row from its component codes (the
+        scalar twin of :meth:`key_column`); ``-1`` when a code is — a
+        constant outside the dictionary, which no stored key equals."""
+        out = 0
+        for code in codes:
+            if code < 0:
+                return -1
+            out = out * self.radix + code
+        return out
+
+    def build_path(
+        self, cols: np.ndarray, key: tuple[KeyPart, ...], presorted: bool = False
+    ) -> AccessPath:
+        """Group the rows of ``cols`` by ``key`` (see :class:`AccessPath`).
+
+        ``presorted`` says the rows are in packed-key order, as every
+        relation and operator result is; a θ key on position 1 or one of
+        its prefixes then needs no permutation.
+        """
+        column = self.key_column(cols, key)
+        theta = not any(on_data for _, on_data in key)
+        positions = tuple(pos for pos, _ in key)
+        # Row indices and counts: the narrowest signed dtype holding them.
+        narrow = np.min_scalar_type(-(len(cols) + 1))
+        perm = None
+        if not (presorted and theta and positions == (0, 1, 2)[: len(key)]):
+            perm = _readonly(np.argsort(column, kind="stable").astype(narrow))
+        if theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(cols):
+            offsets = np.zeros(self.n + 1, dtype=narrow)
+            np.cumsum(np.bincount(column, minlength=self.n), out=offsets[1:])
+            return AccessPath(perm, _readonly(offsets), None)
+        keys = np.ascontiguousarray(column) if perm is None else column[perm]
+        return AccessPath(perm, None, _readonly(keys))
+
+    def access_path(self, name: str, positions: tuple[int, ...]) -> AccessPath:
+        """The access path of relation ``name`` on the θ key ``positions``
+        (the array twin of :meth:`Triplestore.index`), built on first use
+        and shared by every version that shares the relation.
+
+        Store paths key on object codes only: an η key would go stale in
+        a version that shares the relation but replaced ρ.
+        """
+        paths = self._paths.setdefault(name, {})
+        path = paths.get(positions)
+        if path is None:
+            key = tuple((pos, False) for pos in positions)
+            path = paths[positions] = self.build_path(
+                self.relation_columns(name), key, presorted=True
+            )
+        return path
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{n}:{len(k)}" for n, k in self._relations.items())

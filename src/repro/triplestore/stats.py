@@ -83,7 +83,7 @@ class TriplestoreStats:
         if cs is not None:
             # Count on the code columns: no tuple is decoded, which for an
             # mmap'd relation would cost more memory than the relation.
-            rows = cs.unpack(cs.relation_keys(name))
+            rows = cs.relation_columns(name)
             distinct = tuple(len(sorted_unique(rows[:, i])) for i in range(3))
         else:
             rows = self._store.relation(name)

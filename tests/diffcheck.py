@@ -213,7 +213,7 @@ def random_expression(
         return Rel(rng.choice(relations))
     kind = rng.choice(
         ("rel", "select", "union", "diff", "intersect", "join", "join")
-        + (("star", "lstar", "reach") if allow_star else ())
+        + (("star", "lstar", "reach", "onesided") if allow_star else ("onesided",))
     )
     if kind == "rel":
         return Rel(rng.choice(relations))
@@ -233,6 +233,20 @@ def random_expression(
             _random_out(rng),
             random_conditions(rng, max_pos=5),
         )
+    if kind == "onesided":
+        # No cross condition and an output read from one operand (the
+        # shape NRE ``a.[b]`` / GXPath ``a/[<b>]`` compile to), hit on
+        # purpose: local and constant-only conditions still gate it.
+        base = rng.choice((0, 3))
+        out = tuple(base + rng.randint(0, 2) for _ in range(3))
+        conds = random_conditions(rng, 2, 1) + tuple(
+            c.swap_sides() for c in random_conditions(rng, 2, 1)
+        )
+        inner = random_expression(rng, max_depth - 1, allow_star, relations)
+        if allow_star and rng.random() < 0.3:
+            return Star(inner, out, conds, rng.choice(("right", "left")))
+        other = random_expression(rng, max_depth - 1, allow_star, relations)
+        return Join(inner, other, out, conds)
     if kind == "reach":
         # The two Proposition 5 shapes, hit on purpose (random out specs
         # almost never produce them).
