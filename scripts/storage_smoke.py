@@ -4,9 +4,11 @@ Builds a durable store, then for every WAL fault point hard-kills a
 child process mid-commit (``REPRO_STORAGE_FAULT`` → ``os._exit(137)``)
 and reopens the store, asserting the surviving state is *exactly* the
 pre-batch or post-batch state — never a half-applied mixture — and that
-``repro fsck`` agrees the store is healthy.  Finishes with a clean
-compact + warm-reopen cycle and verifies nothing leaked (no ``*.tmp``
-files, no stale ``segments/gen-*`` directories, no ``/dev/shm``
+``repro fsck`` agrees the store is healthy.  Then a rejected install
+followed by a kill must leave a store that reopens (the bad triples
+never reached the WAL).  Finishes with a clean compact + warm-reopen
+cycle and verifies nothing leaked (no ``*.tmp`` files, no stale
+``segments/gen-*`` directories, no ``active.seg``, no ``/dev/shm``
 segments).
 
 Usage::
@@ -48,6 +50,17 @@ with db.batch():
     db.install("E", [("a", "p", "b"), ("x", "q", "y")])
     db.install("R", [("r", "s", "t")])
 db.close()
+"""
+
+_REJECTED = """
+import os, sys
+from repro.db import Database
+from repro.errors import TriplestoreError
+db = Database(path=sys.argv[1])
+try:
+    db.install("F", [("a", "p")])
+except TriplestoreError:
+    os._exit(137)   # killed right after the rejection, nothing closed
 """
 
 
@@ -116,6 +129,21 @@ def main() -> int:
             else:
                 print(f"ok   {fault}: {state}, fsck clean")
 
+    # A rejected install, then a kill: the store must still open.
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
+        store = os.path.join(tmp, "store")
+        rc = _run(_SETUP, store) or _run(_REJECTED, store)
+        try:
+            state = _classify(store) if rc == 137 else f"rc={rc}"
+        except Exception as exc:
+            state = f"reopen failed: {exc}"
+        findings = fsck_store(store)
+        if state != "PRE" or findings:
+            print(f"FAIL rejected-install: {state} findings={findings}")
+            failures += 1
+        else:
+            print("ok   rejected-install: nothing logged, store reopens, fsck clean")
+
     # A clean lifecycle: install → compact → warm reopen, nothing leaked.
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         store = os.path.join(tmp, "store")
@@ -129,11 +157,15 @@ def main() -> int:
         db2.close()
         leaked_tmp = glob.glob(os.path.join(store, "**", "*.tmp"), recursive=True)
         gens = glob.glob(os.path.join(store, "segments", "gen-*"))
+        derivable = glob.glob(os.path.join(store, "segments", "*", "active.seg"))
         if hits < 1:
             print(f"FAIL warm-reopen: expected a plan-cache hit, saw {hits}")
             failures += 1
-        elif leaked_tmp or len(gens) != 1:
-            print(f"FAIL lifecycle: leaked tmp={leaked_tmp} generations={gens}")
+        elif leaked_tmp or len(gens) != 1 or derivable:
+            print(
+                f"FAIL lifecycle: leaked tmp={leaked_tmp} generations={gens} "
+                f"derivable segments={derivable}"
+            )
             failures += 1
         else:
             print("ok   lifecycle: warm reopen hit the plan cache, no leaks")

@@ -226,6 +226,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
     with_data = sum(1 for o in store.objects if store.rho(o) is not None)
     print(f"rho-assigned objects: {with_data}")
+    if os.path.isdir(args.store):
+        from repro.storage import store_footprint
+
+        fp = store_footprint(args.store)
+        print(
+            f"on disk:   {fp['total']} bytes, generation {fp['generation']} "
+            f"({fp['total'] / max(len(store), 1):.2f} per live triple)"
+        )
+        print(f"  relation keys: {fp['relations']}")
+        print(f"  dictionary:    {fp['dictionary']} (meta + dv_codes)")
+        print(f"  catalog:       {fp['catalog']}")
+        print(f"  wal:           {fp['wal']}")
     return 0
 
 
@@ -395,11 +407,17 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     storage = DurableStore(args.store)
     store = storage.open()  # replays any committed WAL records
     before = storage.wal.size if storage.wal is not None else 0
+    held = {entry.inode() for entry in os.scandir(storage.gen_dir)}
     storage.snapshot(store, storage.rel_versions, storage.store_version)
     storage.close()
+    # A segment the new generation shares with the old one was linked.
+    segments = list(os.scandir(storage.gen_dir))
+    linked = sum(entry.inode() in held for entry in segments)
+    written = sum(e.stat().st_size for e in segments if e.inode() not in held)
     print(
         f"# {args.store}: compacted to generation {storage.generation} "
-        f"({before} WAL bytes folded)",
+        f"({before} WAL bytes folded; {linked} of {len(segments)} segments "
+        f"linked, {written} bytes written)",
         file=sys.stderr,
     )
     return 0

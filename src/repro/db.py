@@ -68,7 +68,7 @@ from repro.core.params import (
 from repro.core.parser import parse as parse_expr
 from repro.core.plan import PlanOp
 from repro.errors import EvaluationBudgetError, ReproError
-from repro.triplestore.model import Triple, Triplestore
+from repro.triplestore.model import Triple, Triplestore, _as_triple
 
 __all__ = ["BACKENDS", "CacheInfo", "Database", "MutationBatch"]
 
@@ -175,8 +175,8 @@ class MutationBatch:
         self.db = db
         self._staged: "OrderedDict[str, frozenset]" = OrderedDict()
 
-    def stage(self, name: str, triples: Iterable[Triple]) -> None:
-        self._staged[name] = frozenset(triples)
+    def stage(self, name: str, triples: frozenset) -> None:
+        self._staged[name] = triples
 
     def __enter__(self) -> "MutationBatch":
         if self.db._batch is not None:
@@ -195,7 +195,7 @@ class MutationBatch:
                 # fsync'd before the in-memory swap, so a query can never
                 # observe state the log would not reproduce.
                 db._storage.commit(self._staged)
-            db.store = db.store.with_relations(self._staged)
+            db.store = db.store._with_frozen(self._staged)
             db._invalidate(self._staged)
             if db._storage is not None:
                 db._storage.maybe_compact(db)
@@ -713,13 +713,16 @@ class Database:
             triples: Iterable[Triple] = self.query(triples_or_query).to_set()
         else:
             triples = triples_or_query
+        # Coerced and validated (arity, hashability) before anything is
+        # staged or logged: a record the store would refuse on replay
+        # must never become durable.
+        name, triples = str(name), frozenset(_as_triple(t) for t in triples)
         if self._batch is not None:
             self._batch.stage(name, triples)
             return
         if self._storage is not None:
-            triples = frozenset(triples)  # logged and applied: freeze once
             self._storage.commit({name: triples})
-        self.store = self.store.with_relation(name, triples)
+        self.store = self.store._with_frozen({name: triples})
         self._invalidate((name,))
         if self._storage is not None:
             self._storage.maybe_compact(self)

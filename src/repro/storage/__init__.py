@@ -13,8 +13,14 @@ warm-reopen catalog of statistics and compiled plans
 """
 
 from repro.storage.fsck import fsck_store
-from repro.storage.manager import DurableStore
+from repro.storage.manager import DurableStore, store_footprint
 from repro.storage.segments import SegmentStore
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["DurableStore", "SegmentStore", "WriteAheadLog", "fsck_store"]
+__all__ = [
+    "DurableStore",
+    "SegmentStore",
+    "WriteAheadLog",
+    "fsck_store",
+    "store_footprint",
+]

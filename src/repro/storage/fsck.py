@@ -33,7 +33,7 @@ __all__ = ["fsck_store"]
 
 
 def _segment_entries(segments: dict) -> Iterator[dict]:
-    for key in ("meta", "dv_codes", "active"):
+    for key in ("meta", "dv_codes"):
         entry = segments.get(key)
         if isinstance(entry, dict):
             yield entry

@@ -23,7 +23,9 @@ A store directory is::
   returns.
 * **snapshot** — fold everything into a fresh generation
   (:mod:`repro.storage.snapshot`), then reset the WAL and sweep old
-  generations.  Triggered explicitly (``repro compact``), by the WAL
+  generations.  The store remembers which objects the current
+  generation's files hold, so a snapshot writes only what changed and
+  links the rest.  Triggered explicitly (``repro compact``), by the WAL
   size crossing ``REPRO_STORAGE_WAL_LIMIT`` bytes after a commit, and
   on clean close, so a cleanly-closed store always reopens straight
   from mmap'd segments with no replay.
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import StoreCorruptionError
 from repro.storage import catalog as _catalog
-from repro.storage.segments import open_store_segments
+from repro.storage.segments import Generation, open_store_segments
 from repro.storage.snapshot import MANIFEST_FORMAT, sweep_generations, write_snapshot
 from repro.storage.wal import WriteAheadLog
 from repro.triplestore.model import Triple, Triplestore
@@ -48,7 +50,7 @@ from repro.triplestore.model import Triple, Triplestore
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.db import Database
 
-__all__ = ["DurableStore", "WAL_LIMIT_ENV"]
+__all__ = ["DurableStore", "WAL_LIMIT_ENV", "store_footprint"]
 
 #: WAL size (bytes) past which a commit triggers auto-compaction.
 WAL_LIMIT_ENV = "REPRO_STORAGE_WAL_LIMIT"
@@ -71,6 +73,8 @@ class DurableStore:
         self.store: Triplestore | None = None
         self.rel_versions: dict[str, int] = {}
         self.store_version = 0
+        #: The generation on disk and the objects its files hold.
+        self._current: Generation | None = None
 
     @property
     def manifest_path(self) -> str:
@@ -106,6 +110,15 @@ class DurableStore:
             )
         return manifest
 
+    @property
+    def gen_dir(self) -> str:
+        """The current generation's directory."""
+        return os.path.join(self.root, *self.manifest["gen_dir"].split("/"))
+
+    def _remember(self, store: Triplestore) -> None:
+        """``store`` is what the manifest's generation holds on disk."""
+        self._current = Generation(self.gen_dir, self.manifest["segments"], store)
+
     def open(self) -> Triplestore:
         """Open (or initialise) the directory; returns the current store.
 
@@ -114,15 +127,15 @@ class DurableStore:
         """
         os.makedirs(self.root, exist_ok=True)
         if os.path.exists(self.manifest_path):
-            manifest = self._read_manifest()
-            gen_dir = os.path.join(self.root, *manifest["gen_dir"].split("/"))
+            manifest = self.manifest = self._read_manifest()
             try:
-                store: Triplestore = open_store_segments(gen_dir, manifest["segments"])
+                store: Triplestore = open_store_segments(
+                    self.gen_dir, manifest["segments"]
+                )
             except FileNotFoundError as exc:
                 raise StoreCorruptionError(
                     f"store {self.root} references a missing segment: {exc}"
                 ) from exc
-            self.manifest = manifest
             self.generation = int(manifest.get("generation", 0))
             self.rel_versions = {
                 str(k): int(v) for k, v in manifest.get("rel_versions", {}).items()
@@ -145,6 +158,7 @@ class DurableStore:
                 store_version=0,
                 wal_seq=0,
             )
+        self._remember(store)
         self.wal = WriteAheadLog(os.path.join(self.root, WAL_DIR))
         for _seq, record in self.wal.recover(min_seq=wal_seq):
             relations = record.get("relations", {})
@@ -181,7 +195,9 @@ class DurableStore:
             rel_versions=rel_versions,
             store_version=store_version,
             wal_seq=wal_seq,
+            prev=self._current,
         )
+        self._remember(store)
         self.generation = generation
         # The manifest referencing the new generation is durable; now the
         # WAL records it folded — and the old generations — can go.
@@ -215,3 +231,35 @@ class DurableStore:
     def close(self) -> None:
         if self.wal is not None:
             self.wal.close()
+
+
+def _tree_bytes(path: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(base, name))
+        for base, _dirs, names in os.walk(path)
+        for name in names
+    )
+
+
+def store_footprint(root: str | os.PathLike) -> dict[str, int]:
+    """The store directory's bytes on disk by what they hold (``repro info``).
+
+    ``dictionary`` is ``meta.seg`` plus ``dv_codes.seg`` when present;
+    ``total`` is every file under ``root`` — divided by the live triple
+    count it is the benchmark's ``disk_bytes_per_triple``.
+    """
+    ds = DurableStore(root)
+    ds.manifest = ds._read_manifest()
+    block = ds.manifest["segments"]
+
+    def size(entry: Mapping) -> int:
+        return os.path.getsize(os.path.join(ds.gen_dir, entry["file"]))
+
+    return {
+        "generation": int(ds.manifest.get("generation", 0)),
+        "relations": sum(size(e) for e in block["relations"]),
+        "dictionary": sum(size(block[k]) for k in ("meta", "dv_codes") if k in block),
+        "catalog": _tree_bytes(os.path.join(ds.root, _catalog.CATALOG_DIR)),
+        "wal": _tree_bytes(os.path.join(ds.root, WAL_DIR)),
+        "total": _tree_bytes(ds.root),
+    }

@@ -5,10 +5,21 @@ of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
 
 * ``meta.seg`` — pickled dictionaries: the sorted object universe, the
   distinct data values, the full ρ assignment, and the packing geometry;
-* ``dv_codes.seg`` / ``active.seg`` — the ρ-code array and the active
-  (occurs-in-some-triple) code set, raw little-endian ``int64``;
 * ``rel-NNN.seg`` — one file per relation: its sorted unique packed-key
-  array, raw ``int64``.
+  array, raw little-endian ``int64``;
+* ``dv_codes.seg`` — the ρ-code array, raw ``int64``, present only when
+  ρ takes more than one value (otherwise every code is 0 and the reader
+  supplies the zeros).
+
+Nothing derivable is stored: the active (occurs-in-some-triple) code
+set is computed on first use by ``ColumnarStore.active_codes`` exactly
+as for an in-memory store.  And nothing unchanged is rewritten: a new
+generation hard-links every file of the previous one whose payload the
+store being written still holds as the *identical* object
+(:class:`Generation`), the on-disk half of the rule that store versions
+share what a commit did not touch.  Each generation directory stays
+self-contained, so opening, ``fsck`` and the sweep never look across
+generations.
 
 Every file starts with a fixed 32-byte header — magic, format version,
 payload kind, payload length, payload CRC32, and a CRC32 of the header
@@ -34,11 +45,12 @@ headers are always validated.
 from __future__ import annotations
 
 import mmap
+import operator
 import os
 import pickle
 import struct
 import zlib
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,6 +61,7 @@ from repro.triplestore.model import DEFAULT_RELATION, Triple, Triplestore
 
 __all__ = [
     "FORMAT_VERSION",
+    "Generation",
     "KIND_INT64",
     "KIND_PICKLE",
     "SegmentStore",
@@ -184,58 +197,116 @@ def verify_segment(path: str | os.PathLike) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
-def write_store_segments(store: Triplestore, gen_dir: str | os.PathLike) -> dict:
+def _files(store: Triplestore) -> Iterator[tuple[str, str | None, str, tuple, Callable]]:
+    """The files ``store``'s generation holds, nothing derivable among them.
+
+    Yields ``(key, name, file, sources, build)``: the manifest key
+    (``"relations"`` entries carry the relation ``name``), the file
+    name, the objects the payload is made of, and a thunk returning
+    ``(kind, entry fields, payload)`` — called only when the file has to
+    be written.
+    """
+    cs = store.columnar()
+
+    def meta() -> tuple[int, dict, bytes]:
+        payload = pickle.dumps(
+            {
+                "objects": list(cs.objects),
+                "dv_values": list(cs.dv_values),
+                "rho": store.rho_map(),
+                "n": cs.n,
+                "radix": cs.radix,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        return KIND_PICKLE, {"bytes": len(payload)}, payload
+
+    def int64(arr: np.ndarray, **fields: Any) -> Callable:
+        return lambda: (
+            KIND_INT64,
+            {**fields, "count": len(arr)},
+            np.ascontiguousarray(arr, dtype=np.int64).tobytes(),
+        )
+
+    yield "meta", None, "meta.seg", (cs.objects, cs.dv_values, store._rho), meta
+    if len(cs.dv_values) > 1:  # one value (or none): every code is 0
+        yield "dv_codes", None, "dv_codes.seg", (cs.dv_codes,), int64(cs.dv_codes)
+    for idx, name in enumerate(store.relation_names):
+        keys = cs.relation_keys(name)
+        yield "relations", name, f"rel-{idx:03d}.seg", (keys,), int64(keys, name=name)
+
+
+class Generation:
+    """A generation directory as the process that wrote or mapped it
+    remembers it: per file, the manifest entry and the very objects the
+    payload holds.
+
+    While a later store version still holds those objects — ``is``, not
+    ``==``: versions share by reference everything a commit did not
+    touch, and a dictionary growth that re-codes every key array leaves
+    no version number to see it by — the file is linked into the next
+    generation instead of rewritten.
+    """
+
+    __slots__ = ("path", "files")
+
+    def __init__(
+        self, path: str | os.PathLike, block: Mapping[str, Any], store: Triplestore
+    ) -> None:
+        self.path = os.fspath(path)
+        entries = {(k, None): block[k] for k in ("meta", "dv_codes") if k in block}
+        entries.update({("relations", e["name"]): e for e in block["relations"]})
+        self.files: dict[tuple[str, str | None], tuple[Mapping[str, Any], tuple]] = {
+            (key, name): (entries[key, name], sources)
+            for key, name, _file, sources, _build in _files(store)
+            if (key, name) in entries
+        }
+
+    def held(
+        self, key: str, name: str | None, sources: tuple
+    ) -> tuple[str, Mapping[str, Any]] | None:
+        """Path and manifest entry of the file made of exactly ``sources``."""
+        entry, mine = self.files.get((key, name), (None, ()))
+        if entry is None or not all(map(operator.is_, mine, sources)):
+            return None
+        return os.path.join(self.path, entry["file"]), entry
+
+
+def write_store_segments(
+    store: Triplestore, gen_dir: str | os.PathLike, prev: Generation | None = None
+) -> dict:
     """Write ``store``'s columnar view into ``gen_dir`` as segment files.
 
     Returns the ``segments`` manifest block: per-file name, kind, item
-    count and CRC32.  Every file is written atomically and the
-    directory is fsync'd, so after this returns the generation is fully
-    on disk (the manifest pointing at it is the caller's commit point).
+    count and CRC32.  A file of ``prev`` whose payload objects ``store``
+    still holds is hard-linked (its recorded entry reused) rather than
+    written; where the link fails (``EXDEV``, ``EPERM``, ``EMLINK``,
+    ``ENOENT``) the file is written like any other.  Every written file
+    is atomic and fsync'd, a linked one already was, and the directory
+    is fsync'd, so after this returns the generation is fully on disk
+    (the manifest pointing at it is the caller's commit point).
     """
     gen_dir = os.fspath(gen_dir)
     os.makedirs(gen_dir, exist_ok=True)
-    cs = store.columnar()
-    meta_payload = pickle.dumps(
-        {
-            "objects": list(cs.objects),
-            "dv_values": list(cs.dv_values),
-            "rho": store.rho_map(),
-            "n": cs.n,
-            "radix": cs.radix,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    block: dict[str, Any] = {
-        "meta": {
-            "file": "meta.seg",
-            "kind": KIND_PICKLE,
-            "bytes": len(meta_payload),
-            "crc": write_segment(os.path.join(gen_dir, "meta.seg"), KIND_PICKLE, meta_payload),
-        }
-    }
-    for key, arr in (("dv_codes", cs.dv_codes), ("active", cs.active_codes())):
-        payload = np.ascontiguousarray(arr, dtype=np.int64).tobytes()
-        block[key] = {
-            "file": f"{key}.seg",
-            "kind": KIND_INT64,
-            "count": len(arr),
-            "crc": write_segment(os.path.join(gen_dir, f"{key}.seg"), KIND_INT64, payload),
-        }
-    relations = []
-    for idx, name in enumerate(store.relation_names):
-        keys = cs.relation_keys(name)
-        payload = np.ascontiguousarray(keys, dtype=np.int64).tobytes()
-        fname = f"rel-{idx:03d}.seg"
-        relations.append(
-            {
-                "name": name,
-                "file": fname,
-                "kind": KIND_INT64,
-                "count": len(keys),
-                "crc": write_segment(os.path.join(gen_dir, fname), KIND_INT64, payload),
-            }
-        )
-    block["relations"] = relations
+    block: dict[str, Any] = {"relations": []}
+    for key, name, fname, sources, build in _files(store):
+        path = os.path.join(gen_dir, fname)
+        entry = None
+        held = prev.held(key, name, sources) if prev is not None else None
+        if held is not None:
+            try:
+                os.link(held[0], path)
+                entry = dict(held[1], file=fname)
+            except OSError:
+                pass
+        if entry is None:
+            kind, fields, payload = build()
+            entry = {**fields, "file": fname, "kind": kind}
+            entry["crc"] = write_segment(path, kind, payload)
+        if key == "relations":
+            block[key].append(entry)
+        else:
+            block[key] = entry
     fsync_dir(gen_dir)
     return block
 
@@ -334,6 +405,8 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
     ``block`` is the manifest's ``segments`` entry written by
     :func:`write_store_segments`.  Array segments are mmap'd zero-copy;
     only the (typically small) pickled dictionaries are read eagerly.
+    A block without ``dv_codes`` means ρ takes one value; a format-1
+    block's ``active`` entry is ignored (the view derives it on demand).
     """
     gen_dir = os.fspath(gen_dir)
 
@@ -358,6 +431,15 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
             f"meta segment in {gen_dir} names {len(objects)} objects but "
             f"records n={meta['n']}"
         )
+    if "dv_codes" in block:
+        dv_codes = mapped(block["dv_codes"])
+    elif len(meta["dv_values"]) > 1:
+        raise StoreCorruptionError(
+            f"generation {gen_dir} has {len(meta['dv_values'])} data values "
+            "but no dv_codes segment"
+        )
+    else:
+        dv_codes = np.zeros(len(objects), dtype=np.int64)
     store = object.__new__(SegmentStore)
     store._relations = {e["name"]: None for e in block["relations"]}
     store._rho = dict(meta["rho"])
@@ -367,9 +449,8 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
     store._columnar = ColumnarStore.from_encoded(
         objects,
         meta["dv_values"],
-        mapped(block["dv_codes"]),
+        dv_codes,
         {e["name"]: mapped(e) for e in block["relations"]},
-        mapped(block["active"]),
     )
     store._sharded = {}
     return store

@@ -4,8 +4,10 @@ A snapshot writes the *current* store into a brand-new generation
 directory and then swaps the manifest to point at it.  The ordering
 makes the swap atomic under any crash:
 
-1. segments are written into ``segments/gen-NNNNNN.tmp`` (each file
-   individually fsync'd-and-renamed, then the directory fsync'd);
+1. segments are written into ``segments/gen-NNNNNN.tmp`` — each file
+   individually fsync'd-and-renamed, or hard-linked from the previous
+   generation when the store still holds the very objects it was
+   written from — then the directory is fsync'd;
 2. the directory is renamed to its final ``gen-NNNNNN`` name and
    ``segments/`` is fsync'd — the generation now durably exists, but
    nothing references it yet;
@@ -20,7 +22,13 @@ untouched generation (the ``.tmp`` or orphaned new generation is swept
 on the next snapshot).  A crash after step 3 leaves the new manifest
 with a stale-but-harmless WAL (records with ``seq <= wal_seq`` are
 skipped on replay) and possibly an unreferenced old generation
-(likewise swept later).
+(likewise swept later).  Links change none of this: every generation
+directory names all of its files itself, so removing one never reaches
+into another — the shared inode lives while any directory names it.
+
+Manifest format 2 (this build writes it, and reads 1 and 2) drops what
+a reader can derive: no ``active`` entry, and ``dv_codes`` only when ρ
+takes more than one value.
 """
 
 from __future__ import annotations
@@ -31,13 +39,13 @@ import shutil
 from typing import Any, Mapping
 
 from repro.storage.fsutil import atomic_write_bytes, fsync_dir
-from repro.storage.segments import write_store_segments
+from repro.storage.segments import Generation, write_store_segments
 from repro.triplestore.model import Triplestore
 
 __all__ = ["MANIFEST_FORMAT", "sweep_generations", "write_snapshot"]
 
 #: Manifest schema version; readers refuse newer manifests.
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 _SEGMENTS_DIR = "segments"
 _MANIFEST = "MANIFEST"
@@ -55,9 +63,12 @@ def write_snapshot(
     rel_versions: Mapping[str, int],
     store_version: int,
     wal_seq: int,
+    prev: Generation | None = None,
 ) -> dict[str, Any]:
     """Write ``store`` as generation ``generation`` and commit the manifest.
 
+    Files of ``prev`` (the generation on disk, as the caller remembers
+    it) that ``store`` did not change are linked, not rewritten.
     Returns the new manifest dictionary.  Does *not* touch the WAL or
     old generations — the caller resets/sweeps those only after this
     returns (i.e. after the manifest swap is durable).
@@ -71,7 +82,7 @@ def write_snapshot(
     for stale in (tmp_dir, final_dir):  # debris from an interrupted snapshot
         if os.path.exists(stale):
             shutil.rmtree(stale)
-    block = write_store_segments(store, tmp_dir)
+    block = write_store_segments(store, tmp_dir, prev)
     os.rename(tmp_dir, final_dir)
     fsync_dir(seg_root)
     manifest: dict[str, Any] = {

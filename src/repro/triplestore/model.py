@@ -263,10 +263,17 @@ class Triplestore:
         — a batch or a WAL record is one store version; the relations it
         does not name are shared with this store, not rebuilt.
         """
-        relations = dict(self._relations)
-        for name, triples in mapping.items():
-            relations[str(name)] = frozenset(_as_triple(t) for t in triples)
-        return self._derive(relations, tuple(str(name) for name in mapping))
+        return self._with_frozen(
+            {
+                str(name): frozenset(_as_triple(t) for t in triples)
+                for name, triples in mapping.items()
+            }
+        )
+
+    def _with_frozen(self, frozen: Mapping[str, "frozenset[Triple]"]) -> "Triplestore":
+        """:meth:`with_relations` for relations already coerced to frozensets
+        of 3-tuples (``Database`` validates before it logs, once)."""
+        return self._derive({**self._relations, **frozen}, tuple(frozen))
 
     def with_relation(self, name: str, triples: Iterable[Triple]) -> "Triplestore":
         """A new store with ``name`` (re)bound to ``triples``."""

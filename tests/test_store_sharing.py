@@ -269,13 +269,13 @@ def test_a_set_backend_store_never_grows_a_columnar_view_by_deriving():
 
 def test_a_batch_is_one_store_version(monkeypatch):
     derivations = []
-    with_relations = Triplestore.with_relations
+    derive = Triplestore._derive
 
-    def counting(self, mapping):
-        derivations.append(tuple(mapping))
-        return with_relations(self, mapping)
+    def counting(self, relations, replaced=(), rho=None):
+        derivations.append(tuple(replaced))
+        return derive(self, relations, replaced, rho)
 
-    monkeypatch.setattr(Triplestore, "with_relations", counting)
+    monkeypatch.setattr(Triplestore, "_derive", counting)
     db = Database(Triplestore([("a", "p", "b"), ("b", "p", "c")]))
     with db.batch():
         db.install("A", [("a", "p", "c")])
