@@ -60,7 +60,8 @@ from repro.db import Database
 from repro.errors import ReproError
 from repro.triplestore import Triplestore
 
-__version__ = "1.0.0"
+#: The one version declaration (pyproject.toml reads it from here).
+__version__ = "2.0.0"
 
 __all__ = [
     "Cond",

@@ -161,12 +161,6 @@ LINT_RULES: dict[str, str] = {
         "_STATUS_MAP entries are ordered subclass-before-superclass; an "
         "entry preceded by one of its base classes is unreachable"
     ),
-    "SHIM-CALL": (
-        "no calls to the deprecated query_* shims (query_pairs, "
-        "query_gxpath, query_rpq, query_nre, query_nsparql, "
-        "query_datalog) outside their own definitions and "
-        "pytest.warns(DeprecationWarning) blocks"
-    ),
     "SPAWN-STATE": (
         "spawn-critical modules (procpool, shm, sharded) keep "
         "module-level state spawn-safe: no threads, pools, processes or "

@@ -28,20 +28,6 @@ from repro.analysis.invariants import LINT_RULES, RULES, Finding
 
 __all__ = ["Finding", "lint_file", "main", "run_lint"]
 
-#: The deprecated Database query shims (each body delegates to the v2
-#: ``query()`` API and warns); callable only from their own definitions
-#: and from tests that assert on the DeprecationWarning itself.
-SHIM_NAMES = frozenset(
-    {
-        "query_pairs",
-        "query_gxpath",
-        "query_rpq",
-        "query_nre",
-        "query_nsparql",
-        "query_datalog",
-    }
-)
-
 #: Modules whose import runs in spawned worker processes — anything the
 #: import itself starts (threads, pools, shm segments) leaks per worker.
 SPAWN_MODULE_SUFFIXES = (
@@ -84,21 +70,6 @@ def _call_name(node: ast.Call) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def _is_pytest_warns_deprecation(node: ast.expr) -> bool:
-    """Matches ``pytest.warns(DeprecationWarning...)`` as a with-item."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "warns"):
-        return False
-    if not (isinstance(func.value, ast.Name) and func.value.id == "pytest"):
-        return False
-    for arg in node.args:
-        if isinstance(arg, ast.Name) and arg.id == "DeprecationWarning":
-            return True
-    return False
 
 
 def _with_holds_lock(node) -> bool:
@@ -245,58 +216,6 @@ def _check_err_raise(
                 f"raises {name}, not a repro.errors type; the wire protocol "
                 "cannot map it to a status code",
             )
-
-
-def _check_shim_calls(tree: ast.AST, rel: str) -> Iterator[Finding]:
-    findings: list[Finding] = []
-    is_db = rel.endswith("repro/db.py")
-
-    class Visitor(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.func_stack: list[str] = []
-            self.warns_depth = 0
-
-        def _visit_func(self, node) -> None:
-            self.func_stack.append(node.name)
-            self.generic_visit(node)
-            self.func_stack.pop()
-
-        visit_FunctionDef = _visit_func
-        visit_AsyncFunctionDef = _visit_func
-
-        def _visit_with(self, node) -> None:
-            warns = any(
-                _is_pytest_warns_deprecation(item.context_expr)
-                for item in node.items
-            )
-            self.warns_depth += warns
-            self.generic_visit(node)
-            self.warns_depth -= warns
-
-        visit_With = _visit_with
-        visit_AsyncWith = _visit_with
-
-        def visit_Call(self, node: ast.Call) -> None:
-            name = _call_name(node)
-            if (
-                name in SHIM_NAMES
-                and self.warns_depth == 0
-                and not (is_db and name in self.func_stack)
-            ):
-                findings.append(
-                    _finding(
-                        rel,
-                        node.lineno,
-                        "SHIM-CALL",
-                        f"calls deprecated {name}(); use the v2 query() API "
-                        "(or wrap in pytest.warns(DeprecationWarning) when "
-                        "testing the shim itself)",
-                    )
-                )
-            self.generic_visit(node)
-
-    Visitor().visit(tree)
-    return iter(findings)
 
 
 def _check_spawn_state(tree: ast.AST, rel: str) -> Iterator[Finding]:
@@ -615,7 +534,6 @@ def lint_file(
     findings: list[Finding] = []
     findings.extend(_check_bare_except(tree, rel))
     findings.extend(_check_shm_unlink(tree, rel))
-    findings.extend(_check_shim_calls(tree, rel))
     if rel.endswith("repro/db.py"):
         findings.extend(_check_lru_lock(tree, rel))
     if rel.endswith("repro/api.py") or "repro/service/" in rel:

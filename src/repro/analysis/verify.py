@@ -18,10 +18,10 @@ Three entry points:
 * :func:`assert_plan_valid` — raises
   :class:`~repro.errors.PlanVerificationError` on any violation; this
   is what ``compile_plan`` calls when ``REPRO_PLAN_VERIFY`` is on.
-* :func:`verify_compiled` — convenience wrapper that derives the
-  backend/stats/limits from an engine + store pair the way the engine's
-  own ``compile`` did; used by ``explain --json``'s ``verified`` field
-  and ``repro lint-plan``.
+* :func:`verify_compiled` — convenience wrapper that takes the
+  backend/limits from the engine that compiled the plan and the stats
+  from the store; used by ``explain --json``'s ``verified`` field and
+  ``repro lint-plan``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 from typing import Iterator, Optional
 
 from repro.analysis.invariants import Finding, Violation
+from repro.core.engines.base import PlanEngine
 from repro.core.expressions import LEFT, RIGHT, Expr, Universe
 from repro.core.params import expr_params, plan_params
 from repro.core.plan import (
@@ -416,24 +417,21 @@ def verify_compiled(
 ) -> tuple[Violation, ...]:
     """Verify a plan the way the engine that compiled it would be checked.
 
-    Derives ``backend``/``stats``/``max_matrix_objects``/``shard_key_pos``
-    from the ``engine`` + ``store`` pair exactly as the engine's own
-    ``compile`` resolved them, so the verdict matches what
-    ``REPRO_PLAN_VERIFY=1`` would have enforced at compile time.
+    A :class:`~repro.core.engines.base.PlanEngine` is asked for the
+    very lowering keywords its ``compile`` passed on
+    (``backend``/``max_matrix_objects``/``shard_key_pos``), and ``stats``
+    come from ``store`` as they did there, so the verdict matches what
+    ``REPRO_PLAN_VERIFY=1`` would have enforced at compile time.  Any
+    other engine (or none) is checked as a ``backend`` plan (default
+    ``"set"``) — what the default compiler builds for it.
     """
-    if backend is None:
-        backend = getattr(engine, "backend", None) or "set"
+    if isinstance(engine, PlanEngine):
+        lowering = engine.lowering()
+    else:
+        lowering = {"backend": backend or "set"}
     stats = store.stats() if store is not None else None
-    if stats is None and backend in ("columnar", "sharded"):
+    if stats is None and lowering["backend"] in ("columnar", "sharded"):
         from repro.triplestore.stats import DEFAULT_STATS
 
         stats = DEFAULT_STATS
-    return verify_plan(
-        plan,
-        backend=backend,
-        expr=expr,
-        params=params,
-        stats=stats,
-        max_matrix_objects=getattr(engine, "max_matrix_objects", None),
-        shard_key_pos=getattr(engine, "key_pos", 0),
-    )
+    return verify_plan(plan, expr=expr, params=params, stats=stats, **lowering)

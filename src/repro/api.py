@@ -343,7 +343,7 @@ class PreparedStatement:
         self._canonical, self._consts = canonicalize_constants(expr)
         # Compile (and cache) the parameterized plan up front: prepare
         # pays the planning cost once, execute only ever binds.
-        db._plan_canonical(self._canonical)
+        db._cached_plan(self._canonical)
 
     def execute(self, **bindings: Any) -> ResultSet:
         """Run the statement with ``bindings`` for its ``$params``."""
@@ -358,7 +358,7 @@ class PreparedStatement:
 
     def plan(self) -> PlanOp:
         """The cached (parameterized, unbound) physical plan."""
-        return self.db._plan_canonical(self._canonical)
+        return self.db._cached_plan(self._canonical)
 
     def explain(self, physical: bool = False) -> str:
         """Text explain of the statement's (unbound) expression."""

@@ -1,23 +1,17 @@
 """Benchmark harness utilities."""
 
 from repro.bench.runner import (
-    Comparison,
     Measurement,
-    compare,
     fit_loglog_slope,
     format_table,
     sweep,
     time_callable,
-    write_bench_json,
 )
 
 __all__ = [
-    "Comparison",
     "Measurement",
-    "compare",
     "fit_loglog_slope",
     "format_table",
     "sweep",
     "time_callable",
-    "write_bench_json",
 ]

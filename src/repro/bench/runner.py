@@ -5,16 +5,12 @@ operation over a size sweep and fit the log–log slope.  A slope near 1
 is linear scaling, near 2 quadratic, and so on.  ``fit_loglog_slope``
 does an ordinary least-squares fit; tests allow generous tolerances
 because constant factors and Python overheads bend small-n curves.
-
-``compare`` / ``write_bench_json`` support A/B records — notably the
-planner-on vs planner-off (legacy interpreter) comparison of
-``benchmarks/bench_engines.py``, whose results are written to
-``BENCH_PLANNER.json`` so speedups are tracked across PRs.
+(End-to-end and per-layer performance is ``benchmarks/e2e``'s job, with
+``BENCHMARK.json`` as the record; nothing here writes result files.)
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -71,62 +67,6 @@ def fit_loglog_slope(measurements: Sequence[Measurement]) -> float:
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var = sum((x - mean_x) ** 2 for x in xs)
     return cov / var
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """One A/B timing: a baseline implementation against a candidate."""
-
-    name: str
-    baseline_seconds: float
-    candidate_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """baseline / candidate — above 1.0 means the candidate wins."""
-        return self.baseline_seconds / max(self.candidate_seconds, 1e-9)
-
-
-def compare(
-    name: str,
-    baseline: Callable[[], object],
-    candidate: Callable[[], object],
-    repeats: int = 3,
-) -> Comparison:
-    """Best-of-N times for two implementations of the same operation.
-
-    Best-of-N discards cold runs on both sides, so this measures the
-    *steady state* (warm caches — the regime that matters for repeated
-    queries against one store).  The candidate still runs first, so any
-    one-time setup it is supposed to amortise (plan compilation, store
-    index builds) lands in its own repeat sequence, never the baseline's.
-    """
-    candidate_seconds = time_callable(candidate, repeats)
-    baseline_seconds = time_callable(baseline, repeats)
-    return Comparison(name, baseline_seconds, candidate_seconds)
-
-
-def write_bench_json(
-    path: str,
-    comparisons: Sequence[Comparison],
-    meta: dict | None = None,
-) -> None:
-    """Record comparisons as a ``BENCH_*.json`` file (sorted, stable keys)."""
-    payload = {
-        "meta": dict(meta or {}),
-        "results": [
-            {
-                "name": c.name,
-                "baseline_seconds": round(c.baseline_seconds, 6),
-                "candidate_seconds": round(c.candidate_seconds, 6),
-                "speedup": round(c.speedup, 3),
-            }
-            for c in comparisons
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
 
 
 def format_table(

@@ -61,7 +61,7 @@ import threading
 from typing import Sequence
 
 from repro.api import ResultSet, explain_report
-from repro.core import ENGINE_REGISTRY, NaiveEngine, ShardedEngine, VectorEngine
+from repro.core import ENGINE_REGISTRY, ShardedEngine
 from repro.core.engines.sharded import SHARD_EXECUTORS
 from repro.core.optimizer import optimize
 from repro.core.parser import parse as parse_expr
@@ -141,21 +141,9 @@ def _make_engine(args: argparse.Namespace):
         raise ReproError("--executor only applies with --backend sharded")
     if workers is not None and name != "sharded":
         raise ReproError("--workers only applies with --backend sharded")
-    if name in _BACKEND_ENGINES.values() and args.no_planner:
-        # The planner seam *is* the columnar/sharded entry point; without
-        # it the legacy set interpreter would silently run instead.
-        raise ReproError(f"the {name} backend is planner-only; drop --no-planner")
     if name == "sharded":
-        return ShardedEngine(
-            use_planner=not args.no_planner,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-        )
-    engine_cls = ENGINES[name]
-    if engine_cls is NaiveEngine:
-        return NaiveEngine()
-    return engine_cls(use_planner=not args.no_planner)
+        return ShardedEngine(shards=shards, executor=executor, workers=workers)
+    return ENGINES[name]()
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -614,11 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_SHARD_WORKERS or one per shard, capped by cores)",
     )
     q.add_argument("--optimize", action="store_true", help="apply rewrites first")
-    q.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="use the legacy direct interpreter instead of physical plans",
-    )
     q.add_argument(
         "--explain",
         action="store_true",

@@ -1,8 +1,7 @@
 """Evaluation engines for the Triple Algebra."""
 
-from repro.core.engines.base import Engine, TripleSet
-from repro.core.engines.fast import FastEngine
-from repro.core.engines.hashjoin import HashJoinEngine
+from repro.core.engines.base import Engine, PlanEngine, TripleSet
+from repro.core.engines.hashjoin import FastEngine, HashJoinEngine
 from repro.core.engines.naive import NaiveEngine
 from repro.core.engines.sharded import ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
@@ -22,6 +21,7 @@ __all__ = [
     "FastEngine",
     "HashJoinEngine",
     "NaiveEngine",
+    "PlanEngine",
     "ShardedEngine",
     "TripleSet",
     "VectorEngine",

@@ -1,29 +1,38 @@
-"""Engine interface and shared helpers for Triple Algebra evaluation.
+"""Engine interface, the one plan engine, and shared semantics helpers.
 
 All engines implement one method, :meth:`Engine.evaluate`, mapping an
 expression and a triplestore to a frozen set of triples.  The semantics
 is fixed by the paper; engines differ only in algorithmics:
 
 * :class:`~repro.core.engines.naive.NaiveEngine` — the paper's Theorem 3
-  algorithm (nested-loop joins, non-semi-naive fixpoints);
-* :class:`~repro.core.engines.hashjoin.HashJoinEngine` — hash joins and
-  semi-naive fixpoints (a realistic implementation);
-* :class:`~repro.core.engines.fast.FastEngine` — adds the Proposition 4/5
-  ``O(|e|·|O|·|T|)`` algorithms for the equality and reach fragments.
+  algorithm (nested-loop joins, non-semi-naive fixpoints), interpreting
+  the expression directly; the oracle every other engine is held to;
+* :class:`PlanEngine` — compiles the expression to a physical plan
+  (:mod:`repro.core.plan`) and executes it.  Its four public children
+  only declare a configuration: which lowering the compiler applies and
+  which execution context runs the result —
+  :class:`~repro.core.engines.hashjoin.HashJoinEngine` (set-backed hash
+  joins, generic semi-naive fixpoints),
+  :class:`~repro.core.engines.hashjoin.FastEngine` (the same, with the
+  Proposition 4/5 ``O(|e|·|O|·|T|)`` reachability operators),
+  :class:`~repro.core.engines.vectorized.VectorEngine` (packed columnar
+  arrays) and :class:`~repro.core.engines.sharded.ShardedEngine` (their
+  k-way hash partition).
 
 Cross-engine agreement is enforced by the property tests in
-``tests/test_engines_agree.py``.
+``tests/test_engines_agree.py`` and the differential harness
+(``tests/diffcheck.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Any, Optional
 
 from repro.errors import EvaluationBudgetError
-from repro.core.conditions import Cond
 from repro.core.expressions import Expr
+from repro.core.plan import ExecContext, PlanOp, compile_plan
 from repro.triplestore.model import Triple, Triplestore
 
 TripleSet = frozenset[Triple]
@@ -41,7 +50,8 @@ class Engine(ABC):
     """
 
     #: Which storage representation the engine executes over: ``"set"``
-    #: (Python sets of tuples) or ``"columnar"`` (packed numpy arrays).
+    #: (Python sets of tuples), ``"columnar"`` (packed numpy arrays) or
+    #: ``"sharded"`` (their k-way hash partition).
     #: The :class:`~repro.db.Database` facade keys its plan cache on it.
     backend = "set"
 
@@ -75,15 +85,67 @@ class Engine(ABC):
         return frozenset(itertools.product(domain, repeat=3))
 
 
-def make_condition_checker(
-    conditions: tuple[Cond, ...], rho: Callable[[Any], Any]
-) -> Callable[[Triple, Triple | None], bool]:
-    """A predicate testing all conditions on a (left, right) triple pair."""
+class PlanEngine(Engine):
+    """An engine that runs compiled plans — the one implementation behind
+    :class:`HashJoinEngine`, :class:`FastEngine`, :class:`VectorEngine`
+    and :class:`ShardedEngine`.
 
-    def check(left: Triple, right: Triple | None) -> bool:
-        return all(c.evaluate(left, right, rho) for c in conditions)
+    A subclass declares its configuration: ``use_reach`` and
+    :meth:`lowering` (the :func:`~repro.core.plan.compile_plan` keywords
+    — ``backend`` and, for the array backends, ``max_matrix_objects`` /
+    ``shard_key_pos``) and its :meth:`context` (which of the three
+    execution contexts runs the plan).  Everything else — ``compile``,
+    ``execute_plan``, the per-expression plan cache behind ``evaluate``
+    — is owned here once.  Array backends additionally expose
+    ``execute_plan_keys(plan, store) -> (columnar view, packed keys)``,
+    the undecoded twin of :meth:`execute_plan`; callers pick it *by
+    presence*, so set-backed engines must not grow it.
+    """
 
-    return check
+    #: Route reach-shaped stars to the Prop 4/5 operators when planning?
+    use_reach = True
+
+    #: Max prepared plans kept per engine instance.
+    _PLAN_CACHE_SIZE = 64
+
+    def __init__(self, max_universe_objects: int = 400) -> None:
+        super().__init__(max_universe_objects)
+        self._plan_cache: dict[Expr, PlanOp] = {}
+
+    def lowering(self) -> dict[str, Any]:
+        """The backend-lowering keywords this engine compiles with.
+
+        The single place they are resolved: :meth:`compile` passes them
+        to ``compile_plan``, and
+        :func:`repro.analysis.verify.verify_compiled` re-checks a plan
+        against the very same values.
+        """
+        return {"backend": self.backend}
+
+    def context(self, store: Triplestore) -> ExecContext:
+        """A fresh execution context over ``store``."""
+        return ExecContext(store, self.max_universe_objects)
+
+    def compile(self, expr: Expr, store: Optional[Triplestore] = None) -> PlanOp:
+        """The physical plan this engine would execute for ``expr``."""
+        return compile_plan(expr, store, use_reach=self.use_reach, **self.lowering())
+
+    def execute_plan(self, plan: PlanOp, store: Triplestore) -> TripleSet:
+        """Run a compiled plan against a store."""
+        return self.context(store).execute(plan)
+
+    def evaluate(self, expr: Expr, store: Triplestore) -> TripleSet:
+        # Prepared-statement style: a plan is *correct* for any store
+        # (execution resolves relations and indexes against the store
+        # it is given; statistics only picked the strategy), so plans
+        # are cached per expression.
+        plan = self._plan_cache.get(expr)
+        if plan is None:
+            if len(self._plan_cache) >= self._PLAN_CACHE_SIZE:
+                self._plan_cache.clear()
+            plan = self.compile(expr, store)
+            self._plan_cache[expr] = plan
+        return self.execute_plan(plan, store)
 
 
 def project_out(left: Triple, right: Triple, out: tuple[int, int, int]) -> Triple:

@@ -1,268 +1,76 @@
-"""Hash-join based evaluation — the library's default engine.
+"""The set-backed plan engines — the library's default executors.
 
-By default expressions are compiled to a physical plan
-(:mod:`repro.core.plan`) and executed: the planner picks hash-join build
-sides from store statistics, serves base-relation build sides from the
-store's cached indexes, and hoists the constant operand of a Kleene star
-out of the fixpoint loop.  ``use_planner=False`` selects the legacy
-direct interpreter below, kept as the planner-off baseline for
-benchmarks and differential testing.
+Expressions are compiled to a physical plan (:mod:`repro.core.plan`) and
+executed tuple-at-a-time over Python sets: the planner picks hash-join
+build sides from store statistics, serves base-relation build sides from
+the store's cached indexes, and hoists the constant operand of a Kleene
+star out of the fixpoint loop.  Kleene stars use semi-naive fixpoint
+iteration — only the triples produced in the previous round are
+re-joined with the base relation — which is semantically identical to
+the paper's levels ``∅ ∪ e ∪ e✶e ∪ (e✶e)✶e ∪ …`` because the triple
+join distributes over union in either argument.  Identical
+sub-expressions compile to one shared plan node and run once per
+evaluation (the AST is hashable precisely for this purpose).
 
-The legacy interpreter executes joins by
+The two engines here differ in one compile-time decision — the paper's
+generic-fixpoint vs Proposition 5 comparison:
 
-1. splitting the condition set into left-local, right-local, cross and
-   constant parts;
-2. pre-filtering each operand with its local conditions;
-3. hashing the right operand on the cross-equality key and probing with
-   each left triple;
-4. checking the remaining cross inequalities per candidate pair.
-
-Kleene stars use semi-naive fixpoint iteration: only the triples produced
-in the previous round are re-joined with the base relation.  This is
-semantically identical to the paper's levels
-``∅ ∪ e ∪ e✶e ∪ (e✶e)✶e ∪ …`` because the triple join distributes over
-union in either argument.
-
-Identical sub-expressions are evaluated once per evaluation via a memo
-table (plan-node memoisation on the planner path, an expression-keyed
-table on the legacy path) — the AST is hashable precisely for this
-purpose.
+* :class:`HashJoinEngine` keeps the generic fixpoint for every star, so
+  it stays the pure hash-join baseline;
+* :class:`FastEngine` routes any star matching one of the two reachTA=
+  patterns to the specialised reachability algorithms of
+  :mod:`repro.core.engines.reach` (a
+  :class:`~repro.core.plan.ReachStarOp` in the plan).  In ``strict``
+  mode it refuses to compile expressions outside reachTA= (inequalities
+  or general stars) with a :class:`~repro.errors.FragmentError` — useful
+  when a caller wants the ``O(|e|·|O|·|T|)`` guarantee rather than best
+  effort.  In non-strict mode (default) the unsupported parts silently
+  run the generic algorithms, so it is a drop-in accelerated
+  replacement for :class:`HashJoinEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Optional
 
-from repro.errors import AlgebraError
-from repro.core.conditions import Cond
-from repro.core.expressions import (
-    RIGHT,
-    Diff,
-    Expr,
-    Intersect,
-    Join,
-    Rel,
-    Select,
-    Star,
-    Union,
-    Universe,
-)
-from repro.core.engines.base import Engine, TripleSet, project_out
-from repro.core.plan import ExecContext, PlanOp, compile_plan, split_conditions
-from repro.core.positions import Const, Pos
-from repro.triplestore.model import Triple, Triplestore
+from repro.errors import FragmentError
+from repro.core.expressions import Expr, in_reach_ta_eq
+from repro.core.engines.base import PlanEngine
+from repro.core.plan import PlanOp
+from repro.triplestore.model import Triplestore
 
-__all__ = ["HashJoinEngine", "split_conditions"]
+__all__ = ["FastEngine", "HashJoinEngine"]
 
 
-class HashJoinEngine(Engine):
-    """Default engine: cost-based plans + hash joins + semi-naive fixpoints.
+class HashJoinEngine(PlanEngine):
+    """Cost-based plans + hash joins + generic semi-naive fixpoints."""
+
+    use_reach = False
+
+
+class FastEngine(PlanEngine):
+    """Hash joins + Proposition 5 reachability stars.
 
     Parameters
     ----------
-    max_universe_objects:
-        See :class:`~repro.core.engines.base.Engine`.
-    use_planner:
-        When True (default) expressions are compiled to physical plans
-        via :func:`repro.core.plan.compile_plan`; when False the legacy
-        direct interpreter runs instead.
+    strict:
+        When True, compiling anything outside reachTA= raises
+        :class:`FragmentError` instead of falling back — on every route
+        to a plan (``evaluate``, ``Database.query``/``prepare``/
+        ``explain``), since they all compile here.
     """
 
-    #: Route reach-shaped stars to the Prop 4/5 operators when planning?
-    #: (Overridden by FastEngine; here the generic fixpoint is kept so
-    #: this engine stays the pure hash-join baseline.)
-    plans_reach_stars = False
-
-    #: Max prepared plans kept per engine instance.
-    _PLAN_CACHE_SIZE = 64
-
-    def __init__(
-        self, max_universe_objects: int = 400, use_planner: bool = True
-    ) -> None:
+    def __init__(self, max_universe_objects: int = 400, strict: bool = False) -> None:
         super().__init__(max_universe_objects)
-        self.use_planner = use_planner
-        self._plan_cache: dict[Expr, PlanOp] = {}
+        self.strict = strict
 
-    def compile(self, expr: Expr, store: Triplestore | None = None) -> PlanOp:
-        """The physical plan this engine would execute for ``expr``."""
-        return compile_plan(expr, store, use_reach=self.plans_reach_stars)
-
-    def execute_plan(self, plan: PlanOp, store: Triplestore) -> TripleSet:
-        """Run a compiled plan against a store."""
-        return plan.execute(ExecContext(store, self.max_universe_objects))
-
-    def evaluate(self, expr: Expr, store: Triplestore) -> TripleSet:
-        if self.use_planner:
-            # Prepared-statement style: a plan is *correct* for any store
-            # (execution resolves relations and indexes against the store
-            # it is given; statistics only picked the strategy), so plans
-            # are cached per expression.
-            plan = self._plan_cache.get(expr)
-            if plan is None:
-                if len(self._plan_cache) >= self._PLAN_CACHE_SIZE:
-                    self._plan_cache.clear()
-                plan = self.compile(expr, store)
-                self._plan_cache[expr] = plan
-            return self.execute_plan(plan, store)
-        memo: dict[Expr, TripleSet] = {}
-        return self._eval(expr, store, memo)
-
-    # ------------------------------------------------------------------ #
-
-    def _eval(self, expr: Expr, store: Triplestore, memo: dict) -> TripleSet:
-        cached = memo.get(expr)
-        if cached is not None:
-            return cached
-        result = self._dispatch(expr, store, memo)
-        memo[expr] = result
-        return result
-
-    def _dispatch(self, expr: Expr, store: Triplestore, memo: dict) -> TripleSet:
-        if isinstance(expr, Rel):
-            return store.relation(expr.name)
-        if isinstance(expr, Universe):
-            return self.universal_relation(store)
-        if isinstance(expr, Select):
-            return self._select(
-                self._eval(expr.expr, store, memo), expr.conditions, store
+    def compile(self, expr: Expr, store: Optional[Triplestore] = None) -> PlanOp:
+        # Membership looks only at condition operators and star shapes,
+        # so the constant-canonicalized expression Database compiles
+        # gets the verdict of the expression the user wrote.
+        if self.strict and not in_reach_ta_eq(expr):
+            raise FragmentError(
+                "expression is outside reachTA= (inequality conditions or a "
+                "general Kleene star); use HashJoinEngine or strict=False"
             )
-        if isinstance(expr, Union):
-            return self._eval(expr.left, store, memo) | self._eval(expr.right, store, memo)
-        if isinstance(expr, Diff):
-            return self._eval(expr.left, store, memo) - self._eval(expr.right, store, memo)
-        if isinstance(expr, Intersect):
-            return self._eval(expr.left, store, memo) & self._eval(expr.right, store, memo)
-        if isinstance(expr, Join):
-            return frozenset(
-                self.join(
-                    self._eval(expr.left, store, memo),
-                    self._eval(expr.right, store, memo),
-                    expr.out,
-                    expr.conditions,
-                    store,
-                )
-            )
-        if isinstance(expr, Star):
-            return self._star(expr, store, memo)
-        raise AlgebraError(f"unknown expression node {type(expr).__name__}")
-
-    # ------------------------------------------------------------------ #
-    # Operators
-    # ------------------------------------------------------------------ #
-
-    def _select(
-        self, triples: TripleSet, conditions: tuple[Cond, ...], store: Triplestore
-    ) -> TripleSet:
-        rho = store.rho
-        return frozenset(
-            t for t in triples if all(c.evaluate(t, None, rho) for c in conditions)
-        )
-
-    def join(
-        self,
-        left: TripleSet | set[Triple],
-        right: TripleSet | set[Triple],
-        out: tuple[int, int, int],
-        conditions: tuple[Cond, ...],
-        store: Triplestore,
-    ) -> set[Triple]:
-        """One hash join; exposed for reuse by fixpoints and other engines."""
-        rho = store.rho
-        left_local, right_local, cross_eq, cross_neq, const_only = split_conditions(
-            conditions
-        )
-
-        # Constant-only conditions are a static boolean gate.
-        for cond in const_only:
-            if not cond.evaluate((None,) * 3, (None,) * 3, rho):
-                return set()
-
-        if left_local:
-            left = {t for t in left if all(c.evaluate(t, None, rho) for c in left_local)}
-        if right_local:
-            # Right-local conditions talk about positions 1'..3'; shift
-            # them down so they can be checked against the bare triple.
-            shifted = tuple(c.swap_sides() for c in right_local)
-            right = {
-                t for t in right if all(c.evaluate(t, None, rho) for c in shifted)
-            }
-        if not left or not right:
-            return set()
-
-        key_of_left, key_of_right = self._key_extractors(cross_eq, rho)
-
-        index: dict[Any, list[Triple]] = {}
-        for rt in right:
-            index.setdefault(key_of_right(rt), []).append(rt)
-
-        result: set[Triple] = set()
-        if cross_neq:
-            check_neq = lambda lt, rt: all(  # noqa: E731
-                c.evaluate(lt, rt, rho) for c in cross_neq
-            )
-        else:
-            check_neq = None
-        for lt in left:
-            bucket = index.get(key_of_left(lt))
-            if not bucket:
-                continue
-            for rt in bucket:
-                if check_neq is None or check_neq(lt, rt):
-                    result.add(project_out(lt, rt, out))
-        return result
-
-    @staticmethod
-    def _key_extractors(
-        cross_eq: tuple[Cond, ...], rho: Callable[[Any], Any]
-    ) -> tuple[Callable[[Triple], Any], Callable[[Triple], Any]]:
-        """Key functions for both sides of the hash join.
-
-        Each cross equality contributes one key component; θ-conditions
-        use the object itself, η-conditions its ρ-value.  With no cross
-        equalities both keys are constant (a cartesian product, as the
-        algebra demands).
-        """
-        left_parts: list[Callable[[Triple], Any]] = []
-        right_parts: list[Callable[[Triple], Any]] = []
-        for cond in cross_eq:
-            lpos = cond.left
-            rpos = cond.right
-            assert isinstance(lpos, Pos) and isinstance(rpos, Pos)
-            li, ri = lpos.index, rpos.index - 3
-            if cond.on_data:
-                left_parts.append(lambda t, i=li: rho(t[i]))
-                right_parts.append(lambda t, i=ri: rho(t[i]))
-            else:
-                left_parts.append(lambda t, i=li: t[i])
-                right_parts.append(lambda t, i=ri: t[i])
-
-        def key_left(t: Triple) -> Any:
-            return tuple(f(t) for f in left_parts)
-
-        def key_right(t: Triple) -> Any:
-            return tuple(f(t) for f in right_parts)
-
-        return key_left, key_right
-
-    # ------------------------------------------------------------------ #
-    # Fixpoints
-    # ------------------------------------------------------------------ #
-
-    def _star(self, expr: Star, store: Triplestore, memo: dict) -> TripleSet:
-        base = self._eval(expr.expr, store, memo)
-        return frozenset(self.star_fixpoint(base, expr, store))
-
-    def star_fixpoint(
-        self, base: TripleSet, expr: Star, store: Triplestore
-    ) -> set[Triple]:
-        """Semi-naive closure of ``base`` under the star's join."""
-        acc: set[Triple] = set(base)
-        frontier: set[Triple] = set(base)
-        while frontier:
-            if expr.side == RIGHT:
-                produced = self.join(frontier, base, expr.out, expr.conditions, store)
-            else:
-                produced = self.join(base, frontier, expr.out, expr.conditions, store)
-            frontier = produced - acc
-            acc |= frontier
-        return acc
+        return super().compile(expr, store)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.core.conditions import Cond
-from repro.core.expressions import RIGHT, Expr
-from repro.core.engines.base import TripleSet
+from repro.core.expressions import RIGHT
+from repro.core.engines.base import PlanEngine, TripleSet
 from repro.core.engines.vectorized import (
     _EMPTY,
     _MAX_DENSE_LABELS,
@@ -65,7 +65,6 @@ from repro.core.engines.vectorized import (
     _local_mask,
     _merge_join,
     _union_sorted,
-    VectorEngine,
     reach_dense,
 )
 from repro.core.plan import (
@@ -84,7 +83,6 @@ from repro.core.plan import (
     UnionOp,
     UniverseOp,
     choose_shard_key,
-    compile_plan,
     plan_verify_enabled,
     shard_output_partition,
 )
@@ -700,14 +698,13 @@ class ShardedExecContext:
 # --------------------------------------------------------------------- #
 
 
-class ShardedEngine(VectorEngine):
+class ShardedEngine(PlanEngine):
     """Hash-sharded columnar executor — same plans, shard-wise runtime.
 
     Parameters
     ----------
-    max_universe_objects, use_planner, max_matrix_objects:
-        See :class:`~repro.core.engines.vectorized.VectorEngine` (the
-        sharded backend is likewise planner-only).
+    max_universe_objects, max_matrix_objects:
+        See :class:`~repro.core.engines.vectorized.VectorEngine`.
     shards:
         Number of hash shards; defaults to the ``REPRO_SHARDS``
         environment variable, then :data:`DEFAULT_SHARDS`.
@@ -735,7 +732,6 @@ class ShardedEngine(VectorEngine):
     def __init__(
         self,
         max_universe_objects: int = 400,
-        use_planner: bool = True,
         max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
         shards: Optional[int] = None,
         key_pos: int = 0,
@@ -743,7 +739,8 @@ class ShardedEngine(VectorEngine):
         workers: Optional[int] = None,
         dispatch_min: Optional[int] = None,
     ) -> None:
-        super().__init__(max_universe_objects, use_planner, max_matrix_objects)
+        super().__init__(max_universe_objects)
+        self.max_matrix_objects = max_matrix_objects
         if shards is None:
             shards = default_shard_count()
         if shards < 1:
@@ -780,15 +777,22 @@ class ShardedEngine(VectorEngine):
         #: server) without reaching into the pool.
         self.fault: Optional[dict] = None
 
-    def compile(self, expr: Expr, store: Optional[Triplestore] = None) -> PlanOp:
-        """Compile with the sharded lowering step applied."""
-        return compile_plan(
-            expr,
+    def lowering(self) -> dict[str, Any]:
+        return {
+            **super().lowering(),
+            "max_matrix_objects": self.max_matrix_objects,
+            "shard_key_pos": self.key_pos,
+        }
+
+    def context(self, store: Triplestore) -> ShardedExecContext:
+        return ShardedExecContext(
             store,
-            use_reach=self.plans_reach_stars,
-            backend="sharded",
-            max_matrix_objects=self.max_matrix_objects,
-            shard_key_pos=self.key_pos,
+            self.max_universe_objects,
+            self.max_matrix_objects,
+            shards=self.shards,
+            key_pos=self.key_pos,
+            pool=self._shard_pool(),
+            dispatch_min=self.dispatch_min,
         )
 
     def _shard_pool(self) -> Optional[ThreadPoolExecutor]:
@@ -840,16 +844,7 @@ class ShardedEngine(VectorEngine):
         if routed is not None:
             cs, keys = routed
             return cs.decode_triples(keys)
-        ctx = ShardedExecContext(
-            store,
-            self.max_universe_objects,
-            self.max_matrix_objects,
-            shards=self.shards,
-            key_pos=self.key_pos,
-            pool=self._shard_pool(),
-            dispatch_min=self.dispatch_min,
-        )
-        return ctx.execute(plan)
+        return super().execute_plan(plan, store)
 
     def execute_plan_keys(self, plan: PlanOp, store: Triplestore):
         """Run a compiled plan, returning ``(columnar view, packed keys)``.
@@ -863,13 +858,5 @@ class ShardedEngine(VectorEngine):
         routed = self._process_keys(plan, store)
         if routed is not None:
             return routed
-        ctx = ShardedExecContext(
-            store,
-            self.max_universe_objects,
-            self.max_matrix_objects,
-            shards=self.shards,
-            key_pos=self.key_pos,
-            pool=self._shard_pool(),
-            dispatch_min=self.dispatch_min,
-        )
+        ctx = self.context(store)
         return ctx.cs, sorted_unique(ctx.run(plan).gather())

@@ -38,7 +38,7 @@ oracle) is enforced by the randomized differential harness in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -50,10 +50,8 @@ from repro.core.expressions import (
     REACH_COND_SAME_LABEL,
     REACH_OUT,
     RIGHT,
-    Expr,
 )
-from repro.core.engines.base import TripleSet
-from repro.core.engines.hashjoin import HashJoinEngine
+from repro.core.engines.base import PlanEngine, TripleSet
 from repro.core.plan import (
     DENSE_MATRIX_MAX_OBJECTS,
     DiffOp,
@@ -69,7 +67,6 @@ from repro.core.plan import (
     StarOp,
     UnionOp,
     UniverseOp,
-    compile_plan,
 )
 from repro.core.positions import Const, Param
 from repro.triplestore.columnar import AccessPath, ColumnarStore, KeyPart, sorted_unique
@@ -596,53 +593,36 @@ class VectorExecContext:
 # --------------------------------------------------------------------- #
 
 
-class VectorEngine(HashJoinEngine):
+class VectorEngine(PlanEngine):
     """Vectorised columnar executor — same plans, array-at-a-time runtime.
 
     Parameters
     ----------
     max_universe_objects:
         See :class:`~repro.core.engines.base.Engine`.
-    use_planner:
-        When True (default) expressions run as vectorised physical plans;
-        ``use_planner=False`` falls back to the set-based legacy
-        interpreter inherited from :class:`HashJoinEngine` (there is no
-        tuple-at-a-time "legacy" columnar path — the planner seam *is*
-        the columnar entry point).
     max_matrix_objects:
         Object-count guard for the dense boolean-matrix reachability
         strategy; above it the sparse strategy (the semi-naive join
         fixpoint) runs instead.
     """
 
-    plans_reach_stars = True
     backend = "columnar"
 
     def __init__(
         self,
         max_universe_objects: int = 400,
-        use_planner: bool = True,
         max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
     ) -> None:
-        super().__init__(max_universe_objects, use_planner=use_planner)
+        super().__init__(max_universe_objects)
         self.max_matrix_objects = max_matrix_objects
 
-    def compile(self, expr: Expr, store: Optional[Triplestore] = None) -> PlanOp:
-        """Compile with the columnar lowering step applied."""
-        return compile_plan(
-            expr,
-            store,
-            use_reach=self.plans_reach_stars,
-            backend="columnar",
-            max_matrix_objects=self.max_matrix_objects,
-        )
+    def lowering(self) -> dict[str, Any]:
+        return {**super().lowering(), "max_matrix_objects": self.max_matrix_objects}
 
-    def execute_plan(self, plan: PlanOp, store: Triplestore) -> TripleSet:
-        """Run a compiled plan over the store's columnar view."""
-        ctx = VectorExecContext(
+    def context(self, store: Triplestore) -> VectorExecContext:
+        return VectorExecContext(
             store, self.max_universe_objects, self.max_matrix_objects
         )
-        return ctx.execute(plan)
 
     def execute_plan_keys(self, plan: PlanOp, store: Triplestore):
         """Run a compiled plan, returning ``(columnar view, packed keys)``.
@@ -651,7 +631,5 @@ class VectorEngine(HashJoinEngine):
         :class:`~repro.api.ResultSet` cursor) decodes lazily, so
         ``limit``-style reads touch only the rows they yield.
         """
-        ctx = VectorExecContext(
-            store, self.max_universe_objects, self.max_matrix_objects
-        )
+        ctx = self.context(store)
         return ctx.cs, ctx.run(plan)

@@ -139,6 +139,7 @@ def compile_for_explain(expr: Expr, store=None, engine=None, backend=None):
     and ``compiled_by`` the header annotation naming the compiler (with
     caveats when the given engine would not actually run the plan).
     """
+    from repro.core.engines.base import PlanEngine
     from repro.core.plan import compile_plan
 
     report = explain(expr)
@@ -152,15 +153,9 @@ def compile_for_explain(expr: Expr, store=None, engine=None, backend=None):
         engine = ShardedEngine()
     if backend is None:
         backend = getattr(engine, "backend", None)
-    compiler = getattr(engine, "compile", None)
-    if compiler is not None:
-        plan = compiler(expr, store)
+    if isinstance(engine, PlanEngine):
+        plan = engine.compile(expr, store)
         compiled_by = type(engine).__name__
-        if not getattr(engine, "use_planner", True):
-            compiled_by += (
-                " — note: use_planner=False; evaluation takes the legacy "
-                "interpreter, not this plan"
-            )
     else:
         use_reach = report.recommended_engine == "FastEngine"
         plan = compile_plan(expr, store, use_reach=use_reach)

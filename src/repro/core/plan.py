@@ -20,8 +20,7 @@ cumulative cost derived from :class:`~repro.triplestore.stats.TriplestoreStats`:
 * :class:`UniverseOp` — materialise U (budget-guarded).
 
 The compiler deduplicates structurally identical sub-expressions into a
-single shared operator, and execution memoises per operator — the planner
-path therefore subsumes the old per-(engine, store) memo table.
+single shared operator, and execution memoises per operator.
 
 Costs are unit-free "rows touched" figures: monotone (a node's cumulative
 cost strictly exceeds each child's) and comparable between alternative
@@ -364,6 +363,11 @@ class ExecContext:
         self.max_universe_objects = max_universe_objects
         self._memo: dict[int, TripleSet] = {}
 
+    def execute(self, plan: "PlanOp") -> TripleSet:
+        """Run a plan to its triple set — the entry point the columnar
+        and sharded contexts share (those decode; sets need not)."""
+        return self.run(plan)
+
     def run(self, op: "PlanOp") -> TripleSet:
         """Execute ``op`` (memoised — shared sub-plans run once)."""
         result = self._memo.get(id(op))
@@ -400,10 +404,6 @@ class PlanOp:
         yield self
         for child in self.children():
             yield from child.walk()
-
-    def execute(self, ctx: ExecContext) -> TripleSet:
-        """Evaluate the plan against ``ctx.store``."""
-        return ctx.run(self)
 
     def _execute(self, ctx: ExecContext) -> TripleSet:
         raise NotImplementedError
@@ -699,8 +699,7 @@ class StarOp(PlanOp):
 
     Each round joins the previous frontier with the star's base relation.
     The base operand never changes, so its local filter and hash index
-    are built once, not per round — the planner path's main win over the
-    legacy interpreter on recursive queries.
+    are built once, not per round.
     """
 
     __slots__ = ("child", "spec", "side", "vector_strategy")
@@ -782,9 +781,9 @@ class ReachStarOp(PlanOp):
         return (self.child,)
 
     def _execute(self, ctx: ExecContext) -> TripleSet:
-        # Imported here: repro.core.engines imports this module's
-        # split_conditions at package init, so a top-level import of the
-        # engines package from here would be circular.
+        # Imported here: repro.core.engines.base imports this module at
+        # package init, so a top-level import of the engines package
+        # from here would be circular.
         from repro.core.engines.reach import reach_star_any, reach_star_same_label
 
         base = ctx.run(self.child)

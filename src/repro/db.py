@@ -27,17 +27,12 @@ plans and results.  Constants are canonicalized into parameters before
 planning (:mod:`repro.core.params`), which turns the plan cache into a
 cross-parameter cache: ``select[2='a'](E)`` and ``select[2='b'](E)``
 share one compiled plan, bound per execution.
-
-The pre-v2 per-language ``query_*`` methods remain as thin deprecation
-shims over ``query(source, lang=...)``; see the migration table in the
-README.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Union as TypingUnion
@@ -52,8 +47,8 @@ from repro.api import (
     explain_report as _build_explain_report,
     get_language,
 )
-from repro.core.engines.base import Engine, TripleSet
-from repro.core.engines.fast import FastEngine
+from repro.core.engines.base import Engine, PlanEngine
+from repro.core.engines.hashjoin import FastEngine
 from repro.core.engines.sharded import ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
 from repro.core.expressions import Expr, Universe
@@ -66,7 +61,7 @@ from repro.core.params import (
     substitute_params,
 )
 from repro.core.parser import parse as parse_expr
-from repro.core.plan import PlanOp
+from repro.core.plan import PlanOp, compile_plan
 from repro.errors import EvaluationBudgetError, ReproError
 from repro.triplestore.model import Triple, Triplestore, _as_triple
 
@@ -219,8 +214,8 @@ class Database:
     engine:
         Any :class:`~repro.core.engines.base.Engine`; defaults to the
         ``backend``'s engine — a
-        :class:`~repro.core.engines.fast.FastEngine` for ``"set"``
-        (planner on, Proposition 4/5 reach operators enabled), a
+        :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
+        (Proposition 4/5 reach operators enabled), a
         :class:`~repro.core.engines.vectorized.VectorEngine` for
         ``"columnar"``, a
         :class:`~repro.core.engines.sharded.ShardedEngine` for
@@ -324,6 +319,13 @@ class Database:
             raise ReproError(
                 f"engine runs the {engine.executor!r} shard executor, not "
                 f"{executor!r}; drop one of the two arguments"
+            )
+        elif workers is not None and workers != getattr(
+            engine, "worker_count", lambda: workers
+        )():
+            raise ReproError(
+                f"engine runs {engine.worker_count()} shard workers, not "
+                f"{workers}; drop one of the two arguments"
             )
         elif getattr(engine, "backend", "set") != backend:
             # An explicit engine/backend pair must agree — otherwise the
@@ -505,35 +507,36 @@ class Database:
     def _execute_payload(self, canonical: Expr, all_bindings: Mapping[str, Any]):
         """Run a canonical (parameterized) expression under a full binding.
 
-        Planner engines execute the cached parameterized plan with the
+        Plan engines execute the cached parameterized plan with the
         constants bound in (:func:`repro.core.params.bind_plan`);
         columnar/sharded engines return the undecoded packed keys so
-        the :class:`ResultSet` can decode lazily.  Non-planner engines
-        evaluate the substituted constant expression directly.
+        the :class:`ResultSet` can decode lazily.  Any other engine
+        evaluates the substituted constant expression directly.
         """
         engine = self.engine
-        if getattr(engine, "use_planner", False) and hasattr(engine, "execute_plan"):
-            plan = self._plan_canonical(canonical)
-            bound = bind_plan(plan, all_bindings)
-            if hasattr(engine, "execute_plan_keys"):
-                cs, keys = engine.execute_plan_keys(bound, self.store)
-                return _ColumnarRows(cs, keys)
-            return _SetRows(engine.execute_plan(bound, self.store))
-        return _SetRows(
-            engine.evaluate(substitute_params(canonical, all_bindings), self.store)
-        )
-
-    def _plan_canonical(self, canonical: Expr) -> PlanOp:
-        """The cached parameterized plan for one canonical expression."""
-        key = (canonical, self._dep_token(canonical), self.backend)
-        compiler = getattr(self.engine, "compile", None)
-        if compiler is None:
-            from repro.core.plan import compile_plan
-
-            return self._plans.get(
-                key, lambda: compile_plan(canonical, self.store, backend=self.backend)
+        if not isinstance(engine, PlanEngine):
+            return _SetRows(
+                engine.evaluate(substitute_params(canonical, all_bindings), self.store)
             )
-        return self._plans.get(key, lambda: compiler(canonical, self.store))
+        bound = bind_plan(self._cached_plan(canonical), all_bindings)
+        if engine.backend == "set":
+            return _SetRows(engine.execute_plan(bound, self.store))
+        cs, keys = engine.execute_plan_keys(bound, self.store)
+        return _ColumnarRows(cs, keys)
+
+    def _cached_plan(self, expr: Expr) -> PlanOp:
+        """The session plan cache in front of the engine's compiler.
+
+        Execution passes canonical (parameterized) expressions, so one
+        entry serves every constant.  Engines that interpret directly
+        are planned with the default compiler, for inspection only.
+        """
+        key = (expr, self._dep_token(expr), self.backend)
+        if isinstance(self.engine, PlanEngine):
+            return self._plans.get(key, lambda: self.engine.compile(expr, self.store))
+        return self._plans.get(
+            key, lambda: compile_plan(expr, self.store, backend=self.backend)
+        )
 
     def _execute_canonical(
         self,
@@ -576,16 +579,7 @@ class Database:
         errors; engines without a planner (e.g. NaiveEngine) are
         planned with the default compiler for inspection purposes.
         """
-        expr = self._logical(query)
-        key = (expr, self._dep_token(expr), self.backend)
-        compiler = getattr(self.engine, "compile", None)
-        if compiler is None:
-            from repro.core.plan import compile_plan
-
-            return self._plans.get(
-                key, lambda: compile_plan(expr, self.store, backend=self.backend)
-            )
-        return self._plans.get(key, lambda: compiler(expr, self.store))
+        return self._cached_plan(self._logical(query))
 
     def explain(self, query: Query, physical: bool = False) -> str:
         """A logical analysis of ``query``, or the physical plan text."""
@@ -772,52 +766,6 @@ class Database:
         still benefit from — and are invalidated with — the session cache.
         """
         return self._aux.get((key, self._store_version), compute)
-
-    # ------------------------------------------------------------------ #
-    # Deprecated pre-v2 surface (thin shims; see README migration table)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"Database.{old} is deprecated; use {new} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def query_pairs(self, query: Query) -> frozenset:
-        """Deprecated: use ``query(...).pairs()``."""
-        self._deprecated("query_pairs(q)", "query(q).pairs()")
-        return self.query(query).pairs()
-
-    def query_gxpath(self, path: Any) -> frozenset:
-        """Deprecated: use ``query(path, lang="gxpath").pairs()``."""
-        self._deprecated("query_gxpath(p)", 'query(p, lang="gxpath").pairs()')
-        return self.query(path, lang="gxpath").pairs()
-
-    def query_rpq(self, regex: Any) -> frozenset:
-        """Deprecated: use ``query(regex, lang="rpq").pairs()``."""
-        self._deprecated("query_rpq(r)", 'query(r, lang="rpq").pairs()')
-        return self.query(regex, lang="rpq").pairs()
-
-    def query_nre(self, nre: Any) -> frozenset:
-        """Deprecated: use ``query(nre, lang="nre").pairs()``."""
-        self._deprecated("query_nre(n)", 'query(n, lang="nre").pairs()')
-        return self.query(nre, lang="nre").pairs()
-
-    def query_nsparql(self, nsparql_query: Any) -> frozenset:
-        """Deprecated: use ``query(q, lang="nsparql").to_set()``."""
-        self._deprecated("query_nsparql(q)", 'query(q, lang="nsparql").to_set()')
-        return self.query(nsparql_query, lang="nsparql").to_set()
-
-    def query_datalog(self, program: Any, answer: str | None = None) -> TripleSet:
-        """Deprecated: use ``query(program, lang="datalog").to_set()``."""
-        self._deprecated("query_datalog(p)", 'query(p, lang="datalog").to_set()')
-        if isinstance(program, str) and answer is not None:
-            from repro.datalog import parse_program
-
-            program = parse_program(program, answer=answer)
-        return self.query(program, lang="datalog").to_set()
 
     def __repr__(self) -> str:
         info = self._results.info()

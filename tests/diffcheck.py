@@ -1,8 +1,8 @@
 """Randomized cross-engine differential-testing harness.
 
 The library's central invariant is *one semantics*: every engine — the
-paper-faithful :class:`NaiveEngine` oracle, the set-based planner engines
-(:class:`HashJoinEngine`, :class:`FastEngine`, planner on and off), the
+paper-faithful :class:`NaiveEngine` oracle, the set-based plan engines
+(:class:`HashJoinEngine`, :class:`FastEngine`), the
 vectorised columnar :class:`VectorEngine` and the hash-partitioned
 :class:`ShardedEngine` — must agree on arbitrary (expression, store)
 pairs.  The hypothesis property tests in
@@ -87,7 +87,7 @@ GRAPH_LABELS = ("a", "b")
 
 
 def default_engines() -> dict[str, object]:
-    """The engine matrix under test: oracle + set/columnar/sharded, planner on/off.
+    """The engine matrix under test: oracle + set/columnar/sharded plan engines.
 
     The sharded engine runs with three shards (uneven splits over the
     six-object pool exercise empty and skewed shards), once with the
@@ -100,9 +100,7 @@ def default_engines() -> dict[str, object]:
     return {
         "naive": NaiveEngine(),
         "hash": HashJoinEngine(),
-        "hash-legacy": HashJoinEngine(use_planner=False),
         "fast": FastEngine(),
-        "fast-legacy": FastEngine(use_planner=False),
         "vector": VectorEngine(),
         "sharded": ShardedEngine(shards=3),
         "sharded-obj": ShardedEngine(shards=2, key_pos=2),
@@ -479,9 +477,7 @@ def repro_snippet(
         f"store = Triplestore({relations!r}, rho={rho!r})",
         f"expr = parse({repr(expr)!r})",
         "expected = NaiveEngine().evaluate(expr, store)",
-        "for engine in (NaiveEngine(),",
-        "               HashJoinEngine(), HashJoinEngine(use_planner=False),",
-        "               FastEngine(), FastEngine(use_planner=False), VectorEngine(),",
+        "for engine in (NaiveEngine(), HashJoinEngine(), FastEngine(), VectorEngine(),",
         "               ShardedEngine(shards=3), ShardedEngine(shards=2, key_pos=2),",
         "               ShardedEngine(shards=3, executor='process', workers=2,",
         "                             dispatch_min=0)):",

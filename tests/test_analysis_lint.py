@@ -154,25 +154,6 @@ def test_err_raise_not_scoped_to_other_modules(tmp_path):
     assert run_lint(tmp_path) == []
 
 
-def test_shim_call(tmp_path):
-    write_tree(tmp_path, {"tests/test_old.py": """\
-        import pytest
-        from repro.db import query_pairs
-
-
-        def test_modern():
-            query_pairs("E")
-
-
-        def test_shim_itself():
-            with pytest.warns(DeprecationWarning):
-                query_pairs("E")
-    """})
-    findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["SHIM-CALL"]
-    assert findings[0].line == 6
-
-
 def test_spawn_state(tmp_path):
     write_tree(tmp_path, {"src/repro/core/engines/procpool.py": """\
         from multiprocessing import get_context
@@ -351,20 +332,20 @@ def two_rule_tree(tmp_path):
                 pass
         """,
         "src/repro/b.py": """\
-            from repro.db import query_rpq
+            from multiprocessing.shared_memory import SharedMemory
 
-            query_rpq("a*")
+            SharedMemory(create=True, size=64)
         """,
     })
 
 
 def test_select_and_ignore(two_rule_tree):
-    assert rules_of(run_lint(two_rule_tree)) == ["BARE-EXCEPT", "SHIM-CALL"]
+    assert rules_of(run_lint(two_rule_tree)) == ["BARE-EXCEPT", "SHM-UNLINK"]
     assert rules_of(
-        run_lint(two_rule_tree, select=["SHIM-CALL"])
-    ) == ["SHIM-CALL"]
+        run_lint(two_rule_tree, select=["SHM-UNLINK"])
+    ) == ["SHM-UNLINK"]
     assert rules_of(
-        run_lint(two_rule_tree, ignore=["SHIM-CALL"])
+        run_lint(two_rule_tree, ignore=["SHM-UNLINK"])
     ) == ["BARE-EXCEPT"]
 
 
@@ -377,7 +358,7 @@ def test_unknown_rule_raises(two_rule_tree):
 
 def test_paths_restrict_the_walk(two_rule_tree):
     findings = run_lint(two_rule_tree, paths=["src/repro/b.py"])
-    assert rules_of(findings) == ["SHIM-CALL"]
+    assert rules_of(findings) == ["SHM-UNLINK"]
 
 
 def test_findings_are_sorted(two_rule_tree):
@@ -395,7 +376,7 @@ def test_findings_are_sorted(two_rule_tree):
 def test_main_exit_codes(two_rule_tree, capsys):
     assert main(["--root", str(two_rule_tree)]) == 1
     out = capsys.readouterr()
-    assert "BARE-EXCEPT" in out.out and "SHIM-CALL" in out.out
+    assert "BARE-EXCEPT" in out.out and "SHM-UNLINK" in out.out
     assert "2 finding(s)" in out.err
     assert main(["--root", str(two_rule_tree), "--select", "LRU-LOCK"]) == 0
     assert main(["--root", str(two_rule_tree), "--select", "BOGUS"]) == 2

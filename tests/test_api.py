@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import LANGUAGES, PreparedStatement, ResultSet, explain_report
 from repro.core import NaiveEngine, parse
+from repro.core.engines import PlanEngine
 from repro.core.params import (
     bind_plan,
     canonicalize_constants,
@@ -139,8 +140,8 @@ class TestPreparedStatements:
         # Compiled exactly once: no further planning happened while the
         # three bindings executed.
         assert info.misses == plan_misses_after_prepare
-        if getattr(db.engine, "use_planner", False):
-            # Planner engines fetch the cached plan per execution.
+        if isinstance(db.engine, PlanEngine):
+            # Plan engines fetch the cached plan per execution.
             assert info.hits >= len(BINDINGS)
 
         for label in BINDINGS:

@@ -55,8 +55,7 @@ class TestQueryPath:
 
     def test_works_with_every_engine(self):
         expected = evaluate(query_q(), figure1())
-        for engine in (NaiveEngine(), HashJoinEngine(), FastEngine(),
-                       HashJoinEngine(use_planner=False)):
+        for engine in (NaiveEngine(), HashJoinEngine(), FastEngine()):
             assert Database(figure1(), engine).query(query_q()) == expected
 
     def test_optimize_off_still_correct(self):
@@ -201,41 +200,6 @@ class TestRdfAndDatalogFrontends:
             "P(x,z) :- E(x,y,z).\nAns(x,y,z) :- E(x,y,z), P(x, z).\n"
         )
         assert db.query(program, lang="datalog") == run_program(program, figure1())
-
-
-class TestDeprecatedShims:
-    """The pre-v2 query_* surface: still correct, but warns."""
-
-    def test_query_pairs_shim(self, db):
-        with pytest.warns(DeprecationWarning, match="query_pairs"):
-            pairs = db.query_pairs(query_q())
-        assert pairs == db.query(query_q()).pairs()
-
-    def test_graph_language_shims(self):
-        g = random_graph(5, 8, seed=21)
-        db = graph_database(g)
-        with pytest.warns(DeprecationWarning, match="gxpath"):
-            assert db.query_gxpath("a/b-") == db.query("a/b-", lang="gxpath").pairs()
-        with pytest.warns(DeprecationWarning, match="rpq"):
-            assert db.query_rpq("a.(b)*") == db.query("a.(b)*", lang="rpq").pairs()
-        nre = parse_nre("a.[b]")
-        with pytest.warns(DeprecationWarning, match="nre"):
-            assert db.query_nre(nre) == db.query(nre, lang="nre").pairs()
-
-    def test_datalog_shim(self, db):
-        text = "R(x,y,z) :- E(x,y,z).\nAns(x,y,z) :- R(x,y,z).\n"
-        with pytest.warns(DeprecationWarning, match="datalog"):
-            assert db.query_datalog(text) == figure1().relation("E")
-
-    def test_nsparql_shim(self):
-        doc = RDFGraph(figure1().relation("E"))
-        q = NSparqlQuery(
-            patterns=[Pattern(QVar("x"), parse_nre("next"), QVar("y"))],
-            select=("x", "y"),
-        )
-        db = Database.from_rdf(doc)
-        with pytest.warns(DeprecationWarning, match="nsparql"):
-            assert db.query_nsparql(q) == q.evaluate(doc)
 
 
 class TestConstructors:

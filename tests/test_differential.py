@@ -1,8 +1,7 @@
 """The randomized differential harness, run as part of the suite.
 
-All engines — the NaiveEngine oracle, HashJoinEngine and FastEngine
-(planner on *and* off), the columnar VectorEngine and the
-hash-partitioned ShardedEngine — must agree on every seeded random
+All engines — the NaiveEngine oracle, HashJoinEngine, FastEngine, the
+columnar VectorEngine and the hash-partitioned ShardedEngine — must agree on every seeded random
 (store, query) case.  The default budget is 200
 TriAL cases plus 60 graph-language (GXPath/NRE translation) cases;
 ``DIFFCHECK_CASES`` scales it up (the CI nightly runs 10×).  On failure
@@ -43,7 +42,7 @@ def _assert_no_failures(failures):
 
 @pytest.mark.parametrize("shard", range(SHARDS))
 def test_trial_cases_agree_across_engines(shard):
-    """NaiveEngine ≡ HashJoin ≡ Fast (planner on/off) ≡ Vector on TriAL(*)."""
+    """NaiveEngine ≡ HashJoin ≡ Fast ≡ Vector ≡ Sharded on TriAL(*)."""
     _assert_no_failures(
         run_differential(
             TRIAL_CASES // SHARDS, seed=shard, case_kinds=("trial",)

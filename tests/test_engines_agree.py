@@ -4,10 +4,8 @@ The central correctness property of the library — the paper-faithful
 NaiveEngine (Theorem 3 procedures), the HashJoinEngine (semi-naive
 fixpoints) and the FastEngine (Prop 4/5 algorithms) must agree on every
 expression/store pair.  The hash-join and fast engines run compiled
-physical plans by default; their legacy direct interpreters
-(``use_planner=False``) are held to the same oracle, as is the planner
-applied to *optimised* expressions (plans of rewritten trees must mean
-the same thing).
+physical plans; the planner applied to *optimised* expressions is held
+to the same oracle (plans of rewritten trees must mean the same thing).
 """
 
 from hypothesis import given, settings
@@ -18,8 +16,6 @@ from tests.conftest import expressions, stores
 HASH = HashJoinEngine()
 NAIVE = NaiveEngine()
 FAST = FastEngine()
-HASH_LEGACY = HashJoinEngine(use_planner=False)
-FAST_LEGACY = FastEngine(use_planner=False)
 
 
 @given(expressions(max_depth=3, allow_star=False), stores())
@@ -55,14 +51,6 @@ def test_results_are_closed(expr, store):
     for triple in result:
         assert len(triple) == 3
         assert all(obj in store.objects for obj in triple)
-
-
-@given(expressions(max_depth=3, allow_star=True), stores())
-@settings(max_examples=80, deadline=None)
-def test_planner_agrees_with_legacy_interpreter(expr, store):
-    """Planner-on and planner-off are the same engine, semantically."""
-    assert HASH.evaluate(expr, store) == HASH_LEGACY.evaluate(expr, store)
-    assert FAST.evaluate(expr, store) == FAST_LEGACY.evaluate(expr, store)
 
 
 @given(expressions(max_depth=3, allow_star=True), stores())

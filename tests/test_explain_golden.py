@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.core.engines.fast import FastEngine
+from repro.core.engines.hashjoin import FastEngine
 from repro.core.engines.sharded import ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
 from repro.core.explain import explain_physical

@@ -96,7 +96,7 @@ class TestDegenerateInputs:
 
 class TestEngineInternals:
     def test_hash_join_split(self):
-        from repro.core.engines.hashjoin import split_conditions
+        from repro.core.plan import split_conditions
         from repro.core.conditions import parse_conditions
 
         conds = parse_conditions("1=2 & 1'=2' & 3=1' & 2!=3' & 'a'='a'")
@@ -105,7 +105,7 @@ class TestEngineInternals:
         assert len(cross_eq) == 1 and len(cross_neq) == 1 and len(const) == 1
 
     def test_cross_condition_normalised(self):
-        from repro.core.engines.hashjoin import split_conditions
+        from repro.core.plan import split_conditions
 
         # 1' = 2 arrives right-side-first; the splitter flips it.
         conds = (Cond(Pos(3), Pos(1)),)

@@ -34,7 +34,7 @@ from tests.conftest import expressions, stores
 
 
 def run(plan, store, **kw):
-    return plan.execute(ExecContext(store, **kw))
+    return ExecContext(store, **kw).execute(plan)
 
 
 class TestCompilation:

@@ -375,6 +375,9 @@ class TestBackendWiring:
     def test_shards_engine_mismatch_rejected(self, store):
         with pytest.raises(ReproError):
             Database(store, engine=ShardedEngine(shards=2), shards=3)
+        with pytest.raises(ReproError, match="2 shard workers, not 4; drop one"):
+            Database(store, engine=ShardedEngine(workers=2), workers=4)
+        assert Database(store, engine=ShardedEngine(workers=2), workers=2).engine.workers == 2
 
     def test_explain_mentions_backend_and_strategy(self, store):
         db = Database(store, backend="sharded", shards=4)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import (
     FastEngine,
-    HashJoinEngine,
     NaiveEngine,
     R,
     VectorEngine,
@@ -232,11 +231,6 @@ class TestVectorEngine:
         with pytest.raises(EvaluationBudgetError):
             engine.evaluate(expr, big)
 
-    def test_legacy_path_is_the_set_interpreter(self, store):
-        legacy = VectorEngine(use_planner=False)
-        expr = join(R("E"), R("E"), "1,2,3'", "3=1'")
-        assert legacy.evaluate(expr, store) == HashJoinEngine().evaluate(expr, store)
-
     def test_unknown_relation_propagates(self, store):
         with pytest.raises(UnknownRelationError):
             VectorEngine().evaluate(R("Nope"), store)
@@ -328,15 +322,9 @@ class TestBackendWiring:
         dump_path(Triplestore([("a", "p", "b")]), str(path))
         assert main(["query", str(path), "E", "--engine", "naive", "--backend", "columnar"]) == 1
         assert "columnar" in capsys.readouterr().err
-        # The columnar backend is planner-only.
-        assert main(["query", str(path), "E", "--backend", "columnar", "--no-planner"]) == 1
-        assert "planner-only" in capsys.readouterr().err
         # --engine vector with an explicit set backend is contradictory...
         assert main(["query", str(path), "E", "--engine", "vector", "--backend", "set"]) == 1
         assert "columnar" in capsys.readouterr().err
         # ...but --engine vector alone implies columnar and works.
         assert main(["query", str(path), "E", "--engine", "vector"]) == 0
         capsys.readouterr()
-        # --engine vector --no-planner would silently run set execution.
-        assert main(["query", str(path), "E", "--engine", "vector", "--no-planner"]) == 1
-        assert "planner-only" in capsys.readouterr().err
