@@ -60,6 +60,7 @@ from repro.core.engines.vectorized import (
     _MAX_DENSE_LABELS,
     _REACH_SPEC_ANY,
     _REACH_SPEC_SAME,
+    _absorb,
     _diff_sorted,
     _intersect_sorted,
     _local_mask,
@@ -627,14 +628,13 @@ class ShardedExecContext:
                 if out_part == 0
                 else self._from_raw(pieces, 0)
             )
-            new_shards = self._map(
-                _diff_sorted, produced.shards, acc.shards, rows=produced.total
+            # Shard-wise too the frontier is sorted and disjoint from the
+            # accumulator: merged in, not sorted in.
+            absorbed = self._map(
+                _absorb, acc.shards, produced.shards, rows=acc.total + produced.total
             )
-            frontier = ShardedKeys(new_shards, 0)
-            acc = ShardedKeys(
-                self._map(_union_sorted, acc.shards, frontier.shards, rows=acc.total),
-                0,
-            )
+            acc = ShardedKeys([merged for merged, _ in absorbed], 0)
+            frontier = ShardedKeys([fresh for _, fresh in absorbed], 0)
         return acc
 
     def _reach_star(self, op: ReachStarOp) -> ShardedKeys:

@@ -7,8 +7,10 @@ the array representation of the store (:class:`~repro.triplestore.columnar.Colum
 instead of Python sets of tuples:
 
 * intermediate relations are sorted unique ``int64`` *packed-key* arrays
-  (``(s·n + p)·n + o``), so union/difference/intersection are sorted
-  merges (``np.union1d`` and friends);
+  (``(s·n + p)·n + o``), so difference and intersection are one binary
+  search of one operand in the other, union is concatenate + sort +
+  adjacent-duplicate mask (:func:`~repro.triplestore.columnar.sorted_unique`),
+  and two *disjoint* arrays merge with one binary search and a scatter;
 * hash joins lower to one build-then-probe kernel over *access paths*
   (:class:`~repro.triplestore.columnar.AccessPath`): the build operand's
   rows grouped by the composite key of the cross equalities (θ keys
@@ -16,12 +18,21 @@ instead of Python sets of tuples:
   planner chose the store's index (``via store-index``) the path is the
   base relation's own, cached on the store and shared by its versions —
   the join neither unpacks nor sorts the relation;
+* the kernel's memory rule is **scratch O(block), result O(output)**:
+  the probe operand is consumed :data:`_ROW_BLOCK` rows at a time and
+  each block's matches :data:`_PAIR_BLOCK` pairs at a time, an
+  intermediate operand travels as its packed keys and is unpacked per
+  block and per column the join actually reads, and every block is
+  reduced to sorted unique output keys before the next one starts — a
+  join's temporaries do not grow with the pairs it matches;
 * constant lookups (:class:`~repro.core.plan.IndexLookupOp`) are a slice
   of the relation's path, the residual evaluated on that slice; other
-  selections evaluate conditions as whole-column boolean masks;
+  selections evaluate conditions as boolean masks over the columns they
+  name, a row block at a time;
 * general Kleene stars run the same semi-naive fixpoint as
   :class:`~repro.core.plan.StarOp`: the constant operand is indexed
-  once, each round probes it with the frontier;
+  once, each round probes it with the frontier and merges the (sorted,
+  disjoint) frontier into the accumulator without re-sorting it;
 * reach-shaped stars (:class:`~repro.core.plan.ReachStarOp`) use
   semi-naive *boolean matrix* iteration over the ``|O|×|O|`` adjacency
   matrix — the array representation the paper's Section 5 cost model is
@@ -38,7 +49,7 @@ oracle) is enforced by the randomized differential harness in
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -102,6 +113,39 @@ def _union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sorted_unique(np.concatenate((a, b)))
 
 
+def _merge_disjoint(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Union of two sorted unique arrays with no key in common, given
+    ``rank = searchsorted(a, b)``.
+
+    Each key of ``b`` lands at its rank in ``a`` plus its own index,
+    ``a`` fills the slots left — a scatter, no sort.
+    """
+    if len(b) == 0:
+        return a
+    at = rank + np.arange(len(b))
+    out = np.empty(len(a) + len(b), dtype=np.int64)
+    from_a = np.ones(len(out), dtype=bool)
+    from_a[at] = False
+    out[at] = b
+    out[from_a] = a
+    return out
+
+
+def _absorb(acc: np.ndarray, produced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One fixpoint round's bookkeeping: ``(acc ∪ produced, produced − acc)``.
+
+    One binary search of ``produced`` in ``acc`` says both which keys
+    are new (the frontier) and where they go: the frontier is sorted and
+    disjoint from the accumulator, so it is merged in, not sorted in.
+    """
+    if len(acc) == 0 or len(produced) == 0:
+        return (acc if len(acc) else produced), produced
+    rank = np.searchsorted(acc, produced)
+    fresh = acc[np.minimum(rank, len(acc) - 1)] != produced
+    frontier = produced[fresh]
+    return _merge_disjoint(acc, frontier, rank[fresh]), frontier
+
+
 def _diff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return a
@@ -115,32 +159,84 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
+# Operands and blocks
+#
+# A join operand is an ``(N, 3)`` code-column block (a base relation's
+# cached columns, a sharded exchange) or a 1-D packed-key array (every
+# intermediate result).  Packed keys are never unpacked whole: the kernel
+# walks an operand a row block at a time and reads the columns it needs.
+# --------------------------------------------------------------------- #
+
+#: Probe rows per block.  2¹⁵ int64 are 256 KiB: numpy's per-call cost is
+#: noise against a kernel that long, a block's dozen temporaries stay
+#: inside the L2 cache, and the allocator sees the same sizes again.
+_ROW_BLOCK = 1 << 15
+
+#: Matched pairs per block — twice the row block, so a key-to-key join
+#: (about one match per probe row) still emits one pair block per row block.
+_PAIR_BLOCK = 1 << 16
+
+
+def _column(cs: ColumnarStore, rows: np.ndarray, pos: int) -> np.ndarray:
+    """Code column ``pos`` of an operand (block) in either layout."""
+    return cs.column(rows, pos) if rows.ndim == 1 else rows[:, pos]
+
+
+def _gather(
+    cs: ColumnarStore, rows: np.ndarray, at, positions: list[int]
+) -> dict[int, np.ndarray]:
+    """Code columns of the operand rows ``at`` (an index array or a
+    slice), keyed by the join positions that read them (0..2 on the left
+    operand, 3..5 on the right)."""
+    if rows.ndim == 1:
+        picked = rows[at]
+        return {pos: cs.column(picked, pos % 3) for pos in positions}
+    return {pos: rows[:, pos % 3][at] for pos in positions}
+
+
+def _operand_path(
+    cs: ColumnarStore, rows: np.ndarray, key: tuple[KeyPart, ...], presorted: bool
+) -> AccessPath:
+    """The access path of a join operand, built for this join — the key
+    column of a packed operand filled a row block at a time."""
+    column = None
+    if rows.ndim == 1 and len(rows) > _ROW_BLOCK:
+        column = np.empty(len(rows), dtype=np.int64)
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            column[lo : lo + _ROW_BLOCK] = cs.key_column(rows[lo : lo + _ROW_BLOCK], key)
+    return cs.build_path(rows, key, presorted, column)
+
+
+# --------------------------------------------------------------------- #
 # Vectorised condition evaluation
 # --------------------------------------------------------------------- #
 
 
-def _local_mask(cs: ColumnarStore, conds: tuple[Cond, ...], cols: np.ndarray) -> np.ndarray:
+def _local_mask(cs: ColumnarStore, conds: tuple[Cond, ...], rows: np.ndarray) -> np.ndarray:
     """Boolean mask of one operand's rows satisfying all ``conds``.
 
     Positions are taken modulo 3, so the same helper serves selection
     conditions (0..2) and right-local join conditions (3..5).
     """
-    mask = np.ones(len(cols), dtype=bool)
-    for cond in conds:
-        if isinstance(cond.left, Const) and isinstance(cond.right, Const):
-            # Constant-only: a static boolean over raw values (the code
-            # sentinel for unknown constants must not make them compare
-            # equal to each other).
-            if not cond.evaluate((None,) * 3, None, lambda o: o):
-                mask[:] = False
-            continue
-        lv = _resolve_local(cs, cond, cond.left, cols)
-        rv = _resolve_local(cs, cond, cond.right, cols)
-        mask &= (lv == rv) if cond.is_equality else (lv != rv)
+    mask = np.ones(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = rows[lo : lo + _ROW_BLOCK]
+        keep = mask[lo : lo + _ROW_BLOCK]
+        for cond in conds:
+            if isinstance(cond.left, Const) and isinstance(cond.right, Const):
+                # Constant-only: a static boolean over raw values (the code
+                # sentinel for unknown constants must not make them compare
+                # equal to each other).
+                if not cond.evaluate((None,) * 3, None, lambda o: o):
+                    keep[:] = False
+                continue
+            lv = _resolve_local(cs, cond, cond.left, block)
+            rv = _resolve_local(cs, cond, cond.right, block)
+            keep &= (lv == rv) if cond.is_equality else (lv != rv)
     return mask
 
 
-def _resolve_local(cs: ColumnarStore, cond: Cond, term, cols: np.ndarray):
+def _resolve_local(cs: ColumnarStore, cond: Cond, term, rows: np.ndarray):
     """One term of a single-operand condition as a code column or scalar."""
     if isinstance(term, Const):
         # θ constants encode as object codes, η constants as data-value
@@ -149,42 +245,34 @@ def _resolve_local(cs: ColumnarStore, cond: Cond, term, cols: np.ndarray):
         return cs.dv_code_of(term.value) if cond.on_data else cs.code_of(term.value)
     if isinstance(term, Param):
         raise UnboundParameterError(term.name)
-    col = cols[:, term.index % 3]
+    col = _column(cs, rows, term.index % 3)
     return cs.dv_codes[col] if cond.on_data else col
 
 
 def _pair_mask(
-    cs: ColumnarStore,
-    conds: tuple[Cond, ...],
-    lcols: np.ndarray,
-    li: np.ndarray,
-    rcols: np.ndarray,
-    ri: np.ndarray,
+    cs: ColumnarStore, conds: tuple[Cond, ...], cols: dict[int, np.ndarray]
 ) -> np.ndarray:
-    """Mask over matched (left, right) row-index pairs (cross inequalities).
-
-    Gathers only the columns the conditions mention, not whole triples.
-    """
-    mask = np.ones(len(li), dtype=bool)
+    """Mask over one block of matched pairs (the pair conditions), from
+    the columns gathered for the block (keyed by join position)."""
+    mask = None
     for cond in conds:
-        lv = _resolve_pair(cs, cond, cond.left, lcols, li, rcols, ri)
-        rv = _resolve_pair(cs, cond, cond.right, lcols, li, rcols, ri)
-        mask &= (lv == rv) if cond.is_equality else (lv != rv)
+        lv = _resolve_pair(cs, cond, cond.left, cols)
+        rv = _resolve_pair(cs, cond, cond.right, cols)
+        hit = (lv == rv) if cond.is_equality else (lv != rv)
+        mask = hit if mask is None else mask & hit
     return mask
 
 
-def _resolve_pair(cs: ColumnarStore, cond: Cond, term, lcols, li, rcols, ri):
+def _resolve_pair(cs: ColumnarStore, cond: Cond, term, cols: dict[int, np.ndarray]):
     if isinstance(term, Const):  # pragma: no cover — cross conds are Pos-Pos
         return cs.dv_code_of(term.value) if cond.on_data else cs.code_of(term.value)
-    if term.index < 3:
-        col = lcols[:, term.index][li]
-    else:
-        col = rcols[:, term.index - 3][ri]
+    col = cols[term.index]
     return cs.dv_codes[col] if cond.on_data else col
 
 
 # --------------------------------------------------------------------- #
-# The join kernel: build an access path on one operand, probe it with the other
+# The join kernel: build an access path on one operand, probe it with the
+# other a block at a time
 # --------------------------------------------------------------------- #
 
 
@@ -219,86 +307,145 @@ def _join_key(
     return tuple(lkey), tuple(rkey), tuple(pairwise)
 
 
-def _probe(
-    cs: ColumnarStore, path: AccessPath, key: tuple[KeyPart, ...], cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched ``(probe row, build row)`` index pairs of ``cols`` against
-    ``path``: every build row whose key equals the probe row's ``key``."""
-    if path.offsets is not None:
-        probe = None
-        code = cols[:, key[0][0]]
-        lo, hi = path.offsets[code], path.offsets[code + 1]
-    else:
-        # Sorted needles make both binary searches walk the key column
-        # front to back instead of jumping through it.
-        needles = cs.key_column(cols, key)
-        probe = np.argsort(needles)
-        needles = needles[probe]
-        lo = np.searchsorted(path.keys, needles, side="left")
-        hi = np.searchsorted(path.keys, needles, side="right")
-    counts = (hi - lo).astype(np.int64, copy=False)
-    total = int(counts.sum())
-    pi = np.repeat(np.arange(len(cols)) if probe is None else probe, counts)
-    # Pair t of probe row r sits at lo[r] + (t - first pair of r).
-    at = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return pi, at if path.perm is None else path.perm[at].astype(np.intp)
+def _pair_blocks(
+    cs: ColumnarStore,
+    path: Optional[AccessPath],
+    key: tuple[KeyPart, ...],
+    probe: np.ndarray,
+    n_build: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Matched ``(probe rows, build rows)`` index pairs, block by block.
+
+    Every build row whose key equals the probe row's ``key`` — every
+    build row at all without a ``path`` (the cartesian product the
+    algebra demands of a join with no cross equality).  The probe operand
+    is read :data:`_ROW_BLOCK` rows at a time: each block finds its
+    rows' match ranges in the path, then enumerates the matches
+    :data:`_PAIR_BLOCK` at a time.  No array here is longer than a block.
+    """
+    for r0 in range(0, len(probe), _ROW_BLOCK):
+        block = probe[r0 : r0 + _ROW_BLOCK]
+        rows = None  # probe row numbers in match-range order; None = as they lie
+        if path is None:
+            lo = np.zeros(len(block), dtype=np.int64)
+            counts = np.full(len(block), n_build, dtype=np.int64)
+        else:
+            if path.offsets is not None:
+                code = _column(cs, block, key[0][0])
+                lo, hi = path.offsets[code], path.offsets[code + 1]
+            else:
+                # Sorted needles make both binary searches walk the key
+                # column front to back instead of jumping through it.
+                needles = cs.key_column(block, key)
+                rows = np.argsort(needles)
+                needles = needles[rows]
+                lo = np.searchsorted(path.keys, needles, side="left")
+                hi = np.searchsorted(path.keys, needles, side="right")
+            counts = (hi - lo).astype(np.int64, copy=False)
+        if rows is None:
+            rows = np.arange(r0, r0 + len(block))
+        elif r0:
+            rows += r0
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # Pair t (numbered through the block) of the row with range
+        # [lo, hi) is the build path's slot lo + (t - starts).
+        slot0 = lo - starts
+        total = int(ends[-1])
+        for p0 in range(0, total, _PAIR_BLOCK):
+            p1 = min(p0 + _PAIR_BLOCK, total)
+            if p1 - p0 == total:
+                # The usual case: all of the row block's pairs at once.
+                ra, rb, span = 0, len(block), counts
+            else:
+                # The rows whose pairs [starts, ends) overlap [p0, p1),
+                # each clipped to it: a row with more matches than one
+                # pair block holds is spread over several.
+                ra = int(np.searchsorted(ends, p0, side="right"))
+                rb = int(np.searchsorted(starts, p1, side="left"))
+                span = np.minimum(ends[ra:rb], p1) - np.maximum(starts[ra:rb], p0)
+            at = np.arange(p0, p1)
+            at += np.repeat(slot0[ra:rb], span)
+            if path is not None and path.perm is not None:
+                at = path.perm[at].astype(np.intp)
+            yield np.repeat(rows[ra:rb], span), at
 
 
 def _merge_join(
     cs: ColumnarStore,
     spec: JoinSpec,
-    lcols: np.ndarray,
-    rcols: np.ndarray,
+    lrows: np.ndarray,
+    rrows: np.ndarray,
     build_side: str = RIGHT,
     path: Optional[AccessPath] = None,
 ) -> np.ndarray:
-    """Join two pre-filtered operand column blocks; packed-key output.
+    """Join two pre-filtered operands; packed-key output.
 
-    The one join of the columnar backends: the ``build_side`` operand is
-    indexed on its half of the equi-join key and probed with the other.
-    ``path`` is the build operand's access path when the caller already
-    holds one (a base relation's, from the store; a fixpoint's constant
-    operand, built once outside the loop); otherwise it is built here.
-    Without cross equalities the join is the operand's own projection
-    when nothing links the two sides, and the cartesian product the
-    algebra demands otherwise.  Pair conditions are applied as a mask
-    over the matched pairs, the output projection is a vectorised gather.
+    The one join of the columnar backends.  Each operand is an ``(N, 3)``
+    code-column block or a 1-D packed-key array.  The ``build_side``
+    operand is indexed on its half of the equi-join key and probed with
+    the other; ``path`` is the build operand's access path when the
+    caller already holds one (a base relation's, from the store; a
+    fixpoint's constant operand, built once outside the loop), otherwise
+    it is built here.  Without cross equalities the join is the
+    operand's own projection when nothing links the two sides, and the
+    cartesian product the algebra demands otherwise.
+
+    Whatever the shape, the work arrives as blocks of (left row, right
+    row) index pairs, and each block is finished before the next is
+    enumerated: pair conditions as a mask over the block, the output
+    projection as per-column gathers packed into keys, ``sorted_unique``.
+    Scratch is O(block); what is held between blocks is sorted unique
+    output keys, folded whenever they exceed twice the distinct keys
+    seen, so a projection that collapses never piles up its duplicates.
     """
-    n_left, n_right = len(lcols), len(rcols)
+    n_left, n_right = len(lrows), len(rrows)
     if n_left == 0 or n_right == 0:
         return _EMPTY
     lkey, rkey, pairwise = _join_key(cs, spec)
+    side = None if lkey else spec.one_sided()
+    if side is not None:
+        # Nothing links the operands and the output reads one of them:
+        # the other only had to be non-empty.  A block of "pairs" is a
+        # block of that operand's rows.
+        n_rows = n_left if side == LEFT else n_right
+        blocks = (
+            (slice(lo, lo + _ROW_BLOCK),) * 2 for lo in range(0, n_rows, _ROW_BLOCK)
+        )
+    elif build_side == RIGHT:
+        if path is None and rkey:
+            path = _operand_path(cs, rrows, rkey, presorted=False)
+        blocks = _pair_blocks(cs, path, lkey, lrows, n_right)
+    else:
+        if path is None and lkey:
+            path = _operand_path(cs, lrows, lkey, presorted=False)
+        blocks = ((li, ri) for ri, li in _pair_blocks(cs, path, rkey, rrows, n_left))
+    # The positions read: the output's and the pair conditions'.
+    reads = {*spec.out, *(t.index for c in pairwise for t in (c.left, c.right))}
+    lreads = [pos for pos in reads if pos < 3]
+    rreads = [pos for pos in reads if pos >= 3]
     i, j, k = spec.out
     n = cs.radix
-    if lkey:
-        if build_side == RIGHT:
-            path = path if path is not None else cs.build_path(rcols, rkey)
-            li, ri = _probe(cs, path, lkey, lcols)
-        else:
-            path = path if path is not None else cs.build_path(lcols, lkey)
-            ri, li = _probe(cs, path, rkey, rcols)
-    else:
-        side = spec.one_sided()
-        if side is not None:
-            # Nothing links the operands and the output reads one of
-            # them: the other only had to be non-empty.
-            cols = lcols if side == LEFT else rcols
-            return sorted_unique(
-                (cols[:, i % 3] * n + cols[:, j % 3]) * n + cols[:, k % 3]
-            )
-        li = np.repeat(np.arange(n_left), n_right)
-        ri = np.tile(np.arange(n_right), n_left)
-    if pairwise:
-        mask = _pair_mask(cs, pairwise, lcols, li, rcols, ri)
-        li, ri = li[mask], ri[mask]
-    if len(li) == 0:
-        return _EMPTY
-    # Pack the projection directly from per-column gathers — no (M, 3)
-    # intermediate; this is the join's hot path.
-    a = lcols[:, i][li] if i < 3 else rcols[:, i - 3][ri]
-    b = lcols[:, j][li] if j < 3 else rcols[:, j - 3][ri]
-    c = lcols[:, k][li] if k < 3 else rcols[:, k - 3][ri]
-    return sorted_unique((a * n + b) * n + c)
+    parts: list[np.ndarray] = []
+    held = 0
+    for li, ri in blocks:
+        cols = {**_gather(cs, lrows, li, lreads), **_gather(cs, rrows, ri, rreads)}
+        # Pack the projection from the gathered columns — no (M, 3)
+        # intermediate; this is the join's hot path.
+        keys = cols[i] * n
+        keys += cols[j]
+        keys *= n
+        keys += cols[k]
+        if pairwise:
+            keys = keys[_pair_mask(cs, pairwise, cols)]
+        parts.append(sorted_unique(keys))
+        held += len(parts[-1])
+        if len(parts) > 1 and held > 2 * max(len(parts[0]), _PAIR_BLOCK):
+            parts = [sorted_unique(np.concatenate(parts))]
+            held = len(parts[0])
+    if len(parts) <= 1:
+        return parts[0] if parts else _EMPTY
+    return sorted_unique(np.concatenate(parts))
 
 
 #: Same-label reach stars build one dense matrix per distinct label; above
@@ -446,12 +593,13 @@ class VectorExecContext:
             f"no columnar execution for {type(op).__name__}"
         )
 
-    def _cols(self, op: PlanOp, keys: np.ndarray) -> np.ndarray:
-        """Code columns of ``op``'s result ``keys`` — for a base relation
-        the store's cached block, not a fresh unpack."""
+    def _rows(self, op: PlanOp, keys: np.ndarray) -> np.ndarray:
+        """``op``'s result ``keys`` as a join operand: the store's cached
+        column block for a base relation, the packed keys themselves for
+        an intermediate (read block by block, never unpacked whole)."""
         if isinstance(op, ScanOp):
             return self.cs.relation_columns(op.name)
-        return self.cs.unpack(keys)
+        return keys
 
     def _index_lookup(self, op: IndexLookupOp) -> np.ndarray:
         cs = self.cs
@@ -465,7 +613,7 @@ class VectorExecContext:
 
     def _filter(self, op: FilterOp) -> np.ndarray:
         keys = self.run(op.child)
-        return keys[_local_mask(self.cs, op.conditions, self._cols(op.child, keys))]
+        return keys[_local_mask(self.cs, op.conditions, self._rows(op.child, keys))]
 
     def _join(self, op: HashJoinOp) -> np.ndarray:
         cs = self.cs
@@ -477,12 +625,12 @@ class VectorExecContext:
         right = self.run(op.right)
         if not spec.gate_open(self.rho):
             return _EMPTY
-        lcols = self._cols(op.left, left)
-        rcols = self._cols(op.right, right)
+        lrows = self._rows(op.left, left)
+        rrows = self._rows(op.right, right)
         if spec.left_local:
-            lcols = lcols[_local_mask(cs, spec.left_local, lcols)]
+            lrows = lrows[_local_mask(cs, spec.left_local, lrows)]
         if spec.right_local:
-            rcols = rcols[_local_mask(cs, spec.right_local, rcols)]
+            rrows = rrows[_local_mask(cs, spec.right_local, rrows)]
         build_right = op.build_side == RIGHT
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if build_right else lkey
@@ -494,37 +642,38 @@ class VectorExecContext:
             name = (op.right if build_right else op.left).name
             path = cs.access_path(name, tuple(pos for pos, _ in key))
         else:
-            path = cs.build_path(rcols if build_right else lcols, key, presorted=True)
-        return _merge_join(cs, spec, lcols, rcols, op.build_side, path)
+            path = _operand_path(cs, rrows if build_right else lrows, key, presorted=True)
+        return _merge_join(cs, spec, lrows, rrows, op.build_side, path)
 
     def _star(self, op: StarOp) -> np.ndarray:
         base = self.run(op.child)
         if not op.spec.gate_open(self.rho):
             return base
-        return self._fixpoint(op.spec, op.side, base, self._cols(op.child, base))
+        return self._fixpoint(op.spec, op.side, base, self._rows(op.child, base))
 
     def _fixpoint(
-        self, spec: JoinSpec, side: str, base: np.ndarray, base_cols: np.ndarray
+        self, spec: JoinSpec, side: str, base: np.ndarray, base_rows: np.ndarray
     ) -> np.ndarray:
         """Semi-naive closure of ``base`` under the spec's join.
 
         The constant operand (right for a right star, left for a left
         one) is filtered and indexed once, outside the loop — the
         columnar analogue of :class:`StarOp`'s hoisted hash index; each
-        round probes it with the frontier.
+        round probes it with the frontier, as packed keys, and
+        :func:`_absorb` folds what it produced into the accumulator.
         """
         cs = self.cs
         const_right = side == RIGHT
         const_local = spec.right_local if const_right else spec.left_local
         varying_local = spec.left_local if const_right else spec.right_local
-        const = base_cols
+        const = base_rows
         if const_local:
             const = const[_local_mask(cs, const_local, const)]
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if const_right else lkey
-        path = cs.build_path(const, key, presorted=True) if key and len(const) else None
+        path = _operand_path(cs, const, key, presorted=True) if key and len(const) else None
         acc = base
-        varying = base_cols
+        varying = base_rows
         while True:
             if varying_local:
                 varying = varying[_local_mask(cs, varying_local, varying)]
@@ -532,11 +681,10 @@ class VectorExecContext:
                 produced = _merge_join(cs, spec, varying, const, RIGHT, path)
             else:
                 produced = _merge_join(cs, spec, const, varying, LEFT, path)
-            frontier = _diff_sorted(produced, acc)
+            acc, frontier = _absorb(acc, produced)
             if not frontier.size:
                 return acc
-            acc = _union_sorted(acc, frontier)
-            varying = cs.unpack(frontier)
+            varying = frontier
 
     # -- reachability stars --------------------------------------------- #
 
@@ -555,7 +703,7 @@ class VectorExecContext:
             # One adjacency matrix *per label*: only worth it when the
             # labels are few — a store with many sparse labels pays the
             # per-matrix overhead hundreds of times for tiny graphs.
-            labels = sorted_unique(self.cs.unpack(base)[:, 1])
+            labels = sorted_unique(self.cs.column(base, 1))
             if len(labels) > _MAX_DENSE_LABELS:
                 strategy = "sparse"
         if strategy == "dense":
@@ -570,7 +718,7 @@ class VectorExecContext:
         # stars of a fixed shape, so the semi-naive join fixpoint applies
         # verbatim — rounds are bounded by the graph diameter.
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
-        return self._fixpoint(spec, RIGHT, base, self._cols(op.child, base))
+        return self._fixpoint(spec, RIGHT, base, self._rows(op.child, base))
 
     # -- the universal relation ----------------------------------------- #
 

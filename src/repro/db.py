@@ -758,6 +758,19 @@ class Database:
             "aux": self._aux.info(),
         }
 
+    def result_cache_bytes(self) -> int:
+        """Bytes of packed-key arrays the result cache holds alive.
+
+        The sum of ``keys.nbytes`` over the keys-backed payloads
+        (columnar and sharded sessions).  Set-backed payloads count as
+        0: a frozenset of object tuples has no size short of walking it.
+        """
+        return sum(
+            payload.keys.nbytes
+            for _, payload in self._results.snapshot()
+            if isinstance(payload, _ColumnarRows)
+        )
+
     def cached(self, key: Any, compute: Callable[[], Any]) -> Any:
         """Memoise an arbitrary frontend computation against this session.
 

@@ -273,6 +273,12 @@ class QueryServer:
             "(mirrors Database.cache_info at scrape time).",
             ("tenant", "cache", "event"),
         )
+        self._m_cache_bytes = r.gauge(
+            "repro_result_cache_bytes",
+            "Bytes of packed-key arrays held by the session result cache, "
+            "by tenant (set-backed results count as 0).",
+            ("tenant",),
+        )
         self._m_statements = r.gauge(
             "repro_prepared_statements",
             "Prepared statements held, by tenant.",
@@ -313,6 +319,9 @@ class QueryServer:
                     self._m_cache.labels(
                         tenant=session.name, cache=cache, event=event
                     ).set_total(value)
+            self._m_cache_bytes.labels(tenant=session.name).set(
+                session.db.result_cache_bytes()
+            )
             self._m_statements.labels(tenant=session.name).set(
                 session.statement_count()
             )

@@ -324,7 +324,10 @@ class SegmentStore(Triplestore):
     the file pages, which keeps the mappings alive); the
     Python-``frozenset`` form of a relation is decoded only when a
     set-backend consumer asks for it, and cached — an undecoded relation
-    is ``None`` in the relation dictionary.
+    is ``None`` in the relation dictionary.  The universe is lazy the
+    same way: the view's dictionary answers membership and ``|O|``, and
+    the ``frozenset`` form exists only once ``objects``, ``==`` or
+    ``hash`` asked for it (``_objects`` is ``None`` until then).
 
     Derivation (``with_relations`` …) is the base class's structural
     sharing and stays lazy: the derived store is again a
@@ -396,7 +399,7 @@ class SegmentStore(Triplestore):
     def __repr__(self) -> str:
         cs = self._columnar
         rels = ", ".join(f"{n}:{len(cs.relation_keys(n))}" for n in self._relations)
-        return f"SegmentStore(|O|={len(self._objects)}, {rels})"
+        return f"SegmentStore(|O|={self.n_objects}, {rels})"
 
 
 def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) -> SegmentStore:
@@ -443,7 +446,8 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
     store = object.__new__(SegmentStore)
     store._relations = {e["name"]: None for e in block["relations"]}
     store._rho = dict(meta["rho"])
-    store._objects = frozenset(objects)
+    # The dictionary below holds the universe; no second copy until asked.
+    store._objects = None
     store._indexes = {}
     store._stats = None
     store._columnar = ColumnarStore.from_encoded(

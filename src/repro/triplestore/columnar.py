@@ -16,9 +16,12 @@ the storage layer of the vectorised execution backend
   *packed keys* ``(s·n + p)·n + o``.
 
 Packed keys make relations totally ordered, so the set operations of the
-algebra become sorted-array merges (``np.union1d`` and friends) and hash
-joins become ``np.searchsorted`` merge joins — no Python-level loops over
-triples.  Everything here is derived data: a :class:`ColumnarStore` is a
+algebra become sorted-array merges (:func:`sorted_unique` and binary
+searches, see :mod:`repro.core.engines.vectorized`) and hash joins become
+``np.searchsorted`` merge joins — no Python-level loops over triples.
+An engine reads packed keys a column at a time (:meth:`ColumnarStore.column`,
+:meth:`ColumnarStore.key_column`) and never has to unpack an
+intermediate result whole.  Everything here is derived data: a :class:`ColumnarStore` is a
 read-only view of an immutable :class:`Triplestore`, built lazily and
 cached on the store like its hash indexes and statistics
 (:meth:`Triplestore.columnar`).
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Mapping
+from typing import Any, Callable, Collection, Iterable, KeysView, Mapping
 
 import numpy as np
 
@@ -65,6 +68,10 @@ _MAX_ENCODABLE_OBJECTS = 2_097_151
 #: One component of an access-path key: a triple position (0..2) and
 #: whether it compares ρ-codes (η) instead of object codes (θ).
 KeyPart = tuple[int, bool]
+
+#: The θ key on positions 1–3: packed-key order is the order of each of
+#: its prefixes, and such a key is the packed key's own leading digits.
+_THETA_PREFIX: tuple[KeyPart, ...] = ((0, False), (1, False), (2, False))
 
 #: A single-θ path addresses its groups by object code through an array
 #: of ``n + 1`` offsets; past this many codes per row (a small operand in
@@ -356,6 +363,10 @@ class ColumnarStore:
         """The integer code of ``obj`` (``default`` when absent)."""
         return self._code_of.get(obj, default)
 
+    def universe(self) -> KeysView[Obj]:
+        """The object universe as a set-like view of the dictionary — no copy."""
+        return self._code_of.keys()
+
     def dv_code_of(self, value: Any, default: int = -1) -> int:
         """The integer code of a data value (``default`` when absent)."""
         return self._dv_code_of.get(value, default)
@@ -369,11 +380,26 @@ class ColumnarStore:
         """Inverse of :meth:`pack`: keys back into ``(N, 3)`` code columns."""
         n = self.radix
         out = np.empty((len(keys), 3), dtype=np.int64)
-        out[:, 2] = keys % n
+        # x mod n as x - (x // n)·n: numpy divides by a scalar several
+        # times faster than it takes the remainder (keys are never negative).
         rest = keys // n
-        out[:, 1] = rest % n
-        out[:, 0] = rest // n
+        np.subtract(keys, rest * n, out=out[:, 2])
+        top = rest // n
+        np.subtract(rest, top * n, out=out[:, 1])
+        out[:, 0] = top
         return out
+
+    def column(self, keys: np.ndarray, pos: int) -> np.ndarray:
+        """Code column ``pos`` of packed ``keys`` — one column of
+        :meth:`unpack`, at the cost of that column alone."""
+        n = self.radix
+        if pos == 0:
+            return keys // (n * n)
+        if pos == 1:
+            keys = keys // n
+        below = keys // n
+        below *= n
+        return np.subtract(keys, below, out=below)
 
     def encode_triples(self, triples: Iterable[Triple]) -> np.ndarray:
         """Encode object triples into a sorted unique packed-key array.
@@ -523,16 +549,25 @@ class ColumnarStore:
     # Access paths
     # ------------------------------------------------------------------ #
 
-    def key_column(self, cols: np.ndarray, key: tuple[KeyPart, ...]) -> np.ndarray:
-        """The composite int64 key of each row of ``cols`` on ``key``.
+    def key_column(self, rows: np.ndarray, key: tuple[KeyPart, ...]) -> np.ndarray:
+        """The composite int64 key of each of ``rows`` on ``key``.
 
-        Components fold radix by radix (``n`` for θ, the data-value count
-        for η), so equal keys mean equal components on any two operands
-        of this store; the caller keeps the key's range inside int64.
+        ``rows`` is an ``(N, 3)`` code-column block or a 1-D packed-key
+        array, of which only the columns ``key`` names are unpacked — and
+        none for a θ key on positions 1, 1–2 or 1–3, which is the packed
+        key's own leading digits.  Components fold radix by radix (``n``
+        for θ, the data-value count for η), so equal keys mean equal
+        components on any two operands of this store; the caller keeps
+        the key's range inside int64.
         """
+        packed = rows.ndim == 1
+        if packed and key == _THETA_PREFIX[: len(key)]:
+            return rows // self.radix ** (3 - len(key))
         out = None
         for pos, on_data in key:
-            part = self.dv_codes[cols[:, pos]] if on_data else cols[:, pos]
+            part = self.column(rows, pos) if packed else rows[:, pos]
+            if on_data:
+                part = self.dv_codes[part]
             radix = max(self.n_data_values, 1) if on_data else self.radix
             out = part if out is None else out * radix + part
         return out
@@ -549,23 +584,29 @@ class ColumnarStore:
         return out
 
     def build_path(
-        self, cols: np.ndarray, key: tuple[KeyPart, ...], presorted: bool = False
+        self,
+        rows: np.ndarray,
+        key: tuple[KeyPart, ...],
+        presorted: bool = False,
+        column: np.ndarray | None = None,
     ) -> AccessPath:
-        """Group the rows of ``cols`` by ``key`` (see :class:`AccessPath`).
+        """Group ``rows`` by ``key`` (see :class:`AccessPath`).
 
-        ``presorted`` says the rows are in packed-key order, as every
-        relation and operator result is; a θ key on position 1 or one of
-        its prefixes then needs no permutation.
+        ``rows`` is whatever :meth:`key_column` reads; ``column`` is that
+        key column when the caller already holds it.  ``presorted`` says
+        the rows are in packed-key order, as every relation and operator
+        result is; a θ key on position 1 or one of its prefixes then
+        needs no permutation.
         """
-        column = self.key_column(cols, key)
+        if column is None:
+            column = self.key_column(rows, key)
         theta = not any(on_data for _, on_data in key)
-        positions = tuple(pos for pos, _ in key)
         # Row indices and counts: the narrowest signed dtype holding them.
-        narrow = np.min_scalar_type(-(len(cols) + 1))
+        narrow = np.min_scalar_type(-(len(rows) + 1))
         perm = None
-        if not (presorted and theta and positions == (0, 1, 2)[: len(key)]):
+        if not (presorted and key == _THETA_PREFIX[: len(key)]):
             perm = _readonly(np.argsort(column, kind="stable").astype(narrow))
-        if theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(cols):
+        if theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(rows):
             offsets = np.zeros(self.n + 1, dtype=narrow)
             np.cumsum(np.bincount(column, minlength=self.n), out=offsets[1:])
             return AccessPath(perm, _readonly(offsets), None)

@@ -123,7 +123,19 @@ class Triplestore:
     @property
     def objects(self) -> frozenset[Obj]:
         """The finite object set ``O``."""
+        if self._objects is None:
+            self._objects = frozenset(self._columnar.objects)
         return self._objects
+
+    def _universe(self) -> Collection[Obj]:
+        """``O`` as something to ask ``in`` and ``len`` of.
+
+        A store opened from segments starts with ``_objects = None``: its
+        columnar dictionary already holds the universe as the keys of
+        the object→code map, and a second copy as a frozenset is built
+        only when :attr:`objects`, ``==`` or ``hash`` ask for one.
+        """
+        return self._columnar.universe() if self._objects is None else self._objects
 
     @property
     def relation_names(self) -> tuple[str, ...]:
@@ -174,14 +186,14 @@ class Triplestore:
     @property
     def n_objects(self) -> int:
         """The paper's ``|O|``."""
-        return len(self._objects)
+        return len(self._universe())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triplestore):
             return NotImplemented
         return (
             self._relations == other._relations
-            and self._objects == other._objects
+            and self.objects == other.objects
             and self._rho == other._rho
         )
 
@@ -189,14 +201,14 @@ class Triplestore:
         return hash(
             (
                 frozenset(self._relations.items()),
-                self._objects,
+                self.objects,
                 frozenset(self._rho.items()),
             )
         )
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{n}:{len(t)}" for n, t in self._relations.items())
-        return f"Triplestore(|O|={len(self._objects)}, {rels})"
+        return f"Triplestore(|O|={self.n_objects}, {rels})"
 
     # ------------------------------------------------------------------ #
     # Derived stores (closure / composition support)
@@ -225,12 +237,20 @@ class Triplestore:
         """
         if not relations:
             relations, replaced = {DEFAULT_RELATION: frozenset()}, (DEFAULT_RELATION,)
-        new_objects = {c for name in replaced for t in relations[name] for c in t}
-        new_objects -= self._objects
+        universe = self._universe()
+        new_objects = {
+            c for name in replaced for t in relations[name] for c in t if c not in universe
+        }
         child = object.__new__(type(self))
         child._relations = relations
         child._rho = self._rho if rho is None else rho
-        child._objects = self._objects | new_objects if new_objects else self._objects
+        # (A universe nobody asked for yet stays unbuilt in the child: its
+        # view's dictionary grows by the same new objects.)
+        child._objects = (
+            self._objects | new_objects
+            if new_objects and self._objects is not None
+            else self._objects
+        )
         # (Snapshots of the caches: a concurrent reader may be filling them.)
         child._indexes = {
             key: idx

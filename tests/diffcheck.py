@@ -28,6 +28,7 @@ import random
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -39,6 +40,7 @@ from repro.core import (  # noqa: E402
     VectorEngine,
 )
 from repro.core.conditions import Cond  # noqa: E402
+from repro.core.engines import vectorized  # noqa: E402
 from repro.core.expressions import (  # noqa: E402
     Diff,
     Expr,
@@ -85,6 +87,29 @@ DATA_VALUE_POOLS = ((0,), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5))
 #: Edge labels for generated graphs (GXPath / NRE cases).
 GRAPH_LABELS = ("a", "b")
 
+#: The columnar kernel's block constants on the ``vector-blocks`` axis.
+#: The stores here hold at most a few dozen rows, far less than one real
+#: block (2¹⁵ rows), so without the patch no case would cross a block
+#: boundary; 3 rows / 4 pairs splits operands, match ranges and single
+#: rows' groups mid-way.
+TINY_BLOCKS = {"_ROW_BLOCK": 3, "_PAIR_BLOCK": 4}
+
+
+class TinyBlocks:
+    """An in-process columnar engine run with :data:`TINY_BLOCKS`.
+
+    The constants are patched around each evaluation and restored after
+    it, so the rest of the matrix runs the real ones.  In-process only:
+    the module globals of a worker process are out of reach.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def evaluate(self, expr: Expr, store: Triplestore):
+        with mock.patch.multiple(vectorized, **TINY_BLOCKS):
+            return self.engine.evaluate(expr, store)
+
 
 def default_engines() -> dict[str, object]:
     """The engine matrix under test: oracle + set/columnar/sharded plan engines.
@@ -95,7 +120,9 @@ def default_engines() -> dict[str, object]:
     co-partitioned joins both appear), and once on the process executor
     with two workers and ``dispatch_min=0`` — the stores here are tiny,
     so the threshold must be forced down for queries to actually cross
-    the worker pool and its exchange collectives.
+    the worker pool and its exchange collectives.  The ``vector-blocks``
+    axis runs the vectorised and the thread-sharded engine once more
+    with the kernel's block sizes patched tiny (:class:`TinyBlocks`).
     """
     return {
         "naive": NaiveEngine(),
@@ -107,6 +134,8 @@ def default_engines() -> dict[str, object]:
         "sharded-proc": ShardedEngine(
             shards=3, executor="process", workers=2, dispatch_min=0
         ),
+        "vector-blocks": TinyBlocks(VectorEngine()),
+        "sharded-blocks": TinyBlocks(ShardedEngine(shards=3)),
     }
 
 
@@ -484,6 +513,16 @@ def repro_snippet(
         "    assert engine.evaluate(expr, store) == expected, type(engine).__name__",
         "    assert engine.evaluate(optimize(expr), store) == expected, \\",
         "        f'{type(engine).__name__}+opt'",
+        "",
+        "# the vector-blocks axis: the columnar kernel with tiny blocks",
+        "from unittest import mock",
+        "from repro.core.engines import vectorized",
+        f"with mock.patch.multiple(vectorized, **{TINY_BLOCKS!r}):",
+        "    for engine in (VectorEngine(), ShardedEngine(shards=3)):",
+        "        assert engine.evaluate(expr, store) == expected, \\",
+        "            f'{type(engine).__name__}-blocks'",
+        "        assert engine.evaluate(optimize(expr), store) == expected, \\",
+        "            f'{type(engine).__name__}-blocks+opt'",
     ]
     if outcomes is not None:
         lines.insert(1, "# outcomes: " + "; ".join(

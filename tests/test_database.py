@@ -97,6 +97,24 @@ class TestCaching:
         db.query("E")
         assert db.cache_info()["results"].misses == 2
 
+    def test_result_cache_bytes_counts_the_held_key_arrays(self):
+        queries = ("E", "join[1,2,3'; 3=1'](E, E)", "star[1,2,3'; 3=1'](E)")
+        for backend in ("columnar", "sharded"):
+            db = Database(figure1(), backend=backend)
+            assert db.result_cache_bytes() == 0
+            rows = sum(len(db.query(q)) for q in queries)
+            db.query(queries[0])  # a hit holds nothing more
+            assert db.result_cache_bytes() == 8 * rows > 0
+            db.install("F", [("x", "y", "z")])
+            db.query("F")
+            assert db.result_cache_bytes() == 8 * (rows + 1)  # entries stay until evicted
+            db.clear_cache()
+            assert db.result_cache_bytes() == 0
+        # Set-backed payloads (frozensets of object tuples) count as 0.
+        db = Database(figure1(), backend="set")
+        db.query(queries[1])
+        assert db.cache_info()["results"].size == 1 and db.result_cache_bytes() == 0
+
     def test_cache_size_zero_disables(self):
         db = Database(figure1(), cache_size=0)
         db.query("E")

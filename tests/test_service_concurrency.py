@@ -173,6 +173,7 @@ def test_metrics_reconcile_with_cache_info(server, truth):
     with ServiceClient(server.url, tenant="set") as client:
         client.query(AD_HOC[0], limit=0)
         client.query(AD_HOC[0], limit=0)  # result-cache hit
+        client.query(AD_HOC[0], limit=0, tenant="columnar")  # a held key array
         series = parse_exposition(client.metrics())
     for session in server.pool:
         info = session.db.cache_info()
@@ -187,9 +188,12 @@ def test_metrics_reconcile_with_cache_info(server, truth):
                     "}"
                 )
                 assert series[key] == value, key
+        key = f'repro_result_cache_bytes{{tenant="{session.name}"}}'
+        assert series[key] == session.db.result_cache_bytes(), key
     # The repeated ad-hoc query above must actually have hit a cache.
     set_info = server.pool.session("set").db.cache_info()
     assert set_info["results"].hits + set_info["plans"].hits > 0
+    assert series['repro_result_cache_bytes{tenant="columnar"}'] > 0
 
 
 def test_statements_are_per_tenant(server):

@@ -325,6 +325,47 @@ def test_a_derived_segment_store_stays_lazy_over_the_same_mappings(tmp_path):
     assert ("a", "b", "a") in child and len(child) == 5
 
 
+def test_a_reopened_store_holds_its_universe_once(tmp_path):
+    """The dictionary's object→code map *is* the membership set: a second
+    copy as a frozenset exists only once ``objects`` / ``==`` / ``hash``
+    asked for it, and versions derived before that stay without."""
+    import gc
+
+    nodes = [f"n{i:02d}" for i in range(41)]
+    edges = [(nodes[i], "p", nodes[(i * 5 + 1) % 41]) for i in range(30)]
+    twin = Triplestore({"E": edges})
+    n = twin.n_objects
+    with Database(path=tmp_path / "s", backend="columnar") as db:
+        db.install("E", edges)
+    del db  # and with it the writing session's in-memory store
+
+    def universe_copies():
+        gc.collect()
+        return sum(type(o) is frozenset and o == twin.objects for o in gc.get_objects())
+
+    before = universe_copies()  # the twin's own
+    with Database.open(tmp_path / "s", backend="columnar") as db:
+        opened = db.store
+        assert db.query("join[1,2,3'; 3=1'](E, E)").to_set()
+        with db.batch():
+            db.install("F", edges[:3])
+        assert db.store is not opened and type(db.store) is SegmentStore
+        for store in (opened, db.store):
+            assert store._objects is None
+            assert store.n_objects == n and f"|O|={n}" in repr(store)
+        assert universe_copies() == before
+        # A commit that brings an object grows the dictionary, nothing else.
+        db.install("G", [("n00", "p", "fresh")])
+        grown = db.store
+        assert grown._objects is None and grown.n_objects == n + 1
+        assert universe_copies() == before
+        # Asked for, it is the in-memory twin's — built once, per version.
+        assert opened.objects == twin.objects and opened.objects is opened.objects
+        assert grown.objects == twin.objects | {"fresh"}
+        assert opened.restrict(["E"]) == twin
+        assert db.store.with_relation("H", [("a", "b", "c")]).objects == grown.objects | {"a", "b", "c"}
+
+
 # --------------------------------------------------------------------- #
 # (c) retention
 # --------------------------------------------------------------------- #
