@@ -136,9 +136,9 @@ LINT_RULES: dict[str, str] = {
         "KeyboardInterrupt/SystemExit and genuine bugs propagate"
     ),
     "LRU-LOCK": (
-        "the _LRU cache's _data dict in db.py is touched only under "
-        "'with self._lock' (construction aside), and never from outside "
-        "the class"
+        "the _LRU cache's _data dict and its running _weight total in "
+        "db.py are touched only under 'with self._lock' (construction "
+        "aside), and never from outside the class"
     ),
     "SHM-UNLINK": (
         "every module that creates a SharedMemory segment "

@@ -98,8 +98,14 @@ def _check_bare_except(tree: ast.AST, rel: str) -> Iterator[Finding]:
             )
 
 
+#: What ``_LRU``'s lock guards: the map and the running total of its
+#: values' weights, which must move together.
+_LRU_GUARDED = frozenset({"_data", "_weight"})
+
+
 def _check_lru_lock(tree: ast.AST, rel: str) -> Iterator[Finding]:
-    """``_LRU._data`` only under ``with self._lock`` (db.py only)."""
+    """``_LRU``'s map and running weight only under ``with self._lock``
+    (db.py only)."""
     findings: list[Finding] = []
 
     class Visitor(ast.NodeVisitor):
@@ -131,7 +137,7 @@ def _check_lru_lock(tree: ast.AST, rel: str) -> Iterator[Finding]:
         visit_AsyncWith = _visit_with
 
         def visit_Attribute(self, node: ast.Attribute) -> None:
-            if node.attr == "_data":
+            if node.attr in _LRU_GUARDED:
                 in_lru = "_LRU" in self.class_stack
                 if not in_lru:
                     findings.append(
@@ -139,8 +145,9 @@ def _check_lru_lock(tree: ast.AST, rel: str) -> Iterator[Finding]:
                             rel,
                             node.lineno,
                             "LRU-LOCK",
-                            "_LRU._data accessed from outside the class; go "
-                            "through its locked get/clear/info methods",
+                            f"_LRU.{node.attr} accessed from outside the "
+                            "class; go through its locked "
+                            "get/evict/clear/info methods",
                         )
                     )
                 elif self.lock_depth == 0 and (
@@ -151,7 +158,8 @@ def _check_lru_lock(tree: ast.AST, rel: str) -> Iterator[Finding]:
                             rel,
                             node.lineno,
                             "LRU-LOCK",
-                            "_LRU._data touched outside 'with self._lock'",
+                            f"_LRU.{node.attr} touched outside "
+                            "'with self._lock'",
                         )
                     )
             self.generic_visit(node)

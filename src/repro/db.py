@@ -21,9 +21,12 @@ evaluates through one seam::
 
 Caching is *relation-aware*: every plan/result cache key embeds the
 version of each relation the expression mentions (its dependency set),
-so :meth:`Database.install` invalidates exactly the entries that read
-the mutated relation — queries over unrelated relations keep their warm
-plans and results.  Constants are canonicalized into parameters before
+so :meth:`Database.install` invalidates — and evicts, at the commit —
+exactly the entries that read the mutated relation; queries over
+unrelated relations keep their warm plans and results.  The result
+cache is bounded in rows by |T|, the size of the store its answers would
+be re-used against (the newest answer always stays).  Constants are
+canonicalized into parameters before
 planning (:mod:`repro.core.params`), which turns the plan cache into a
 cross-parameter cache: ``select[2='a'](E)`` and ``select[2='b'](E)``
 share one compiled plan, bound per execution.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Union as TypingUnion
@@ -82,32 +86,57 @@ _BACKEND_ENV = "REPRO_BACKEND"
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """A snapshot of one LRU cache's counters."""
+    """A snapshot of one LRU cache's counters.
+
+    ``weight`` is what a budgeted cache holds in its own unit (rows, for
+    the result cache) and ``budget`` what it may hold right now; a
+    count-bound cache reports ``0`` / ``None``.
+    """
 
     hits: int
     misses: int
     size: int
     maxsize: int
+    weight: int = 0
+    budget: int | None = None
 
 
 class _LRU:
     """A small thread-safe LRU map with hit/miss counters (no external deps).
 
+    Bounded by entries (``maxsize``; 0 disables) and, when built with a
+    ``budget``, by weight as well: every value weighs ``len(value)``,
+    the running total is kept beside the map, and an insertion evicts
+    LRU-first while the entries outnumber ``maxsize`` or outweigh
+    ``budget()`` — but never the entry it just inserted, so the newest
+    value is always held, however large.  ``budget`` is a callable read
+    at every insertion (it takes no lock of its own), so the allowance
+    can follow whatever it is derived from.  :meth:`evict` drops the
+    entries a caller knows can never be hit again.
+
     The sharded backend runs thread-pool tasks against a shared
     ``Database``, so get/insert/evict hold a lock; the ``compute``
     callback runs *outside* it (a racing pair may both compute — the
-    first insert wins, which is harmless for our pure computations —
-    but no lock is ever held across planning or execution).
+    first insert wins, which is harmless for our pure computations, and
+    the loser's value is never weighed — but no lock is ever held across
+    planning or execution).
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_data", "_lock")
+    __slots__ = ("maxsize", "hits", "misses", "_budget", "_data", "_weight", "_lock")
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(
+        self, maxsize: int, budget: Callable[[], int] | None = None
+    ) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self._budget = budget
         self._data: OrderedDict[Any, Any] = OrderedDict()
+        self._weight = 0
         self._lock = threading.Lock()
+
+    def _weigh(self, value: Any) -> int:
+        return len(value) if self._budget is not None else 0
 
     def get(self, key: Any, compute: Callable[[], Any]) -> Any:
         if self.maxsize <= 0:
@@ -124,18 +153,34 @@ class _LRU:
                 self._data.move_to_end(key)
                 return value
         value = compute()
+        budget = self._budget() if self._budget is not None else None
         with self._lock:
             existing = self._data.get(key, _MISSING)
             if existing is not _MISSING:
                 return existing
             self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            self._weight += self._weigh(value)
+            while len(self._data) > 1 and (
+                len(self._data) > self.maxsize
+                or (budget is not None and self._weight > budget)
+            ):
+                _, dropped = self._data.popitem(last=False)
+                self._weight -= self._weigh(dropped)
         return value
+
+    def evict(self, dead: Callable[[Any], bool]) -> None:
+        """Drop every entry whose key ``dead`` says yes to (one pass)."""
+        with self._lock:
+            # dict.keys, not the OrderedDict's own iterator: that one
+            # looks every key it yields up again, and hashing a key walks
+            # an expression tree.  The order of the scan does not matter.
+            for key in [k for k in dict.keys(self._data) if dead(k)]:
+                self._weight -= self._weigh(self._data.pop(key))
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._weight = 0
 
     def snapshot(self) -> list[tuple[Any, Any]]:
         """The cached ``(key, value)`` pairs, LRU→MRU order.
@@ -147,8 +192,16 @@ class _LRU:
             return list(self._data.items())
 
     def info(self) -> CacheInfo:
+        budget = self._budget() if self._budget is not None else None
         with self._lock:
-            return CacheInfo(self.hits, self.misses, len(self._data), self.maxsize)
+            return CacheInfo(
+                self.hits,
+                self.misses,
+                len(self._data),
+                self.maxsize,
+                self._weight,
+                budget,
+            )
 
 
 _MISSING = object()
@@ -245,8 +298,10 @@ class Database:
         Apply the logical rewrites of :mod:`repro.core.optimizer` before
         planning (default True).
     cache_size:
-        Max entries in each of the plan and result LRU caches; 0 disables
-        caching.
+        Max entries in each of the plan, result and auxiliary LRU caches;
+        0 disables caching.  The result cache is also bounded in rows:
+        the answers it holds never outnumber the store's triples, |T|,
+        except that the newest answer is always held.
     """
 
     def __init__(
@@ -340,7 +395,14 @@ class Database:
         self.engine = engine
         self.backend = backend
         self.optimize = optimize
-        self._results = _LRU(cache_size)
+        # Answers are triplestores again and no bound in |T| holds for
+        # their size, so the result cache is bounded in rows by the store
+        # it would be re-used against; plans and aux entries are small
+        # and stay count-bound.  (Through a weak reference: a cache that
+        # held its session would leave a dropped one — its store, its
+        # shared-memory segments — to the cycle collector.)
+        session = weakref.ref(self)
+        self._results = _LRU(cache_size, budget=lambda: len(session().store))
         self._plans = _LRU(cache_size)
         self._aux = _LRU(cache_size)
         #: Per-relation versions: bumped by :meth:`install` for exactly
@@ -426,10 +488,11 @@ class Database:
     def _dep_token(self, expr: Expr) -> tuple:
         """The expression's dependency versions — part of every cache key.
 
-        An entry keyed with a stale token is simply never hit again
-        (and ages out of the LRU); entries whose relations were not
-        mutated keep matching.  ``U`` reads the whole active domain, so
-        Universe-using expressions depend on every mutation.
+        An entry keyed with a stale token can never be hit again —
+        :meth:`_invalidate` evicts it at the commit that made it stale;
+        entries whose relations were not mutated keep matching.  ``U``
+        reads the whole active domain, so Universe-using expressions
+        depend on every mutation.
         """
         if any(isinstance(n, Universe) for n in expr.walk()):
             return ("U", self._store_version)
@@ -734,15 +797,34 @@ class Database:
         return MutationBatch(self)
 
     def _invalidate(self, names: Iterable[str]) -> None:
-        """Relation-aware invalidation: age the mutated relations' versions.
+        """Relation-aware invalidation: age the mutated relations' versions
+        and evict what that killed.
 
         Dependent cache entries (recorded in each key as the dependency
-        token captured at compile time) stop matching and age out of
-        the LRU; everything else stays warm.
+        token captured at compile time) stop matching; they are dropped
+        here, at the commit, so neither a dead answer nor the store
+        version it was computed on stays reachable.  Everything else
+        stays warm.  The tokens stay in the keys: they are what makes a
+        persisted plan safe after a crash between commits — eviction
+        only frees what they already made unreachable.
         """
+        names = set(names)
         self._store_version += 1
         for name in names:
             self._rel_versions[name] = self._rel_versions.get(name, 0) + 1
+
+        def dead(key: tuple) -> bool:
+            # The token sits just before the backend in every key shape:
+            # ("U", version), or a (name, version) pair per relation read.
+            for part in key[-2]:
+                if part == "U" or part[0] in names:
+                    return True
+            return False
+
+        self._results.evict(dead)
+        self._plans.evict(dead)
+        # Every aux key embeds _store_version, so every entry is dead.
+        self._aux.clear()
 
     def clear_cache(self) -> None:
         """Drop all cached plans and results (counters are kept)."""
@@ -757,6 +839,10 @@ class Database:
             "plans": self._plans.info(),
             "aux": self._aux.info(),
         }
+
+    def result_cache_rows(self) -> int:
+        """Rows the result cache holds — the unit its budget, |T|, is in."""
+        return self._results.info().weight
 
     def result_cache_bytes(self) -> int:
         """Bytes of packed-key arrays the result cache holds alive.

@@ -279,6 +279,12 @@ class QueryServer:
             "by tenant (set-backed results count as 0).",
             ("tenant",),
         )
+        self._m_cache_rows = r.gauge(
+            "repro_result_cache_rows",
+            "Rows held by the session result cache, by tenant (bounded by "
+            "the tenant's store size |T|, the newest result aside).",
+            ("tenant",),
+        )
         self._m_statements = r.gauge(
             "repro_prepared_statements",
             "Prepared statements held, by tenant.",
@@ -322,6 +328,9 @@ class QueryServer:
             self._m_cache_bytes.labels(tenant=session.name).set(
                 session.db.result_cache_bytes()
             )
+            self._m_cache_rows.labels(tenant=session.name).set(
+                info["results"].weight
+            )
             self._m_statements.labels(tenant=session.name).set(
                 session.statement_count()
             )
@@ -335,10 +344,22 @@ class QueryServer:
         if self._httpd is not None:
             raise ReproError("server is already running")
         handler = type("_BoundHandler", (_Handler,), {"qs": self})
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
+        # Admission decides who waits and who is refused, so the listen
+        # backlog holds everyone it could admit: with the stock 5, a
+        # burst of clients is reset by the kernel before admission ever
+        # sees them.
+        server = type(
+            "_BoundServer",
+            (ThreadingHTTPServer,),
+            {
+                "daemon_threads": True,
+                "request_queue_size": max(
+                    ThreadingHTTPServer.request_queue_size,
+                    self.config.max_inflight + self.config.queue_depth,
+                ),
+            },
         )
-        self._httpd.daemon_threads = True
+        self._httpd = server((self.config.host, self.config.port), handler)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             # How long stop() may have to wait for the accept loop.
@@ -420,7 +441,6 @@ class QueryServer:
     def _execute_request(self, req: dict) -> dict:
         """The full admission → budget → execute → serialize path."""
         session = self.pool.session(req["tenant"])
-        lang = req["lang"]
         started = perf_counter()
         try:
             with self.admission.admit():
@@ -428,16 +448,19 @@ class QueryServer:
                     lambda: self._do_execute(session, req)
                 )
         except BaseException as exc:
-            self._m_queries.labels(
-                tenant=req["tenant"], lang=lang, status=_status_label(exc)
-            ).inc()
+            self._count_query(req, started, _status_label(exc))
             raise
-        finally:
-            self._m_latency.observe(perf_counter() - started)
-        self._m_queries.labels(
-            tenant=req["tenant"], lang=lang, status="ok"
-        ).inc()
+        self._count_query(req, started, "ok")
         return payload
+
+    def _count_query(self, req: dict, started: float, status: str) -> None:
+        """Account one query — on either transport, before its answer (an
+        HTTP response, a stream's ``done`` frame) is sent: a client that
+        has its answer finds the query in the next ``/metrics`` scrape."""
+        self._m_latency.observe(perf_counter() - started)
+        self._m_queries.labels(
+            tenant=req["tenant"], lang=req["lang"], status=status
+        ).inc()
 
     def _do_execute(self, session: TenantSession, req: dict) -> dict:
         if req["statement"] is not None:
@@ -769,8 +792,13 @@ class _Handler(BaseHTTPRequestHandler):
             req = parse_request(decoded)
             session = self.qs.pool.session(req["tenant"])
             started = perf_counter()
+            counted = False
             try:
                 for message in self.qs._stream_query(session, req):
+                    if message.get("done"):
+                        # Before the frame leaves, not after the loop.
+                        self.qs._count_query(req, started, "ok")
+                        counted = True
                     wsproto.send_frame(
                         sock,
                         wsproto.OP_TEXT,
@@ -778,17 +806,9 @@ class _Handler(BaseHTTPRequestHandler):
                         mask=False,
                     )
             except BaseException as exc:
-                self.qs._m_queries.labels(
-                    tenant=req["tenant"],
-                    lang=req["lang"],
-                    status=_status_label(exc),
-                ).inc()
+                if not counted:
+                    self.qs._count_query(req, started, _status_label(exc))
                 raise
-            finally:
-                self.qs._m_latency.observe(perf_counter() - started)
-            self.qs._m_queries.labels(
-                tenant=req["tenant"], lang=req["lang"], status="ok"
-            ).inc()
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._ws_error(sock, qid, ProtocolError(f"bad JSON message: {exc}"))
         except OSError:

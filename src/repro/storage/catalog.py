@@ -14,11 +14,15 @@ cardinalities instead of recounting.
 
 ``plans.bin`` holds a pickle of the plan-cache entries
 ``((canonical_expr, dep_token, backend), plan)`` stamped with
-:data:`PLAN_FORMAT`.  On open, entries are seeded only when the plan
+:data:`PLAN_FORMAT`.  It holds *live* plans only: a commit evicts the
+plans it killed from the session cache, so what a close writes is what
+can still be hit.  On open, entries are seeded only when the plan
 format matches, the backend matches the session's, and the embedded
 dependency token is *current* — i.e. equal to what
-``Database._dep_token`` would produce now.  Relation versions are
-replayed deterministically from manifest + WAL, so a clean
+``Database._dep_token`` would produce now (after a clean close that is
+every entry of the session's backend; the check is what keeps a file
+written before a crash, or by an older build, safe).  Relation versions
+are replayed deterministically from manifest + WAL, so a clean
 close/reopen round-trip preserves the tokens and the first query of
 the new process hits the plan cache.
 """
@@ -106,9 +110,10 @@ def save_catalog(root: str | os.PathLike, db: "Database") -> None:
             entries.append(pickle.dumps((key, plan), protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             continue  # plans are caches; an unpicklable one is just not saved
-    # Keep other backends' persisted plans: a columnar session closing
-    # must not evict the set session's warm entries (stale tokens are
-    # filtered at load time anyway).
+    # The session's own entries are all live — a commit evicts the plans
+    # it killed.  Keep other backends' persisted plans that are too: a
+    # columnar session closing must not evict the set session's warm
+    # entries, nor carry its dead ones along.
     try:
         with open(_plans_path(root), "rb") as fp:
             old = pickle.loads(fp.read())
@@ -120,7 +125,12 @@ def save_catalog(root: str | os.PathLike, db: "Database") -> None:
                 key, _plan = pickle.loads(blob)
             except Exception:
                 continue
-            if isinstance(key, tuple) and len(key) == 3 and key[2] != db.backend:
+            if (
+                isinstance(key, tuple)
+                and len(key) == 3
+                and key[2] != db.backend
+                and _token_current(db, key[1])
+            ):
                 entries.append(blob)
     payload = pickle.dumps(
         {"format": PLAN_FORMAT, "entries": entries},

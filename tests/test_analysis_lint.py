@@ -89,6 +89,37 @@ def test_lru_lock(tmp_path):
     assert findings[0].line == 14
 
 
+def test_lru_lock_guards_the_running_weight_like_the_map(tmp_path):
+    write_tree(tmp_path, {"src/repro/db.py": """\
+        import threading
+
+
+        class _LRU:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._data = {}
+                self._weight = 0
+
+            def put(self, key, value):
+                with self._lock:
+                    self._data[key] = value
+                    self._weight += len(value)
+
+            def weight(self):
+                return self._weight
+
+
+        class Database:
+            def rows(self):
+                return self._results._weight
+    """})
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["LRU-LOCK", "LRU-LOCK"]
+    # The unlocked read inside the class, and the reach from outside it.
+    assert [f.line for f in findings] == [16, 21]
+    assert "_LRU._weight" in findings[0].message
+
+
 def test_lru_lock_does_not_fire_outside_db(tmp_path):
     write_tree(tmp_path, {"src/repro/other.py": """\
         class _LRU:

@@ -12,7 +12,7 @@ from repro.core import (
     query_q,
 )
 from repro.datalog import parse_program, run_program, trial_to_datalog
-from repro.db import Database
+from repro.db import BACKENDS, Database
 from repro.errors import ReproError, UnknownRelationError
 from repro.graphdb import (
     evaluate_gxpath,
@@ -99,21 +99,46 @@ class TestCaching:
 
     def test_result_cache_bytes_counts_the_held_key_arrays(self):
         queries = ("E", "join[1,2,3'; 3=1'](E, E)", "star[1,2,3'; 3=1'](E)")
+        # Figure 1 beside a padding relation: |T| = 27 rows of allowance
+        # hold the three answers' 21.
+        store = figure1().with_relation("Pad", [(i, "p", i + 1) for i in range(20)])
         for backend in ("columnar", "sharded"):
-            db = Database(figure1(), backend=backend)
-            assert db.result_cache_bytes() == 0
+            db = Database(store, backend=backend)
+            assert db.result_cache_bytes() == 0 == db.result_cache_rows()
             rows = sum(len(db.query(q)) for q in queries)
             db.query(queries[0])  # a hit holds nothing more
-            assert db.result_cache_bytes() == 8 * rows > 0
-            db.install("F", [("x", "y", "z")])
+            assert db.result_cache_rows() == rows == 21
+            assert db.result_cache_bytes() == 8 * rows
+            db.install("F", [("x", "y", "z")])  # kills nothing that reads E
             db.query("F")
-            assert db.result_cache_bytes() == 8 * (rows + 1)  # entries stay until evicted
+            assert db.result_cache_bytes() == 8 * (rows + 1)
             db.clear_cache()
-            assert db.result_cache_bytes() == 0
-        # Set-backed payloads (frozensets of object tuples) count as 0.
-        db = Database(figure1(), backend="set")
+            assert db.result_cache_bytes() == 0 == db.result_cache_rows()
+        # Set-backed payloads (frozensets of object tuples) count as 0
+        # bytes, and weigh their rows like any other.
+        db = Database(store, backend="set")
         db.query(queries[1])
         assert db.cache_info()["results"].size == 1 and db.result_cache_bytes() == 0
+        assert db.result_cache_rows() == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_result_cache_holds_at_most_store_rows_and_always_the_newest(
+        self, backend
+    ):
+        # Figure 1 is 7 triples; E answers 7 rows, the join 3, the star 11.
+        db = Database(figure1(), backend=backend)
+        held = lambda: db.cache_info()["results"]
+        db.query("E")
+        assert (held().size, held().weight, held().budget) == (1, 7, 7)
+        db.query("join[1,2,3'; 3=1'](E, E)")  # 7 + 3 > 7: E goes
+        assert (held().size, held().weight) == (1, 3)
+        db.query("(E - E)")  # 3 + 0 fits
+        assert (held().size, held().weight) == (2, 3)
+        db.query("star[1,2,3'; 3=1'](E)")  # larger than |T| by itself
+        assert (held().size, held().weight) == (1, 11)
+        hits = held().hits
+        db.query("star[1,2,3'; 3=1'](E)")
+        assert held().hits == hits + 1
 
     def test_cache_size_zero_disables(self):
         db = Database(figure1(), cache_size=0)

@@ -15,8 +15,11 @@ streams.  The service's promises under load are checked exactly:
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -190,10 +193,14 @@ def test_metrics_reconcile_with_cache_info(server, truth):
                 assert series[key] == value, key
         key = f'repro_result_cache_bytes{{tenant="{session.name}"}}'
         assert series[key] == session.db.result_cache_bytes(), key
+        key = f'repro_result_cache_rows{{tenant="{session.name}"}}'
+        assert series[key] == session.db.result_cache_rows(), key
+        assert series[key] <= len(STORE) + max(truth.values()), key
     # The repeated ad-hoc query above must actually have hit a cache.
     set_info = server.pool.session("set").db.cache_info()
     assert set_info["results"].hits + set_info["plans"].hits > 0
     assert series['repro_result_cache_bytes{tenant="columnar"}'] > 0
+    assert series['repro_result_cache_rows{tenant="set"}'] > 0
 
 
 def test_statements_are_per_tenant(server):
@@ -246,3 +253,45 @@ def test_concurrent_prepare_and_execute_race(server, truth):
     assert not errors, errors
     assert len(ids) == 16
     assert len(set(ids)) == 16
+
+
+def test_the_listen_backlog_holds_everyone_admission_could_admit(monkeypatch):
+    """Who waits and who is refused is admission's call, not the kernel's:
+    with the accept loop held back, as many clients as admission could
+    take connect and send; once it runs, every one of them is answered
+    by the server — none reset out of a 5-deep accept queue."""
+    release = threading.Event()
+    serve_forever = ThreadingHTTPServer.serve_forever
+
+    def held_back(self, poll_interval=0.5):
+        release.wait(timeout=120.0)
+        serve_forever(self, poll_interval)
+
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", held_back)
+    config = ServiceConfig(
+        port=0, max_inflight=1, queue_depth=64, queue_timeout=60.0
+    )
+    body = json.dumps({"query": "E0", "limit": 0})
+    clients: list = []
+    with QueryServer(Database(STORE), config) as srv:
+        try:
+            for _ in range(48):
+                conn = http.client.HTTPConnection(*srv.address, timeout=20.0)
+                clients.append(conn)
+                conn.request(
+                    "POST",
+                    "/v1/query",
+                    body,
+                    {"Content-Type": "application/json"},
+                )
+            release.set()
+            statuses = [conn.getresponse().status for conn in clients]
+        finally:
+            release.set()  # stop() waits for the accept loop
+            for conn in clients:
+                conn.close()
+        series = parse_exposition(srv.registry.expose())
+    # Answered (200) or refused by admission (429) — here the queue is
+    # deep enough for all of them.
+    assert statuses == [200] * 48
+    assert series["repro_query_seconds_count"] == 48

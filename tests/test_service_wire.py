@@ -33,6 +33,7 @@ from repro.errors import RemoteError, ReproError
 from repro.service import QueryServer, ServiceClient, ServiceConfig
 from repro.service import server as server_mod
 from repro.service import ws as wsproto
+from repro.service.metrics import parse_exposition
 from repro.service.protocol import jsonable_row
 from repro.triplestore.model import Triplestore
 
@@ -197,6 +198,35 @@ def test_the_upgrade_and_every_frame_are_one_send_each(recorded):
     assert [json.loads(_one_frame(f)) for f in frames[:3]] == messages
     assert frames[3][0] == 0x80 | wsproto.OP_CLOSE
     assert _one_frame(frames[3])[:2] == (1000).to_bytes(2, "big")
+
+
+def test_a_streamed_query_is_counted_before_its_done_frame_is_sent(monkeypatch):
+    """A client that has read ``done`` may scrape ``/metrics`` at once:
+    at the moment the frame is handed to the codec, the ok counter and
+    the latency histogram already include the query."""
+    at_done: list = []
+    original = wsproto.send_frame
+    with QueryServer(Database(STORE), ServiceConfig(port=0, page_size=2)) as srv:
+
+        def send_frame(sock, opcode, payload, *, mask):
+            if b'"done": true' in payload:
+                at_done.append(parse_exposition(srv.registry.expose()))
+            original(sock, opcode, payload, mask=mask)
+
+        monkeypatch.setattr(wsproto, "send_frame", send_frame)
+        ok = 'repro_queries_total{tenant="default",lang="trial",status="ok"}'
+        with ServiceClient(srv.url) as client:
+            for n in (1, 2, 3):
+                assert list(client.stream("E"))[-1]["done"]
+                assert len(at_done) == n
+                assert at_done[-1][ok] == n
+                assert at_done[-1]["repro_query_seconds_count"] == n
+            # A failed stream is counted once too, under its own status.
+            with pytest.raises(RemoteError):
+                list(client.stream("join["))
+        series = parse_exposition(srv.registry.expose())
+        assert series[ok] == 3 and series["repro_query_seconds_count"] == 4
+        assert series[ok.replace('"ok"', '"error"')] == 1
 
 
 def test_an_http09_request_gets_the_body_alone(recorded):
