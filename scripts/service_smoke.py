@@ -3,26 +3,22 @@
 Starts a real :class:`~repro.service.server.QueryServer` over a
 generated store, drives it the way a deployment would — HTTP queries,
 prepared statements, WebSocket streaming, an injected failure, a
-metrics scrape — then shuts down cleanly and verifies nothing leaked
-(no hung threads, no ``/dev/shm`` segments from process-sharded
-tenants).
+metrics scrape — then shuts down cleanly and verifies no threads piled
+up.
 
 Usage::
 
-    PYTHONPATH=src python scripts/service_smoke.py --executor thread
-    PYTHONPATH=src python scripts/service_smoke.py --executor process
+    PYTHONPATH=src python scripts/service_smoke.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.engines import procpool  # noqa: E402
 from repro.core.engines.sharded import ShardedEngine  # noqa: E402
 from repro.db import Database  # noqa: E402
 from repro.errors import RemoteError  # noqa: E402
@@ -35,39 +31,13 @@ from repro.service.metrics import parse_exposition  # noqa: E402
 from repro.workloads.generators import random_store  # noqa: E402
 
 
-def _dev_shm_entries() -> set:
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith("repro-")}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="shard executor for the sharded tenant",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     store = random_store(60, 4000, n_relations=2, data_values=range(6), seed=3)
-    if args.executor == "process" and procpool.get_pool(2) is None:
-        print("SKIP: cannot spawn worker processes here")
-        return 0
-
-    shm_before = _dev_shm_entries()
     threads_before = threading.active_count()
 
-    engine = ShardedEngine(
-        shards=4, executor=args.executor,
-        **({"workers": 2, "dispatch_min": 0} if args.executor == "process" else {}),
-    )
     tenants = {
         "default": Database(store),
-        "sharded": Database(store, engine),
+        "sharded": Database(store, ShardedEngine(shards=4)),
     }
     expected_scan = Database(store).query("E0").total
     join = "join[1,3',3; 2=1'](E0, E1)"
@@ -75,7 +45,7 @@ def main(argv=None) -> int:
 
     config = ServiceConfig(port=0, max_inflight=8, query_timeout=60.0)
     server = QueryServer(tenants, config).start()
-    print(f"serving on {server.url} (sharded executor: {args.executor})")
+    print(f"serving on {server.url}")
     failures = []
 
     def check(label, ok):
@@ -133,11 +103,9 @@ def main(argv=None) -> int:
     check("clean shutdown (idempotent)", server._httpd is None)
     server.stop()  # second stop is a no-op
 
-    leaked = _dev_shm_entries() - shm_before
-    check(f"/dev/shm clean ({args.executor})", not leaked)
     # Handler threads are daemonic and torn down with the listener; the
-    # worker pool is a process-wide singleton, so thread count may keep
-    # the pool's plumbing — but no unbounded growth.
+    # shard thread pool is a process-wide singleton, so thread count may
+    # keep its workers — but no unbounded growth.
     check(
         "no thread pile-up",
         threading.active_count() <= threads_before + 4,

@@ -8,8 +8,7 @@ pre-batch or post-batch state — never a half-applied mixture — and that
 followed by a kill must leave a store that reopens (the bad triples
 never reached the WAL).  Finishes with a clean compact + warm-reopen
 cycle and verifies nothing leaked (no ``*.tmp`` files, no stale
-``segments/gen-*`` directories, no ``active.seg``, no ``/dev/shm``
-segments).
+``segments/gen-*`` directories, no ``active.seg``).
 
 Usage::
 
@@ -64,14 +63,6 @@ except TriplestoreError:
 """
 
 
-def _dev_shm_entries() -> set:
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith("repro-")}
-
-
 def _run(script: str, store: str, fault: str | None = None) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -106,7 +97,6 @@ def _classify(store: str) -> str:
 
 
 def main() -> int:
-    shm_before = _dev_shm_entries()
     failures = 0
 
     for fault in sorted(FAULT_POINTS):
@@ -169,11 +159,6 @@ def main() -> int:
             failures += 1
         else:
             print("ok   lifecycle: warm reopen hit the plan cache, no leaks")
-
-    leaked_shm = _dev_shm_entries() - shm_before
-    if leaked_shm:
-        print(f"FAIL shm: leaked segments {sorted(leaked_shm)}")
-        failures += 1
 
     if failures:
         print(f"{failures} failure(s)", file=sys.stderr)

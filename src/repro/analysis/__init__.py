@@ -11,9 +11,9 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
   environment variable and surfaced as ``repro lint-plan`` and the
   ``verified`` field of ``explain --json``.
 * :mod:`repro.analysis.lint` — an ``ast``-based linter encoding the
-  repository's own coding invariants (lock discipline, shared-memory
-  lifecycle, error-boundary typing, deprecation hygiene, spawn
-  safety, env-var documentation).  Runnable as ``repro lint`` or
+  repository's own coding invariants (lock discipline, error-boundary
+  typing, durable-write atomicity, env-var documentation).  Runnable
+  as ``repro lint`` or
   ``scripts/lint.py``.
 * :mod:`repro.analysis.semantics` — satisfiability / emptiness /
   redundancy verdicts over TriAL(*) expressions (union-find closure of

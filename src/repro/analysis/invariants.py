@@ -140,11 +140,6 @@ LINT_RULES: dict[str, str] = {
         "db.py are touched only under 'with self._lock' (construction "
         "aside), and never from outside the class"
     ),
-    "SHM-UNLINK": (
-        "every module that creates a SharedMemory segment "
-        "(SharedMemory(..., create=True)) contains an unlink() path, the "
-        "triplestore/shm.py lifecycle discipline"
-    ),
     "ERR-RAISE": (
         "only repro.errors types are raised across the api.py / "
         "repro.service boundary (re-raises of caught exceptions are "
@@ -161,16 +156,12 @@ LINT_RULES: dict[str, str] = {
         "_STATUS_MAP entries are ordered subclass-before-superclass; an "
         "entry preceded by one of its base classes is unreachable"
     ),
-    "SPAWN-STATE": (
-        "spawn-critical modules (procpool, shm, sharded) keep "
-        "module-level state spawn-safe: no threads, pools, processes or "
-        "shared-memory segments created at import time, and "
-        "multiprocessing contexts are requested as get_context('spawn')"
-    ),
     "ENV-DOC": (
         "every REPRO_* environment variable read under src/ appears in "
-        "the README's environment-variable table — configuration knobs "
-        "must not drift out of the documentation"
+        "a README environment-variable table row, and every such row "
+        "names a variable something under src/ reads — configuration "
+        "knobs must not drift out of the documentation, nor rows outlive "
+        "their knobs"
     ),
     "STOR-ATOMIC": (
         "durable writes under src/repro/storage/ follow the "

@@ -1,8 +1,8 @@
 """The repo-invariant linter: ``ast``-based rules for this codebase.
 
 Generic linters cannot know that ``_LRU._data`` is only safe under
-``self._lock``, that every ``SharedMemory`` create needs an ``unlink``
-path, or that the service boundary must raise only ``repro.errors``
+``self._lock``, that a durable write needs fsync and rename-into-place,
+or that the service boundary must raise only ``repro.errors``
 types that the wire protocol maps to a status code.  Previous PRs
 enforced those invariants by review; this module encodes them as
 checkable rules (catalogued in
@@ -27,29 +27,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.analysis.invariants import LINT_RULES, RULES, Finding
 
 __all__ = ["Finding", "lint_file", "main", "run_lint"]
-
-#: Modules whose import runs in spawned worker processes — anything the
-#: import itself starts (threads, pools, shm segments) leaks per worker.
-SPAWN_MODULE_SUFFIXES = (
-    "repro/core/engines/procpool.py",
-    "repro/core/engines/sharded.py",
-    "repro/triplestore/shm.py",
-    "repro/triplestore/sharded.py",
-)
-
-#: Factories that must never run at module import time in spawn-critical
-#: modules (module-level locks and constants are fine; live resources
-#: are not).
-SPAWN_FACTORIES = frozenset(
-    {
-        "Thread",
-        "ThreadPoolExecutor",
-        "ProcessPoolExecutor",
-        "Process",
-        "Pool",
-        "SharedMemory",
-    }
-)
 
 
 def _finding(path: str, line: int, rule: str, message: str) -> Finding:
@@ -168,37 +145,6 @@ def _check_lru_lock(tree: ast.AST, rel: str) -> Iterator[Finding]:
     return iter(findings)
 
 
-def _check_shm_unlink(tree: ast.AST, rel: str) -> Iterator[Finding]:
-    creates = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and _call_name(node) == "SharedMemory"
-        and any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in node.keywords
-        )
-    ]
-    if not creates:
-        return
-    has_unlink = any(
-        isinstance(node, ast.Attribute) and node.attr == "unlink"
-        for node in ast.walk(tree)
-    )
-    if has_unlink:
-        return
-    for node in creates:
-        yield _finding(
-            rel,
-            node.lineno,
-            "SHM-UNLINK",
-            "SharedMemory created with create=True but this module has no "
-            "unlink() path; the segment outlives the process",
-        )
-
-
 def _check_err_raise(
     tree: ast.AST, rel: str, error_classes: frozenset[str]
 ) -> Iterator[Finding]:
@@ -224,58 +170,6 @@ def _check_err_raise(
                 f"raises {name}, not a repro.errors type; the wire protocol "
                 "cannot map it to a status code",
             )
-
-
-def _check_spawn_state(tree: ast.AST, rel: str) -> Iterator[Finding]:
-    findings: list[Finding] = []
-
-    class Visitor(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.func_depth = 0
-
-        def _visit_func(self, node) -> None:
-            self.func_depth += 1
-            self.generic_visit(node)
-            self.func_depth -= 1
-
-        visit_FunctionDef = _visit_func
-        visit_AsyncFunctionDef = _visit_func
-        visit_Lambda = _visit_func
-
-        def visit_Call(self, node: ast.Call) -> None:
-            name = _call_name(node)
-            if name == "get_context":
-                ok = (
-                    len(node.args) >= 1
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value == "spawn"
-                )
-                if not ok:
-                    findings.append(
-                        _finding(
-                            rel,
-                            node.lineno,
-                            "SPAWN-STATE",
-                            "multiprocessing context must be "
-                            "get_context('spawn'); fork would snapshot "
-                            "live threads and locks",
-                        )
-                    )
-            elif name in SPAWN_FACTORIES and self.func_depth == 0:
-                findings.append(
-                    _finding(
-                        rel,
-                        node.lineno,
-                        "SPAWN-STATE",
-                        f"{name}(...) at module import time; spawn-critical "
-                        "modules re-import in every worker, so live "
-                        "resources must be created lazily",
-                    )
-                )
-            self.generic_visit(node)
-
-    Visitor().visit(tree)
-    return iter(findings)
 
 
 #: Calls that prove a function flushes to stable storage (directly or
@@ -474,24 +368,30 @@ def _env_literals(tree: ast.AST) -> Iterator[tuple[str, int]]:
             yield node.value, node.lineno
 
 
-def _documented_env_vars(readme_text: str) -> set[str]:
-    """REPRO_* names mentioned in README table rows (lines starting '|')."""
-    documented: set[str] = set()
-    for line in readme_text.splitlines():
+def _documented_env_vars(readme_text: str) -> dict[str, int]:
+    """REPRO_* names in README table rows (lines starting '|'), each with
+    the line number of the first row naming it."""
+    documented: dict[str, int] = {}
+    for lineno, line in enumerate(readme_text.splitlines(), start=1):
         if line.lstrip().startswith("|"):
-            documented.update(re.findall(r"REPRO_[A-Z0-9_]+", line))
+            for name in re.findall(r"REPRO_[A-Z0-9_]+", line):
+                documented.setdefault(name, lineno)
     return documented
 
 
 def _check_env_doc(root: Path) -> Iterator[Finding]:
-    """ENV-DOC: every REPRO_* var read under src/ is in the README table.
+    """ENV-DOC: the README tables and the REPRO_* vars read under src/ agree.
 
     The repo threads all configuration through ``REPRO_*`` env-var name
     constants (``_BACKEND_ENV = "REPRO_BACKEND"`` and friends), so the
     read sites are exactly the string literals matching the name shape.
-    A literal ending in ``_`` is a dynamic *prefix* (the service config
-    reads everything under ``REPRO_SERVICE_``); it counts as documented
-    when some documented variable starts with it.
+    Both directions are checked: a variable read under src/ needs a
+    README table row, and a row must name a variable something under
+    src/ reads — a row that outlived its knob is a finding at
+    ``README.md:<line>``.  A literal ending in ``_`` is a dynamic
+    *prefix* (the service config reads everything under
+    ``REPRO_SERVICE_``): it counts as documented when some row names a
+    variable under it, and every row under it counts as read.
     """
     readme = root / "README.md"
     if not readme.is_file():
@@ -500,12 +400,14 @@ def _check_env_doc(root: Path) -> Iterator[Finding]:
     src = root / "src"
     if not src.is_dir():
         return
+    read: set[str] = set()
     for path in sorted(src.rglob("*.py")):
         if "__pycache__" in path.parts:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         rel = _rel_path(path, root)
         for name, line in _env_literals(tree):
+            read.add(name)
             if name.endswith("_"):
                 ok = any(doc.startswith(name) for doc in documented)
                 what = f"prefix {name}* has no documented variable under it"
@@ -519,6 +421,16 @@ def _check_env_doc(root: Path) -> Iterator[Finding]:
                     "ENV-DOC",
                     f"{what} from the README environment-variable table",
                 )
+    prefixes = tuple(name for name in read if name.endswith("_"))
+    for name, line in documented.items():
+        if name not in read and not name.startswith(prefixes):
+            yield _finding(
+                _rel_path(readme, root),
+                line,
+                "ENV-DOC",
+                f"{name} has a README table row but nothing under src/ "
+                "reads it; drop the row",
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -541,13 +453,10 @@ def lint_file(
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     findings: list[Finding] = []
     findings.extend(_check_bare_except(tree, rel))
-    findings.extend(_check_shm_unlink(tree, rel))
     if rel.endswith("repro/db.py"):
         findings.extend(_check_lru_lock(tree, rel))
     if rel.endswith("repro/api.py") or "repro/service/" in rel:
         findings.extend(_check_err_raise(tree, rel, error_classes))
-    if rel.endswith(SPAWN_MODULE_SUFFIXES):
-        findings.extend(_check_spawn_state(tree, rel))
     if "repro/storage/" in rel:
         findings.extend(_check_stor_atomic(tree, rel))
     return findings

@@ -507,27 +507,19 @@ def explain_report(
     statistics = None
     if store is not None:
         statistics = {"triples": len(store), "objects": store.n_objects}
-    backend_name = resolved_backend or "set"
-    backend_info: dict[str, Any] = {}
-    if backend_name == "sharded":
-        backend_info = {
-            "shards": getattr(engine, "shards", None),
-            "key_position": getattr(engine, "key_pos", 0) + 1,
-            "executor": getattr(engine, "executor", None) or "thread",
-        }
+    backend_label = resolved_backend or "set"
+    if backend_label == "sharded":
+        backend_label = (
+            f"sharded({getattr(engine, 'shards', None)}-way, "
+            f"key position {getattr(engine, 'key_pos', 0) + 1})"
+        )
     logical = asdict(report)
     logical.pop("expression", None)
     return ExplainReport(
         expression=repr(expr),
         parameters=expr_params(expr),
         logical=logical,
-        backend=(
-            backend_name
-            if not backend_info
-            else f"{backend_name}({backend_info['shards']}-way, "
-            f"key position {backend_info['key_position']}, "
-            f"executor {backend_info['executor']})"
-        ),
+        backend=backend_label,
         compiled_by=compiled_by,
         verified=verified,
         analysis=analysis,

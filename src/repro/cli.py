@@ -62,7 +62,6 @@ from typing import Sequence
 
 from repro.api import ResultSet, explain_report
 from repro.core import ENGINE_REGISTRY, ShardedEngine
-from repro.core.engines.sharded import SHARD_EXECUTORS
 from repro.core.optimizer import optimize
 from repro.core.parser import parse as parse_expr
 from repro.datalog import parse_program, validate_fragment
@@ -117,8 +116,6 @@ def _make_engine(args: argparse.Namespace):
     name = args.engine
     backend = getattr(args, "backend", None)
     shards = getattr(args, "shards", None)
-    executor = getattr(args, "executor", None)
-    workers = getattr(args, "workers", None)
     if backend in _BACKEND_ENGINES:
         # The backend names its engine; --engine may agree or be left at
         # its default, but any other engine contradicts the request.
@@ -137,12 +134,8 @@ def _make_engine(args: argparse.Namespace):
         )
     if shards is not None and name != "sharded":
         raise ReproError("--shards only applies with --backend sharded")
-    if executor is not None and name != "sharded":
-        raise ReproError("--executor only applies with --backend sharded")
-    if workers is not None and name != "sharded":
-        raise ReproError("--workers only applies with --backend sharded")
     if name == "sharded":
-        return ShardedEngine(shards=shards, executor=executor, workers=workers)
+        return ShardedEngine(shards=shards)
     return ENGINES[name]()
 
 
@@ -237,20 +230,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         expr = optimize(expr)
     if args.shards is not None and args.backend != "sharded":
         raise ReproError("--shards only applies with --backend sharded")
-    if args.executor is not None and args.backend != "sharded":
-        raise ReproError("--executor only applies with --backend sharded")
-    if args.workers is not None and args.backend != "sharded":
-        raise ReproError("--workers only applies with --backend sharded")
     if args.json or args.physical:
         store = load_path(args.store) if args.store else None
         engine = (
-            ShardedEngine(
-                shards=args.shards,
-                executor=args.executor,
-                workers=args.workers,
-            )
-            if args.backend == "sharded"
-            and (args.shards is not None or args.executor is not None)
+            ShardedEngine(shards=args.shards)
+            if args.backend == "sharded" and args.shards is not None
             else None
         )
         if args.json:
@@ -315,16 +299,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_plan_one(expr, store, request_backend, shards, executor) -> int:
+def _lint_plan_one(expr, store, request_backend, shards) -> int:
     """Compile + verify one expression for one backend; prints findings."""
     from repro.analysis.verify import verify_compiled
     from repro.core.explain import compile_for_explain
     from repro.errors import PlanVerificationError
 
     engine = (
-        ShardedEngine(shards=shards, executor=executor)
-        if request_backend == "sharded"
-        and (shards is not None or executor is not None)
+        ShardedEngine(shards=shards)
+        if request_backend == "sharded" and shards is not None
         else None
     )
     try:
@@ -363,15 +346,12 @@ def _cmd_lint_plan(args: argparse.Namespace) -> int:
     sweep = args.backend == "all"
     if args.shards is not None and not sweep and args.backend != "sharded":
         raise ReproError("--shards only applies with --backend sharded")
-    if args.executor is not None and not sweep and args.backend != "sharded":
-        raise ReproError("--executor only applies with --backend sharded")
     store = load_path(args.store) if args.store else None
     backends = BACKENDS if sweep else (args.backend,)
     worst = 0
     for backend in backends:
         shards = args.shards if backend == "sharded" else None
-        executor = args.executor if backend == "sharded" else None
-        worst = max(worst, _lint_plan_one(expr, store, backend, shards, executor))
+        worst = max(worst, _lint_plan_one(expr, store, backend, shards))
     return worst
 
 
@@ -443,8 +423,6 @@ def _serve_tenants(args: argparse.Namespace) -> dict:
             path,
             backend=args.backend,
             shards=args.shards if args.backend == "sharded" else None,
-            executor=args.executor if args.backend == "sharded" else None,
-            workers=args.workers if args.backend == "sharded" else None,
         )
     return tenants
 
@@ -452,14 +430,8 @@ def _serve_tenants(args: argparse.Namespace) -> dict:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueryServer, ServiceConfig
 
-    if args.backend != "sharded" and (
-        args.shards is not None
-        or args.executor is not None
-        or args.workers is not None
-    ):
-        raise ReproError(
-            "--shards/--executor/--workers only apply with --backend sharded"
-        )
+    if args.backend != "sharded" and args.shards is not None:
+        raise ReproError("--shards only applies with --backend sharded")
     config = ServiceConfig.from_env(
         host=args.host,
         port=args.port,
@@ -586,21 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
     )
-    q.add_argument(
-        "--executor",
-        choices=SHARD_EXECUTORS,
-        default=None,
-        help="shard executor for --backend sharded: in-process threads "
-        "(default) or a worker-process pool over shared memory "
-        "(default: REPRO_SHARD_EXECUTOR or thread)",
-    )
-    q.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --executor process "
-        "(default: REPRO_SHARD_WORKERS or one per shard, capped by cores)",
-    )
     q.add_argument("--optimize", action="store_true", help="apply rewrites first")
     q.add_argument(
         "--explain",
@@ -655,19 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
-    )
-    e.add_argument(
-        "--executor",
-        choices=SHARD_EXECUTORS,
-        default=None,
-        help="with --backend sharded: the shard executor the plan is "
-        "annotated for (thread or process)",
-    )
-    e.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --executor process",
     )
     e.set_defaults(func=_cmd_explain)
 
@@ -751,13 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
     )
-    lp.add_argument(
-        "--executor",
-        choices=SHARD_EXECUTORS,
-        default=None,
-        help="with --backend sharded: the shard executor the plan is "
-        "annotated for",
-    )
     lp.set_defaults(func=_cmd_lint_plan)
 
     s = sub.add_parser(
@@ -797,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for every tenant (default: set)",
     )
     s.add_argument("--shards", type=int, default=None)
-    s.add_argument("--executor", choices=SHARD_EXECUTORS, default=None)
-    s.add_argument("--workers", type=int, default=None)
     s.add_argument(
         "--max-inflight",
         type=int,

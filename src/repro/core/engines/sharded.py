@@ -93,92 +93,23 @@ from repro.triplestore.model import Triplestore
 __all__ = [
     "DEFAULT_SHARDS",
     "SHARD_DISPATCH_MIN",
-    "SHARD_EXECUTORS",
     "ShardedEngine",
     "ShardedExecContext",
     "ShardedKeys",
-    "default_shard_executor",
-    "default_worker_count",
-    "shard_dispatch_min",
 ]
 
 #: Environment override for the default shard count (used by CI to run
 #: the whole suite shard-wise: ``REPRO_BACKEND=sharded REPRO_SHARDS=4``).
 _SHARDS_ENV = "REPRO_SHARDS"
 
-#: Environment override for the default shard executor (``thread`` or
-#: ``process``; CI runs the suite with ``REPRO_SHARD_EXECUTOR=process``).
-_EXECUTOR_ENV = "REPRO_SHARD_EXECUTOR"
-
-#: Environment override for the process executor's worker count.
-_WORKERS_ENV = "REPRO_SHARD_WORKERS"
-
-#: Environment override for :data:`SHARD_DISPATCH_MIN`.
-_DISPATCH_MIN_ENV = "REPRO_SHARD_DISPATCH_MIN"
-
 #: Shard count when neither the constructor nor the environment says.
 DEFAULT_SHARDS = 4
 
-#: The shard executors: ``thread`` runs shard tasks on an in-process
-#: pool (numpy kernels release the GIL); ``process`` dispatches whole
-#: plans to a long-lived worker-process pool over shared memory
-#: (:mod:`repro.core.engines.procpool`).
-SHARD_EXECUTORS = ("thread", "process")
-
-#: The dispatch amortization threshold, in input rows.  Below it a shard
+#: The dispatch amortization threshold, in input rows: below it a shard
 #: task runs inline (a thread hop costs more than a 1000-row merge
-#: join), and the process executor falls back to the in-process path
-#: entirely (worker dispatch costs more still).  Override with the
-#: ``REPRO_SHARD_DISPATCH_MIN`` environment variable or the engine's
-#: ``dispatch_min`` parameter.
+#: join).  Read at every dispatch, so a test can patch it to 0 and reach
+#: the pool branch on a tiny store.
 SHARD_DISPATCH_MIN = 4096
-
-
-def shard_dispatch_min() -> int:
-    """The configured dispatch threshold (env override or the default)."""
-    raw = os.environ.get(_DISPATCH_MIN_ENV)
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            raise ReproError(
-                f"invalid {_DISPATCH_MIN_ENV}={raw!r}; expected an integer"
-            ) from None
-    return SHARD_DISPATCH_MIN
-
-
-def default_shard_executor() -> str:
-    """The configured shard executor: ``REPRO_SHARD_EXECUTOR`` or thread."""
-    raw = os.environ.get(_EXECUTOR_ENV)
-    if raw:
-        if raw not in SHARD_EXECUTORS:
-            raise ReproError(
-                f"invalid {_EXECUTOR_ENV}={raw!r}; expected one of "
-                f"{', '.join(SHARD_EXECUTORS)}"
-            )
-        return raw
-    return "thread"
-
-
-def default_worker_count(shards: int) -> int:
-    """Worker processes for the process executor (env override first).
-
-    Defaults to one worker per shard, bounded by the host's cores (but
-    never below two — a single "pool" would serialize with extra hops)
-    and a cap of eight.
-    """
-    raw = os.environ.get(_WORKERS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ReproError(
-                f"invalid {_WORKERS_ENV}={raw!r}; expected a positive integer"
-            )
-        return value
-    return max(1, min(shards, max(os.cpu_count() or 1, 2), 8))
 
 #: One process-wide shard pool, created lazily and shared by every
 #: engine instance — sessions are created freely (one per Database), so
@@ -269,7 +200,6 @@ class ShardedExecContext:
         "max_matrix_objects",
         "k",
         "pool",
-        "dispatch_min",
         "_memo",
         "_verify",
     )
@@ -282,7 +212,6 @@ class ShardedExecContext:
         shards: int = DEFAULT_SHARDS,
         key_pos: int = 0,
         pool: Optional[ThreadPoolExecutor] = None,
-        dispatch_min: Optional[int] = None,
     ) -> None:
         self.store = store
         self.ss = store.sharded(shards, key_pos)
@@ -292,9 +221,6 @@ class ShardedExecContext:
         self.max_matrix_objects = max_matrix_objects
         self.k = self.ss.k
         self.pool = pool
-        self.dispatch_min = (
-            shard_dispatch_min() if dispatch_min is None else dispatch_min
-        )
         self._memo: dict[int, ShardedKeys] = {}
         #: Cached REPRO_PLAN_VERIFY verdict: the runtime twin of the
         #: PLAN-SHARD invariant re-checks claimed partitions where the
@@ -319,37 +245,12 @@ class ShardedExecContext:
 
     def _map(self, fn: Callable, *arg_lists, rows: int = 0) -> list:
         """Apply ``fn`` across shards, on the pool when it pays off."""
-        if self.pool is not None and self.k > 1 and rows >= self.dispatch_min:
+        if self.pool is not None and self.k > 1 and rows >= SHARD_DISPATCH_MIN:
             return list(self.pool.map(fn, *arg_lists))
         return [fn(*args) for args in zip(*arg_lists)]
 
     def _empty(self) -> ShardedKeys:
         return ShardedKeys([_EMPTY] * self.k, 0)
-
-    # -- collective seams ------------------------------------------------ #
-    #
-    # Every cross-shard data movement goes through one of these methods;
-    # the defaults are the in-process (single address space) versions,
-    # and the process-executor worker context overrides them with
-    # coordinator-sequenced collectives (all-to-all exchange, allgather,
-    # global sum) so the rest of this file runs unchanged on workers.
-
-    def _gather_list(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """All rows of per-shard blocks as one array (allgather seam)."""
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    def _global_total(self, sk: ShardedKeys) -> int:
-        """The global row count of ``sk`` (fixpoint-termination seam)."""
-        return sk.total
-
-    def _replicated_raw(self, keys: np.ndarray) -> ShardedKeys:
-        """Wrap one globally-known sorted unique array as a result.
-
-        In-process that is simply a raw single-chunk result; a worker
-        holds the same array on every rank and keeps only the shards it
-        owns (partitioned locally, no exchange needed).
-        """
-        return ShardedKeys([keys], None)
 
     def _from_raw(self, pieces: list[np.ndarray], pos: int) -> ShardedKeys:
         """Re-partition arbitrary key arrays onto ``pos``.
@@ -535,7 +436,7 @@ class ShardedExecContext:
         rows = left.total + right.total
         if cond is None:
             # Cartesian product: broadcast the gathered right operand.
-            rall = self._gather_list(rcols)
+            rall = np.concatenate(rcols)
             pieces = self._map(
                 lambda lc: _merge_join(cs, spec, lc, rall), lcols, rows=rows
             )
@@ -582,7 +483,7 @@ class ShardedExecContext:
             if side == RIGHT:
                 # Broadcast: the varying left stays sharded, the
                 # constant right is gathered once.
-                const_gathered = self._gather_list(const_cols)
+                const_gathered = np.concatenate(const_cols)
         else:
             const_key = cond.right.index - 3 if side == RIGHT else cond.left.index
             if cond.on_data or const_key != 0:
@@ -593,7 +494,7 @@ class ShardedExecContext:
         out_part = shard_output_partition(spec, cond, 0)
         acc = base
         frontier = base
-        while self._global_total(frontier):
+        while frontier.total:
             vcols = self._operand_cols(frontier, varying_local)
             rows = frontier.total + base.total
             if cond is not None:
@@ -618,7 +519,7 @@ class ShardedExecContext:
             else:
                 # Left star, no cross equality: the constant left stays
                 # sharded, the varying right is gathered per round.
-                vall = self._gather_list(vcols)
+                vall = np.concatenate(vcols)
                 pieces = self._map(
                     lambda lc: _merge_join(cs, spec, lc, vall),
                     const_cols, rows=rows,
@@ -639,7 +540,7 @@ class ShardedExecContext:
 
     def _reach_star(self, op: ReachStarOp) -> ShardedKeys:
         base = self.run(op.child)
-        if self._global_total(base) == 0:
+        if base.total == 0:
             return base
         strategy = op.vector_strategy
         if strategy is None:
@@ -648,26 +549,19 @@ class ShardedExecContext:
             n = self.cs.n
             strategy = "dense" if 0 < n <= self.max_matrix_objects else "sparse"
         if strategy == "dense" and op.same_label:
-            # The label count must be judged globally — every worker has
-            # to take the same dense/sparse branch.
             labels = sorted_unique(
-                self._gather_list(
-                    [self.ss.component(s, 1) for s in base.shards]
-                )
+                np.concatenate([self.ss.component(s, 1) for s in base.shards])
             )
             if len(labels) > _MAX_DENSE_LABELS:
                 strategy = "sparse"
         if strategy == "dense":
             try:
                 closure = reach_dense(
-                    self.cs,
-                    self.max_matrix_objects,
-                    self._gather_list(list(base.shards)),
-                    op.same_label,
+                    self.cs, self.max_matrix_objects, base.gather(), op.same_label
                 )
                 # One sorted unique array: globally deduplicated but not
                 # hash-partitioned — stays raw until a consumer asks.
-                return self._replicated_raw(closure)
+                return ShardedKeys([closure], None)
             except MatrixTooLargeError:
                 pass
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
@@ -683,14 +577,10 @@ class ShardedExecContext:
                 f"{len(active) ** 3} triples (limit {self.max_universe_objects} objects); "
                 "raise max_universe_objects to proceed"
             )
-        return ShardedKeys(self._universe_shards(active), 0)
-
-    def _universe_shards(self, active: np.ndarray) -> list[np.ndarray]:
-        """U as subject-partitioned shards (workers build only their own)."""
         n = self.cs.radix
         pairs = (active[:, None] * n + active[None, :]).reshape(-1)
         keys = (pairs[:, None] * n + active[None, :]).reshape(-1)
-        return self.ss.partition(keys, 0)
+        return ShardedKeys(self.ss.partition(keys, 0), 0)
 
 
 # --------------------------------------------------------------------- #
@@ -712,19 +602,6 @@ class ShardedEngine(PlanEngine):
         The triple position stored relations are partitioned on
         (0 = subject by default).  Joins whose key matches it run
         co-partitioned with no exchange pass.
-    executor:
-        ``"thread"`` (default; in-process shard tasks) or ``"process"``
-        (plans dispatched whole to a long-lived worker-process pool over
-        shared memory).  ``None`` defers to ``REPRO_SHARD_EXECUTOR``.
-        The process executor falls back to the thread path when workers
-        cannot be started or the store is below ``dispatch_min`` rows.
-    workers:
-        Worker processes for ``executor="process"``; ``None`` defers to
-        ``REPRO_SHARD_WORKERS``, then :func:`default_worker_count`.
-    dispatch_min:
-        The dispatch amortization threshold in input rows (see
-        :data:`SHARD_DISPATCH_MIN`); ``None`` defers to
-        ``REPRO_SHARD_DISPATCH_MIN``, then the constant.
     """
 
     backend = "sharded"
@@ -735,9 +612,6 @@ class ShardedEngine(PlanEngine):
         max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
         shards: Optional[int] = None,
         key_pos: int = 0,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        dispatch_min: Optional[int] = None,
     ) -> None:
         super().__init__(max_universe_objects)
         self.max_matrix_objects = max_matrix_objects
@@ -749,33 +623,8 @@ class ShardedEngine(PlanEngine):
             raise ReproError(
                 f"partition key position must be 0, 1 or 2, got {key_pos}"
             )
-        if executor is None:
-            executor = default_shard_executor()
-        if executor not in SHARD_EXECUTORS:
-            raise ReproError(
-                f"unknown shard executor {executor!r}; expected one of "
-                f"{', '.join(SHARD_EXECUTORS)}"
-            )
-        if workers is not None and workers < 1:
-            raise ReproError(f"worker count must be >= 1, got {workers}")
         self.shards = int(shards)
         self.key_pos = key_pos
-        self.executor = executor
-        self.workers = None if workers is None else int(workers)
-        self.dispatch_min = (
-            shard_dispatch_min() if dispatch_min is None else max(0, int(dispatch_min))
-        )
-        #: Per-query deadline (seconds) forwarded to the worker pool on
-        #: the process executor; ``None`` defers to ``REPRO_SHARD_TIMEOUT``.
-        #: The query service maps its per-query time budget here so a
-        #: timeout genuinely aborts the workers instead of orphaning them.
-        self.query_timeout: Optional[float] = None
-        #: Fault-injection hook forwarded to the worker pool (see
-        #: ``procpool._maybe_die``): ``{"rank": r, "when": "start" |
-        #: "collective", "marker": path}``.  Test-only — lets fault
-        #: suites kill workers behind higher layers (e.g. a live query
-        #: server) without reaching into the pool.
-        self.fault: Optional[dict] = None
 
     def lowering(self) -> dict[str, Any]:
         return {
@@ -792,7 +641,6 @@ class ShardedEngine(PlanEngine):
             shards=self.shards,
             key_pos=self.key_pos,
             pool=self._shard_pool(),
-            dispatch_min=self.dispatch_min,
         )
 
     def _shard_pool(self) -> Optional[ThreadPoolExecutor]:
@@ -800,51 +648,6 @@ class ShardedEngine(PlanEngine):
         if self.shards <= 1:
             return None
         return _shared_pool()
-
-    def worker_count(self) -> int:
-        """The resolved worker-process count for the process executor."""
-        if self.workers is not None:
-            return self.workers
-        return default_worker_count(self.shards)
-
-    def _process_keys(self, plan: PlanOp, store: Triplestore):
-        """Try the process executor; ``None`` means fall back to threads.
-
-        The fall-back-to-inline decision reuses the dispatch
-        amortization threshold: below ``dispatch_min`` stored rows the
-        per-query worker round-trips cost more than the whole query.
-        """
-        if (
-            self.executor != "process"
-            or self.shards <= 1
-            or len(store) < self.dispatch_min
-        ):
-            return None
-        from repro.core.engines import procpool
-        from repro.triplestore.shm import publish_sharded_store
-
-        pool = procpool.get_pool(self.worker_count())
-        if pool is None:
-            return None
-        ss = store.sharded(self.shards, self.key_pos)
-        handle = publish_sharded_store(ss)
-        keys = pool.run_query(
-            handle.name,
-            plan,
-            max_universe_objects=self.max_universe_objects,
-            max_matrix_objects=self.max_matrix_objects,
-            timeout=self.query_timeout,
-            fault=self.fault,
-        )
-        return ss.cs, keys
-
-    def execute_plan(self, plan: PlanOp, store: Triplestore) -> TripleSet:
-        """Run a compiled plan over the store's sharded columnar view."""
-        routed = self._process_keys(plan, store)
-        if routed is not None:
-            cs, keys = routed
-            return cs.decode_triples(keys)
-        return super().execute_plan(plan, store)
 
     def execute_plan_keys(self, plan: PlanOp, store: Triplestore):
         """Run a compiled plan, returning ``(columnar view, packed keys)``.
@@ -855,8 +658,5 @@ class ShardedEngine(PlanEngine):
         (sorted, deduplicated, deterministic iteration order) needs one
         ``sorted_unique`` pass either way.  Decode stays deferred.
         """
-        routed = self._process_keys(plan, store)
-        if routed is not None:
-            return routed
         ctx = self.context(store)
         return ctx.cs, sorted_unique(ctx.run(plan).gather())

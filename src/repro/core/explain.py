@@ -168,19 +168,6 @@ def compile_for_explain(expr: Expr, store=None, engine=None, backend=None):
     return report, plan, compiled_by, backend, engine
 
 
-def _executor_line(engine) -> str:
-    """The sharded backend's executor description for explain output."""
-    executor = getattr(engine, "executor", None) or "thread"
-    if executor == "process":
-        count = getattr(engine, "worker_count", lambda: None)()
-        workers = f"{count} workers" if count else "worker pool"
-        return (
-            f"process ({workers}, shm all-to-all exchange, pipe control; "
-            "thread fallback below dispatch threshold)"
-        )
-    return "thread (in-process shard tasks, GIL-releasing kernels)"
-
-
 def explain_physical(expr: Expr, store=None, engine=None, backend=None) -> str:
     """The physical plan (with cost estimates) for one expression.
 
@@ -214,7 +201,6 @@ def explain_physical(expr: Expr, store=None, engine=None, backend=None) -> str:
             f"backend    : sharded ({detail} columnar execution, "
             f"key position {key_pos + 1})"
         )
-        lines.append("executor   : " + _executor_line(engine))
     lines += [
         "statistics : "
         + (

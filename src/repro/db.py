@@ -284,16 +284,10 @@ class Database:
         defers to ``REPRO_SHARDS``, then the engine default).  Invalid
         with any other backend.
     executor:
-        With ``backend="sharded"``: the shard executor — ``"thread"``
-        (in-process) or ``"process"`` (plans dispatched to a worker
-        pool over shared memory; see
-        :mod:`repro.core.engines.procpool`).  ``None`` defers to
-        ``REPRO_SHARD_EXECUTOR``, then ``"thread"``.  Invalid with any
-        other backend.
-    workers:
-        With ``executor="process"``: the worker-process count (``None``
-        defers to ``REPRO_SHARD_WORKERS``, then one worker per shard
-        bounded by the host's cores).
+        ``None`` or ``"thread"``, the sharded backend's only shard
+        executor; kept so existing callers keep working, and slated for
+        removal.  Any other value raises: the process shard executor was
+        removed in 3.0.0.  Invalid with any other backend.
     optimize:
         Apply the logical rewrites of :mod:`repro.core.optimizer` before
         planning (default True).
@@ -313,7 +307,6 @@ class Database:
         backend: str | None = None,
         shards: int | None = None,
         executor: str | None = None,
-        workers: int | None = None,
         optimize: bool = True,
         cache_size: int = 128,
     ) -> None:
@@ -346,41 +339,28 @@ class Database:
             raise ReproError(
                 f"shards={shards} only applies to the sharded backend, not {backend!r}"
             )
+        if executor not in (None, "thread"):
+            raise ReproError(
+                f"executor={executor!r}: the process shard executor was "
+                "removed in 3.0.0; the sharded backend runs its shard tasks "
+                "on threads (pass executor='thread' or leave it out)"
+            )
         if executor is not None and backend != "sharded":
             raise ReproError(
                 f"executor={executor!r} only applies to the sharded backend, "
-                f"not {backend!r}"
-            )
-        if workers is not None and backend != "sharded":
-            raise ReproError(
-                f"workers={workers} only applies to the sharded backend, "
                 f"not {backend!r}"
             )
         if engine is None:
             if backend == "columnar":
                 engine = VectorEngine()
             elif backend == "sharded":
-                engine = ShardedEngine(
-                    shards=shards, executor=executor, workers=workers
-                )
+                engine = ShardedEngine(shards=shards)
             else:
                 engine = FastEngine()
         elif shards is not None and getattr(engine, "shards", shards) != shards:
             raise ReproError(
                 f"engine runs {engine.shards} shards, not {shards}; "
                 "drop one of the two arguments"
-            )
-        elif executor is not None and getattr(engine, "executor", executor) != executor:
-            raise ReproError(
-                f"engine runs the {engine.executor!r} shard executor, not "
-                f"{executor!r}; drop one of the two arguments"
-            )
-        elif workers is not None and workers != getattr(
-            engine, "worker_count", lambda: workers
-        )():
-            raise ReproError(
-                f"engine runs {engine.worker_count()} shard workers, not "
-                f"{workers}; drop one of the two arguments"
             )
         elif getattr(engine, "backend", "set") != backend:
             # An explicit engine/backend pair must agree — otherwise the
@@ -399,8 +379,8 @@ class Database:
         # their size, so the result cache is bounded in rows by the store
         # it would be re-used against; plans and aux entries are small
         # and stay count-bound.  (Through a weak reference: a cache that
-        # held its session would leave a dropped one — its store, its
-        # shared-memory segments — to the cycle collector.)
+        # held its session would leave a dropped one — its store and its
+        # caches — to the cycle collector.)
         session = weakref.ref(self)
         self._results = _LRU(cache_size, budget=lambda: len(session().store))
         self._plans = _LRU(cache_size)
@@ -709,13 +689,9 @@ class Database:
         durable session (``path=``) it then folds any outstanding WAL
         records into a fresh snapshot and persists the statistics/plan
         catalog, so the next open serves straight from mmap'd segments
-        with warm caches.  Finally it unlinks any shared-memory segments
-        the process shard executor published for this session's store —
-        worker pools are told to drop their mappings first.  The session
-        object stays usable afterwards (shm segments are republished on
-        demand, and durable commits reopen their log handle); calling
-        close again — or on a session whose open failed partway — is a
-        no-op.
+        with warm caches.  The session object stays usable afterwards
+        (durable commits reopen their log handle); calling close again —
+        or on a session whose open failed partway — is a no-op.
         """
         hooks = getattr(self, "_close_hooks", None) or []
         self._close_hooks = []
@@ -734,11 +710,6 @@ class Database:
                 # holds every committed batch).
                 pass
             storage.close()
-        for ss in getattr(getattr(self, "store", None), "_sharded", {}).values():
-            handle = getattr(ss, "_shm", None)
-            if handle is not None:
-                handle.close()
-                ss._shm = None
 
     def __enter__(self) -> "Database":
         return self

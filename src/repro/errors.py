@@ -26,9 +26,9 @@ class UnknownRelationError(TriplestoreError):
         super().__init__(f"unknown relation {name!r}{hint}")
 
     def __reduce__(self):
-        # Errors cross process boundaries (shard workers report failures
-        # over pipes); rebuild from the constructor arguments so the
-        # message is not re-wrapped around the formatted text.
+        # Unpickling rebuilds an exception from ``args``; rebuild from the
+        # constructor arguments instead, so the message is not re-wrapped
+        # around the formatted text.
         return (UnknownRelationError, (self.name, self.available))
 
 
@@ -180,17 +180,6 @@ class StoreCorruptionError(StorageError):
         return (StoreCorruptionError, (self.args[0], self.findings))
 
 
-class ShardWorkerError(ReproError):
-    """The process-parallel shard executor lost its workers.
-
-    Raised by the coordinator when a worker process dies (or stops
-    heartbeating / misses the query deadline) and the automatic
-    restart-and-retry of the query also fails.  A single worker failure
-    is *not* surfaced as this error: the coordinator restarts the dead
-    worker and replays the query once before giving up.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for the query service layer (:mod:`repro.service`).
 
@@ -243,10 +232,10 @@ class AdmissionRejectedError(ServiceError):
 class QueryTimeoutError(ServiceError):
     """A query exceeded its per-query time budget.
 
-    On the process shard executor the underlying deadline machinery
-    (``REPRO_SHARD_TIMEOUT`` / :class:`ShardWorkerError`) also aborts
-    the workers; on in-process executors the server abandons the
-    request while the worker thread drains in the background.
+    The server answers the request with this error once the budget has
+    passed; the query itself is not stopped — on every backend it keeps
+    computing in its worker thread, outside the admission slot it has
+    released, until it finishes (ROADMAP item B2 makes such work stop).
     """
 
     def __init__(self, seconds: float):
@@ -262,7 +251,7 @@ class RemoteError(ServiceError):
 
     The service client raises this for any non-2xx response carrying a
     structured error body; ``remote_type`` is the server-side exception
-    class name (e.g. ``"ShardWorkerError"``), ``status`` the HTTP-level
+    class name (e.g. ``"QueryTimeoutError"``), ``status`` the HTTP-level
     code, and ``payload`` the full decoded error object.
     """
 

@@ -19,8 +19,8 @@ API of :class:`repro.db.Database`:
 
 Errors cross the wire as structured JSON (``{"error": {"type": ...,
 "message": ...}}``) reusing the :mod:`repro.errors` classes, so a
-worker crash under the process shard executor degrades to a clean,
-typed client error while the server keeps serving.
+failed query degrades to a clean, typed client error while the server
+keeps serving.
 """
 
 from repro.service.admission import AdmissionController

@@ -10,8 +10,8 @@
 
 Non-2xx responses carrying the structured error envelope raise
 :class:`~repro.errors.RemoteError` with the server-side exception class
-name on ``remote_type`` — a client sees a worker crash as
-``RemoteError(remote_type="ShardWorkerError")``, typed and catchable,
+name on ``remote_type`` — a client sees an expired query budget as
+``RemoteError(remote_type="QueryTimeoutError")``, typed and catchable,
 not as a dead connection.
 
 One client holds one HTTP connection and is **not** thread-safe; give

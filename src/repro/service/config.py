@@ -51,11 +51,11 @@ class ServiceConfig:
         Seconds a request may wait for an execution slot before
         rejection (``queue_timeout``).
     query_timeout:
-        Per-query time budget in seconds (``None`` disables).  On the
-        process shard executor this is mapped onto the worker pool's
-        deadline machinery (``REPRO_SHARD_TIMEOUT``), so expiry aborts
-        the workers; on in-process executors the request is abandoned
-        with a structured :class:`~repro.errors.QueryTimeoutError`.
+        Per-query time budget in seconds (``None`` disables).  Expiry
+        answers the request with a structured
+        :class:`~repro.errors.QueryTimeoutError` (504) on every backend;
+        the query itself keeps computing in its worker thread until it
+        finishes (ROADMAP item B2 makes such work stop).
     max_body_bytes:
         Largest accepted request body / WebSocket message.
     page_size:

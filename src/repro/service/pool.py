@@ -6,8 +6,7 @@ versions and prepared statements never leak across tenants), created
 once and reused for every request naming it.  The pool is built from
 either ready ``Database`` objects (tests, embedding) or store paths
 (the CLI), and owns their lifecycle: ``close()`` tears every session
-down — including the shared-memory segments of process-sharded
-tenants — via :meth:`repro.db.Database.close`.
+down via :meth:`repro.db.Database.close`.
 
 Prepared statements are server-side session state: ``prepare`` stores
 the compiled :class:`~repro.api.PreparedStatement` under an opaque id

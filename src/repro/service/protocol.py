@@ -42,7 +42,6 @@ from repro.errors import (
     RemoteError,
     ReproError,
     ServiceError,
-    ShardWorkerError,
     StorageError,
     StoreCorruptionError,
     StratificationError,
@@ -153,7 +152,6 @@ _STATUS_MAP: tuple[tuple[type, int], ...] = (
     (PayloadTooLargeError, 413),
     (AdmissionRejectedError, 429),
     (QueryTimeoutError, 504),
-    (ShardWorkerError, 503),
     (ProtocolError, 400),
     # A relayed remote failure surfaced by a proxying server: the
     # upstream, not this request, is at fault — Bad Gateway.

@@ -15,12 +15,13 @@ Execution discipline: every query passes the
 :class:`~repro.service.admission.AdmissionController` (bounded
 in-flight, bounded queue → structured 429s under overload), runs under
 the per-query time budget (a bounded wait on a long-lived budget worker
-thread; on process-sharded tenants the budget is *also* mapped onto the
-worker pool's ``REPRO_SHARD_TIMEOUT`` deadline machinery, so expiry
-aborts the shard workers rather than orphaning them), and streams rows
-off the lazy :class:`~repro.api.ResultSet` cursor — an HTTP ``limit`` or
-a WebSocket page decodes only the rows it returns, never the full
-result.
+thread), and streams rows off the lazy :class:`~repro.api.ResultSet`
+cursor — an HTTP ``limit`` or a WebSocket page decodes only the rows it
+returns, never the full result.  The budget bounds the wait for the
+answer, not the work: on every backend a query past its budget is
+answered 504 and then keeps computing in its spent worker thread,
+outside the admission slot it has released, until it finishes (ROADMAP
+item B2 is what makes such work stop).
 
 Wire discipline: nothing on the way out waits for a timer.  Every
 message — an HTTP response, the 101 upgrade, a WebSocket frame — is
@@ -29,9 +30,8 @@ carry ``TCP_NODELAY``, so no part of a message queues behind the peer's
 delayed ACK of another.
 
 Failure discipline: *every* response has a structured JSON body (see
-:mod:`repro.service.protocol`), including 500s; a
-:class:`~repro.errors.ShardWorkerError` from a crashed worker crosses
-the wire typed, and the server keeps serving the next request.
+:mod:`repro.service.protocol`), including 500s, and the server keeps
+serving the next request.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.errors import (
     ProtocolError,
     QueryTimeoutError,
     ReproError,
-    ShardWorkerError,
 )
 from repro.service import ws as wsproto
 from repro.service.admission import AdmissionController
@@ -90,8 +89,6 @@ def _status_label(exc: BaseException) -> str:
         return "rejected"
     if isinstance(exc, QueryTimeoutError):
         return "timeout"
-    if isinstance(exc, ShardWorkerError):
-        return "worker_error"
     if isinstance(exc, ProtocolError):
         return "protocol_error"
     return "error"
@@ -102,7 +99,7 @@ class _BudgetWorker:
     threads that wait on it with a time budget.
 
     A worker whose query overran the budget is never handed another: it
-    finishes (or is aborted by the shard deadline), then exits.
+    finishes that query — nothing stops it — and then exits.
     """
 
     def __init__(self) -> None:
@@ -177,8 +174,7 @@ class QueryServer:
 
     ``tenants`` is either a single :class:`~repro.db.Database` (served
     as tenant ``"default"``) or a mapping of tenant name to session.
-    The server owns the sessions: :meth:`stop` closes them (releasing
-    any shared-memory segments of process-sharded tenants).
+    The server owns the sessions: :meth:`stop` closes them.
 
     Usage::
 
@@ -199,13 +195,6 @@ class QueryServer:
         self.pool = TenantPool(
             tenants, max_statements=self.config.max_statements
         )
-        # Per-query budget → the shard worker pool's deadline machinery,
-        # so a timeout on a process-sharded tenant aborts the workers.
-        for session in self.pool:
-            engine = session.db.engine
-            if getattr(engine, "executor", None) == "process":
-                if getattr(engine, "query_timeout", None) is None:
-                    engine.query_timeout = self.config.query_timeout
         self.registry = MetricsRegistry()
         self._build_metrics()
         self.admission = AdmissionController(
@@ -292,26 +281,13 @@ class QueryServer:
         )
         self._m_tenant_info = r.gauge(
             "repro_tenant_info",
-            "One series per tenant: backend and shard executor.",
-            ("tenant", "backend", "executor"),
-        )
-        self._m_shard_workers = r.gauge(
-            "repro_shard_workers",
-            "Shard worker processes serving the tenant (0 = in-process).",
-            ("tenant",),
+            "One series per tenant: its execution backend.",
+            ("tenant", "backend"),
         )
         for session in self.pool:
-            engine = session.db.engine
-            executor = getattr(engine, "executor", None) or "inline"
             self._m_tenant_info.labels(
-                tenant=session.name,
-                backend=session.db.backend,
-                executor=executor,
+                tenant=session.name, backend=session.db.backend
             ).set(1)
-            workers = (
-                engine.worker_count() if executor == "process" else 0
-            )
-            self._m_shard_workers.labels(tenant=session.name).set(workers)
 
     def _refresh_metrics(self) -> None:
         """Pull scrape-time values from the tenant sessions."""
@@ -412,10 +388,10 @@ class QueryServer:
         The query runs on a budget worker and this (handler) thread
         waits for it, at most the budget: on expiry the request is
         answered with a structured
-        :class:`~repro.errors.QueryTimeoutError` while the worker drains
-        in the background (on process-sharded tenants the mapped shard
-        deadline also aborts the workers, so nothing keeps computing).
-        Workers are started when no idle one is at hand and go back to
+        :class:`~repro.errors.QueryTimeoutError` and the query keeps
+        computing on its worker, outside the admission slot it has
+        released, until it finishes — on every backend, since nothing
+        cancels it (ROADMAP item B2).  Workers are started when no idle one is at hand and go back to
         the idle stack when their query made the budget; one that did
         not is left to finish and exit.
         """
@@ -779,8 +755,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _ws_message(self, sock, payload: bytes) -> None:
         """One query request message → a stream of page messages.
 
-        Application errors (bad query, unknown tenant, worker death,
-        timeout, admission rejection) answer with a structured error
+        Application errors (bad query, unknown tenant, timeout,
+        admission rejection) answer with a structured error
         *message* and keep the connection open; only transport-level
         violations close it.
         """

@@ -25,10 +25,7 @@ Every file starts with a fixed 32-byte header — magic, format version,
 payload kind, payload length, payload CRC32, and a CRC32 of the header
 itself — and the payload begins at byte 32, so ``int64`` arrays are
 8-byte aligned and a reader can hand the mapped pages straight to numpy
-(``np.frombuffer`` over ``mmap``) without copying: the same zero-copy
-discipline as the shared-memory manifests in
-:mod:`repro.triplestore.shm`, with files in place of ``/dev/shm``
-segments.
+(``np.frombuffer`` over ``mmap``) without copying.
 
 Opening is *lazy on two levels*: the columnar arrays alias the mapped
 pages (nothing is read until a kernel touches them), and the

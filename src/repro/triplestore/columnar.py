@@ -194,11 +194,10 @@ class ColumnarStore:
         dv_values: list[Any],
         dv_codes: np.ndarray,
         relations: Mapping[str, np.ndarray],
-        active: np.ndarray | None = None,
     ) -> "ColumnarStore":
-        """A view over arrays that are already encoded (mmap'd segments,
-        shared-memory publications); the arrays are aliased, not copied.
-        Without ``active`` the active set is derived on first use."""
+        """A view over arrays that are already encoded (mmap'd segments);
+        the arrays are aliased, not copied, and the active set is derived
+        on first use."""
         cs = object.__new__(cls)
         cs._set_dictionary(objects)
         cs.dv_values = dv_values
@@ -207,7 +206,7 @@ class ColumnarStore:
         cs._relations = {name: _readonly(keys) for name, keys in relations.items()}
         cs._columns = {}
         cs._paths = {}
-        cs._active = None if active is None else _readonly(active)
+        cs._active = None
         return cs
 
     def _set_dictionary(self, objs: list[Obj]) -> None:

@@ -55,7 +55,7 @@ class ShardedColumnarStore:
         (0 = subject by default).
     """
 
-    __slots__ = ("cs", "k", "key_pos", "_shards", "_columns", "_shm")
+    __slots__ = ("cs", "k", "key_pos", "_shards", "_columns")
 
     def __init__(self, cs: ColumnarStore, shards: int, key_pos: int = 0) -> None:
         if shards < 1:
@@ -70,10 +70,6 @@ class ShardedColumnarStore:
         self.key_pos = int(key_pos)
         self._shards: dict[str, list[np.ndarray]] = {}
         self._columns: dict[str, list[np.ndarray]] = {}
-        #: Shared-memory publication of this view, if any — owned by
-        #: :mod:`repro.triplestore.shm` (cached there like every other
-        #: derived artifact of the immutable store).
-        self._shm = None
 
     # ------------------------------------------------------------------ #
     # Partitioning primitives (shared with the executor)

@@ -26,6 +26,7 @@ import argparse
 import os
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 from unittest import mock
@@ -40,7 +41,7 @@ from repro.core import (  # noqa: E402
     VectorEngine,
 )
 from repro.core.conditions import Cond  # noqa: E402
-from repro.core.engines import vectorized  # noqa: E402
+from repro.core.engines import sharded, vectorized  # noqa: E402
 from repro.core.expressions import (  # noqa: E402
     Diff,
     Expr,
@@ -96,11 +97,10 @@ TINY_BLOCKS = {"_ROW_BLOCK": 3, "_PAIR_BLOCK": 4}
 
 
 class TinyBlocks:
-    """An in-process columnar engine run with :data:`TINY_BLOCKS`.
+    """A columnar engine run with :data:`TINY_BLOCKS`.
 
     The constants are patched around each evaluation and restored after
-    it, so the rest of the matrix runs the real ones.  In-process only:
-    the module globals of a worker process are out of reach.
+    it, so the rest of the matrix runs the real ones.
     """
 
     def __init__(self, engine) -> None:
@@ -111,18 +111,38 @@ class TinyBlocks:
             return self.engine.evaluate(expr, store)
 
 
+class PoolDispatch:
+    """A sharded engine run with every shard task on a thread pool.
+
+    Around each evaluation ``SHARD_DISPATCH_MIN`` is patched to 0 and
+    ``_shared_pool()`` to a two-thread pool of its own, so the
+    ``pool.map`` branch of ``ShardedExecContext._map`` runs on these tiny
+    stores — on a single-core runner too, where the engine would
+    otherwise run every task inline.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def evaluate(self, expr: Expr, store: Triplestore):
+        with ThreadPoolExecutor(max_workers=2) as pool, mock.patch.multiple(
+            sharded, SHARD_DISPATCH_MIN=0, _shared_pool=lambda: pool
+        ):
+            return self.engine.evaluate(expr, store)
+
+
 def default_engines() -> dict[str, object]:
     """The engine matrix under test: oracle + set/columnar/sharded plan engines.
 
     The sharded engine runs with three shards (uneven splits over the
     six-object pool exercise empty and skewed shards), once with the
     partition key on the object position (so repartition joins and
-    co-partitioned joins both appear), and once on the process executor
-    with two workers and ``dispatch_min=0`` — the stores here are tiny,
-    so the threshold must be forced down for queries to actually cross
-    the worker pool and its exchange collectives.  The ``vector-blocks``
-    axis runs the vectorised and the thread-sharded engine once more
-    with the kernel's block sizes patched tiny (:class:`TinyBlocks`).
+    co-partitioned joins both appear), and once with every shard task
+    dispatched to a thread pool (:class:`PoolDispatch`) — the stores
+    here are far below the dispatch threshold, so without it the pool
+    branch would never run.  The ``vector-blocks`` axis runs the
+    vectorised and the sharded engine once more with the kernel's block
+    sizes patched tiny (:class:`TinyBlocks`).
     """
     return {
         "naive": NaiveEngine(),
@@ -131,9 +151,7 @@ def default_engines() -> dict[str, object]:
         "vector": VectorEngine(),
         "sharded": ShardedEngine(shards=3),
         "sharded-obj": ShardedEngine(shards=2, key_pos=2),
-        "sharded-proc": ShardedEngine(
-            shards=3, executor="process", workers=2, dispatch_min=0
-        ),
+        "sharded-pool": PoolDispatch(ShardedEngine(shards=3)),
         "vector-blocks": TinyBlocks(VectorEngine()),
         "sharded-blocks": TinyBlocks(ShardedEngine(shards=3)),
     }
@@ -497,8 +515,12 @@ def repro_snippet(
     rho = {k: store.rho(k) for k in sorted(store.objects, key=repr)}
     lines = [
         f"# differential-testing failure: {case_id}",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from unittest import mock",
+        "",
         "from repro.core import (FastEngine, HashJoinEngine, NaiveEngine,",
         "                        ShardedEngine, VectorEngine)",
+        "from repro.core.engines import sharded, vectorized",
         "from repro.core.optimizer import optimize",
         "from repro.core.parser import parse",
         "from repro.triplestore.model import Triplestore",
@@ -507,16 +529,19 @@ def repro_snippet(
         f"expr = parse({repr(expr)!r})",
         "expected = NaiveEngine().evaluate(expr, store)",
         "for engine in (NaiveEngine(), HashJoinEngine(), FastEngine(), VectorEngine(),",
-        "               ShardedEngine(shards=3), ShardedEngine(shards=2, key_pos=2),",
-        "               ShardedEngine(shards=3, executor='process', workers=2,",
-        "                             dispatch_min=0)):",
+        "               ShardedEngine(shards=3), ShardedEngine(shards=2, key_pos=2)):",
         "    assert engine.evaluate(expr, store) == expected, type(engine).__name__",
         "    assert engine.evaluate(optimize(expr), store) == expected, \\",
         "        f'{type(engine).__name__}+opt'",
         "",
+        "# the sharded-pool axis: every shard task through a thread pool",
+        "with ThreadPoolExecutor(max_workers=2) as pool, mock.patch.multiple(",
+        "        sharded, SHARD_DISPATCH_MIN=0, _shared_pool=lambda: pool):",
+        "    engine = ShardedEngine(shards=3)",
+        "    assert engine.evaluate(expr, store) == expected, 'sharded-pool'",
+        "    assert engine.evaluate(optimize(expr), store) == expected, 'sharded-pool+opt'",
+        "",
         "# the vector-blocks axis: the columnar kernel with tiny blocks",
-        "from unittest import mock",
-        "from repro.core.engines import vectorized",
         f"with mock.patch.multiple(vectorized, **{TINY_BLOCKS!r}):",
         "    for engine in (VectorEngine(), ShardedEngine(shards=3)):",
         "        assert engine.evaluate(expr, store) == expected, \\",

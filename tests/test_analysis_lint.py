@@ -129,31 +129,6 @@ def test_lru_lock_does_not_fire_outside_db(tmp_path):
     assert run_lint(tmp_path) == []
 
 
-def test_shm_unlink(tmp_path):
-    write_tree(tmp_path, {"src/repro/leaky.py": """\
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        def make():
-            return SharedMemory(create=True, size=64)
-    """})
-    findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["SHM-UNLINK"]
-
-
-def test_shm_unlink_satisfied_by_cleanup(tmp_path):
-    write_tree(tmp_path, {"src/repro/clean.py": """\
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        def make():
-            shm = SharedMemory(create=True, size=64)
-            shm.unlink()
-            return shm
-    """})
-    assert run_lint(tmp_path) == []
-
-
 def test_err_raise_in_service(tmp_path):
     write_tree(tmp_path, {
         "src/repro/errors.py": """\
@@ -185,33 +160,40 @@ def test_err_raise_not_scoped_to_other_modules(tmp_path):
     assert run_lint(tmp_path) == []
 
 
-def test_spawn_state(tmp_path):
-    write_tree(tmp_path, {"src/repro/core/engines/procpool.py": """\
-        from multiprocessing import get_context
-        from threading import Thread
+#: A README table plus a module reading from it: one variable by name,
+#: one prefix (a dynamic read of everything under ``REPRO_SVC_``).
+ENV_DOC_README = """\
+    | env var | meaning |
+    |---|---|
+    | `REPRO_KNOB` | read by name |
+    | `REPRO_SVC_PORT` | read under a prefix |
+"""
+ENV_DOC_MODULE = """\
+    KNOB = "REPRO_KNOB"
+    PREFIX = "REPRO_SVC_"
+"""
 
-        _WATCHER = Thread(target=print)
 
-
-        def pool():
-            return get_context("fork").Pool()
-
-
-        def good_pool():
-            return get_context("spawn").Pool()
-    """})
+def test_env_doc_read_variable_needs_a_row(tmp_path):
+    write_tree(tmp_path, {
+        "README.md": ENV_DOC_README,
+        "src/repro/x.py": ENV_DOC_MODULE + '    HIDDEN = "REPRO_HIDDEN"\n',
+    })
     findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["SPAWN-STATE", "SPAWN-STATE"]
-    assert [f.line for f in findings] == [4, 8]
+    assert rules_of(findings) == ["ENV-DOC"]
+    assert (findings[0].path, findings[0].line) == ("src/repro/x.py", 3)
+    assert "REPRO_HIDDEN" in findings[0].message
 
 
-def test_spawn_state_not_scoped_to_other_modules(tmp_path):
-    write_tree(tmp_path, {"src/repro/elsewhere.py": """\
-        from threading import Thread
-
-        _WATCHER = Thread(target=print)
-    """})
-    assert run_lint(tmp_path) == []
+def test_env_doc_row_needs_a_reader(tmp_path):
+    write_tree(tmp_path, {
+        "README.md": ENV_DOC_README + "    | `REPRO_GONE` | its knob was deleted |\n",
+        "src/repro/x.py": ENV_DOC_MODULE,
+    })
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["ENV-DOC"]
+    assert (findings[0].path, findings[0].line) == ("README.md", 5)
+    assert "REPRO_GONE" in findings[0].message
 
 
 ERRORS_FIXTURE = """\
@@ -362,21 +344,21 @@ def two_rule_tree(tmp_path):
             except:
                 pass
         """,
-        "src/repro/b.py": """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            SharedMemory(create=True, size=64)
+        "src/repro/storage/b.py": """\
+            def save(path, data):
+                with open(path, "wb") as fp:
+                    fp.write(data)
         """,
     })
 
 
 def test_select_and_ignore(two_rule_tree):
-    assert rules_of(run_lint(two_rule_tree)) == ["BARE-EXCEPT", "SHM-UNLINK"]
+    assert rules_of(run_lint(two_rule_tree)) == ["BARE-EXCEPT", "STOR-ATOMIC"]
     assert rules_of(
-        run_lint(two_rule_tree, select=["SHM-UNLINK"])
-    ) == ["SHM-UNLINK"]
+        run_lint(two_rule_tree, select=["STOR-ATOMIC"])
+    ) == ["STOR-ATOMIC"]
     assert rules_of(
-        run_lint(two_rule_tree, ignore=["SHM-UNLINK"])
+        run_lint(two_rule_tree, ignore=["STOR-ATOMIC"])
     ) == ["BARE-EXCEPT"]
 
 
@@ -388,8 +370,8 @@ def test_unknown_rule_raises(two_rule_tree):
 
 
 def test_paths_restrict_the_walk(two_rule_tree):
-    findings = run_lint(two_rule_tree, paths=["src/repro/b.py"])
-    assert rules_of(findings) == ["SHM-UNLINK"]
+    findings = run_lint(two_rule_tree, paths=["src/repro/storage/b.py"])
+    assert rules_of(findings) == ["STOR-ATOMIC"]
 
 
 def test_findings_are_sorted(two_rule_tree):
@@ -407,7 +389,7 @@ def test_findings_are_sorted(two_rule_tree):
 def test_main_exit_codes(two_rule_tree, capsys):
     assert main(["--root", str(two_rule_tree)]) == 1
     out = capsys.readouterr()
-    assert "BARE-EXCEPT" in out.out and "SHM-UNLINK" in out.out
+    assert "BARE-EXCEPT" in out.out and "STOR-ATOMIC" in out.out
     assert "2 finding(s)" in out.err
     assert main(["--root", str(two_rule_tree), "--select", "LRU-LOCK"]) == 0
     assert main(["--root", str(two_rule_tree), "--select", "BOGUS"]) == 2

@@ -56,8 +56,7 @@ BACKENDS = {
     "set": lambda: FastEngine(),
     "columnar": lambda: VectorEngine(),
     # Shard count pinned: the goldens must not depend on REPRO_SHARDS.
-    # executor pinned: goldens must not change under REPRO_SHARD_EXECUTOR.
-    "sharded": lambda: ShardedEngine(shards=4, executor="thread"),
+    "sharded": lambda: ShardedEngine(shards=4),
 }
 
 

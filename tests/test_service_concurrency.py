@@ -54,7 +54,7 @@ def server():
         "set": Database(STORE),
         "columnar": Database(STORE, backend="columnar"),
         "sharded": Database(
-            STORE, ShardedEngine(shards=4, executor="thread")
+            STORE, ShardedEngine(shards=4)
         ),
     }
     config = ServiceConfig(

@@ -35,7 +35,7 @@ def _fresh_server() -> QueryServer:
 
     Everything that shows in the exposition is fixed — tenant names,
     backends (pinned, so ``REPRO_BACKEND`` cannot move the default
-    tenant's), the thread executor (no worker processes), and a config
+    tenant's), the shard count, and a config
     whose values do not appear in any metric.
     """
     from repro.core.engines.sharded import ShardedEngine
@@ -43,7 +43,7 @@ def _fresh_server() -> QueryServer:
     tenants = {
         "default": Database(GOLDEN_STORE, backend="set"),
         "sharded": Database(
-            GOLDEN_STORE, ShardedEngine(shards=4, executor="thread")
+            GOLDEN_STORE, ShardedEngine(shards=4)
         ),
     }
     return QueryServer(tenants, ServiceConfig(port=0))

@@ -381,7 +381,7 @@ def test_egress_equals_jsonable_row_on_every_payload(base, delta):
         sessions = {
             "set": Database(store, backend="set"),
             "columnar": Database(store, backend="columnar"),
-            "sharded": Database(store, ShardedEngine(shards=2, executor="thread")),
+            "sharded": Database(store, ShardedEngine(shards=2)),
             "reopened": Database(path=os.path.join(tmp, "s"), backend="columnar"),
             # A version whose new triples may grow the dictionary.
             "derived": Database(

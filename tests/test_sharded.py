@@ -283,7 +283,8 @@ class TestShardedEngine:
 
         monkeypatch.setattr(sharded_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(sharded_mod, "_SHARED_POOL", None)
-        engine = ShardedEngine(shards=4, executor="thread", dispatch_min=0)
+        monkeypatch.setattr(sharded_mod, "SHARD_DISPATCH_MIN", 0)
+        engine = ShardedEngine(shards=4)
         assert engine._shard_pool() is not None
         naive, fast = NaiveEngine(), FastEngine()
         big = random_store(40, 500, seed=17)
@@ -375,9 +376,36 @@ class TestBackendWiring:
     def test_shards_engine_mismatch_rejected(self, store):
         with pytest.raises(ReproError):
             Database(store, engine=ShardedEngine(shards=2), shards=3)
-        with pytest.raises(ReproError, match="2 shard workers, not 4; drop one"):
-            Database(store, engine=ShardedEngine(workers=2), workers=4)
-        assert Database(store, engine=ShardedEngine(workers=2), workers=2).engine.workers == 2
+
+    def test_process_executor_is_gone(self, store):
+        with pytest.raises(ReproError, match="process shard executor was removed"):
+            Database(store, executor="process")
+
+    def test_thread_executor_spelling_still_builds_a_session(self, store):
+        # The exact call benchmarks/e2e/tracing.py makes for its sharded2 row.
+        db = Database(store, backend="sharded", shards=2, executor="thread")
+        assert isinstance(db.engine, ShardedEngine) and db.engine.shards == 2
+        assert db.query("join[1,2,3'; 3=1'](E, E)") == Database(store).query(
+            "join[1,2,3'; 3=1'](E, E)"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "STORE", "E", "--backend", "sharded", "--executor", "process"],
+            ["serve", "STORE", "--workers", "2"],
+        ],
+        ids=["query-executor", "serve-workers"],
+    )
+    def test_cli_executor_flags_are_gone(self, tmp_path, argv):
+        from repro.cli import main
+        from repro.triplestore.io import dump_path
+
+        path = tmp_path / "store.tstore"
+        dump_path(Triplestore([("a", "p", "b")]), str(path))
+        with pytest.raises(SystemExit) as exc:
+            main([str(path) if arg == "STORE" else arg for arg in argv])
+        assert exc.value.code == 2
 
     def test_explain_mentions_backend_and_strategy(self, store):
         db = Database(store, backend="sharded", shards=4)

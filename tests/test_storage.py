@@ -535,7 +535,7 @@ class TestServeStorePath:
         monkeypatch.setenv("REPRO_STORE_PATH", durable_store)
         args = argparse.Namespace(
             store=None, store_path=None, tenant=None, backend=None,
-            shards=None, executor=None, workers=None,
+            shards=None,
         )
         tenants = _serve_tenants(args)
         try:
