@@ -369,6 +369,14 @@ def test_unknown_rule_raises(two_rule_tree):
         run_lint(two_rule_tree, ignore=["NOPE"])
 
 
+@pytest.mark.parametrize("rule", ["SHM-UNLINK", "SPAWN-STATE"])
+def test_process_executor_rules_are_gone(two_rule_tree, rule):
+    # Both guarded the removed worker-process shard executor.
+    assert rule not in LINT_RULES
+    with pytest.raises(ValueError, match=rule):
+        run_lint(two_rule_tree, select=[rule])
+
+
 def test_paths_restrict_the_walk(two_rule_tree):
     findings = run_lint(two_rule_tree, paths=["src/repro/storage/b.py"])
     assert rules_of(findings) == ["STOR-ATOMIC"]

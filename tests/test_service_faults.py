@@ -67,6 +67,25 @@ def test_server_budget_times_out_as_504():
             assert series[key] == 1
 
 
+def test_server_budget_times_out_as_504_on_a_sharded_tenant():
+    """A sharded tenant past its budget is answered 504 like any other,
+    and the server keeps serving it afterwards."""
+    from repro.core.engines.sharded import ShardedEngine
+
+    db = Database(random_store(20, 200, seed=4), ShardedEngine(shards=4))
+    config = ServiceConfig(port=0, query_timeout=0.2)
+    with QueryServer(db, config) as srv:
+        with _Gate(db) as gate, ServiceClient(srv.url) as client:
+            with pytest.raises(RemoteError) as excinfo:
+                client.query("E")
+            assert excinfo.value.remote_type == "QueryTimeoutError"
+            assert excinfo.value.status == 504
+            assert gate.entered.is_set()
+        with ServiceClient(srv.url) as client:
+            assert client.health()["status"] == "ok"
+            assert client.query("E")["total"] == len(db.store)
+
+
 def test_admission_queue_full_is_429():
     """One slot, no queue: a concurrent second query is refused with a
     structured 429 naming the reason."""
