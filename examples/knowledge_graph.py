@@ -13,8 +13,9 @@ from repro.core import HashJoinEngine, evaluate
 from repro.core.explain import explain
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
-from repro.bench import format_table
 from repro.workloads import knowledge_graph, reference_affiliated_via
+
+from format_table import format_table
 
 
 def main() -> None:

@@ -17,8 +17,9 @@ from repro import (
     project13,
     query_q,
 )
-from repro.bench import format_table
 from repro.rdf import figure1
+
+from format_table import format_table
 
 
 def main() -> None:

@@ -10,9 +10,10 @@ analogue of query Q.
 
 from repro import R, Star, evaluate, project13
 from repro.core import Cond, Pos
-from repro.bench import format_table
 from repro.rdf import social_network
 from repro.workloads import same_type_reachability_reference, social_network_store
+
+from format_table import format_table
 
 
 def same_type_reach() -> Star:

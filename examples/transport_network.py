@@ -13,9 +13,10 @@ independent reference implementation.
 import time
 
 from repro import FastEngine, HashJoinEngine, evaluate, query_q
-from repro.bench import format_table
 from repro.core import in_reach_ta_eq
 from repro.workloads import reference_query_q, transport_network
+
+from format_table import format_table
 
 
 def main() -> None:

@@ -18,8 +18,10 @@ Quickstart::
     ("Edinburgh", "London") in pairs   # True
     ("St. Andrews", "Brussels") in pairs   # False — needs two companies
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See ARCHITECTURE.md for the system inventory;
+``tests/test_paper_examples.py`` reproduces the worked examples and
+``tests/test_scaling.py`` counts the work Theorem 3 and Propositions
+4–5 bound.
 """
 
 from repro.core import (

@@ -9,8 +9,8 @@ saturates, giving the theorem's ``O(|T|^3)`` bound.
 
 This engine exists for two purposes: to serve as the executable ground
 truth closest to the paper's pseudo-code, and to provide the baseline
-whose measured scaling the benchmarks compare against the fragment
-algorithms of Propositions 4 and 5.
+whose work — pairs examined, counted in ``tests/test_scaling.py`` — the
+fragment algorithms of Propositions 4 and 5 are held against.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ here accepts both angle-bracketed URIs and bare tokens::
     <StAndrews> <BusOp1> <Edinburgh> .
     TrainOp1 part_of EastCoast .
 
-This substitutes for rdflib's parser (see DESIGN.md §4): the paper's
+This substitutes for rdflib's parser: the paper's
 formal development never touches literals or blank nodes, so the
 behaviour-relevant surface — a set of ground triples — is preserved.
 """

@@ -17,8 +17,8 @@ where ``step(x̄,ȳ)`` says: some triple t with ψ_e(t) joins with x̄ to
 produce ȳ.  (The trcl operator closes over six variables, hence TrCl⁶.)
 Note the trcl construct needs six *extra* names for x̄/ȳ; the paper
 counts variables with reuse of the argument tuples, a subtlety of the
-logic's syntax our AST does not replicate, so for starred expressions we
-assert ≤ 12 names and record the nuance in EXPERIMENTS.md.
+logic's syntax our AST does not replicate, so for starred expressions
+``tests/test_fo_translations.py::TestStarToTrCl`` asserts ≤ 12 names.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Synthetic triplestore and graph workloads for tests and benchmarks.
 
-The generators are deterministic under a seed and sized by simple knobs
-so the benchmark harness can sweep |T| and |O| independently — that is
-what the Theorem 3 / Proposition 4–5 scaling experiments need.
+The generators are deterministic under a seed and sized by simple knobs,
+so |T| and |O| can be swept independently — the Theorem 3 /
+Proposition 4–5 work counts in ``tests/test_scaling.py`` do.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from repro.datalog import (
     validate_fragment,
 )
 from repro.rdf.datasets import figure1
+from repro.workloads import transport_network
 from tests.conftest import expressions, stores
 
 
@@ -100,10 +101,21 @@ class TestTheorem2RoundTrip:
         back = datalog_to_trial(program)
         assert evaluate(back, store) == evaluate(expr, store)
 
-    def test_query_q_program_is_reach_fragment(self):
+    @pytest.mark.parametrize(
+        "store",
+        [
+            figure1(),
+            transport_network(
+                n_cities=20, n_services=4, n_companies=3, extra_routes=10, seed=20
+            ),
+        ],
+        ids=["figure1", "transport"],
+    )
+    def test_query_q_program_is_reach_fragment(self, store):
+        """Corollary 1: the Datalog route answers Q as the algebra does."""
         program = trial_to_datalog(query_q())
-        assert is_reach_triple_datalog(program)
-        assert run_program(program, figure1()) == evaluate(query_q(), figure1())
+        assert is_reach_triple_datalog(program) and len(program) >= 5
+        assert run_program(program, store) == evaluate(query_q(), store)
 
     def test_reach_forward_program(self):
         program = trial_to_datalog(reach_forward())

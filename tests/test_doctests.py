@@ -6,7 +6,6 @@ import pytest
 
 import repro.automata.nfa
 import repro.automata.regex
-import repro.bench.runner
 import repro.core.builder
 import repro.core.conditions
 import repro.core.explain
@@ -23,7 +22,6 @@ import repro.triplestore.model
 MODULES = [
     repro.automata.nfa,
     repro.automata.regex,
-    repro.bench.runner,
     repro.core.builder,
     repro.core.conditions,
     repro.core.explain,

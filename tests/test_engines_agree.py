@@ -8,9 +8,10 @@ physical plans; the planner applied to *optimised* expressions is held
 to the same oracle (plans of rewritten trees must mean the same thing).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.core import FastEngine, HashJoinEngine, NaiveEngine, optimize, star, R
+from repro.core import FastEngine, HashJoinEngine, NaiveEngine, R, join, optimize, select, star
+from repro.workloads import random_store
 from tests.conftest import expressions, stores
 
 HASH = HashJoinEngine()
@@ -54,6 +55,12 @@ def test_results_are_closed(expr, store):
 
 
 @given(expressions(max_depth=3, allow_star=True), stores())
+# Selection over a wide data join: pushing the selection shrinks the
+# join's inputs.
+@example(
+    select(join(R("E"), R("E"), "1,2,3'", "rho(1)=rho(1')"), "2='o0'"),
+    random_store(12, 80, seed=5),
+)
 @settings(max_examples=60, deadline=None)
 def test_planned_optimized_expression_agrees_with_naive(expr, store):
     """optimize → compile → execute equals the oracle on the raw tree."""

@@ -12,8 +12,10 @@ EXAMPLES = sorted(
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(path, capsys):
+def test_example_runs(path, capsys, monkeypatch):
     sys.argv = [str(path)]
+    # As `python examples/<name>.py` does: the examples import each other.
+    monkeypatch.syspath_prepend(str(path.parent))
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{path.name} produced no output"

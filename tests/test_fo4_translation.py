@@ -9,8 +9,9 @@ miniscopes and greedily reuses names.  We assert:
 
 The full Lemma 1 guarantee also covers η-equality-only joins through
 ∼-chaining with intermediate variables; our heuristic does not implement
-that chaining, so purely-data-joined products may use a 5th name — an
-honest, documented gap (see EXPERIMENTS.md).
+that chaining, so purely-data-joined products may use a 5th name — a
+known gap, which is why ``FO4_SHAPES`` joins on data only beside a
+θ-equality.
 """
 
 import pytest

@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import TranslationError
-from repro.core import R, evaluate, join, select, star
+from repro.core import R, evaluate, example2_expr, join, select, star
 from repro.logic import (
     And,
     Eq,
@@ -23,6 +23,7 @@ from repro.logic import (
 from repro.logic.trcl import Trcl, answers_trcl, satisfies_trcl
 from repro.translations import fo3_to_trial, trial_to_fo
 from repro.triplestore import Triplestore
+from repro.workloads import transport_network
 from tests.conftest import expressions, stores
 
 from hypothesis import strategies as st
@@ -30,6 +31,10 @@ from hypothesis import strategies as st
 
 class TestTrialToFO6:
     @given(expressions(max_depth=3, allow_star=False), stores(max_triples=8))
+    @example(
+        example2_expr(),
+        transport_network(n_cities=6, n_services=2, n_companies=2, seed=6),
+    )
     @settings(max_examples=60, deadline=None)
     def test_agreement_and_variable_bound(self, expr, store):
         """Theorem 4.1: e ≡ ϕ_e and ϕ_e ∈ FO⁶."""
@@ -77,9 +82,14 @@ class TestStarToTrCl:
         ids=["reach-any", "example2-star", "same-label"],
     )
     def test_star_agreement(self, expr):
-        """Theorem 6.1: stars become trcl constructs with equal semantics."""
+        """Theorem 6.1: stars become trcl constructs with equal semantics.
+
+        TrCl⁶ counts the closure's argument tuples with reuse; our AST
+        names them apart, so the formula may use twice the six names.
+        """
         phi = trial_to_fo(expr)
         assert any(isinstance(n, Trcl) for n in phi.walk())
+        assert phi.num_variables() <= 12
         got = answers_trcl(phi, self.SMALL, ("v1", "v2", "v3"))
         assert got == evaluate(expr, self.SMALL)
 

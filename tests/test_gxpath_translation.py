@@ -1,7 +1,7 @@
 """E13: GXPath(∼)/NRE/RPQ → TriAL* equivalence (Thm 7, Cor 2, Cor 4)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from repro.core import evaluate, project13
@@ -87,6 +87,7 @@ def node_exprs(draw, depth: int = 2):
 
 
 @given(path_exprs(), st.integers(0, 2 ** 31 - 1))
+@example(Concat(StarPath(Axis("a")), PathComplement(Axis("b"))), 20)
 @settings(max_examples=80, deadline=None)
 def test_gxpath_path_translation(expr, seed):
     """Theorem 7 + Corollary 4: π₁,₃(e_α(T_G)) = α(G)."""
@@ -107,7 +108,7 @@ def test_gxpath_node_translation(expr, seed):
 
 @pytest.mark.parametrize(
     "text",
-    ["a", "a.b", "a.[b].a", "(a+b)*", "a-.b*", "a.[b-.a]*"],
+    ["a", "a.b", "a.[b].a", "(a+b)*", "a-.b*", "a.[b-.a]*", "a.[b].(a+b)*"],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_nre_translation(text, seed):
@@ -119,7 +120,7 @@ def test_nre_translation(text, seed):
     assert want == got
 
 
-@pytest.mark.parametrize("regex", ["a", "a.b*", "(a+b)*", "a-.(b+a)"])
+@pytest.mark.parametrize("regex", ["a", "a.b*", "(a+b)*", "a-.(b+a)", "(a+b)*.a"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_rpq_translation(regex, seed):
     """Corollary 2 for (2)RPQs."""

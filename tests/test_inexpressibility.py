@@ -34,6 +34,7 @@ SAMPLE_NRES = [
     "(next+edge)*",
     "next.[node-].edge*",
     "next-.next",
+    "next.[edge.next].next*",
 ]
 
 

@@ -2,10 +2,10 @@
 algebra's composition/closure, k = 3 coincides with TriAL."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import AlgebraError, TriplestoreError
-from repro.core import HashJoinEngine
+from repro.core import HashJoinEngine, R, star
 from repro.core.conditions import Cond
 from repro.core.expressions import (
     Diff,
@@ -30,6 +30,7 @@ from repro.nary import (
     const,
     transitive_closure,
 )
+from repro.workloads import chain_store
 from tests.conftest import expressions, stores
 
 ENGINE = NaryEngine()
@@ -135,6 +136,7 @@ def _to_nary(expr) -> "object":
 
 class TestTernaryCoincidesWithTriAL:
     @given(expressions(max_depth=3, allow_star=True), stores(max_triples=10))
+    @example(star(R("E"), "1,2,3'", "3=1'"), chain_store(8))
     @settings(max_examples=60, deadline=None)
     def test_agreement(self, expr, store):
         """For k = 3 the n-ary engine is an independent TriAL implementation."""

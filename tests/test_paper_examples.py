@@ -72,17 +72,33 @@ class TestExample3:
 
 
 class TestExample4:
-    def test_reach_forward_shape(self, engine):
-        t = Triplestore([("x", "m1", "y"), ("y", "m2", "z")])
-        got = evaluate(reach_forward(), t, engine)
-        assert ("x", "m1", "z") in got
+    @pytest.mark.parametrize(
+        "store,derived",
+        [
+            (Triplestore([("x", "m1", "y"), ("y", "m2", "z")]), ("x", "m1", "z")),
+            (figure1(), ("St. Andrews", "Bus Op 1", "London")),
+        ],
+        ids=["two-hops", "figure1"],
+    )
+    def test_reach_forward_shape(self, engine, store, derived):
+        got = evaluate(reach_forward(), store, engine)
+        assert derived in got
 
-    def test_reach_down_shape(self, engine):
+    @pytest.mark.parametrize(
+        "store,derived",
+        [
+            # (a,b,c) with (b,m,z): 1=2' joins b
+            (Triplestore([("b", "m", "z"), ("a", "b", "c")]), ("a", "b", "z")),
+            # Train Op 1 is part_of EastCoast
+            (figure1(), ("Edinburgh", "Train Op 1", "EastCoast")),
+        ],
+        ids=["two-hops", "figure1"],
+    )
+    def test_reach_down_shape(self, engine, store, derived):
         # Reach⤓: (✶^{1',2',3}_{1=2'} E)* — each step's subject is the
         # accumulated triple's predicate.
-        t = Triplestore([("b", "m", "z"), ("a", "b", "c")])
-        got = evaluate(reach_down(), t, engine)
-        assert ("a", "b", "z") in got  # (a,b,c) with (b,m,z): 1=2' joins b
+        got = evaluate(reach_down(), store, engine)
+        assert derived in got
 
     def test_query_q_structure(self):
         q = query_q()

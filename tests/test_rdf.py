@@ -98,6 +98,8 @@ class TestSigmaDetails:
 
     def test_nre_on_sigma_finds_operators(self):
         """Navigation over σ(D): city --edge--> operator --next--> company."""
-        g = sigma(RDFGraph(figure1().relation("E")))
+        doc = RDFGraph(figure1().relation("E"))
+        g = sigma(doc)
+        assert len(g.edges) <= 3 * len(doc)  # three edges per triple at most
         got = evaluate_nre(g, parse_nre("edge.next"))
         assert ("Edinburgh", "EastCoast") in got

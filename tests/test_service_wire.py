@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import socketserver
 import tempfile
 import threading
 import time
@@ -456,14 +457,25 @@ def test_a_pair_language_stream_renders_page_by_page(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_stop_does_not_wait_out_the_accept_poll():
+def test_stop_does_not_wait_out_the_accept_poll(monkeypatch):
+    """``stop()`` waits for the accept loop's next check at most, so the
+    poll interval the loop runs with is what bounds it."""
+    intervals: list = []
+    original = socketserver.BaseServer.serve_forever
+
+    def serve_forever(self, poll_interval=0.5):
+        intervals.append(poll_interval)
+        original(self, poll_interval)
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
     server = QueryServer(Database(STORE, backend="set"), ServiceConfig(port=0))
     server.start()
     with ServiceClient(server.url) as client:
         client.query("E")  # one idle budget worker to retire as well
-    started = time.monotonic()
+    accept_loop = server._thread
     server.stop()
-    assert time.monotonic() - started < 0.2
+    assert len(intervals) == 1 and intervals[0] <= 0.05
+    assert not accept_loop.is_alive()
     server.stop()  # idempotent
     with pytest.raises(ReproError):
         server.address

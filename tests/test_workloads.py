@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FastEngine, R, Star, evaluate, query_q, star
+from repro.core import FastEngine, HashJoinEngine, R, Star, evaluate, query_q, star
 from repro.core.conditions import Cond
 from repro.core.positions import Pos
 from repro.workloads import (
@@ -97,9 +97,12 @@ class TestSocialGroundTruth:
 
 
 class TestFastEngineOnWorkloads:
-    def test_reach_star_on_chain(self):
+    @pytest.mark.parametrize(
+        "engine", [FastEngine(), HashJoinEngine()], ids=["bfs", "semi-naive"]
+    )
+    def test_reach_star_on_chain(self, engine):
         t = chain_store(30)
         expr = star(R("E"), "1,2,3'", "3=1'")
-        fast = FastEngine().evaluate(expr, t)
+        closure = engine.evaluate(expr, t)
         # Chain closure: (o_i, l_i, o_j) for all i < j ≤ n.
-        assert len(fast) == 30 * 31 // 2
+        assert len(closure) == 30 * 31 // 2
