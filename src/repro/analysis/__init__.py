@@ -5,8 +5,8 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
 
 * :mod:`repro.analysis.verify` — a pass over compiled physical plans
   (:mod:`repro.core.plan`) that proves, without executing, that a plan
-  respects the operator typing, parameter, partitioning, lowering and
-  cache invariants catalogued in :mod:`repro.analysis.invariants`.
+  respects the operator typing, key, parameter, cache and cost
+  invariants catalogued in :mod:`repro.analysis.invariants`.
   Wired into ``compile_plan`` behind the ``REPRO_PLAN_VERIFY``
   environment variable and surfaced as ``repro lint-plan`` and the
   ``verified`` field of ``explain --json``.

@@ -7,9 +7,11 @@ renaming one is a breaking change to all three.
 
 Plan invariants (``PLAN-*``) are checked by
 :func:`repro.analysis.verify.verify_plan` against compiled physical
-plans.  Lint rules are checked by :mod:`repro.analysis.lint` against
-the repository source itself.  Semantic rules (``SEM-*``) are checked
-by :mod:`repro.analysis.semantics` against TriAL expressions (and, for
+plans, except PLAN-SHARD, which the sharded executor checks against
+the shards it holds.  Lint rules are checked by
+:mod:`repro.analysis.lint` against the repository source itself.
+Semantic rules (``SEM-*``) are checked by
+:mod:`repro.analysis.semantics` against TriAL expressions (and, for
 ``SEM-UNSAT``/``SEM-DEAD-RULE``, Datalog programs).
 
 All three families report through one frozen :class:`Finding` record
@@ -102,18 +104,12 @@ INVARIANTS: dict[str, str] = {
         "always resolve it"
     ),
     "PLAN-SHARD": (
-        "shard-partition propagation is sound: every join's annotated "
-        "shard strategy equals the strategy recomputed from the "
-        "partition states of its inputs — raw (part_pos=None) operands "
-        "must be re-established by an exchange before any co-partitioned "
-        "merge, set operation or fixpoint consumes them"
-    ),
-    "PLAN-DENSE": (
-        "dense lowering is guarded: on the columnar/sharded backends "
-        "every recursive operator carries a dense/sparse strategy, and "
-        "'dense' appears only on ReachStarOp — the one operator whose "
-        "executor re-checks the object-count guard at run time and falls "
-        "back to sparse on MatrixTooLargeError"
+        "shard partitions are what they claim: with REPRO_PLAN_VERIFY on, "
+        "the sharded executor re-hashes the actual rows of every operand "
+        "a set operation or fixpoint consumes as partitioned, and raises "
+        "when a shard holds rows hashed to another — a dropped exchange "
+        "or stale partition claim never merges shards that are not "
+        "co-partitioned (checked at run time, not on the static plan)"
     ),
     "PLAN-CACHE": (
         "cache dependencies are sound: the plan reads only relations in "

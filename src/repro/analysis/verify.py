@@ -5,12 +5,10 @@ checks every invariant in :data:`repro.analysis.invariants.INVARIANTS`
 without executing anything.  Each check *recomputes* the property from
 the plan structure using the same helpers the compiler used to
 establish it (:func:`~repro.core.plan.split_conditions`,
-:meth:`~repro.core.plan.JoinSpec.index_key_positions`,
-:func:`~repro.core.plan.shard_plan_expectations`, the dense-lowering
-formula), so a freshly compiled plan always verifies clean and any
-mutation — hand-built plans, future rewrite passes, bugs in a join
-enumerator — that breaks an executor assumption is caught before the
-executor trusts it.
+:meth:`~repro.core.plan.JoinSpec.index_key_positions`), so a freshly
+compiled plan always verifies clean and any mutation — hand-built
+plans, future rewrite passes, bugs in a join enumerator — that breaks
+an executor assumption is caught before the executor trusts it.
 
 Three entry points:
 
@@ -18,10 +16,13 @@ Three entry points:
 * :func:`assert_plan_valid` — raises
   :class:`~repro.errors.PlanVerificationError` on any violation; this
   is what ``compile_plan`` calls when ``REPRO_PLAN_VERIFY`` is on.
-* :func:`verify_compiled` — convenience wrapper that takes the
-  backend/limits from the engine that compiled the plan and the stats
-  from the store; used by ``explain --json``'s ``verified`` field and
-  ``repro lint-plan``.
+* :func:`verify_compiled` — the check of a compiled query, its source
+  expression declaring the parameters; used by ``explain --json``'s
+  ``verified`` field and ``repro lint-plan``.
+
+Every backend runs the same plan, so there is one verification per
+plan.  PLAN-SHARD is checked at run time, against real shard contents,
+by the sharded executor.
 """
 
 from __future__ import annotations
@@ -30,22 +31,17 @@ import math
 from typing import Iterator, Optional
 
 from repro.analysis.invariants import Finding, Violation
-from repro.core.engines.base import PlanEngine
 from repro.core.expressions import LEFT, RIGHT, Expr, Universe
 from repro.core.params import expr_params, plan_params
 from repro.core.plan import (
-    DENSE_MATRIX_MAX_OBJECTS,
-    _DENSE_MIN_AVG_DEGREE,
     FilterOp,
     HashJoinOp,
     IndexLookupOp,
     JoinSpec,
     PlanOp,
-    ReachStarOp,
     ScanOp,
     StarOp,
     UniverseOp,
-    shard_plan_expectations,
     split_conditions,
 )
 from repro.errors import PlanVerificationError
@@ -228,66 +224,6 @@ def _check_params(
                 )
 
 
-def _check_shard(plan: PlanOp, shard_key_pos: int) -> Iterator[Violation]:
-    expected = shard_plan_expectations(plan, shard_key_pos)
-    for op in _unique_ops(plan):
-        if not isinstance(op, HashJoinOp):
-            continue
-        want = expected[id(op)][1]
-        if op.shard_strategy != want:
-            yield _violation(
-                "PLAN-SHARD",
-                _label(op),
-                f"annotated shard strategy {op.shard_strategy!r} but the "
-                f"partition states of its inputs require {want!r}; a "
-                "dropped or stale exchange would merge shards that are "
-                "not co-partitioned",
-            )
-
-
-def _check_dense(
-    plan: PlanOp, stats, max_matrix_objects: Optional[int]
-) -> Iterator[Violation]:
-    want: Optional[str] = None
-    if stats is not None:
-        limit = (
-            DENSE_MATRIX_MAX_OBJECTS
-            if max_matrix_objects is None
-            else max_matrix_objects
-        )
-        n = stats.n_objects
-        total = stats.total_triples
-        dense_ok = 0 < n <= limit and total / n >= _DENSE_MIN_AVG_DEGREE
-        want = "dense" if dense_ok else "sparse"
-    for op in _unique_ops(plan):
-        if isinstance(op, StarOp):
-            if op.vector_strategy != "sparse":
-                yield _violation(
-                    "PLAN-DENSE",
-                    _label(op),
-                    f"general star lowered to {op.vector_strategy!r}; only "
-                    "ReachStarOp re-checks the dense guard at run time and "
-                    "can fall back on MatrixTooLargeError",
-                )
-        elif isinstance(op, ReachStarOp):
-            if op.vector_strategy not in ("dense", "sparse"):
-                yield _violation(
-                    "PLAN-DENSE",
-                    _label(op),
-                    f"recursive operator carries strategy "
-                    f"{op.vector_strategy!r}; columnar execution requires a "
-                    "dense/sparse lowering verdict",
-                )
-            elif want is not None and op.vector_strategy != want:
-                yield _violation(
-                    "PLAN-DENSE",
-                    _label(op),
-                    f"lowered to {op.vector_strategy!r} but the statistics "
-                    f"({stats.n_objects} objects, {stats.total_triples} "
-                    f"triples) dictate {want!r}",
-                )
-
-
 def _check_cache(plan: PlanOp, expr: Expr) -> Iterator[Violation]:
     allowed = expr.relation_names()
     uses_universe = any(isinstance(n, Universe) for n in expr.walk())
@@ -345,33 +281,19 @@ def _check_costs(plan: PlanOp) -> Iterator[Violation]:
 def verify_plan(
     plan: PlanOp,
     *,
-    backend: str = "set",
     expr: Optional[Expr] = None,
     params=None,
-    stats=None,
-    max_matrix_objects: Optional[int] = None,
-    shard_key_pos: int = 0,
 ) -> tuple[Violation, ...]:
     """Check every plan invariant; return the violations (empty = clean).
 
-    ``backend`` scopes the lowering checks the way ``compile_plan``'s
-    lowering step does: PLAN-DENSE applies to ``"columnar"`` and
-    ``"sharded"`` plans, PLAN-SHARD to ``"sharded"`` only.  ``expr`` (the
-    source expression) enables PLAN-PARAM and PLAN-CACHE; ``params`` is
-    an optional iterable of additionally-declared parameter names (a
-    prepared statement's binding set).  ``stats`` and
-    ``max_matrix_objects`` anchor the dense-lowering recomputation —
-    pass the same values compilation used, or ``stats=None`` to skip
-    the strategy-agreement half of PLAN-DENSE.
+    ``expr`` (the source expression) enables PLAN-PARAM and PLAN-CACHE;
+    ``params`` is an optional iterable of additionally-declared
+    parameter names (a prepared statement's binding set).
     """
     violations: list[Violation] = []
     violations.extend(_check_arity(plan))
     violations.extend(_check_keys(plan))
     violations.extend(_check_params(plan, expr, params))
-    if backend == "sharded":
-        violations.extend(_check_shard(plan, shard_key_pos))
-    if backend in ("columnar", "sharded"):
-        violations.extend(_check_dense(plan, stats, max_matrix_objects))
     if expr is not None:
         violations.extend(_check_cache(plan, expr))
     violations.extend(_check_costs(plan))
@@ -379,25 +301,10 @@ def verify_plan(
 
 
 def assert_plan_valid(
-    plan: PlanOp,
-    *,
-    backend: str = "set",
-    expr: Optional[Expr] = None,
-    params=None,
-    stats=None,
-    max_matrix_objects: Optional[int] = None,
-    shard_key_pos: int = 0,
+    plan: PlanOp, *, expr: Optional[Expr] = None, params=None
 ) -> None:
     """Raise :class:`PlanVerificationError` unless the plan verifies clean."""
-    violations = verify_plan(
-        plan,
-        backend=backend,
-        expr=expr,
-        params=params,
-        stats=stats,
-        max_matrix_objects=max_matrix_objects,
-        shard_key_pos=shard_key_pos,
-    )
+    violations = verify_plan(plan, expr=expr, params=params)
     if violations:
         detail = "; ".join(str(v) for v in violations)
         raise PlanVerificationError(
@@ -407,31 +314,12 @@ def assert_plan_valid(
 
 
 def verify_compiled(
-    expr: Expr,
-    plan: PlanOp,
-    *,
-    store=None,
-    engine=None,
-    backend: Optional[str] = None,
-    params=None,
+    expr: Expr, plan: PlanOp, *, params=None
 ) -> tuple[Violation, ...]:
-    """Verify a plan the way the engine that compiled it would be checked.
+    """Verify a compiled plan against the expression it was compiled from.
 
-    A :class:`~repro.core.engines.base.PlanEngine` is asked for the
-    very lowering keywords its ``compile`` passed on
-    (``backend``/``max_matrix_objects``/``shard_key_pos``), and ``stats``
-    come from ``store`` as they did there, so the verdict matches what
-    ``REPRO_PLAN_VERIFY=1`` would have enforced at compile time.  Any
-    other engine (or none) is checked as a ``backend`` plan (default
-    ``"set"``) — what the default compiler builds for it.
+    The verdict matches what ``REPRO_PLAN_VERIFY=1`` enforces inside
+    :func:`~repro.core.plan.compile_plan` — whichever engine compiled
+    the plan, since every engine compiles the same one.
     """
-    if isinstance(engine, PlanEngine):
-        lowering = engine.lowering()
-    else:
-        lowering = {"backend": backend or "set"}
-    stats = store.stats() if store is not None else None
-    if stats is None and lowering["backend"] in ("columnar", "sharded"):
-        from repro.triplestore.stats import DEFAULT_STATS
-
-        stats = DEFAULT_STATS
-    return verify_plan(plan, expr=expr, params=params, stats=stats, **lowering)
+    return verify_plan(plan, expr=expr, params=params)

@@ -15,8 +15,8 @@ the value types its v2 surface trades in:
   binds constants into the cached physical plan per execution
   (:func:`repro.core.params.bind_plan`), on any backend.
 * :class:`ExplainReport` — the structured explain: the logical analysis,
-  the compiled physical operator tree with cost estimates and backend
-  lowering strategies, as data with :meth:`~ExplainReport.to_json` —
+  the compiled physical operator tree with cost estimates and the
+  backend that would run it, as data with :meth:`~ExplainReport.to_json` —
   consumed by ``repro.cli explain --json`` and the golden tests.
 * :data:`LANGUAGES` — one registry mapping language names to their
   compile step, so ``db.query(text, lang=...)`` and ``db.prepare(...)``
@@ -409,18 +409,12 @@ def plan_to_dict(op: PlanOp) -> dict:
         node["conditions"] = [repr(c) for c in op.spec.conditions]
         node["build_side"] = op.build_side
         node["access"] = "store-index" if op.index_positions is not None else "hash"
-        if op.shard_strategy:
-            node["shard_strategy"] = op.shard_strategy
     elif isinstance(op, StarOp):
         node["out"] = list(op.spec.out)
         node["conditions"] = [repr(c) for c in op.spec.conditions]
         node["side"] = op.side
-        if op.vector_strategy:
-            node["strategy"] = op.vector_strategy
     elif isinstance(op, ReachStarOp):
         node["variant"] = "same-label" if op.same_label else "any-path"
-        if op.vector_strategy:
-            node["strategy"] = op.vector_strategy
     children = [plan_to_dict(child) for child in op.children()]
     if children:
         node["children"] = children
@@ -433,11 +427,11 @@ class ExplainReport:
 
     ``logical`` carries the static analysis fields of
     :class:`repro.core.explain.Explanation`; ``plan`` the nested
-    operator tree of :func:`plan_to_dict`, including per-backend
-    lowering strategies (dense/sparse stars, shard join strategies).
-    ``verified`` is the plan verifier's verdict
+    operator tree of :func:`plan_to_dict` — the same tree on every
+    backend; ``backend`` names the one that would run it.  ``verified``
+    is the plan verifier's verdict
     (:func:`repro.analysis.verify.verify_compiled`): ``True`` when the
-    compiled plan satisfies every ``PLAN-*`` invariant.  ``analysis``
+    compiled plan satisfies every static ``PLAN-*`` invariant.  ``analysis``
     carries the semantic analyzer's findings
     (:func:`repro.analysis.semantics.analyze_expr` — ``SEM-*`` rule IDs)
     as finding dicts; an empty list means no verdicts fired.
@@ -480,12 +474,7 @@ class ExplainReport:
         )
 
 
-def explain_report(
-    expr: Expr,
-    store=None,
-    engine=None,
-    backend=None,
-) -> ExplainReport:
+def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
     """Build the structured explain for one (already optimized) expression.
 
     Mirrors :func:`repro.core.explain.explain_physical` — same engine
@@ -497,17 +486,13 @@ def explain_report(
     from repro.analysis.verify import verify_compiled
     from repro.core.explain import compile_for_explain
 
-    report, plan, compiled_by, resolved_backend, engine = compile_for_explain(
-        expr, store, engine, backend
-    )
-    verified = not verify_compiled(
-        expr, plan, store=store, engine=engine, backend=resolved_backend
-    )
+    report, plan, compiled_by = compile_for_explain(expr, store, engine)
+    verified = not verify_compiled(expr, plan)
     analysis = tuple(f.to_dict() for f in analyze_expr(expr, store))
     statistics = None
     if store is not None:
         statistics = {"triples": len(store), "objects": store.n_objects}
-    backend_label = resolved_backend or "set"
+    backend_label = getattr(engine, "backend", "set")
     if backend_label == "sharded":
         backend_label = (
             f"sharded({getattr(engine, 'shards', None)}-way, "

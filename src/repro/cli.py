@@ -26,8 +26,7 @@ Usage (after installation, or via ``python -m repro.cli``)::
 
     # Physical plans with cost estimates (store optional: anchors stats)
     python -m repro.cli explain "star[1,2,3'; 3=1'](E)" --physical --store store.tstore
-    python -m repro.cli explain "star[1,2,3'; 3=1'](E)" --physical --backend columnar
-    python -m repro.cli explain "join[1,2,3'; 3=1'](E, E)" --json --backend sharded --shards 4
+    python -m repro.cli explain "join[1,2,3'; 3=1'](E, E)" --json
 
     # Datalog programs (translated to TriAL(*) and planned when possible)
     python -m repro.cli datalog store.tstore program.dl --validate ReachTripleDatalog
@@ -228,20 +227,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     expr = parse_expr(args.expression)
     if args.optimize:
         expr = optimize(expr)
-    if args.shards is not None and args.backend != "sharded":
-        raise ReproError("--shards only applies with --backend sharded")
     if args.json or args.physical:
         store = load_path(args.store) if args.store else None
-        engine = (
-            ShardedEngine(shards=args.shards)
-            if args.backend == "sharded" and args.shards is not None
-            else None
-        )
         if args.json:
-            report = explain_report(expr, store, engine=engine, backend=args.backend)
-            print(report.to_json())
+            print(explain_report(expr, store).to_json())
         else:
-            print(explain_physical(expr, store, engine=engine, backend=args.backend))
+            print(explain_physical(expr, store))
     else:
         print(explain(expr).summary())
     return 0
@@ -299,60 +290,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_plan_one(expr, store, request_backend, shards) -> int:
-    """Compile + verify one expression for one backend; prints findings."""
+def _cmd_lint_plan(args: argparse.Namespace) -> int:
     from repro.analysis.verify import verify_compiled
     from repro.core.explain import compile_for_explain
     from repro.errors import PlanVerificationError
 
-    engine = (
-        ShardedEngine(shards=shards)
-        if request_backend == "sharded" and shards is not None
-        else None
-    )
+    expr = parse_expr(args.expression)
+    if args.optimize:
+        expr = optimize(expr)
+    store = load_path(args.store) if args.store else None
     try:
-        _, plan, _, backend, engine = compile_for_explain(
-            expr, store, engine, request_backend
-        )
+        _, plan, _ = compile_for_explain(expr, store)
     except PlanVerificationError as exc:
         # REPRO_PLAN_VERIFY rejected the plan inside compile itself;
         # report its violations the same way a post-hoc verify would.
         violations = exc.violations or (str(exc),)
-        for violation in violations:
-            print(violation)
-        print(f"{len(violations)} violation(s)", file=sys.stderr)
-        return 1
-    violations = verify_compiled(
-        expr, plan, store=store, engine=engine, backend=backend
-    )
+    else:
+        violations = verify_compiled(expr, plan)
     for violation in violations:
         print(violation)
     if violations:
         print(f"{len(violations)} violation(s)", file=sys.stderr)
         return 1
     n_ops = sum(1 for _ in plan.walk())
-    print(
-        f"plan verified: {n_ops} operator(s) on the "
-        f"{backend or 'set'} backend, 0 violations",
-        file=sys.stderr,
-    )
+    print(f"plan verified: {n_ops} operator(s), 0 violations", file=sys.stderr)
     return 0
-
-
-def _cmd_lint_plan(args: argparse.Namespace) -> int:
-    expr = parse_expr(args.expression)
-    if args.optimize:
-        expr = optimize(expr)
-    sweep = args.backend == "all"
-    if args.shards is not None and not sweep and args.backend != "sharded":
-        raise ReproError("--shards only applies with --backend sharded")
-    store = load_path(args.store) if args.store else None
-    backends = BACKENDS if sweep else (args.backend,)
-    worst = 0
-    for backend in backends:
-        shards = args.shards if backend == "sharded" else None
-        worst = max(worst, _lint_plan_one(expr, store, backend, shards))
-    return worst
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
@@ -595,23 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print the structured explain report (logical analysis + "
-        "physical plan + costs + backend strategies) as JSON",
+        "physical plan + costs) as JSON",
     )
     e.add_argument(
         "--store",
         help="optional store file anchoring the plan's statistics",
-    )
-    e.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="set",
-        help="with --physical: compile for this execution backend",
-    )
-    e.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
     )
     e.set_defaults(func=_cmd_explain)
 
@@ -681,19 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument(
         "--store",
         help="optional store file anchoring the plan's statistics",
-    )
-    lp.add_argument(
-        "--backend",
-        choices=(*BACKENDS, "all"),
-        default="set",
-        help="compile (and verify) for this execution backend; 'all' "
-        "sweeps set, columnar and sharded in one run",
-    )
-    lp.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
     )
     lp.set_defaults(func=_cmd_lint_plan)
 

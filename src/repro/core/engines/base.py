@@ -8,9 +8,9 @@ is fixed by the paper; engines differ only in algorithmics:
   algorithm (nested-loop joins, non-semi-naive fixpoints), interpreting
   the expression directly; the oracle every other engine is held to;
 * :class:`PlanEngine` — compiles the expression to a physical plan
-  (:mod:`repro.core.plan`) and executes it.  Its four public children
-  only declare a configuration: which lowering the compiler applies and
-  which execution context runs the result —
+  (:mod:`repro.core.plan`) and executes it.  Every child compiles the
+  same plan; the four public children only declare which execution
+  context runs it —
   :class:`~repro.core.engines.hashjoin.HashJoinEngine` (set-backed hash
   joins, generic semi-naive fixpoints),
   :class:`~repro.core.engines.hashjoin.FastEngine` (the same, with the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import EvaluationBudgetError
 from repro.core.expressions import Expr
@@ -90,16 +90,14 @@ class PlanEngine(Engine):
     :class:`HashJoinEngine`, :class:`FastEngine`, :class:`VectorEngine`
     and :class:`ShardedEngine`.
 
-    A subclass declares its configuration: ``use_reach`` and
-    :meth:`lowering` (the :func:`~repro.core.plan.compile_plan` keywords
-    — ``backend`` and, for the array backends, ``max_matrix_objects`` /
-    ``shard_key_pos``) and its :meth:`context` (which of the three
-    execution contexts runs the plan).  Everything else — ``compile``,
-    ``execute_plan``, the per-expression plan cache behind ``evaluate``
-    — is owned here once.  Array backends additionally expose
-    ``execute_plan_keys(plan, store) -> (columnar view, packed keys)``,
-    the undecoded twin of :meth:`execute_plan`; callers pick it *by
-    presence*, so set-backed engines must not grow it.
+    A subclass declares its configuration: ``use_reach`` and its
+    :meth:`context` (which of the three execution contexts runs the
+    plan).  Everything else — ``compile``, ``execute_plan``, the
+    per-expression plan cache behind ``evaluate`` — is owned here once.
+    Array backends additionally expose ``execute_plan_keys(plan, store)
+    -> (columnar view, packed keys)``, the undecoded twin of
+    :meth:`execute_plan`; callers pick it *by presence*, so set-backed
+    engines must not grow it.
     """
 
     #: Route reach-shaped stars to the Prop 4/5 operators when planning?
@@ -112,23 +110,13 @@ class PlanEngine(Engine):
         super().__init__(max_universe_objects)
         self._plan_cache: dict[Expr, PlanOp] = {}
 
-    def lowering(self) -> dict[str, Any]:
-        """The backend-lowering keywords this engine compiles with.
-
-        The single place they are resolved: :meth:`compile` passes them
-        to ``compile_plan``, and
-        :func:`repro.analysis.verify.verify_compiled` re-checks a plan
-        against the very same values.
-        """
-        return {"backend": self.backend}
-
     def context(self, store: Triplestore) -> ExecContext:
         """A fresh execution context over ``store``."""
         return ExecContext(store, self.max_universe_objects)
 
     def compile(self, expr: Expr, store: Optional[Triplestore] = None) -> PlanOp:
         """The physical plan this engine would execute for ``expr``."""
-        return compile_plan(expr, store, use_reach=self.use_reach, **self.lowering())
+        return compile_plan(expr, store, use_reach=self.use_reach)
 
     def execute_plan(self, plan: PlanOp, store: Triplestore) -> TripleSet:
         """Run a compiled plan against a store."""

@@ -17,16 +17,17 @@ no cross-shard deduplication:
   joins shard ``s`` directly; otherwise one *exchange* pass re-hashes
   the misaligned side(s) on the join-key component first (ρ-codes for η
   keys).  Joins with no cross equality broadcast the gathered right
-  operand to every left shard.  :func:`~repro.core.plan.choose_shard_key`
-  and :func:`~repro.core.plan.shard_output_partition` — shared with the
-  ``explain``-time lowering annotations — decide both;
+  operand to every left shard.  :func:`choose_shard_key` and
+  :func:`shard_output_partition` decide both;
 * set operations align the two partitions and merge shard-wise with the
   sorted-array algebra of :mod:`repro.core.engines.vectorized`;
 * general stars and sparse reach stars run the semi-naive fixpoint with
   a canonical position-0 accumulator: the constant operand is filtered
   and exchanged once outside the loop, each round exchanges only the
-  frontier.  Dense reach stars gather (the boolean matrix is already
-  the compact representation) and re-partition the closure;
+  frontier.  Dense reach stars — where
+  :func:`~repro.core.engines.vectorized.use_dense_reach` says so for
+  the store being run — gather (the boolean matrix is already the
+  compact representation) and leave the closure raw;
 * shard tasks run on a :class:`~concurrent.futures.ThreadPoolExecutor`
   when inputs are large enough to amortise dispatch — the numpy
   sort/searchsorted kernels inside the merge join release the GIL, so
@@ -42,22 +43,16 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.errors import (
-    EvaluationBudgetError,
-    MatrixTooLargeError,
-    PlanVerificationError,
-    ReproError,
-)
+from repro.errors import EvaluationBudgetError, PlanVerificationError, ReproError
 from repro.core.conditions import Cond
 from repro.core.expressions import RIGHT
 from repro.core.engines.base import PlanEngine, TripleSet
 from repro.core.engines.vectorized import (
     _EMPTY,
-    _MAX_DENSE_LABELS,
     _REACH_SPEC_ANY,
     _REACH_SPEC_SAME,
     _absorb,
@@ -67,9 +62,9 @@ from repro.core.engines.vectorized import (
     _merge_join,
     _union_sorted,
     reach_dense,
+    use_dense_reach,
 )
 from repro.core.plan import (
-    DENSE_MATRIX_MAX_OBJECTS,
     DiffOp,
     EmptyOp,
     FilterOp,
@@ -83,9 +78,7 @@ from repro.core.plan import (
     StarOp,
     UnionOp,
     UniverseOp,
-    choose_shard_key,
     plan_verify_enabled,
-    shard_output_partition,
 )
 from repro.triplestore.columnar import sorted_unique
 from repro.triplestore.model import Triplestore
@@ -150,6 +143,72 @@ def default_shard_count() -> int:
     return DEFAULT_SHARDS
 
 
+# --------------------------------------------------------------------- #
+# Partition-key propagation
+#
+# Pure structural logic: per join, which cross equality the shards are
+# aligned on, which sides an exchange re-hashes, and how the output
+# comes out partitioned.
+# --------------------------------------------------------------------- #
+
+
+def choose_shard_key(
+    spec: JoinSpec, left_part: Optional[int], right_part: Optional[int]
+) -> tuple[Optional[Cond], int]:
+    """Pick the cross equality a sharded executor partitions a join on.
+
+    ``left_part`` / ``right_part`` are the triple positions the operands
+    are currently hash-partitioned on (``None`` for an unpartitioned
+    "raw" intermediate, which never aligns).  Returns ``(condition,
+    aligned)`` where ``aligned`` counts how many operands are already
+    partitioned on their side of the chosen key (2 = co-partitioned, no
+    exchange needed).  θ-equalities are preferred — their join key is
+    the object code the operands are already hashed by; η keys hash
+    ρ-codes, which never align with a position partition.  ``(None, 0)``
+    means no cross equality exists (a cartesian product: broadcast).
+    """
+    theta = [c for c in spec.cross_eq if not c.on_data]
+    if theta:
+        def aligned(cond: Cond) -> int:
+            return int(cond.left.index == left_part) + int(
+                cond.right.index - 3 == right_part
+            )
+        best = max(theta, key=aligned)
+        return best, aligned(best)
+    if spec.cross_eq:
+        return spec.cross_eq[0], 0
+    return None, 0
+
+
+def shard_output_partition(
+    spec: JoinSpec, cond: Optional[Cond], left_part: Optional[int]
+) -> Optional[int]:
+    """Which output position a shard-wise join's result is partitioned on.
+
+    ``None`` means the output carries no component the shards were
+    hashed by, so equal output triples can land in different shards.
+    The executor keeps such results as *raw* shard chunks — joins,
+    filters and decode consume them as-is — and re-partitions (thereby
+    re-deduplicating) lazily, only when a consumer needs the disjoint
+    partition invariant (set operations, fixpoint accumulators).
+    """
+    if cond is None:
+        # Broadcast: left shards keep their partition; the output is
+        # partitioned wherever it retains the left partition component.
+        for m, o in enumerate(spec.out):
+            if o < 3 and o == left_part:
+                return m
+        return None
+    if cond.on_data:
+        # η keys hash ρ-codes; no output position is hashed by them.
+        return None
+    li, ri = cond.left.index, cond.right.index - 3
+    for m, o in enumerate(spec.out):
+        if (o < 3 and o == li) or (o >= 3 and o - 3 == ri):
+            return m
+    return None
+
+
 class ShardedKeys:
     """One sharded intermediate result.
 
@@ -197,7 +256,6 @@ class ShardedExecContext:
         "ss",
         "rho",
         "max_universe_objects",
-        "max_matrix_objects",
         "k",
         "pool",
         "_memo",
@@ -208,7 +266,6 @@ class ShardedExecContext:
         self,
         store: Triplestore,
         max_universe_objects: int = 400,
-        max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
         shards: int = DEFAULT_SHARDS,
         key_pos: int = 0,
         pool: Optional[ThreadPoolExecutor] = None,
@@ -218,13 +275,12 @@ class ShardedExecContext:
         self.cs = self.ss.cs
         self.rho = store.rho
         self.max_universe_objects = max_universe_objects
-        self.max_matrix_objects = max_matrix_objects
         self.k = self.ss.k
         self.pool = pool
         self._memo: dict[int, ShardedKeys] = {}
-        #: Cached REPRO_PLAN_VERIFY verdict: the runtime twin of the
-        #: PLAN-SHARD invariant re-checks claimed partitions where the
-        #: executor relies on them (set ops, fixpoint accumulators).
+        #: Cached REPRO_PLAN_VERIFY verdict: the PLAN-SHARD check
+        #: re-checks claimed partitions where the executor relies on
+        #: them (set ops, fixpoint accumulators).
         self._verify = plan_verify_enabled()
 
     # -- entry points --------------------------------------------------- #
@@ -276,7 +332,7 @@ class ShardedExecContext:
         return ShardedKeys(shards, pos)
 
     def _check_partition(self, sk: ShardedKeys, what: str) -> ShardedKeys:
-        """Runtime twin of the PLAN-SHARD invariant (``REPRO_PLAN_VERIFY``).
+        """The PLAN-SHARD invariant, checked at run time (``REPRO_PLAN_VERIFY``).
 
         ``_repartition`` trusts ``part_pos`` and short-circuits when it
         already matches the target — exactly the step a stale partition
@@ -542,28 +598,11 @@ class ShardedExecContext:
         base = self.run(op.child)
         if base.total == 0:
             return base
-        strategy = op.vector_strategy
-        if strategy is None:
-            # Plan compiled without sharded lowering (e.g. handed over
-            # from a set engine): decide against the actual store.
-            n = self.cs.n
-            strategy = "dense" if 0 < n <= self.max_matrix_objects else "sparse"
-        if strategy == "dense" and op.same_label:
-            labels = sorted_unique(
-                np.concatenate([self.ss.component(s, 1) for s in base.shards])
-            )
-            if len(labels) > _MAX_DENSE_LABELS:
-                strategy = "sparse"
-        if strategy == "dense":
-            try:
-                closure = reach_dense(
-                    self.cs, self.max_matrix_objects, base.gather(), op.same_label
-                )
-                # One sorted unique array: globally deduplicated but not
-                # hash-partitioned — stays raw until a consumer asks.
-                return ShardedKeys([closure], None)
-            except MatrixTooLargeError:
-                pass
+        keys = base.gather()
+        if use_dense_reach(self.cs, len(self.store), keys, op.same_label):
+            # One sorted unique array: globally deduplicated but not
+            # hash-partitioned — stays raw until a consumer asks.
+            return ShardedKeys([reach_dense(self.cs, keys, op.same_label)], None)
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
         return self._fixpoint(spec, base, RIGHT)
 
@@ -593,8 +632,8 @@ class ShardedEngine(PlanEngine):
 
     Parameters
     ----------
-    max_universe_objects, max_matrix_objects:
-        See :class:`~repro.core.engines.vectorized.VectorEngine`.
+    max_universe_objects:
+        See :class:`~repro.core.engines.base.Engine`.
     shards:
         Number of hash shards; defaults to the ``REPRO_SHARDS``
         environment variable, then :data:`DEFAULT_SHARDS`.
@@ -609,12 +648,10 @@ class ShardedEngine(PlanEngine):
     def __init__(
         self,
         max_universe_objects: int = 400,
-        max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
         shards: Optional[int] = None,
         key_pos: int = 0,
     ) -> None:
         super().__init__(max_universe_objects)
-        self.max_matrix_objects = max_matrix_objects
         if shards is None:
             shards = default_shard_count()
         if shards < 1:
@@ -626,18 +663,10 @@ class ShardedEngine(PlanEngine):
         self.shards = int(shards)
         self.key_pos = key_pos
 
-    def lowering(self) -> dict[str, Any]:
-        return {
-            **super().lowering(),
-            "max_matrix_objects": self.max_matrix_objects,
-            "shard_key_pos": self.key_pos,
-        }
-
     def context(self, store: Triplestore) -> ShardedExecContext:
         return ShardedExecContext(
             store,
             self.max_universe_objects,
-            self.max_matrix_objects,
             shards=self.shards,
             key_pos=self.key_pos,
             pool=self._shard_pool(),

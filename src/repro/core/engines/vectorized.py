@@ -36,11 +36,10 @@ instead of Python sets of tuples:
 * reach-shaped stars (:class:`~repro.core.plan.ReachStarOp`) use
   semi-naive *boolean matrix* iteration over the ``|O|×|O|`` adjacency
   matrix — the array representation the paper's Section 5 cost model is
-  stated over — when the density/size heuristic of
-  :func:`repro.core.plan.lower_plan` picked the dense strategy, and the
-  semi-naive join fixpoint otherwise.  The dense path re-checks the
-  object-count guard against the actual store at run time and falls
-  back to sparse on :class:`~repro.errors.MatrixTooLargeError`.
+  stated over — when :func:`use_dense_reach` says the store being run
+  is small and dense enough, and the semi-naive join fixpoint
+  otherwise.  The plan carries no verdict: it is the same plan every
+  backend runs, and the store it meets decides.
 
 Cross-backend agreement with the set executors (and the NaiveEngine
 oracle) is enforced by the randomized differential harness in
@@ -49,7 +48,7 @@ oracle) is enforced by the randomized differential harness in
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from repro.core.expressions import (
 )
 from repro.core.engines.base import PlanEngine, TripleSet
 from repro.core.plan import (
-    DENSE_MATRIX_MAX_OBJECTS,
     DiffOp,
     EmptyOp,
     FilterOp,
@@ -448,6 +446,13 @@ def _merge_join(
     return sorted_unique(np.concatenate(parts))
 
 
+#: Object-count guard for dense boolean reachability matrices (mirrors
+#: MatrixStore.DEFAULT_MAX_OBJECTS).  Read at every call, so a test can
+#: patch it to 0 and force the sparse path on a tiny store.
+DENSE_MATRIX_MAX_OBJECTS = 512
+#: Minimum average out-degree |T|/|O| for the dense reachability
+#: representation to pay off over the sparse fixpoint.
+_DENSE_MIN_AVG_DEGREE = 0.5
 #: Same-label reach stars build one dense matrix per distinct label; above
 #: this many labels the semi-naive fixpoint wins regardless of density.
 _MAX_DENSE_LABELS = 8
@@ -476,9 +481,32 @@ def _bool_closure(adjacency: np.ndarray) -> np.ndarray:
         closure = grown
 
 
-def reach_dense(
-    cs: ColumnarStore, max_matrix_objects: int, keys: np.ndarray, same_label: bool
-) -> np.ndarray:
+def use_dense_reach(
+    cs: ColumnarStore, n_triples: int, keys: np.ndarray, same_label: bool
+) -> bool:
+    """Whether a reach star runs the dense kernel on the store being run.
+
+    ``cs`` is that store's columnar view (``cs.n`` is its ``|O|``),
+    ``n_triples`` its ``|T|`` and ``keys`` the star's base relation as
+    packed keys.  Dense when ``0 < |O| ≤``
+    :data:`DENSE_MATRIX_MAX_OBJECTS` and ``|T|/|O| ≥``
+    :data:`_DENSE_MIN_AVG_DEGREE`, and — for the same-label variant —
+    the base holds at most :data:`_MAX_DENSE_LABELS` labels.  Every
+    columnar execution context (vectorised and sharded) asks here, so
+    one plan meets one verdict per store.  The compacted node set of
+    any base relation is at most ``|O|``, so a dense verdict never
+    trips the guard in :func:`_reach_dense_emit`.
+    """
+    n = cs.n
+    if not (0 < n <= DENSE_MATRIX_MAX_OBJECTS and n_triples / n >= _DENSE_MIN_AVG_DEGREE):
+        return False
+    # One adjacency matrix *per label*: only worth it when the labels
+    # are few — many sparse labels pay the per-matrix overhead hundreds
+    # of times for tiny graphs.
+    return not same_label or len(sorted_unique(cs.column(keys, 1))) <= _MAX_DENSE_LABELS
+
+
+def reach_dense(cs: ColumnarStore, keys: np.ndarray, same_label: bool) -> np.ndarray:
     """Dense boolean-matrix reachability over a packed-key base relation.
 
     Module-level so every columnar execution context (vectorised and
@@ -488,17 +516,15 @@ def reach_dense(
     """
     cols = cs.unpack(keys)
     if not same_label:
-        return _reach_dense_emit(cs, max_matrix_objects, cols)
+        return _reach_dense_emit(cs, cols)
     parts = [
-        _reach_dense_emit(cs, max_matrix_objects, cols[cols[:, 1] == label])
+        _reach_dense_emit(cs, cols[cols[:, 1] == label])
         for label in sorted_unique(cols[:, 1])
     ]
     return sorted_unique(np.concatenate(parts)) if parts else keys
 
 
-def _reach_dense_emit(
-    cs: ColumnarStore, max_matrix_objects: int, cols: np.ndarray
-) -> np.ndarray:
+def _reach_dense_emit(cs: ColumnarStore, cols: np.ndarray) -> np.ndarray:
     """Closure of one adjacency matrix, attached to its base triples.
 
     The matrix is built over the *compacted* node set of these triples'
@@ -508,8 +534,8 @@ def _reach_dense_emit(
     """
     nodes = sorted_unique(np.concatenate((cols[:, 0], cols[:, 2])))
     m = len(nodes)
-    if m > max_matrix_objects:
-        raise MatrixTooLargeError(m, max_matrix_objects, what="reachability matrix")
+    if m > DENSE_MATRIX_MAX_OBJECTS:
+        raise MatrixTooLargeError(m, DENSE_MATRIX_MAX_OBJECTS, what="reachability matrix")
     sources = np.searchsorted(nodes, cols[:, 0])
     targets = np.searchsorted(nodes, cols[:, 2])
     adjacency = np.zeros((m, m), dtype=bool)
@@ -535,19 +561,13 @@ class VectorExecContext:
     every operator result is a sorted unique packed-key array.
     """
 
-    __slots__ = ("store", "cs", "rho", "max_universe_objects", "max_matrix_objects", "_memo")
+    __slots__ = ("store", "cs", "rho", "max_universe_objects", "_memo")
 
-    def __init__(
-        self,
-        store: Triplestore,
-        max_universe_objects: int = 400,
-        max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
-    ) -> None:
+    def __init__(self, store: Triplestore, max_universe_objects: int = 400) -> None:
         self.store = store
         self.cs = store.columnar()
         self.rho = store.rho
         self.max_universe_objects = max_universe_objects
-        self.max_matrix_objects = max_matrix_objects
         self._memo: dict[int, np.ndarray] = {}
 
     # -- entry points --------------------------------------------------- #
@@ -692,28 +712,8 @@ class VectorExecContext:
         base = self.run(op.child)
         if base.size == 0:
             return base
-        strategy = op.vector_strategy
-        if strategy is None:
-            # Plan compiled without columnar lowering (e.g. by a set
-            # engine): decide here, against the actual store.
-            n = self.cs.n
-            dense_ok = 0 < n <= self.max_matrix_objects
-            strategy = "dense" if dense_ok else "sparse"
-        if strategy == "dense" and op.same_label:
-            # One adjacency matrix *per label*: only worth it when the
-            # labels are few — a store with many sparse labels pays the
-            # per-matrix overhead hundreds of times for tiny graphs.
-            labels = sorted_unique(self.cs.column(base, 1))
-            if len(labels) > _MAX_DENSE_LABELS:
-                strategy = "sparse"
-        if strategy == "dense":
-            try:
-                return reach_dense(self.cs, self.max_matrix_objects, base, op.same_label)
-            except MatrixTooLargeError:
-                # The plan was lowered against a smaller store (plans are
-                # cached per expression and reused across stores); fall
-                # back to the sparse strategy rather than refuse.
-                pass
+        if use_dense_reach(self.cs, len(self.store), base, op.same_label):
+            return reach_dense(self.cs, base, op.same_label)
         # Sparse strategy: Proposition 5's reach stars are ordinary right
         # stars of a fixed shape, so the semi-naive join fixpoint applies
         # verbatim — rounds are bounded by the graph diameter.
@@ -748,29 +748,12 @@ class VectorEngine(PlanEngine):
     ----------
     max_universe_objects:
         See :class:`~repro.core.engines.base.Engine`.
-    max_matrix_objects:
-        Object-count guard for the dense boolean-matrix reachability
-        strategy; above it the sparse strategy (the semi-naive join
-        fixpoint) runs instead.
     """
 
     backend = "columnar"
 
-    def __init__(
-        self,
-        max_universe_objects: int = 400,
-        max_matrix_objects: int = DENSE_MATRIX_MAX_OBJECTS,
-    ) -> None:
-        super().__init__(max_universe_objects)
-        self.max_matrix_objects = max_matrix_objects
-
-    def lowering(self) -> dict[str, Any]:
-        return {**super().lowering(), "max_matrix_objects": self.max_matrix_objects}
-
     def context(self, store: Triplestore) -> VectorExecContext:
-        return VectorExecContext(
-            store, self.max_universe_objects, self.max_matrix_objects
-        )
+        return VectorExecContext(store, self.max_universe_objects)
 
     def execute_plan_keys(self, plan: PlanOp, store: Triplestore):
         """Run a compiled plan, returning ``(columnar view, packed keys)``.

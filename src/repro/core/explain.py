@@ -129,30 +129,20 @@ def explain(expr: Expr) -> Explanation:
     )
 
 
-def compile_for_explain(expr: Expr, store=None, engine=None, backend=None):
+def compile_for_explain(expr: Expr, store=None, engine=None):
     """Compile ``expr`` the way explain output describes it.
 
     Shared by the text renderer (:func:`explain_physical`) and the
     structured :class:`repro.api.ExplainReport`.  Returns
-    ``(report, plan, compiled_by, backend, engine)`` where ``report`` is
-    the static :class:`Explanation`, ``plan`` the compiled physical plan
-    and ``compiled_by`` the header annotation naming the compiler (with
+    ``(report, plan, compiled_by)`` where ``report`` is the static
+    :class:`Explanation`, ``plan`` the compiled physical plan and
+    ``compiled_by`` the header annotation naming the compiler (with
     caveats when the given engine would not actually run the plan).
     """
     from repro.core.engines.base import PlanEngine
     from repro.core.plan import compile_plan
 
     report = explain(expr)
-    if engine is None and backend == "columnar":
-        from repro.core.engines.vectorized import VectorEngine
-
-        engine = VectorEngine()
-    elif engine is None and backend == "sharded":
-        from repro.core.engines.sharded import ShardedEngine
-
-        engine = ShardedEngine()
-    if backend is None:
-        backend = getattr(engine, "backend", None)
     if isinstance(engine, PlanEngine):
         plan = engine.compile(expr, store)
         compiled_by = type(engine).__name__
@@ -165,10 +155,10 @@ def compile_for_explain(expr: Expr, store=None, engine=None, backend=None):
                 f" — note: {type(engine).__name__} interprets directly "
                 "and will not run this plan"
             )
-    return report, plan, compiled_by, backend, engine
+    return report, plan, compiled_by
 
 
-def explain_physical(expr: Expr, store=None, engine=None, backend=None) -> str:
+def explain_physical(expr: Expr, store=None, engine=None) -> str:
     """The physical plan (with cost estimates) for one expression.
 
     ``store`` anchors cardinality estimates in real statistics; without
@@ -176,30 +166,22 @@ def explain_physical(expr: Expr, store=None, engine=None, backend=None) -> str:
     ``engine`` may be an :class:`~repro.core.engines.base.Engine`
     instance or ``None`` (the recommended engine's compilation is used:
     reach-star routing exactly when the static analysis recommends
-    FastEngine).  ``backend="columnar"`` compiles through the vectorised
-    engine's lowering step (recursive operators show their dense/sparse
-    representation choice) when no engine is given, and adds a backend
-    line to the header; ``backend="sharded"`` likewise, with every join
-    additionally annotated with its shard strategy (co-partitioned /
-    repartition / broadcast).
+    FastEngine).  The plan is the same on every backend; an engine on
+    the columnar or sharded backend adds a header line naming it.
     """
-    report, plan, compiled_by, backend, engine = compile_for_explain(
-        expr, store, engine, backend
-    )
+    report, plan, compiled_by = compile_for_explain(expr, store, engine)
     lines = [
         f"expression : {report.expression}",
         f"fragment   : {report.fragment}",
         f"compiled by: {compiled_by}",
     ]
+    backend = getattr(engine, "backend", None)
     if backend == "columnar":
         lines.append("backend    : columnar (vectorised packed-array execution)")
     elif backend == "sharded":
-        k = getattr(engine, "shards", None)
-        key_pos = getattr(engine, "key_pos", 0)
-        detail = f"{k}-way hash-partitioned" if k else "hash-partitioned"
         lines.append(
-            f"backend    : sharded ({detail} columnar execution, "
-            f"key position {key_pos + 1})"
+            f"backend    : sharded ({engine.shards}-way hash-partitioned "
+            f"columnar execution, key position {engine.key_pos + 1})"
         )
     lines += [
         "statistics : "

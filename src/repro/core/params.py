@@ -22,8 +22,8 @@ Three layers cooperate:
 * :func:`bind_plan` — the plan-level view.  A compiled physical plan is
   rebound per execution by substituting the bound constants into the
   operators that mention parameters (conditions, index-lookup keys);
-  everything else — children, cost annotations, build sides, lowering
-  strategies — is shared structurally with the cached plan.  The bind
+  everything else — children, cost annotations, build sides — is
+  shared structurally with the cached plan.  The bind
   is a shallow walk, orders of magnitude cheaper than recompiling, and
   backend-agnostic: the bound plan runs unchanged on the set, columnar
   and sharded executors.
@@ -269,9 +269,8 @@ def bind_plan(plan: PlanOp, bindings: Bindings) -> PlanOp:
     Returns a plan sharing every parameter-free operator with the input
     (the cached plan is never mutated); operators that mention a
     parameter are shallow-copied with the constant substituted into
-    their conditions or index key.  Cost annotations and backend
-    lowering hints (build side, shard strategy, vector strategy) carry
-    over unchanged — binding never changes the plan's shape.
+    their conditions or index key.  Cost annotations and build sides
+    carry over unchanged — binding never changes the plan's shape.
     """
     if not bindings:
         return plan
@@ -314,27 +313,21 @@ def bind_plan(plan: PlanOp, bindings: Bindings) -> PlanOp:
             spec = _bind_spec(op.spec)
             if left is op.left and right is op.right and spec is op.spec:
                 return op
-            bound = HashJoinOp(
+            return HashJoinOp(
                 left, right, spec, op.build_side, op.index_positions,
                 op.est_rows, op.est_cost,
             )
-            bound.shard_strategy = op.shard_strategy
-            return bound
         if isinstance(op, StarOp):
             child = bind(op.child)
             spec = _bind_spec(op.spec)
             if child is op.child and spec is op.spec:
                 return op
-            bound = StarOp(child, spec, op.side, op.est_rows, op.est_cost)
-            bound.vector_strategy = op.vector_strategy
-            return bound
+            return StarOp(child, spec, op.side, op.est_rows, op.est_cost)
         if isinstance(op, ReachStarOp):
             child = bind(op.child)
             if child is op.child:
                 return op
-            bound = ReachStarOp(child, op.same_label, op.est_rows, op.est_cost)
-            bound.vector_strategy = op.vector_strategy
-            return bound
+            return ReachStarOp(child, op.same_label, op.est_rows, op.est_cost)
         return op  # pragma: no cover — all operator types handled above
 
     def _bind_spec(spec: JoinSpec) -> JoinSpec:

@@ -68,12 +68,8 @@ __all__ = [
     "UniverseOp",
     "ExecContext",
     "JoinSpec",
-    "choose_shard_key",
     "compile_plan",
-    "lower_plan",
     "plan_verify_enabled",
-    "shard_output_partition",
-    "shard_plan_expectations",
     "split_conditions",
 ]
 
@@ -97,13 +93,6 @@ _EQ_SELECTIVITY = 0.1
 _NEQ_SELECTIVITY = 0.9
 #: Assumed number of semi-naive rounds for a generic star's cost.
 _STAR_ROUNDS = 4.0
-
-#: Columnar lowering: object-count guard for dense boolean matrices
-#: (mirrors MatrixStore.DEFAULT_MAX_OBJECTS without importing numpy here).
-DENSE_MATRIX_MAX_OBJECTS = 512
-#: Columnar lowering: minimum average out-degree |T|/|O| for the dense
-#: reachability representation to pay off over per-source sparse BFS.
-_DENSE_MIN_AVG_DEGREE = 0.5
 
 
 def _project_out(left: Triple, right: Triple, out: tuple[int, int, int]) -> Triple:
@@ -645,7 +634,7 @@ class HashJoinOp(PlanOp):
     queries against one store then share build work.
     """
 
-    __slots__ = ("left", "right", "spec", "build_side", "index_positions", "shard_strategy")
+    __slots__ = ("left", "right", "spec", "build_side", "index_positions")
 
     def __init__(
         self,
@@ -663,8 +652,6 @@ class HashJoinOp(PlanOp):
         self.spec = spec
         self.build_side = build_side
         self.index_positions = index_positions
-        #: Set by the sharded lowering step; ignored by other backends.
-        self.shard_strategy: Optional[str] = None
 
     def children(self) -> tuple[PlanOp, ...]:
         return (self.left, self.right)
@@ -687,10 +674,9 @@ class HashJoinOp(PlanOp):
         conds = _fmt_conds(self.spec.conditions)
         sep = "; " if conds else ""
         access = "store-index" if self.index_positions is not None else "hash"
-        shard = f" shard={self.shard_strategy}" if self.shard_strategy else ""
         return (
             f"HashJoin[{format_out_spec(self.spec.out)}{sep}{conds}]"
-            f" build={self.build_side} via {access}{shard}"
+            f" build={self.build_side} via {access}"
         )
 
 
@@ -702,7 +688,7 @@ class StarOp(PlanOp):
     are built once, not per round.
     """
 
-    __slots__ = ("child", "spec", "side", "vector_strategy")
+    __slots__ = ("child", "spec", "side")
 
     def __init__(
         self,
@@ -716,8 +702,6 @@ class StarOp(PlanOp):
         self.child = child
         self.spec = spec
         self.side = side
-        #: Set by the columnar lowering step; ignored by the set backend.
-        self.vector_strategy: Optional[str] = None
 
     def children(self) -> tuple[PlanOp, ...]:
         return (self.child,)
@@ -759,14 +743,13 @@ class StarOp(PlanOp):
         conds = _fmt_conds(self.spec.conditions)
         sep = "; " if conds else ""
         name = "Star" if self.side == RIGHT else "LeftStar"
-        hint = f" [{self.vector_strategy}]" if self.vector_strategy else ""
-        return f"{name}[{format_out_spec(self.spec.out)}{sep}{conds}] semi-naive{hint}"
+        return f"{name}[{format_out_spec(self.spec.out)}{sep}{conds}] semi-naive"
 
 
 class ReachStarOp(PlanOp):
     """Proposition 4/5 BFS reachability for the two reachTA= star shapes."""
 
-    __slots__ = ("child", "same_label", "vector_strategy")
+    __slots__ = ("child", "same_label")
 
     def __init__(
         self, child: PlanOp, same_label: bool, est_rows: float, est_cost: float
@@ -774,8 +757,6 @@ class ReachStarOp(PlanOp):
         super().__init__(est_rows, est_cost)
         self.child = child
         self.same_label = same_label
-        #: Set by the columnar lowering step; ignored by the set backend.
-        self.vector_strategy: Optional[str] = None
 
     def children(self) -> tuple[PlanOp, ...]:
         return (self.child,)
@@ -793,8 +774,7 @@ class ReachStarOp(PlanOp):
 
     def label(self) -> str:
         variant = "same-label" if self.same_label else "any-path"
-        hint = f" [{self.vector_strategy}]" if self.vector_strategy else ""
-        return f"ReachStar({variant} BFS){hint}"
+        return f"ReachStar({variant} BFS)"
 
 
 # --------------------------------------------------------------------- #
@@ -808,9 +788,6 @@ def compile_plan(
     *,
     use_reach: bool = True,
     stats=None,
-    backend: str = "set",
-    max_matrix_objects: Optional[int] = None,
-    shard_key_pos: int = 0,
 ) -> PlanOp:
     """Compile a (preferably optimised) expression into a physical plan.
 
@@ -821,278 +798,45 @@ def compile_plan(
     FastEngine behaviour; the plain hash-join engine keeps the generic
     fixpoint for them.
 
-    ``backend`` selects the lowering step applied after compilation:
-    ``"set"`` (the tuple-at-a-time executors) leaves the plan as built,
-    ``"columnar"`` runs :func:`lower_plan` to annotate recursive
-    operators with a dense/sparse representation choice for the
-    vectorised backend, ``"sharded"`` additionally annotates every join
-    with its shard-wise strategy (``shard_key_pos`` names the position
-    stored relations are partitioned on).
+    The plan is the same for every backend: a TriAL expression means
+    one relation whatever represents the store.  Representation choices
+    that depend on the data (dense vs sparse reachability, shard
+    exchanges) are made by the executors, on the store they run over.
     """
     if stats is None:
         stats = store.stats() if store is not None else DEFAULT_STATS
 
-    # Provably-empty queries compile to a constant plan on every
-    # backend: nothing to scan, join, lower or exchange.  Imported
-    # lazily like the verifier below (repro.analysis depends on core).
-    # Expressions mentioning U are exempt: materialising U is
-    # budget-guarded, and the executors' contract is to surface that
-    # error exactly when the oracle does — even from a dead branch.
+    # Provably-empty queries compile to a constant plan: nothing to
+    # scan, join or exchange.  Imported lazily like the verifier below
+    # (repro.analysis depends on core).  Expressions mentioning U are
+    # exempt: materialising U is budget-guarded, and the executors'
+    # contract is to surface that error exactly when the oracle does —
+    # even from a dead branch.
     from repro.analysis.semantics import expr_is_empty
 
+    plan: PlanOp
     if expr_is_empty(expr) and not any(
         isinstance(node, Universe) for node in expr.walk()
     ):
-        empty_plan: PlanOp = EmptyOp()
-        if plan_verify_enabled():
-            from repro.analysis.verify import assert_plan_valid
+        plan = EmptyOp()
+    else:
+        memo: dict[Expr, PlanOp] = {}
 
-            assert_plan_valid(
-                empty_plan,
-                expr=expr,
-                backend=backend,
-                stats=stats,
-                max_matrix_objects=max_matrix_objects,
-                shard_key_pos=shard_key_pos,
-            )
-        return empty_plan
+        def compile_node(e: Expr) -> PlanOp:
+            cached = memo.get(e)
+            if cached is not None:
+                return cached
+            op = _compile(e, compile_node, stats, use_reach)
+            memo[e] = op
+            return op
 
-    memo: dict[Expr, PlanOp] = {}
-
-    def compile_node(e: Expr) -> PlanOp:
-        cached = memo.get(e)
-        if cached is not None:
-            return cached
-        op = _compile(e, compile_node, stats, use_reach)
-        memo[e] = op
-        return op
-
-    plan = lower_plan(
-        compile_node(expr),
-        stats,
-        backend=backend,
-        max_matrix_objects=max_matrix_objects,
-        shard_key_pos=shard_key_pos,
-    )
+        plan = compile_node(expr)
     if plan_verify_enabled():
         # Imported lazily: repro.analysis.verify imports this module.
         from repro.analysis.verify import assert_plan_valid
 
-        assert_plan_valid(
-            plan,
-            expr=expr,
-            backend=backend,
-            stats=stats,
-            max_matrix_objects=max_matrix_objects,
-            shard_key_pos=shard_key_pos,
-        )
+        assert_plan_valid(plan, expr=expr)
     return plan
-
-
-def lower_plan(
-    plan: PlanOp,
-    stats=None,
-    *,
-    backend: str = "set",
-    max_matrix_objects: Optional[int] = None,
-    shard_key_pos: int = 0,
-) -> PlanOp:
-    """Backend-aware lowering: specialise a compiled plan for a backend.
-
-    The physical plan itself is backend-agnostic (execution resolves
-    relations against whatever store it is handed); what differs per
-    backend is the *representation strategy* of the recursive operators.
-    For the columnar backend this step annotates each star with the
-    density/size heuristic's verdict:
-
-    * ``ReachStarOp`` — ``"dense"`` when the statistics-time object count
-      fits the boolean-matrix guard (``max_matrix_objects``, default
-      :data:`DENSE_MATRIX_MAX_OBJECTS`) *and* the average out-degree
-      ``|T|/|O|`` reaches :data:`_DENSE_MIN_AVG_DEGREE` — reachability is
-      then semi-naive boolean matrix iteration; otherwise ``"sparse"``
-      (per-source BFS).  The dense path re-checks the guard against the
-      *actual* store at run time and falls back to sparse on
-      :class:`~repro.errors.MatrixTooLargeError`, so the annotation is a
-      strategy hint, never a correctness assumption.
-    * ``StarOp`` — always ``"sparse"``: general stars carry arbitrary
-      output specs and conditions, executed as semi-naive columnar joins.
-
-    The ``"sharded"`` backend applies the columnar annotations and
-    additionally marks every :class:`HashJoinOp` with its shard-wise
-    strategy — ``co-partitioned`` (both inputs already partitioned on
-    the join key: merge joins run shard against shard directly),
-    ``repartition(left|right|both)`` (one exchange pass re-hashes the
-    named side(s) on the join key first; ``both(η)`` re-hashes on
-    ρ-codes), or ``broadcast`` (no cross equality: each left shard
-    joins the gathered right).  The annotation mirrors the partition
-    propagation the sharded executor performs at run time
-    (:func:`choose_shard_key` / :func:`shard_output_partition` are the
-    single source of truth for both), so ``explain --physical`` shows
-    exactly which joins pay an exchange.
-
-    The ``"set"`` backend lowering is the identity.
-    """
-    if backend == "set":
-        return plan
-    if backend not in ("columnar", "sharded"):
-        raise AlgebraError(f"unknown execution backend {backend!r}")
-    if stats is None:
-        stats = DEFAULT_STATS
-    limit = DENSE_MATRIX_MAX_OBJECTS if max_matrix_objects is None else max_matrix_objects
-    n = stats.n_objects
-    total = stats.total_triples
-    dense_ok = 0 < n <= limit and total / n >= _DENSE_MIN_AVG_DEGREE
-    for op in plan.walk():
-        if isinstance(op, ReachStarOp):
-            op.vector_strategy = "dense" if dense_ok else "sparse"
-        elif isinstance(op, StarOp):
-            op.vector_strategy = "sparse"
-    if backend == "sharded":
-        _annotate_shard_plan(plan, shard_key_pos)
-    return plan
-
-
-# --------------------------------------------------------------------- #
-# Sharded lowering: partition-key propagation
-#
-# Pure structural logic (no numpy) shared between the lowering step —
-# which only *annotates* joins for explain output — and the sharded
-# executor, which uses the same two helpers to decide, per join, which
-# sides to exchange and how the output comes out partitioned.
-# --------------------------------------------------------------------- #
-
-
-def choose_shard_key(
-    spec: JoinSpec, left_part: Optional[int], right_part: Optional[int]
-) -> tuple[Optional[Cond], int]:
-    """Pick the cross equality a sharded executor partitions a join on.
-
-    ``left_part`` / ``right_part`` are the triple positions the operands
-    are currently hash-partitioned on (``None`` for an unpartitioned
-    "raw" intermediate, which never aligns).  Returns ``(condition,
-    aligned)`` where ``aligned`` counts how many operands are already
-    partitioned on their side of the chosen key (2 = co-partitioned, no
-    exchange needed).  θ-equalities are preferred — their join key is
-    the object code the operands are already hashed by; η keys hash
-    ρ-codes, which never align with a position partition.  ``(None, 0)``
-    means no cross equality exists (a cartesian product: broadcast).
-    """
-    theta = [c for c in spec.cross_eq if not c.on_data]
-    if theta:
-        def aligned(cond: Cond) -> int:
-            return int(cond.left.index == left_part) + int(
-                cond.right.index - 3 == right_part
-            )
-        best = max(theta, key=aligned)
-        return best, aligned(best)
-    if spec.cross_eq:
-        return spec.cross_eq[0], 0
-    return None, 0
-
-
-def shard_output_partition(
-    spec: JoinSpec, cond: Optional[Cond], left_part: Optional[int]
-) -> Optional[int]:
-    """Which output position a shard-wise join's result is partitioned on.
-
-    ``None`` means the output carries no component the shards were
-    hashed by, so equal output triples can land in different shards.
-    The executor keeps such results as *raw* shard chunks — joins,
-    filters and decode consume them as-is — and re-partitions (thereby
-    re-deduplicating) lazily, only when a consumer needs the disjoint
-    partition invariant (set operations, fixpoint accumulators).
-    """
-    if cond is None:
-        # Broadcast: left shards keep their partition; the output is
-        # partitioned wherever it retains the left partition component.
-        for m, o in enumerate(spec.out):
-            if o < 3 and o == left_part:
-                return m
-        return None
-    if cond.on_data:
-        # η keys hash ρ-codes; no output position is hashed by them.
-        return None
-    li, ri = cond.left.index, cond.right.index - 3
-    for m, o in enumerate(spec.out):
-        if (o < 3 and o == li) or (o >= 3 and o - 3 == ri):
-            return m
-    return None
-
-
-def shard_plan_expectations(
-    plan: PlanOp, key_pos: int
-) -> dict[int, tuple[Optional[int], Optional[str]]]:
-    """Recompute each operator's partition state and shard strategy.
-
-    Returns ``{id(op): (output partition position, join strategy)}`` for
-    every reachable operator (``strategy`` is ``None`` for non-joins),
-    derived purely from the plan structure via :func:`choose_shard_key`
-    and :func:`shard_output_partition` — the same propagation the
-    sharded executor performs at run time.  The lowering step applies
-    this map to annotate joins; the plan verifier
-    (:mod:`repro.analysis.verify`) recomputes it and demands the
-    annotations agree, so a plan whose strategies were tampered with —
-    or that skipped lowering — never reaches a shard-wise executor
-    claiming partitions it does not have.
-    """
-    memo: dict[int, tuple[Optional[int], Optional[str]]] = {}
-
-    def part_of(op: PlanOp) -> Optional[int]:
-        if id(op) in memo:
-            return memo[id(op)][0]
-        part: Optional[int]
-        strategy: Optional[str] = None
-        if isinstance(op, (ScanOp, IndexLookupOp)):
-            part = key_pos
-        elif isinstance(op, FilterOp):
-            part = part_of(op.child)
-        elif isinstance(op, _SetOp):
-            lp = part_of(op.left)
-            part_of(op.right)  # runtime aligns the right side to the left's
-            part = 0 if lp is None else lp
-        elif isinstance(op, StarOp):
-            part_of(op.child)
-            part = 0  # fixpoints canonicalise their accumulator to position 0
-        elif isinstance(op, ReachStarOp):
-            part_of(op.child)
-            # The sparse fixpoint yields a position-0 partition but the
-            # dense matrix path yields a raw result; None is the
-            # conservative claim (a parent join then reports the
-            # exchange it may have to perform).
-            part = None
-        elif isinstance(op, HashJoinOp):
-            lp, rp = part_of(op.left), part_of(op.right)
-            cond, aligned = choose_shard_key(op.spec, lp, rp)
-            if cond is None:
-                strategy = "broadcast"
-            elif cond.on_data:
-                strategy = "repartition(both(η))"
-            elif aligned == 2:
-                strategy = "co-partitioned"
-            else:
-                sides = []
-                if cond.left.index != lp:
-                    sides.append("left")
-                if cond.right.index - 3 != rp:
-                    sides.append("right")
-                which = "both" if len(sides) == 2 else sides[0]
-                strategy = f"repartition({which})"
-            part = shard_output_partition(op.spec, cond, lp)
-        else:  # UniverseOp
-            part = 0
-        memo[id(op)] = (part, strategy)
-        return part
-
-    part_of(plan)
-    return memo
-
-
-def _annotate_shard_plan(plan: PlanOp, key_pos: int) -> None:
-    """Annotate each join with its shard strategy (explain metadata only)."""
-    expected = shard_plan_expectations(plan, key_pos)
-    for op in plan.walk():
-        if isinstance(op, HashJoinOp):
-            op.shard_strategy = expected[id(op)][1]
 
 
 def _distinct_estimate(op: PlanOp, local_pos: int, stats) -> float:

@@ -577,9 +577,7 @@ class Database:
         key = (expr, self._dep_token(expr), self.backend)
         if isinstance(self.engine, PlanEngine):
             return self._plans.get(key, lambda: self.engine.compile(expr, self.store))
-        return self._plans.get(
-            key, lambda: compile_plan(expr, self.store, backend=self.backend)
-        )
+        return self._plans.get(key, lambda: compile_plan(expr, self.store))
 
     def _execute_canonical(
         self,
@@ -630,14 +628,12 @@ class Database:
 
         expr = self._logical(query)
         if physical:
-            return explain_physical(
-                expr, self.store, engine=self.engine, backend=self.backend
-            )
+            return explain_physical(expr, self.store, engine=self.engine)
         return explain(expr).summary()
 
     def explain_report(self, query: Any, lang: str = "trial") -> ExplainReport:
-        """The structured explain — logical tree, physical ops, costs,
-        backend and shard strategies — with ``.to_json()``."""
+        """The structured explain — logical tree, physical ops, costs
+        and backend — with ``.to_json()``."""
         compiled = get_language(lang).compile(self, query)
         if isinstance(compiled, tuple):
             compiled = compiled[0]
@@ -646,9 +642,7 @@ class Database:
                 f"{lang} query has no algebraic translation to explain"
             )
         expr = optimize_expr(compiled) if self.optimize else compiled
-        return _build_explain_report(
-            expr, self.store, engine=self.engine, backend=self.backend
-        )
+        return _build_explain_report(expr, self.store, engine=self.engine)
 
     def analyze(self, query: Any, lang: str = "trial") -> tuple:
         """Semantic findings (``SEM-*`` rules) for a query, unexecuted.

@@ -37,9 +37,10 @@ class MatrixTooLargeError(TriplestoreError):
 
     Dense (cubic or quadratic) array representations are refused above a
     configurable object count instead of silently exhausting memory.  The
-    error carries the offending ``n_objects`` and the ``limit`` so callers
-    — notably the columnar backend's density heuristic — can catch it and
-    fall back to a sparse execution strategy.
+    error carries the offending ``n_objects`` and the ``limit``.  The
+    columnar backend's dense reachability kernel keeps the guard but
+    never trips it: its dense/sparse verdict is made on the store being
+    run, whose object count bounds every matrix it builds.
     """
 
     def __init__(self, n_objects: int, limit: int, what: str = "matrix"):

@@ -57,7 +57,7 @@ _PLANS = "plans.bin"
 #: whenever plan operators / specs change shape incompatibly — stale
 #: ``plans.bin`` files are then ignored wholesale instead of unpickling
 #: into nonsense.
-PLAN_FORMAT = 1
+PLAN_FORMAT = 2
 
 
 def _stats_path(root: str) -> str:

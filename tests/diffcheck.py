@@ -95,19 +95,27 @@ GRAPH_LABELS = ("a", "b")
 #: rows' groups mid-way.
 TINY_BLOCKS = {"_ROW_BLOCK": 3, "_PAIR_BLOCK": 4}
 
+#: The dense-reachability guard on the ``vector-sparse`` axis.  The stores
+#: here hold about six objects, far below the real guard (512), so every
+#: reach star on an array backend would take the dense kernel and the
+#: sparse fixpoint would never meet the oracle; 0 objects forces it.
+SPARSE_REACH = {"DENSE_MATRIX_MAX_OBJECTS": 0}
 
-class TinyBlocks:
-    """A columnar engine run with :data:`TINY_BLOCKS`.
+
+class Patched:
+    """A columnar engine run with some of :mod:`vectorized`'s constants
+    patched (:data:`TINY_BLOCKS`, :data:`SPARSE_REACH`).
 
     The constants are patched around each evaluation and restored after
     it, so the rest of the matrix runs the real ones.
     """
 
-    def __init__(self, engine) -> None:
+    def __init__(self, engine, constants: dict) -> None:
         self.engine = engine
+        self.constants = constants
 
     def evaluate(self, expr: Expr, store: Triplestore):
-        with mock.patch.multiple(vectorized, **TINY_BLOCKS):
+        with mock.patch.multiple(vectorized, **self.constants):
             return self.engine.evaluate(expr, store)
 
 
@@ -142,7 +150,10 @@ def default_engines() -> dict[str, object]:
     here are far below the dispatch threshold, so without it the pool
     branch would never run.  The ``vector-blocks`` axis runs the
     vectorised and the sharded engine once more with the kernel's block
-    sizes patched tiny (:class:`TinyBlocks`).
+    sizes patched tiny (:data:`TINY_BLOCKS`), and the ``vector-sparse``
+    axis once more with the dense reachability guard patched to 0
+    objects (:data:`SPARSE_REACH`), so reach stars run the sparse
+    fixpoint.
     """
     return {
         "naive": NaiveEngine(),
@@ -152,8 +163,10 @@ def default_engines() -> dict[str, object]:
         "sharded": ShardedEngine(shards=3),
         "sharded-obj": ShardedEngine(shards=2, key_pos=2),
         "sharded-pool": PoolDispatch(ShardedEngine(shards=3)),
-        "vector-blocks": TinyBlocks(VectorEngine()),
-        "sharded-blocks": TinyBlocks(ShardedEngine(shards=3)),
+        "vector-blocks": Patched(VectorEngine(), TINY_BLOCKS),
+        "sharded-blocks": Patched(ShardedEngine(shards=3), TINY_BLOCKS),
+        "vector-sparse": Patched(VectorEngine(), SPARSE_REACH),
+        "sharded-sparse": Patched(ShardedEngine(shards=3), SPARSE_REACH),
     }
 
 
@@ -548,6 +561,14 @@ def repro_snippet(
         "            f'{type(engine).__name__}-blocks'",
         "        assert engine.evaluate(optimize(expr), store) == expected, \\",
         "            f'{type(engine).__name__}-blocks+opt'",
+        "",
+        "# the vector-sparse axis: reach stars on the sparse fixpoint",
+        f"with mock.patch.multiple(vectorized, **{SPARSE_REACH!r}):",
+        "    for engine in (VectorEngine(), ShardedEngine(shards=3)):",
+        "        assert engine.evaluate(expr, store) == expected, \\",
+        "            f'{type(engine).__name__}-sparse'",
+        "        assert engine.evaluate(optimize(expr), store) == expected, \\",
+        "            f'{type(engine).__name__}-sparse+opt'",
     ]
     if outcomes is not None:
         lines.insert(1, "# outcomes: " + "; ".join(

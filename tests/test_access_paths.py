@@ -361,11 +361,12 @@ def test_join_on_the_store_index_neither_unpacks_nor_sorts_the_relation(text, bu
         ("star[1,2,3'; 3=1' & 2=2'](E)", ReachStarOp),
     ],
 )
-def test_star_indexes_its_constant_operand_once(text, op_type):
+def test_star_indexes_its_constant_operand_once(monkeypatch, text, op_type):
     node = [f"n{i:02d}" for i in range(9)]
     store = Triplestore([(node[i], "p", node[i + 1]) for i in range(8)])
-    # Too many objects for the dense matrix: reach stars take the join fixpoint.
-    engine = VectorEngine(max_matrix_objects=4)
+    # No dense matrix at all: reach stars take the join fixpoint.
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = VectorEngine()
     plan = engine.compile(parse_expr(text), store)
     assert find(plan, op_type)
     with Spy(ColumnarStore, "build_path", lambda *a, **k: len(a[1])) as builds, Spy(

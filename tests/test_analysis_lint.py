@@ -416,10 +416,7 @@ def test_cli_lint_subcommand(two_rule_tree):
 def test_cli_lint_plan_subcommand(capsys):
     from repro.cli import main as cli_main
 
-    rc = cli_main([
-        "lint-plan", "join[1,2,3'; 3=1'](E, E)",
-        "--backend", "sharded", "--shards", "3",
-    ])
+    rc = cli_main(["lint-plan", "join[1,2,3'; 3=1'](E, E)"])
     assert rc == 0
     assert "plan verified" in capsys.readouterr().err
 

@@ -2,12 +2,16 @@
 
 Two halves, mirroring the subsystem's promise:
 
-* **zero false positives** — every plan the compiler produces, across
-  backends and the diffcheck expression generators, verifies clean;
+* **zero false positives** — every plan the compiler produces (one
+  plan, whichever backend runs it) for the diffcheck expression
+  generators verifies clean;
 * **mutation corpus** — a seeded corpus of hand-broken plans (swapped
-  key positions, dropped repartitions, phantom parameters, …) is
+  key positions, phantom parameters, bogus build sides, …) is
   rejected, each with the *expected* invariant ID, so a regression in
   one check cannot hide behind another.
+
+PLAN-SHARD is the one invariant checked at run time, on real shard
+contents; its tests are in the wiring section below.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from repro.core.conditions import Cond
 from repro.core.expressions import Join, Rel, Select, Star
 from repro.core.optimizer import optimize
 from repro.core.params import canonicalize_constants, expr_params
+from repro.analysis.invariants import RULES
 from repro.core.plan import (
     FilterOp,
-    HashJoinOp,
-    ReachStarOp,
     ScanOp,
     StarOp,
     compile_plan,
@@ -39,18 +42,6 @@ from repro.triplestore.model import Triplestore
 
 from tests.conftest import expressions
 from tests.diffcheck import random_expression, random_triplestore
-
-# One lowering configuration per backend the executors support; the
-# sharded entries cover both the default partition position and a
-# non-default one (position 3 of the triple).
-BACKEND_CONFIGS = (
-    {"backend": "set"},
-    {"backend": "columnar"},
-    {"backend": "columnar", "max_matrix_objects": 4},
-    {"backend": "sharded", "shard_key_pos": 0},
-    {"backend": "sharded", "shard_key_pos": 2},
-)
-
 
 @pytest.fixture()
 def store() -> Triplestore:
@@ -68,23 +59,16 @@ def ids(violations) -> list:
 
 @pytest.mark.parametrize("seed", range(25))
 def test_generated_plans_verify_clean(seed):
-    """Diffcheck-generator plans verify clean on every backend config."""
+    """Diffcheck-generator plans verify clean, with and without reach
+    routing, anchored in the store's statistics or in none."""
     rng = random.Random(seed)
     gen_store = random_triplestore(rng)
     expr = random_expression(rng, max_depth=3)
-    stats = gen_store.stats()
     for source in (expr, optimize(expr)):
         for use_reach in (True, False):
-            for config in BACKEND_CONFIGS:
-                plan = compile_plan(
-                    source, gen_store, use_reach=use_reach, **config
-                )
-                violations = verify_plan(
-                    plan,
-                    expr=source,
-                    stats=stats,
-                    **config,
-                )
+            for store in (gen_store, None):
+                plan = compile_plan(source, store, use_reach=use_reach)
+                violations = verify_plan(plan, expr=source)
                 assert violations == (), "\n".join(map(str, violations))
 
 
@@ -95,10 +79,9 @@ def test_generated_plans_verify_clean(seed):
 )
 @given(expr=expressions())
 def test_hypothesis_plans_verify_clean(store, expr):
-    stats = store.stats()
-    for config in BACKEND_CONFIGS:
-        plan = compile_plan(optimize(expr), store, **config)
-        assert verify_plan(plan, expr=optimize(expr), stats=stats, **config) == ()
+    for use_reach in (True, False):
+        plan = compile_plan(optimize(expr), store, use_reach=use_reach)
+        assert verify_plan(plan, expr=optimize(expr)) == ()
 
 
 def test_parameterized_plans_verify_clean(store):
@@ -111,8 +94,7 @@ def test_parameterized_plans_verify_clean(store):
     names = expr_params(canon)
     assert set(names) == set(bindings)
     assert verify_plan(plan, expr=canon, params=names) == ()
-    # verify_compiled derives the same verdict from an engine-free call.
-    assert verify_compiled(canon, plan, store=store, params=names) == ()
+    assert verify_compiled(canon, plan, params=names) == ()
 
 
 # --------------------------------------------------------------------- #
@@ -159,22 +141,20 @@ def _mutate_phantom_filter_param(plan):
     f.conditions = f.conditions + (Cond(Pos(0), Param("phantom"), "=", False),)
 
 
-def _mutate_flip_strategy(plan):
-    plan.shard_strategy = (
-        "co-partitioned" if plan.shard_strategy != "co-partitioned" else "broadcast"
-    )
+def _mutate_build_side(plan):
+    plan.build_side = "middle"
 
 
-def _mutate_drop_strategy(plan):
-    plan.shard_strategy = None
+def _mutate_star_side(plan):
+    _first(plan, StarOp).side = "up"
 
 
-def _mutate_star_dense(plan):
-    _first(plan, StarOp).vector_strategy = "dense"
+def _mutate_short_lookup_key(plan):
+    plan.key = plan.key[:1]
 
 
-def _mutate_reach_unlowered(plan):
-    _first(plan, ReachStarOp).vector_strategy = None
+def _mutate_nan_rows(plan):
+    plan.est_rows = float("nan")
 
 
 def _mutate_zombie_scan(plan):
@@ -185,45 +165,37 @@ def _mutate_negative_cost(plan):
     plan.est_cost = -1.0
 
 
-# (name, source expression, backend, use_reach, mutate, expected ID).
+# (name, source expression, use_reach, mutate, expected ID).
 # Each entry models a distinct compiler/rewriter bug class; the corpus
 # intentionally exceeds the ten-mutation acceptance floor.
 MUTATIONS = (
-    ("out-spec-range", JOIN, "sharded", True, _mutate_out_spec, "PLAN-ARITY"),
-    ("cross-eq-swapped", JOIN, "sharded", True, _mutate_swap_cross_eq, "PLAN-ARITY"),
-    ("index-positions-reversed", SELECT2, "columnar", True,
+    ("out-spec-range", JOIN, True, _mutate_out_spec, "PLAN-ARITY"),
+    ("cross-eq-swapped", JOIN, True, _mutate_swap_cross_eq, "PLAN-ARITY"),
+    ("build-side-bogus", JOIN, True, _mutate_build_side, "PLAN-ARITY"),
+    ("star-side-bogus", STAR, False, _mutate_star_side, "PLAN-ARITY"),
+    ("index-positions-reversed", SELECT2, True,
      _mutate_reverse_positions, "PLAN-KEY"),
-    ("join-index-tampered", JOIN, "sharded", True,
-     _mutate_index_positions, "PLAN-KEY"),
-    ("ghost-key-param", SELECT2, "columnar", True,
-     _mutate_ghost_key_param, "PLAN-PARAM"),
-    ("phantom-filter-param", NEQ, "set", True,
+    ("join-index-tampered", JOIN, True, _mutate_index_positions, "PLAN-KEY"),
+    ("lookup-key-short", SELECT2, True, _mutate_short_lookup_key, "PLAN-KEY"),
+    ("ghost-key-param", SELECT2, True, _mutate_ghost_key_param, "PLAN-PARAM"),
+    ("phantom-filter-param", NEQ, True,
      _mutate_phantom_filter_param, "PLAN-PARAM"),
-    ("shard-strategy-flipped", JOIN, "sharded", True,
-     _mutate_flip_strategy, "PLAN-SHARD"),
-    ("shard-strategy-dropped", JOIN, "sharded", True,
-     _mutate_drop_strategy, "PLAN-SHARD"),
-    ("star-forced-dense", STAR, "columnar", False,
-     _mutate_star_dense, "PLAN-DENSE"),
-    ("reach-star-unlowered", REACH, "columnar", True,
-     _mutate_reach_unlowered, "PLAN-DENSE"),
-    ("zombie-scan", JOIN, "set", True, _mutate_zombie_scan, "PLAN-CACHE"),
-    ("negative-cost", JOIN, "set", True, _mutate_negative_cost, "PLAN-COST"),
+    ("zombie-scan", JOIN, True, _mutate_zombie_scan, "PLAN-CACHE"),
+    ("negative-cost", JOIN, True, _mutate_negative_cost, "PLAN-COST"),
+    ("nan-rows", REACH, True, _mutate_nan_rows, "PLAN-COST"),
 )
 
 
 @pytest.mark.parametrize(
-    "name, expr, backend, use_reach, mutate, expected",
+    "name, expr, use_reach, mutate, expected",
     MUTATIONS,
     ids=[m[0] for m in MUTATIONS],
 )
-def test_mutated_plan_rejected(store, name, expr, backend, use_reach, mutate,
-                               expected):
-    stats = store.stats()
-    plan = compile_plan(expr, store, backend=backend, use_reach=use_reach)
-    assert verify_plan(plan, backend=backend, expr=expr, stats=stats) == ()
+def test_mutated_plan_rejected(store, name, expr, use_reach, mutate, expected):
+    plan = compile_plan(expr, store, use_reach=use_reach)
+    assert verify_plan(plan, expr=expr) == ()
     mutate(plan)
-    violations = verify_plan(plan, backend=backend, expr=expr, stats=stats)
+    violations = verify_plan(plan, expr=expr)
     assert expected in ids(violations), (
         f"{name}: expected {expected}, got {ids(violations)}"
     )
@@ -239,11 +211,11 @@ def test_assert_plan_valid_raises_with_violations(store):
 
 
 def test_distinct_invariants_covered():
-    """The corpus exercises every plan invariant at least once."""
-    assert {m[5] for m in MUTATIONS} == {
-        "PLAN-ARITY", "PLAN-KEY", "PLAN-PARAM", "PLAN-SHARD",
-        "PLAN-DENSE", "PLAN-CACHE", "PLAN-COST",
-    }
+    """The corpus exercises every static plan invariant at least once;
+    PLAN-SHARD is checked at run time (see the wiring tests below)."""
+    static = {"PLAN-ARITY", "PLAN-KEY", "PLAN-PARAM", "PLAN-CACHE", "PLAN-COST"}
+    assert {rule for rule in RULES if rule.startswith("PLAN-")} == static | {"PLAN-SHARD"}
+    assert {m[4] for m in MUTATIONS} == static
     assert len(MUTATIONS) >= 10
 
 
@@ -271,7 +243,7 @@ def test_compile_plan_calls_verifier_when_enabled(store, monkeypatch):
     real = verify_mod.assert_plan_valid
 
     def spy(plan, **kwargs):
-        calls.append(kwargs["backend"])
+        calls.append(kwargs["expr"])
         return real(plan, **kwargs)
 
     monkeypatch.setattr(verify_mod, "assert_plan_valid", spy)
@@ -279,8 +251,8 @@ def test_compile_plan_calls_verifier_when_enabled(store, monkeypatch):
     compile_plan(JOIN, store)
     assert calls == []
     monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-    compile_plan(JOIN, store, backend="columnar")
-    assert calls == ["columnar"]
+    compile_plan(JOIN, store)
+    assert calls == [JOIN]
 
 
 def test_plan_verification_error_status():
@@ -312,23 +284,21 @@ def test_runtime_partition_check_disabled(store, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# verify_compiled: engine-derived configuration
+# verify_compiled: one verdict whichever engine compiled the plan
 # --------------------------------------------------------------------- #
 
 
-def test_verify_compiled_derives_engine_config(store):
+def test_verify_compiled_one_verdict_for_every_engine(store):
+    from repro.core.engines.hashjoin import FastEngine
     from repro.core.engines.sharded import ShardedEngine
     from repro.core.engines.vectorized import VectorEngine
 
-    for engine in (None, VectorEngine(), ShardedEngine(shards=3)):
-        backend = getattr(engine, "backend", None) or "set"
-        plan = compile_plan(
-            JOIN,
-            store,
-            backend=backend,
-            shard_key_pos=getattr(engine, "key_pos", 0),
-        )
-        assert verify_compiled(JOIN, plan, store=store, engine=engine) == ()
+    engines = (FastEngine(), VectorEngine(), ShardedEngine(shards=3, key_pos=2))
+    for engine in engines:
+        plan = engine.compile(JOIN, store)
+        assert verify_compiled(JOIN, plan) == ()
+        plan.est_cost = -1.0
+        assert ids(verify_compiled(JOIN, plan)) == ["PLAN-COST"]
 
 
 def test_explain_report_carries_verified_flag(store):

@@ -517,17 +517,23 @@ class TestExplainReport:
         assert report.parameters == ("x",)
         assert "$x" in report.to_json()
 
-    def test_sharded_report_carries_strategies(self):
-        db = Database(STORE, backend="sharded", shards=3)
-        data = json.loads(db.explain_report("join[1,2,3'; 3=1'](E, E)").to_json())
+    def test_sharded_report_names_backend_over_the_set_plan(self):
+        query = "join[1,2,3'; 3=1'](E, E)"
+        data = json.loads(
+            Database(STORE, backend="sharded", shards=3).explain_report(query).to_json()
+        )
         assert data["backend"].startswith("sharded(3-way")
-        assert data["plan"]["shard_strategy"]
+        assert data["plan"] == Database(STORE).explain_report(query).to_dict()["plan"]
 
-    def test_columnar_report_carries_star_strategy(self):
-        db = Database(STORE, backend="columnar")
-        data = json.loads(db.explain_report("star[1,2,3'; 3=1'](E)").to_json())
+    def test_columnar_report_names_backend_over_the_set_plan(self):
+        query = "star[1,2,3'; 3=1'](E)"
+        data = json.loads(
+            Database(STORE, backend="columnar").explain_report(query).to_json()
+        )
+        assert data["backend"] == "columnar"
         assert data["plan"]["op"] == "ReachStar"
-        assert data["plan"]["strategy"] in ("dense", "sparse")
+        assert "strategy" not in data["plan"]
+        assert data["plan"] == Database(STORE).explain_report(query).to_dict()["plan"]
 
     def test_function_form_without_store(self):
         report = explain_report(parse("star[1,2,3'; 3=1'](E)"))

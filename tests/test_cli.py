@@ -150,20 +150,14 @@ class TestExplain:
         assert data["plan"]["op"] == "HashJoin"
         assert data["statistics"] == {"triples": 7, "objects": 11}
 
-    def test_explain_json_sharded_strategies(self, capsys):
+    def test_explain_json_operator_kinds(self, capsys):
         import json
 
-        code = main(
-            [
-                "explain",
-                "join[1,2,3'; 3=1'](E, E)",
-                "--json",
-                "--backend",
-                "sharded",
-                "--shards",
-                "4",
-            ]
-        )
+        code = main(["explain", "join[1,2,3'; 3=1'](E, E)", "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["plan"]["shard_strategy"]
+        assert data["backend"] == "set"
+        assert set(data["plan"]) == {
+            "op", "label", "est_rows", "est_cost", "out", "conditions",
+            "build_side", "access", "children",
+        }

@@ -111,12 +111,10 @@ QUERIES = [
 ]
 
 
-def columnar_engines():
-    # Too many objects for the dense matrix: reach stars take the join fixpoint.
-    return {
-        "vector": VectorEngine(max_matrix_objects=2),
-        "sharded": ShardedEngine(shards=3, max_matrix_objects=2),
-    }
+def columnar_engines(monkeypatch):
+    # No dense matrix at all: reach stars take the join fixpoint.
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    return {"vector": VectorEngine(), "sharded": ShardedEngine(shards=3)}
 
 
 @pytest.mark.parametrize("blocks", TINY, ids=lambda b: f"{b[0]}rows-{b[1]}pairs")
@@ -154,7 +152,7 @@ def test_every_join_shape_and_fixpoint_agrees_across_block_boundaries(
     for text in QUERIES:
         expr = parse_expr(text)
         expected = oracle.evaluate(expr, store)
-        for name, engine in columnar_engines().items():
+        for name, engine in columnar_engines(monkeypatch).items():
             plan = engine.compile(expr, store)
             seen.update(op.build_side for op in find(plan, HashJoinOp))
             assert engine.execute_plan(plan, store) == expected, (name, text)
@@ -277,9 +275,12 @@ def chain(n: int) -> Triplestore:
 @pytest.mark.parametrize(
     "text", ["star[1,2,3'; 3=1'](E)", "lstar[1,2,3'; 3=1' & 1!=3'](E)"]
 )
-def test_after_round_one_a_star_sorts_nothing_as_long_as_its_accumulator(text):
+def test_after_round_one_a_star_sorts_nothing_as_long_as_its_accumulator(
+    monkeypatch, text
+):
     store = chain(24)
-    engine = VectorEngine(max_matrix_objects=4)
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = VectorEngine()
     plan = engine.compile(parse_expr(text), store)
     log = []  # ("round", |acc|) markers between the ("sort", length) events
     absorb = vectorized._absorb
@@ -307,9 +308,10 @@ def test_after_round_one_a_star_sorts_nothing_as_long_as_its_accumulator(text):
     assert later_sorts and all(length < acc for length, acc in later_sorts)
 
 
-def test_sharded_round_merges_without_union_sorted():
+def test_sharded_round_merges_without_union_sorted(monkeypatch):
     store = chain(24)
-    engine = ShardedEngine(shards=3, max_matrix_objects=4)
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = ShardedEngine(shards=3)
     expr = parse_expr("star[1,2,3'; 3=1'](E)")
     with Spy(sharded, "_union_sorted") as unions, Spy(sharded, "_absorb") as absorbs:
         assert engine.evaluate(expr, store) == NaiveEngine().evaluate(expr, store)
@@ -410,7 +412,8 @@ def test_an_intermediate_operand_is_never_unpacked_more_than_a_block_at_a_time(
     edges = [(f"v{i:02d}", f"l{i % 3}", f"v{(i * 7 + 3) % 60:02d}") for i in range(60)]
     edges += [(f"l{i}", "sub", f"l{(i + 1) % 3}") for i in range(2)]
     store = Triplestore(edges)
-    engine = VectorEngine(max_matrix_objects=4)
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = VectorEngine()
     expr = parse_expr(text)
     plan = engine.compile(expr, store)
     expected = NaiveEngine().evaluate(expr, store)

@@ -7,9 +7,9 @@ Two formats are pinned byte for byte:
   dropping a label breaks dashboards silently; here it breaks a
   readable golden diff instead;
 * the ``/v1/explain`` response — which must be *the same report* the
-  in-process API produces, pinned against the existing
-  ``tests/golden/*.json`` explain goldens (HTTP parity: the service
-  adds transport, not its own dialect).
+  in-process API produces, the one ``test_explain_golden.py`` pins
+  against the ``tests/golden/*_set.json`` explain goldens (HTTP parity:
+  the service adds transport, not its own dialect).
 
 Regenerate after an intentional change::
 
@@ -22,7 +22,7 @@ import json
 import os
 
 import pytest
-from test_explain_golden import BACKENDS, CASES, GOLDEN_STORE
+from test_explain_golden import BACKENDS, CASES, GOLDEN_STORE, _render_json
 
 from repro.db import Database
 from repro.service import QueryServer, ServiceClient, ServiceConfig
@@ -82,17 +82,13 @@ def test_metrics_exposition_is_deterministic():
 @pytest.mark.parametrize("name,query", CASES, ids=[c[0] for c in CASES])
 def test_http_explain_matches_explain_goldens(name, query, backend):
     """HTTP parity: ``POST /v1/explain`` returns exactly the report the
-    explain goldens pin for the same (query, backend) pair.
+    in-process API renders for the same (query, backend) pair.
 
     ``optimize=False`` because the goldens render the raw expression;
-    there is no UPDATE path here — these goldens belong to
+    there is no UPDATE path here — the goldens belong to
     ``test_explain_golden.py`` and this test only asserts parity.
     """
-    path = os.path.join(GOLDEN_DIR, f"{name}_{backend}.json")
-    if not os.path.exists(path):  # pragma: no cover — regen ordering
-        pytest.skip(f"{path} not generated yet")
-    with open(path, encoding="utf-8") as fp:
-        expected = json.load(fp)
+    expected = json.loads(_render_json(query, backend))
     db = Database(GOLDEN_STORE, BACKENDS[backend](), optimize=False)
     with QueryServer(db, ServiceConfig(port=0)) as server:
         with ServiceClient(server.url) as client:

@@ -23,14 +23,13 @@ from repro.core import (
     select,
     star,
 )
-from repro.core.engines.sharded import ShardedExecContext, default_shard_count
-from repro.core.plan import (
-    HashJoinOp,
-    JoinSpec,
+from repro.core.engines.sharded import (
+    ShardedExecContext,
     choose_shard_key,
-    compile_plan,
+    default_shard_count,
     shard_output_partition,
 )
+from repro.core.plan import JoinSpec
 from repro.db import Database
 from repro.errors import (
     EvaluationBudgetError,
@@ -120,7 +119,7 @@ class TestShardedStore:
 
 
 # --------------------------------------------------------------------- #
-# The shard-key choice shared by lowering and execution
+# The shard-key choice the executor makes per join
 # --------------------------------------------------------------------- #
 
 
@@ -155,27 +154,17 @@ class TestShardKeyChoice:
         cond, _ = choose_shard_key(spec, 0, 0)
         assert shard_output_partition(spec, cond, 0) is None
 
-    def test_lowering_annotates_joins(self, store):
-        expr = join(R("E"), R("E"), "1,2,3'", "3=1'")
-        plan = compile_plan(expr, store, backend="sharded")
-        joins = [op for op in plan.walk() if isinstance(op, HashJoinOp)]
-        assert joins and joins[0].shard_strategy == "repartition(left)"
-        # Both sides misaligned → the documented "both" vocabulary.
-        both = join(R("E"), R("E"), "1,2,3'", "3=3'")
-        plan = compile_plan(both, store, backend="sharded")
-        (j,) = [op for op in plan.walk() if isinstance(op, HashJoinOp)]
-        assert j.shard_strategy == "repartition(both)"
-        eta = join(R("E"), R("E"), "1,2,3'", "rho(3)=rho(1')")
-        plan = compile_plan(eta, store, backend="sharded")
-        (j,) = [op for op in plan.walk() if isinstance(op, HashJoinOp)]
-        assert j.shard_strategy == "repartition(both(η))"
-        # Other backends never see the annotation.
-        plain = compile_plan(expr, store, backend="columnar")
-        assert all(
-            op.shard_strategy is None
-            for op in plain.walk()
-            if isinstance(op, HashJoinOp)
-        )
+    @pytest.mark.parametrize("key_pos", [0, 2])
+    def test_join_plans_are_the_set_plans(self, store, key_pos):
+        """Left-misaligned, both-misaligned and η joins: the sharded
+        engine compiles the set engine's plan and decides its exchanges
+        at run time, agreeing with the oracle."""
+        engine = ShardedEngine(shards=3, key_pos=key_pos)
+        for conds in ("3=1'", "3=3'", "rho(3)=rho(1')"):
+            expr = join(R("E"), R("E"), "1,2,3'", conds)
+            plan = engine.compile(expr, store)
+            assert plan.pretty() == FastEngine().compile(expr, store).pretty()
+            assert engine.execute_plan(plan, store) == NaiveEngine().evaluate(expr, store)
 
 
 # --------------------------------------------------------------------- #
@@ -407,11 +396,11 @@ class TestBackendWiring:
             main([str(path) if arg == "STORE" else arg for arg in argv])
         assert exc.value.code == 2
 
-    def test_explain_mentions_backend_and_strategy(self, store):
+    def test_explain_mentions_backend_not_a_strategy(self, store):
         db = Database(store, backend="sharded", shards=4)
         text = db.explain("join[1,2,3'; 3=1'](E, E)", physical=True)
         assert "backend    : sharded (4-way hash-partitioned" in text
-        assert "shard=repartition(left)" in text
+        assert "shard=" not in text
 
     def test_cli_backend_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -438,16 +427,18 @@ class TestBackendWiring:
         assert main(["query", str(path), "E", "--shards", "2"]) == 1
         assert "--shards" in capsys.readouterr().err
 
-    def test_cli_explain_sharded(self, capsys):
+    @pytest.mark.parametrize("command", ["explain", "lint-plan"])
+    @pytest.mark.parametrize("flags", [["--backend", "sharded"], ["--shards", "4"]])
+    def test_cli_plan_commands_take_no_backend(self, command, flags, capsys):
+        """One plan for every backend: ``explain`` and ``lint-plan`` have
+        no backend to compile for."""
         from repro.cli import main
 
-        code = main(
-            ["explain", "join[1,2,3'; 3=1'](E, E)",
-             "--physical", "--backend", "sharded", "--shards", "4"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shard=" in out and "4-way" in out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "join[1,2,3'; 3=1'](E, E)", *flags])
+        assert exc.value.code == 2
+        assert main(["explain", "join[1,2,3'; 3=1'](E, E)", "--physical"]) == 0
+        assert "shard=" not in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 The randomized cross-engine agreement lives in ``test_differential.py``;
 these tests pin the deterministic pieces: the packed-key encoding, the
-backend-aware lowering, the dense/sparse representation choice with its
-``MatrixTooLargeError`` fallback, and the facade/CLI wiring.
+dense/sparse reach verdict made on the store being run (and the
+``MatrixTooLargeError`` guard it never trips), and the facade/CLI wiring.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from repro.core import (
     FastEngine,
     NaiveEngine,
     R,
+    ShardedEngine,
     VectorEngine,
     join,
     select,
     star,
 )
-from repro.core.plan import ReachStarOp, StarOp, compile_plan, lower_plan
 from repro.db import Database
 from repro.errors import (
     EvaluationBudgetError,
@@ -91,7 +91,7 @@ class TestColumnarStore:
 
 
 # --------------------------------------------------------------------- #
-# MatrixTooLargeError (MatrixStore guard + columnar fallback)
+# MatrixTooLargeError (MatrixStore guard + the dense kernel's guard)
 # --------------------------------------------------------------------- #
 
 
@@ -108,28 +108,17 @@ class TestMatrixGuard:
         with pytest.raises(TriplestoreError):
             MatrixStore(random_store(30, 40, seed=1), max_objects=8)
 
-    def test_dense_reach_guard_trips_and_falls_back(self):
-        """A dense-lowered plan over a too-big store degrades to sparse."""
-        small = random_store(5, 8, seed=3)
-        big = random_store(40, 120, seed=4)
-        engine = VectorEngine(max_matrix_objects=10)
-        expr = star(R("E"), "1,2,3'", "3=1'")
-        plan = engine.compile(expr, small)
-        (op,) = [op for op in plan.walk() if isinstance(op, ReachStarOp)]
-        assert op.vector_strategy == "dense"
-        # Same cached plan, bigger store: the guard raises inside the
-        # dense path and execution silently completes sparse.
-        assert engine.execute_plan(plan, big) == FastEngine().evaluate(expr, big)
-
-    def test_dense_path_raises_when_called_directly(self):
+    def test_dense_path_raises_when_called_directly(self, monkeypatch):
+        from repro.core.engines import vectorized
         from repro.core.engines.vectorized import reach_dense
 
+        monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 10)
         big = random_store(40, 120, seed=4)
         keys = big.columnar().relation_keys("E")
         with pytest.raises(MatrixTooLargeError):
-            reach_dense(big.columnar(), 10, keys, same_label=False)
+            reach_dense(big.columnar(), keys, same_label=False)
 
-    def test_dense_closure_survives_256_path_witnesses(self):
+    def test_dense_closure_survives_256_path_witnesses(self, monkeypatch):
         """Regression: a uint8 matmul accumulator wraps at 256 witnesses.
 
         z → a → m_k → b for 256 midpoints: the (a, b) closure entry has
@@ -141,50 +130,119 @@ class TestMatrixGuard:
         triples += [(f"m{k}", "p", "b") for k in range(256)]
         store = Triplestore(triples)
         expr = star(R("E"), "1,2,3'", "3=1'")
-        engine = VectorEngine()
-        plan = engine.compile(expr, store)
-        (op,) = [op for op in plan.walk() if isinstance(op, ReachStarOp)]
-        assert op.vector_strategy == "dense"  # the bug needs the dense path
-        result = engine.evaluate(expr, store)
+        calls = _spy_dense(monkeypatch)
+        result = VectorEngine().evaluate(expr, store)
+        assert calls == [None]  # the bug needs the dense path
         assert ("z", "p", "b") in result
         assert result == FastEngine().evaluate(expr, store)
 
 
 # --------------------------------------------------------------------- #
-# Lowering
+# The dense/sparse reach verdict, made on the store being run
 # --------------------------------------------------------------------- #
 
 
-class TestLowering:
-    def test_columnar_lowering_annotates_stars(self, store):
-        expr = star(R("E"), "1,2,3'", "3=1'")
-        plan = compile_plan(expr, store, backend="columnar")
-        (op,) = [op for op in plan.walk() if isinstance(op, ReachStarOp)]
-        assert op.vector_strategy == "dense"
-        assert "[dense]" in op.label()
+def _spy_dense(monkeypatch) -> list:
+    """Record every dense-kernel matrix build (both array backends go
+    through ``_reach_dense_emit``): ``None`` per build that returned,
+    the exception per build that raised."""
+    from repro.core.engines import vectorized
 
-    def test_sparse_verdict_above_the_guard(self):
+    real = vectorized._reach_dense_emit
+    calls: list = []
+
+    def spy(cs, cols):
+        try:
+            out = real(cs, cols)
+        except Exception as exc:
+            calls.append(exc)
+            raise
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(vectorized, "_reach_dense_emit", spy)
+    return calls
+
+
+REACH = star(R("E"), "1,2,3'", "3=1'")
+SAME_LABEL_REACH = star(R("E"), "1,2,3'", "3=1' & 2=2'")
+
+
+def _array_engines():
+    return [VectorEngine(), ShardedEngine(shards=3)]
+
+
+class TestDenseVerdict:
+    def test_sparse_store_runs_sparse_whoever_compiled_the_plan(self, monkeypatch):
+        """103 objects, 50 triples: |T|/|O| < 0.5, so the reach star runs
+        the sparse fixpoint — from the vector engine's own plan and from
+        the plan a set engine compiled, which is now the same plan."""
+        chain = [(f"n{i}", "p", f"n{i + 1}") for i in range(50)]
+        store = Triplestore(chain, extra_objects=[f"x{i}" for i in range(51)])
+        assert (store.n_objects, len(store)) == (103, 50)
+        calls = _spy_dense(monkeypatch)
+        vector = VectorEngine()
+        expected = FastEngine().evaluate(REACH, store)
+        for plan in (FastEngine().compile(REACH, store), vector.compile(REACH, store)):
+            assert vector.execute_plan(plan, store) == expected
+        assert calls == []
+
+    def test_cached_plan_meets_a_bigger_store_without_raising(self, monkeypatch):
+        """A plan cached against a 50-node store and run on a 3 000-node
+        one takes the sparse path directly: the dense guard never trips."""
+        small = chain_store(50)
+        big = Triplestore(
+            t
+            for i in range(1000)
+            for t in ((f"a{i}", "p", f"b{i}"), (f"b{i}", "p", f"c{i}"))
+        )
+        calls = _spy_dense(monkeypatch)
+        engine = VectorEngine()
+        assert engine.evaluate(REACH, small) == FastEngine().evaluate(REACH, small)
+        assert calls == [None]  # dense on the small store
+        assert engine.evaluate(REACH, big) == FastEngine().evaluate(REACH, big)
+        assert calls == [None]  # nothing built, nothing raised on the big one
+
+    @pytest.mark.parametrize("engine", _array_engines(), ids=lambda e: type(e).__name__)
+    def test_small_dense_store_takes_the_dense_kernel(self, engine, store, monkeypatch):
+        calls = _spy_dense(monkeypatch)
+        assert engine.evaluate(REACH, store) == FastEngine().evaluate(REACH, store)
+        assert calls == [None]
+
+    @pytest.mark.parametrize("engine", _array_engines(), ids=lambda e: type(e).__name__)
+    def test_above_the_guard_runs_sparse(self, engine, monkeypatch):
         big = chain_store(600)
-        expr = star(R("E"), "1,2,3'", "3=1'")
-        plan = compile_plan(expr, big, backend="columnar")
-        (op,) = [op for op in plan.walk() if isinstance(op, ReachStarOp)]
-        assert op.vector_strategy == "sparse"
+        calls = _spy_dense(monkeypatch)
+        assert len(engine.evaluate(REACH, big)) == 600 * 601 // 2
+        assert calls == []
 
-    def test_general_stars_are_always_sparse(self, store):
+    def test_guard_patched_to_zero_forces_sparse(self, store, monkeypatch):
+        from repro.core.engines import vectorized
+
+        monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+        calls = _spy_dense(monkeypatch)
+        for engine in _array_engines():
+            assert engine.evaluate(REACH, store) == FastEngine().evaluate(REACH, store)
+        assert calls == []
+
+    def test_same_label_star_with_many_labels_runs_sparse(self, monkeypatch):
+        """One matrix per label pays off only for a few labels: nine
+        labels on an otherwise dense store run the sparse fixpoint."""
+        store = Triplestore(
+            (f"n{i % 12}", f"l{i % 9}", f"n{(i + 1) % 12}") for i in range(40)
+        )
+        calls = _spy_dense(monkeypatch)
+        for engine in _array_engines():
+            got = engine.evaluate(SAME_LABEL_REACH, store)
+            assert got == FastEngine().evaluate(SAME_LABEL_REACH, store)
+        assert calls == []
+
+    def test_general_stars_never_take_the_dense_kernel(self, store, monkeypatch):
         expr = star(R("E"), "1,2,2'", "3=1'")
-        plan = compile_plan(expr, store, backend="columnar", use_reach=True)
-        (op,) = [op for op in plan.walk() if isinstance(op, StarOp)]
-        assert op.vector_strategy == "sparse"
-
-    def test_set_lowering_is_identity(self, store):
-        expr = star(R("E"), "1,2,3'", "3=1'")
-        plan = compile_plan(expr, store, backend="set")
-        for op in plan.walk():
-            assert getattr(op, "vector_strategy", None) is None
-
-    def test_unknown_backend_rejected(self, store):
-        with pytest.raises(ReproError):
-            lower_plan(compile_plan(R("E"), store), backend="quantum")
+        calls = _spy_dense(monkeypatch)
+        for engine in _array_engines():
+            assert engine.evaluate(expr, store) == NaiveEngine().evaluate(expr, store)
+        assert calls == []
 
 
 # --------------------------------------------------------------------- #
@@ -298,11 +356,11 @@ class TestBackendWiring:
         db.plan("star[1,2,3'; 3=1'](E)")
         assert db.cache_info()["plans"].hits == 1
 
-    def test_explain_mentions_backend_and_strategy(self, store):
+    def test_explain_mentions_backend_not_a_strategy(self, store):
         db = Database(store, backend="columnar")
         text = db.explain("star[1,2,3'; 3=1'](E)", physical=True)
         assert "backend    : columnar" in text
-        assert "[dense]" in text or "[sparse]" in text
+        assert "[dense]" not in text and "[sparse]" not in text
 
     def test_cli_backend_flag(self, tmp_path, capsys):
         from repro.cli import main
