@@ -521,10 +521,8 @@ def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
 class NativeQuery:
     """A compiled query that does not factor through the Triple Algebra.
 
-    ``run(db)`` produces the result rows directly.  A language's compile
-    step may also return an ``(Expr, NativeQuery)`` pair: the algebraic
-    route with this native evaluation as the execution-time fallback
-    (the Datalog complement-blowup case).
+    ``run(db)`` produces the result rows directly: nSPARQL, and Datalog
+    programs whose shape ``datalog_to_trial`` cannot translate.
     """
 
     __slots__ = ("run",)
@@ -538,11 +536,9 @@ class Language:
     """One front-door language: a name and its compile step.
 
     ``compile(db, source)`` returns either an :class:`Expr` (executed
-    through the session's optimizer/planner/cache pipeline), a
-    :class:`NativeQuery`, or a ``(Expr, NativeQuery)`` pair — the
-    algebraic route with a native fallback for execution-time budget
-    errors.  ``pairs=True`` marks languages whose conventional answer
-    is the π₁,₃ node-pair projection.
+    through the session's optimizer/planner/cache pipeline) or a
+    :class:`NativeQuery`.  ``pairs=True`` marks languages whose
+    conventional answer is the π₁,₃ node-pair projection.
     """
 
     name: str
@@ -586,21 +582,16 @@ def _compile_nre(db: "Database", source: Any) -> Expr:
     return nre_to_trial(source)
 
 
-def _compile_datalog(db: "Database", source: Any):
+def _compile_datalog(db: "Database", source: Any) -> Expr | NativeQuery:
     from repro.datalog import datalog_to_trial, parse_program, run_program
 
     program = parse_program(source) if isinstance(source, str) else source
-    native = NativeQuery(lambda db: run_program(program, db.store))
     try:
-        expr = datalog_to_trial(program)
+        return datalog_to_trial(program)
     except ReproError:
-        # Outside the translatable fragments: the native stratified
-        # evaluator is the only route.
-        return native
-    # Negated literals translate to U-based complements, which
-    # materialise cubically; execution falls back to the native
-    # evaluator on EvaluationBudgetError.
-    return expr, native
+        # Outside the translatable fragments — decided by the program's
+        # shape, never the store: the native stratified evaluator.
+        return NativeQuery(lambda db: run_program(program, db.store))
 
 
 def _compile_nsparql(db: "Database", source: Any) -> NativeQuery:

@@ -10,15 +10,26 @@ evaluate to the same relations.
 TripleDatalog¬ programs become TriAL expressions, ReachTripleDatalog¬
 programs become TriAL* expressions.  Following the paper, predicates are
 ternary here (arity < 3 has no canonical triple encoding; we reject it
-with :class:`TranslationError`), and negated body literals become
-complements ``eᶜ = U − e``.
+with :class:`TranslationError`).
+
+A negated literal becomes an anti-join, so no translated plan
+contains ``U``.  ``Rule`` safety binds every variable of a negated
+literal N in a positive relational literal or a ``x = 'c'`` equality,
+and a rule has at most two relational literals, so N sits beside at most
+one positive literal P.  When every variable of N occurs in P, θ pins
+each position of N to a position of P or to a constant, and the rule
+equals the one-literal rule over ``P′ = P − π₁,₂,₃(P ⋈_θ N)``: a P
+triple survives exactly when no N triple agrees with it under θ.  A
+variable of N bound only by an equality with a constant, or a rule
+without a positive literal, has no such θ over P; those rules raise
+:class:`TranslationError` and the program runs on the native evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from repro.errors import DatalogError, TranslationError
+from repro.errors import TranslationError
 from repro.core.conditions import Cond
 from repro.core.expressions import (
     Diff,
@@ -31,7 +42,6 @@ from repro.core.expressions import (
     Union,
     Universe,
 )
-from repro.core.builder import complement, intersect_as_join
 from repro.core.positions import Const, Pos
 from repro.datalog.ast import (
     Atom,
@@ -45,7 +55,7 @@ from repro.datalog.ast import (
     Rule,
     SimLit,
 )
-from repro.datalog.validate import recursive_predicates
+from repro.datalog.validate import reach_rule_pair, recursive_predicates
 
 _VARS6 = tuple(DVar(f"x{i}") for i in range(1, 7))
 
@@ -266,42 +276,66 @@ def _head_out(rule: Rule, var_pos: dict[str, int]) -> tuple[int, int, int]:
     return tuple(out)  # type: ignore[return-value]
 
 
+def _join_spec(
+    rule: Rule,
+    atoms: list[Atom],
+    others: list[Literal],
+    conds: tuple[Cond, ...] = (),
+) -> tuple[tuple[int, int, int], tuple[Cond, ...]]:
+    """The output positions and conditions of ``rule`` read as a join of
+    ``atoms``: repeated variables (shared ones across the two atoms
+    included) and constants become equalities, beside ``conds`` and the
+    rule's comparison literals."""
+    var_pos = _positions_of_vars(atoms)
+    conds += (*_local_conditions(atoms), *_check_literal_conds(others, var_pos))
+    return _head_out(rule, var_pos), tuple(dict.fromkeys(conds))
+
+
 def _rule_to_join(rule: Rule, operand: dict[str, Expr]) -> Expr:
-    """One TripleDatalog¬ rule as a join expression."""
+    """One TripleDatalog¬ rule as a join expression.
+
+    A negated literal N beside the positive literal P turns P into the
+    anti-join ``P − π₁,₂,₃(P ⋈_θ N)`` (see the module docstring).
+    """
     rels, others = _partition_literals(rule)
     if not 1 <= len(rels) <= 2:
         raise TranslationError(
             f"rule must have one or two relational literals: {rule!r}"
         )
+    if any(lit.atom.arity != 3 for lit in rels):
+        raise TranslationError(f"relational literals must be ternary: {rule!r}")
+    positive = [lit for lit in rels if not lit.negated]
+    negated = [lit for lit in rels if lit.negated]
+    if not positive:
+        raise TranslationError(
+            f"rule has no positive relational literal to anti-join: {rule!r}"
+        )
 
-    def expr_of(lit: RelLit) -> Expr:
-        base = operand[lit.atom.pred]
-        return complement(base) if lit.negated else base
-
-    if len(rels) == 1:
+    if len(rels) == 1 or negated:
         # Duplicate the single atom so the rule becomes a self-join; the
         # full-equality condition pins both copies to the same triple.
-        atoms = [rels[0].atom, rels[0].atom]
-        exprs = [expr_of(rels[0]), expr_of(rels[0])]
-        conds = [Cond(Pos(i), Pos(i + 3)) for i in range(3)]
+        atom = positive[0].atom
+        expr = operand[atom.pred]
+        if negated:
+            n_atom = negated[0].atom
+            if any(pos >= 3 for pos in _positions_of_vars([atom, n_atom]).values()):
+                raise TranslationError(
+                    f"{negated[0]!r} has a variable not bound by {positive[0]!r}"
+                )
+            # θ: N's constants and variables pinned to P's positions (P's
+            # own equalities ride along; the outer rule applies them too).
+            theta = tuple(_local_conditions([atom, n_atom]))
+            expr = Diff(expr, Join(expr, operand[n_atom.pred], (0, 1, 2), theta))
+        atoms = [atom, atom]
+        exprs = [expr, expr]
+        conds = tuple(Cond(Pos(i), Pos(i + 3)) for i in range(3))
     else:
         atoms = [rels[0].atom, rels[1].atom]
-        exprs = [expr_of(rels[0]), expr_of(rels[1])]
-        conds = []
-        # Shared variables across the two atoms become join equalities.
-        left_pos: dict[str, int] = {}
-        for offset, term in enumerate(atoms[0].args):
-            if isinstance(term, DVar) and term.name not in left_pos:
-                left_pos[term.name] = offset
-        for offset, term in enumerate(atoms[1].args):
-            if isinstance(term, DVar) and term.name in left_pos:
-                conds.append(Cond(Pos(left_pos[term.name]), Pos(3 + offset)))
+        exprs = [operand[atoms[0].pred], operand[atoms[1].pred]]
+        conds = ()
 
-    conds += _local_conditions(atoms)
-    var_pos = _positions_of_vars(atoms)
-    conds += _check_literal_conds(others, var_pos)
-    out = _head_out(rule, var_pos)
-    return Join(exprs[0], exprs[1], out, tuple(dict.fromkeys(conds)))
+    out, conds = _join_spec(rule, atoms, others, conds)
+    return Join(exprs[0], exprs[1], out, conds)
 
 
 def _star_from_rules(
@@ -310,34 +344,17 @@ def _star_from_rules(
     step_rule: Rule,
     operand: dict[str, Expr],
 ) -> Expr:
-    """The Theorem 2 construction: recursive S becomes ``(e_R ✶)*``."""
-    base_lit = base_rule.rel_literals()[0]
-    if base_rule.head.args != base_lit.atom.args or base_lit.negated:
-        raise TranslationError(
-            f"base rule for {pred} must be S(x̄) ← R(x̄) with identical "
-            f"variable tuples, got {base_rule!r}"
-        )
-    base_expr = operand[base_lit.atom.pred]
+    """The Theorem 2 construction: recursive S becomes ``(e_R ✶)*``.
+
+    The rules have the shape :func:`~repro.datalog.validate.reach_rule_pair`
+    accepts, so both name the same R and the step rule is positive.
+    """
+    base_expr = operand[base_rule.rel_literals()[0].atom.pred]
     rels, others = _partition_literals(step_rule)
-    first, second = rels[0].atom, rels[1].atom
-    if first.pred == pred:
-        side = "right"
-        atoms = [first, second]
-    else:
-        side = "left"
-        atoms = [first, second]
-    conds = _local_conditions(atoms)
-    left_pos: dict[str, int] = {}
-    for offset, term in enumerate(atoms[0].args):
-        if isinstance(term, DVar) and term.name not in left_pos:
-            left_pos[term.name] = offset
-    for offset, term in enumerate(atoms[1].args):
-        if isinstance(term, DVar) and term.name in left_pos:
-            conds.append(Cond(Pos(left_pos[term.name]), Pos(3 + offset)))
-    var_pos = _positions_of_vars(atoms)
-    conds += _check_literal_conds(others, var_pos)
-    out = _head_out(step_rule, var_pos)
-    return Star(base_expr, out, tuple(dict.fromkeys(conds)), side)
+    atoms = [rels[0].atom, rels[1].atom]
+    side = "right" if atoms[0].pred == pred else "left"
+    out, conds = _join_spec(step_rule, atoms, others)
+    return Star(base_expr, out, conds, side)
 
 
 def datalog_to_trial(program: Program) -> Expr:
@@ -364,25 +381,13 @@ def datalog_to_trial(program: Program) -> Expr:
         pred = component[0]
         rules = program.rules_for(pred)
         if pred in recursive:
-            if len(rules) != 2:
-                raise TranslationError(
-                    f"recursive predicate {pred} must have exactly two rules"
-                )
-            base = [
-                r
-                for r in rules
-                if all(
-                    l.atom.pred != pred
-                    for l in r.rel_literals()
-                )
-            ]
-            step = [r for r in rules if r not in base]
-            if len(base) != 1 or len(step) != 1:
+            pair = reach_rule_pair(program, pred, frozenset(operand))
+            if pair is None:
                 raise TranslationError(
                     f"recursive predicate {pred} does not match the "
                     "base-plus-step shape of ReachTripleDatalog¬"
                 )
-            operand[pred] = _star_from_rules(pred, base[0], step[0], operand)
+            operand[pred] = _star_from_rules(pred, *pair, operand)
         else:
             exprs = [_rule_to_join(rule, operand) for rule in rules]
             if not exprs:

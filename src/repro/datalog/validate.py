@@ -84,16 +84,12 @@ def recursive_predicates(program: Program) -> frozenset[str]:
     return frozenset(cyclic)
 
 
-def _is_reach_step_rule(rule: Rule, pred: str, earlier: frozenset[str]) -> bool:
-    """``S(x̄) ← S(x̄1), R(x̄2), V…`` with R from an earlier stratum."""
+def _is_reach_step_rule(rule: Rule, pred: str, base_pred: str) -> bool:
+    """``S(x̄) ← S(x̄1), R(x̄2), V…`` with the base rule's R."""
     rels = rule.rel_literals()
     if len(rels) != 2 or any(l.negated for l in rels):
         return False
-    preds = [l.atom.pred for l in rels]
-    if preds.count(pred) != 1:
-        return False
-    other = preds[0] if preds[1] == pred else preds[1]
-    if other not in earlier:
+    if sorted(l.atom.pred for l in rels) != sorted((pred, base_pred)):
         return False
     return all(
         isinstance(l, (EqLit, SimLit)) for l in rule.body if not isinstance(l, RelLit)
@@ -101,7 +97,8 @@ def _is_reach_step_rule(rule: Rule, pred: str, earlier: frozenset[str]) -> bool:
 
 
 def _is_reach_base_rule(rule: Rule, earlier: frozenset[str]) -> bool:
-    """``S(x̄) ← R(x̄)`` — one positive earlier-stratum literal, same variables."""
+    """``S(x̄) ← R(x̄)`` — one positive earlier-stratum literal, the same
+    distinct variables."""
     rels = rule.rel_literals()
     if len(rels) != 1 or rels[0].negated:
         return False
@@ -110,12 +107,27 @@ def _is_reach_base_rule(rule: Rule, earlier: frozenset[str]) -> bool:
     if any(not isinstance(l, RelLit) for l in rule.body):
         return False
     head_args = rule.head.args
-    body_args = rels[0].atom.args
     return (
-        len(head_args) == len(body_args)
-        and all(isinstance(a, DVar) for a in head_args)
-        and head_args == body_args
+        all(isinstance(a, DVar) for a in head_args)
+        and len(set(head_args)) == len(head_args)
+        and head_args == rels[0].atom.args
     )
+
+
+def reach_rule_pair(
+    program: Program, pred: str, earlier: frozenset[str]
+) -> tuple[Rule, Rule] | None:
+    """The (base, step) rules of recursive ``pred`` in the Theorem 2
+    shape, with R from ``earlier`` and the same R in both — else ``None``."""
+    rules = program.rules_for(pred)
+    base = [r for r in rules if _is_reach_base_rule(r, earlier)]
+    if len(rules) != 2 or len(base) != 1:
+        return None
+    step = [r for r in rules if r is not base[0]]
+    base_pred = base[0].rel_literals()[0].atom.pred
+    if not _is_reach_step_rule(step[0], pred, base_pred):
+        return None
+    return base[0], step[0]
 
 
 def is_reach_triple_datalog(program: Program) -> bool:
@@ -133,14 +145,7 @@ def is_reach_triple_datalog(program: Program) -> bool:
     for component in strata:
         pred = component[0]
         if pred in recursive:
-            rules = program.rules_for(pred)
-            if len(rules) != 2:
-                return False
-            base = [r for r in rules if _is_reach_base_rule(r, frozenset(earlier))]
-            step = [
-                r for r in rules if _is_reach_step_rule(r, pred, frozenset(earlier))
-            ]
-            if len(base) != 1 or len(step) != 1 or base[0] is step[0]:
+            if reach_rule_pair(program, pred, frozenset(earlier)) is None:
                 return False
         earlier.add(pred)
     return True

@@ -66,7 +66,7 @@ from repro.core.params import (
 )
 from repro.core.parser import parse as parse_expr
 from repro.core.plan import PlanOp, compile_plan
-from repro.errors import EvaluationBudgetError, ReproError
+from repro.errors import ReproError
 from repro.triplestore.model import Triple, Triplestore, _as_triple
 
 __all__ = ["BACKENDS", "CacheInfo", "Database", "MutationBatch"]
@@ -497,18 +497,7 @@ class Database:
             if bindings:
                 raise ReproError(f"{lang} queries take no $parameters")
             return ResultSet.from_set(compiled.run(self))
-        fallback: NativeQuery | None = None
-        if isinstance(compiled, tuple):
-            compiled, fallback = compiled
-        try:
-            return self._run_expr(compiled, bindings)
-        except EvaluationBudgetError:
-            if fallback is None:
-                raise
-            # Negated Datalog literals translate to U-based complements,
-            # which materialise cubically; the native evaluator negates
-            # per-rule instead, so large stores fall back to it.
-            return ResultSet.from_set(fallback.run(self))
+        return self._run_expr(compiled, bindings)
 
     def prepare(self, query: Any, lang: str = "trial") -> PreparedStatement:
         """Compile a (possibly ``$param``-placeholder) query once.
@@ -520,8 +509,6 @@ class Database:
         translation (nSPARQL, non-fragment Datalog) cannot be prepared.
         """
         compiled = get_language(lang).compile(self, query)
-        if isinstance(compiled, tuple):
-            compiled = compiled[0]
         if isinstance(compiled, NativeQuery):
             raise ReproError(
                 f"{lang} query has no algebraic translation and cannot be "
@@ -635,8 +622,6 @@ class Database:
         """The structured explain — logical tree, physical ops, costs
         and backend — with ``.to_json()``."""
         compiled = get_language(lang).compile(self, query)
-        if isinstance(compiled, tuple):
-            compiled = compiled[0]
         if isinstance(compiled, NativeQuery):
             raise ReproError(
                 f"{lang} query has no algebraic translation to explain"
@@ -656,8 +641,6 @@ class Database:
         from repro.analysis.semantics import analyze_expr
 
         compiled = get_language(lang).compile(self, query)
-        if isinstance(compiled, tuple):
-            compiled = compiled[0]
         if isinstance(compiled, NativeQuery):
             return ()
         return tuple(analyze_expr(compiled, self.store))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import NativeQuery, get_language
 from repro.core import (
     FastEngine,
     HashJoinEngine,
@@ -236,13 +237,26 @@ class TestRdfAndDatalogFrontends:
         )
         assert result == figure1().relation("E")
 
-    def test_datalog_fallback_outside_fragment(self, db):
-        # Binary predicates have no triple encoding — translation refuses,
-        # the native stratified evaluator answers.
-        program = parse_program(
-            "P(x,z) :- E(x,y,z).\nAns(x,y,z) :- E(x,y,z), P(x, z).\n"
-        )
-        assert db.query(program, lang="datalog") == run_program(program, figure1())
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Binary predicates have no triple encoding.
+            "P(x,z) :- E(x,y,z).\nAns(x,y,z) :- E(x,y,z), P(x, z).\n",
+            # A negated literal's variable bound only by an equality with
+            # a constant, and a rule with no positive literal: no anti-join.
+            "Ans(x,y,z) :- E(x,y,w), z = 'zz', not E(x,y,z).",
+            "Ans(x,y,z) :- x = 'a', y = 'p', z = 'c', not E(x,y,z).",
+        ],
+        ids=["binary", "constant-bound", "no-positive"],
+    )
+    def test_datalog_fallback_outside_fragment(self, db, text):
+        # Translation refuses the program's shape; the native stratified
+        # evaluator answers.
+        program = parse_program(text)
+        assert isinstance(get_language("datalog").compile(db, program), NativeQuery)
+        expected = run_program(program, figure1())
+        assert expected
+        assert db.query(program, lang="datalog") == expected
 
 
 class TestConstructors:

@@ -16,7 +16,9 @@ from repro.datalog import (
     trial_to_datalog,
     validate_fragment,
 )
+from repro.db import Database
 from repro.rdf.datasets import figure1
+from repro.triplestore.model import Triplestore
 from repro.workloads import transport_network
 from tests.conftest import expressions, stores
 
@@ -138,6 +140,14 @@ class TestTranslationErrors:
         with pytest.raises(TranslationError):
             datalog_to_trial(p)
 
+    def test_binary_edb_atom_not_translatable(self):
+        # Stored rows are triples, so the native evaluator matches E(x, y)
+        # against nothing; reading it as a triple pattern matched all of E.
+        p = parse_program("Ans(x,y,z) :- E(x,y,z), E(x,y).")
+        with pytest.raises(TranslationError):
+            datalog_to_trial(p)
+        assert Database(figure1()).query(p, lang="datalog") == run_program(p, figure1())
+
     def test_mutual_recursion_not_translatable(self):
         p = parse_program(
             """
@@ -162,3 +172,40 @@ class TestTranslationErrors:
         expr = datalog_to_trial(p)
         store = figure1()
         assert evaluate(expr, store) == run_program(p, store)
+
+
+class TestTheorem2Shape:
+    """The star translation and the validator accept the same shape:
+    ``S(x̄) ← R(x̄)`` and ``S(x̄) ← S(x̄₁), R(x̄₂), V…`` with one R."""
+
+    STORE = Triplestore(
+        {"E": [("a", "p", "b")], "F": [("b", "q", "c"), ("c", "q", "d"), ("a", "p", "b")]}
+    )
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            # the step rule's R is not the base rule's
+            "S(x,y,w) :- S(x,y,z), F(z,u,w).",
+            # the step rule's other literal is negated
+            "S(z,y,x) :- S(x,y,z), not F(x,y,z).",
+        ],
+        ids=["other-predicate", "negated"],
+    )
+    def test_foreign_step_rule_answers_natively(self, step):
+        program = parse_program(
+            f"S(x,y,z) :- E(x,y,z).\n{step}\nAns(x,y,z) :- S(x,y,z)."
+        )
+        assert not is_reach_triple_datalog(program)
+        with pytest.raises(TranslationError):
+            datalog_to_trial(program)
+        expected = run_program(program, self.STORE)
+        assert Database(self.STORE).query(program, lang="datalog") == expected
+
+    def test_base_rule_with_repeated_variable_is_outside(self):
+        program = parse_program(
+            "S(x,x,z) :- E(x,x,z).\nS(x,y,w) :- S(x,y,z), E(z,u,w).\nAns(x,y,z) :- S(x,y,z)."
+        )
+        assert not is_reach_triple_datalog(program)
+        with pytest.raises(TranslationError):
+            datalog_to_trial(program)
