@@ -20,11 +20,12 @@ instead of Python sets of tuples:
   the join neither unpacks nor sorts the relation;
 * the kernel's memory rule is **scratch O(block), result O(output)**:
   the probe operand is consumed :data:`_ROW_BLOCK` rows at a time and
-  each block's matches :data:`_PAIR_BLOCK` pairs at a time, an
-  intermediate operand travels as its packed keys and is unpacked per
-  block and per column the join actually reads, and every block is
-  reduced to sorted unique output keys before the next one starts — a
-  join's temporaries do not grow with the pairs it matches;
+  each block's matches :data:`_PAIR_BLOCK` pairs at a time, every
+  operand — base relation or intermediate — travels as its packed keys
+  and is unpacked per block and per column the join actually reads, and
+  every block is reduced to sorted unique output keys before the next
+  one starts — a join's temporaries do not grow with the pairs it
+  matches;
 * constant lookups (:class:`~repro.core.plan.IndexLookupOp`) are a slice
   of the relation's path, the residual evaluated on that slice; other
   selections evaluate conditions as boolean masks over the columns they
@@ -159,10 +160,11 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Operands and blocks
 #
-# A join operand is an ``(N, 3)`` code-column block (a base relation's
-# cached columns, a sharded exchange) or a 1-D packed-key array (every
-# intermediate result).  Packed keys are never unpacked whole: the kernel
-# walks an operand a row block at a time and reads the columns it needs.
+# A join operand is a 1-D packed-key array — a base relation's stored keys
+# or an intermediate result alike — or, only in the sharded exchange, an
+# ``(N, 3)`` code-column block.  Packed keys are never unpacked whole: the
+# kernel walks an operand a row block at a time and reads the columns it
+# needs.
 # --------------------------------------------------------------------- #
 
 #: Probe rows per block.  2¹⁵ int64 are 256 KiB: numpy's per-call cost is
@@ -379,13 +381,13 @@ def _merge_join(
 ) -> np.ndarray:
     """Join two pre-filtered operands; packed-key output.
 
-    The one join of the columnar backends.  Each operand is an ``(N, 3)``
-    code-column block or a 1-D packed-key array.  The ``build_side``
-    operand is indexed on its half of the equi-join key and probed with
-    the other; ``path`` is the build operand's access path when the
-    caller already holds one (a base relation's, from the store; a
-    fixpoint's constant operand, built once outside the loop), otherwise
-    it is built here.  Without cross equalities the join is the
+    The one join of the columnar backends.  Each operand is a 1-D
+    packed-key array (an ``(N, 3)`` code-column block only in the sharded
+    exchange).  The ``build_side`` operand is indexed on its half of the
+    equi-join key and probed with the other; ``path`` is the build
+    operand's access path when the caller already holds one (a base
+    relation's, from the store; a fixpoint's constant operand, built once
+    outside the loop), otherwise it is built here.  Without cross equalities the join is the
     operand's own projection when nothing links the two sides, and the
     cartesian product the algebra demands otherwise.
 
@@ -514,17 +516,16 @@ def reach_dense(cs: ColumnarStore, keys: np.ndarray, same_label: bool) -> np.nda
     :class:`~repro.errors.MatrixTooLargeError` when the compacted node
     set exceeds the guard.
     """
-    cols = cs.unpack(keys)
     if not same_label:
-        return _reach_dense_emit(cs, cols)
+        return _reach_dense_emit(cs, keys)
+    labels = cs.column(keys, 1)
     parts = [
-        _reach_dense_emit(cs, cols[cols[:, 1] == label])
-        for label in sorted_unique(cols[:, 1])
+        _reach_dense_emit(cs, keys[labels == label]) for label in sorted_unique(labels)
     ]
     return sorted_unique(np.concatenate(parts)) if parts else keys
 
 
-def _reach_dense_emit(cs: ColumnarStore, cols: np.ndarray) -> np.ndarray:
+def _reach_dense_emit(cs: ColumnarStore, keys: np.ndarray) -> np.ndarray:
     """Closure of one adjacency matrix, attached to its base triples.
 
     The matrix is built over the *compacted* node set of these triples'
@@ -532,21 +533,20 @@ def _reach_dense_emit(cs: ColumnarStore, cols: np.ndarray) -> np.ndarray:
     sub-graph), so sparse labels get tiny matrices; the object-count
     guard applies to the compacted size.
     """
-    nodes = sorted_unique(np.concatenate((cols[:, 0], cols[:, 2])))
+    subjects, objects = cs.column(keys, 0), cs.column(keys, 2)
+    nodes = sorted_unique(np.concatenate((subjects, objects)))
     m = len(nodes)
     if m > DENSE_MATRIX_MAX_OBJECTS:
         raise MatrixTooLargeError(m, DENSE_MATRIX_MAX_OBJECTS, what="reachability matrix")
-    sources = np.searchsorted(nodes, cols[:, 0])
-    targets = np.searchsorted(nodes, cols[:, 2])
+    sources = np.searchsorted(nodes, subjects)
+    targets = np.searchsorted(nodes, objects)
     adjacency = np.zeros((m, m), dtype=bool)
     adjacency[sources, targets] = True
     closure = _bool_closure(adjacency)
     reach_rows = closure[targets]  # row i: nodes reachable from o_i
     row_idx, target_local = np.nonzero(reach_rows)
-    n = cs.radix
-    return sorted_unique(
-        (cols[:, 0][row_idx] * n + cols[:, 1][row_idx]) * n + nodes[target_local]
-    )
+    # A base key with its object digit replaced: (s·n + p)·n + o'.
+    return sorted_unique(keys[row_idx] - objects[row_idx] + nodes[target_local])
 
 
 # --------------------------------------------------------------------- #
@@ -613,14 +613,6 @@ class VectorExecContext:
             f"no columnar execution for {type(op).__name__}"
         )
 
-    def _rows(self, op: PlanOp, keys: np.ndarray) -> np.ndarray:
-        """``op``'s result ``keys`` as a join operand: the store's cached
-        column block for a base relation, the packed keys themselves for
-        an intermediate (read block by block, never unpacked whole)."""
-        if isinstance(op, ScanOp):
-            return self.cs.relation_columns(op.name)
-        return keys
-
     def _index_lookup(self, op: IndexLookupOp) -> np.ndarray:
         cs = self.cs
         needle = cs.key_of([cs.code_of(value) for value in op.bound_key()])
@@ -628,12 +620,12 @@ class VectorExecContext:
         keys = cs.relation_keys(op.name)[rows]
         if op.residual:
             # Evaluated on the looked-up rows only.
-            keys = keys[_local_mask(cs, op.residual, cs.relation_columns(op.name)[rows])]
+            keys = keys[_local_mask(cs, op.residual, keys)]
         return keys
 
     def _filter(self, op: FilterOp) -> np.ndarray:
         keys = self.run(op.child)
-        return keys[_local_mask(self.cs, op.conditions, self._rows(op.child, keys))]
+        return keys[_local_mask(self.cs, op.conditions, keys)]
 
     def _join(self, op: HashJoinOp) -> np.ndarray:
         cs = self.cs
@@ -645,12 +637,10 @@ class VectorExecContext:
         right = self.run(op.right)
         if not spec.gate_open(self.rho):
             return _EMPTY
-        lrows = self._rows(op.left, left)
-        rrows = self._rows(op.right, right)
         if spec.left_local:
-            lrows = lrows[_local_mask(cs, spec.left_local, lrows)]
+            left = left[_local_mask(cs, spec.left_local, left)]
         if spec.right_local:
-            rrows = rrows[_local_mask(cs, spec.right_local, rrows)]
+            right = right[_local_mask(cs, spec.right_local, right)]
         build_right = op.build_side == RIGHT
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if build_right else lkey
@@ -662,18 +652,16 @@ class VectorExecContext:
             name = (op.right if build_right else op.left).name
             path = cs.access_path(name, tuple(pos for pos, _ in key))
         else:
-            path = _operand_path(cs, rrows if build_right else lrows, key, presorted=True)
-        return _merge_join(cs, spec, lrows, rrows, op.build_side, path)
+            path = _operand_path(cs, right if build_right else left, key, presorted=True)
+        return _merge_join(cs, spec, left, right, op.build_side, path)
 
     def _star(self, op: StarOp) -> np.ndarray:
         base = self.run(op.child)
         if not op.spec.gate_open(self.rho):
             return base
-        return self._fixpoint(op.spec, op.side, base, self._rows(op.child, base))
+        return self._fixpoint(op.spec, op.side, base)
 
-    def _fixpoint(
-        self, spec: JoinSpec, side: str, base: np.ndarray, base_rows: np.ndarray
-    ) -> np.ndarray:
+    def _fixpoint(self, spec: JoinSpec, side: str, base: np.ndarray) -> np.ndarray:
         """Semi-naive closure of ``base`` under the spec's join.
 
         The constant operand (right for a right star, left for a left
@@ -686,14 +674,13 @@ class VectorExecContext:
         const_right = side == RIGHT
         const_local = spec.right_local if const_right else spec.left_local
         varying_local = spec.left_local if const_right else spec.right_local
-        const = base_rows
+        const = base
         if const_local:
             const = const[_local_mask(cs, const_local, const)]
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if const_right else lkey
         path = _operand_path(cs, const, key, presorted=True) if key and len(const) else None
-        acc = base
-        varying = base_rows
+        acc = varying = base
         while True:
             if varying_local:
                 varying = varying[_local_mask(cs, varying_local, varying)]
@@ -718,7 +705,7 @@ class VectorExecContext:
         # stars of a fixed shape, so the semi-naive join fixpoint applies
         # verbatim — rounds are bounded by the graph diameter.
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
-        return self._fixpoint(spec, RIGHT, base, self._rows(op.child, base))
+        return self._fixpoint(spec, RIGHT, base)
 
     # -- the universal relation ----------------------------------------- #
 

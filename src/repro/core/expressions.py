@@ -36,9 +36,30 @@ OutSpec = tuple[int, int, int]
 
 
 class Expr:
-    """Base class for Triple Algebra expressions."""
+    """Base class for Triple Algebra expressions.
+
+    Equality is structural (the dataclass ``==``), and so is the hash —
+    computed once per node: plan-cache keys hash whole trees, and a node's
+    hash would otherwise re-walk every subtree on each lookup.  The memo
+    is not pickled, since string hashes differ between processes.
+    """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        memo = self.__dict__
+        h = memo.get("_hash")
+        if h is None:
+            h = memo["_hash"] = self._structural_hash()
+        return h
+
+    def _structural_hash(self) -> int:  # pragma: no cover — set per node class
+        raise NotImplementedError
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # -- operator sugar -------------------------------------------------
 
@@ -76,6 +97,15 @@ class Expr:
         return any(isinstance(n, Star) for n in self.walk())
 
 
+def _node(cls: type) -> type:
+    """A frozen expression dataclass whose hash is memoised: the
+    dataclass's structural hash becomes ``_structural_hash``."""
+    cls = dataclass(frozen=True, repr=False)(cls)
+    cls._structural_hash = cls.__hash__
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
 def _coerce_out(out: OutSpec | str) -> OutSpec:
     if isinstance(out, str):
         return parse_out_spec(out)
@@ -93,7 +123,7 @@ def _check_select_conditions(conditions: Conditions) -> None:
             )
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Rel(Expr):
     """A base relation of the triplestore."""
 
@@ -106,7 +136,7 @@ class Rel(Expr):
         return self.name
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Universe(Expr):
     """U: every triple over objects occurring in the stored relations."""
 
@@ -117,7 +147,7 @@ class Universe(Expr):
         return "U"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Select(Expr):
     """``σ_{θ,η}(e)`` — keep triples satisfying all conditions."""
 
@@ -136,7 +166,7 @@ class Select(Expr):
         return f"select[{conds}]({self.expr!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Union(Expr):
     """``e1 ∪ e2``."""
 
@@ -150,7 +180,7 @@ class Union(Expr):
         return f"({self.left!r} | {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Diff(Expr):
     """``e1 − e2``."""
 
@@ -164,7 +194,7 @@ class Diff(Expr):
         return f"({self.left!r} - {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Intersect(Expr):
     """``e1 ∩ e2`` (definable: ``e1 ✶^{1,2,3}_{1=1',2=2',3=3'} e2``)."""
 
@@ -178,7 +208,7 @@ class Intersect(Expr):
         return f"({self.left!r} & {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Join(Expr):
     """``e1 ✶^{i,j,k}_{θ,η} e2``.
 
@@ -207,7 +237,7 @@ class Join(Expr):
         )
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Star(Expr):
     """Kleene closure of a join over an expression.
 

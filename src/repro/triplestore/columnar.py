@@ -28,31 +28,38 @@ cached on the store like its hash indexes and statistics
 
 **Sharing contract.**  A store derived from one that already has a
 columnar view (``with_relations`` and friends) gets its view from
-:meth:`ColumnarStore.derive`, not from a rebuild: the dictionary
-(``objects``, the object→code map, the decode array and the wire array
-of :meth:`ColumnarStore.wire_array`, ``dv_*``) and the
-key/column arrays and access paths (:class:`AccessPath`) of every
-relation the derivation did not replace are the parent's *by reference*;
-only the replaced relations are encoded.
+:meth:`ColumnarStore.derive`, not from a rebuild: the dictionary (the
+``objects`` array with its :class:`~repro.triplestore.dictionary.ObjectIndex`,
+the wire array of :meth:`ColumnarStore.wire_array`, ``dv_*``) and the
+key arrays and access paths (:class:`AccessPath`) of every relation the
+derivation did not replace are the parent's *by reference*; only the
+replaced relations are encoded, with one :meth:`ObjectIndex.encode` of
+every object they mention.  A relation is held only as its packed keys:
+readers take the columns they need (:meth:`ColumnarStore.column`) or
+unpack the rows they touch, never a second ``(N, 3)`` copy.
 When the new triples bring objects outside the universe the dictionary
 grows once — codes always follow ``repr`` order, so the old codes map to
-the new ones monotonically, re-coded packed keys are still sorted, and
-the derived view equals a from-scratch build field by field without a
-re-sort.  Because versions share arrays, every array a view holds is
-read-only (``writeable=False``): an engine that wrote into an input in
-place would corrupt every version and cached result sharing it, so it
-raises instead.
+the new ones monotonically, re-coded packed keys are still sorted, the
+fresh objects' hashes merge into the index without a re-sort, and the
+derived view equals a from-scratch build field by field.  Because
+versions share arrays, every array a view holds is read-only
+(``writeable=False``): an engine that wrote into an input in place
+would corrupt every version and cached result sharing it, so it raises
+instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, KeysView, Mapping
+from functools import partial
+from itertools import chain, compress, repeat
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import TriplestoreError
+from repro.triplestore.dictionary import ObjectIndex
 from repro.triplestore.model import Obj, Triple, Triplestore
 
 __all__ = ["JSON_NATIVE", "AccessPath", "ColumnarStore", "KeyPart", "sorted_unique"]
@@ -144,7 +151,11 @@ class ColumnarStore:
     Attributes
     ----------
     objects:
-        The sorted object universe; code ``i`` denotes ``objects[i]``.
+        The ``repr``-sorted object universe as a read-only object array;
+        code ``i`` denotes ``objects[i]``.  It is the decode array.
+    object_index:
+        The :class:`~repro.triplestore.dictionary.ObjectIndex` over
+        ``objects`` (object → code), built per process.
     n:
         ``len(objects)`` — the code range.
     radix:
@@ -161,29 +172,25 @@ class ColumnarStore:
 
     __slots__ = (
         "objects",
+        "object_index",
         "n",
         "radix",
-        "_code_of",
-        "_obj_array",
         "_wire_cell",
         "dv_values",
         "dv_codes",
         "_dv_code_of",
         "_relations",
-        "_columns",
         "_paths",
         "_active",
     )
 
     def __init__(self, store: Triplestore) -> None:
         """Encode ``store`` from scratch (a store with no parent view)."""
-        self._set_dictionary(sorted(store.objects, key=repr))
+        self._set_dictionary(ObjectIndex.build(sorted(store.objects, key=repr)))
         self._encode_rho(store.rho)
         self._relations: dict[str, np.ndarray] = {
-            name: _readonly(self.encode_triples(store.relation(name)))
-            for name in store.relation_names
+            name: self.encode_triples(store.relation(name)) for name in store.relation_names
         }
-        self._columns: dict[str, np.ndarray] = {}
         self._paths: dict[str, dict[tuple[int, ...], AccessPath]] = {}
         self._active: np.ndarray | None = None
 
@@ -196,46 +203,43 @@ class ColumnarStore:
         relations: Mapping[str, np.ndarray],
     ) -> "ColumnarStore":
         """A view over arrays that are already encoded (mmap'd segments);
-        the arrays are aliased, not copied, and the active set is derived
-        on first use."""
+        the arrays are aliased, not copied, ``objects`` is moved into the
+        dictionary's object array, and the active set is derived on
+        first use."""
         cs = object.__new__(cls)
-        cs._set_dictionary(objects)
+        cs._set_dictionary(ObjectIndex.build(objects))
         cs.dv_values = dv_values
         cs._dv_code_of = {v: i for i, v in enumerate(dv_values)}
         cs.dv_codes = _readonly(dv_codes)
         cs._relations = {name: _readonly(keys) for name, keys in relations.items()}
-        cs._columns = {}
         cs._paths = {}
         cs._active = None
         return cs
 
-    def _set_dictionary(self, objs: list[Obj]) -> None:
-        """Install the ``repr``-sorted universe ``objs`` as the dictionary."""
-        if len(objs) > _MAX_ENCODABLE_OBJECTS:
+    def _set_dictionary(self, index: ObjectIndex) -> None:
+        """Install ``index`` (over the ``repr``-sorted universe) as the
+        dictionary."""
+        n = len(index)
+        if n > _MAX_ENCODABLE_OBJECTS:
             raise TriplestoreError(
-                f"cannot pack triples over {len(objs)} objects into int64 keys "
+                f"cannot pack triples over {n} objects into int64 keys "
                 f"(limit {_MAX_ENCODABLE_OBJECTS})"
             )
-        self.objects: list[Obj] = objs
-        self.n: int = len(objs)
-        self.radix: int = max(len(objs), 1)
-        self._code_of: dict[Obj, int] = {o: i for i, o in enumerate(objs)}
-        # An object-dtype array for vectorised decoding (code → object).
-        self._obj_array = np.empty(len(objs), dtype=object)
-        self._obj_array[:] = objs
-        _readonly(self._obj_array)
+        self.object_index = index
+        self.objects: np.ndarray = index.objects
+        self.n: int = n
+        self.radix: int = max(n, 1)
         # Filled by wire_array(); a cell, so that every version sharing
         # this dictionary shares the array whichever of them fills it.
         self._wire_cell: list = [None]
 
     def _encode_rho(self, rho: Callable[[Obj], Any]) -> None:
         """Dictionary-encode the data values of the whole universe."""
-        assigned = [rho(o) for o in self.objects]
+        assigned = list(map(rho, self.objects))
         self.dv_values: list[Any] = sorted(set(assigned), key=repr)
         self._dv_code_of: dict[Any, int] = {v: i for i, v in enumerate(self.dv_values)}
-        code = self._dv_code_of
         self.dv_codes = _readonly(
-            np.fromiter((code[v] for v in assigned), np.int64, len(assigned))
+            np.fromiter(map(self._dv_code_of.__getitem__, assigned), np.int64, len(assigned))
         )
 
     # ------------------------------------------------------------------ #
@@ -243,29 +247,36 @@ class ColumnarStore:
     # ------------------------------------------------------------------ #
 
     def derive(
-        self,
-        store: Triplestore,
-        replaced: Collection[str],
-        new_objects: Collection[Obj],
-        rho_changed: bool,
-    ) -> "ColumnarStore":
-        """The columnar view of ``store``, a store derived from this view's.
+        self, store: Triplestore, replaced: Collection[str], rho_changed: bool
+    ) -> tuple["ColumnarStore", set[Obj]]:
+        """The columnar view of ``store``, a store derived from this view's,
+        and the objects of ``store`` outside this view's universe.
 
         ``replaced`` names the relations of ``store`` whose content is
-        new (they are encoded); every other relation of ``store`` is one
-        of this view's and its arrays are shared.  ``new_objects`` are
-        the objects of ``store`` outside this view's universe;
-        ``rho_changed`` says ρ was replaced.  The result equals
-        ``ColumnarStore(store)`` field by field.
+        new (they are encoded, all of them with one
+        :meth:`ObjectIndex.encode`); every other relation of ``store`` is
+        one of this view's and its arrays are shared.  ``rho_changed``
+        says ρ was replaced.  The view equals ``ColumnarStore(store)``
+        field by field.
         """
         child = object.__new__(ColumnarStore)
+        triples = [store.relation(name) for name in replaced]
+        flat = list(chain.from_iterable(chain.from_iterable(triples)))
+        codes = self.object_index.encode(flat)
+        absent = codes < 0
+        new_objects: set[Obj] = set()
         remap = None
-        if new_objects:
+        if absent.any():
+            new_objects = set(compress(flat, absent))
             fresh = sorted(new_objects, key=repr)
-            remap = child._grow_dictionary(self, fresh)
+            remap, fresh_codes = child._grow_dictionary(self, fresh)
+            codes[~absent] = remap[codes[~absent]]
+            code_of_fresh = dict(zip(fresh, fresh_codes.tolist())).__getitem__
+            codes[absent] = np.fromiter(
+                map(code_of_fresh, compress(flat, absent)), np.int64, int(absent.sum())
+            )
         else:
-            child.objects, child.n, child.radix = self.objects, self.n, self.radix
-            child._code_of, child._obj_array = self._code_of, self._obj_array
+            child._set_dictionary(self.object_index)
             child._wire_cell = self._wire_cell
         if rho_changed:
             child._encode_rho(store.rho)
@@ -273,11 +284,17 @@ class ColumnarStore:
             child.dv_values, child._dv_code_of = self.dv_values, self._dv_code_of
             child.dv_codes = self.dv_codes
         else:
-            child._grow_rho(self, store.rho, fresh, remap)
+            child._grow_rho(self, store.rho, fresh, remap, fresh_codes)
+        encoded: dict[str, np.ndarray] = {}
+        lo = 0
+        for name, rel in zip(replaced, triples):
+            hi = lo + 3 * len(rel)
+            encoded[name] = child._pack_codes(codes[lo:hi])
+            lo = hi
         relations: dict[str, np.ndarray] = {}
         for name in store.relation_names:
-            if name in replaced:
-                relations[name] = _readonly(child.encode_triples(store.relation(name)))
+            if name in encoded:
+                relations[name] = encoded[name]
             elif remap is None:
                 relations[name] = self._relations[name]
             else:
@@ -286,12 +303,8 @@ class ColumnarStore:
                     child.pack(remap[self.unpack(self._relations[name])])
                 )
         child._relations = relations
-        child._columns = {}
         child._paths = {}
         if remap is None:
-            for name, columns in list(self._columns.items()):
-                if name in relations and name not in replaced:
-                    child._columns[name] = columns
             # The per-relation path table itself is shared, so a path
             # built later by either version serves both.
             for name in relations:
@@ -300,32 +313,23 @@ class ColumnarStore:
         # The active set survives only when the relation set did.
         same = not replaced and len(relations) == len(self._relations)
         child._active = self._active if same else None
-        return child
+        return child, new_objects
 
-    def _grow_dictionary(self, parent: "ColumnarStore", fresh: list[Obj]) -> np.ndarray:
+    def _grow_dictionary(
+        self, parent: "ColumnarStore", fresh: list[Obj]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Install ``parent``'s universe plus the ``repr``-sorted ``fresh``.
 
-        Returns ``remap``: ``remap[old_code]`` is the new code of a
-        parent object — strictly increasing, because both universes are
-        in ``repr`` order.
+        Returns ``remap`` — ``remap[old_code]`` is the new code of a
+        parent object, strictly increasing because both universes are in
+        ``repr`` order — and the new codes of ``fresh``.
         """
-        old = parent.objects
         # Where each fresh object lands among the old ones (non-decreasing).
-        at = [bisect_right(old, repr(o), key=repr) for o in fresh]
-        objs: list[Obj] = []
-        prev = 0
-        for pos, obj in zip(at, fresh):
-            objs += old[prev:pos]
-            objs.append(obj)
-            prev = pos
-        objs += old[prev:]
-        self._set_dictionary(objs)
-        # An old object moves up by the number of fresh ones landing at or
-        # before it.
-        old_codes = np.arange(len(old), dtype=np.int64)
-        return old_codes + np.searchsorted(
-            np.array(at, dtype=np.int64), old_codes, side="right"
-        )
+        land = partial(bisect_right, parent.objects, key=repr)
+        at = np.fromiter(map(land, map(repr, fresh)), np.int64, len(fresh))
+        index, remap = parent.object_index.grow(fresh, at)
+        self._set_dictionary(index)
+        return remap, at + np.arange(len(fresh))
 
     def _grow_rho(
         self,
@@ -333,11 +337,14 @@ class ColumnarStore:
         rho: Callable[[Obj], Any],
         fresh: list[Obj],
         remap: np.ndarray,
+        fresh_codes: np.ndarray,
     ) -> None:
         """Extend ``parent``'s ρ encoding to the grown dictionary."""
-        fresh_values = [rho(o) for o in fresh]
         code = parent._dv_code_of
-        if any(v not in code for v in fresh_values):
+        fresh_values = np.fromiter(
+            map(code.get, map(rho, fresh), repeat(-1)), np.int64, len(fresh)
+        )
+        if (fresh_values < 0).any():
             # A fresh object carries a data value no old object has (ρ
             # already mapped an object outside the universe): the value
             # dictionary itself changes.
@@ -346,7 +353,7 @@ class ColumnarStore:
         self.dv_values, self._dv_code_of = parent.dv_values, code
         dv_codes = np.empty(self.n, dtype=np.int64)
         dv_codes[remap] = parent.dv_codes
-        dv_codes[[self._code_of[o] for o in fresh]] = [code[v] for v in fresh_values]
+        dv_codes[fresh_codes] = fresh_values
         self.dv_codes = _readonly(dv_codes)
 
     # ------------------------------------------------------------------ #
@@ -360,11 +367,11 @@ class ColumnarStore:
 
     def code_of(self, obj: Obj, default: int = -1) -> int:
         """The integer code of ``obj`` (``default`` when absent)."""
-        return self._code_of.get(obj, default)
+        return self.object_index.code_of(obj, default)
 
-    def universe(self) -> KeysView[Obj]:
+    def universe(self) -> ObjectIndex:
         """The object universe as a set-like view of the dictionary — no copy."""
-        return self._code_of.keys()
+        return self.object_index
 
     def dv_code_of(self, value: Any, default: int = -1) -> int:
         """The integer code of a data value (``default`` when absent)."""
@@ -401,28 +408,31 @@ class ColumnarStore:
         return np.subtract(keys, below, out=below)
 
     def encode_triples(self, triples: Iterable[Triple]) -> np.ndarray:
-        """Encode object triples into a sorted unique packed-key array.
+        """Encode object triples into a read-only sorted unique packed-key
+        array.
 
         Every object must belong to the store's universe — results of
         TriAL expressions always do (the closure property).
         """
-        code = self._code_of
-        try:
-            flat = [code[c] for t in triples for c in t]
-        except KeyError as exc:
+        flat = list(chain.from_iterable(triples))
+        codes = self.object_index.encode(flat)
+        absent = np.flatnonzero(codes < 0)
+        if len(absent):
             raise TriplestoreError(
-                f"cannot encode triples: object {exc.args[0]!r} is not in "
+                f"cannot encode triples: object {flat[absent[0]]!r} is not in "
                 f"the store's universe of {self.n} objects"
-            ) from None
-        if not flat:
-            return np.empty(0, dtype=np.int64)
-        columns = np.array(flat, dtype=np.int64).reshape(-1, 3)
-        return sorted_unique(self.pack(columns))
+            )
+        return self._pack_codes(codes)
+
+    def _pack_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Object codes, three per triple, as a read-only sorted unique
+        packed-key array."""
+        return _readonly(sorted_unique(self.pack(codes.reshape(-1, 3))))
 
     def decode_triples(self, keys: np.ndarray) -> frozenset[Triple]:
         """Decode a packed-key array back into a set of object triples."""
         columns = self.unpack(keys)
-        arr = self._obj_array
+        arr = self.objects
         return frozenset(
             zip(
                 arr[columns[:, 0]].tolist(),
@@ -439,7 +449,7 @@ class ColumnarStore:
         decodes only the rows it actually yields.
         """
         columns = self.unpack(keys)
-        arr = self._obj_array
+        arr = self.objects
         return list(
             zip(
                 arr[columns[:, 0]].tolist(),
@@ -459,14 +469,12 @@ class ColumnarStore:
         """
         cell = self._wire_cell
         if cell[0] is None:
-            wire = self._obj_array
-            foreign = [
-                i for i, o in enumerate(self.objects) if not isinstance(o, JSON_NATIVE)
-            ]
-            if foreign:
+            wire = self.objects
+            native = map(isinstance, wire, repeat(JSON_NATIVE))
+            foreign = np.flatnonzero(~np.fromiter(native, bool, len(wire)))
+            if len(foreign):
                 wire = wire.copy()
-                for i in foreign:
-                    wire[i] = repr(self.objects[i])
+                wire[foreign] = list(map(repr, wire[foreign]))
                 _readonly(wire)
             cell[0] = wire
         return cell[0]
@@ -489,7 +497,7 @@ class ColumnarStore:
         """
         columns = self.unpack(keys)
         pair_keys = sorted_unique(columns[:, 0] * self.radix + columns[:, 2])
-        arr = self._obj_array
+        arr = self.objects
         return frozenset(
             zip(
                 arr[(pair_keys // self.radix)].tolist(),
@@ -500,10 +508,8 @@ class ColumnarStore:
     def encode_triple_key(self, triple: Triple) -> int:
         """The packed key of one triple, or ``-1`` when any component is
         outside the store's universe (no stored key is negative)."""
-        code = self._code_of
-        s = code.get(triple[0], -1)
-        p = code.get(triple[1], -1)
-        o = code.get(triple[2], -1)
+        code = self.object_index.code_of
+        s, p, o = code(triple[0]), code(triple[1]), code(triple[2])
         if s < 0 or p < 0 or o < 0:
             return -1
         return (s * self.radix + p) * self.radix + o
@@ -525,18 +531,15 @@ class ColumnarStore:
 
             raise UnknownRelationError(name, self.relation_names) from None
 
-    def relation_columns(self, name: str) -> np.ndarray:
-        """Relation ``name`` as an ``(N, 3)`` code-column array (cached)."""
-        cached = self._columns.get(name)
-        if cached is None:
-            cached = _readonly(self.unpack(self.relation_keys(name)))
-            self._columns[name] = cached
-        return cached
-
     def active_codes(self) -> np.ndarray:
-        """Codes of objects occurring in some stored triple (domain of U)."""
+        """Codes of objects occurring in some stored triple (domain of U),
+        read a column at a time."""
         if self._active is None:
-            pieces = [self.relation_columns(name).ravel() for name in self._relations]
+            pieces = [
+                sorted_unique(self.column(keys, pos))
+                for keys in self._relations.values()
+                for pos in range(3)
+            ]
             self._active = _readonly(
                 sorted_unique(np.concatenate(pieces))
                 if pieces
@@ -625,7 +628,7 @@ class ColumnarStore:
         if path is None:
             key = tuple((pos, False) for pos in positions)
             path = paths[positions] = self.build_path(
-                self.relation_columns(name), key, presorted=True
+                self.relation_keys(name), key, presorted=True
             )
         return path
 

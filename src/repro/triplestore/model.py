@@ -28,6 +28,7 @@ common.
 from __future__ import annotations
 
 from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
+from itertools import chain
 from typing import Any
 
 from repro.errors import TriplestoreError, UnknownRelationError
@@ -131,9 +132,11 @@ class Triplestore:
         """``O`` as something to ask ``in`` and ``len`` of.
 
         A store opened from segments starts with ``_objects = None``: its
-        columnar dictionary already holds the universe as the keys of
-        the object→code map, and a second copy as a frozenset is built
-        only when :attr:`objects`, ``==`` or ``hash`` ask for one.
+        columnar dictionary already holds the universe, once, as an
+        object array with a hash index over it
+        (:class:`~repro.triplestore.dictionary.ObjectIndex`, a set-like
+        view), and a second copy as a frozenset is built only when
+        :attr:`objects`, ``==`` or ``hash`` ask for one.
         """
         return self._columnar.universe() if self._objects is None else self._objects
 
@@ -237,15 +240,23 @@ class Triplestore:
         """
         if not relations:
             relations, replaced = {DEFAULT_RELATION: frozenset()}, (DEFAULT_RELATION,)
-        universe = self._universe()
-        new_objects = {
-            c for name in replaced for t in relations[name] for c in t if c not in universe
-        }
         child = object.__new__(type(self))
         child._relations = relations
         child._rho = self._rho if rho is None else rho
+        if self._columnar is None:
+            new_objects = set(
+                chain.from_iterable(chain.from_iterable(relations[n] for n in replaced))
+            )
+            new_objects -= self._objects
+            child._columnar = None
+        else:
+            # The view looks every object of the replaced relations up at
+            # once, and says which are new.
+            child._columnar, new_objects = self._columnar.derive(
+                child, replaced, rho is not None
+            )
         # (A universe nobody asked for yet stays unbuilt in the child: its
-        # view's dictionary grows by the same new objects.)
+        # view's dictionary grew by the same new objects.)
         child._objects = (
             self._objects | new_objects
             if new_objects and self._objects is not None
@@ -264,11 +275,6 @@ class Triplestore:
                 for s in self._stats.computed().values()
                 if s.name in relations and s.name not in replaced
             )
-        child._columnar = (
-            None
-            if self._columnar is None
-            else self._columnar.derive(child, replaced, new_objects, rho is not None)
-        )
         child._sharded = {}
         return child
 

@@ -124,8 +124,8 @@ class ShardedColumnarStore:
     def shard_columns(self, name: str) -> list[np.ndarray]:
         """Relation ``name`` as per-shard ``(N, 3)`` code-column blocks.
 
-        Cached like :meth:`ColumnarStore.relation_columns`, so repeated
-        base-relation lookups do not re-unpack the packed keys.
+        Cached, so repeated base-relation lookups of the sharded
+        exchange do not re-unpack the packed keys.
         """
         cached = self._columns.get(name)
         if cached is None:

@@ -81,10 +81,11 @@ class TriplestoreStats:
             return cached
         cs = self._store._columnar
         if cs is not None:
-            # Count on the code columns: no tuple is decoded, which for an
-            # mmap'd relation would cost more memory than the relation.
-            rows = cs.relation_columns(name)
-            distinct = tuple(len(sorted_unique(rows[:, i])) for i in range(3))
+            # Count on the code columns, one at a time: no tuple is
+            # decoded, which for an mmap'd relation would cost more memory
+            # than the relation.
+            rows = cs.relation_keys(name)
+            distinct = tuple(len(sorted_unique(cs.column(rows, i))) for i in range(3))
         else:
             rows = self._store.relation(name)
             distinct = tuple(len({t[i] for t in rows}) for i in range(3))

@@ -2,7 +2,7 @@
 
 A :class:`~repro.triplestore.columnar.AccessPath` groups the rows of a
 relation (or a join operand) by a key; the store caches one per base
-relation and key, versions share them like ``_columns``, and the
+relation and key, versions share them like the key arrays, and the
 vectorised engine joins by *build a path, probe it*.  Everything here is
 clock-free — what is pinned is structure and counted work:
 
@@ -104,7 +104,8 @@ def test_path_groups_its_key_column_stably(triples, rho, with_offsets):
     fanout = columnar._OFFSETS_MAX_FANOUT if with_offsets else 0
     with mock.patch.object(columnar, "_OFFSETS_MAX_FANOUT", fanout):
         for key in KEYS:
-            cols = cs.relation_columns("E")
+            # A base relation is its packed keys, in key order.
+            cols = cs.relation_keys("E")
             path = cs.build_path(cols, key, presorted=True)
             check_path(cs, cols, key, path)
             theta_prefix = key == tuple((p, False) for p in range(len(key)))
@@ -113,9 +114,10 @@ def test_path_groups_its_key_column_stably(triples, rho, with_offsets):
             assert (path.offsets is not None) == (
                 single_theta and with_offsets and cs.n <= fanout * len(cols)
             )
-            # Rows in arbitrary order (a sharded exchange): never skipped.
-            shuffled = cols[::-1]
-            check_path(cs, shuffled, key, cs.build_path(shuffled, key))
+            # Rows in arbitrary order, packed or as the (N, 3) block of a
+            # sharded exchange: never skipped.
+            for shuffled in (cols[::-1], cs.unpack(cols)[::-1]):
+                check_path(cs, shuffled, key, cs.build_path(shuffled, key))
 
 
 def test_permutation_dtype_follows_the_row_count():
@@ -141,7 +143,7 @@ def test_offsets_give_way_to_sorted_keys_for_a_small_operand_in_a_large_universe
     cs = store.columnar()
     path = cs.access_path("E", (2,))
     assert path.offsets is None and path.keys is not None
-    check_path(cs, cs.relation_columns("E"), ((2, False),), path)
+    check_path(cs, cs.relation_keys("E"), ((2, False),), path)
     assert VectorEngine().evaluate(
         parse_expr("join[1,2,3'; 3=1'](E, E)"), store
     ) == NaiveEngine().evaluate(parse_expr("join[1,2,3'; 3=1'](E, E)"), store)
@@ -196,7 +198,7 @@ def test_replaced_relations_and_grown_dictionaries_get_fresh_paths():
     ccs = child.columnar()
     new_f = ccs.access_path("F", KEY_O)
     assert new_f is not old_f and ccs.access_path("E", KEY_O) is old_e
-    check_path(ccs, ccs.relation_columns("F"), theta(KEY_O), new_f)
+    check_path(ccs, ccs.relation_keys("F"), theta(KEY_O), new_f)
     assert cs.access_path("F", KEY_O) is old_f  # the parent keeps its own
     # A new object re-codes every relation: offsets are addressed by code,
     # so no path survives — each is rebuilt against the grown dictionary.
@@ -206,7 +208,7 @@ def test_replaced_relations_and_grown_dictionaries_get_fresh_paths():
         fresh = grown.access_path(name, KEY_O)
         assert fresh is not old_e and fresh is not old_f
         assert len(fresh.offsets) == grown.n + 1
-        check_path(grown, grown.relation_columns(name), theta(KEY_O), fresh)
+        check_path(grown, grown.relation_keys(name), theta(KEY_O), fresh)
         for arr in path_arrays(fresh):
             assert not arr.flags.writeable
     fresh_build = ColumnarStore(store.with_relation("F", [("a", "bb", "a")]))
@@ -342,14 +344,56 @@ def test_join_on_the_store_index_neither_unpacks_nor_sorts_the_relation(text, bu
             assert engine.execute_plan(plan, target_store) == expected
         return unpack.lengths, argsort.lengths
 
-    # Cold: the store unpacks the relation once (its cached columns) and
-    # sorts it at most once (the path; none for position 1 and prefixes).
+    # Cold: the store never unpacks the relation (the path reads its key
+    # column off the packed keys) and sorts it at most once (the path;
+    # none for position 1 and prefixes).
     unpacked, sorted_ = run_spied(store)
-    assert unpacked.count(N_CHAIN) == 1 and sorted_.count(N_CHAIN) <= 1
+    assert N_CHAIN not in unpacked and sorted_.count(N_CHAIN) <= 1
     # Warm, and in a version that did not touch E: never again.
     for target in (store, store.with_relation("D", [("n001", "p", "n002")])):
         unpacked, sorted_ = run_spied(target)
         assert N_CHAIN not in unpacked and N_CHAIN not in sorted_
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_no_read_of_a_base_relation_unpacks_it_whole(monkeypatch, dense):
+    """A relation is held only as packed keys: lookups, joins on it, star
+    fixpoints (and the dense reach kernel), stats and access-path builds
+    read the columns they need, never an ``(N, 3)`` copy of it."""
+    n = 24
+    node = [f"n{i:02d}" for i in range(n + 1)]
+    store = Triplestore(
+        {
+            "E": [(node[i], "p", node[i + 1]) for i in range(n)],
+            "F": [(node[i], "pq"[i % 2], node[(3 * i) % n]) for i in range(n)],
+        }
+    )
+    if not dense:
+        monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = VectorEngine()
+    texts = (
+        "select[1='n07' & 3!='n01'](E)",
+        "select[2='q'](F)",
+        "join[1,2,3'; 3=1'](E, F)",
+        "join[1,2,3'; 3=1' & 2!=2'](select[1!=3](F), E)",
+        "join[1,3',3; 2=1'](E, F)",
+        "star[1,2,3'; 3=1'](E)",
+        "star[1,2,3'; 3=1' & 2=2'](F)",
+        "star[1,2,3'; 3=1' & 1!=3'](F)",
+        "lstar[1,2,3'; 3=1'](E)",
+        "(E - F)",
+    )
+    plans = [engine.compile(parse_expr(text), store) for text in texts]
+    with Spy(ColumnarStore, "unpack") as unpack:
+        cs = store.columnar()
+        for name in ("E", "F"):
+            store.stats().relation(name)
+            for positions in ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0)):
+                cs.access_path(name, positions)
+        results = [engine.execute_plan_keys(plan, store)[1] for plan in plans]
+    assert unpack.lengths == []
+    for text, keys in zip(texts, results):
+        assert cs.decode_triples(keys) == NaiveEngine().evaluate(parse_expr(text), store), text
 
 
 @pytest.mark.parametrize(

@@ -105,3 +105,51 @@ class TestFragments:
         assert in_reach_ta_eq(q_like)
         assert not in_reach_ta_eq(star(R("E"), "1,3',3", "2=1'"))
         assert not in_reach_ta_eq(select(R("E"), "1!=2"))
+
+
+class TestHash:
+    """The hash is structural, like ``==``, and computed once per node."""
+
+    TEXT = "join[1,3',3; 2=1' & 1!=3'](select[2='p'](E), star[1,2,3'; 3=1'](F))"
+
+    def test_equal_expressions_built_apart_hash_equal(self):
+        parsed = parse(self.TEXT)
+        built = join(
+            select(R("E"), "2='p'"), star(R("F"), "1,2,3'", "3=1'"), "1,3',3", "2=1' & 1!=3'"
+        )
+        assert parsed == built and parsed is not built
+        hash(parsed)  # one side memoised, the other not yet
+        assert hash(parsed) == hash(built)
+        assert {parsed: "plan"}[built] == "plan"
+        assert parse(self.TEXT.replace("'p'", "'q'")) != parsed
+
+    def test_each_nodes_hash_is_computed_once(self, monkeypatch):
+        from repro.core.expressions import Expr
+
+        computed: list[int] = []
+        for cls in Expr.__subclasses__():
+            structural = cls._structural_hash
+
+            def counting(self, structural=structural):
+                computed.append(id(self))
+                return structural(self)
+
+            monkeypatch.setattr(cls, "_structural_hash", counting)
+        expr = parse(self.TEXT)
+        first = hash(expr)
+        assert hash(expr) == hash(expr) == first
+        assert hash(Union(expr, expr)) == hash(Union(expr, expr))
+        nodes = [id(node) for node in expr.walk()]
+        assert len(set(nodes)) == expr.size() == 5
+        # Each node of ``expr`` once, then each of the two Union nodes once.
+        assert sorted(computed[:5]) == sorted(nodes) and len(computed) == 7
+
+    def test_the_memo_is_not_pickled(self):
+        import pickle
+
+        expr = parse(self.TEXT)
+        hash(expr)
+        loaded = pickle.loads(pickle.dumps(expr))
+        assert loaded == expr
+        assert all("_hash" not in node.__dict__ for node in loaded.walk())
+        assert hash(loaded) == hash(expr)

@@ -193,7 +193,7 @@ def test_kernel_agrees_with_the_set_join_in_both_layouts(monkeypatch, blocks, bu
     def operand(name, layout):
         if layout == "packed":
             return cs.relation_keys(name)
-        return cs.relation_columns(name)[::-1]
+        return cs.unpack(cs.relation_keys(name))[::-1]
 
     for text in KERNEL_SPECS:
         spec = spec_of(text)
@@ -221,7 +221,7 @@ def test_held_output_is_folded_when_a_projection_collapses(monkeypatch):
         return concatenate(parts, *args, **kwargs)
 
     with mock.patch.object(np, "concatenate", spied):
-        keys = _merge_join(cs, spec, cs.relation_columns("E"), cs.relation_keys("F"))
+        keys = _merge_join(cs, spec, cs.unpack(cs.relation_keys("E")), cs.relation_keys("F"))
     expected = spec.execute(store.relation("E"), store.relation("F"), store.rho)
     assert cs.decode_triples(keys) == expected
     n_pairs = len(store.relation("E")) * len(store.relation("F"))

@@ -402,7 +402,7 @@ def test_egress_equals_jsonable_row_on_every_payload(base, delta):
 
 def test_the_wire_array_is_the_decode_array_when_every_object_is_native():
     cs = Triplestore([("a", "é", None), (True, 0.5, 7)]).columnar()
-    assert cs.wire_array() is cs._obj_array
+    assert cs.wire_array() is cs.objects
 
 
 def test_versions_that_share_a_dictionary_share_the_wire_array():
@@ -412,7 +412,7 @@ def test_versions_that_share_a_dictionary_share_the_wire_array():
     # Whichever version renders first fills the array for all of them.
     wire = same.columnar().wire_array()
     assert wire is parent_view.wire_array()
-    assert wire is not parent_view._obj_array
+    assert wire is not parent_view.objects
     assert wire.tolist() == ["a", "b", "('t', 1)"] and not wire.flags.writeable
     grown = same.with_relations({"F": [("a", ("u",), "b")]})
     assert grown.columnar().wire_array().tolist() == ["a", "b", "('t', 1)", "('u',)"]

@@ -123,25 +123,23 @@ def derive(store: Triplestore, op: tuple) -> Triplestore:
         store.stats().relation(name)
         store.index(name, (0,))
     store.columnar().active_codes()
-    store.columnar().relation_columns(store.relation_names[0])
+    store.columnar().access_path(store.relation_names[0], (2,))
     return store
 
 
 def assert_same_view(derived: ColumnarStore, fresh: ColumnarStore) -> None:
-    assert derived.objects == fresh.objects
+    assert derived.objects.tolist() == fresh.objects.tolist()
+    assert derived.object_index.objects is derived.objects
     assert (derived.n, derived.radix) == (fresh.n, fresh.radix)
-    assert derived._code_of == fresh._code_of
-    assert derived._obj_array.tolist() == fresh._obj_array.tolist()
+    for field in ("hashes", "order"):
+        mine, theirs = (getattr(v.object_index, field) for v in (derived, fresh))
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), field
     assert derived.dv_values == fresh.dv_values
     assert derived._dv_code_of == fresh._dv_code_of
     assert derived.dv_codes.tolist() == fresh.dv_codes.tolist()
     assert derived.relation_names == fresh.relation_names
     for name in fresh.relation_names:
         assert derived.relation_keys(name).tolist() == fresh.relation_keys(name).tolist()
-        assert (
-            derived.relation_columns(name).tolist()
-            == fresh.relation_columns(name).tolist()
-        )
     assert derived.active_codes().tolist() == fresh.active_codes().tolist()
 
 
@@ -204,17 +202,16 @@ def test_derivations_of_a_reopened_store_equal_a_fresh_build(sequence):
 def test_untouched_relations_share_the_parents_arrays_and_dictionary():
     parent = start_store()
     pcs = parent.columnar()
-    pcs.relation_columns("E")
+    pcs.access_path("E", (2,))
     pcs.active_codes()
     child = parent.with_relation("F", [("a", "b", "a")])  # no new object
     ccs = child.columnar()
     assert ccs is not pcs
-    assert np.shares_memory(ccs.relation_keys("E"), pcs.relation_keys("E"))
-    assert ccs.relation_columns("E") is pcs.relation_columns("E")
+    assert ccs.relation_keys("E") is pcs.relation_keys("E")
+    assert ccs.access_path("E", (2,)) is pcs.access_path("E", (2,))
     assert not np.shares_memory(ccs.relation_keys("F"), pcs.relation_keys("F"))
-    assert ccs._code_of is pcs._code_of
+    assert ccs.object_index is pcs.object_index
     assert ccs.objects is pcs.objects
-    assert ccs._obj_array is pcs._obj_array
     assert ccs.dv_codes is pcs.dv_codes
     assert ccs.dv_values is pcs.dv_values
     # with_rho keeps every relation: the active set carries over too.
@@ -242,7 +239,7 @@ def test_a_new_object_grows_the_dictionary_once_and_recodes_monotonically():
     pcs = parent.columnar()
     child = parent.with_relations({"F": [("A", "b", "zz")], "G": [("ab", "ab", 0)]})
     ccs = child.columnar()
-    assert ccs._code_of is not pcs._code_of
+    assert ccs.object_index is not pcs.object_index
     assert ccs.n == pcs.n + 4
     remap = [ccs.code_of(o) for o in pcs.objects]
     assert remap == sorted(remap)  # old codes keep their order
@@ -294,9 +291,10 @@ def test_every_array_a_view_holds_is_read_only(tmp_path, reopened):
         store = open_store_segments(tmp_path / "gen", block)
     child = store.with_relation("G", [("a", "b", "fresh")])  # grows: re-coded
     for view in (store.columnar(), child.columnar()):
-        arrays = [view.dv_codes, view.active_codes(), view._obj_array]
+        index = view.object_index
+        arrays = [view.dv_codes, view.active_codes(), view.objects, index.hashes, index.order]
         for name in view.relation_names:
-            arrays += [view.relation_keys(name), view.relation_columns(name)]
+            arrays.append(view.relation_keys(name))
         for arr in arrays:
             assert not arr.flags.writeable
             if len(arr):
@@ -391,7 +389,7 @@ def test_cached_results_of_32_commits_keep_one_dictionary_alive(tmp_path):
             assert kept[-1].total > 0
         views = [rs._rows.cs for rs in kept]
         assert len({id(cs) for cs in views}) == 32  # one version per commit
-        for attr in ("_code_of", "objects", "_obj_array", "dv_codes", "_dv_code_of"):
+        for attr in ("object_index", "objects", "dv_codes", "_dv_code_of"):
             assert len({id(getattr(cs, attr)) for cs in views}) == 1, attr
         assert len({id(cs.relation_keys("E")) for cs in views}) == 1
         assert not views[0].relation_keys("E").flags.owndata

@@ -69,8 +69,12 @@ class TestColumnarStore:
 
     def test_pack_unpack_inverse(self, store):
         cs = store.columnar()
-        cols = cs.relation_columns("E")
+        keys = cs.relation_keys("E")
+        cols = cs.unpack(keys)
+        assert np.array_equal(cs.pack(cols), keys)
         assert np.array_equal(cs.unpack(cs.pack(cols)), cols)
+        for pos in range(3):
+            assert np.array_equal(cs.column(keys, pos), cols[:, pos])
 
     def test_dv_codes_encode_rho(self, store):
         cs = store.columnar()
