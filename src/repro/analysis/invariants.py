@@ -167,6 +167,13 @@ LINT_RULES: dict[str, str] = {
         "flush+fsync (directly or via the repro.storage.fsutil helpers); "
         "append/truncate handles ('ab', 'r+b') are the WAL's and exempt"
     ),
+    "STOR-NOPICKLE": (
+        "pickle.load/pickle.loads under src/repro/storage/ is called only "
+        "at the allow-listed sites (WAL replay, the fsck WAL scan, the "
+        "plan catalog, and the format-1/2 meta.seg reader) — segments "
+        "are typed data, and a new unpickling site must be a deliberate "
+        "allow-list change"
+    ),
 }
 
 
@@ -178,8 +185,9 @@ STORE_RULES: dict[str, str] = {
     ),
     "STOR-SEGMENT": (
         "every segment the manifest references exists, its header and "
-        "payload pass their CRC32 checks, and its length and checksum "
-        "match what the manifest recorded"
+        "payload pass their CRC32 checks, its length and checksum "
+        "match what the manifest recorded, and a format-3 dictionary "
+        "segment decodes"
     ),
     "STOR-WAL": (
         "every WAL record the commit pointer covers verifies and "

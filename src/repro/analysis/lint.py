@@ -254,6 +254,69 @@ def _check_stor_atomic(tree: ast.AST, rel: str) -> Iterator[Finding]:
                 )
 
 
+#: Every ``pickle.load(s)`` call left under repro/storage/, by module and
+#: enclosing function, with how many that function may make.  Segments
+#: are data; a new unpickling site is a format decision, not a detail.
+_PICKLE_LOADS_ALLOWED: dict[tuple[str, str], int] = {
+    ("wal.py", "recover"): 1,  # WAL replay
+    ("fsck.py", "_check_wal"): 1,  # fsck's WAL scan
+    ("catalog.py", "save_catalog"): 2,
+    ("catalog.py", "load_plans"): 2,
+    ("catalog.py", "verify_catalog"): 1,
+    ("segments.py", "_read_pickled_meta"): 1,  # format-1/2 meta.seg only
+}
+
+
+def _check_stor_nopickle(tree: ast.AST, rel: str) -> Iterator[Finding]:
+    """STOR-NOPICKLE: ``pickle.load(s)`` under repro/storage/ only at the
+    allow-listed sites."""
+    module = rel.split("repro/storage/", 1)[1]
+    modules, loaders = {"pickle"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "pickle")
+        elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            loaders.update(
+                a.asname or a.name for a in node.names if a.name in ("load", "loads")
+            )
+    seen: dict[str, int] = {}
+    findings: list[Finding] = []
+
+    def is_load(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in loaders
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        )
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and is_load(node):
+            seen[function] = seen.get(function, 0) + 1
+            if seen[function] > _PICKLE_LOADS_ALLOWED.get((module, function), 0):
+                findings.append(
+                    _finding(
+                        rel,
+                        node.lineno,
+                        "STOR-NOPICKLE",
+                        f"pickle.load(s) in {f'{function}()' if function else 'module scope'} "
+                        "is not an allow-listed site; store data as data (see "
+                        "repro.storage.dictionary) or extend the allow-list "
+                        "in repro.analysis.lint deliberately",
+                    )
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return iter(findings)
+
+
 # --------------------------------------------------------------------- #
 # Cross-file rules: the errors.py ↔ protocol.py contract
 # --------------------------------------------------------------------- #
@@ -459,6 +522,7 @@ def lint_file(
         findings.extend(_check_err_raise(tree, rel, error_classes))
     if "repro/storage/" in rel:
         findings.extend(_check_stor_atomic(tree, rel))
+        findings.extend(_check_stor_nopickle(tree, rel))
     return findings
 
 

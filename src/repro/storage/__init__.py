@@ -3,7 +3,8 @@
 The persistence layer behind ``Database(path=...)`` and the
 ``repro fsck`` / ``repro compact`` / ``repro serve --store-path``
 surfaces.  A store directory holds mmap-able columnar segments
-(:mod:`repro.storage.segments`), a write-ahead log making
+(:mod:`repro.storage.segments`) beside a typed, compressed dictionary
+segment (:mod:`repro.storage.dictionary`), a write-ahead log making
 ``install``/``batch`` crash-recoverable (:mod:`repro.storage.wal`),
 snapshot/compaction machinery (:mod:`repro.storage.snapshot`), a
 warm-reopen catalog of statistics and compiled plans

@@ -8,9 +8,10 @@ families use, so reports render and filter identically everywhere.
 Unlike opening (which skips payload CRCs to stay zero-copy), fsck reads
 every referenced byte: manifest shape, per-segment header *and* payload
 checksums against both the file header and the manifest's recorded CRC,
-WAL record checksums against the commit pointer, and catalog
-readability.  A torn WAL tail is *healthy* (recovery truncates it by
-design) and is not reported as a finding.
+a full decode of a format-3 dictionary segment, WAL record checksums
+against the commit pointer, and catalog readability.  A torn WAL tail
+is *healthy* (recovery truncates it by design) and is not reported as a
+finding.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterator
 
 from repro.analysis.invariants import Finding
 from repro.storage import catalog as _catalog
+from repro.storage.dictionary import decode_dictionary
 from repro.storage.manager import MANIFEST_NAME, WAL_DIR
 from repro.storage.segments import read_segment
 from repro.storage.snapshot import MANIFEST_FORMAT
@@ -32,14 +34,14 @@ from repro.errors import StoreCorruptionError
 __all__ = ["fsck_store"]
 
 
-def _segment_entries(segments: dict) -> Iterator[dict]:
+def _segment_entries(segments: dict) -> Iterator[tuple[str, dict]]:
     for key in ("meta", "dv_codes"):
         entry = segments.get(key)
         if isinstance(entry, dict):
-            yield entry
+            yield key, entry
     for entry in segments.get("relations", ()):
         if isinstance(entry, dict):
-            yield entry
+            yield "relations", entry
 
 
 def _check_manifest(root: str) -> tuple[dict | None, list[Finding]]:
@@ -87,7 +89,8 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
             path=gen_dir,
         )
         return
-    for entry in _segment_entries(manifest["segments"]):
+    dictionary = int(manifest.get("format", 1)) >= 3
+    for key, entry in _segment_entries(manifest["segments"]):
         path = os.path.join(gen_dir, entry.get("file", "?"))
         if not os.path.exists(path):
             yield Finding("STOR-SEGMENT", "referenced segment is missing", path=path)
@@ -115,6 +118,11 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
                 f"{count}",
                 path=path,
             )
+        if key == "meta" and dictionary:
+            try:
+                decode_dictionary(payload, path)
+            except StoreCorruptionError as exc:
+                yield Finding("STOR-SEGMENT", str(exc), path=path)
 
 
 def _check_wal(root: str, manifest: dict) -> Iterator[Finding]:

@@ -18,7 +18,8 @@ A store directory is::
   replayed record), which is what keeps persisted plan-cache keys valid
   across restarts.  A directory without a manifest is initialised as an
   empty generation-1 store.
-* **commit** — append one batch to the WAL (fsync before the commit
+* **commit** — refuse a batch holding an object the dictionary segment
+  cannot store, then append it to the WAL (fsync before the commit
   pointer moves); the caller swaps its in-memory store only after this
   returns.
 * **snapshot** — fold everything into a fresh generation
@@ -42,6 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import StoreCorruptionError
 from repro.storage import catalog as _catalog
+from repro.storage.dictionary import check_storable
 from repro.storage.segments import Generation, open_store_segments
 from repro.storage.snapshot import MANIFEST_FORMAT, sweep_generations, write_snapshot
 from repro.storage.wal import WriteAheadLog
@@ -130,7 +132,7 @@ class DurableStore:
             manifest = self.manifest = self._read_manifest()
             try:
                 store: Triplestore = open_store_segments(
-                    self.gen_dir, manifest["segments"]
+                    self.gen_dir, manifest["segments"], int(manifest.get("format", 1))
                 )
             except FileNotFoundError as exc:
                 raise StoreCorruptionError(
@@ -174,8 +176,14 @@ class DurableStore:
     # ------------------------------------------------------------------ #
 
     def commit(self, mutations: Mapping[str, Iterable[Triple]]) -> int:
-        """Durably log one mutation batch; returns its WAL sequence."""
+        """Durably log one mutation batch; returns its WAL sequence.
+
+        A batch holding an object the dictionary segment cannot store
+        raises :class:`~repro.errors.StorageError` before anything is
+        logged: the WAL must not accept what the next snapshot refuses.
+        """
         assert self.wal is not None, "store is not open"
+        check_storable(mutations)
         return self.wal.append(mutations)
 
     def snapshot(

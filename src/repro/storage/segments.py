@@ -3,8 +3,12 @@
 One *generation* directory holds the dictionary-encoded columnar view
 of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
 
-* ``meta.seg`` — pickled dictionaries: the sorted object universe, the
-  distinct data values, the full ρ assignment, and the packing geometry;
+* ``meta.seg`` — the dictionary segment (:mod:`repro.storage.dictionary`):
+  the sorted object universe, the distinct data values and the full ρ
+  assignment as typed, tagged, xz-compressed JSON — data, never a
+  pickle.  A manifest of format 1 or 2 holds a pickled ``meta.seg``
+  instead; it is read (and only ever from such a manifest), never
+  written, and never linked into a new generation;
 * ``rel-NNN.seg`` — one file per relation: its sorted unique packed-key
   array, raw little-endian ``int64``;
 * ``dv_codes.seg`` — the ρ-code array, raw ``int64``, present only when
@@ -52,6 +56,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.errors import StoreCorruptionError, UnknownRelationError
+from repro.storage.dictionary import decode_dictionary, encode_dictionary
 from repro.storage.fsutil import fsync_dir, fsync_enabled, tmp_sibling
 from repro.triplestore.columnar import ColumnarStore
 from repro.triplestore.model import DEFAULT_RELATION, Triple, Triplestore
@@ -59,8 +64,10 @@ from repro.triplestore.model import DEFAULT_RELATION, Triple, Triplestore
 __all__ = [
     "FORMAT_VERSION",
     "Generation",
+    "KIND_DICT",
     "KIND_INT64",
     "KIND_PICKLE",
+    "MANIFEST_FORMAT",
     "SegmentStore",
     "map_segment",
     "open_store_segments",
@@ -75,9 +82,14 @@ MAGIC = b"RPROSEG1"
 #: Bumped on any incompatible layout change; readers refuse newer files.
 FORMAT_VERSION = 1
 
-#: Payload kinds.
+#: Payload kinds.  ``KIND_PICKLE`` is the format-1/2 ``meta.seg``: read, never written.
 KIND_INT64 = 1
 KIND_PICKLE = 2
+KIND_DICT = 3
+
+#: Manifest schema version; readers refuse newer manifests.  Format 3
+#: stores the dictionary as a ``KIND_DICT`` segment.
+MANIFEST_FORMAT = 3
 
 #: magic, version, kind, reserved, payload byte length, payload CRC32,
 #: header CRC32 (of the preceding 28 bytes) — 32 bytes, 8-aligned.
@@ -133,7 +145,7 @@ def _read_header(path: str, raw: bytes) -> tuple[int, int, int]:
 def read_segment(
     path: str | os.PathLike, *, expect_kind: int | None = None, verify: bool = True
 ) -> bytes:
-    """Read one segment's payload into memory (pickle segments, fsck)."""
+    """Read one segment's payload into memory (the dictionary, fsck)."""
     path = os.fspath(path)
     with open(path, "rb") as fp:
         raw = fp.read()
@@ -194,43 +206,35 @@ def verify_segment(path: str | os.PathLike) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
-def _files(store: Triplestore) -> Iterator[tuple[str, str | None, str, tuple, Callable]]:
+def _files(
+    store: Triplestore,
+) -> Iterator[tuple[str, str | None, str, int, tuple, Callable]]:
     """The files ``store``'s generation holds, nothing derivable among them.
 
-    Yields ``(key, name, file, sources, build)``: the manifest key
+    Yields ``(key, name, file, kind, sources, build)``: the manifest key
     (``"relations"`` entries carry the relation ``name``), the file
-    name, the objects the payload is made of, and a thunk returning
-    ``(kind, entry fields, payload)`` — called only when the file has to
-    be written.
+    name, its payload kind, the objects the payload is made of, and a
+    thunk returning ``(entry fields, payload)`` — called only when the
+    file has to be written.
     """
     cs = store.columnar()
 
-    def meta() -> tuple[int, dict, bytes]:
-        payload = pickle.dumps(
-            {
-                "objects": list(cs.objects),
-                "dv_values": list(cs.dv_values),
-                "rho": store.rho_map(),
-                "n": cs.n,
-                "radix": cs.radix,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return KIND_PICKLE, {"bytes": len(payload)}, payload
+    def meta() -> tuple[dict, bytes]:
+        payload = encode_dictionary(cs.objects, cs.dv_values, store._rho)
+        return {"bytes": len(payload)}, payload
 
     def int64(arr: np.ndarray, **fields: Any) -> Callable:
         return lambda: (
-            KIND_INT64,
             {**fields, "count": len(arr)},
             np.ascontiguousarray(arr, dtype=np.int64).tobytes(),
         )
 
-    yield "meta", None, "meta.seg", (cs.objects, cs.dv_values, store._rho), meta
+    yield "meta", None, "meta.seg", KIND_DICT, (cs.objects, cs.dv_values, store._rho), meta
     if len(cs.dv_values) > 1:  # one value (or none): every code is 0
-        yield "dv_codes", None, "dv_codes.seg", (cs.dv_codes,), int64(cs.dv_codes)
+        yield "dv_codes", None, "dv_codes.seg", KIND_INT64, (cs.dv_codes,), int64(cs.dv_codes)
     for idx, name in enumerate(store.relation_names):
         keys = cs.relation_keys(name)
-        yield "relations", name, f"rel-{idx:03d}.seg", (keys,), int64(keys, name=name)
+        yield "relations", name, f"rel-{idx:03d}.seg", KIND_INT64, (keys,), int64(keys, name=name)
 
 
 class Generation:
@@ -242,7 +246,9 @@ class Generation:
     ``==``: versions share by reference everything a commit did not
     touch, and a dictionary growth that re-codes every key array leaves
     no version number to see it by — the file is linked into the next
-    generation instead of rewritten.
+    generation instead of rewritten.  Only a file of the kind this build
+    writes is remembered: a format-1/2 pickled ``meta.seg`` is always
+    rewritten, never linked.
     """
 
     __slots__ = ("path", "files")
@@ -255,8 +261,8 @@ class Generation:
         entries.update({("relations", e["name"]): e for e in block["relations"]})
         self.files: dict[tuple[str, str | None], tuple[Mapping[str, Any], tuple]] = {
             (key, name): (entries[key, name], sources)
-            for key, name, _file, sources, _build in _files(store)
-            if (key, name) in entries
+            for key, name, _file, kind, sources, _build in _files(store)
+            if entries.get((key, name), {}).get("kind") == kind
         }
 
     def held(
@@ -286,7 +292,7 @@ def write_store_segments(
     gen_dir = os.fspath(gen_dir)
     os.makedirs(gen_dir, exist_ok=True)
     block: dict[str, Any] = {"relations": []}
-    for key, name, fname, sources, build in _files(store):
+    for key, name, fname, kind, sources, build in _files(store):
         path = os.path.join(gen_dir, fname)
         entry = None
         held = prev.held(key, name, sources) if prev is not None else None
@@ -297,7 +303,7 @@ def write_store_segments(
             except OSError:
                 pass
         if entry is None:
-            kind, fields, payload = build()
+            fields, payload = build()
             entry = {**fields, "file": fname, "kind": kind}
             entry["crc"] = write_segment(path, kind, payload)
         if key == "relations":
@@ -399,22 +405,44 @@ class SegmentStore(Triplestore):
         return f"SegmentStore(|O|={self.n_objects}, {rels})"
 
 
-def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) -> SegmentStore:
+def _read_pickled_meta(path: str) -> tuple[list, list, dict]:
+    """``(objects, dv_values, rho)`` of a format-1/2 pickled ``meta.seg``."""
+    meta = pickle.loads(read_segment(path, expect_kind=KIND_PICKLE))
+    if meta["n"] != len(meta["objects"]):  # pragma: no cover — meta disagrees
+        raise StoreCorruptionError(
+            f"meta segment {path} names {len(meta['objects'])} objects but "
+            f"records n={meta['n']}"
+        )
+    return meta["objects"], meta["dv_values"], dict(meta["rho"])
+
+
+def open_store_segments(
+    gen_dir: str | os.PathLike,
+    block: Mapping[str, Any],
+    manifest_format: int = MANIFEST_FORMAT,
+) -> SegmentStore:
     """Open one generation directory into a :class:`SegmentStore`.
 
     ``block`` is the manifest's ``segments`` entry written by
-    :func:`write_store_segments`.  Array segments are mmap'd zero-copy;
-    only the (typically small) pickled dictionaries are read eagerly.
-    A block without ``dv_codes`` means ρ takes one value; a format-1
-    block's ``active`` entry is ignored (the view derives it on demand).
+    :func:`write_store_segments`, ``manifest_format`` the format of the
+    manifest holding it.  Array segments are mmap'd zero-copy; only the
+    (small, compressed) dictionary segment is read eagerly — as a
+    pickle only when the manifest is format 1 or 2.  A block without
+    ``dv_codes`` means ρ takes one value; a format-1 block's ``active``
+    entry is ignored (the view derives it on demand).
     """
     gen_dir = os.fspath(gen_dir)
 
     def seg_path(entry: Mapping[str, Any]) -> str:
         return os.path.join(gen_dir, entry["file"])
 
-    meta = pickle.loads(read_segment(seg_path(block["meta"]), expect_kind=KIND_PICKLE))
-    objects = meta["objects"]
+    meta_path = seg_path(block["meta"])
+    if manifest_format >= 3:
+        objects, dv_values, rho = decode_dictionary(
+            read_segment(meta_path, expect_kind=KIND_DICT), meta_path
+        )
+    else:
+        objects, dv_values, rho = _read_pickled_meta(meta_path)
 
     def mapped(entry: Mapping[str, Any]) -> np.ndarray:
         # The view keeps its mapping alive; dropping it unmaps the file.
@@ -426,30 +454,25 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
             )
         return arr
 
-    if meta["n"] != len(objects):  # pragma: no cover — manifest/meta disagree
-        raise StoreCorruptionError(
-            f"meta segment in {gen_dir} names {len(objects)} objects but "
-            f"records n={meta['n']}"
-        )
     if "dv_codes" in block:
         dv_codes = mapped(block["dv_codes"])
-    elif len(meta["dv_values"]) > 1:
+    elif len(dv_values) > 1:
         raise StoreCorruptionError(
-            f"generation {gen_dir} has {len(meta['dv_values'])} data values "
+            f"generation {gen_dir} has {len(dv_values)} data values "
             "but no dv_codes segment"
         )
     else:
         dv_codes = np.zeros(len(objects), dtype=np.int64)
     store = object.__new__(SegmentStore)
     store._relations = {e["name"]: None for e in block["relations"]}
-    store._rho = dict(meta["rho"])
+    store._rho = rho
     # The dictionary below holds the universe; no second copy until asked.
     store._objects = None
     store._indexes = {}
     store._stats = None
     store._columnar = ColumnarStore.from_encoded(
         objects,
-        meta["dv_values"],
+        dv_values,
         dv_codes,
         {e["name"]: mapped(e) for e in block["relations"]},
     )

@@ -26,9 +26,12 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 2 (this build writes it, and reads 1 and 2) drops what
-a reader can derive: no ``active`` entry, and ``dv_codes`` only when ρ
-takes more than one value.
+Manifest format 3 (this build writes it, and reads 1–3) stores the
+dictionary as data — a typed, compressed ``KIND_DICT`` ``meta.seg``
+(:mod:`repro.storage.dictionary`) where formats 1 and 2 pickled it.
+Like format 2 it drops what a reader can derive: no ``active`` entry,
+and ``dv_codes`` only when ρ takes more than one value.  The first
+snapshot of an older store rewrites ``meta.seg`` and links the rest.
 """
 
 from __future__ import annotations
@@ -39,13 +42,10 @@ import shutil
 from typing import Any, Mapping
 
 from repro.storage.fsutil import atomic_write_bytes, fsync_dir
-from repro.storage.segments import Generation, write_store_segments
+from repro.storage.segments import MANIFEST_FORMAT, Generation, write_store_segments
 from repro.triplestore.model import Triplestore
 
 __all__ = ["MANIFEST_FORMAT", "sweep_generations", "write_snapshot"]
-
-#: Manifest schema version; readers refuse newer manifests.
-MANIFEST_FORMAT = 2
 
 _SEGMENTS_DIR = "segments"
 _MANIFEST = "MANIFEST"

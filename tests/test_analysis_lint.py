@@ -330,6 +330,71 @@ def test_stor_atomic_not_scoped_outside_storage(tmp_path):
     assert run_lint(tmp_path) == []
 
 
+def test_stor_nopickle_flags_a_new_site(tmp_path):
+    write_tree(tmp_path, {"src/repro/storage/segments.py": """\
+        import pickle
+
+
+        def read_meta(payload):
+            return pickle.loads(payload)
+    """})
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["STOR-NOPICKLE"]
+    assert findings[0].line == 5
+    assert "read_meta" in findings[0].message
+
+
+def test_stor_nopickle_sees_aliases_and_from_imports(tmp_path):
+    write_tree(tmp_path, {"src/repro/storage/x.py": """\
+        import pickle as pk
+        from pickle import load as slurp
+
+        STATE = pk.loads(b"")
+
+
+        def f(fp):
+            return slurp(fp)
+    """})
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["STOR-NOPICKLE", "STOR-NOPICKLE"]
+    assert [f.line for f in findings] == [4, 8]
+
+
+def test_stor_nopickle_allows_the_listed_sites_up_to_their_count(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/storage/catalog.py": """\
+            import pickle
+
+
+            def load_plans(fp, blobs):
+                doc = pickle.loads(fp.read())
+                return doc, [pickle.loads(blob) for blob in blobs]
+        """,
+        "src/repro/storage/wal.py": """\
+            import pickle
+
+
+            def recover(payloads):
+                first = pickle.loads(payloads[0])
+                return first, pickle.loads(payloads[1])
+        """,
+    })
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["STOR-NOPICKLE"]
+    assert (findings[0].path, findings[0].line) == ("src/repro/storage/wal.py", 6)
+
+
+def test_stor_nopickle_not_scoped_outside_storage(tmp_path):
+    write_tree(tmp_path, {"src/repro/elsewhere.py": """\
+        import pickle
+
+
+        def read(payload):
+            return pickle.loads(payload)
+    """})
+    assert run_lint(tmp_path) == []
+
+
 # --------------------------------------------------------------------- #
 # Filtering, ordering, discovery
 # --------------------------------------------------------------------- #

@@ -12,6 +12,12 @@ written by the parent commit of PR 16 with::
 over the ``E`` / ``DK`` / ``RHO`` below.  They are the only format-1
 bytes this build is ever tested against — do not regenerate them with a
 newer writer.
+
+``tests/golden/store-v2-rho`` is a manifest format-2 store (a pickled
+``meta.seg``) written the same way by the parent commit of the change
+that introduced format 3, over ``{"E": E, "Dk": DK, "Mx": MX}`` with
+``RHO_V2`` — objects and data values of every type the dictionary
+segment stores.  The same rule holds for it.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ E = [(f"n{i}", f"p{i % 3}", f"n{(i * 7 + 1) % 10}") for i in range(14)]
 DK = [("n1", "k", "n2"), ("n2", "k", "n3"), ("n3", "k", "n1")]
 RHO = {**{f"n{i}": i % 3 for i in range(10)}, "p0": "label"}
 FIXTURES = {"store-v1-plain": None, "store-v1-rho": RHO}
+MX = [(7, "p0", 2.5), (("t", 1), "p1", b"\x00b"), (None, "p2", 2**70)]
+RHO_V2 = {**RHO, 7: 2.5, ("t", 1): ("pair", 1), "n5": b"raw", "n6": None}
 
 #: A replacement for ``Dk`` over objects the dictionary already holds
 #: (``k`` drops out of every triple: the active set shrinks) …
@@ -104,7 +112,7 @@ def compact_every_commit(monkeypatch) -> None:
 
 
 def build_store(root, rho=None) -> str:
-    """A closed format-2 store directory holding ``E`` and ``Dk``."""
+    """A closed format-3 store directory holding ``E`` and ``Dk``."""
     root = str(root)
     ds = DurableStore(root)
     ds.open()
@@ -152,21 +160,76 @@ class TestFormat1Fixture:
         twin = Triplestore({"E": E, "Dk": DK}, rho=rho).with_relation("Dk", DK_SAME_OBJECTS)
         with Database(path=root, backend="columnar") as db:
             db.install("Dk", DK_SAME_OBJECTS)
-        # close() folded the WAL: only Dk was written, the rest linked.
-        assert written == [file_of(root, "Dk")]
+        # close() folded the WAL: Dk and the pickled meta.seg were
+        # written (as format 3), the rest linked.
+        assert written == ["meta.seg", file_of(root, "Dk")]
         manifest = manifest_of(root)
-        assert manifest["format"] == 2
+        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 3
+        assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
         assert "active" not in manifest["segments"]
         after = gen_files(root)
         expected = {"meta.seg", "rel-000.seg", "rel-001.seg"} | ({"dv_codes.seg"} if rho else set())
         assert set(after) == expected
-        for name in expected - {file_of(root, "Dk")}:
+        assert after["meta.seg"].st_ino != before["meta.seg"].st_ino
+        for name in expected - {"meta.seg", file_of(root, "Dk")}:
             assert after[name].st_ino == before[name].st_ino, name
             assert after[name].st_nlink == 1, name
         assert fsck_store(root) == []
         with Database(path=root, backend="columnar") as db:
             assert db.store == twin
             assert answers(db) == oracle(twin)
+
+
+class TestFormat2Fixture:
+    def copy(self, tmp_path) -> str:
+        root = str(tmp_path / "store-v2-rho")
+        shutil.copytree(os.path.join(HERE, "golden", "store-v2-rho"), root)
+        return root
+
+    def twin(self) -> Triplestore:
+        return Triplestore({"E": E, "Dk": DK, "Mx": MX}, rho=RHO_V2)
+
+    def test_fixture_is_format_2(self, tmp_path):
+        root = self.copy(tmp_path)
+        manifest = manifest_of(root)
+        assert manifest["format"] == 2
+        assert manifest["segments"]["meta"]["kind"] == segments.KIND_PICKLE
+        assert fsck_store(root) == []
+
+    def test_answers_like_its_in_memory_twin(self, tmp_path):
+        root = self.copy(tmp_path)
+        twin = self.twin()
+        with Database(path=root, backend="columnar") as db:
+            assert answers(db) == answers(Database(twin, backend="columnar")) == oracle(twin)
+            assert db.query("Mx").to_set() == frozenset(MX)
+            assert db.store == twin
+            assert db.store.rho_map() == RHO_V2
+
+    def test_first_snapshot_is_format_3_and_links(self, tmp_path, written):
+        root = self.copy(tmp_path)
+        before = gen_files(root)
+        twin = self.twin().with_relation("Dk", DK_SAME_OBJECTS)
+        with Database(path=root, backend="columnar") as db:
+            db.install("Dk", DK_SAME_OBJECTS)
+        # The pickled meta.seg is never linked: it is rewritten as data.
+        assert written == ["meta.seg", file_of(root, "Dk")]
+        manifest = manifest_of(root)
+        assert manifest["format"] == 3
+        assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
+        after = gen_files(root)
+        assert set(after) == set(before)
+        assert after["meta.seg"].st_ino != before["meta.seg"].st_ino
+        for name in ("dv_codes.seg", file_of(root, "E"), file_of(root, "Mx")):
+            assert after[name].st_ino == before[name].st_ino, name
+        assert fsck_store(root) == []
+        with Database(path=root, backend="columnar") as db:
+            assert db.store == twin
+            assert answers(db) == oracle(twin)
+            kinds = sorted(type(o).__name__ for o in db.store.objects)
+            assert kinds == sorted(type(o).__name__ for o in twin.objects)
+            rho = db.store.rho_map()
+            assert rho == RHO_V2
+            assert {k: type(v) for k, v in rho.items()} == {k: type(v) for k, v in RHO_V2.items()}
 
 
 # --------------------------------------------------------------------- #
@@ -361,7 +424,7 @@ class TestFormat2:
         root = build_store(tmp_path / "s")
         assert list(gen_files(root)) == ["meta.seg", "rel-000.seg", "rel-001.seg"]
         manifest = manifest_of(root)
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         assert set(manifest["segments"]) == {"meta", "relations"}
         ds = DurableStore(root)
         cs = ds.open().columnar()
@@ -410,10 +473,10 @@ class TestFormat2:
 
     def test_a_newer_manifest_is_refused(self, tmp_path):
         root = build_store(tmp_path / "s")
-        manifest = dict(manifest_of(root), format=3)
+        manifest = dict(manifest_of(root), format=4)
         with open(os.path.join(root, "MANIFEST"), "w") as fp:
             json.dump(manifest, fp)
-        with pytest.raises(StoreCorruptionError, match="v3"):
+        with pytest.raises(StoreCorruptionError, match="v4"):
             DurableStore(root).open()
         assert [f.rule for f in fsck_store(root)] == ["STOR-MANIFEST"]
 
