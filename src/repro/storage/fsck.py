@@ -120,9 +120,16 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
             )
         if key == "meta" and dictionary:
             try:
-                decode_dictionary(payload, path)
+                objects, _dv_values, _rho = decode_dictionary(payload, path)
+                hash(tuple(objects))  # as the object index of an open does
             except StoreCorruptionError as exc:
                 yield Finding("STOR-SEGMENT", str(exc), path=path)
+            except TypeError as exc:
+                yield Finding(
+                    "STOR-SEGMENT",
+                    f"dictionary segment {path} does not decode: {exc}",
+                    path=path,
+                )
 
 
 def _check_wal(root: str, manifest: dict) -> Iterator[Finding]:

@@ -17,7 +17,9 @@ A store directory is::
   re-derived deterministically (manifest versions + one bump per
   replayed record), which is what keeps persisted plan-cache keys valid
   across restarts.  A directory without a manifest is initialised as an
-  empty generation-1 store.
+  empty generation-1 store.  A format-1/2 store holding an object the
+  dictionary segment cannot store is refused here, before its first
+  snapshot would fail.
 * **commit** — refuse a batch holding an object the dictionary segment
   cannot store, then append it to the WAL (fsync before the commit
   pointer moves); the caller swaps its in-memory store only after this
@@ -39,11 +41,12 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.errors import StoreCorruptionError
+from repro.errors import StorageError, StoreCorruptionError
 from repro.storage import catalog as _catalog
-from repro.storage.dictionary import check_storable
+from repro.storage.dictionary import check_storable, unstorable_type
 from repro.storage.segments import Generation, open_store_segments
 from repro.storage.snapshot import MANIFEST_FORMAT, sweep_generations, write_snapshot
 from repro.storage.wal import WriteAheadLog
@@ -126,13 +129,17 @@ class DurableStore:
 
         Raises :class:`StoreCorruptionError` when the committed state on
         disk cannot be trusted; a torn WAL tail is repaired silently.
+        Raises :class:`StorageError` for a format-1/2 store holding an
+        object this build cannot write.
         """
         os.makedirs(self.root, exist_ok=True)
+        manifest_format = MANIFEST_FORMAT
         if os.path.exists(self.manifest_path):
             manifest = self.manifest = self._read_manifest()
+            manifest_format = int(manifest.get("format", 1))
             try:
                 store: Triplestore = open_store_segments(
-                    self.gen_dir, manifest["segments"], int(manifest.get("format", 1))
+                    self.gen_dir, manifest["segments"], manifest_format
                 )
             except FileNotFoundError as exc:
                 raise StoreCorruptionError(
@@ -168,8 +175,32 @@ class DurableStore:
             for name in relations:
                 self.rel_versions[name] = self.rel_versions.get(name, 0) + 1
             self.store_version += 1
+        if manifest_format < MANIFEST_FORMAT:
+            self._refuse_unstorable(store, manifest_format)
         self.store = store
         return store
+
+    def _refuse_unstorable(self, store: Triplestore, manifest_format: int) -> None:
+        """Refuse an older store holding what this build cannot write.
+
+        Formats 1 and 2 pickled the dictionary, so a commit took any
+        hashable; such a store would open and then fail its first
+        snapshot — and with it every compaction and clean close.
+        """
+        cs = store.columnar()
+        rho = store.rho_map()
+        stray = unstorable_type(chain(cs.objects, cs.dv_values, rho, rho.values()))
+        if stray is None:
+            return
+        self.close()
+        raise StorageError(
+            f"store {self.root} (manifest format {manifest_format}) holds an "
+            f"object of type {stray.__qualname__!r}, which manifest format "
+            f"{MANIFEST_FORMAT} cannot store: a durable store holds only str, "
+            "int, float, bool, None, bytes and tuples of them.  Migrate it by "
+            "reading it with the build that wrote it and loading its "
+            "triples, with such objects replaced, into a new store."
+        )
 
     # ------------------------------------------------------------------ #
     # Commit / compaction

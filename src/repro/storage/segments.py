@@ -5,7 +5,7 @@ of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
 
 * ``meta.seg`` — the dictionary segment (:mod:`repro.storage.dictionary`):
   the sorted object universe, the distinct data values and the full ρ
-  assignment as typed, tagged, xz-compressed JSON — data, never a
+  assignment as typed, tagged, zlib-compressed JSON — data, never a
   pickle.  A manifest of format 1 or 2 holds a pickled ``meta.seg``
   instead; it is read (and only ever from such a manifest), never
   written, and never linked into a new generation;
@@ -470,11 +470,12 @@ def open_store_segments(
     store._objects = None
     store._indexes = {}
     store._stats = None
-    store._columnar = ColumnarStore.from_encoded(
-        objects,
-        dv_values,
-        dv_codes,
-        {e["name"]: mapped(e) for e in block["relations"]},
-    )
+    relations = {e["name"]: mapped(e) for e in block["relations"]}
+    try:  # the object index hashes every object: a bare JSON array is none
+        store._columnar = ColumnarStore.from_encoded(objects, dv_values, dv_codes, relations)
+    except TypeError as exc:
+        raise StoreCorruptionError(
+            f"dictionary segment {meta_path} does not decode: {exc}"
+        ) from exc
     store._sharded = {}
     return store

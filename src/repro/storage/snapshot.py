@@ -31,7 +31,10 @@ dictionary as data — a typed, compressed ``KIND_DICT`` ``meta.seg``
 (:mod:`repro.storage.dictionary`) where formats 1 and 2 pickled it.
 Like format 2 it drops what a reader can derive: no ``active`` entry,
 and ``dv_codes`` only when ρ takes more than one value.  The first
-snapshot of an older store rewrites ``meta.seg`` and links the rest.
+snapshot of an older store rewrites ``meta.seg`` and links the rest;
+an older store holding an object format 3 cannot store is refused when
+it opens (:meth:`~repro.storage.manager.DurableStore.open`), so it never
+reaches a snapshot.
 """
 
 from __future__ import annotations

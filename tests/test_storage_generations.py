@@ -153,7 +153,7 @@ class TestFormat1Fixture:
             assert cs.active_codes().tolist() == twin.columnar().active_codes().tolist()
             assert db.store == twin
 
-    def test_first_snapshot_is_format_2_and_links(self, fixture, tmp_path, written):
+    def test_first_snapshot_is_format_3_and_links(self, fixture, tmp_path, written):
         root = self.copy(fixture, tmp_path)
         before = gen_files(root)
         rho = FIXTURES[fixture]
