@@ -43,7 +43,7 @@ import json
 import struct
 import zlib
 from itertools import chain
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from repro.errors import StorageError, StoreCorruptionError
 
@@ -66,24 +66,24 @@ def _unstorable(kind: type, where: str) -> StorageError:
     )
 
 
-def unstorable_type(values: Iterable[Any]) -> type | None:
-    """A type among ``values`` (tuples searched recursively) that the codec
-    cannot hold, or ``None``."""
-    values = tuple(values)
-    kinds = set(map(type, values)) - _SCALARS
+def unstorable_type(groups: Iterable[Collection[Any]]) -> type | None:
+    """A type among the values of ``groups`` (tuples searched recursively)
+    that the codec cannot hold, or ``None``."""
+    groups = list(groups)
+    kinds = set(map(type, chain.from_iterable(groups))) - _SCALARS
     stray = kinds - {tuple}
     if stray:
         return min(stray, key=lambda kind: kind.__qualname__)
     if kinds:
-        return unstorable_type(chain.from_iterable(v for v in values if type(v) is tuple))
+        return unstorable_type(v for group in groups for v in group if type(v) is tuple)
     return None
 
 
-def check_storable(mutations: Mapping[str, Iterable[tuple]]) -> None:
+def check_storable(mutations: Mapping[str, Collection[tuple]]) -> None:
     """Raise :class:`StorageError` if a relation of ``mutations`` holds an
     object the dictionary segment cannot write."""
     for name, triples in mutations.items():
-        stray = unstorable_type(chain.from_iterable(triples))
+        stray = unstorable_type(triples)
         if stray is not None:
             raise _unstorable(stray, f"relation {name!r}")
 

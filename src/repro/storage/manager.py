@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import StorageError, StoreCorruptionError
@@ -189,7 +188,7 @@ class DurableStore:
         """
         cs = store.columnar()
         rho = store.rho_map()
-        stray = unstorable_type(chain(cs.objects, cs.dv_values, rho, rho.values()))
+        stray = unstorable_type((cs.objects, cs.dv_values, rho, rho.values()))
         if stray is None:
             return
         self.close()
