@@ -169,9 +169,9 @@ LINT_RULES: dict[str, str] = {
     ),
     "STOR-NOPICKLE": (
         "pickle.load/pickle.loads under src/repro/storage/ is called only "
-        "at the allow-listed sites (WAL replay, the fsck WAL scan, the "
-        "plan catalog, and the format-1/2 meta.seg reader) — segments "
-        "are typed data, and a new unpickling site must be a deliberate "
+        "at the allow-listed sites (WAL replay, the fsck WAL scan and the "
+        "format-1/2 meta.seg reader) — segments and the catalog are "
+        "typed data, and a new unpickling site must be a deliberate "
         "allow-list change"
     ),
 }
@@ -195,8 +195,9 @@ STORE_RULES: dict[str, str] = {
         "by design and not a finding"
     ),
     "STOR-CATALOG": (
-        "the warm-reopen catalog files (stats.json, plans.bin), when "
-        "present, are readable — open() ignores damage, fsck reports it"
+        "the warm-reopen catalog (catalog/catalog.json), when present, "
+        "is a JSON object of per-relation statistics and a list of plan "
+        "texts — open() ignores a damaged one, fsck reports it"
     ),
 }
 

@@ -260,9 +260,6 @@ def _check_stor_atomic(tree: ast.AST, rel: str) -> Iterator[Finding]:
 _PICKLE_LOADS_ALLOWED: dict[tuple[str, str], int] = {
     ("wal.py", "recover"): 1,  # WAL replay
     ("fsck.py", "_check_wal"): 1,  # fsck's WAL scan
-    ("catalog.py", "save_catalog"): 2,
-    ("catalog.py", "load_plans"): 2,
-    ("catalog.py", "verify_catalog"): 1,
     ("segments.py", "_read_pickled_meta"): 1,  # format-1/2 meta.seg only
 }
 

@@ -276,8 +276,7 @@ class Database:
     backend:
         One of :data:`BACKENDS`.  ``None`` (default) means: the given
         engine's backend if an engine was passed, else the
-        ``REPRO_BACKEND`` environment variable, else ``"set"``.  Plan and
-        result caches are keyed per backend.
+        ``REPRO_BACKEND`` environment variable, else ``"set"``.
     shards:
         With ``backend="sharded"``: the shard count for the default
         :class:`~repro.core.engines.sharded.ShardedEngine` (``None``
@@ -395,9 +394,6 @@ class Database:
         #: and of the auxiliary frontend cache.
         self._store_version = 0
         if self._storage is not None:
-            # Versions are re-derived deterministically on every open
-            # (manifest + WAL replay), so persisted plan-cache keys —
-            # which embed dependency tokens — stay valid across restarts.
             self._rel_versions.update(self._storage.rel_versions)
             self._store_version = self._storage.store_version
         #: The active :class:`MutationBatch`, if any.
@@ -524,7 +520,6 @@ class Database:
             expr,
             tuple(sorted(bindings.items(), key=lambda kv: kv[0])),
             self._dep_token(expr),
-            self.backend,
         )
         payload = self._results.get(key, lambda: self._compute_payload(expr, bindings))
         return self._wrap(payload)
@@ -561,7 +556,7 @@ class Database:
         entry serves every constant.  Engines that interpret directly
         are planned with the default compiler, for inspection only.
         """
-        key = (expr, self._dep_token(expr), self.backend)
+        key = (expr, self._dep_token(expr))
         if isinstance(self.engine, PlanEngine):
             return self._plans.get(key, lambda: self.engine.compile(expr, self.store))
         return self._plans.get(key, lambda: compile_plan(expr, self.store))
@@ -583,7 +578,6 @@ class Database:
             canonical,
             tuple(sorted(all_bindings.items(), key=lambda kv: kv[0])),
             self._dep_token(expr),
-            self.backend,
         )
         payload = self._results.get(
             key, lambda: self._execute_payload(canonical, all_bindings)
@@ -752,9 +746,9 @@ class Database:
         token captured at compile time) stop matching; they are dropped
         here, at the commit, so neither a dead answer nor the store
         version it was computed on stays reachable.  Everything else
-        stays warm.  The tokens stay in the keys: they are what makes a
-        persisted plan safe after a crash between commits — eviction
-        only frees what they already made unreachable.
+        stays warm.  The tokens stay in the keys: a query that was
+        already running when the commit landed inserts its entry under
+        the old token, where no later lookup can reach it.
         """
         names = set(names)
         self._store_version += 1
@@ -762,9 +756,9 @@ class Database:
             self._rel_versions[name] = self._rel_versions.get(name, 0) + 1
 
         def dead(key: tuple) -> bool:
-            # The token sits just before the backend in every key shape:
-            # ("U", version), or a (name, version) pair per relation read.
-            for part in key[-2]:
+            # The token ends every key shape: ("U", version), or a
+            # (name, version) pair per relation read.
+            for part in key[-1]:
                 if part == "U" or part[0] in names:
                     return True
             return False

@@ -7,7 +7,7 @@ surfaces.  A store directory holds mmap-able columnar segments
 segment (:mod:`repro.storage.dictionary`), a write-ahead log making
 ``install``/``batch`` crash-recoverable (:mod:`repro.storage.wal`),
 snapshot/compaction machinery (:mod:`repro.storage.snapshot`), a
-warm-reopen catalog of statistics and compiled plans
+warm-reopen catalog of statistics and query texts
 (:mod:`repro.storage.catalog`), and an offline checker
 (:mod:`repro.storage.fsck`).  :class:`DurableStore`
 (:mod:`repro.storage.manager`) coordinates the lifecycle.

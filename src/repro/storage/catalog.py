@@ -1,39 +1,34 @@
-"""The persisted catalog: statistics and compiled plans for warm reopen.
+"""The persisted catalog: statistics and query texts for warm reopen.
 
-Both files live under ``<store>/catalog/`` and are pure caches — they
-make a reopened database *fast*, never *correct*.  A missing, stale or
-unreadable catalog degrades to a cold start; it is never a reason to
-refuse opening a store (``repro fsck`` still reports catalog corruption
-so operators notice).
+``<store>/catalog/catalog.json`` is a pure cache — it makes a reopened
+database *fast*, never *correct*.  A missing, stale or unreadable
+catalog degrades to a cold start; it is never a reason to refuse
+opening a store (``repro fsck`` still reports a damaged one so
+operators notice).  It is data: nothing in it runs on load.
 
-``stats.json`` holds the per-relation :class:`RelationStats` computed
+``relations`` holds the per-relation :class:`RelationStats` computed
 during the closing session, each stamped with the relation's dependency
 version.  On open, entries whose version still matches seed the new
 store's lazy stats catalog — the cost-based planner starts with real
 cardinalities instead of recounting.
 
-``plans.bin`` holds a pickle of the plan-cache entries
-``((canonical_expr, dep_token, backend), plan)`` stamped with
-:data:`PLAN_FORMAT`.  It holds *live* plans only: a commit evicts the
-plans it killed from the session cache, so what a close writes is what
-can still be hit.  On open, entries are seeded only when the plan
-format matches, the backend matches the session's, and the embedded
-dependency token is *current* — i.e. equal to what
-``Database._dep_token`` would produce now (after a clean close that is
-every entry of the session's backend; the check is what keeps a file
-written before a crash, or by an older build, safe).  Relation versions
-are replayed deterministically from manifest + WAL, so a clean
-close/reopen round-trip preserves the tokens and the first query of
-the new process hits the plan cache.
+``plans`` holds the text of each canonical expression in the closing
+session's plan cache, in LRU order.  TriAL is closed under its textual
+syntax (``parse(repr(e)) == e``), so on open each text is parsed and
+planned through the session's own plan cache: the session's engine
+builds every plan against the current store, and the first query of
+the new process hits the cache.  A text that does not parse or plan is
+skipped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
+from repro.core.parser import parse as parse_expr
+from repro.errors import ReproError
 from repro.storage.fsutil import atomic_write_bytes
 from repro.triplestore.stats import RelationStats
 
@@ -42,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
 
 __all__ = [
     "CATALOG_DIR",
-    "PLAN_FORMAT",
     "load_plans",
     "load_stats",
     "save_catalog",
@@ -50,180 +44,116 @@ __all__ = [
 ]
 
 CATALOG_DIR = "catalog"
-_STATS = "stats.json"
-_PLANS = "plans.bin"
-
-#: Version of the compiled-plan representation this build emits.  Bump
-#: whenever plan operators / specs change shape incompatibly — stale
-#: ``plans.bin`` files are then ignored wholesale instead of unpickling
-#: into nonsense.
-PLAN_FORMAT = 2
+_CATALOG = "catalog.json"
 
 
-def _stats_path(root: str) -> str:
-    return os.path.join(root, CATALOG_DIR, _STATS)
-
-
-def _plans_path(root: str) -> str:
-    return os.path.join(root, CATALOG_DIR, _PLANS)
-
-
-def _token_current(db: "Database", token: Any) -> bool:
-    """Whether a persisted dependency token matches the live versions."""
-    if not isinstance(token, tuple):
-        return False
-    if len(token) == 2 and token[0] == "U":
-        return token[1] == db._store_version
-    try:
-        return all(db._rel_versions.get(name, 0) == ver for name, ver in token)
-    except (TypeError, ValueError):
-        return False
+def _path(root: str | os.PathLike) -> str:
+    return os.path.join(os.fspath(root), CATALOG_DIR, _CATALOG)
 
 
 def save_catalog(root: str | os.PathLike, db: "Database") -> None:
-    """Persist the session's statistics and plan cache beside the segments.
-
-    Unpicklable plan entries (exotic engines) are skipped individually;
-    a failure to persist is never an error — the catalog is a cache.
-    """
-    root = os.fspath(root)
-    os.makedirs(os.path.join(root, CATALOG_DIR), exist_ok=True)
-    computed = db.store.stats().computed()
-    stats_doc = {
-        "format": PLAN_FORMAT,
-        "store_version": db._store_version,
+    """Persist the session's statistics and plan-cache texts beside the
+    segments; the files an older build kept there instead are removed."""
+    directory = os.path.join(os.fspath(root), CATALOG_DIR)
+    os.makedirs(directory, exist_ok=True)
+    doc = {
         "relations": {
             s.name: {
                 "cardinality": s.cardinality,
                 "distinct": list(s.distinct),
                 "version": db._rel_versions.get(s.name, 0),
             }
-            for s in computed.values()
+            for s in db.store.stats().computed().values()
         },
+        "plans": [repr(expr) for (expr, _token), _plan in db._plans.snapshot()],
     }
-    atomic_write_bytes(
-        _stats_path(root), json.dumps(stats_doc, indent=2, sort_keys=True).encode()
+    atomic_write_bytes(_path(root), json.dumps(doc, sort_keys=True).encode())
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.name != _CATALOG and entry.is_file():
+                os.remove(entry.path)
+
+
+def _count(value: Any) -> bool:
+    return type(value) is int and 0 <= value < 2**63
+
+
+def _is_stats(entry: Any) -> bool:
+    return (
+        isinstance(entry, dict)
+        and _count(entry.get("cardinality"))
+        and _count(entry.get("version"))
+        and isinstance(entry.get("distinct"), list)
+        and len(entry["distinct"]) == 3
+        and all(map(_count, entry["distinct"]))
     )
-    entries = []
-    for key, plan in db._plans.snapshot():
-        try:
-            entries.append(pickle.dumps((key, plan), protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            continue  # plans are caches; an unpicklable one is just not saved
-    # The session's own entries are all live — a commit evicts the plans
-    # it killed.  Keep other backends' persisted plans that are too: a
-    # columnar session closing must not evict the set session's warm
-    # entries, nor carry its dead ones along.
+
+
+def _read(root: str | os.PathLike) -> tuple[dict | None, str | None]:
+    """``(document, None)``, or ``(None, why)`` for a damaged catalog;
+    ``(None, None)`` when there is none."""
+    path = _path(root)
     try:
-        with open(_plans_path(root), "rb") as fp:
-            old = pickle.loads(fp.read())
-    except Exception:
-        old = None
-    if isinstance(old, dict) and old.get("format") == PLAN_FORMAT:
-        for blob in old.get("entries", ()):
-            try:
-                key, _plan = pickle.loads(blob)
-            except Exception:
-                continue
-            if (
-                isinstance(key, tuple)
-                and len(key) == 3
-                and key[2] != db.backend
-                and _token_current(db, key[1])
-            ):
-                entries.append(blob)
-    payload = pickle.dumps(
-        {"format": PLAN_FORMAT, "entries": entries},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    atomic_write_bytes(_plans_path(root), payload)
+        with open(path, "rb") as fp:
+            doc = json.loads(fp.read())
+    except FileNotFoundError:
+        return None, None
+    except (OSError, ValueError, RecursionError) as exc:
+        return None, f"{path} is unreadable: {exc}"
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("relations"), dict)
+        and all(map(_is_stats, doc["relations"].values()))
+        and isinstance(doc.get("plans"), list)
+        and all(isinstance(text, str) for text in doc["plans"])
+    ):
+        return None, (
+            f"{path} does not hold a catalog: an object of per-relation "
+            "statistics and a list of plan texts"
+        )
+    return doc, None
 
 
 def load_stats(root: str | os.PathLike, db: "Database") -> int:
-    """Seed the store's stats catalog from ``stats.json``; returns the
-    number of relations seeded (0 on any staleness or damage)."""
-    root = os.fspath(root)
-    try:
-        with open(_stats_path(root), "rb") as fp:
-            doc = json.loads(fp.read())
-    except (OSError, ValueError):
+    """Seed the store's stats catalog; returns the number of relations
+    seeded (0 on any staleness or damage)."""
+    doc, _problem = _read(root)
+    if doc is None:
         return 0
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-        return 0
-    relations = doc.get("relations")
-    if not isinstance(relations, dict):
-        return 0
-    seeded = []
     names = set(db.store.relation_names)
-    for name, entry in relations.items():
-        try:
-            if name not in names:
-                continue
-            if entry["version"] != db._rel_versions.get(name, 0):
-                continue
-            distinct = tuple(int(d) for d in entry["distinct"])
-            if len(distinct) != 3:
-                continue
-            seeded.append(RelationStats(name, int(entry["cardinality"]), distinct))
-        except (KeyError, TypeError, ValueError):
-            continue
+    seeded = [
+        RelationStats(name, entry["cardinality"], tuple(entry["distinct"]))
+        for name, entry in doc["relations"].items()
+        if name in names and entry["version"] == db._rel_versions.get(name, 0)
+    ]
     if seeded:
         db.store.stats().seed(seeded)
     return len(seeded)
 
 
 def load_plans(root: str | os.PathLike, db: "Database") -> int:
-    """Seed the session's plan cache from ``plans.bin``; returns the
-    number of entries seeded (0 on any staleness or damage)."""
-    root = os.fspath(root)
-    try:
-        with open(_plans_path(root), "rb") as fp:
-            doc = pickle.loads(fp.read())
-    except Exception:
-        return 0
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
+    """Plan every persisted text through the session's plan cache;
+    returns the number planned (0 on damage)."""
+    doc, _problem = _read(root)
+    if doc is None:
         return 0
     count = 0
-    for blob in doc.get("entries", ()):
+    for text in doc["plans"]:
         try:
-            key, plan = pickle.loads(blob)
-        except Exception:
-            continue
-        if not (isinstance(key, tuple) and len(key) == 3):
-            continue
-        canonical, token, backend = key
-        if backend != db.backend or not _token_current(db, token):
-            continue
-        db._plans.get(key, lambda plan=plan: plan)
+            db._cached_plan(parse_expr(text))
+        except (ReproError, RecursionError):
+            continue  # a text this session cannot plan is only not warm
         count += 1
     return count
 
 
 def verify_catalog(root: str | os.PathLike) -> list[str]:
-    """Integrity problems in the catalog files (for ``repro fsck``).
+    """Integrity problems in the catalog (for ``repro fsck``).
 
-    A *missing* catalog is healthy (cold store); an unreadable one is
-    reported — it will be ignored at open time, but an operator should
-    know it is being ignored.
+    A *missing* catalog is healthy (cold store); a damaged one is
+    reported — open ignores it, but an operator should know it is
+    being ignored.  Texts are not parsed here: one that no longer plans
+    is skipped at open like a stale statistic.
     """
-    root = os.fspath(root)
-    problems: list[str] = []
-    spath = _stats_path(root)
-    if os.path.exists(spath):
-        try:
-            with open(spath, "rb") as fp:
-                doc = json.loads(fp.read())
-            if not isinstance(doc, dict):
-                problems.append(f"{spath} does not hold a JSON object")
-        except (OSError, ValueError) as exc:
-            problems.append(f"{spath} is unreadable: {exc}")
-    ppath = _plans_path(root)
-    if os.path.exists(ppath):
-        try:
-            with open(ppath, "rb") as fp:
-                doc = pickle.loads(fp.read())
-            if not isinstance(doc, dict) or "entries" not in doc:
-                problems.append(f"{ppath} does not hold a plan-cache document")
-        except Exception as exc:
-            problems.append(f"{ppath} is unreadable: {exc}")
-    return problems
+    _doc, problem = _read(root)
+    return [problem] if problem else []

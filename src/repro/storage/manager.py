@@ -15,9 +15,10 @@ A store directory is::
   :class:`~repro.storage.segments.SegmentStore`, recover the WAL and
   replay committed records on top.  Relation dependency versions are
   re-derived deterministically (manifest versions + one bump per
-  replayed record), which is what keeps persisted plan-cache keys valid
-  across restarts.  A directory without a manifest is initialised as an
-  empty generation-1 store.  A format-1/2 store holding an object the
+  replayed record).  A directory without a manifest is initialised as an
+  empty generation-1 store — unless its WAL has a commit pointer, which
+  only a commit or snapshot writes: then the manifest was lost, and the
+  open is refused.  A format-1/2 store holding an object the
   dictionary segment cannot store is refused here, before its first
   snapshot would fail.
 * **commit** — refuse a batch holding an object the dictionary segment
@@ -127,7 +128,8 @@ class DurableStore:
         """Open (or initialise) the directory; returns the current store.
 
         Raises :class:`StoreCorruptionError` when the committed state on
-        disk cannot be trusted; a torn WAL tail is repaired silently.
+        disk cannot be trusted — the manifest of a store that committed
+        is gone, say; a torn WAL tail is repaired silently.
         Raises :class:`StorageError` for a format-1/2 store holding an
         object this build cannot write.
         """
@@ -150,6 +152,11 @@ class DurableStore:
             }
             self.store_version = int(manifest.get("store_version", 0))
             wal_seq = int(manifest.get("wal_seq", 0))
+        elif os.path.exists(os.path.join(self.root, WAL_DIR, WriteAheadLog.COMMIT)):
+            raise StoreCorruptionError(
+                f"store {self.root} has a WAL commit pointer but no "
+                f"{MANIFEST_NAME}: the snapshot its log continues is lost"
+            )
         else:
             # Fresh directory: lay down an empty generation-1 snapshot so
             # the store is fsck-able and reopenable from the first moment.

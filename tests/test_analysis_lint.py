@@ -362,13 +362,12 @@ def test_stor_nopickle_sees_aliases_and_from_imports(tmp_path):
 
 def test_stor_nopickle_allows_the_listed_sites_up_to_their_count(tmp_path):
     write_tree(tmp_path, {
-        "src/repro/storage/catalog.py": """\
+        "src/repro/storage/segments.py": """\
             import pickle
 
 
-            def load_plans(fp, blobs):
-                doc = pickle.loads(fp.read())
-                return doc, [pickle.loads(blob) for blob in blobs]
+            def _read_pickled_meta(fp):
+                return pickle.loads(fp.read())
         """,
         "src/repro/storage/wal.py": """\
             import pickle

@@ -13,7 +13,7 @@ Clock-free checks of the two rules ``Database`` keeps its caches by:
 from __future__ import annotations
 
 import gc
-import pickle
+import json
 import sys
 import threading
 import weakref
@@ -22,10 +22,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engines.hashjoin import FastEngine, HashJoinEngine
+from repro.core.parser import parse
 from repro.db import BACKENDS, Database, _LRU
 from repro.service import QueryServer, ServiceClient, ServiceConfig
 from repro.service.metrics import parse_exposition
-from repro.storage.catalog import _token_current, load_plans
+from repro.storage.catalog import load_plans
 from repro.triplestore.model import Triplestore
 
 # --------------------------------------------------------------------- #
@@ -345,8 +347,16 @@ def test_paging_a_result_larger_than_the_store_hits_until_another_is_inserted(
 
 
 # --------------------------------------------------------------------- #
-# (e) the catalog holds live plans only
+# (e) the catalog holds the texts of live plans, planned again on reopen
 # --------------------------------------------------------------------- #
+
+
+def _persisted_texts(root) -> list[str]:
+    return json.loads((root / "catalog" / "catalog.json").read_bytes())["plans"]
+
+
+def _cached_exprs(db: Database) -> list:
+    return [expr for (expr, _token), _plan in db._plans.snapshot()]
 
 
 def test_a_closed_durable_store_persists_only_plans_that_can_still_hit(tmp_path):
@@ -360,16 +370,15 @@ def test_a_closed_durable_store_persists_only_plans_that_can_still_hit(tmp_path)
         _warm(db, reads_d + OVER_E)
     live = len(reads_d) + len(OVER_E)
     assert db.cache_info()["plans"].size == live  # not commits × reads
+    cached = _cached_exprs(db)
     db.close()
 
-    doc = pickle.loads((root / "catalog" / "plans.bin").read_bytes())
-    keys = [pickle.loads(blob)[0] for blob in doc["entries"]]
-    assert len(keys) == live
+    texts = _persisted_texts(root)
+    assert [parse(text) for text in texts] == cached  # LRU order, by text
     reopened = Database(path=root)
     try:
-        assert all(_token_current(reopened, token) for _, token, _ in keys)
-        assert reopened.cache_info()["plans"].size == live
-        assert load_plans(root, reopened) == live  # every entry read is seeded
+        assert _cached_exprs(reopened) == cached
+        assert load_plans(root, reopened) == live  # every text plans
         seeded = reopened.cache_info()["plans"].misses  # seeding inserts
         _warm(reopened, reads_d + OVER_E)
         assert reopened.cache_info()["plans"].misses == seeded == live
@@ -377,23 +386,25 @@ def test_a_closed_durable_store_persists_only_plans_that_can_still_hit(tmp_path)
         reopened.close()
 
 
-def test_a_close_keeps_another_backends_live_plans_and_drops_its_dead_ones(
-    tmp_path,
+@pytest.mark.parametrize("engine", [*BACKENDS, "hash", "strict"])
+def test_a_reopen_under_any_engine_plans_every_persisted_text_with_its_own(
+    tmp_path, engine
 ):
     root = tmp_path / "store"
     with Database(path=root, backend="set") as db:
         db.install("E", E_ROWS)
         db.install("D", D_ROWS)
-        _warm(db, OVER_E + OVER_D)
-    with Database(path=root, backend="columnar") as db:
-        db.install("D", D_ROWS[:1])  # the set session's D plans die here
-        _warm(db, OVER_D)
-    doc = pickle.loads((root / "catalog" / "plans.bin").read_bytes())
-    keys = [pickle.loads(blob)[0] for blob in doc["entries"]]
-    assert Counter(backend for _, _, backend in keys) == {"set": 2, "columnar": 2}
-    with Database(path=root, backend="set") as db:
-        assert all(_token_current(db, token) for _, token, _ in keys)
-        assert db.cache_info()["plans"].size == len(OVER_E)
+        _warm(db, OVER_E + OVER_D + ("star[1,2,3'; 3=1'](E)",))
+    texts = _persisted_texts(root)
+    make = {
+        "hash": lambda: {"engine": HashJoinEngine()},
+        "strict": lambda: {"engine": FastEngine(strict=True)},
+    }.get(engine, lambda: {"backend": engine})
+    with Database(path=root, **make()) as db:
+        cold = Database(db.store, **make())
+        assert _cached_exprs(db) == [parse(text) for text in texts]
+        for (expr, _token), plan in db._plans.snapshot():
+            assert plan.pretty() == cold.plan(expr).pretty(), expr
 
 
 # --------------------------------------------------------------------- #

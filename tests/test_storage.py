@@ -5,7 +5,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import pickle
 import re
 import signal
 import subprocess
@@ -16,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.engines.hashjoin import FastEngine, HashJoinEngine
+from repro.core.plan import StarOp
 from repro.db import Database
-from repro.errors import ReproError, StoreCorruptionError
+from repro.errors import FragmentError, ReproError, StoreCorruptionError
 from repro.rdf.datasets import figure1
 from repro.storage import DurableStore, SegmentStore, WriteAheadLog, fsck_store
-from repro.storage.catalog import load_plans, load_stats, save_catalog
 from repro.storage.fsutil import atomic_write_bytes
 from repro.storage.segments import (
     KIND_INT64,
@@ -408,9 +408,8 @@ class TestCatalog:
         db.install("E", TRIPLES)
         db.query(Q).to_set()
         db.close()
-        for name in ("stats.json", "plans.bin"):
-            with open(tmp_path / "s" / "catalog" / name, "wb") as fp:
-                fp.write(b"\x00garbage")
+        with open(tmp_path / "s" / "catalog" / "catalog.json", "wb") as fp:
+            fp.write(b"\x00garbage")
         findings = fsck_store(tmp_path / "s")
         assert {f.rule for f in findings} == {"STOR-CATALOG"}
         db2 = Database(path=tmp_path / "s")  # opens cold, not an error
@@ -431,18 +430,43 @@ class TestCatalog:
         assert dbs.cache_info()["plans"].hits == 1
         dbs.close()
 
-    def test_stale_plan_format_ignored(self, tmp_path):
+    def test_the_catalog_is_query_text(self, tmp_path):
         db = Database(path=tmp_path / "s")
         db.install("E", TRIPLES)
         db.query(Q).to_set()
         db.close()
-        plans = tmp_path / "s" / "catalog" / "plans.bin"
-        doc = pickle.loads(plans.read_bytes())
-        doc["format"] = 999
-        atomic_write_bytes(plans, pickle.dumps(doc))
+        doc = json.loads((tmp_path / "s" / "catalog" / "catalog.json").read_bytes())
+        assert doc["plans"] == [Q]
+        assert doc["relations"]["E"]["cardinality"] == len(TRIPLES)
+
+    def test_a_close_removes_what_an_older_build_kept_there(self, tmp_path):
+        db = Database(path=tmp_path / "s")
+        db.install("E", TRIPLES)
+        db.close()
+        catalog = tmp_path / "s" / "catalog"
+        for name in ("stats.json", "plans.bin"):
+            (catalog / name).write_bytes(b"\x80\x05older build")
         db2 = Database(path=tmp_path / "s")
-        assert load_plans(tmp_path / "s", db2) == 0
+        assert db2.query(Q).to_set()
         db2.close()
+        assert os.listdir(catalog) == ["catalog.json"]
+        assert fsck_store(tmp_path / "s") == []
+
+    def test_a_warm_reopen_plans_with_the_sessions_own_engine(self, tmp_path):
+        """The cached plan is the reopening engine's, not the closer's."""
+        star = "star[1,2,3'; 3=1'](E)"
+        db = Database(path=tmp_path / "s", backend="set")
+        db.install("E", TRIPLES)
+        db.query("select[1!=3](E)").to_set()
+        db.plan(star)
+        db.close()
+        strict = Database(path=tmp_path / "s", engine=FastEngine(strict=True))
+        with pytest.raises(FragmentError):
+            strict.query("select[1!=3](E)")
+        strict.close()
+        semi_naive = Database(path=tmp_path / "s", engine=HashJoinEngine())
+        assert isinstance(semi_naive.plan(star), StarOp)
+        semi_naive.close()
 
 
 # --------------------------------------------------------------------- #
@@ -582,7 +606,7 @@ class TestServeStorePath:
                 proc.wait()
         assert "shutting down" in log_path.read_text()
         assert os.path.getsize(os.path.join(root, "wal", "wal.log")) == 0
-        assert os.path.exists(os.path.join(root, "catalog", "stats.json"))
+        assert os.path.exists(os.path.join(root, "catalog", "catalog.json"))
         assert fsck_store(root) == []
         reopened = DurableStore(root)
         assert reopened.open().relation("E") == frozenset(TRIPLES)

@@ -20,8 +20,9 @@ import sys
 
 import pytest
 
+from repro.db import Database
 from repro.errors import StoreCorruptionError
-from repro.storage import DurableStore
+from repro.storage import DurableStore, fsck_store
 from repro.storage.wal import FAULT_ENV, FAULT_POINTS
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -108,6 +109,47 @@ class TestKillMidCommit:
         assert _run(_MUTATE, store).returncode == 0
         e, r = _observed_state(store)
         assert e == POST_E and r == POST_R
+
+
+_SETUP_EF = """
+import sys
+from repro.db import Database
+db = Database(path=sys.argv[1])
+db.install("E", [("a", "p", "b")])
+db.install("F", [("f", "g", "h")])
+db.close()
+"""
+
+_INSTALL_AND_EXIT = """
+import os, sys
+from repro.db import Database
+db = Database(path=sys.argv[1])
+db.install("E", [("x", "q", "y")])
+os._exit(0)
+"""
+
+
+class TestLostManifest:
+    def test_a_store_whose_wal_committed_is_not_reinitialised(self, tmp_path):
+        store = str(tmp_path / "store")
+        assert _run(_SETUP_EF, store).returncode == 0
+        assert _run(_INSTALL_AND_EXIT, store).returncode == 0
+        manifest = os.path.join(store, "MANIFEST")
+        os.remove(manifest)
+        with pytest.raises(StoreCorruptionError, match="no MANIFEST"):
+            Database(path=store)
+        assert not os.path.exists(manifest)  # nothing was laid down over it
+        assert [f.rule for f in fsck_store(store)] == ["STOR-MANIFEST"]
+
+    def test_a_directory_that_never_committed_is_initialised(self, tmp_path):
+        store = str(tmp_path / "store")
+        ds = DurableStore(store)
+        ds.open()
+        ds.close()
+        os.remove(os.path.join(store, "MANIFEST"))  # as a crash mid-initialisation
+        with Database(path=store) as db:
+            db.install("E", [("a", "p", "b")])
+        assert fsck_store(store) == []
 
 
 class TestWalFuzz:
