@@ -169,8 +169,9 @@ LINT_RULES: dict[str, str] = {
     ),
     "STOR-NOPICKLE": (
         "pickle.load/pickle.loads under src/repro/storage/ is called only "
-        "at the allow-listed sites (WAL replay, the fsck WAL scan and the "
-        "format-1/2 meta.seg reader) — segments and the catalog are "
+        "at the allow-listed sites (the WAL's legacy record reader, which "
+        "only a format-3-or-older manifest reaches, and the format-1/2 "
+        "meta.seg reader) — segments, WAL records and the catalog are "
         "typed data, and a new unpickling site must be a deliberate "
         "allow-list change"
     ),
@@ -186,13 +187,15 @@ STORE_RULES: dict[str, str] = {
     "STOR-SEGMENT": (
         "every segment the manifest references exists, its header and "
         "payload pass their CRC32 checks, its length and checksum "
-        "match what the manifest recorded, and a format-3 dictionary "
-        "segment decodes"
+        "match what the manifest recorded, and a format-3-or-later "
+        "dictionary segment decodes"
     ),
     "STOR-WAL": (
-        "every WAL record the commit pointer covers verifies and "
-        "decodes; bytes past the pointer (a torn tail) are recoverable "
-        "by design and not a finding"
+        "every WAL record the commit pointer covers verifies, and every "
+        "record past the manifest's watermark decodes (without pickle on "
+        "a format-4 store) and applies to the dictionary it extends; "
+        "bytes past the pointer (a torn tail) are recoverable by design "
+        "and not a finding"
     ),
     "STOR-CATALOG": (
         "the warm-reopen catalog (catalog/catalog.json), when present, "

@@ -258,8 +258,7 @@ def _check_stor_atomic(tree: ast.AST, rel: str) -> Iterator[Finding]:
 #: enclosing function, with how many that function may make.  Segments
 #: are data; a new unpickling site is a format decision, not a detail.
 _PICKLE_LOADS_ALLOWED: dict[tuple[str, str], int] = {
-    ("wal.py", "recover"): 1,  # WAL replay
-    ("fsck.py", "_check_wal"): 1,  # fsck's WAL scan
+    ("wal.py", "_read_legacy_record"): 1,  # format-1..3 WAL records only
     ("segments.py", "_read_pickled_meta"): 1,  # format-1/2 meta.seg only
 }
 

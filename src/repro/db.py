@@ -67,7 +67,7 @@ from repro.core.params import (
 from repro.core.parser import parse as parse_expr
 from repro.core.plan import PlanOp, compile_plan
 from repro.errors import ReproError
-from repro.triplestore.model import Triple, Triplestore, _as_triple
+from repro.triplestore.model import Triple, Triplestore, freeze_triples
 
 __all__ = ["BACKENDS", "CacheInfo", "Database", "MutationBatch"]
 
@@ -237,16 +237,7 @@ class MutationBatch:
         if exc_type is not None:
             return False  # discard the staged mutations, propagate
         if self._staged:
-            db = self.db
-            if db._storage is not None:
-                # One WAL record per batch — the unit of crash atomicity.
-                # fsync'd before the in-memory swap, so a query can never
-                # observe state the log would not reproduce.
-                db._storage.commit(self._staged)
-            db.store = db.store._with_frozen(self._staged)
-            db._invalidate(self._staged)
-            if db._storage is not None:
-                db._storage.maybe_compact(db)
+            self.db._commit(self._staged)
         return False
 
 
@@ -715,16 +706,31 @@ class Database:
         # Coerced and validated (arity, hashability) before anything is
         # staged or logged: a record the store would refuse on replay
         # must never become durable.
-        name, triples = str(name), frozenset(_as_triple(t) for t in triples)
+        name, triples = str(name), freeze_triples(triples)
         if self._batch is not None:
             self._batch.stage(name, triples)
             return
-        if self._storage is not None:
-            self._storage.commit({name: triples})
-        self.store = self.store._with_frozen({name: triples})
-        self._invalidate((name,))
-        if self._storage is not None:
-            self._storage.maybe_compact(self)
+        self._commit({name: triples})
+
+    def _commit(self, staged: Mapping[str, frozenset]) -> None:
+        """Publish the store version that replaces the relations of
+        ``staged`` — one install or one whole batch.
+
+        The version is derived first; on a durable session the durable
+        store derives it, refuses what it cannot store and logs it as
+        one WAL record (the unit of crash atomicity, fsync'd) before it
+        is published here.  So a refused batch is never logged, and a
+        query never observes state the log would not reproduce.
+        """
+        storage = self._storage
+        if storage is None:
+            self.store = self.store._with_frozen(staged)
+        else:
+            storage._commit_frozen(staged)
+            self.store = storage.store
+        self._invalidate(staged)
+        if storage is not None:
+            storage.maybe_compact(self)
 
     def batch(self) -> MutationBatch:
         """A transactional mutation batch::

@@ -1,11 +1,15 @@
 """The dictionary segment: a store's universe O, data values and ρ as data.
 
-``meta.seg`` of a manifest-format-3 generation is one ``KIND_DICT``
-segment.  Its payload is a fixed 20-byte preamble — the decoded text's
-length and the object count (little-endian ``uint64``) and its CRC-32
-(``uint32``) — followed by a zlib stream of ASCII JSON text::
+``meta.seg`` of a manifest-format-3 (or later) generation is one
+``KIND_DICT`` segment.  Its payload is a fixed 20-byte preamble — the
+decoded text's length and the object count (little-endian ``uint64``)
+and its CRC-32 (``uint32``) — followed by a zlib stream of ASCII JSON
+text::
 
     [objects, dv_values, rho_keys, rho_values]
+
+A WAL record's dictionary tail (:mod:`repro.storage.wal`) is the same
+preamble and stream over one list of values (:func:`encode_values`).
 
 A ``str`` is a JSON string.  Every other value is a one-key tagged
 object, so ``1``, ``True`` and ``1.0`` stay distinct and nothing is
@@ -26,8 +30,10 @@ zlib, not xz: xz shrinks a sorted string universe about six times more,
 but inflates it at a fifth of zlib's speed — on a 69 067-object universe
 that made the decode cost twice the ``pickle.loads`` it replaced.
 
-Decoding trusts nothing: the decompressor never produces more than the
-preamble's declared length (plus one byte to notice a longer stream),
+Decoding trusts nothing: a declared length deflate could not reach from
+the compressed bytes at hand is refused before inflating, the
+decompressor never produces more than the preamble's declared length
+(plus one byte to notice a longer stream),
 every mismatch — length, object count, CRC, a truncated stream, a stray
 tag, an unhashable value (an object's is found by the object index
 built over the universe) — raises
@@ -47,7 +53,14 @@ from typing import Any, Collection, Iterable, Mapping
 
 from repro.errors import StorageError, StoreCorruptionError
 
-__all__ = ["check_storable", "decode_dictionary", "encode_dictionary", "unstorable_type"]
+__all__ = [
+    "check_storable",
+    "decode_dictionary",
+    "decode_values",
+    "encode_dictionary",
+    "encode_values",
+    "unstorable_type",
+]
 
 #: The exact types a durable store holds, besides tuples of them.
 _SCALARS = frozenset({str, int, float, bool, type(None), bytes})
@@ -57,6 +70,9 @@ _PREAMBLE = struct.Struct("<QQI")
 #: The one compression level: the fastest to write; level 6 shrinks a
 #: sorted string universe by under 3 % more in 3.5 times the time.
 _LEVEL = 1
+#: Deflate's largest expansion: a declared length beyond this many times
+#: the compressed bytes is refused before anything is inflated.
+_MAX_RATIO = 1032
 
 
 def _unstorable(kind: type, where: str) -> StorageError:
@@ -79,9 +95,17 @@ def unstorable_type(groups: Iterable[Collection[Any]]) -> type | None:
     return None
 
 
-def check_storable(mutations: Mapping[str, Collection[tuple]]) -> None:
+def check_storable(mutations: Mapping[str, Collection[tuple]], values: Iterable[Any]) -> None:
     """Raise :class:`StorageError` if a relation of ``mutations`` holds an
-    object the dictionary segment cannot write."""
+    object the dictionary segment cannot write.
+
+    ``values`` is every object of ``mutations``, three per triple, as the
+    encoder read them: one pass over their exact types clears a batch of
+    scalars; only a batch holding something else (a tuple, or a stray)
+    is searched relation by relation.
+    """
+    if set(map(type, values)) <= _SCALARS:
+        return
     for name, triples in mutations.items():
         stray = unstorable_type(triples)
         if stray is not None:
@@ -119,17 +143,26 @@ def _tagged(values: Iterable[Any]) -> list:
     return [_tag(v) for v in values]
 
 
+def _compress(doc: list, count: int) -> bytes:
+    text = json.dumps(doc, ensure_ascii=True, separators=(",", ":"), allow_nan=False)
+    raw = text.encode("ascii")
+    return _PREAMBLE.pack(len(raw), count, zlib.crc32(raw)) + zlib.compress(raw, _LEVEL)
+
+
 def encode_dictionary(
     objects: Iterable[Any], dv_values: Iterable[Any], rho: Mapping[Any, Any]
 ) -> bytes:
     """The ``KIND_DICT`` payload of a universe, its data values and ρ."""
     objects = _tagged(objects)
     doc = [objects, _tagged(dv_values), _tagged(rho.keys()), _tagged(rho.values())]
-    text = json.dumps(doc, ensure_ascii=True, separators=(",", ":"), allow_nan=False)
-    raw = text.encode("ascii")
-    return _PREAMBLE.pack(len(raw), len(objects), zlib.crc32(raw)) + zlib.compress(
-        raw, _LEVEL
-    )
+    return _compress(doc, len(objects))
+
+
+def encode_values(values: Iterable[Any]) -> bytes:
+    """One list of values in the same codec: the preamble, then the zlib
+    stream of one JSON list (a WAL record's dictionary tail)."""
+    values = _tagged(values)
+    return _compress(values, len(values))
 
 
 # --------------------------------------------------------------------- #
@@ -167,12 +200,18 @@ def _bare(token: str) -> Any:
     raise ValueError(f"bare JSON number {token!r}")
 
 
-def _decode(payload: bytes) -> tuple[list, list, dict]:
+def _inflate(payload: bytes) -> tuple[Any, int]:
+    """The JSON document of a payload and the count its preamble holds."""
     if len(payload) < _PREAMBLE.size:
         raise ValueError("payload is shorter than its preamble")
     length, count, crc = _PREAMBLE.unpack_from(payload)
+    stream = memoryview(payload)[_PREAMBLE.size :]
+    if length > _MAX_RATIO * len(stream):
+        raise ValueError(
+            f"{len(stream)} compressed bytes cannot inflate to the declared {length}"
+        )
     inflate = zlib.decompressobj()
-    raw = inflate.decompress(memoryview(payload)[_PREAMBLE.size :], length + 1)
+    raw = inflate.decompress(stream, length + 1)
     if len(raw) > length:
         raise ValueError(f"stream inflates past its declared {length} bytes")
     if len(raw) < length or not inflate.eof or inflate.unused_data:
@@ -189,6 +228,11 @@ def _decode(payload: bytes) -> tuple[list, list, dict]:
         parse_float=_bare,
         parse_constant=_bare,
     )
+    return doc, count
+
+
+def _decode(payload: bytes) -> tuple[list, list, dict]:
+    doc, count = _inflate(payload)
     if type(doc) is not list or len(doc) != 4 or any(type(part) is not list for part in doc):
         raise ValueError("document is not four lists")
     objects, dv_values, keys, values = doc
@@ -217,3 +261,13 @@ def decode_dictionary(payload: bytes, where: str) -> tuple[list, list, dict]:
         raise StoreCorruptionError(
             f"dictionary segment {where} does not decode: {exc}"
         ) from exc
+
+
+def decode_values(payload: bytes) -> list:
+    """The list :func:`encode_values` wrote; any defect raises
+    ``ValueError``.  The values are not hashed here (see
+    :func:`decode_dictionary`)."""
+    doc, count = _inflate(payload)
+    if type(doc) is not list or len(doc) != count:
+        raise ValueError(f"text is not a list of the {count} values its preamble counts")
+    return doc

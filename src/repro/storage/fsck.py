@@ -8,8 +8,11 @@ families use, so reports render and filter identically everywhere.
 Unlike opening (which skips payload CRCs to stay zero-copy), fsck reads
 every referenced byte: manifest shape, per-segment header *and* payload
 checksums against both the file header and the manifest's recorded CRC,
-a full decode of a format-3 dictionary segment, WAL record checksums
-against the commit pointer, and catalog readability.  A torn WAL tail
+a full decode of a format-3 (or later) dictionary segment, WAL record
+checksums against the commit pointer, every record past the manifest's
+``wal_seq`` decoded and replayed onto the generation as an open would —
+data records without the pickle module, a pickled one only on a
+format-3 or older store — and catalog readability.  A torn WAL tail
 is *healthy* (recovery truncates it by design) and is not reported as a
 finding.
 """
@@ -18,17 +21,16 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import zlib
 from typing import Iterator
 
 from repro.analysis.invariants import Finding
 from repro.storage import catalog as _catalog
 from repro.storage.dictionary import decode_dictionary
-from repro.storage.manager import MANIFEST_NAME, WAL_DIR
-from repro.storage.segments import read_segment
+from repro.storage.manager import MANIFEST_NAME, WAL_DIR, replay_record
+from repro.storage.segments import open_store_segments, read_segment
 from repro.storage.snapshot import MANIFEST_FORMAT
-from repro.storage.wal import WriteAheadLog, scan_records
+from repro.storage.wal import WriteAheadLog, read_record, scan_records
 from repro.errors import StoreCorruptionError
 
 __all__ = ["fsck_store"]
@@ -165,18 +167,34 @@ def _check_wal(root: str, manifest: dict) -> Iterator[Finding]:
         )
         return
     min_seq = int(manifest.get("wal_seq", 0))
+    manifest_format = int(manifest.get("format", 1))
+    records = [(seq, payload) for seq, payload in records if seq > min_seq]
+    if not records:
+        return
+    # Replayed onto the generation as an open would, so a record is also
+    # checked against the dictionary it extends; a generation that does
+    # not open is the segment check's finding, and each record is then
+    # only decoded.
+    try:
+        store = open_store_segments(
+            os.path.join(root, *str(manifest["gen_dir"]).split("/")),
+            manifest["segments"],
+            manifest_format,
+        )
+    except (StoreCorruptionError, OSError, KeyError, TypeError, ValueError):
+        store = None
     for seq, payload in records:
-        if seq <= min_seq:
-            continue
         try:
-            record = pickle.loads(payload)
-            record["relations"]
-        except Exception as exc:
-            yield Finding(
-                "STOR-WAL",
-                f"record seq={seq} fails to decode: {exc}",
-                path=log_path,
-            )
+            if store is None:
+                read_record(
+                    payload, legacy=manifest_format <= 3, where=f"seq={seq} in {log_path}"
+                )
+            else:
+                store, _names = replay_record(store, seq, payload, manifest_format, log_path)
+        except StoreCorruptionError as exc:
+            # Every later record extends what this one would have made.
+            yield Finding("STOR-WAL", str(exc), path=log_path)
+            return
 
 
 def fsck_store(root: str | os.PathLike) -> list[Finding]:

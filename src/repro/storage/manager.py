@@ -13,18 +13,23 @@ A store directory is::
 
 * **open** — read the manifest, map the segments into a lazy
   :class:`~repro.storage.segments.SegmentStore`, recover the WAL and
-  replay committed records on top.  Relation dependency versions are
-  re-derived deterministically (manifest versions + one bump per
+  replay committed records on top, each through the apply half of a
+  derivation (:meth:`~repro.triplestore.columnar.ColumnarStore.apply`),
+  so a replayed relation stays lazy too.  Relation dependency versions
+  are re-derived deterministically (manifest versions + one bump per
   replayed record).  A directory without a manifest is initialised as an
   empty generation-1 store — unless its WAL has a commit pointer, which
   only a commit or snapshot writes: then the manifest was lost, and the
-  open is refused.  A format-1/2 store holding an object the
-  dictionary segment cannot store is refused here, before its first
-  snapshot would fail.
-* **commit** — refuse a batch holding an object the dictionary segment
-  cannot store, then append it to the WAL (fsync before the commit
-  pointer moves); the caller swaps its in-memory store only after this
-  returns.
+  open is refused.  An older store holding an object the dictionary
+  segment cannot store is refused here, before its first snapshot would
+  fail.
+* **commit** — derive the store's next version from the current one:
+  encode the batch against the columnar view (which a durable store
+  always has), refuse an object the dictionary segment cannot store,
+  apply the batch — then append what was encoded to the WAL (fsync
+  before the commit pointer moves).  Only then does :attr:`store` move
+  on, and the caller publish it: a batch the store refuses is never
+  logged.
 * **snapshot** — fold everything into a fresh generation
   (:mod:`repro.storage.snapshot`), then reset the WAL and sweep old
   generations.  The store remembers which objects the current
@@ -44,18 +49,18 @@ import json
 import os
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.errors import StorageError, StoreCorruptionError
+from repro.errors import StorageError, StoreCorruptionError, TriplestoreError
 from repro.storage import catalog as _catalog
 from repro.storage.dictionary import check_storable, unstorable_type
 from repro.storage.segments import Generation, open_store_segments
 from repro.storage.snapshot import MANIFEST_FORMAT, sweep_generations, write_snapshot
-from repro.storage.wal import WriteAheadLog
-from repro.triplestore.model import Triple, Triplestore
+from repro.storage.wal import LoggedBatch, WriteAheadLog, read_record
+from repro.triplestore.model import Triple, Triplestore, freeze_triples
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.db import Database
 
-__all__ = ["DurableStore", "WAL_LIMIT_ENV", "store_footprint"]
+__all__ = ["DurableStore", "WAL_LIMIT_ENV", "replay_record", "store_footprint"]
 
 #: WAL size (bytes) past which a commit triggers auto-compaction.
 WAL_LIMIT_ENV = "REPRO_STORAGE_WAL_LIMIT"
@@ -63,6 +68,31 @@ _DEFAULT_WAL_LIMIT = 16 * 1024 * 1024
 
 MANIFEST_NAME = "MANIFEST"
 WAL_DIR = "wal"
+
+
+def replay_record(
+    store: Triplestore, seq: int, payload: bytes, manifest_format: int, where: str
+) -> tuple[Triplestore, tuple[str, ...]]:
+    """``store`` with WAL record ``seq`` (read from ``where``, a store of
+    ``manifest_format``) replayed on top, and the relations it replaced;
+    any defect raises :class:`StoreCorruptionError`.
+
+    A data record is checked against ``store``'s dictionary and applied
+    as its commit applied it, its relations left undecoded; an older
+    build's pickled record (format 3 and older only) is derived from its
+    triples.
+    """
+    label = f"seq={seq} in {where}"
+    record = read_record(payload, legacy=manifest_format <= 3, where=label)
+    try:
+        if not isinstance(record, LoggedBatch):
+            return store.with_relations(record), tuple(record)
+        names = tuple(record.keys)
+        batch = store.columnar().logged(*record)
+        relations = {**store._relations, **dict.fromkeys(names)}
+        return store._derive(relations, names, batch=batch), names
+    except (ValueError, TypeError, TriplestoreError) as exc:
+        raise StoreCorruptionError(f"WAL record {label} does not apply: {exc}") from exc
 
 
 class DurableStore:
@@ -74,7 +104,8 @@ class DurableStore:
         self.generation = 0
         self.wal: WriteAheadLog | None = None
         #: Set by :meth:`open`: the recovered store and its dependency
-        #: versions (the Database seeds its own from these).
+        #: versions (the Database seeds its own from these).  Each
+        #: :meth:`commit` moves :attr:`store` on to the version it logged.
         self.store: Triplestore | None = None
         self.rel_versions: dict[str, int] = {}
         self.store_version = 0
@@ -130,7 +161,7 @@ class DurableStore:
         Raises :class:`StoreCorruptionError` when the committed state on
         disk cannot be trusted — the manifest of a store that committed
         is gone, say; a torn WAL tail is repaired silently.
-        Raises :class:`StorageError` for a format-1/2 store holding an
+        Raises :class:`StorageError` for an older-format store holding an
         object this build cannot write.
         """
         os.makedirs(self.root, exist_ok=True)
@@ -159,26 +190,27 @@ class DurableStore:
             )
         else:
             # Fresh directory: lay down an empty generation-1 snapshot so
-            # the store is fsck-able and reopenable from the first moment.
-            store = Triplestore()
+            # the store is fsck-able and reopenable from the first moment,
+            # and serve it from its segments like any other.
             self.generation = 1
             self.rel_versions = {}
             self.store_version = 0
             wal_seq = 0
             self.manifest = write_snapshot(
                 self.root,
-                store,
+                Triplestore(),
                 generation=1,
                 rel_versions={},
                 store_version=0,
                 wal_seq=0,
             )
+            store = open_store_segments(self.gen_dir, self.manifest["segments"])
         self._remember(store)
         self.wal = WriteAheadLog(os.path.join(self.root, WAL_DIR))
-        for _seq, record in self.wal.recover(min_seq=wal_seq):
-            relations = record.get("relations", {})
-            store = store.with_relations(relations)
-            for name in relations:
+        log = self.wal.log_path
+        for seq, payload in self.wal.recover(min_seq=wal_seq):
+            store, names = replay_record(store, seq, payload, manifest_format, log)
+            for name in names:
                 self.rel_versions[name] = self.rel_versions.get(name, 0) + 1
             self.store_version += 1
         if manifest_format < MANIFEST_FORMAT:
@@ -190,8 +222,9 @@ class DurableStore:
         """Refuse an older store holding what this build cannot write.
 
         Formats 1 and 2 pickled the dictionary, so a commit took any
-        hashable; such a store would open and then fail its first
-        snapshot — and with it every compaction and clean close.
+        hashable, and format 3 still pickled its WAL records; such a
+        store would open and then fail its first snapshot — and with it
+        every compaction and clean close.
         """
         cs = store.columnar()
         rho = store.rho_map()
@@ -213,15 +246,32 @@ class DurableStore:
     # ------------------------------------------------------------------ #
 
     def commit(self, mutations: Mapping[str, Iterable[Triple]]) -> int:
-        """Durably log one mutation batch; returns its WAL sequence.
+        """Durably commit one mutation batch; returns its WAL sequence.
 
-        A batch holding an object the dictionary segment cannot store
-        raises :class:`~repro.errors.StorageError` before anything is
-        logged: the WAL must not accept what the next snapshot refuses.
+        The batch is encoded once against :attr:`store`'s columnar view,
+        type-checked, applied — and only then logged, as it was encoded;
+        :attr:`store` becomes the derived version after the record is
+        durable.  A batch holding an object the dictionary segment cannot
+        store raises :class:`~repro.errors.StorageError`, one that
+        outgrows the packed-key range
+        :class:`~repro.errors.TriplestoreError`, both before anything is
+        logged: the WAL must not accept what the store refuses.
         """
-        assert self.wal is not None, "store is not open"
-        check_storable(mutations)
-        return self.wal.append(mutations)
+        return self._commit_frozen(
+            {str(name): freeze_triples(triples) for name, triples in mutations.items()}
+        )
+
+    def _commit_frozen(self, frozen: Mapping[str, "frozenset[Triple]"]) -> int:
+        """:meth:`commit` of relations already coerced to frozensets of
+        3-tuples (``Database`` validates before it stages, once)."""
+        assert self.wal is not None and self.store is not None, "store is not open"
+        store = self.store
+        batch = store.columnar().encode(frozen)
+        check_storable(frozen, batch.values)
+        derived = store._derive({**store._relations, **frozen}, tuple(frozen), batch=batch)
+        seq = self.wal.append(batch)
+        self.store = derived
+        return seq
 
     def snapshot(
         self,
@@ -229,7 +279,8 @@ class DurableStore:
         rel_versions: Mapping[str, int],
         store_version: int,
     ) -> None:
-        """Fold the WAL into a fresh segment generation (compaction)."""
+        """Fold the WAL into a fresh segment generation (compaction);
+        ``store`` becomes the version the next :meth:`commit` derives from."""
         assert self.wal is not None, "store is not open"
         generation = self.generation + 1
         wal_seq = self.wal.next_seq - 1
@@ -243,6 +294,7 @@ class DurableStore:
             prev=self._current,
         )
         self._remember(store)
+        self.store = store
         self.generation = generation
         # The manifest referencing the new generation is durable; now the
         # WAL records it folded — and the old generations — can go.

@@ -88,8 +88,9 @@ KIND_PICKLE = 2
 KIND_DICT = 3
 
 #: Manifest schema version; readers refuse newer manifests.  Format 3
-#: stores the dictionary as a ``KIND_DICT`` segment.
-MANIFEST_FORMAT = 3
+#: stores the dictionary as a ``KIND_DICT`` segment; format 4 changes no
+#: segment, but its WAL holds data records only (:mod:`repro.storage.wal`).
+MANIFEST_FORMAT = 4
 
 #: magic, version, kind, reserved, payload byte length, payload CRC32,
 #: header CRC32 (of the preceding 28 bytes) — 32 bytes, 8-aligned.

@@ -26,15 +26,17 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 3 (this build writes it, and reads 1–3) stores the
+Manifest format 4 (this build writes it, and reads 1–4) stores the
 dictionary as data — a typed, compressed ``KIND_DICT`` ``meta.seg``
-(:mod:`repro.storage.dictionary`) where formats 1 and 2 pickled it.
+(:mod:`repro.storage.dictionary`) where formats 1 and 2 pickled it —
+and says its WAL holds data records only, where format 3's WAL still
+held pickles (:mod:`repro.storage.wal`); its segments are format 3's.
 Like format 2 it drops what a reader can derive: no ``active`` entry,
 and ``dv_codes`` only when ρ takes more than one value.  The first
-snapshot of an older store rewrites ``meta.seg`` and links the rest;
-an older store holding an object format 3 cannot store is refused when
-it opens (:meth:`~repro.storage.manager.DurableStore.open`), so it never
-reaches a snapshot.
+snapshot of an older store rewrites a pickled ``meta.seg`` and links
+the rest; an older store holding an object format 4 cannot store is
+refused when it opens (:meth:`~repro.storage.manager.DurableStore.open`),
+so it never reaches a snapshot.
 """
 
 from __future__ import annotations

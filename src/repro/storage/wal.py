@@ -1,12 +1,43 @@
 """Write-ahead log: the durability of ``install`` / ``batch`` mutations.
 
 Between snapshots, every committed mutation batch lives here as *one*
-log record — the unit of atomicity.  A record is::
+log record — the unit of atomicity — appended to ``wal.log``::
 
     <payload_len u64> <seq u64> <payload_crc32 u32> <header_crc32 u32>
-    <payload: pickled {"relations": {name: (triples...)}}>
+    <payload>
 
-appended to ``wal.log``.  Commit is a two-step protocol:
+The payload is data, read without the pickle module: the batch as the
+commit encoded it (:class:`~repro.triplestore.columnar.EncodedBatch`),
+all integers little-endian::
+
+    "RWAL" <version u32 = 1> <base u64> <tail_len u64> <relations u64>
+    <tail: tail_len bytes> <zeros to a multiple of 8>
+    per relation, in application order:
+        <name_len u64> <count u64>
+        <name: UTF-8, zeros to a multiple of 8> <keys: count × int64>
+
+``base`` is the size of the dictionary the batch extends; the *tail* is
+the batch's objects outside it, in code (``repr``) order, in the codec
+of the dictionary segment (:func:`~repro.storage.dictionary.encode_values`);
+a relation's keys are its sorted unique packed keys over the grown
+dictionary of ``n = base + len(tail)`` objects.  Replay decodes a record
+and installs it through the same
+:meth:`~repro.triplestore.columnar.ColumnarStore.apply` the commit ran.
+:func:`read_record` trusts nothing: every declared length is checked
+against the bytes that remain before anything is sliced, a key must lie
+in ``[0, n³)`` and the keys strictly increase, and the tail must be in
+``repr`` order, hold no object twice and none the dictionary holds —
+anything else is :class:`~repro.errors.StoreCorruptionError`.
+
+**Format gate.**  A record names its kind by its first bytes.  A store
+whose manifest is format 3 or older may still hold records an older
+build pickled (``{"relations": {name: triples}}``); :func:`read_record`
+hands those to the one legacy reader, and only when the caller says the
+manifest is that old.  On a format-4 store a record that is not
+``RWAL`` is corruption.  A log that mixes the two — an older store, a
+commit of this build, no snapshot yet — replays in log order.
+
+Commit is a two-step protocol:
 
 1. the record is appended, flushed and ``fsync``'d — the batch's
    content is durable, but not yet acknowledged;
@@ -14,8 +45,10 @@ appended to ``wal.log``.  Commit is a two-step protocol:
    atomically replaced (tmp + fsync + rename, :func:`atomic_write_bytes`)
    to cover the new record.
 
-Only after step 2 does the in-memory store swap happen, so a query can
-never observe state the log would not reproduce.
+The batch was encoded, type-checked and applied before step 1, and the
+in-memory store swap happens only after step 2, so the log never holds
+a batch the store refused and a query never observes state the log
+would not reproduce.
 
 Recovery scans the log from the start and classifies what it finds:
 
@@ -49,15 +82,22 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Any, Iterable, Mapping
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.errors import StoreCorruptionError, StorageError
+from repro.storage.dictionary import decode_values, encode_values
 from repro.storage.fsutil import atomic_write_bytes, fsync_enabled
+from repro.triplestore.columnar import EncodedBatch
 
 __all__ = [
     "FAULT_ENV",
     "FAULT_POINTS",
+    "LoggedBatch",
     "WriteAheadLog",
+    "encode_record",
+    "read_record",
     "scan_records",
 ]
 
@@ -65,6 +105,15 @@ __all__ = [
 #: (of the preceding 20 bytes) — 24 bytes per record header.
 _RECORD = struct.Struct("<QQII")
 RECORD_HEADER_SIZE = _RECORD.size
+
+#: A record's first bytes; any other start is an older build's pickle.
+MAGIC = b"RWAL"
+#: The record layout version; a reader refuses any other.
+RECORD_VERSION = 1
+#: magic, version, dictionary size extended, tail bytes, relation count.
+_PREAMBLE = struct.Struct("<4sIQQQ")
+#: A relation's name length in bytes and key count.
+_RELATION = struct.Struct("<QQ")
 
 #: Environment hook: hard-exit the process at a named commit step.
 FAULT_ENV = "REPRO_STORAGE_FAULT"
@@ -76,6 +125,100 @@ FAULT_POINTS = (
     "wal-before-commit",   # record durable, pointer stale: promoted
     "wal-after-commit",    # fully committed: post-batch state
 )
+
+
+class LoggedBatch(NamedTuple):
+    """A decoded record: the dictionary size it extends, its tail and its
+    relations' keys (read-only ``int64`` arrays), in application order."""
+
+    base: int
+    fresh: list
+    keys: dict[str, np.ndarray]
+
+
+def _pad(length: int) -> bytes:
+    return bytes(-length % 8)
+
+
+def encode_record(batch: EncodedBatch) -> bytes:
+    """The payload of one record: ``batch`` in the layout of the module
+    docstring."""
+    tail = encode_values(batch.fresh.objects)
+    parts: list[Any] = [
+        _PREAMBLE.pack(MAGIC, RECORD_VERSION, batch.base, len(tail), len(batch.keys)),
+        tail,
+        _pad(len(tail)),
+    ]
+    for name, keys in batch.keys.items():
+        raw = name.encode("utf-8", "surrogatepass")
+        keys = np.ascontiguousarray(keys, dtype="<i8")
+        parts += [_RELATION.pack(len(raw), len(keys)), raw, _pad(len(raw)), keys]
+    return b"".join(parts)
+
+
+def _take(payload: bytes, off: int, length: int, what: str) -> int:
+    """The offset past ``length`` bytes of ``what`` at ``off``, refused
+    when the payload does not hold them."""
+    if length > len(payload) - off:
+        raise ValueError(
+            f"{what} declares {length} bytes, {len(payload) - off} remain"
+        )
+    return off + length
+
+
+def _decode(payload: bytes) -> LoggedBatch:
+    if len(payload) < _PREAMBLE.size:
+        raise ValueError("record is shorter than its preamble")
+    _magic, version, base, tail_len, count = _PREAMBLE.unpack_from(payload)
+    if version != RECORD_VERSION:
+        raise ValueError(f"record version {version}; this build reads {RECORD_VERSION}")
+    off = _take(payload, _PREAMBLE.size, tail_len, "the tail")
+    fresh = decode_values(payload[_PREAMBLE.size : off])
+    off = _take(payload, off, -off % 8, "the tail's padding")
+    bound = (base + len(fresh)) ** 3
+    keys: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        at = _take(payload, off, _RELATION.size, "a relation header")
+        name_len, n_keys = _RELATION.unpack_from(payload, off)
+        off = _take(payload, at, name_len, "a relation name")
+        name = payload[at:off].decode("utf-8", "surrogatepass")
+        if name in keys:
+            raise ValueError(f"relation {name!r} appears twice")
+        off = _take(payload, off, -name_len % 8, "a name's padding")
+        at, off = off, _take(payload, off, 8 * n_keys, f"relation {name!r}")
+        arr = np.frombuffer(payload, dtype="<i8", count=n_keys, offset=at)
+        if n_keys and not (arr[0] >= 0 and int(arr[-1]) < bound):
+            raise ValueError(f"relation {name!r} has a key outside [0, {bound})")
+        if not (arr[1:] > arr[:-1]).all():
+            raise ValueError(f"relation {name!r} has keys out of order or twice")
+        keys[name] = arr.astype(np.int64, copy=False)
+    if off != len(payload):
+        raise ValueError(f"{len(payload) - off} bytes follow the last relation")
+    return LoggedBatch(base, fresh, keys)
+
+
+def _read_legacy_record(payload: bytes) -> dict[str, Any]:
+    """``{name: triples}`` of a record an older build pickled."""
+    return dict(pickle.loads(payload)["relations"])
+
+
+def read_record(
+    payload: bytes, *, legacy: bool, where: str
+) -> LoggedBatch | dict[str, Any]:
+    """The content of one record read from ``where``.
+
+    A :class:`LoggedBatch`; or, when ``legacy`` says the store's manifest
+    is format 3 or older, the ``{name: triples}`` of a pickled record.
+    Any defect raises :class:`StoreCorruptionError`.
+    """
+    try:
+        if payload[: len(MAGIC)] == MAGIC:
+            return _decode(payload)
+        if legacy:
+            return _read_legacy_record(payload)
+        raise ValueError("it is not a data record and the store is format 4")
+    except Exception as exc:
+        raise StoreCorruptionError(f"WAL record {where} does not decode: {exc}") from exc
 
 
 def _fault(point: str) -> None:
@@ -143,14 +286,15 @@ class WriteAheadLog:
                 f"WAL commit pointer {self.commit_path} is unreadable: {exc}"
             ) from exc
 
-    def recover(self, *, min_seq: int = 0) -> list[tuple[int, dict]]:
-        """Repair the log and return the committed mutations to replay.
+    def recover(self, *, min_seq: int = 0) -> list[tuple[int, bytes]]:
+        """Repair the log and return the committed records to replay.
 
         Promotes fully-durable records past a stale pointer, truncates
         torn tails, and raises :class:`StoreCorruptionError` if bytes
         *inside* the committed region fail their checksums.  Returns
-        ``(seq, mutations)`` pairs with ``seq > min_seq`` (older records
-        are already folded into segments), in log order.
+        ``(seq, payload)`` pairs with ``seq > min_seq`` (older records
+        are already folded into segments), in log order, for
+        :func:`read_record`.
         """
         committed, pointer_seq = self._read_pointer()
         try:
@@ -177,18 +321,7 @@ class WriteAheadLog:
             self._write_pointer(valid_end, last_seq)
         self.offset = valid_end
         self.next_seq = last_seq + 1
-        out: list[tuple[int, dict]] = []
-        for seq, payload in records:
-            if seq <= min_seq:
-                continue
-            try:
-                out.append((seq, pickle.loads(payload)))
-            except Exception as exc:
-                raise StoreCorruptionError(
-                    f"WAL record seq={seq} in {self.log_path} fails to "
-                    f"decode: {exc}"
-                ) from exc
-        return out
+        return [(seq, payload) for seq, payload in records if seq > min_seq]
 
     # ------------------------------------------------------------------ #
     # Commit path
@@ -210,18 +343,14 @@ class WriteAheadLog:
                 )
         return self._fp
 
-    def append(self, mutations: Mapping[str, Iterable[tuple]]) -> int:
-        """Durably commit one mutation batch; returns its sequence number.
+    def append(self, batch: EncodedBatch) -> int:
+        """Durably commit one encoded batch; returns its sequence number.
 
-        ``mutations`` maps relation names to their new triple sets, in
-        application order.  The record is fsync'd before the commit
-        pointer moves (see the module docstring for the protocol).
+        The record is fsync'd before the commit pointer moves (see the
+        module docstring for the protocol).
         """
         seq = self.next_seq
-        payload = pickle.dumps(
-            {"relations": {name: tuple(triples) for name, triples in mutations.items()}},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        payload = encode_record(batch)
         header = _RECORD.pack(len(payload), seq, zlib.crc32(payload), 0)[:-4]
         record = header + struct.pack("<I", zlib.crc32(header)) + payload
         _fault("wal-before-record")

@@ -27,14 +27,18 @@ cached on the store like its hash indexes and statistics
 (:meth:`Triplestore.columnar`).
 
 **Sharing contract.**  A store derived from one that already has a
-columnar view (``with_relations`` and friends) gets its view from
-:meth:`ColumnarStore.derive`, not from a rebuild: the dictionary (the
-``objects`` array with its :class:`~repro.triplestore.dictionary.ObjectIndex`,
-the wire array of :meth:`ColumnarStore.wire_array`, ``dv_*``) and the
-key arrays and access paths (:class:`AccessPath`) of every relation the
-derivation did not replace are the parent's *by reference*; only the
-replaced relations are encoded, with one :meth:`ObjectIndex.encode` of
-every object they mention.  A relation is held only as its packed keys:
+columnar view (``with_relations`` and friends) gets its view in two
+steps, not from a rebuild: :meth:`ColumnarStore.encode` turns the
+replaced relations into an :class:`EncodedBatch` — packed keys plus the
+objects outside the dictionary, every object hashed once and looked up
+once — and :meth:`ColumnarStore.apply` installs it.  A durable commit
+logs the batch between the two, and WAL replay runs the same
+:meth:`~ColumnarStore.apply` on a batch read back from the log.  The
+dictionary (the ``objects`` array with its
+:class:`~repro.triplestore.dictionary.ObjectIndex`, the wire array of
+:meth:`ColumnarStore.wire_array`, ``dv_*``) and the key arrays and
+access paths (:class:`AccessPath`) of every relation the derivation did
+not replace are the parent's *by reference*.  A relation is held only as its packed keys:
 readers take the columns they need (:meth:`ColumnarStore.column`) or
 unpack the rows they touch, never a second ``(N, 3)`` copy.
 When the new triples bring objects outside the universe the dictionary
@@ -50,19 +54,27 @@ instead.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import TriplestoreError
-from repro.triplestore.dictionary import ObjectIndex
+from repro.triplestore.dictionary import ObjectIndex, hashes_of, object_array
 from repro.triplestore.model import Obj, Triple, Triplestore
 
-__all__ = ["JSON_NATIVE", "AccessPath", "ColumnarStore", "KeyPart", "sorted_unique"]
+__all__ = [
+    "JSON_NATIVE",
+    "AccessPath",
+    "ColumnarStore",
+    "EncodedBatch",
+    "KeyPart",
+    "sorted_unique",
+]
 
 #: The object types JSON carries as themselves.  Store objects are
 #: arbitrary Python values; on the service wire every other object
@@ -104,6 +116,11 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def _pack(columns: np.ndarray, n: int) -> np.ndarray:
+    """``(N, 3)`` codes as packed keys ``(s·n + p)·n + o``."""
+    return (columns[:, 0] * n + columns[:, 1]) * n + columns[:, 2]
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark an array a store holds (and versions share) as immutable."""
     arr.setflags(write=False)
@@ -143,6 +160,29 @@ class AccessPath:
             lo = np.searchsorted(self.keys, needle, side="left")
             hi = np.searchsorted(self.keys, needle, side="right")
         return slice(lo, hi) if self.perm is None else self.perm[lo:hi]
+
+
+@dataclass(frozen=True, slots=True)
+class EncodedBatch:
+    """Replacement relations as codes: what :meth:`ColumnarStore.encode`
+    makes of a batch, what a durable commit logs and what
+    :meth:`ColumnarStore.apply` installs — at commit and at replay alike.
+
+    ``base`` is the size of the dictionary the batch extends; ``fresh``
+    indexes the batch's objects outside it, in code (``repr``) order —
+    the dictionary's tail — and ``at[i]`` is the number of old objects
+    before the ``i``-th of them (non-decreasing).  ``keys`` maps each
+    relation, in application order, to its read-only sorted unique
+    packed keys over the grown dictionary of ``base + len(fresh)``
+    objects.  ``values`` is the batch's objects, three per triple, as
+    the encoder read them (empty for a batch read back from a log).
+    """
+
+    base: int
+    fresh: ObjectIndex
+    at: np.ndarray
+    keys: dict[str, np.ndarray]
+    values: list = ()
 
 
 class ColumnarStore:
@@ -246,55 +286,137 @@ class ColumnarStore:
     # Derivation: the view of a store derived from this view's store
     # ------------------------------------------------------------------ #
 
-    def derive(
-        self, store: Triplestore, replaced: Collection[str], rho_changed: bool
-    ) -> tuple["ColumnarStore", set[Obj]]:
-        """The columnar view of ``store``, a store derived from this view's,
-        and the objects of ``store`` outside this view's universe.
+    def encode(self, relations: Mapping[str, Collection[Triple]]) -> "EncodedBatch":
+        """``relations`` as codes against this view's dictionary: the
+        first half of deriving a version of this view's store.
 
-        ``replaced`` names the relations of ``store`` whose content is
-        new (they are encoded, all of them with one
-        :meth:`ObjectIndex.encode`); every other relation of ``store`` is
-        one of this view's and its arrays are shared.  ``rho_changed``
-        says ρ was replaced.  The view equals ``ColumnarStore(store)``
-        field by field.
+        Every object is hashed once, in one pass over the batch, and
+        looked up once against the dictionary; the objects outside it
+        are deduplicated on those hashes (:meth:`_fresh`).  The codes
+        are those of the grown dictionary :meth:`apply` installs.
+        """
+        count = 3 * sum(map(len, relations.values()))
+        values = object_array(chain.from_iterable(chain.from_iterable(relations.values())), count)
+        flat = values.tolist()
+        hashes = hashes_of(flat, count)
+        codes = self.object_index.lookup(flat, hashes)
+        absent = np.flatnonzero(codes < 0)
+        fresh, rank = self._fresh(values[absent], hashes[absent])
+        at = self._landing(fresh.objects)
+        if len(fresh):
+            present = codes >= 0
+            codes[present] += np.searchsorted(at, codes[present], side="right")
+            codes[absent] = at[rank] + rank
+        radix = max(self.n + len(fresh), 1)
+        keys: dict[str, np.ndarray] = {}
+        lo = 0
+        for name, rel in relations.items():
+            hi = lo + 3 * len(rel)
+            keys[name] = _readonly(sorted_unique(_pack(codes[lo:hi].reshape(-1, 3), radix)))
+            lo = hi
+        return EncodedBatch(self.n, fresh, at, keys, flat)
+
+    @staticmethod
+    def _fresh(missing: np.ndarray, hashes: np.ndarray) -> tuple[ObjectIndex, np.ndarray]:
+        """The distinct objects among ``missing`` (an object array whose
+        ``hashes`` the caller holds) — indexed, in ``repr`` order — and
+        each occurrence's rank among them.
+
+        Occurrences are grouped by hash with one sort, and each group is
+        one object when all its members equal its first occurrence (as
+        dict keys do); the index is assembled from the groups, with no
+        second hash or sort.  Only a batch where two unequal objects
+        share a hash (a collision, a NaN) is deduplicated by a ``set``.
+        """
+        if not len(missing):
+            return ObjectIndex.build([]), np.empty(0, dtype=np.int64)
+        by_hash = np.argsort(hashes)
+        ordered = hashes[by_hash]
+        starts = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        group = np.empty(len(ordered), dtype=np.int64)
+        group[by_hash] = np.cumsum(starts) - 1
+        firsts = missing[np.minimum.reduceat(by_hash, np.flatnonzero(starts))]
+        if np.asarray(firsts[group] == missing, dtype=bool).all():
+            reprs = list(map(repr, firsts.tolist()))
+            by_repr = np.fromiter(
+                sorted(range(len(reprs)), key=reprs.__getitem__), np.int64, len(reprs)
+            )
+            rank_of = np.empty(len(by_repr), dtype=np.int64)
+            rank_of[by_repr] = np.arange(len(by_repr))
+            index = ObjectIndex(firsts[by_repr], ordered[starts], rank_of.astype(np.int32))
+            return index, rank_of[group]
+        index = ObjectIndex.build(sorted(set(missing.tolist()), key=repr))
+        return index, index.lookup(missing, hashes)
+
+    def logged(
+        self, base: int, fresh: list[Obj], keys: dict[str, np.ndarray]
+    ) -> "EncodedBatch":
+        """A batch read back from a log, checked against this dictionary.
+
+        ``fresh`` must extend a dictionary of exactly ``base`` objects,
+        be in ``repr`` order, and hold no object twice and none this
+        dictionary holds; anything else raises ``ValueError`` (an
+        unhashable object, ``TypeError``).  The keys are the caller's
+        to check.
+        """
+        if base != self.n:
+            raise ValueError(
+                f"the batch extends a dictionary of {base} objects, not {self.n}"
+            )
+        reprs = list(map(repr, fresh))
+        if any(map(operator.gt, reprs, reprs[1:])):
+            raise ValueError("the fresh objects are not in repr order")
+        index = ObjectIndex.build(fresh)
+        if not np.array_equal(index.encode(fresh), np.arange(len(fresh))):
+            raise ValueError("an object is fresh twice")
+        if (self.object_index.encode(fresh) >= 0).any():
+            raise ValueError("a fresh object is already in the dictionary")
+        return EncodedBatch(base, index, self._landing(fresh), keys)
+
+    def _landing(self, fresh: Iterable[Obj]) -> np.ndarray:
+        """Where each of ``fresh`` (``repr``-sorted objects outside this
+        dictionary) lands: ``at[i]`` old objects precede ``fresh[i]``."""
+        if not self.n:
+            return np.zeros(len(fresh), dtype=np.int64)
+        land = partial(bisect_right, self.objects, key=repr)
+        return np.fromiter(map(land, map(repr, fresh)), np.int64, len(fresh))
+
+    def apply(
+        self, store: Triplestore, batch: "EncodedBatch", rho_changed: bool
+    ) -> "ColumnarStore":
+        """The columnar view of ``store``, a store derived from this view's
+        by replacing the relations of ``batch``: the second half of a
+        derivation, and all of a replay.
+
+        The dictionary grows by ``batch.fresh`` (or is shared), the
+        batch's keys are installed as they are, and every other relation
+        of ``store`` is one of this view's, shared — or, when the
+        dictionary grew, re-coded.  ``rho_changed`` says ρ was replaced.
+        The view equals ``ColumnarStore(store)`` field by field.
         """
         child = object.__new__(ColumnarStore)
-        triples = [store.relation(name) for name in replaced]
-        flat = list(chain.from_iterable(chain.from_iterable(triples)))
-        codes = self.object_index.encode(flat)
-        absent = codes < 0
-        new_objects: set[Obj] = set()
         remap = None
-        if absent.any():
-            new_objects = set(compress(flat, absent))
-            fresh = sorted(new_objects, key=repr)
-            remap, fresh_codes = child._grow_dictionary(self, fresh)
-            codes[~absent] = remap[codes[~absent]]
-            code_of_fresh = dict(zip(fresh, fresh_codes.tolist())).__getitem__
-            codes[absent] = np.fromiter(
-                map(code_of_fresh, compress(flat, absent)), np.int64, int(absent.sum())
-            )
+        fresh = batch.fresh.objects
+        if len(fresh):
+            index, remap = self.object_index.grow(batch.fresh, batch.at)
+            child._set_dictionary(index)
         else:
             child._set_dictionary(self.object_index)
             child._wire_cell = self._wire_cell
+        rho = store._rho.get
         if rho_changed:
-            child._encode_rho(store.rho)
+            child._encode_rho(rho)
         elif remap is None:
             child.dv_values, child._dv_code_of = self.dv_values, self._dv_code_of
             child.dv_codes = self.dv_codes
         else:
-            child._grow_rho(self, store.rho, fresh, remap, fresh_codes)
-        encoded: dict[str, np.ndarray] = {}
-        lo = 0
-        for name, rel in zip(replaced, triples):
-            hi = lo + 3 * len(rel)
-            encoded[name] = child._pack_codes(codes[lo:hi])
-            lo = hi
+            child._grow_rho(self, rho, fresh, remap, batch.at + np.arange(len(fresh)))
+        replaced = batch.keys
         relations: dict[str, np.ndarray] = {}
         for name in store.relation_names:
-            if name in encoded:
-                relations[name] = encoded[name]
+            if name in replaced:
+                relations[name] = replaced[name]
             elif remap is None:
                 relations[name] = self._relations[name]
             else:
@@ -313,29 +435,13 @@ class ColumnarStore:
         # The active set survives only when the relation set did.
         same = not replaced and len(relations) == len(self._relations)
         child._active = self._active if same else None
-        return child, new_objects
-
-    def _grow_dictionary(
-        self, parent: "ColumnarStore", fresh: list[Obj]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Install ``parent``'s universe plus the ``repr``-sorted ``fresh``.
-
-        Returns ``remap`` — ``remap[old_code]`` is the new code of a
-        parent object, strictly increasing because both universes are in
-        ``repr`` order — and the new codes of ``fresh``.
-        """
-        # Where each fresh object lands among the old ones (non-decreasing).
-        land = partial(bisect_right, parent.objects, key=repr)
-        at = np.fromiter(map(land, map(repr, fresh)), np.int64, len(fresh))
-        index, remap = parent.object_index.grow(fresh, at)
-        self._set_dictionary(index)
-        return remap, at + np.arange(len(fresh))
+        return child
 
     def _grow_rho(
         self,
         parent: "ColumnarStore",
         rho: Callable[[Obj], Any],
-        fresh: list[Obj],
+        fresh: np.ndarray,
         remap: np.ndarray,
         fresh_codes: np.ndarray,
     ) -> None:
@@ -379,8 +485,7 @@ class ColumnarStore:
 
     def pack(self, columns: np.ndarray) -> np.ndarray:
         """Pack an ``(N, 3)`` code array into 1-D int64 keys."""
-        n = self.radix
-        return (columns[:, 0] * n + columns[:, 1]) * n + columns[:, 2]
+        return _pack(columns, self.radix)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`pack`: keys back into ``(N, 3)`` code columns."""

@@ -20,11 +20,12 @@ compares ``==`` to it.  So ``1``, ``True`` and ``1.0`` find each other
 as dict keys do, a NaN finds itself by identity, and two objects whose
 hashes collide (``hash(-1) == hash(-2)``) keep their own codes.
 
-Bulk lookups are one vectorised :meth:`ObjectIndex.encode`, run a
-block of objects at a time: the block's hashes are computed in one
-pass, located with one ``searchsorted`` and the candidates compared
-with one elementwise ``==``; only the rare object that is not its run's
-first (a hash collision, a NaN) takes the scalar path.
+Bulk lookups are one vectorised :meth:`ObjectIndex.lookup`, run a
+block of objects at a time: the block's hashes — computed once, in one
+pass, by the caller (:func:`hashes_of`; :meth:`ObjectIndex.encode`
+does both) — are located with one ``searchsorted`` and the candidates
+compared with one elementwise ``==``; only the rare object that is not
+its run's first (a hash collision, a NaN) takes the scalar path.
 """
 
 from __future__ import annotations
@@ -34,20 +35,22 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ObjectIndex"]
+__all__ = ["ObjectIndex", "hashes_of", "object_array"]
 
 #: Objects looked up per block: a lookup's temporaries stay O(block),
 #: however many objects a relation mentions.
 _BLOCK = 1 << 15
 
 
-def _object_array(objs: Iterable[Any], count: int = -1) -> np.ndarray:
+def object_array(objs: Iterable[Any], count: int = -1) -> np.ndarray:
     """A 1-D object array of ``objs`` — each item one element, tuples
     included (``np.array`` would read a list of tuples as a matrix)."""
     return np.fromiter(objs, dtype=object, count=count)
 
 
-def _hashes(objs: Iterable[Any], count: int = -1) -> np.ndarray:
+def hashes_of(objs: Iterable[Any], count: int = -1) -> np.ndarray:
+    """``hash`` of each of ``objs`` as an ``int64`` array (an unhashable
+    object raises ``TypeError``)."""
     return np.fromiter(map(hash, objs), dtype=np.int64, count=count)
 
 
@@ -77,20 +80,22 @@ class ObjectIndex(Set):
     @classmethod
     def build(cls, objs: Sequence[Any]) -> "ObjectIndex":
         """Index ``objs`` — code ``i`` is the ``i``-th object."""
-        hashes = _hashes(objs, len(objs))
+        hashes = hashes_of(objs, len(objs))
         order = np.argsort(hashes)
         hashes = hashes[order]
         order = _ascending_runs(hashes, order).astype(np.int32)
-        return cls(_object_array(objs, len(objs)), hashes, order)
+        return cls(object_array(objs, len(objs)), hashes, order)
 
-    def grow(self, fresh: list[Any], at: np.ndarray) -> tuple["ObjectIndex", np.ndarray]:
-        """This dictionary with ``fresh`` inserted, and the old codes' map.
+    def grow(self, fresh: "ObjectIndex", at: np.ndarray) -> tuple["ObjectIndex", np.ndarray]:
+        """This dictionary with the objects of ``fresh`` inserted, and the
+        old codes' map.
 
-        ``at[i]`` is the number of old objects before ``fresh[i]``
+        ``fresh`` indexes the new objects in the order they take codes;
+        ``at[i]`` is the number of old objects before its ``i``-th
         (non-decreasing).  Returns the grown index and ``remap``, where
         ``remap[old_code]`` is an old object's new code — strictly
-        increasing.  The hashes of ``fresh`` are merged into the sorted
-        column, which is not sorted again.
+        increasing.  The sorted hashes of ``fresh`` are merged into the
+        sorted column: nothing is hashed or sorted again.
         """
         n_old, n_fresh = len(self.objects), len(fresh)
         fresh_codes = at + np.arange(n_fresh)
@@ -100,19 +105,16 @@ class ObjectIndex(Set):
         remap += np.searchsorted(at, remap, side="right")
         objects = np.empty(n_old + n_fresh, dtype=object)
         objects[remap] = self.objects
-        objects[fresh_codes] = _object_array(fresh, n_fresh)
-        fresh_hashes = _hashes(fresh, n_fresh)
-        by_hash = np.argsort(fresh_hashes)
-        fresh_hashes = fresh_hashes[by_hash]
-        slots = np.searchsorted(self.hashes, fresh_hashes, side="right")
+        objects[fresh_codes] = fresh.objects
+        slots = np.searchsorted(self.hashes, fresh.hashes, side="right")
         slots += np.arange(n_fresh)
         kept = np.ones(n_old + n_fresh, dtype=bool)
         kept[slots] = False
         hashes = np.empty(n_old + n_fresh, dtype=np.int64)
-        hashes[slots] = fresh_hashes
+        hashes[slots] = fresh.hashes
         hashes[kept] = self.hashes
         order = np.empty(n_old + n_fresh, dtype=np.int32)
-        order[slots] = fresh_codes[by_hash]
+        order[slots] = fresh_codes[fresh.order]
         order[kept] = remap[self.order]
         return ObjectIndex(objects, hashes, _ascending_runs(hashes, order)), remap
 
@@ -133,18 +135,20 @@ class ObjectIndex(Set):
 
     def encode(self, objs: Sequence[Any]) -> np.ndarray:
         """The codes of ``objs`` as an ``int64`` array, ``-1`` for an
-        object outside the dictionary — :data:`_BLOCK` objects at a time."""
-        codes = np.empty(len(objs), dtype=np.int64)
-        for lo in range(0, len(objs), _BLOCK):
-            codes[lo : lo + _BLOCK] = self._encode_block(objs[lo : lo + _BLOCK])
+        object outside the dictionary."""
+        return self.lookup(objs, hashes_of(objs, len(objs)))
+
+    def lookup(self, objs: Sequence[Any], hashes: np.ndarray) -> np.ndarray:
+        """:meth:`encode` of ``objs`` whose ``hashes`` the caller already
+        holds — :data:`_BLOCK` objects at a time."""
+        codes = np.full(len(objs), -1, dtype=np.int64)
+        if len(self.hashes):
+            for lo in range(0, len(objs), _BLOCK):
+                hi = lo + _BLOCK
+                self._lookup_block(objs[lo:hi], hashes[lo:hi], codes[lo:hi])
         return codes
 
-    def _encode_block(self, objs: Sequence[Any]) -> np.ndarray:
-        count = len(objs)
-        wanted = _hashes(objs, count)  # an unhashable object raises here
-        codes = np.full(count, -1, dtype=np.int64)
-        if not count or not len(self.hashes):
-            return codes
+    def _lookup_block(self, objs: Sequence[Any], wanted: np.ndarray, codes: np.ndarray) -> None:
         # Sorted needles walk the hash column front to back instead of
         # jumping through it.
         by_hash = np.argsort(wanted)
@@ -153,13 +157,12 @@ class ObjectIndex(Set):
         np.minimum(slot, len(self.hashes) - 1, out=slot)
         found = np.flatnonzero(self.hashes[slot] == wanted)
         candidate = self.order[slot[found]].astype(np.int64)
-        asked = _object_array(objs, count)[found]
+        asked = object_array(objs, len(objs))[found]
         same = np.asarray(self.objects[candidate] == asked, dtype=bool)
         codes[found[same]] = candidate[same]
         # Not the first of its hash run (a collision, a NaN): walk the run.
         for i in found[~same].tolist():
             codes[i] = self.code_of(objs[i])
-        return codes
 
     # -- the universe as a set-like view ---------------------------------- #
 

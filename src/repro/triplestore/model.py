@@ -49,6 +49,24 @@ def _as_triple(item: Iterable[Any]) -> Triple:
     return triple
 
 
+def freeze_triples(triples: Iterable[Iterable[Any]]) -> frozenset[Triple]:
+    """``triples`` as a frozenset of 3-tuples (:func:`_as_triple` of each).
+
+    A batch that already is hashable 3-tuples — the common case — is
+    checked by type and length over the deduplicated set instead of
+    being rebuilt triple by triple.
+    """
+    if not isinstance(triples, Collection):
+        triples = list(triples)
+    try:
+        frozen = frozenset(triples)
+    except TypeError:  # an unhashable item (a list, say): coerce each
+        return frozenset(map(_as_triple, triples))
+    if set(map(type, frozen)) <= {tuple} and set(map(len, frozen)) <= {3}:
+        return frozen
+    return frozenset(map(_as_triple, frozen))
+
+
 class Triplestore:
     """An immutable-by-convention triplestore database.
 
@@ -94,11 +112,10 @@ class Triplestore:
             rel_map: dict[str, frozenset[Triple]] = {DEFAULT_RELATION: frozenset()}
         elif isinstance(relations, Mapping):
             rel_map = {
-                str(name): frozenset(_as_triple(t) for t in triples)
-                for name, triples in relations.items()
+                str(name): freeze_triples(triples) for name, triples in relations.items()
             }
         else:
-            rel_map = {DEFAULT_RELATION: frozenset(_as_triple(t) for t in relations)}
+            rel_map = {DEFAULT_RELATION: freeze_triples(relations)}
         if not rel_map:
             rel_map = {DEFAULT_RELATION: frozenset()}
 
@@ -222,6 +239,7 @@ class Triplestore:
         relations: dict[str, "frozenset[Triple] | None"],
         replaced: Collection[str] = (),
         rho: dict[Obj, Any] | None = None,
+        batch: "EncodedBatch | None" = None,
     ) -> "Triplestore":
         """A version of this store that shares what it does not change.
 
@@ -235,8 +253,11 @@ class Triplestore:
         dictionary, hash indexes and computed statistics for every
         relation it keeps, and — when this store has a columnar view —
         gets a view that shares the dictionary and the kept relations'
-        arrays (:meth:`ColumnarStore.derive`).  A store that never asked
-        for :meth:`columnar` derives stores that have none either.
+        arrays (:meth:`ColumnarStore.apply` of ``batch``, the replaced
+        relations encoded against this store's view — by
+        :meth:`ColumnarStore.encode` unless the caller already holds
+        it).  A store that never asked for :meth:`columnar` derives
+        stores that have none either.
         """
         if not relations:
             relations, replaced = {DEFAULT_RELATION: frozenset()}, (DEFAULT_RELATION,)
@@ -244,22 +265,22 @@ class Triplestore:
         child._relations = relations
         child._rho = self._rho if rho is None else rho
         if self._columnar is None:
-            new_objects = set(
+            fresh: Collection[Obj] = set(
                 chain.from_iterable(chain.from_iterable(relations[n] for n in replaced))
             )
-            new_objects -= self._objects
+            fresh -= self._objects
             child._columnar = None
         else:
-            # The view looks every object of the replaced relations up at
-            # once, and says which are new.
-            child._columnar, new_objects = self._columnar.derive(
-                child, replaced, rho is not None
-            )
+            view = self._columnar
+            if batch is None:
+                batch = view.encode({name: relations[name] for name in replaced})
+            child._columnar = view.apply(child, batch, rho is not None)
+            fresh = batch.fresh.objects
         # (A universe nobody asked for yet stays unbuilt in the child: its
         # view's dictionary grew by the same new objects.)
         child._objects = (
-            self._objects | new_objects
-            if new_objects and self._objects is not None
+            self._objects.union(fresh)
+            if len(fresh) and self._objects is not None
             else self._objects
         )
         # (Snapshots of the caches: a concurrent reader may be filling them.)
@@ -291,8 +312,7 @@ class Triplestore:
         """
         return self._with_frozen(
             {
-                str(name): frozenset(_as_triple(t) for t in triples)
-                for name, triples in mapping.items()
+                str(name): freeze_triples(triples) for name, triples in mapping.items()
             }
         )
 

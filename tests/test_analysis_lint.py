@@ -373,7 +373,7 @@ def test_stor_nopickle_allows_the_listed_sites_up_to_their_count(tmp_path):
             import pickle
 
 
-            def recover(payloads):
+            def _read_legacy_record(payloads):
                 first = pickle.loads(payloads[0])
                 return first, pickle.loads(payloads[1])
         """,

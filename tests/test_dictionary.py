@@ -12,9 +12,10 @@ pinned here, without a clock:
     gives, and :meth:`ColumnarStore.universe` is a set-like view;
 (b) *growth* — a derive that brings new objects merges them into the
     index, and the result equals a fresh build field by field;
-(c) *counted work* — a 1 000-triple derive looks its objects up with
-    one ``encode``, and an opened durable store spends at most 16 bytes
-    an object on the dictionary beyond the objects themselves.
+(c) *counted work* — a 1 000-triple derive hashes its objects in one
+    pass and looks each up once, and an opened durable store spends at
+    most 16 bytes an object on the dictionary beyond the objects
+    themselves.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TriplestoreError
 from repro.storage import DurableStore
 from repro.db import Database
+from repro.triplestore import columnar
 from repro.triplestore.columnar import ColumnarStore
 from repro.triplestore.dictionary import ObjectIndex
 from repro.triplestore.model import Triplestore
@@ -201,6 +203,24 @@ def test_growth_with_colliding_hashes_equals_a_fresh_build():
     assert_same_dictionary(ccs, rebuilt(child))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [[-1, -2], [NAN, NAN, "nan"], [1, 1.0, True, "1"]],
+    ids=["colliding-hashes", "a-nan-twice", "equal-values"],
+)
+def test_fresh_objects_that_share_a_hash_equal_a_fresh_build(fresh):
+    parent = Triplestore([("a", "p", "b")])
+    parent.columnar()
+    batch = [(obj, "p", "a") for obj in fresh] + [("b", "q", obj) for obj in fresh]
+    child = parent.with_relation("F", batch)
+    assert child.columnar().n == len(child.objects)
+    assert_same_dictionary(child.columnar(), rebuilt(child))
+    assert child.columnar().decode_triples(child.columnar().relation_keys("F")) == set(batch)
+
+
 def test_a_growing_commit_merges_hashes_instead_of_sorting_again():
     nodes = [f"n{i:04d}" for i in range(2000)]
     parent = Triplestore([(nodes[i], "p", nodes[i + 1]) for i in range(1999)])
@@ -224,20 +244,28 @@ def test_a_growing_commit_merges_hashes_instead_of_sorting_again():
 # --------------------------------------------------------------------- #
 
 
-def count_encodes(monkeypatch) -> list[int]:
-    calls: list[int] = []
-    encode = ObjectIndex.encode
+def count_lookups(monkeypatch) -> tuple[list[int], list[int]]:
+    """Lengths of the batches hashed by the columnar encoder and of every
+    index lookup."""
+    hashed: list[int] = []
+    looked_up: list[int] = []
+    hashes_of, lookup = columnar.hashes_of, ObjectIndex.lookup
 
-    def counting(self, objs):
-        calls.append(len(objs))
-        return encode(self, objs)
+    def hashing(objs, count=-1):
+        hashed.append(len(objs))
+        return hashes_of(objs, count)
 
-    monkeypatch.setattr(ObjectIndex, "encode", counting)
-    return calls
+    def counting(self, objs, hashes):
+        looked_up.append(len(objs))
+        return lookup(self, objs, hashes)
+
+    monkeypatch.setattr(columnar, "hashes_of", hashing)
+    monkeypatch.setattr(ObjectIndex, "lookup", counting)
+    return hashed, looked_up
 
 
 @pytest.mark.parametrize("grows", [False, True])
-def test_a_thousand_triple_derive_calls_encode_once(monkeypatch, grows):
+def test_a_thousand_triple_derive_hashes_and_looks_up_once(monkeypatch, grows):
     nodes = [f"n{i:03d}" for i in range(400)]
     labels = ("p", "q", "r")
     store = Triplestore(
@@ -247,9 +275,11 @@ def test_a_thousand_triple_derive_calls_encode_once(monkeypatch, grows):
     batch = [(nodes[i % 400], labels[i // 400], nodes[(7 * i) % 400]) for i in range(1000)]
     if grows:
         batch[500] = ("fresh", "p", "n001")
-    calls = count_encodes(monkeypatch)
+    hashed, looked_up = count_lookups(monkeypatch)
     child = store.with_relations({"D": batch[:600], "F": batch[600:]})
-    assert calls == [3000]
+    assert hashed == [3000]
+    # ... and looked up once: the fresh ones are grouped by those hashes.
+    assert looked_up == [3000]
     assert child.columnar().n == 403 + grows
     assert child.columnar().decode_triples(child.columnar().relation_keys("D")) == set(
         batch[:600]

@@ -49,6 +49,7 @@ from repro.db import Database
 from repro.errors import StorageError, StoreCorruptionError
 from repro.storage import DurableStore, dictionary, fsck_store, segments
 from repro.storage.wal import WriteAheadLog
+from tests.test_wal_format import append_pickled
 from repro.storage.dictionary import decode_dictionary, encode_dictionary
 from repro.triplestore.model import Triplestore
 
@@ -520,7 +521,7 @@ class TestOlderStoresAreCheckedOnOpen:
             assert type(info.value) is StorageError  # the store is sound, just old
             message = str(info.value)
             assert "manifest format 2" in message and "'Decimal'" in message
-            assert "manifest format 3 cannot store" in message and "Migrate" in message
+            assert "manifest format 4 cannot store" in message and "Migrate" in message
             with pytest.raises(StorageError, match="'Decimal'"):
                 Database(path=root)
             assert self.tree(root) == before
@@ -531,8 +532,8 @@ class TestOlderStoresAreCheckedOnOpen:
     def test_a_replayed_wal_record_is_checked_too(self, tmp_path):
         root = self.copy(tmp_path, "store-v2-rho")
         wal = WriteAheadLog(os.path.join(root, "wal"))
-        list(wal.recover())
-        wal.append({"Dx": frozenset({("n1", "price", Decimal("2"))})})  # as format 2 took it
+        wal.recover()
+        append_pickled(wal, {"Dx": frozenset({("n1", "price", Decimal("2"))})})  # as format 2 took it
         wal.close()
         before = self.tree(root)
         with pytest.raises(StorageError, match="'Decimal'"):
@@ -551,7 +552,7 @@ class TestOlderStoresAreCheckedOnOpen:
         with Database(path=root) as db:
             db.install("Dk", [("n1", "k", "n2")])
         with open(os.path.join(root, "MANIFEST"), "rb") as fp:
-            assert json.loads(fp.read())["format"] == 3
+            assert json.loads(fp.read())["format"] == 4
         assert fsck_store(root) == []
 
 

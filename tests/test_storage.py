@@ -22,6 +22,7 @@ from repro.errors import FragmentError, ReproError, StoreCorruptionError
 from repro.rdf.datasets import figure1
 from repro.storage import DurableStore, SegmentStore, WriteAheadLog, fsck_store
 from repro.storage.fsutil import atomic_write_bytes
+from repro.storage.wal import read_record
 from repro.storage.segments import (
     KIND_INT64,
     KIND_PICKLE,
@@ -164,27 +165,36 @@ class TestStoreSegments:
 # --------------------------------------------------------------------- #
 
 
+def batch_of(relations: dict) -> object:
+    """``relations`` encoded against an empty dictionary: a WAL record."""
+    return Triplestore().columnar().encode({n: frozenset(t) for n, t in relations.items()})
+
+
 class TestWal:
     def test_append_recover_roundtrip(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
-        wal.append({"R": (("x", "y", "z"),)})
+        wal.append(batch_of({"E": TRIPLES}))
+        wal.append(batch_of({"R": (("x", "y", "z"),)}))
         wal.close()
         records = WriteAheadLog(tmp_path / "wal").recover()
         assert [seq for seq, _ in records] == [1, 2]
-        assert records[0][1]["relations"]["E"] == TRIPLES
+        record = read_record(records[0][1], legacy=False, where="seq=1")
+        assert record.base == 0 and record.fresh == sorted({*"abcdpq"}, key=repr)
+        view = Triplestore().columnar()
+        grown = view.apply(Triplestore({"E": ()}), view.logged(*record), False)
+        assert grown.decode_triples(grown.relation_keys("E")) == frozenset(TRIPLES)
 
     def test_min_seq_filters_folded_records(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
-        wal.append({"R": ()})
+        wal.append(batch_of({"E": TRIPLES}))
+        wal.append(batch_of({"R": ()}))
         wal.close()
         records = WriteAheadLog(tmp_path / "wal").recover(min_seq=1)
         assert [seq for seq, _ in records] == [2]
 
     def test_torn_tail_truncated(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
+        wal.append(batch_of({"E": TRIPLES}))
         wal.close()
         with open(wal.log_path, "ab") as fp:
             fp.write(b"torn-half-record")
@@ -194,7 +204,7 @@ class TestWal:
 
     def test_corruption_inside_committed_region_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
+        wal.append(batch_of({"E": TRIPLES}))
         wal.close()
         with open(wal.log_path, "r+b") as fp:
             fp.seek(30)
@@ -204,9 +214,9 @@ class TestWal:
 
     def test_durable_record_past_stale_pointer_promoted(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
+        wal.append(batch_of({"E": TRIPLES}))
         pointer = json.loads(open(wal.commit_path, "rb").read())
-        wal.append({"R": ()})
+        wal.append(batch_of({"R": ()}))
         wal.close()
         # Roll the pointer back to simulate a crash between record fsync
         # and pointer replace: the second record must be promoted.
@@ -217,11 +227,11 @@ class TestWal:
 
     def test_reset_preserves_sequence(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"E": TRIPLES})
-        wal.append({"R": ()})
+        wal.append(batch_of({"E": TRIPLES}))
+        wal.append(batch_of({"R": ()}))
         wal.reset(2)
         assert wal.size == 0
-        assert wal.append({"S": ()}) == 3
+        assert wal.append(batch_of({"S": ()})) == 3
         wal.close()
 
 

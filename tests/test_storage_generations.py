@@ -153,7 +153,7 @@ class TestFormat1Fixture:
             assert cs.active_codes().tolist() == twin.columnar().active_codes().tolist()
             assert db.store == twin
 
-    def test_first_snapshot_is_format_3_and_links(self, fixture, tmp_path, written):
+    def test_first_snapshot_is_the_current_format_and_links(self, fixture, tmp_path, written):
         root = self.copy(fixture, tmp_path)
         before = gen_files(root)
         rho = FIXTURES[fixture]
@@ -161,10 +161,10 @@ class TestFormat1Fixture:
         with Database(path=root, backend="columnar") as db:
             db.install("Dk", DK_SAME_OBJECTS)
         # close() folded the WAL: Dk and the pickled meta.seg were
-        # written (as format 3), the rest linked.
+        # written (as the current format), the rest linked.
         assert written == ["meta.seg", file_of(root, "Dk")]
         manifest = manifest_of(root)
-        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 3
+        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 4
         assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
         assert "active" not in manifest["segments"]
         after = gen_files(root)
@@ -205,7 +205,7 @@ class TestFormat2Fixture:
             assert db.store == twin
             assert db.store.rho_map() == RHO_V2
 
-    def test_first_snapshot_is_format_3_and_links(self, tmp_path, written):
+    def test_first_snapshot_is_the_current_format_and_links(self, tmp_path, written):
         root = self.copy(tmp_path)
         before = gen_files(root)
         twin = self.twin().with_relation("Dk", DK_SAME_OBJECTS)
@@ -214,7 +214,7 @@ class TestFormat2Fixture:
         # The pickled meta.seg is never linked: it is rewritten as data.
         assert written == ["meta.seg", file_of(root, "Dk")]
         manifest = manifest_of(root)
-        assert manifest["format"] == 3
+        assert manifest["format"] == 4
         assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
         after = gen_files(root)
         assert set(after) == set(before)
@@ -424,7 +424,7 @@ class TestFormat2:
         root = build_store(tmp_path / "s")
         assert list(gen_files(root)) == ["meta.seg", "rel-000.seg", "rel-001.seg"]
         manifest = manifest_of(root)
-        assert manifest["format"] == 3
+        assert manifest["format"] == 4
         assert set(manifest["segments"]) == {"meta", "relations"}
         ds = DurableStore(root)
         cs = ds.open().columnar()
@@ -473,10 +473,10 @@ class TestFormat2:
 
     def test_a_newer_manifest_is_refused(self, tmp_path):
         root = build_store(tmp_path / "s")
-        manifest = dict(manifest_of(root), format=4)
+        manifest = dict(manifest_of(root), format=snapshot.MANIFEST_FORMAT + 1)
         with open(os.path.join(root, "MANIFEST"), "w") as fp:
             json.dump(manifest, fp)
-        with pytest.raises(StoreCorruptionError, match="v4"):
+        with pytest.raises(StoreCorruptionError, match=f"v{snapshot.MANIFEST_FORMAT + 1}"):
             DurableStore(root).open()
         assert [f.rule for f in fsck_store(root)] == ["STOR-MANIFEST"]
 

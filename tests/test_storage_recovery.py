@@ -3,7 +3,8 @@
 The differential test hard-kills a child process (``os._exit`` via the
 ``REPRO_STORAGE_FAULT`` hook) at every interesting point inside
 ``WriteAheadLog.append`` and asserts the reopened store holds *exactly*
-the pre-batch or the post-batch state — never a half-applied mixture.
+the pre-batch or the post-batch state — never a half-applied mixture —
+and that what the log kept is data records ``fsck`` finds sound.
 
 The fuzz test truncates or flips bytes at seeded-random offsets of a
 multi-record WAL and asserts reopen either replays a consistent prefix
@@ -23,7 +24,7 @@ import pytest
 from repro.db import Database
 from repro.errors import StoreCorruptionError
 from repro.storage import DurableStore, fsck_store
-from repro.storage.wal import FAULT_ENV, FAULT_POINTS
+from repro.storage.wal import FAULT_ENV, FAULT_POINTS, MAGIC, scan_records
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -102,6 +103,12 @@ class TestKillMidCommit:
         # acknowledgement — durable records past it are promoted).
         expected = "PRE" if fault in ("wal-before-record", "wal-mid-record") else "POST"
         assert state == expected, f"fault {fault}: expected {expected}, saw {state}"
+        # What survived is data records only, and fsck finds them sound.
+        with open(os.path.join(store, "wal", "wal.log"), "rb") as fp:
+            records, _end = scan_records(fp.read())
+        assert len(records) == (state == "POST")
+        assert all(payload.startswith(MAGIC) for _seq, payload in records)
+        assert fsck_store(store) == []
 
     def test_no_fault_control_run(self, tmp_path):
         store = str(tmp_path / "store")
