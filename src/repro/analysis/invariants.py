@@ -185,15 +185,15 @@ STORE_RULES: dict[str, str] = {
         "format version is readable by this build"
     ),
     "STOR-SEGMENT": (
-        "every segment the manifest references exists, its header and "
-        "payload pass their CRC32 checks, its length and checksum "
-        "match what the manifest recorded, and a format-3-or-later "
-        "dictionary segment decodes"
+        "every segment the manifest references exists, passes its header, "
+        "payload and manifest CRC32 checks and decodes: the dictionary, "
+        "and every array to the manifest's count — relation keys strictly "
+        "increasing in [0, n³), ρ codes in [0, |data values|)"
     ),
     "STOR-WAL": (
         "every WAL record the commit pointer covers verifies, and every "
         "record past the manifest's watermark decodes (without pickle on "
-        "a format-4 store) and applies to the dictionary it extends; "
+        "a format-4-or-later store) and applies to the dictionary it extends; "
         "bytes past the pointer (a torn tail) are recoverable by design "
         "and not a finding"
     ),

@@ -251,7 +251,7 @@ class Database:
     path:
         A durable store directory (:mod:`repro.storage`) to open — or
         initialise, if empty.  The session then serves queries from the
-        mmap'd segments, every ``install``/``batch`` commits through
+        store's segments, every ``install``/``batch`` commits through
         the write-ahead log before becoming visible, and :meth:`close`
         folds the WAL into a fresh snapshot and persists the
         statistics/plan catalog so the next open starts warm.
@@ -650,7 +650,7 @@ class Database:
         Runs registered close hooks first (each at most once); on a
         durable session (``path=``) it then folds any outstanding WAL
         records into a fresh snapshot and persists the statistics/plan
-        catalog, so the next open serves straight from mmap'd segments
+        catalog, so the next open serves straight from the segments
         with warm caches.  The session object stays usable afterwards
         (durable commits reopen their log handle); calling close again —
         or on a session whose open failed partway — is a no-op.

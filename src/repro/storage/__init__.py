@@ -2,7 +2,7 @@
 
 The persistence layer behind ``Database(path=...)`` and the
 ``repro fsck`` / ``repro compact`` / ``repro serve --store-path``
-surfaces.  A store directory holds mmap-able columnar segments
+surfaces.  A store directory holds compressed columnar segments
 (:mod:`repro.storage.segments`) beside a typed, compressed dictionary
 segment (:mod:`repro.storage.dictionary`), a write-ahead log making
 ``install``/``batch`` crash-recoverable (:mod:`repro.storage.wal`),

@@ -5,16 +5,16 @@ Walks everything the manifest references and reports structured
 ``STOR-*`` rules — the same record type the lint and plan-verifier
 families use, so reports render and filter identically everywhere.
 
-Unlike opening (which skips payload CRCs to stay zero-copy), fsck reads
-every referenced byte: manifest shape, per-segment header *and* payload
-checksums against both the file header and the manifest's recorded CRC,
-a full decode of a format-3 (or later) dictionary segment, WAL record
-checksums against the commit pointer, every record past the manifest's
-``wal_seq`` decoded and replayed onto the generation as an open would —
-data records without the pickle module, a pickled one only on a
-format-3 or older store — and catalog readability.  A torn WAL tail
-is *healthy* (recovery truncates it by design) and is not reported as a
-finding.
+fsck reads every referenced byte: manifest shape, per-segment header
+*and* payload checksums against the file header and the manifest, a
+full decode of a format-3 (or later) dictionary segment; when all
+files read, the generation opened as an open does (every array decoded
+and checked against the dictionary); WAL record checksums against the
+commit pointer, every record past the manifest's ``wal_seq`` decoded
+and replayed onto the generation as an open would — data records
+without the pickle module, a pickled one only on a format-3 or older
+store — and catalog readability.  A torn WAL tail is *healthy*
+(recovery truncates it by design) and is not reported as a finding.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.analysis.invariants import Finding
 from repro.storage import catalog as _catalog
 from repro.storage.dictionary import decode_dictionary
 from repro.storage.manager import MANIFEST_NAME, WAL_DIR, replay_record
-from repro.storage.segments import open_store_segments, read_segment
+from repro.storage.segments import SegmentStore, open_store_segments, read_segment
 from repro.storage.snapshot import MANIFEST_FORMAT
 from repro.storage.wal import WriteAheadLog, read_record, scan_records
 from repro.errors import StoreCorruptionError
@@ -112,14 +112,6 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
                 "manifest",
                 path=path,
             )
-        count = entry.get("count")
-        if count is not None and len(payload) != 8 * count:
-            yield Finding(
-                "STOR-SEGMENT",
-                f"segment holds {len(payload) // 8} items, manifest says "
-                f"{count}",
-                path=path,
-            )
         if key == "meta" and dictionary:
             try:
                 objects, _dv_values, _rho = decode_dictionary(payload, path)
@@ -134,7 +126,7 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
                 )
 
 
-def _check_wal(root: str, manifest: dict) -> Iterator[Finding]:
+def _check_wal(root: str, manifest: dict, store: SegmentStore | None) -> Iterator[Finding]:
     wal_dir = os.path.join(root, WAL_DIR)
     log_path = os.path.join(wal_dir, WriteAheadLog.LOG)
     commit_path = os.path.join(wal_dir, WriteAheadLog.COMMIT)
@@ -175,14 +167,6 @@ def _check_wal(root: str, manifest: dict) -> Iterator[Finding]:
     # checked against the dictionary it extends; a generation that does
     # not open is the segment check's finding, and each record is then
     # only decoded.
-    try:
-        store = open_store_segments(
-            os.path.join(root, *str(manifest["gen_dir"]).split("/")),
-            manifest["segments"],
-            manifest_format,
-        )
-    except (StoreCorruptionError, OSError, KeyError, TypeError, ValueError):
-        store = None
     for seq, payload in records:
         try:
             if store is None:
@@ -204,7 +188,17 @@ def fsck_store(root: str | os.PathLike) -> list[Finding]:
     if manifest is None:
         return findings
     findings.extend(_check_segments(root, manifest))
-    findings.extend(_check_wal(root, manifest))
+    store = None
+    if not findings:  # every file reads: decode and check its arrays as an open does
+        try:
+            store = open_store_segments(
+                os.path.join(root, *str(manifest["gen_dir"]).split("/")),
+                manifest["segments"],
+                int(manifest.get("format", 1)),
+            )
+        except (StoreCorruptionError, OSError, KeyError, TypeError, ValueError) as exc:
+            findings.append(Finding("STOR-SEGMENT", str(exc), path=root))
+    findings.extend(_check_wal(root, manifest, store))
     findings.extend(
         Finding("STOR-CATALOG", problem, path=os.path.join(root, _catalog.CATALOG_DIR))
         for problem in _catalog.verify_catalog(root)

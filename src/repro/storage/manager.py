@@ -37,7 +37,7 @@ A store directory is::
   links the rest.  Triggered explicitly (``repro compact``), by the WAL
   size crossing ``REPRO_STORAGE_WAL_LIMIT`` bytes after a commit, and
   on clean close, so a cleanly-closed store always reopens straight
-  from mmap'd segments with no replay.
+  from its segments with no replay.
 
 No cross-process locking is attempted: one writer per store directory
 at a time is the contract (tenants each get their own directory).

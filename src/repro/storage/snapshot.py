@@ -26,17 +26,18 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 4 (this build writes it, and reads 1–4) stores the
-dictionary as data — a typed, compressed ``KIND_DICT`` ``meta.seg``
-(:mod:`repro.storage.dictionary`) where formats 1 and 2 pickled it —
-and says its WAL holds data records only, where format 3's WAL still
-held pickles (:mod:`repro.storage.wal`); its segments are format 3's.
-Like format 2 it drops what a reader can derive: no ``active`` entry,
-and ``dv_codes`` only when ρ takes more than one value.  The first
-snapshot of an older store rewrites a pickled ``meta.seg`` and links
-the rest; an older store holding an object format 4 cannot store is
-refused when it opens (:meth:`~repro.storage.manager.DurableStore.open`),
-so it never reaches a snapshot.
+Manifest format 5 (this build writes it, and reads 1–5) stores the
+dictionary as data — a ``KIND_DICT`` ``meta.seg`` where formats 1–2
+pickled it — and every array as compressed deltas (``KIND_KEYS``) where
+formats 1–4 wrote raw ``int64``; its WAL holds data records only, where
+format 3's still held pickles (:mod:`repro.storage.wal`).  Like format
+2 it drops what a reader can derive: no ``active`` entry, and
+``dv_codes`` only when ρ takes more than one value.  The first snapshot
+of an older store rewrites a pickled ``meta.seg`` and every raw array
+and links the rest; an older store holding an object format 5 cannot
+store is refused when it opens
+(:meth:`~repro.storage.manager.DurableStore.open`), so it never
+reaches a snapshot.
 """
 
 from __future__ import annotations

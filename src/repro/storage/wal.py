@@ -25,15 +25,17 @@ and installs it through the same
 :meth:`~repro.triplestore.columnar.ColumnarStore.apply` the commit ran.
 :func:`read_record` trusts nothing: every declared length is checked
 against the bytes that remain before anything is sliced, a key must lie
-in ``[0, n³)`` and the keys strictly increase, and the tail must be in
-``repr`` order, hold no object twice and none the dictionary holds —
+in ``[0, n³)`` and the keys strictly increase (the check a relation
+segment gets too, :func:`~repro.storage.segments.check_keys`), and the
+tail must be in ``repr`` order, hold no object twice and none the
+dictionary holds —
 anything else is :class:`~repro.errors.StoreCorruptionError`.
 
 **Format gate.**  A record names its kind by its first bytes.  A store
 whose manifest is format 3 or older may still hold records an older
 build pickled (``{"relations": {name: triples}}``); :func:`read_record`
 hands those to the one legacy reader, and only when the caller says the
-manifest is that old.  On a format-4 store a record that is not
+manifest is that old.  On a format-4 (or later) store a record that is not
 ``RWAL`` is corruption.  A log that mixes the two — an older store, a
 commit of this build, no snapshot yet — replays in log order.
 
@@ -89,6 +91,7 @@ import numpy as np
 from repro.errors import StoreCorruptionError, StorageError
 from repro.storage.dictionary import decode_values, encode_values
 from repro.storage.fsutil import atomic_write_bytes, fsync_enabled
+from repro.storage.segments import check_keys
 from repro.triplestore.columnar import EncodedBatch
 
 __all__ = [
@@ -175,7 +178,6 @@ def _decode(payload: bytes) -> LoggedBatch:
     off = _take(payload, _PREAMBLE.size, tail_len, "the tail")
     fresh = decode_values(payload[_PREAMBLE.size : off])
     off = _take(payload, off, -off % 8, "the tail's padding")
-    bound = (base + len(fresh)) ** 3
     keys: dict[str, np.ndarray] = {}
     for _ in range(count):
         at = _take(payload, off, _RELATION.size, "a relation header")
@@ -187,10 +189,7 @@ def _decode(payload: bytes) -> LoggedBatch:
         off = _take(payload, off, -name_len % 8, "a name's padding")
         at, off = off, _take(payload, off, 8 * n_keys, f"relation {name!r}")
         arr = np.frombuffer(payload, dtype="<i8", count=n_keys, offset=at)
-        if n_keys and not (arr[0] >= 0 and int(arr[-1]) < bound):
-            raise ValueError(f"relation {name!r} has a key outside [0, {bound})")
-        if not (arr[1:] > arr[:-1]).all():
-            raise ValueError(f"relation {name!r} has keys out of order or twice")
+        check_keys(arr, base + len(fresh), f"relation {name!r}")
         keys[name] = arr.astype(np.int64, copy=False)
     if off != len(payload):
         raise ValueError(f"{len(payload) - off} bytes follow the last relation")
@@ -216,7 +215,7 @@ def read_record(
             return _decode(payload)
         if legacy:
             return _read_legacy_record(payload)
-        raise ValueError("it is not a data record and the store is format 4")
+        raise ValueError("it is not a data record and the store is format 4 or later")
     except Exception as exc:
         raise StoreCorruptionError(f"WAL record {where} does not decode: {exc}") from exc
 

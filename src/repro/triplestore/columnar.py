@@ -237,17 +237,16 @@ class ColumnarStore:
     @classmethod
     def from_encoded(
         cls,
-        objects: list[Obj],
+        index: ObjectIndex,
         dv_values: list[Any],
         dv_codes: np.ndarray,
         relations: Mapping[str, np.ndarray],
     ) -> "ColumnarStore":
-        """A view over arrays that are already encoded (mmap'd segments);
-        the arrays are aliased, not copied, ``objects`` is moved into the
-        dictionary's object array, and the active set is derived on
-        first use."""
+        """A view over a dictionary and arrays that are already encoded
+        (read from segments); the arrays are aliased, not copied, and
+        the active set is derived on first use."""
         cs = object.__new__(cls)
-        cs._set_dictionary(ObjectIndex.build(objects))
+        cs._set_dictionary(index)
         cs.dv_values = dv_values
         cs._dv_code_of = {v: i for i, v in enumerate(dv_values)}
         cs.dv_codes = _readonly(dv_codes)

@@ -82,8 +82,8 @@ class TriplestoreStats:
         cs = self._store._columnar
         if cs is not None:
             # Count on the code columns, one at a time: no tuple is
-            # decoded, which for an mmap'd relation would cost more memory
-            # than the relation.
+            # decoded, which for a relation held only as keys would cost
+            # more memory than the relation.
             rows = cs.relation_keys(name)
             distinct = tuple(len(sorted_unique(cs.column(rows, i))) for i in range(3))
         else:

@@ -521,7 +521,8 @@ class TestOlderStoresAreCheckedOnOpen:
             assert type(info.value) is StorageError  # the store is sound, just old
             message = str(info.value)
             assert "manifest format 2" in message and "'Decimal'" in message
-            assert "manifest format 4 cannot store" in message and "Migrate" in message
+            assert f"manifest format {segments.MANIFEST_FORMAT} cannot store" in message
+            assert "Migrate" in message
             with pytest.raises(StorageError, match="'Decimal'"):
                 Database(path=root)
             assert self.tree(root) == before
@@ -552,7 +553,7 @@ class TestOlderStoresAreCheckedOnOpen:
         with Database(path=root) as db:
             db.install("Dk", [("n1", "k", "n2")])
         with open(os.path.join(root, "MANIFEST"), "rb") as fp:
-            assert json.loads(fp.read())["format"] == 4
+            assert json.loads(fp.read())["format"] == segments.MANIFEST_FORMAT
         assert fsck_store(root) == []
 
 

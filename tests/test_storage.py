@@ -138,18 +138,17 @@ class TestStoreSegments:
         assert reopened._relations["E"] is None  # still undecoded
         assert reopened.relation("E") == store.relation("E")
 
-    def test_columnar_view_is_mapped(self, tmp_path):
+    def test_columnar_view_holds_the_decoded_keys(self, tmp_path):
         store = make_store()
         block = write_store_segments(store, tmp_path / "gen")
         reopened = open_store_segments(tmp_path / "gen", block)
         cs = reopened.columnar()
         assert isinstance(cs, ColumnarStore)
-        assert not cs.relation_keys("E").flags.owndata  # mmap-backed view
-        assert cs.relation_keys("E").tolist() == store.columnar().relation_keys(
-            "E"
-        ).tolist()
+        keys = cs.relation_keys("E")
+        assert keys is cs.relation_keys("E") and not keys.flags.writeable
+        assert keys.tolist() == store.columnar().relation_keys("E").tolist()
 
-    def test_mutation_stays_lazy_over_the_same_mappings(self, tmp_path):
+    def test_mutation_stays_lazy_over_the_same_arrays(self, tmp_path):
         store = make_store()
         block = write_store_segments(store, tmp_path / "gen")
         reopened = open_store_segments(tmp_path / "gen", block)

@@ -153,27 +153,28 @@ class TestFormat1Fixture:
             assert cs.active_codes().tolist() == twin.columnar().active_codes().tolist()
             assert db.store == twin
 
-    def test_first_snapshot_is_the_current_format_and_links(self, fixture, tmp_path, written):
+    def test_first_snapshot_is_the_current_format_and_rewrites_every_file(
+        self, fixture, tmp_path, written
+    ):
         root = self.copy(fixture, tmp_path)
         before = gen_files(root)
         rho = FIXTURES[fixture]
         twin = Triplestore({"E": E, "Dk": DK}, rho=rho).with_relation("Dk", DK_SAME_OBJECTS)
         with Database(path=root, backend="columnar") as db:
             db.install("Dk", DK_SAME_OBJECTS)
-        # close() folded the WAL: Dk and the pickled meta.seg were
-        # written (as the current format), the rest linked.
-        assert written == ["meta.seg", file_of(root, "Dk")]
+        # close() folded the WAL: the pickled meta.seg and every raw
+        # int64 array were written as the current format, none linked.
+        expected = {"meta.seg", "rel-000.seg", "rel-001.seg"} | ({"dv_codes.seg"} if rho else set())
+        assert sorted(written) == sorted(expected)
         manifest = manifest_of(root)
-        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 4
+        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 5
         assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
+        assert {e["kind"] for e in manifest["segments"]["relations"]} == {segments.KIND_KEYS}
         assert "active" not in manifest["segments"]
         after = gen_files(root)
-        expected = {"meta.seg", "rel-000.seg", "rel-001.seg"} | ({"dv_codes.seg"} if rho else set())
         assert set(after) == expected
-        assert after["meta.seg"].st_ino != before["meta.seg"].st_ino
-        for name in expected - {"meta.seg", file_of(root, "Dk")}:
-            assert after[name].st_ino == before[name].st_ino, name
-            assert after[name].st_nlink == 1, name
+        for name in expected:
+            assert after[name].st_ino != before[name].st_ino, name
         assert fsck_store(root) == []
         with Database(path=root, backend="columnar") as db:
             assert db.store == twin
@@ -205,22 +206,25 @@ class TestFormat2Fixture:
             assert db.store == twin
             assert db.store.rho_map() == RHO_V2
 
-    def test_first_snapshot_is_the_current_format_and_links(self, tmp_path, written):
+    def test_first_snapshot_is_the_current_format_and_rewrites_every_file(
+        self, tmp_path, written
+    ):
         root = self.copy(tmp_path)
         before = gen_files(root)
         twin = self.twin().with_relation("Dk", DK_SAME_OBJECTS)
         with Database(path=root, backend="columnar") as db:
             db.install("Dk", DK_SAME_OBJECTS)
-        # The pickled meta.seg is never linked: it is rewritten as data.
-        assert written == ["meta.seg", file_of(root, "Dk")]
+        # The pickled meta.seg and the raw int64 arrays are never linked:
+        # they are rewritten as the current format.
+        assert sorted(written) == sorted(before)
         manifest = manifest_of(root)
-        assert manifest["format"] == 4
+        assert manifest["format"] == snapshot.MANIFEST_FORMAT
         assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
+        assert manifest["segments"]["dv_codes"]["kind"] == segments.KIND_KEYS
         after = gen_files(root)
         assert set(after) == set(before)
-        assert after["meta.seg"].st_ino != before["meta.seg"].st_ino
-        for name in ("dv_codes.seg", file_of(root, "E"), file_of(root, "Mx")):
-            assert after[name].st_ino == before[name].st_ino, name
+        for name in before:
+            assert after[name].st_ino != before[name].st_ino, name
         assert fsck_store(root) == []
         with Database(path=root, backend="columnar") as db:
             assert db.store == twin
@@ -424,7 +428,7 @@ class TestFormat2:
         root = build_store(tmp_path / "s")
         assert list(gen_files(root)) == ["meta.seg", "rel-000.seg", "rel-001.seg"]
         manifest = manifest_of(root)
-        assert manifest["format"] == 4
+        assert manifest["format"] == snapshot.MANIFEST_FORMAT
         assert set(manifest["segments"]) == {"meta", "relations"}
         ds = DurableStore(root)
         cs = ds.open().columnar()

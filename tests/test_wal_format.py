@@ -47,7 +47,7 @@ from repro.db import Database
 from repro.errors import StoreCorruptionError, TriplestoreError
 from repro.storage import DurableStore, fsck_store, wal as wal_module
 from repro.storage.dictionary import encode_values
-from repro.storage.segments import SegmentStore
+from repro.storage.segments import MANIFEST_FORMAT, SegmentStore
 from repro.storage.wal import (
     MAGIC,
     RECORD_HEADER_SIZE,
@@ -468,7 +468,7 @@ class TestFormat3Fixture:
             abandon(db)  # no clean close: the log stays as the fixture has it
         assert len(log_records(root)) == 3
 
-    def test_a_new_commit_logs_data_beside_the_pickles_and_a_snapshot_writes_format_4(
+    def test_a_new_commit_logs_data_beside_the_pickles_and_a_snapshot_writes_the_current_format(
         self, tmp_path
     ):
         root = self.copy(tmp_path)
@@ -486,7 +486,7 @@ class TestFormat3Fixture:
         assert fsck_store(root) == []
         db.close()  # the first snapshot
         with open(os.path.join(root, "MANIFEST")) as fp:
-            assert json.load(fp)["format"] == 4
+            assert json.load(fp)["format"] == MANIFEST_FORMAT
         assert log_records(root) == []
         assert fsck_store(root) == []
         with Database(path=root) as reopened:
