@@ -302,9 +302,7 @@ def test_an_opened_store_spends_at_most_16_bytes_an_object_on_its_dictionary(tmp
     cs = store.columnar()
     assert cs.n == n
     held_objects = sum(map(sys.getsizeof, cs.objects)) + cs.objects.nbytes
-    # (ρ's code array and the relations' keys are no part of the object
-    # dictionary.)
-    keys = sum(cs.relation_keys(name).nbytes for name in cs.relation_names)
-    beyond = traced - held_objects - cs.dv_codes.nbytes - keys
+    # (ρ's code array is no part of the object dictionary.)
+    beyond = traced - held_objects - cs.dv_codes.nbytes
     assert beyond <= 16 * n, f"{beyond / n:.1f} B an object"
     assert cs.object_index.hashes.nbytes + cs.object_index.order.nbytes == 12 * n

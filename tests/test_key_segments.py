@@ -305,6 +305,12 @@ class TestHardening:
         with pytest.raises(ValueError, match="past its 1000 items"):
             decode_keys(bomb, 1000)
         assert sum(produced) == 8 * 1000 + 1
+        # Over several blocks, no one inflated part outgrows its block.
+        del produced[:]
+        with pytest.raises(ValueError, match="past its"):
+            decode_keys(bomb, 3 * 2**15 + 5)
+        assert sum(produced) == 8 * (3 * 2**15 + 5) + 1
+        assert max(produced) <= 8 * 2**15
         # A count deflate could not reach from the bytes at hand: not one
         # byte inflated, no array allocated.
         del produced[:]
@@ -341,6 +347,16 @@ class TestFormat4Fixture:
         kinds = [entry_of(manifest, name)["kind"] for name in ("E", "Dk", "dv_codes")]
         assert kinds == [KIND_INT64] * 3
         assert fsck_store(root) == []
+
+    def test_a_flipped_bit_that_keeps_the_order_is_refused_by_its_crc(self, tmp_path):
+        root = self.copy(tmp_path)
+        path = path_of(root, "E")
+        with open(path, "r+b") as fp:  # E's last key, 4815, becomes 4814
+            fp.seek(-8, os.SEEK_END)
+            low = fp.read(1)[0]
+            fp.seek(-8, os.SEEK_END)
+            fp.write(bytes([low ^ 1]))
+        assert "CRC" in refused(root)
 
     @pytest.mark.parametrize("backend", ["set", "columnar"])
     def test_it_answers_like_the_oracle(self, tmp_path, backend):
