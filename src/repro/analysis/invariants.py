@@ -168,12 +168,11 @@ LINT_RULES: dict[str, str] = {
         "append/truncate handles ('ab', 'r+b') are the WAL's and exempt"
     ),
     "STOR-NOPICKLE": (
-        "pickle.load/pickle.loads under src/repro/storage/ is called only "
-        "at the allow-listed sites (the WAL's legacy record reader, which "
-        "only a format-3-or-older manifest reaches, and the format-1/2 "
-        "meta.seg reader) — segments, WAL records and the catalog are "
-        "typed data, and a new unpickling site must be a deliberate "
-        "allow-list change"
+        "no module under src/repro/storage/ or src/repro/service/ imports "
+        "pickle (plain, aliased or from-imported, or _pickle): segments, "
+        "WAL records and the catalog are "
+        "typed data, and a store directory or a client must never be able "
+        "to run code by what it hands over"
     ),
 }
 
@@ -181,8 +180,10 @@ LINT_RULES: dict[str, str] = {
 #: Durable-store integrity rules (see :mod:`repro.storage.fsck`).
 STORE_RULES: dict[str, str] = {
     "STOR-MANIFEST": (
-        "the store MANIFEST exists, parses, has a segment map, and its "
-        "format version is readable by this build"
+        "the store MANIFEST exists, parses, is manifest format 5 (an older "
+        "store upgrades by `repro compact` under the last 4.x build), and its "
+        "counts, relation versions, segment map and generation directory "
+        "have their shape"
     ),
     "STOR-SEGMENT": (
         "every segment the manifest references exists, passes its header, "
@@ -192,10 +193,9 @@ STORE_RULES: dict[str, str] = {
     ),
     "STOR-WAL": (
         "every WAL record the commit pointer covers verifies, and every "
-        "record past the manifest's watermark decodes (without pickle on "
-        "a format-4-or-later store) and applies to the dictionary it extends; "
-        "bytes past the pointer (a torn tail) are recoverable by design "
-        "and not a finding"
+        "record past the manifest's watermark decodes and applies to the "
+        "dictionary it extends; bytes past the pointer (a torn tail) are "
+        "recoverable by design and not a finding"
     ),
     "STOR-CATALOG": (
         "the warm-reopen catalog (catalog/catalog.json), when present, "

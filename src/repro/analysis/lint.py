@@ -254,63 +254,25 @@ def _check_stor_atomic(tree: ast.AST, rel: str) -> Iterator[Finding]:
                 )
 
 
-#: Every ``pickle.load(s)`` call left under repro/storage/, by module and
-#: enclosing function, with how many that function may make.  Segments
-#: are data; a new unpickling site is a format decision, not a detail.
-_PICKLE_LOADS_ALLOWED: dict[tuple[str, str], int] = {
-    ("wal.py", "_read_legacy_record"): 1,  # format-1..3 WAL records only
-    ("segments.py", "_read_pickled_meta"): 1,  # format-1/2 meta.seg only
-}
-
-
 def _check_stor_nopickle(tree: ast.AST, rel: str) -> Iterator[Finding]:
-    """STOR-NOPICKLE: ``pickle.load(s)`` under repro/storage/ only at the
-    allow-listed sites."""
-    module = rel.split("repro/storage/", 1)[1]
-    modules, loaders = {"pickle"}, set()
+    """STOR-NOPICKLE: no ``import pickle`` (aliased, ``from``-imported
+    or of the ``_pickle`` accelerator) in this module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules.update(a.asname or a.name for a in node.names if a.name == "pickle")
-        elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
-            loaders.update(
-                a.asname or a.name for a in node.names if a.name in ("load", "loads")
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+            yield _finding(
+                rel,
+                node.lineno,
+                "STOR-NOPICKLE",
+                "pickle is imported; store and service code keep data as "
+                "data (see repro.storage.dictionary), since unpickling "
+                "what a store directory or a client supplies runs code",
             )
-    seen: dict[str, int] = {}
-    findings: list[Finding] = []
-
-    def is_load(call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id in loaders
-        return (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("load", "loads")
-            and isinstance(func.value, ast.Name)
-            and func.value.id in modules
-        )
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and is_load(node):
-            seen[function] = seen.get(function, 0) + 1
-            if seen[function] > _PICKLE_LOADS_ALLOWED.get((module, function), 0):
-                findings.append(
-                    _finding(
-                        rel,
-                        node.lineno,
-                        "STOR-NOPICKLE",
-                        f"pickle.load(s) in {f'{function}()' if function else 'module scope'} "
-                        "is not an allow-listed site; store data as data (see "
-                        "repro.storage.dictionary) or extend the allow-list "
-                        "in repro.analysis.lint deliberately",
-                    )
-                )
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, "")
-    return iter(findings)
 
 
 # --------------------------------------------------------------------- #
@@ -518,6 +480,7 @@ def lint_file(
         findings.extend(_check_err_raise(tree, rel, error_classes))
     if "repro/storage/" in rel:
         findings.extend(_check_stor_atomic(tree, rel))
+    if "repro/storage/" in rel or "repro/service/" in rel:
         findings.extend(_check_stor_nopickle(tree, rel))
     return findings
 

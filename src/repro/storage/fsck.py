@@ -5,16 +5,17 @@ Walks everything the manifest references and reports structured
 ``STOR-*`` rules — the same record type the lint and plan-verifier
 families use, so reports render and filter identically everywhere.
 
-fsck reads every referenced byte: manifest shape, per-segment header
-*and* payload checksums against the file header and the manifest, a
-full decode of a format-3 (or later) dictionary segment; when all
-files read, the generation opened as an open does (every array decoded
-and checked against the dictionary); WAL record checksums against the
+fsck reads every referenced byte: the manifest as an open reads it
+(:func:`~repro.storage.manager.read_manifest`: a store of an older
+format is one ``STOR-MANIFEST`` finding, and nothing else is read),
+per-segment header *and* payload checksums against the file header and
+the manifest, a full decode of the dictionary segment; when all files
+read, the generation opened as an open does (every array decoded and
+checked against the dictionary); WAL record checksums against the
 commit pointer, every record past the manifest's ``wal_seq`` decoded
-and replayed onto the generation as an open would — data records
-without the pickle module, a pickled one only on a format-3 or older
-store — and catalog readability.  A torn WAL tail is *healthy*
-(recovery truncates it by design) and is not reported as a finding.
+and replayed onto the generation as an open would; and catalog
+readability.  A torn WAL tail is *healthy* (recovery truncates it by
+design) and is not reported as a finding.
 """
 
 from __future__ import annotations
@@ -27,73 +28,37 @@ from typing import Iterator
 from repro.analysis.invariants import Finding
 from repro.storage import catalog as _catalog
 from repro.storage.dictionary import decode_dictionary
-from repro.storage.manager import MANIFEST_NAME, WAL_DIR, replay_record
+from repro.storage.manager import MANIFEST_NAME, WAL_DIR, read_manifest, replay_record
 from repro.storage.segments import SegmentStore, open_store_segments, read_segment
-from repro.storage.snapshot import MANIFEST_FORMAT
 from repro.storage.wal import WriteAheadLog, read_record, scan_records
-from repro.errors import StoreCorruptionError
+from repro.errors import StorageError, StoreCorruptionError
 
 __all__ = ["fsck_store"]
 
 
 def _segment_entries(segments: dict) -> Iterator[tuple[str, dict]]:
     for key in ("meta", "dv_codes"):
-        entry = segments.get(key)
-        if isinstance(entry, dict):
-            yield key, entry
-    for entry in segments.get("relations", ()):
-        if isinstance(entry, dict):
-            yield "relations", entry
+        if key in segments:
+            yield key, segments[key]
+    for entry in segments["relations"]:
+        yield "relations", entry
 
 
-def _check_manifest(root: str) -> tuple[dict | None, list[Finding]]:
-    path = os.path.join(root, MANIFEST_NAME)
-    if not os.path.exists(path):
-        return None, [
-            Finding(
-                "STOR-MANIFEST",
-                "no MANIFEST file — not an initialised store directory",
-                path=path,
-            )
-        ]
-    try:
-        with open(path, "rb") as fp:
-            manifest = json.loads(fp.read())
-    except (OSError, ValueError) as exc:
-        return None, [
-            Finding("STOR-MANIFEST", f"manifest is unreadable: {exc}", path=path)
-        ]
-    problems = []
-    if not isinstance(manifest, dict) or "segments" not in manifest:
-        problems.append(
-            Finding("STOR-MANIFEST", "manifest has no segment map", path=path)
-        )
-        return None, problems
-    if manifest.get("format", 0) > MANIFEST_FORMAT:
-        problems.append(
-            Finding(
-                "STOR-MANIFEST",
-                f"manifest format v{manifest.get('format')} is newer than "
-                f"this build (reads up to v{MANIFEST_FORMAT})",
-                path=path,
-            )
-        )
-        return None, problems
-    return manifest, problems
+def _gen_dir(root: str, manifest: dict) -> str:
+    return os.path.join(root, *manifest["gen_dir"].split("/"))
 
 
 def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
-    gen_dir = os.path.join(root, *str(manifest.get("gen_dir", "")).split("/"))
+    gen_dir = _gen_dir(root, manifest)
     if not os.path.isdir(gen_dir):
         yield Finding(
             "STOR-SEGMENT",
-            f"generation directory {manifest.get('gen_dir')!r} is missing",
+            f"generation directory {manifest['gen_dir']!r} is missing",
             path=gen_dir,
         )
         return
-    dictionary = int(manifest.get("format", 1)) >= 3
     for key, entry in _segment_entries(manifest["segments"]):
-        path = os.path.join(gen_dir, entry.get("file", "?"))
+        path = os.path.join(gen_dir, entry["file"])
         if not os.path.exists(path):
             yield Finding("STOR-SEGMENT", "referenced segment is missing", path=path)
             continue
@@ -112,7 +77,7 @@ def _check_segments(root: str, manifest: dict) -> Iterator[Finding]:
                 "manifest",
                 path=path,
             )
-        if key == "meta" and dictionary:
+        if key == "meta":
             try:
                 objects, _dv_values, _rho = decode_dictionary(payload, path)
                 hash(tuple(objects))  # as the object index of an open does
@@ -158,9 +123,7 @@ def _check_wal(root: str, manifest: dict, store: SegmentStore | None) -> Iterato
             path=log_path,
         )
         return
-    min_seq = int(manifest.get("wal_seq", 0))
-    manifest_format = int(manifest.get("format", 1))
-    records = [(seq, payload) for seq, payload in records if seq > min_seq]
+    records = [(seq, payload) for seq, payload in records if seq > manifest["wal_seq"]]
     if not records:
         return
     # Replayed onto the generation as an open would, so a record is also
@@ -170,11 +133,9 @@ def _check_wal(root: str, manifest: dict, store: SegmentStore | None) -> Iterato
     for seq, payload in records:
         try:
             if store is None:
-                read_record(
-                    payload, legacy=manifest_format <= 3, where=f"seq={seq} in {log_path}"
-                )
+                read_record(payload, where=f"seq={seq} in {log_path}")
             else:
-                store, _names = replay_record(store, seq, payload, manifest_format, log_path)
+                store, _names = replay_record(store, seq, payload, log_path)
         except StoreCorruptionError as exc:
             # Every later record extends what this one would have made.
             yield Finding("STOR-WAL", str(exc), path=log_path)
@@ -184,18 +145,23 @@ def _check_wal(root: str, manifest: dict, store: SegmentStore | None) -> Iterato
 def fsck_store(root: str | os.PathLike) -> list[Finding]:
     """Full integrity check; an empty list means the store is healthy."""
     root = os.fspath(root)
-    manifest, findings = _check_manifest(root)
-    if manifest is None:
-        return findings
-    findings.extend(_check_segments(root, manifest))
+    try:
+        manifest = read_manifest(root)
+    except FileNotFoundError:
+        problem = "no MANIFEST file — not an initialised store directory"
+    except OSError as exc:
+        problem = f"manifest is unreadable: {exc}"
+    except StorageError as exc:  # an older format, or a malformed manifest
+        problem = str(exc)
+    else:
+        problem = None
+    if problem is not None:
+        return [Finding("STOR-MANIFEST", problem, path=os.path.join(root, MANIFEST_NAME))]
+    findings = list(_check_segments(root, manifest))
     store = None
     if not findings:  # every file reads: decode and check its arrays as an open does
         try:
-            store = open_store_segments(
-                os.path.join(root, *str(manifest["gen_dir"]).split("/")),
-                manifest["segments"],
-                int(manifest.get("format", 1)),
-            )
+            store = open_store_segments(_gen_dir(root, manifest), manifest["segments"])
         except (StoreCorruptionError, OSError, KeyError, TypeError, ValueError) as exc:
             findings.append(Finding("STOR-SEGMENT", str(exc), path=root))
     findings.extend(_check_wal(root, manifest, store))

@@ -11,7 +11,9 @@ A store directory is::
 :class:`DurableStore` owns the open/recover/commit/snapshot lifecycle;
 :class:`repro.db.Database` drives it:
 
-* **open** — read the manifest, map the segments into a lazy
+* **open** — read and check the manifest (:func:`read_manifest`:
+  format 5 only, and an older store is refused before anything else is
+  read or written), decode the segments into a lazy
   :class:`~repro.storage.segments.SegmentStore`, recover the WAL and
   replay committed records on top, each through the apply half of a
   derivation (:meth:`~repro.triplestore.columnar.ColumnarStore.apply`),
@@ -20,9 +22,7 @@ A store directory is::
   replayed record).  A directory without a manifest is initialised as an
   empty generation-1 store — unless its WAL has a commit pointer, which
   only a commit or snapshot writes: then the manifest was lost, and the
-  open is refused.  An older store holding an object the dictionary
-  segment cannot store is refused here, before its first snapshot would
-  fail.
+  open is refused.
 * **commit** — derive the store's next version from the current one:
   encode the batch against the columnar view (which a durable store
   always has), refuse an object the dictionary segment cannot store,
@@ -51,16 +51,22 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import StorageError, StoreCorruptionError, TriplestoreError
 from repro.storage import catalog as _catalog
-from repro.storage.dictionary import check_storable, unstorable_type
+from repro.storage.dictionary import check_storable
 from repro.storage.segments import Generation, open_store_segments
-from repro.storage.snapshot import MANIFEST_FORMAT, sweep_generations, write_snapshot
-from repro.storage.wal import LoggedBatch, WriteAheadLog, read_record
+from repro.storage.snapshot import MANIFEST_FORMAT, gen_path, sweep_generations, write_snapshot
+from repro.storage.wal import WriteAheadLog, read_record
 from repro.triplestore.model import Triple, Triplestore, freeze_triples
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.db import Database
 
-__all__ = ["DurableStore", "WAL_LIMIT_ENV", "replay_record", "store_footprint"]
+__all__ = [
+    "DurableStore",
+    "WAL_LIMIT_ENV",
+    "read_manifest",
+    "replay_record",
+    "store_footprint",
+]
 
 #: WAL size (bytes) past which a commit triggers auto-compaction.
 WAL_LIMIT_ENV = "REPRO_STORAGE_WAL_LIMIT"
@@ -70,24 +76,105 @@ MANIFEST_NAME = "MANIFEST"
 WAL_DIR = "wal"
 
 
-def replay_record(
-    store: Triplestore, seq: int, payload: bytes, manifest_format: int, where: str
-) -> tuple[Triplestore, tuple[str, ...]]:
-    """``store`` with WAL record ``seq`` (read from ``where``, a store of
-    ``manifest_format``) replayed on top, and the relations it replaced;
-    any defect raises :class:`StoreCorruptionError`.
+def _is_count(value: object) -> bool:
+    """A non-negative ``int`` (``bool`` is not one)."""
+    return type(value) is int and value >= 0
 
-    A data record is checked against ``store``'s dictionary and applied
-    as its commit applied it, its relations left undecoded; an older
-    build's pickled record (format 3 and older only) is derived from its
-    triples.
+
+def _is_file_name(value: object) -> bool:
+    """A plain file name: no directory part, no ``.``/``..``."""
+    return (
+        isinstance(value, str)
+        and os.path.basename(value) == value
+        and value not in ("", ".", "..")
+    )
+
+
+def _manifest_problem(manifest: dict) -> str | None:
+    """What is wrong with the fields of a format-5 ``manifest``, if anything."""
+    for field in ("generation", "store_version", "wal_seq"):
+        if not _is_count(manifest.get(field)):
+            return f"has no {field} count (it holds {manifest.get(field)!r})"
+    versions = manifest.get("rel_versions")
+    if not isinstance(versions, dict) or not all(type(v) is int for v in versions.values()):
+        return f"has no map of relation versions (it holds {versions!r})"
+    # The next snapshot clears generation + 1's directory as debris: a
+    # manifest naming that one would lose its live generation.
+    expected = gen_path(manifest["generation"])
+    if manifest.get("gen_dir") != expected:
+        return f"names generation directory {manifest.get('gen_dir')!r}, not {expected!r}"
+    block = manifest.get("segments")
+    if not isinstance(block, dict) or not isinstance(block.get("relations"), list):
+        return "has no segment map with a list of relations"
+    relations = block["relations"]
+    entries = [block.get("meta"), *relations]
+    if "dv_codes" in block:
+        entries.append(block["dv_codes"])
+    for entry in entries:
+        if not isinstance(entry, dict) or not _is_file_name(entry.get("file")):
+            return f"has a segment entry without a file name: {entry!r}"
+    names = [entry.get("name") for entry in relations]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        return f"has relation entries without distinct names: {names!r}"
+    return None
+
+
+def read_manifest(root: str | os.PathLike) -> dict:
+    """The manifest of the store directory ``root``, every field checked.
+
+    Raises ``FileNotFoundError`` when there is none;
+    :class:`StorageError` for a store of an older manifest format, which
+    this build does not read — nothing else under ``root`` has been read
+    or written then, and the message gives the upgrade; and
+    :class:`StoreCorruptionError` for a manifest that does not parse,
+    is of a newer format, or holds a field of the wrong shape.
+    """
+    root = os.fspath(root)
+    path = os.path.join(root, MANIFEST_NAME)
+    with open(path, "rb") as fp:
+        raw = fp.read()
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise StoreCorruptionError(f"store manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreCorruptionError(f"store manifest {path} is not a JSON object")
+    version = manifest.get("format")
+    if not _is_count(version):
+        raise StoreCorruptionError(
+            f"store manifest {path} has no format number (it holds {version!r})"
+        )
+    if version > MANIFEST_FORMAT:
+        raise StoreCorruptionError(
+            f"store {root} is manifest format v{version}; this build reads "
+            f"v{MANIFEST_FORMAT} only"
+        )
+    if version < MANIFEST_FORMAT:
+        raise StorageError(
+            f"store {root} is manifest format {version}; this build reads format "
+            f"{MANIFEST_FORMAT} only.  Upgrade it by running `repro compact` on "
+            "it with the last 4.x build, which reads formats 1 to 5 and writes 5."
+        )
+    problem = _manifest_problem(manifest)
+    if problem is not None:
+        raise StoreCorruptionError(f"store manifest {path} {problem}")
+    return manifest
+
+
+def replay_record(
+    store: Triplestore, seq: int, payload: bytes, where: str
+) -> tuple[Triplestore, tuple[str, ...]]:
+    """``store`` with WAL record ``seq`` (read from ``where``) replayed on
+    top, and the relations it replaced; any defect raises
+    :class:`StoreCorruptionError`.
+
+    The record is checked against ``store``'s dictionary and applied as
+    its commit applied it, its relations left undecoded.
     """
     label = f"seq={seq} in {where}"
-    record = read_record(payload, legacy=manifest_format <= 3, where=label)
+    record = read_record(payload, where=label)
+    names = tuple(record.keys)
     try:
-        if not isinstance(record, LoggedBatch):
-            return store.with_relations(record), tuple(record)
-        names = tuple(record.keys)
         batch = store.columnar().logged(*record)
         relations = {**store._relations, **dict.fromkeys(names)}
         return store._derive(relations, names, batch=batch), names
@@ -126,26 +213,6 @@ class DurableStore:
     # Open / recover
     # ------------------------------------------------------------------ #
 
-    def _read_manifest(self) -> dict:
-        try:
-            with open(self.manifest_path, "rb") as fp:
-                manifest = json.loads(fp.read())
-        except ValueError as exc:
-            raise StoreCorruptionError(
-                f"store manifest {self.manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict) or "segments" not in manifest:
-            raise StoreCorruptionError(
-                f"store manifest {self.manifest_path} has no segment map"
-            )
-        if manifest.get("format", 0) > MANIFEST_FORMAT:
-            raise StoreCorruptionError(
-                f"store {self.root} is manifest format "
-                f"v{manifest.get('format')}; this build reads up to "
-                f"v{MANIFEST_FORMAT}"
-            )
-        return manifest
-
     @property
     def gen_dir(self) -> str:
         """The current generation's directory."""
@@ -158,31 +225,29 @@ class DurableStore:
     def open(self) -> Triplestore:
         """Open (or initialise) the directory; returns the current store.
 
-        Raises :class:`StoreCorruptionError` when the committed state on
-        disk cannot be trusted — the manifest of a store that committed
-        is gone, say; a torn WAL tail is repaired silently.
-        Raises :class:`StorageError` for an older-format store holding an
-        object this build cannot write.
+        Raises :class:`StorageError` for a store of an older manifest
+        format (see :func:`read_manifest`), and
+        :class:`StoreCorruptionError` when the committed state on disk
+        cannot be trusted — the manifest of a store that committed is
+        gone, say; a torn WAL tail is repaired silently.
         """
         os.makedirs(self.root, exist_ok=True)
-        manifest_format = MANIFEST_FORMAT
-        if os.path.exists(self.manifest_path):
-            manifest = self.manifest = self._read_manifest()
-            manifest_format = int(manifest.get("format", 1))
+        try:
+            manifest = read_manifest(self.root)
+        except FileNotFoundError:
+            manifest = None
+        if manifest is not None:
+            self.manifest = manifest
             try:
-                store: Triplestore = open_store_segments(
-                    self.gen_dir, manifest["segments"], manifest_format
-                )
+                store: Triplestore = open_store_segments(self.gen_dir, manifest["segments"])
             except FileNotFoundError as exc:
                 raise StoreCorruptionError(
                     f"store {self.root} references a missing segment: {exc}"
                 ) from exc
-            self.generation = int(manifest.get("generation", 0))
-            self.rel_versions = {
-                str(k): int(v) for k, v in manifest.get("rel_versions", {}).items()
-            }
-            self.store_version = int(manifest.get("store_version", 0))
-            wal_seq = int(manifest.get("wal_seq", 0))
+            self.generation = manifest["generation"]
+            self.rel_versions = dict(manifest["rel_versions"])
+            self.store_version = manifest["store_version"]
+            wal_seq = manifest["wal_seq"]
         elif os.path.exists(os.path.join(self.root, WAL_DIR, WriteAheadLog.COMMIT)):
             raise StoreCorruptionError(
                 f"store {self.root} has a WAL commit pointer but no "
@@ -209,37 +274,12 @@ class DurableStore:
         self.wal = WriteAheadLog(os.path.join(self.root, WAL_DIR))
         log = self.wal.log_path
         for seq, payload in self.wal.recover(min_seq=wal_seq):
-            store, names = replay_record(store, seq, payload, manifest_format, log)
+            store, names = replay_record(store, seq, payload, log)
             for name in names:
                 self.rel_versions[name] = self.rel_versions.get(name, 0) + 1
             self.store_version += 1
-        if manifest_format < MANIFEST_FORMAT:
-            self._refuse_unstorable(store, manifest_format)
         self.store = store
         return store
-
-    def _refuse_unstorable(self, store: Triplestore, manifest_format: int) -> None:
-        """Refuse an older store holding what this build cannot write.
-
-        Formats 1 and 2 pickled the dictionary, so a commit took any
-        hashable, and format 3 still pickled its WAL records; such a
-        store would open and then fail its first snapshot — and with it
-        every compaction and clean close.
-        """
-        cs = store.columnar()
-        rho = store.rho_map()
-        stray = unstorable_type((cs.objects, cs.dv_values, rho, rho.values()))
-        if stray is None:
-            return
-        self.close()
-        raise StorageError(
-            f"store {self.root} (manifest format {manifest_format}) holds an "
-            f"object of type {stray.__qualname__!r}, which manifest format "
-            f"{MANIFEST_FORMAT} cannot store: a durable store holds only str, "
-            "int, float, bool, None, bytes and tuples of them.  Migrate it by "
-            "reading it with the build that wrote it and loading its "
-            "triples, with such objects replaced, into a new store."
-        )
 
     # ------------------------------------------------------------------ #
     # Commit / compaction
@@ -346,14 +386,14 @@ def store_footprint(root: str | os.PathLike) -> dict[str, int]:
     count it is the benchmark's ``disk_bytes_per_triple``.
     """
     ds = DurableStore(root)
-    ds.manifest = ds._read_manifest()
+    ds.manifest = read_manifest(ds.root)
     block = ds.manifest["segments"]
 
     def size(entry: Mapping) -> int:
         return os.path.getsize(os.path.join(ds.gen_dir, entry["file"]))
 
     return {
-        "generation": int(ds.manifest.get("generation", 0)),
+        "generation": ds.manifest["generation"],
         "relations": sum(size(e) for e in block["relations"]),
         "dictionary": sum(size(block[k]) for k in ("meta", "dv_codes") if k in block),
         "catalog": _tree_bytes(os.path.join(ds.root, _catalog.CATALOG_DIR)),

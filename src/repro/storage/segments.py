@@ -6,22 +6,20 @@ of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
 * ``meta.seg`` — the dictionary segment (:mod:`repro.storage.dictionary`):
   the sorted object universe, the distinct data values and the full ρ
   assignment as typed, tagged, zlib-compressed JSON — data, never a
-  pickle.  A manifest of format 1 or 2 holds a pickled ``meta.seg``
-  instead; it is read (and only ever from such a manifest), never
-  written, and never linked into a new generation;
+  pickle;
 * ``rel-NNN.seg`` — one file per relation: its sorted unique packed-key
   array as a ``KIND_KEYS`` segment;
 * ``dv_codes.seg`` — the ρ-code array, a ``KIND_KEYS`` segment too,
   present only when ρ takes more than one value (otherwise every code
   is 0 and the reader supplies the zeros).
 
-A ``KIND_KEYS`` payload (manifest format 5) is one zlib stream over the
-array's deltas (the first against 0) in blocks of 2¹⁵ items, each
-block's eight byte planes one after another, least significant first:
-sorted keys leave the high planes almost all zero, so a key takes
-2.5–3.7 bytes.  The item count is the manifest's.  Formats 1–4 wrote
-raw ``int64`` (``KIND_INT64``) arrays: mapped (:func:`map_segment`),
-never written, never linked into a new generation.
+A ``KIND_KEYS`` payload is one zlib stream over the array's deltas (the
+first against 0) in blocks of 2¹⁵ items, each block's eight byte
+planes one after another, least significant first: sorted keys leave
+the high planes almost all zero, so a key takes 2.5–3.7 bytes.  The
+item count is the manifest's.  ``KIND_DICT`` and ``KIND_KEYS`` are the
+only payload kinds of manifest format 5, the one format this build
+reads (:mod:`repro.storage.snapshot`).
 
 Nothing derivable is stored: the active (occurs-in-some-triple) code
 set is computed on first use by ``ColumnarStore.active_codes`` exactly
@@ -35,8 +33,7 @@ generations.
 
 Every file starts with a fixed 32-byte header — magic, format version,
 payload kind, payload length, payload CRC32, and a CRC32 of the header
-itself — and the payload begins at byte 32, so a ``KIND_INT64`` array
-is 8-byte aligned and numpy can view the mapped pages in place.
+itself — and the payload begins at byte 32.
 
 Opening decodes every array eagerly, its payload CRC verified, and
 checks it — relation keys strictly increasing in ``[0, n³)``
@@ -51,7 +48,6 @@ from __future__ import annotations
 import mmap
 import operator
 import os
-import pickle
 import struct
 import zlib
 from typing import Any, Callable, Iterator, Mapping
@@ -69,15 +65,12 @@ __all__ = [
     "FORMAT_VERSION",
     "Generation",
     "KIND_DICT",
-    "KIND_INT64",
     "KIND_KEYS",
-    "KIND_PICKLE",
     "MANIFEST_FORMAT",
     "SegmentStore",
     "check_keys",
     "decode_keys",
     "encode_keys",
-    "map_segment",
     "open_store_segments",
     "read_segment",
     "verify_segment",
@@ -90,17 +83,12 @@ MAGIC = b"RPROSEG1"
 #: Bumped on any incompatible layout change; readers refuse newer files.
 FORMAT_VERSION = 1
 
-#: Payload kinds.  ``KIND_PICKLE`` (the format-1/2 ``meta.seg``) and
-#: ``KIND_INT64`` (a format-1–4 array) are read, never written.
-KIND_INT64 = 1
-KIND_PICKLE = 2
+#: Payload kinds.  Kinds 1 and 2 were the raw ``int64`` arrays and the
+#: pickled ``meta.seg`` of older formats; no build reuses them.
 KIND_DICT = 3
 KIND_KEYS = 4
 
-#: Manifest schema version; readers refuse newer manifests.  Format 3
-#: stores the dictionary as a ``KIND_DICT`` segment; format 4 changes no
-#: segment, but its WAL holds data records only (:mod:`repro.storage.wal`);
-#: format 5 stores every array as a ``KIND_KEYS`` segment.
+#: Manifest schema version: the one format this build reads and writes.
 MANIFEST_FORMAT = 5
 
 #: ``KIND_KEYS``: items a block, bytes inflated at a time, and zlib level 6
@@ -181,31 +169,6 @@ def read_segment(
     if verify and zlib.crc32(payload) != crc:
         raise StoreCorruptionError(f"segment {path} payload fails its CRC32")
     return payload
-
-
-def map_segment(path: str | os.PathLike) -> tuple[np.ndarray, mmap.mmap]:
-    """Map an ``int64`` segment (formats 1–4): a zero-copy numpy view over
-    the file pages, its header and payload CRC checked.  The returned
-    mmap must outlive the array view.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as fp:
-        mapped = mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
-    kind, length, crc = _read_header(path, mapped[:HEADER_SIZE])
-    if kind != KIND_INT64:
-        mapped.close()
-        raise StoreCorruptionError(f"segment {path} has kind {kind}, not int64")
-    if HEADER_SIZE + length > len(mapped) or length % 8:
-        have = len(mapped) - HEADER_SIZE
-        mapped.close()
-        raise StoreCorruptionError(
-            f"segment {path} is truncated: header promises {length} payload "
-            f"bytes, file has {have}"
-        )
-    arr = np.frombuffer(mapped, dtype=np.int64, count=length // 8, offset=HEADER_SIZE)
-    if zlib.crc32(arr) != crc:  # the view keeps the mapping open until it goes
-        raise StoreCorruptionError(f"segment {path} payload fails its CRC32")
-    return arr, mapped
 
 
 def encode_keys(arr: np.ndarray) -> bytes:
@@ -315,7 +278,7 @@ def _files(
 
 
 class Generation:
-    """A generation directory as the process that wrote or mapped it
+    """A generation directory as the process that wrote or opened it
     remembers it: per file, the manifest entry and the very objects the
     payload holds.
 
@@ -323,9 +286,7 @@ class Generation:
     ``==``: versions share by reference everything a commit did not
     touch, and a dictionary growth that re-codes every key array leaves
     no version number to see it by — the file is linked into the next
-    generation instead of rewritten.  Only a file of the kind this build
-    writes is remembered: a pickled ``meta.seg`` (format 1/2) or a
-    ``KIND_INT64`` array (formats 1–4) is always rewritten, never linked.
+    generation instead of rewritten.
     """
 
     __slots__ = ("path", "files")
@@ -338,8 +299,7 @@ class Generation:
         entries.update({("relations", e["name"]): e for e in block["relations"]})
         self.files: dict[tuple[str, str | None], tuple[Mapping[str, Any], tuple]] = {
             (key, name): (entries[key, name], sources)
-            for key, name, _file, kind, sources, _build in _files(store)
-            if entries.get((key, name), {}).get("kind") == kind
+            for key, name, _file, _kind, sources, _build in _files(store)
         }
 
     def held(
@@ -481,31 +441,13 @@ class SegmentStore(Triplestore):
         return f"SegmentStore(|O|={self.n_objects}, {rels})"
 
 
-def _read_pickled_meta(path: str) -> tuple[list, list, dict]:
-    """``(objects, dv_values, rho)`` of a format-1/2 pickled ``meta.seg``."""
-    meta = pickle.loads(read_segment(path, expect_kind=KIND_PICKLE))
-    if meta["n"] != len(meta["objects"]):  # pragma: no cover — meta disagrees
-        raise StoreCorruptionError(
-            f"meta segment {path} names {len(meta['objects'])} objects but "
-            f"records n={meta['n']}"
-        )
-    return meta["objects"], meta["dv_values"], dict(meta["rho"])
-
-
-def open_store_segments(
-    gen_dir: str | os.PathLike,
-    block: Mapping[str, Any],
-    manifest_format: int = MANIFEST_FORMAT,
-) -> SegmentStore:
+def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) -> SegmentStore:
     """Open one generation directory into a :class:`SegmentStore`.
 
     ``block`` is the manifest's ``segments`` entry written by
-    :func:`write_store_segments`, ``manifest_format`` the format of the
-    manifest holding it.  The dictionary is read first — a pickle only
-    under format 1 or 2 — then every array is decoded (mapped, under
-    format 4 or older) and checked against it.  A block without
-    ``dv_codes`` means ρ takes one value; a format-1 block's ``active``
-    entry is ignored (the view derives it on demand).
+    :func:`write_store_segments`.  The dictionary is read first, then
+    every array is decoded and checked against it.  A block without
+    ``dv_codes`` means ρ takes one value.
     """
     gen_dir = os.fspath(gen_dir)
 
@@ -513,12 +455,9 @@ def open_store_segments(
         return os.path.join(gen_dir, entry["file"])
 
     meta_path = seg_path(block["meta"])
-    if manifest_format >= 3:
-        objects, dv_values, rho = decode_dictionary(
-            read_segment(meta_path, expect_kind=KIND_DICT), meta_path
-        )
-    else:
-        objects, dv_values, rho = _read_pickled_meta(meta_path)
+    objects, dv_values, rho = decode_dictionary(
+        read_segment(meta_path, expect_kind=KIND_DICT), meta_path
+    )
     try:  # the object index hashes every object: a bare JSON array is none
         index = ObjectIndex.build(objects)
     except TypeError as exc:
@@ -530,14 +469,9 @@ def open_store_segments(
     def array(entry: Mapping[str, Any], check: Callable[[np.ndarray], None]) -> np.ndarray:
         path = seg_path(entry)
         try:
-            if manifest_format >= 5:
-                arr = _read_keys(path, entry["count"])
-            else:  # the view keeps the mapping alive; dropping it unmaps the file
-                arr, _mapping = map_segment(path)
-                if len(arr) != entry["count"]:
-                    raise ValueError(f"it holds {len(arr)} items, manifest says {entry['count']}")
+            arr = _read_keys(path, entry["count"])
             check(arr)
-        except (ValueError, TypeError, zlib.error) as exc:
+        except (KeyError, ValueError, TypeError, zlib.error) as exc:
             raise StoreCorruptionError(f"segment {path} does not decode: {exc}") from exc
         return arr
 

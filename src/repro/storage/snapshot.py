@@ -26,18 +26,15 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 5 (this build writes it, and reads 1–5) stores the
-dictionary as data — a ``KIND_DICT`` ``meta.seg`` where formats 1–2
-pickled it — and every array as compressed deltas (``KIND_KEYS``) where
-formats 1–4 wrote raw ``int64``; its WAL holds data records only, where
-format 3's still held pickles (:mod:`repro.storage.wal`).  Like format
-2 it drops what a reader can derive: no ``active`` entry, and
-``dv_codes`` only when ρ takes more than one value.  The first snapshot
-of an older store rewrites a pickled ``meta.seg`` and every raw array
-and links the rest; an older store holding an object format 5 cannot
-store is refused when it opens
-(:meth:`~repro.storage.manager.DurableStore.open`), so it never
-reaches a snapshot.
+Manifest format 5 is the only one this build reads or writes: the
+dictionary as data (a ``KIND_DICT`` ``meta.seg``), every array as
+compressed deltas (``KIND_KEYS``), a WAL of data records only
+(:mod:`repro.storage.wal`), and nothing a reader can derive — no
+``active`` entry, and ``dv_codes`` only when ρ takes more than one
+value.  A store of an older format is refused when it opens
+(:func:`~repro.storage.manager.read_manifest`); ``repro compact`` under
+the last 4.x build, which reads formats 1–5, upgrades it, and a format-4
+store's first 4.x snapshot rewrites its raw arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from repro.storage.fsutil import atomic_write_bytes, fsync_dir
 from repro.storage.segments import MANIFEST_FORMAT, Generation, write_store_segments
 from repro.triplestore.model import Triplestore
 
-__all__ = ["MANIFEST_FORMAT", "sweep_generations", "write_snapshot"]
+__all__ = ["MANIFEST_FORMAT", "gen_path", "sweep_generations", "write_snapshot"]
 
 _SEGMENTS_DIR = "segments"
 _MANIFEST = "MANIFEST"
@@ -59,6 +56,11 @@ _MANIFEST = "MANIFEST"
 
 def _gen_name(generation: int) -> str:
     return f"gen-{generation:06d}"
+
+
+def gen_path(generation: int) -> str:
+    """The manifest's ``gen_dir`` for ``generation``, relative to the root."""
+    return f"{_SEGMENTS_DIR}/{_gen_name(generation)}"
 
 
 def write_snapshot(
@@ -94,7 +96,7 @@ def write_snapshot(
     manifest: dict[str, Any] = {
         "format": MANIFEST_FORMAT,
         "generation": generation,
-        "gen_dir": f"{_SEGMENTS_DIR}/{gen}",
+        "gen_dir": gen_path(generation),
         "segments": block,
         "rel_versions": dict(rel_versions),
         "store_version": store_version,

@@ -29,15 +29,10 @@ in ``[0, n³)`` and the keys strictly increase (the check a relation
 segment gets too, :func:`~repro.storage.segments.check_keys`), and the
 tail must be in ``repr`` order, hold no object twice and none the
 dictionary holds —
-anything else is :class:`~repro.errors.StoreCorruptionError`.
-
-**Format gate.**  A record names its kind by its first bytes.  A store
-whose manifest is format 3 or older may still hold records an older
-build pickled (``{"relations": {name: triples}}``); :func:`read_record`
-hands those to the one legacy reader, and only when the caller says the
-manifest is that old.  On a format-4 (or later) store a record that is not
-``RWAL`` is corruption.  A log that mixes the two — an older store, a
-commit of this build, no snapshot yet — replays in log order.
+anything else, a record that does not start with ``RWAL`` among it, is
+:class:`~repro.errors.StoreCorruptionError`.  (Builds before manifest
+format 4 logged pickles; 5.x opens no store that old, see
+:mod:`repro.storage.snapshot`.)
 
 Commit is a two-step protocol:
 
@@ -81,7 +76,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import struct
 import zlib
 from typing import Any, NamedTuple
@@ -109,7 +103,7 @@ __all__ = [
 _RECORD = struct.Struct("<QQII")
 RECORD_HEADER_SIZE = _RECORD.size
 
-#: A record's first bytes; any other start is an older build's pickle.
+#: A record's first bytes; any other start is corruption.
 MAGIC = b"RWAL"
 #: The record layout version; a reader refuses any other.
 RECORD_VERSION = 1
@@ -170,6 +164,8 @@ def _take(payload: bytes, off: int, length: int, what: str) -> int:
 
 
 def _decode(payload: bytes) -> LoggedBatch:
+    if payload[: len(MAGIC)] != MAGIC:
+        raise ValueError("it is not a data record")
     if len(payload) < _PREAMBLE.size:
         raise ValueError("record is shorter than its preamble")
     _magic, version, base, tail_len, count = _PREAMBLE.unpack_from(payload)
@@ -196,26 +192,11 @@ def _decode(payload: bytes) -> LoggedBatch:
     return LoggedBatch(base, fresh, keys)
 
 
-def _read_legacy_record(payload: bytes) -> dict[str, Any]:
-    """``{name: triples}`` of a record an older build pickled."""
-    return dict(pickle.loads(payload)["relations"])
-
-
-def read_record(
-    payload: bytes, *, legacy: bool, where: str
-) -> LoggedBatch | dict[str, Any]:
-    """The content of one record read from ``where``.
-
-    A :class:`LoggedBatch`; or, when ``legacy`` says the store's manifest
-    is format 3 or older, the ``{name: triples}`` of a pickled record.
-    Any defect raises :class:`StoreCorruptionError`.
-    """
+def read_record(payload: bytes, *, where: str) -> LoggedBatch:
+    """The :class:`LoggedBatch` of one record read from ``where``; any
+    defect raises :class:`StoreCorruptionError`."""
     try:
-        if payload[: len(MAGIC)] == MAGIC:
-            return _decode(payload)
-        if legacy:
-            return _read_legacy_record(payload)
-        raise ValueError("it is not a data record and the store is format 4 or later")
+        return _decode(payload)
     except Exception as exc:
         raise StoreCorruptionError(f"WAL record {where} does not decode: {exc}") from exc
 

@@ -330,68 +330,38 @@ def test_stor_atomic_not_scoped_outside_storage(tmp_path):
     assert run_lint(tmp_path) == []
 
 
-def test_stor_nopickle_flags_a_new_site(tmp_path):
-    write_tree(tmp_path, {"src/repro/storage/segments.py": """\
+def test_stor_nopickle_fires_in_storage_and_service_only(tmp_path):
+    body = """\
         import pickle
-
-
-        def read_meta(payload):
-            return pickle.loads(payload)
-    """})
+    """
+    write_tree(tmp_path, {
+        "src/repro/storage/segments.py": body,
+        "src/repro/service/server.py": body,
+        "src/repro/elsewhere.py": body,
+        "scripts/tool.py": body,
+    })
     findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["STOR-NOPICKLE"]
-    assert findings[0].line == 5
-    assert "read_meta" in findings[0].message
+    assert rules_of(findings) == ["STOR-NOPICKLE", "STOR-NOPICKLE"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/service/server.py", 1),
+        ("src/repro/storage/segments.py", 1),
+    ]
 
 
 def test_stor_nopickle_sees_aliases_and_from_imports(tmp_path):
     write_tree(tmp_path, {"src/repro/storage/x.py": """\
-        import pickle as pk
+        import json, pickle as pk
         from pickle import load as slurp
-
-        STATE = pk.loads(b"")
+        import _pickle
 
 
         def f(fp):
-            return slurp(fp)
+            from pickle import loads
+            return slurp(fp), pk, loads, _pickle
     """})
     findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["STOR-NOPICKLE", "STOR-NOPICKLE"]
-    assert [f.line for f in findings] == [4, 8]
-
-
-def test_stor_nopickle_allows_the_listed_sites_up_to_their_count(tmp_path):
-    write_tree(tmp_path, {
-        "src/repro/storage/segments.py": """\
-            import pickle
-
-
-            def _read_pickled_meta(fp):
-                return pickle.loads(fp.read())
-        """,
-        "src/repro/storage/wal.py": """\
-            import pickle
-
-
-            def _read_legacy_record(payloads):
-                first = pickle.loads(payloads[0])
-                return first, pickle.loads(payloads[1])
-        """,
-    })
-    findings = run_lint(tmp_path)
-    assert rules_of(findings) == ["STOR-NOPICKLE"]
-    assert (findings[0].path, findings[0].line) == ("src/repro/storage/wal.py", 6)
-
-
-def test_stor_nopickle_not_scoped_outside_storage(tmp_path):
-    write_tree(tmp_path, {"src/repro/elsewhere.py": """\
-        import pickle
-
-
-        def read(payload):
-            return pickle.loads(payload)
-    """})
-    assert run_lint(tmp_path) == []
+    assert rules_of(findings) == ["STOR-NOPICKLE"] * 4
+    assert [f.line for f in findings] == [1, 2, 3, 7]
 
 
 # --------------------------------------------------------------------- #

@@ -1,42 +1,27 @@
-"""The dictionary segment (``meta.seg`` of a format-3 generation) is data.
+"""The dictionary segment (``meta.seg`` of every generation) is data.
 
 * Round trip: every value a durable store holds comes back ``==`` and of
   the very same type — ``1`` / ``True`` / ``1.0``, ``-0.0``, NaN, ±inf,
   big ints, ``bytes``, nested tuples, NUL and lone-surrogate strings —
   for universes and ρ maps alike, the empty ones included.
-* No pickle: opening, querying and reopening a format-3 store never
-  calls ``pickle.loads``; a format-2 store still does (its ``meta.seg``).
+* No pickle: opening, querying and reopening a store never calls
+  ``pickle.loads``.
 * Hardening: truncations, bit flips under a re-stamped CRC, unknown
   tags, count mismatches and a decompression bomb all raise
   :class:`StoreCorruptionError` and nothing else; ``repro fsck`` reports
   a segment that does not decode as ``STOR-SEGMENT``.
 * The type rule: a durable commit refuses, before the WAL append, any
   object the segment could not write; an in-memory session does not.
-  A format-1/2 store holding such an object (older builds pickled any
-  hashable) is refused when it opens, not at its first snapshot.
-
-``tests/golden/store-v2-unstorable`` is a manifest format-2 store written
-by the last format-2 build with::
-
-    ds = DurableStore(path); ds.open()
-    ds.snapshot(Triplestore({"E": E, "Dx": DX}, rho=RHO), {"E": 1, "Dx": 1}, 1)
-    ds.close()
-
-over ``E`` of ``test_storage_generations``, ``DX = [("n1", "price",
-Decimal("1.50")), ("n2", "price", "n3")]`` and ``RHO = {"n1": 1, "n2":
-datetime.date(2020, 1, 2)}``.  Do not regenerate it with a newer writer.
 """
 
 from __future__ import annotations
 
 import enum
-import datetime
 import json
 import math
 import os
 import pickle
 import random
-import shutil
 import struct
 import zlib
 from decimal import Decimal
@@ -44,16 +29,11 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import main as cli_main
 from repro.db import Database
 from repro.errors import StorageError, StoreCorruptionError
 from repro.storage import DurableStore, dictionary, fsck_store, segments
-from repro.storage.wal import WriteAheadLog
-from tests.test_wal_format import append_pickled
 from repro.storage.dictionary import decode_dictionary, encode_dictionary
 from repro.triplestore.model import Triplestore
-
-HERE = os.path.dirname(os.path.abspath(__file__))
 
 SPECIALS = [
     1, True, 1.0, 0, False, -0.0, 0.0, math.nan, math.inf, -math.inf,
@@ -208,7 +188,7 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-# No pickle on a format-3 open
+# No pickle on an open
 # --------------------------------------------------------------------- #
 
 
@@ -239,13 +219,6 @@ class TestNoPickle:
             assert db.query("F").to_set() == store.relation("F")
             ds.close()
         assert no_unpickling == []
-
-    def test_a_format_2_store_still_unpickles_its_meta(self, tmp_path, no_unpickling):
-        root = str(tmp_path / "v2")
-        shutil.copytree(os.path.join(HERE, "golden", "store-v2-rho"), root)
-        with pytest.raises(AssertionError, match="pickle.loads"):
-            DurableStore(root).open()
-        assert len(no_unpickling) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -401,10 +374,11 @@ class TestHardening:
             decode_dictionary(bomb, "bomb")
         assert produced == [declared + 1]
 
-    def test_open_refuses_a_pickled_meta_under_a_format_3_manifest(self, tmp_path):
+    def test_open_refuses_a_meta_segment_of_another_kind(self, tmp_path):
         root = durable(tmp_path / "s", rich_store())
-        segments.write_segment(meta_path(root), segments.KIND_PICKLE, pickle.dumps({}))
-        with pytest.raises(StoreCorruptionError, match="kind 2, expected 3"):
+        payload = segments.read_segment(meta_path(root))
+        segments.write_segment(meta_path(root), segments.KIND_KEYS, payload)
+        with pytest.raises(StoreCorruptionError, match="kind 4, expected 3"):
             DurableStore(root).open()
 
     def test_fsck_reports_an_unknown_tag(self, tmp_path):
@@ -486,75 +460,6 @@ class TestCommitTypeRule:
         with Database(path=root) as db3:  # reopened from the snapshot close wrote
             got = sorted(db3.store.relation("E"), key=repr)
             assert all(map(same, got, sorted(triples, key=repr)))
-
-
-class TestOlderStoresAreCheckedOnOpen:
-    def copy(self, tmp_path, fixture: str) -> str:
-        root = str(tmp_path / fixture)
-        shutil.copytree(os.path.join(HERE, "golden", fixture), root)
-        return root
-
-    @staticmethod
-    def tree(root: str) -> dict:
-        return {
-            os.path.relpath(os.path.join(base, name), root): os.stat(
-                os.path.join(base, name)
-            ).st_size
-            for base, _dirs, names in os.walk(root)
-            for name in names
-        }
-
-    def test_fixture_is_a_sound_format_2_store(self, tmp_path):
-        root = self.copy(tmp_path, "store-v2-unstorable")
-        with open(os.path.join(root, "MANIFEST"), "rb") as fp:
-            manifest = json.loads(fp.read())
-        assert manifest["format"] == 2
-        assert manifest["segments"]["meta"]["kind"] == segments.KIND_PICKLE
-        assert fsck_store(root) == []
-
-    def test_open_is_refused_naming_the_type_and_the_way_out(self, tmp_path, capsys):
-        root = self.copy(tmp_path, "store-v2-unstorable")
-        before = self.tree(root)
-        for _ in range(2):  # refused again: the first refusal changed nothing
-            with pytest.raises(StorageError) as info:
-                DurableStore(root).open()
-            assert type(info.value) is StorageError  # the store is sound, just old
-            message = str(info.value)
-            assert "manifest format 2" in message and "'Decimal'" in message
-            assert f"manifest format {segments.MANIFEST_FORMAT} cannot store" in message
-            assert "Migrate" in message
-            with pytest.raises(StorageError, match="'Decimal'"):
-                Database(path=root)
-            assert self.tree(root) == before
-        assert cli_main(["compact", root]) == 1
-        assert "'Decimal'" in capsys.readouterr().err
-        assert self.tree(root) == before
-
-    def test_a_replayed_wal_record_is_checked_too(self, tmp_path):
-        root = self.copy(tmp_path, "store-v2-rho")
-        wal = WriteAheadLog(os.path.join(root, "wal"))
-        wal.recover()
-        append_pickled(wal, {"Dx": frozenset({("n1", "price", Decimal("2"))})})  # as format 2 took it
-        wal.close()
-        before = self.tree(root)
-        with pytest.raises(StorageError, match="'Decimal'"):
-            DurableStore(root).open()
-        assert self.tree(root) == before
-
-    def test_a_data_value_is_checked_too(self, tmp_path):
-        ds = DurableStore(str(tmp_path / "s"))
-        store = Triplestore([("a", "p", "b")], rho={"a": datetime.date(2020, 1, 2)})
-        with pytest.raises(StorageError, match="format 2.*'date'"):
-            ds._refuse_unstorable(store, 2)
-        ds._refuse_unstorable(rich_store(), 2)  # every codec type passes
-
-    def test_a_clean_format_2_store_opens_and_upgrades(self, tmp_path):
-        root = self.copy(tmp_path, "store-v2-rho")
-        with Database(path=root) as db:
-            db.install("Dk", [("n1", "k", "n2")])
-        with open(os.path.join(root, "MANIFEST"), "rb") as fp:
-            assert json.loads(fp.read())["format"] == segments.MANIFEST_FORMAT
-        assert fsck_store(root) == []
 
 
 def test_crc_of_the_segment_is_the_manifests(tmp_path):

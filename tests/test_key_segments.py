@@ -4,24 +4,16 @@ zlib'd deltas (``KIND_KEYS``, manifest format 5).  Seeded throughout.
 * Round trip: sorted unique keys of any count — none, one, and either
   side of the 2¹⁵-key block — and up to n³ − 1 come back exactly, from
   the codec and through a written and reopened generation; ρ codes,
-  whose deltas may be negative, too.  A generation holds no
-  ``KIND_INT64`` file.
-* Hardening: truncations, bit flips under re-stamped CRCs, a count
+  whose deltas may be negative, too.  A generation holds no array of
+  another kind.
+* Hardening: truncations, a flipped bit, bit flips under re-stamped
+  CRCs, a raw ``int64`` array (kind 1, written before format 5), a count
   that disagrees with the stream, trailing bytes, a zlib bomb under a
   small and under a huge declared count, and arrays the dictionary
   refutes — keys repeated, swapped, negative or ≥ n³; ρ codes out of
   range or one short — make an open raise
   :class:`StoreCorruptionError` and nothing else, and ``fsck`` report
   exactly ``STOR-SEGMENT``.
-* Read-old/write-new: ``tests/golden/store-v4`` is a manifest format-4
-  store (raw ``int64`` arrays) written by the last format-4 build with::
-
-      ds = DurableStore(path); ds.open()
-      ds.snapshot(Triplestore({"E": E, "Dk": DK}, rho=RHO), {"E": 1, "Dk": 1}, 1)
-      ds.close()
-
-  over the ``E``, ``DK`` and ``RHO`` of ``test_storage_generations``.
-  Do not regenerate it with a newer writer.
 """
 
 from __future__ import annotations
@@ -37,13 +29,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
-from repro.db import Database
 from repro.errors import StoreCorruptionError
 from repro.storage import DurableStore, fsck_store, segments
 from repro.storage.segments import (
-    KIND_INT64,
     KIND_KEYS,
-    MANIFEST_FORMAT,
     decode_keys,
     encode_keys,
     open_store_segments,
@@ -52,17 +41,7 @@ from repro.storage.segments import (
 )
 from repro.triplestore.columnar import _MAX_ENCODABLE_OBJECTS
 from repro.triplestore.model import Triplestore
-from tests.test_storage_generations import (  # noqa: F401 — `written` is a fixture
-    DK,
-    DK_SAME_OBJECTS,
-    E,
-    HERE,
-    RHO,
-    answers,
-    manifest_of,
-    oracle,
-    written,
-)
+from tests.test_storage_generations import DK, E, RHO, manifest_of
 
 #: Key counts on either side of a block boundary.
 SIZES = (0, 1, 2**15 - 1, 2**15, 2**15 + 1)
@@ -122,7 +101,7 @@ def test_a_reopened_generation_holds_the_same_arrays(tmp_path):
     store = big_store()
     block = write_store_segments(store, tmp_path / "gen")
     kinds = {block["dv_codes"]["kind"]} | {e["kind"] for e in block["relations"]}
-    assert kinds == {KIND_KEYS}  # no KIND_INT64 file is ever written
+    assert kinds == {KIND_KEYS}
     view, fresh = open_store_segments(tmp_path / "gen", block).columnar(), store.columnar()
     assert int(fresh.relation_keys("E")[-1]) == fresh.n**3 - 1
     for name in ("E", "F"):
@@ -193,6 +172,15 @@ class TestHardening:
         assert "out of order" in refused(root)
         assert cli_main(["fsck", root]) == 1
         assert "STOR-SEGMENT" in capsys.readouterr().out
+
+    def test_a_flipped_bit_is_refused_by_its_crc(self, tmp_path):
+        root = build(tmp_path / "s")
+        with open(path_of(root, "E"), "r+b") as fp:
+            fp.seek(-1, os.SEEK_END)
+            last = fp.read(1)[0]
+            fp.seek(-1, os.SEEK_END)
+            fp.write(bytes([last ^ 1]))
+        assert "CRC" in refused(root)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_truncations(self, tmp_path, seed):
@@ -280,7 +268,7 @@ class TestHardening:
 
     def test_a_raw_int64_segment_under_format_5_is_refused(self, tmp_path):
         root = build(tmp_path / "s")
-        restamp(root, "E", stored(root, "E").tobytes(), kind=KIND_INT64)
+        restamp(root, "E", stored(root, "E").tobytes(), kind=1)  # raw int64, pre-format-5
         assert "expected 4" in refused(root)
 
     def test_a_bomb_inflates_no_further_than_its_declared_count(self, tmp_path, monkeypatch):
@@ -321,74 +309,3 @@ class TestHardening:
         for count in (1000, 2**40):
             restamp(root, "E", bomb, count=count)
             refused(root)
-
-
-# --------------------------------------------------------------------- #
-# Read-old/write-new: the format-4 fixture
-# --------------------------------------------------------------------- #
-
-
-def inodes(root) -> dict[str, int]:
-    gen = os.path.join(root, *manifest_of(root)["gen_dir"].split("/"))
-    return {name: os.stat(os.path.join(gen, name)).st_ino for name in sorted(os.listdir(gen))}
-
-
-class TestFormat4Fixture:
-    @staticmethod
-    def copy(tmp_path) -> str:
-        root = str(tmp_path / "store-v4")
-        shutil.copytree(os.path.join(HERE, "golden", "store-v4"), root)
-        return root
-
-    def test_fixture_is_format_4_with_raw_arrays(self, tmp_path):
-        root = self.copy(tmp_path)
-        manifest = manifest_of(root)
-        assert manifest["format"] == 4
-        kinds = [entry_of(manifest, name)["kind"] for name in ("E", "Dk", "dv_codes")]
-        assert kinds == [KIND_INT64] * 3
-        assert fsck_store(root) == []
-
-    def test_a_flipped_bit_that_keeps_the_order_is_refused_by_its_crc(self, tmp_path):
-        root = self.copy(tmp_path)
-        path = path_of(root, "E")
-        with open(path, "r+b") as fp:  # E's last key, 4815, becomes 4814
-            fp.seek(-8, os.SEEK_END)
-            low = fp.read(1)[0]
-            fp.seek(-8, os.SEEK_END)
-            fp.write(bytes([low ^ 1]))
-        assert "CRC" in refused(root)
-
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_it_answers_like_the_oracle(self, tmp_path, backend):
-        root = self.copy(tmp_path)
-        with Database(path=root, backend=backend) as db:
-            assert db.store == twin()
-            assert answers(db) == oracle(twin())
-
-    def test_first_snapshot_rewrites_every_raw_array_and_the_second_links(
-        self, tmp_path, written
-    ):
-        root = self.copy(tmp_path)
-        before = inodes(root)
-        ds = DurableStore(root)
-        store = ds.open()
-        ds.snapshot(store, ds.rel_versions, ds.store_version)
-        ds.close()
-        # meta.seg is the current kind and linked; no raw array is.
-        assert sorted(written) == ["dv_codes.seg", "rel-000.seg", "rel-001.seg"]
-        manifest = manifest_of(root)
-        assert manifest["format"] == MANIFEST_FORMAT == 5
-        assert {entry_of(manifest, n)["kind"] for n in ("E", "Dk", "dv_codes")} == {KIND_KEYS}
-        first = inodes(root)
-        assert first["meta.seg"] == before["meta.seg"]
-        assert all(first[name] != before[name] for name in written)
-        assert fsck_store(root) == []
-        del written[:]
-        with Database(path=root, backend="columnar") as db:
-            db.install("Dk", DK_SAME_OBJECTS)
-        assert written == ["rel-001.seg"]
-        second = inodes(root)
-        assert {n for n in second if second[n] == first[n]} == set(first) - {"rel-001.seg"}
-        assert fsck_store(root) == []
-        with Database(path=root, backend="columnar") as db:
-            assert db.store == twin().with_relation("Dk", DK_SAME_OBJECTS)

@@ -24,9 +24,9 @@ from repro.storage import DurableStore, SegmentStore, WriteAheadLog, fsck_store
 from repro.storage.fsutil import atomic_write_bytes
 from repro.storage.wal import read_record
 from repro.storage.segments import (
-    KIND_INT64,
-    KIND_PICKLE,
-    map_segment,
+    KIND_DICT,
+    KIND_KEYS,
+    encode_keys,
     open_store_segments,
     read_segment,
     verify_segment,
@@ -54,33 +54,15 @@ class TestSegmentFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "x.seg"
         payload = b"\x01\x02\x03\x04" * 10
-        crc = write_segment(path, KIND_PICKLE, payload)
-        assert read_segment(path, expect_kind=KIND_PICKLE) == payload
+        crc = write_segment(path, KIND_DICT, payload)
+        assert read_segment(path, expect_kind=KIND_DICT) == payload
         assert verify_segment(path) == []
         assert isinstance(crc, int)
         assert not os.path.exists(str(path) + ".tmp")
 
-    def test_int64_mmap_is_zero_copy_view(self, tmp_path):
-        path = tmp_path / "a.seg"
-        arr = np.arange(7, dtype=np.int64)
-        write_segment(path, KIND_INT64, arr.tobytes())
-        view, mapped = map_segment(path)
-        assert view.tolist() == list(range(7))
-        assert view.base is not None  # a view over the mapping, not a copy
-        del view
-        mapped.close()
-
-    def test_empty_payload(self, tmp_path):
-        path = tmp_path / "e.seg"
-        write_segment(path, KIND_INT64, b"")
-        view, mapped = map_segment(path)
-        assert len(view) == 0
-        del view
-        mapped.close()
-
     def test_corrupt_payload_detected(self, tmp_path):
         path = tmp_path / "c.seg"
-        write_segment(path, KIND_INT64, np.arange(8, dtype=np.int64).tobytes())
+        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64)))
         with open(path, "r+b") as fp:
             fp.seek(40)
             fp.write(b"\xff")
@@ -90,15 +72,15 @@ class TestSegmentFiles:
 
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "t.seg"
-        write_segment(path, KIND_INT64, np.arange(8, dtype=np.int64).tobytes())
+        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64)))
         with open(path, "r+b") as fp:
             fp.truncate(40)
-        with pytest.raises(StoreCorruptionError):
-            map_segment(path)
+        with pytest.raises(StoreCorruptionError, match="truncated"):
+            read_segment(path)
 
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "m.seg"
-        write_segment(path, KIND_INT64, b"")
+        write_segment(path, KIND_DICT, b"")
         with open(path, "r+b") as fp:
             fp.write(b"NOTASEGM")
         with pytest.raises(StoreCorruptionError):
@@ -177,7 +159,7 @@ class TestWal:
         wal.close()
         records = WriteAheadLog(tmp_path / "wal").recover()
         assert [seq for seq, _ in records] == [1, 2]
-        record = read_record(records[0][1], legacy=False, where="seq=1")
+        record = read_record(records[0][1], where="seq=1")
         assert record.base == 0 and record.fresh == sorted({*"abcdpq"}, key=repr)
         view = Triplestore().columnar()
         grown = view.apply(Triplestore({"E": ()}), view.logged(*record), False)

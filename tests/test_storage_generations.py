@@ -1,23 +1,5 @@
 """Generations on disk: a snapshot links what a commit did not touch, and
 the format holds nothing a reader can derive.  Clock-free throughout.
-
-``tests/golden/store-v1-plain`` and ``store-v1-rho`` are manifest
-format-1 stores (``active.seg`` and an unconditional ``dv_codes.seg``)
-written by the parent commit of PR 16 with::
-
-    ds = DurableStore(path); ds.open()
-    ds.snapshot(Triplestore({"E": E, "Dk": DK}, rho=RHO or None), {"E": 1, "Dk": 1}, 1)
-    ds.close()
-
-over the ``E`` / ``DK`` / ``RHO`` below.  They are the only format-1
-bytes this build is ever tested against — do not regenerate them with a
-newer writer.
-
-``tests/golden/store-v2-rho`` is a manifest format-2 store (a pickled
-``meta.seg``) written the same way by the parent commit of the change
-that introduced format 3, over ``{"E": E, "Dk": DK, "Mx": MX}`` with
-``RHO_V2`` — objects and data values of every type the dictionary
-segment stores.  The same rule holds for it.
 """
 
 from __future__ import annotations
@@ -25,7 +7,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -49,9 +30,6 @@ REPO_SRC = os.path.join(os.path.dirname(HERE), "src")
 E = [(f"n{i}", f"p{i % 3}", f"n{(i * 7 + 1) % 10}") for i in range(14)]
 DK = [("n1", "k", "n2"), ("n2", "k", "n3"), ("n3", "k", "n1")]
 RHO = {**{f"n{i}": i % 3 for i in range(10)}, "p0": "label"}
-FIXTURES = {"store-v1-plain": None, "store-v1-rho": RHO}
-MX = [(7, "p0", 2.5), (("t", 1), "p1", b"\x00b"), (None, "p2", 2**70)]
-RHO_V2 = {**RHO, 7: 2.5, ("t", 1): ("pair", 1), "n5": b"raw", "n6": None}
 
 #: A replacement for ``Dk`` over objects the dictionary already holds
 #: (``k`` drops out of every triple: the active set shrinks) …
@@ -112,128 +90,13 @@ def compact_every_commit(monkeypatch) -> None:
 
 
 def build_store(root, rho=None) -> str:
-    """A closed format-3 store directory holding ``E`` and ``Dk``."""
+    """A closed store directory holding ``E`` and ``Dk`` in generation 2."""
     root = str(root)
     ds = DurableStore(root)
     ds.open()
     ds.snapshot(Triplestore({"E": E, "Dk": DK}, rho=rho), {"E": 1, "Dk": 1}, 1)
     ds.close()
     return root
-
-
-# --------------------------------------------------------------------- #
-# (a) a format-1 store opens, answers, and upgrades by links
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("fixture", sorted(FIXTURES))
-class TestFormat1Fixture:
-    def copy(self, fixture, tmp_path) -> str:
-        root = str(tmp_path / fixture)
-        shutil.copytree(os.path.join(HERE, "golden", fixture), root)
-        return root
-
-    def test_fixture_is_format_1(self, fixture, tmp_path):
-        root = self.copy(fixture, tmp_path)
-        manifest = manifest_of(root)
-        assert manifest["format"] == 1
-        assert {"active", "dv_codes"} <= set(manifest["segments"])
-        assert {"active.seg", "dv_codes.seg"} <= set(gen_files(root))
-        assert fsck_store(root) == []
-
-    def test_answers_like_its_in_memory_twin(self, fixture, tmp_path):
-        root = self.copy(fixture, tmp_path)
-        twin = Triplestore({"E": E, "Dk": DK}, rho=FIXTURES[fixture])
-        with Database(path=root, backend="columnar") as db:
-            cs = db.store.columnar()
-            assert cs._active is None  # active.seg is not read: derived on first use
-            assert answers(db) == answers(Database(twin, backend="columnar")) == oracle(twin)
-            assert len(db.query(ETA_JOIN).to_set()) > 0
-            assert len(db.query(U_QUERY).to_set()) > 0
-            assert cs.active_codes().tolist() == twin.columnar().active_codes().tolist()
-            assert db.store == twin
-
-    def test_first_snapshot_is_the_current_format_and_rewrites_every_file(
-        self, fixture, tmp_path, written
-    ):
-        root = self.copy(fixture, tmp_path)
-        before = gen_files(root)
-        rho = FIXTURES[fixture]
-        twin = Triplestore({"E": E, "Dk": DK}, rho=rho).with_relation("Dk", DK_SAME_OBJECTS)
-        with Database(path=root, backend="columnar") as db:
-            db.install("Dk", DK_SAME_OBJECTS)
-        # close() folded the WAL: the pickled meta.seg and every raw
-        # int64 array were written as the current format, none linked.
-        expected = {"meta.seg", "rel-000.seg", "rel-001.seg"} | ({"dv_codes.seg"} if rho else set())
-        assert sorted(written) == sorted(expected)
-        manifest = manifest_of(root)
-        assert manifest["format"] == snapshot.MANIFEST_FORMAT == 5
-        assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
-        assert {e["kind"] for e in manifest["segments"]["relations"]} == {segments.KIND_KEYS}
-        assert "active" not in manifest["segments"]
-        after = gen_files(root)
-        assert set(after) == expected
-        for name in expected:
-            assert after[name].st_ino != before[name].st_ino, name
-        assert fsck_store(root) == []
-        with Database(path=root, backend="columnar") as db:
-            assert db.store == twin
-            assert answers(db) == oracle(twin)
-
-
-class TestFormat2Fixture:
-    def copy(self, tmp_path) -> str:
-        root = str(tmp_path / "store-v2-rho")
-        shutil.copytree(os.path.join(HERE, "golden", "store-v2-rho"), root)
-        return root
-
-    def twin(self) -> Triplestore:
-        return Triplestore({"E": E, "Dk": DK, "Mx": MX}, rho=RHO_V2)
-
-    def test_fixture_is_format_2(self, tmp_path):
-        root = self.copy(tmp_path)
-        manifest = manifest_of(root)
-        assert manifest["format"] == 2
-        assert manifest["segments"]["meta"]["kind"] == segments.KIND_PICKLE
-        assert fsck_store(root) == []
-
-    def test_answers_like_its_in_memory_twin(self, tmp_path):
-        root = self.copy(tmp_path)
-        twin = self.twin()
-        with Database(path=root, backend="columnar") as db:
-            assert answers(db) == answers(Database(twin, backend="columnar")) == oracle(twin)
-            assert db.query("Mx").to_set() == frozenset(MX)
-            assert db.store == twin
-            assert db.store.rho_map() == RHO_V2
-
-    def test_first_snapshot_is_the_current_format_and_rewrites_every_file(
-        self, tmp_path, written
-    ):
-        root = self.copy(tmp_path)
-        before = gen_files(root)
-        twin = self.twin().with_relation("Dk", DK_SAME_OBJECTS)
-        with Database(path=root, backend="columnar") as db:
-            db.install("Dk", DK_SAME_OBJECTS)
-        # The pickled meta.seg and the raw int64 arrays are never linked:
-        # they are rewritten as the current format.
-        assert sorted(written) == sorted(before)
-        manifest = manifest_of(root)
-        assert manifest["format"] == snapshot.MANIFEST_FORMAT
-        assert manifest["segments"]["meta"]["kind"] == segments.KIND_DICT
-        assert manifest["segments"]["dv_codes"]["kind"] == segments.KIND_KEYS
-        after = gen_files(root)
-        assert set(after) == set(before)
-        for name in before:
-            assert after[name].st_ino != before[name].st_ino, name
-        assert fsck_store(root) == []
-        with Database(path=root, backend="columnar") as db:
-            assert db.store == twin
-            assert answers(db) == oracle(twin)
-            kinds = sorted(type(o).__name__ for o in db.store.objects)
-            assert kinds == sorted(type(o).__name__ for o in twin.objects)
-            rho = db.store.rho_map()
-            assert rho == RHO_V2
-            assert {k: type(v) for k, v in rho.items()} == {k: type(v) for k, v in RHO_V2.items()}
 
 
 # --------------------------------------------------------------------- #
@@ -423,7 +286,7 @@ class TestCrashes:
 # --------------------------------------------------------------------- #
 
 
-class TestFormat2:
+class TestNothingDerivableIsStored:
     def test_no_rho_generation_is_meta_and_relations(self, tmp_path):
         root = build_store(tmp_path / "s")
         assert list(gen_files(root)) == ["meta.seg", "rel-000.seg", "rel-001.seg"]

@@ -4,9 +4,8 @@
   the dictionary size it extends, the fresh objects in code order, each
   relation's packed keys — and replay installs it through the same
   apply, relations left lazy.
-* No pickle: on a format-4 store, commit, replay and ``fsck`` never call
-  ``pickle.dumps`` or ``pickle.loads``; a pickled record there is
-  corruption.
+* No pickle: commit, replay and ``fsck`` never call ``pickle.dumps`` or
+  ``pickle.loads``; a pickled record is corruption.
 * Hardening: truncations, bit flips under re-stamped CRCs and crafted
   records (keys unsorted, repeated, negative or past n³; a tail out of
   ``repr`` order, repeating an object or overlapping the dictionary; a
@@ -14,19 +13,6 @@
   raise :class:`StoreCorruptionError` and nothing else, and ``fsck``
   report exactly ``STOR-WAL``.
 * The commit order: a batch the store refuses is never logged.
-* Read-old/write-new: ``tests/golden/store-v3-wal`` is a manifest
-  format-3 store whose WAL holds three pickled records and no clean
-  close, written by the last format-3 build with::
-
-      ds = DurableStore(path); ds.open()
-      ds.snapshot(Triplestore({"E": E}, rho=RHO), {"E": 1}, 1)
-      ds.commit({"E": frozenset(E + [("c", "p", "d"), ("d", "p", "a")])})
-      ds.commit({"F": frozenset(F)})
-      ds.commit({"E": frozenset(E + [("d", "p", "e")]), "G": frozenset(G)})
-      ds.close()
-
-  over the ``E``, ``RHO``, ``F`` and ``G`` below.  Do not regenerate it
-  with a newer writer.
 """
 
 from __future__ import annotations
@@ -38,28 +24,24 @@ import random
 import shutil
 import struct
 import zlib
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.db import Database
 from repro.errors import StoreCorruptionError, TriplestoreError
-from repro.storage import DurableStore, fsck_store, wal as wal_module
+from repro.storage import DurableStore, fsck_store
 from repro.storage.dictionary import encode_values
-from repro.storage.segments import MANIFEST_FORMAT, SegmentStore
+from repro.storage.segments import SegmentStore
 from repro.storage.wal import (
     MAGIC,
     RECORD_HEADER_SIZE,
-    WriteAheadLog,
     read_record,
     scan_records,
 )
 from repro.triplestore import columnar
 from repro.triplestore.columnar import ColumnarStore
 from repro.triplestore.model import Triplestore
-
-HERE = os.path.dirname(os.path.abspath(__file__))
 
 E = [("a", "p", "b"), ("b", "p", "c"), ("c", "q", "a")]
 RHO = {"a": 1, "b": 1, "c": ("x", 2.5)}
@@ -68,17 +50,6 @@ G = [("e", "s", True)]
 
 _PREAMBLE = struct.Struct("<4sIQQQ")
 _RELATION = struct.Struct("<QQ")
-
-
-def append_pickled(wal: WriteAheadLog, relations: dict) -> int:
-    """Append a record as a format-3 build wrote it: a pickled
-    ``{"relations": {name: triples}}`` in the same frame."""
-    payload = pickle.dumps(
-        {"relations": {name: tuple(t) for name, t in relations.items()}},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    with mock.patch.object(wal_module, "encode_record", lambda _batch: payload):
-        return wal.append(None)
 
 
 def crafted(base: int, tail: list, relations: list, *, version: int = 1,
@@ -133,7 +104,7 @@ def relations_of(store) -> dict:
 
 
 def base_store(tmp_path) -> str:
-    """A closed format-4 store of ``E`` (ρ set) and one logged commit."""
+    """A closed store of ``E`` (ρ set) and one logged commit."""
     root = str(tmp_path / "s")
     ds = DurableStore(root)
     ds.open()
@@ -177,7 +148,7 @@ class TestRoundTrip:
         root = base_store(tmp_path)
         (seq, payload), = log_records(root)
         assert payload.startswith(MAGIC)
-        record = read_record(payload, legacy=False, where="t")
+        record = read_record(payload, where="t")
         assert record.base == 5  # a, b, c, p and q: the snapshot's universe
         assert record.fresh == sorted({1, "r", 2.5, "t", ("x", 1), b"\x00", None}, key=repr)
         view = ColumnarStore(Triplestore({"E": E}, rho=RHO))
@@ -223,7 +194,7 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-# No pickle on a format-4 store
+# No pickle
 # --------------------------------------------------------------------- #
 
 
@@ -242,20 +213,13 @@ class TestNoPickle:
         db.close()
         assert no_pickle == []
 
-    def test_a_pickled_record_on_a_format_4_store_is_corruption(self, tmp_path, no_pickle):
+    def test_a_pickled_record_is_corruption(self, tmp_path, no_pickle):
         root = base_store(tmp_path)
         payload = b"\x80\x05" + b"\x00" * 30  # what a pickle starts with
         rewrite_log(root, log_records(root) + [(2, payload)])
         message = refused(root)
-        assert "seq=2" in message and "format 4" in message
+        assert "seq=2" in message and "not a data record" in message
         assert no_pickle == []
-
-    def test_only_a_format_3_manifest_reaches_the_legacy_reader(self, tmp_path):
-        root = base_store(tmp_path)
-        with mock.patch.object(wal_module, "_read_legacy_record") as reader:
-            DurableStore(root).open().materialize()
-            fsck_store(root)
-        assert not reader.called
 
 
 # --------------------------------------------------------------------- #
@@ -275,7 +239,7 @@ class TestHardening:
         (seq, payload), = records
         for cut in random.Random(seed).sample(range(len(payload)), 40):
             with pytest.raises(StoreCorruptionError):
-                read_record(payload[:cut], legacy=False, where="cut")
+                read_record(payload[:cut], where="cut")
         cut = random.Random(seed).randrange(len(payload))
         rewrite_log(root, [(seq, payload[:cut])])
         refused(root)
@@ -346,7 +310,7 @@ class TestHardening:
     def test_crafted_records(self, tmp_path, make, match):
         root, records = good_record(tmp_path)
         (seq, payload), = records
-        base = read_record(payload, legacy=False, where="ok").base
+        base = read_record(payload, where="ok").base
         rewrite_log(root, [(seq, make(base, [1, 5]))])  # keys over the base alone
         message = refused(root)
         assert match.lower() in message.lower(), message
@@ -420,75 +384,3 @@ class TestRefusedBatchesAreNotLogged:
             abandon(second)
             abandon(first)
         assert fsck_store(root) == []
-
-
-# --------------------------------------------------------------------- #
-# Read-old/write-new: the format-3 fixture with pickled records
-# --------------------------------------------------------------------- #
-
-
-V3_RELATIONS = {
-    "E": frozenset(E + [("d", "p", "e")]),
-    "F": frozenset(F),
-    "G": frozenset(G),
-}
-V3_OBJECTS = {c for rel in V3_RELATIONS.values() for t in rel for c in t} | {"d"}
-
-
-class TestFormat3Fixture:
-    @staticmethod
-    def copy(tmp_path) -> str:
-        root = str(tmp_path / "store-v3-wal")
-        shutil.copytree(os.path.join(HERE, "golden", "store-v3-wal"), root)
-        return root
-
-    def test_fixture_is_format_3_with_pickled_records(self, tmp_path):
-        root = self.copy(tmp_path)
-        with open(os.path.join(root, "MANIFEST")) as fp:
-            assert json.load(fp)["format"] == 3
-        records = log_records(root)
-        assert [seq for seq, _ in records] == [1, 2, 3]
-        assert all(payload.startswith(b"\x80") for _, payload in records)
-        assert fsck_store(root) == []
-
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_it_opens_to_the_recorded_answers(self, tmp_path, backend):
-        root = self.copy(tmp_path)
-        db = Database(path=root, backend=backend)
-        try:
-            assert relations_of(db.store) == V3_RELATIONS
-            assert db.store.objects == V3_OBJECTS
-            assert db.store.rho_map() == RHO
-            assert db._storage.rel_versions == {"E": 3, "F": 1, "G": 1}
-            assert db.query("join[1,2,3'; 3=1'](E, E)").to_set() == {
-                ("a", "p", "c"), ("c", "q", "b"), ("b", "p", "a"),
-            }
-            assert db.query("select[2=3](F)").to_set() == set()
-        finally:
-            abandon(db)  # no clean close: the log stays as the fixture has it
-        assert len(log_records(root)) == 3
-
-    def test_a_new_commit_logs_data_beside_the_pickles_and_a_snapshot_writes_the_current_format(
-        self, tmp_path
-    ):
-        root = self.copy(tmp_path)
-        db = Database(path=root, backend="columnar")
-        db.install("H", [("e", "s", "new"), ("a", "p", 7)])
-        records = log_records(root)
-        assert [seq for seq, _ in records] == [1, 2, 3, 4]
-        assert [p[:4] == MAGIC for _, p in records] == [False, False, False, True]
-        expected = dict(V3_RELATIONS, H=frozenset({("e", "s", "new"), ("a", "p", 7)}))
-        with open(os.path.join(root, "MANIFEST")) as fp:
-            assert json.load(fp)["format"] == 3  # nothing folded yet
-        mixed = DurableStore(root)  # replays pickles and data in log order
-        assert relations_of(mixed.open()) == expected
-        mixed.close()
-        assert fsck_store(root) == []
-        db.close()  # the first snapshot
-        with open(os.path.join(root, "MANIFEST")) as fp:
-            assert json.load(fp)["format"] == MANIFEST_FORMAT
-        assert log_records(root) == []
-        assert fsck_store(root) == []
-        with Database(path=root) as reopened:
-            assert relations_of(reopened.store) == expected
-            assert reopened.store.rho_map() == RHO
