@@ -10,25 +10,35 @@ it has not checked.
   with its manifest re-stamped to each of formats 1–4, and one pickled
   WAL record whose unpickling would write a marker file.  The marker
   never appears and every file stays byte-identical.
+  An older store with a torn WAL tail keeps its tail: the refusal
+  comes before the log's recovery, which would truncate it.
+* A store of a newer format is refused as corruption by the same five
+  surfaces, and left as it is.
 * A manifest field of the wrong shape is a :class:`StoreCorruptionError`
   from an open and from ``store_footprint``, and one ``STOR-MANIFEST``
   finding from fsck — never another exception, and never a healthy
   store.
+* No function under ``repro.storage`` takes a format or ``legacy``
+  argument: there is one format, so there is nothing to choose.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 import shutil
 
 import pytest
 
+import repro.storage
 from repro.cli import main as cli_main
 from repro.db import Database
 from repro.errors import StorageError, StoreCorruptionError
-from repro.storage import DurableStore, fsck_store, store_footprint
+from repro.storage import DurableStore, fsck_store, snapshot, store_footprint
 from tests.test_storage_generations import HERE, RHO, build_store, manifest_of
 from tests.test_wal_format import rewrite_log
 
@@ -76,6 +86,9 @@ def refusal(surface: str, root: str, capsys) -> tuple[type, str]:
     return StorageError, capsys.readouterr().err
 
 
+SURFACES = ("open", "Database", "fsck", "compact", "info")
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, version):
     root = str(tmp_path / "store")
@@ -85,13 +98,53 @@ def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, ver
     record = pickle.dumps({"relations": {"E": WritesMarker(marker)}})
     rewrite_log(root, [(1, record)])
     before = tree(root)
-    for surface in ("open", "Database", "fsck", "compact", "info"):
+    for surface in SURFACES:
         kind, message = refusal(surface, root, capsys)
         assert not os.path.exists(marker), surface
         assert tree(root) == before, surface
         assert kind is StorageError, surface  # the store is sound, only old
         assert f"manifest format {version};" in message, surface
         assert "repro compact" in message and "4.x build" in message, surface
+
+
+def torn(root: str) -> str:
+    """``root`` with bytes past the log's last record, as a crash in the
+    middle of an append leaves them."""
+    with open(os.path.join(root, "wal", "wal.log"), "ab") as fp:
+        fp.write(b"\x07torn")
+    return root
+
+
+def test_an_older_store_keeps_its_torn_wal_tail(tmp_path, capsys):
+    # At the current format an open truncates the tail …
+    current = torn(build_store(tmp_path / "current"))
+    size = os.path.getsize(os.path.join(current, "wal", "wal.log"))
+    ds = DurableStore(current)
+    ds.open()
+    ds.close()
+    assert os.path.getsize(os.path.join(current, "wal", "wal.log")) < size
+    # … an older store is refused before the log is recovered.
+    root = torn(build_store(tmp_path / "older"))
+    write_manifest(root, dict(manifest_of(root), format=4))
+    before = tree(root)
+    for surface in SURFACES:
+        refusal(surface, root, capsys)
+        assert tree(root) == before, surface
+
+
+def test_a_newer_store_is_refused_everywhere_and_left_as_it_is(tmp_path, capsys):
+    root = build_store(tmp_path / "s", RHO)
+    newer = snapshot.MANIFEST_FORMAT + 1
+    write_manifest(root, dict(manifest_of(root), format=newer))
+    before = tree(root)
+    for surface in SURFACES:
+        if surface in ("open", "Database"):
+            with pytest.raises(StoreCorruptionError, match=f"manifest format v{newer};"):
+                DurableStore(root).open() if surface == "open" else Database(path=root)
+        else:
+            _, message = refusal(surface, root, capsys)
+            assert f"manifest format v{newer};" in message, surface
+        assert tree(root) == before, surface
 
 
 def _segments(m: dict, **fields) -> dict:
@@ -108,7 +161,9 @@ MALFORMED = {
     "format-null": lambda m: {**m, "format": None},
     "format-list": lambda m: {**m, "format": [5]},
     "format-bool": lambda m: {**m, "format": True},
+    "format-float": lambda m: {**m, "format": float(m["format"])},
     "format-missing": lambda m: {k: v for k, v in m.items() if k != "format"},
+    "not-an-object": lambda m: [m],
     "segments-list": lambda m: {**m, "segments": []},
     "relations-not-a-list": lambda m: _segments(m, relations={}),
     "meta-missing": lambda m: {**m, "segments": {"relations": m["segments"]["relations"]}},
@@ -139,3 +194,19 @@ def test_a_malformed_manifest_is_corruption_everywhere(tmp_path, case):
         store_footprint(root)
     findings = fsck_store(root)
     assert [f.rule for f in findings] == ["STOR-MANIFEST"], findings
+
+
+def test_no_storage_function_takes_a_format_argument():
+    taken = []
+    for info in pkgutil.iter_modules(repro.storage.__path__, "repro.storage."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            members = vars(value).values() if inspect.isclass(value) else [value]
+            for member in members:
+                member = getattr(member, "__func__", member)
+                if not inspect.isfunction(member) or member.__module__ != info.name:
+                    continue
+                for param in inspect.signature(member).parameters:
+                    if param == "legacy" or "format" in param:
+                        taken.append(f"{info.name}.{member.__qualname__}({param})")
+    assert taken == []
