@@ -5,12 +5,12 @@ Run:  python examples/knowledge_graph.py
 The Semantic-Web scenario the paper's introduction motivates: one triple
 relation mixing affiliations, a type ontology, an organisational
 hierarchy and geography — middles doubling as subjects throughout.
-Shows the full toolchain: text query → explain → optimize → engine
-choice → evaluation → validation against an independent reference.
+Shows the full toolchain: text query → explain → optimize →
+evaluation → validation against an independent reference.
 """
 
+from repro.api import explain_report
 from repro.core import HashJoinEngine, evaluate
-from repro.core.explain import explain
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
 from repro.workloads import knowledge_graph, reference_affiliated_via
@@ -40,9 +40,9 @@ def main() -> None:
         ")"
     )
     expr = parse(query_text)
-    report = explain(expr)
-    print("\nstatic analysis:")
-    print(report.summary())
+    report = explain_report(expr, kg)
+    print("\nexplain:")
+    print(report)
 
     optimized = optimize(expr)
     print(f"\noptimised size: {expr.size()} -> {optimized.size()} nodes")

@@ -1,4 +1,4 @@
-"""Query API v2: prepared statements, cursors and structured explain.
+"""Query API v2: prepared statements, cursors and explain.
 
 Run:  python examples/prepared_statements.py
 
@@ -11,7 +11,8 @@ Walks the v2 facade surface over the paper's Figure 1 database:
   in a constant share one cached plan too;
 * results are lazy cursors: ``limit`` slices before decode on the
   columnar backends;
-* ``explain_report(...).to_json()`` is the structured explain;
+* ``db.explain(...)`` is the explain report: ``print`` it for text,
+  ``.to_json()`` for data;
 * ``db.batch()`` applies several installs as one transactional swap.
 """
 
@@ -47,8 +48,9 @@ def main() -> None:
         print(f"  {s!r} -[{p!r}]-> {o!r}")
     print("as node pairs:", len(reach.pairs()))
 
-    # -- structured explain ---------------------------------------------- #
-    report = db.explain_report("join[1,3',3; 2=1'](E, E)")
+    # -- explain --------------------------------------------------------- #
+    report = db.explain("join[1,3',3; 2=1'](E, E)")
+    print(f"\nexplain:\n{report}")
     print("\nexplain --json (truncated):")
     print("\n".join(report.to_json().splitlines()[:8]), "\n  ...")
 

@@ -8,8 +8,8 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
   respects the operator typing, key, parameter, cache and cost
   invariants catalogued in :mod:`repro.analysis.invariants`.
   Wired into ``compile_plan`` behind the ``REPRO_PLAN_VERIFY``
-  environment variable and surfaced as ``repro lint-plan`` and the
-  ``verified`` field of ``explain --json``.
+  environment variable and surfaced as the ``violations`` of the
+  explain report (``repro explain``).
 * :mod:`repro.analysis.lint` — an ``ast``-based linter encoding the
   repository's own coding invariants (lock discipline, error-boundary
   typing, durable-write atomicity, env-var documentation).  Runnable
@@ -19,8 +19,8 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
   redundancy verdicts over TriAL(*) expressions (union-find closure of
   condition conjunctions, bottom-up emptiness).  The verdicts gate the
   optimizer's pruning rewrites and the planner's constant-empty
-  short-circuit, and surface as ``repro analyze``, the ``analysis``
-  field of ``explain --json`` and service-envelope warnings.
+  short-circuit, and surface as ``Database.analyze``, the ``analysis``
+  of the explain report and service-envelope warnings.
 """
 
 from repro.analysis.invariants import (

@@ -1,8 +1,8 @@
 """The invariant catalog: stable IDs for everything static analysis checks.
 
 Each entry pairs an ID with a one-line statement of the invariant.  IDs
-are the contract: tests assert on them, ``repro lint``/``lint-plan``/
-``repro analyze`` print them, and ARCHITECTURE.md documents them —
+are the contract: tests assert on them, ``repro lint`` and ``repro
+explain`` print them, and ARCHITECTURE.md documents them —
 renaming one is a breaking change to all three.
 
 Plan invariants (``PLAN-*``) are checked by
@@ -15,9 +15,8 @@ Semantic rules (``SEM-*``) are checked by
 ``SEM-UNSAT``/``SEM-DEAD-RULE``, Datalog programs).
 
 All three families report through one frozen :class:`Finding` record
-and share one ID namespace (:data:`RULES`), so ``--select``/``--ignore``
-work uniformly across ``repro lint``, ``repro lint-plan`` and
-``repro analyze``.
+and share one ID namespace (:data:`RULES`), which ``repro lint``'s
+``--select``/``--ignore`` filters validate against.
 """
 
 from __future__ import annotations
@@ -192,7 +191,8 @@ STORE_RULES: dict[str, str] = {
         "increasing in [0, n³), ρ codes in [0, |data values|)"
     ),
     "STOR-WAL": (
-        "every WAL record the commit pointer covers verifies, and every "
+        "the commit pointer is a JSON object whose offset and seq are "
+        "non-negative integers, every WAL record it covers verifies, and every "
         "record past the manifest's watermark decodes and applies to the "
         "dictionary it extends; bytes past the pointer (a torn tail) are "
         "recoverable by design and not a finding"
@@ -243,5 +243,5 @@ SEM_RULES: dict[str, str] = {
 
 
 #: Every analysis rule, one namespace — the ``--select``/``--ignore``
-#: vocabulary shared by ``repro lint``, ``lint-plan`` and ``analyze``.
+#: vocabulary of ``repro lint``.
 RULES: dict[str, str] = {**INVARIANTS, **LINT_RULES, **SEM_RULES, **STORE_RULES}

@@ -32,8 +32,9 @@ act on them.
 The verdict helpers (:func:`conditions_unsat`, :func:`condition_core`,
 :func:`expr_is_empty`, :func:`star_is_trivial`) gate the optimizer's
 pruning rewrites; :func:`analyze_expr` renders the verdicts as
-:class:`~repro.analysis.invariants.Finding` records for ``repro
-analyze``, ``explain`` and the service layer.  Soundness is
+:class:`~repro.analysis.invariants.Finding` records for
+:meth:`repro.db.Database.analyze`, the explain report (``repro
+explain``) and the service layer's warnings.  Soundness is
 differentially tested: every ``SEM-EMPTY``/``SEM-UNSAT`` verdict is
 confirmed actually-empty by ``NaiveEngine`` across a seeded sweep.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis.invariants import RULES, Finding
+from repro.analysis.invariants import Finding
 from repro.core.conditions import Cond, Conditions
 from repro.core.expressions import (
     Diff,
@@ -388,28 +389,11 @@ def _condition_findings(node: Expr) -> Iterable[Finding]:
         )
 
 
-def analyze_expr(
-    expr: Expr,
-    store=None,
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> list[Finding]:
+def analyze_expr(expr: Expr, store=None) -> list[Finding]:
     """All semantic findings for ``expr`` (deterministic order).
 
-    ``store`` (optional) enables ``SEM-UNKNOWN-REL``; ``select`` keeps
-    only the named rules, ``ignore`` drops them — both validated
-    against the shared :data:`~repro.analysis.invariants.RULES`
-    namespace, so a typo raises ``ValueError`` instead of silently
-    analyzing nothing.
+    ``store`` (optional) enables ``SEM-UNKNOWN-REL``.
     """
-    for name, ids in (("select", select), ("ignore", ignore)):
-        unknown = sorted(set(ids or ()) - set(RULES))
-        if unknown:
-            raise ValueError(
-                f"unknown {name} rule(s) {', '.join(unknown)}; known rules: "
-                + ", ".join(sorted(RULES))
-            )
     findings: list[Finding] = []
     memo: dict[Expr, bool] = {}
 
@@ -452,10 +436,4 @@ def analyze_expr(
                 )
             )
 
-    if select:
-        keep = set(select)
-        findings = [f for f in findings if f.rule in keep]
-    if ignore:
-        drop = set(ignore)
-        findings = [f for f in findings if f.rule not in drop]
     return findings

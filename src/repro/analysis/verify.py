@@ -17,8 +17,8 @@ Three entry points:
   :class:`~repro.errors.PlanVerificationError` on any violation; this
   is what ``compile_plan`` calls when ``REPRO_PLAN_VERIFY`` is on.
 * :func:`verify_compiled` — the check of a compiled query, its source
-  expression declaring the parameters; used by ``explain --json``'s
-  ``verified`` field and ``repro lint-plan``.
+  expression declaring the parameters; the explain report's
+  ``violations`` (``repro explain``).
 
 Every backend runs the same plan, so there is one verification per
 plan.  PLAN-SHARD is checked at run time, against real shard contents,

@@ -14,10 +14,13 @@ the value types its v2 surface trades in:
   ``$param``-placeholder) query once; ``stmt.execute(city="Edinburgh")``
   binds constants into the cached physical plan per execution
   (:func:`repro.core.params.bind_plan`), on any backend.
-* :class:`ExplainReport` — the structured explain: the logical analysis,
-  the compiled physical operator tree with cost estimates and the
-  backend that would run it, as data with :meth:`~ExplainReport.to_json` —
-  consumed by ``repro.cli explain --json`` and the golden tests.
+* :class:`ExplainReport` — the one explain: the fragment and the
+  paper's guarantee for it, the compiled physical operator tree with
+  cost estimates, the backend that would run it, the plan verifier's
+  violations and the semantic analyzer's findings.  ``str(report)`` is
+  the text ``repro explain`` prints, :meth:`~ExplainReport.to_json` the
+  data ``repro explain --json``, ``/v1/explain`` and the golden tests
+  read; :func:`explain_report` is its only builder.
 * :data:`LANGUAGES` — one registry mapping language names to their
   compile step, so ``db.query(text, lang=...)`` and ``db.prepare(...)``
   share a single compile path for TriAL, Datalog, GXPath, RPQs, NREs
@@ -32,11 +35,21 @@ from __future__ import annotations
 
 import json
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from repro.errors import AlgebraError, ReproError
-from repro.core.expressions import Expr
+from repro.errors import AlgebraError, PlanVerificationError, ReproError
+from repro.core.expressions import (
+    Diff,
+    Expr,
+    Star,
+    Universe,
+    in_reach_ta_eq,
+    in_trial,
+    in_trial_eq,
+    is_equality_only,
+    star_is_reach,
+)
 from repro.core.params import (
     canonicalize_constants,
     check_bindings,
@@ -51,6 +64,7 @@ from repro.core.plan import (
     ScanOp,
     StarOp,
 )
+from repro.core.semijoin import in_semijoin_algebra
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
     import numpy as np
@@ -360,13 +374,9 @@ class PreparedStatement:
         """The cached (parameterized, unbound) physical plan."""
         return self.db._cached_plan(self._canonical)
 
-    def explain(self, physical: bool = False) -> str:
-        """Text explain of the statement's (unbound) expression."""
-        return self.db.explain(self.expr, physical=physical)
-
-    def explain_report(self) -> "ExplainReport":
-        """The structured explain of the statement's expression."""
-        return self.db.explain_report(self.expr)
+    def explain(self) -> "ExplainReport":
+        """The explain of the statement's (unbound) expression."""
+        return self.db.explain(self.expr)
 
     def __repr__(self) -> str:
         params = ", ".join(f"${p}" for p in self.params) or "(none)"
@@ -421,20 +431,59 @@ def plan_to_dict(op: PlanOp) -> dict:
     return node
 
 
+def _fragment_of(expr: Expr) -> tuple[str, str]:
+    """The paper's Section 5 fragment of ``expr`` and its guarantee."""
+    if in_reach_ta_eq(expr):
+        if not in_trial_eq(expr):
+            return "reachTA=", "O(|e|·|O|·|T|) — Proposition 5"
+        if in_semijoin_algebra(expr):
+            return "semijoin algebra (⊆ TriAL=)", "O(|e|·|O|·|T|) — Proposition 4"
+        return "TriAL=", "O(|e|·|O|·|T|) — Proposition 4"
+    if in_trial(expr):
+        return "TriAL", "O(|e|·|T|²) — Theorem 3"
+    if is_equality_only(expr):
+        return (
+            "TriAL*= (equality-only, general stars)",
+            "O(|e|·|O|·|T|²) — Section 5 remark",
+        )
+    return "TriAL*", "O(|e|·|T|³) — Theorem 3"
+
+
+def _logical(expr: Expr) -> dict:
+    """The static features of ``expr`` that drive its cost."""
+    nodes = list(expr.walk())
+    stars = [n for n in nodes if isinstance(n, Star)]
+    fragment, guarantee = _fragment_of(expr)
+    return {
+        "size": expr.size(),
+        "relations": tuple(sorted(expr.relation_names())),
+        "recursive": bool(stars),
+        "n_stars": len(stars),
+        "n_reach_stars": sum(1 for s in stars if star_is_reach(s)),
+        "uses_universe": any(isinstance(n, Universe) for n in nodes),
+        "uses_complement": any(
+            isinstance(n, Diff) and isinstance(n.left, Universe) for n in nodes
+        ),
+        "equality_only": is_equality_only(expr),
+        "fragment": fragment,
+        "guarantee": guarantee,
+    }
+
+
 @dataclass(frozen=True)
 class ExplainReport:
-    """The structured explain: logical analysis + physical plan, as data.
+    """The explain of one query: logical analysis + physical plan, as data.
 
-    ``logical`` carries the static analysis fields of
-    :class:`repro.core.explain.Explanation`; ``plan`` the nested
-    operator tree of :func:`plan_to_dict` — the same tree on every
-    backend; ``backend`` names the one that would run it.  ``verified``
-    is the plan verifier's verdict
-    (:func:`repro.analysis.verify.verify_compiled`): ``True`` when the
-    compiled plan satisfies every static ``PLAN-*`` invariant.  ``analysis``
-    carries the semantic analyzer's findings
-    (:func:`repro.analysis.semantics.analyze_expr` — ``SEM-*`` rule IDs)
-    as finding dicts; an empty list means no verdicts fired.
+    ``logical`` carries the expression's fragment, the paper's guarantee
+    for it and the structural features that drive cost; ``plan`` the
+    nested operator tree of :func:`plan_to_dict` — the same tree on
+    every backend; ``backend`` names the one that would run it.
+    ``violations`` are the plan verifier's findings (``PLAN-*`` rule
+    IDs, as finding dicts) and ``verified`` is ``True`` when there are
+    none; a plan rejected inside compile has ``plan`` ``None``.
+    ``analysis`` carries the semantic analyzer's findings (``SEM-*``
+    rule IDs) for the query as written.  ``str(report)`` is the text
+    form, :meth:`to_json` the data form.
     """
 
     expression: str
@@ -443,9 +492,12 @@ class ExplainReport:
     backend: str
     compiled_by: str
     verified: bool
+    violations: tuple[dict, ...]
     analysis: tuple[dict, ...]
     statistics: Optional[dict]
-    plan: dict
+    plan: Optional[dict]
+    #: ``plan.pretty()`` — the exact estimates, for the text form.
+    plan_text: str = field(default="", repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -455,6 +507,7 @@ class ExplainReport:
             "backend": self.backend,
             "compiled_by": self.compiled_by,
             "verified": self.verified,
+            "violations": list(self.violations),
             "analysis": list(self.analysis),
             "statistics": self.statistics,
             "plan": self.plan,
@@ -464,52 +517,101 @@ class ExplainReport:
         """The report as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
-    def summary(self) -> str:
-        """A short text header (the full text form is ``explain_physical``)."""
-        return (
-            f"expression : {self.expression}\n"
-            f"fragment   : {self.logical['fragment']}\n"
-            f"backend    : {self.backend}\n"
-            f"compiled by: {self.compiled_by}"
+    def text(self) -> str:
+        """The plan with cost estimates, then one line per violation and
+        per semantic finding."""
+        from repro.analysis.invariants import Finding
+
+        lines = [
+            f"expression : {self.expression}",
+            f"fragment   : {self.logical['fragment']}",
+            f"guarantee  : {self.logical['guarantee']}",
+            f"compiled by: {self.compiled_by}",
+        ]
+        if self.backend != "set":
+            lines.append(f"backend    : {self.backend}")
+        stats = self.statistics
+        lines.append(
+            "statistics : "
+            + (
+                f"store with |T|={stats['triples']}, |O|={stats['objects']}"
+                if stats is not None
+                else "none (textbook defaults)"
+            )
         )
+        if self.plan is None:
+            lines.append("physical plan: rejected by the plan verifier")
+        else:
+            lines.append(
+                "physical plan (rows = output estimate, cost = cumulative):"
+            )
+            lines.append(self.plan_text)
+        lines += [f"violation  : {Finding(**v)}" for v in self.violations]
+        lines += [f"finding    : {Finding(**f)}" for f in self.analysis]
+        return "\n".join(lines)
+
+    __str__ = text
 
 
-def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
-    """Build the structured explain for one (already optimized) expression.
+def explain_report(
+    expr: Expr, store=None, engine=None, *, optimize: bool = True
+) -> ExplainReport:
+    """The explain of one expression — the builder behind every surface.
 
-    Mirrors :func:`repro.core.explain.explain_physical` — same engine
-    selection, same compilation — but returns data instead of text.
+    The semantic analyzer reads ``expr`` as written — the call
+    :meth:`repro.db.Database.analyze` makes — so verdicts the pruning
+    rewrites would consume are still reported.  The plan is compiled
+    from the optimized expression (``optimize=False``: as written) by
+    ``engine``; with no engine, or one that interprets directly, as a
+    default ``FastEngine`` session compiles it.  ``store`` anchors the
+    estimates in real statistics.  A plan that ``REPRO_PLAN_VERIFY``
+    rejects inside compile reports that rejection as its violations.
     """
-    from dataclasses import asdict
-
     from repro.analysis.semantics import analyze_expr
     from repro.analysis.verify import verify_compiled
-    from repro.core.explain import compile_for_explain
+    from repro.core.engines.base import PlanEngine
+    from repro.core.optimizer import optimize as optimize_expr
+    from repro.core.plan import compile_plan
 
-    report, plan, compiled_by = compile_for_explain(expr, store, engine)
-    verified = not verify_compiled(expr, plan)
     analysis = tuple(f.to_dict() for f in analyze_expr(expr, store))
-    statistics = None
-    if store is not None:
-        statistics = {"triples": len(store), "objects": store.n_objects}
-    backend_label = getattr(engine, "backend", "set")
-    if backend_label == "sharded":
-        backend_label = (
-            f"sharded({getattr(engine, 'shards', None)}-way, "
-            f"key position {getattr(engine, 'key_pos', 0) + 1})"
+    if optimize:
+        expr = optimize_expr(expr)
+    planned = isinstance(engine, PlanEngine)
+    compiled_by = type(engine).__name__ if planned else "FastEngine"
+    if engine is not None and not planned:
+        compiled_by += (
+            f" — note: {type(engine).__name__} interprets directly "
+            "and will not run this plan"
         )
-    logical = asdict(report)
-    logical.pop("expression", None)
+    plan: Optional[PlanOp] = None
+    try:
+        if planned:
+            plan = engine.compile(expr, store)
+        else:
+            plan = compile_plan(expr, store, use_reach=True)
+    except PlanVerificationError as exc:
+        violations = exc.violations
+    else:
+        violations = verify_compiled(expr, plan)
+    backend = getattr(engine, "backend", "set")
+    if backend == "sharded":
+        backend = f"sharded({engine.shards}-way, key position {engine.key_pos + 1})"
     return ExplainReport(
         expression=repr(expr),
         parameters=expr_params(expr),
-        logical=logical,
-        backend=backend_label,
+        logical=_logical(expr),
+        backend=backend,
         compiled_by=compiled_by,
-        verified=verified,
+        verified=not violations,
+        violations=tuple(v.to_dict() for v in violations),
         analysis=analysis,
-        statistics=statistics,
-        plan=plan_to_dict(plan),
+        statistics=(
+            {"triples": len(store), "objects": store.n_objects}
+            if store is not None
+            else None
+        ),
+        plan=plan_to_dict(plan) if plan is not None else None,
+        plan_text=plan.pretty() if plan is not None else "",
     )
 
 

@@ -24,8 +24,9 @@ Usage (after installation, or via ``python -m repro.cli``)::
     # Shard-parallel execution over the k-way hash-partitioned store
     python -m repro.cli query store.tstore "join[1,2,3'; 3=1'](E, E)" --backend sharded --shards 4
 
-    # Physical plans with cost estimates (store optional: anchors stats)
-    python -m repro.cli explain "star[1,2,3'; 3=1'](E)" --physical --store store.tstore
+    # Fragment, physical plan with cost estimates, plan violations and
+    # semantic findings (store optional: anchors stats); exit 1 on any
+    python -m repro.cli explain "star[1,2,3'; 3=1'](E)" --store store.tstore
     python -m repro.cli explain "join[1,2,3'; 3=1'](E, E)" --json
 
     # Datalog programs (translated to TriAL(*) and planned when possible)
@@ -61,7 +62,6 @@ from typing import Sequence
 
 from repro.api import ResultSet, explain_report
 from repro.core import ENGINE_REGISTRY, ShardedEngine
-from repro.core.optimizer import optimize
 from repro.core.parser import parse as parse_expr
 from repro.datalog import parse_program, validate_fragment
 from repro.db import BACKENDS, Database
@@ -151,7 +151,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.optimize:
         print(f"# optimized: {stmt.expr!r}", file=sys.stderr)
     if args.explain:
-        print(db.explain(stmt.expr, physical=True), file=sys.stderr)
+        print(db.explain(source, lang=args.lang), file=sys.stderr)
     result = stmt.execute(**bindings)
     if args.lang != "trial":
         _print_pairs(result.pairs(), limit)
@@ -222,19 +222,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core.explain import explain, explain_physical
-
-    expr = parse_expr(args.expression)
-    if args.optimize:
-        expr = optimize(expr)
-    if args.json or args.physical:
-        store = load_path(args.store) if args.store else None
-        if args.json:
-            print(explain_report(expr, store).to_json())
-        else:
-            print(explain_physical(expr, store))
-    else:
-        print(explain(expr).summary())
+    store = _open_store(args.store) if args.store else None
+    report = explain_report(
+        parse_expr(args.expression), store, optimize=args.optimize
+    )
+    print(report.to_json() if args.json else report)
+    if report.violations or report.analysis:
+        print(
+            f"{len(report.violations)} violation(s), "
+            f"{len(report.analysis)} finding(s)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -262,58 +261,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.semantics import analyze_expr
-
-    expr = parse_expr(args.expression)
-    if args.optimize:
-        expr = optimize(expr)
-    store = load_path(args.store) if args.store else None
-    try:
-        findings = analyze_expr(
-            expr,
-            store,
-            select=_rule_ids(args.select),
-            ignore=_rule_ids(args.ignore),
-        )
-    except ValueError as exc:
-        raise ReproError(str(exc)) from None
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    print("no findings", file=sys.stderr)
-    return 0
-
-
-def _cmd_lint_plan(args: argparse.Namespace) -> int:
-    from repro.analysis.verify import verify_compiled
-    from repro.core.explain import compile_for_explain
-    from repro.errors import PlanVerificationError
-
-    expr = parse_expr(args.expression)
-    if args.optimize:
-        expr = optimize(expr)
-    store = load_path(args.store) if args.store else None
-    try:
-        _, plan, _ = compile_for_explain(expr, store)
-    except PlanVerificationError as exc:
-        # REPRO_PLAN_VERIFY rejected the plan inside compile itself;
-        # report its violations the same way a post-hoc verify would.
-        violations = exc.violations or (str(exc),)
-    else:
-        violations = verify_compiled(expr, plan)
-    for violation in violations:
-        print(violation)
-    if violations:
-        print(f"{len(violations)} violation(s)", file=sys.stderr)
-        return 1
-    n_ops = sum(1 for _ in plan.walk())
-    print(f"plan verified: {n_ops} operator(s), 0 violations", file=sys.stderr)
     return 0
 
 
@@ -524,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--explain",
         action="store_true",
-        help="print the physical plan (with cost estimates) to stderr first",
+        help="print the explain report (plan with cost estimates, "
+        "violations, findings) to stderr first",
     )
     q.add_argument("--limit", type=int, default=20, help="max rows (0 = all)")
     q.set_defaults(func=_cmd_query)
@@ -545,54 +493,29 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("store")
     i.set_defaults(func=_cmd_info)
 
-    e = sub.add_parser("explain", help="static analysis of an expression")
+    e = sub.add_parser(
+        "explain",
+        help="fragment, physical plan, plan violations and semantic "
+        "findings of an expression (exit 1 on any violation or finding)",
+    )
     e.add_argument("expression", help="expression in the TriAL text syntax")
-    e.add_argument("--optimize", action="store_true")
     e.add_argument(
-        "--physical",
+        "--optimize",
         action="store_true",
-        help="print the compiled physical plan with cost estimates",
+        help="compile the optimized expression (findings always describe "
+        "the expression as written)",
     )
     e.add_argument(
         "--json",
         action="store_true",
-        help="print the structured explain report (logical analysis + "
-        "physical plan + costs) as JSON",
+        help="print the report as JSON",
     )
     e.add_argument(
         "--store",
-        help="optional store file anchoring the plan's statistics",
+        help="optional store (io text file or durable directory) anchoring "
+        "the plan's statistics; enables the unknown-relation check",
     )
     e.set_defaults(func=_cmd_explain)
-
-    an = sub.add_parser(
-        "analyze",
-        help="semantic analysis: satisfiability, emptiness, redundancy",
-    )
-    an.add_argument("expression", help="expression in the TriAL text syntax")
-    an.add_argument(
-        "--store",
-        help="optional store file; enables the unknown-relation check",
-    )
-    an.add_argument(
-        "--optimize",
-        action="store_true",
-        help="apply rewrites first (verdicts then describe the optimized "
-        "query — pruning rewrites typically consume the findings)",
-    )
-    an.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="comma-separated SEM-* rule IDs to report exclusively",
-    )
-    an.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="comma-separated SEM-* rule IDs to skip",
-    )
-    an.set_defaults(func=_cmd_analyze)
 
     lt = sub.add_parser(
         "lint", help="check the repository's own coding invariants"
@@ -621,18 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule IDs to skip",
     )
     lt.set_defaults(func=_cmd_lint)
-
-    lp = sub.add_parser(
-        "lint-plan",
-        help="statically verify the compiled physical plan of an expression",
-    )
-    lp.add_argument("expression", help="expression in the TriAL text syntax")
-    lp.add_argument("--optimize", action="store_true", help="apply rewrites first")
-    lp.add_argument(
-        "--store",
-        help="optional store file anchoring the plan's statistics",
-    )
-    lp.set_defaults(func=_cmd_lint_plan)
 
     s = sub.add_parser(
         "serve", help="serve stores over HTTP/WebSocket (the query service)"

@@ -12,8 +12,8 @@ evaluates through one seam::
     db.query("a/b-", lang="gxpath").pairs()         # any registered language
     stmt = db.prepare("select[2=$label](E)")        # compiled once
     stmt.execute(label="part_of")                   # bound per execution
-    report = db.explain_report("star[1,2,3'; 3=1'](E)")
-    report.to_json()                                # structured explain
+    report = db.explain("star[1,2,3'; 3=1'](E)")
+    print(report); report.to_json()                 # text or data
 
     with db.batch():                                # transactional mutations
         db.install("Closure", "star[1,2,3'; 3=1'](E)")
@@ -48,7 +48,7 @@ from repro.api import (
     ResultSet,
     _ColumnarRows,
     _SetRows,
-    explain_report as _build_explain_report,
+    explain_report,
     get_language,
 )
 from repro.core.engines.base import Engine, PlanEngine
@@ -594,25 +594,18 @@ class Database:
         """
         return self._cached_plan(self._logical(query))
 
-    def explain(self, query: Query, physical: bool = False) -> str:
-        """A logical analysis of ``query``, or the physical plan text."""
-        from repro.core.explain import explain, explain_physical
-
-        expr = self._logical(query)
-        if physical:
-            return explain_physical(expr, self.store, engine=self.engine)
-        return explain(expr).summary()
-
-    def explain_report(self, query: Any, lang: str = "trial") -> ExplainReport:
-        """The structured explain — logical tree, physical ops, costs
-        and backend — with ``.to_json()``."""
+    def explain(self, query: Any, lang: str = "trial") -> ExplainReport:
+        """The explain of ``query``: its fragment, the plan this session
+        runs, the verifier's violations and the semantic findings of
+        :meth:`analyze` — ``str()`` for text, ``.to_json()`` for data."""
         compiled = get_language(lang).compile(self, query)
         if isinstance(compiled, NativeQuery):
             raise ReproError(
                 f"{lang} query has no algebraic translation to explain"
             )
-        expr = optimize_expr(compiled) if self.optimize else compiled
-        return _build_explain_report(expr, self.store, engine=self.engine)
+        return explain_report(
+            compiled, self.store, self.engine, optimize=self.optimize
+        )
 
     def analyze(self, query: Any, lang: str = "trial") -> tuple:
         """Semantic findings (``SEM-*`` rules) for a query, unexecuted.

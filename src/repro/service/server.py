@@ -485,9 +485,7 @@ class QueryServer:
         if req["query"] is None:
             raise ProtocolError("explain needs a 'query' field")
         session = self.pool.session(req["tenant"])
-        return session.db.explain_report(
-            req["query"], lang=req["lang"]
-        ).to_dict()
+        return session.db.explain(req["query"], lang=req["lang"]).to_dict()
 
     # -- WebSocket streaming ------------------------------------------- #
 

@@ -20,7 +20,6 @@ design) and is not reported as a finding.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from typing import Iterator
@@ -30,7 +29,7 @@ from repro.storage import catalog as _catalog
 from repro.storage.dictionary import decode_dictionary
 from repro.storage.manager import MANIFEST_NAME, WAL_DIR, read_manifest, replay_record
 from repro.storage.segments import SegmentStore, open_store_segments, read_segment
-from repro.storage.wal import WriteAheadLog, read_record, scan_records
+from repro.storage.wal import WriteAheadLog, read_pointer, read_record, scan_records
 from repro.errors import StorageError, StoreCorruptionError
 
 __all__ = ["fsck_store"]
@@ -95,17 +94,11 @@ def _check_wal(root: str, manifest: dict, store: SegmentStore | None) -> Iterato
     wal_dir = os.path.join(root, WAL_DIR)
     log_path = os.path.join(wal_dir, WriteAheadLog.LOG)
     commit_path = os.path.join(wal_dir, WriteAheadLog.COMMIT)
-    committed, _pointer_seq = 0, 0
-    if os.path.exists(commit_path):
-        try:
-            with open(commit_path, "rb") as fp:
-                doc = json.loads(fp.read())
-            committed = int(doc["offset"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            yield Finding(
-                "STOR-WAL", f"commit pointer is unreadable: {exc}", path=commit_path
-            )
-            return
+    try:
+        committed, _pointer_seq = read_pointer(wal_dir)
+    except (OSError, StoreCorruptionError) as exc:
+        yield Finding("STOR-WAL", f"commit pointer is unreadable: {exc}", path=commit_path)
+        return
     try:
         with open(log_path, "rb") as fp:
             raw = fp.read()

@@ -94,6 +94,7 @@ __all__ = [
     "LoggedBatch",
     "WriteAheadLog",
     "encode_record",
+    "read_pointer",
     "read_record",
     "scan_records",
 ]
@@ -233,6 +234,37 @@ def scan_records(raw: bytes) -> tuple[list[tuple[int, bytes]], int]:
     return records, off
 
 
+def read_pointer(wal_dir: str | os.PathLike) -> tuple[int, int]:
+    """The ``(offset, seq)`` of the ``COMMIT`` pointer in ``wal_dir``.
+
+    ``(0, 0)`` when there is none.  Raises :class:`StoreCorruptionError`
+    unless the pointer is a JSON object whose ``offset`` and ``seq`` are
+    each a non-negative ``int`` (``bool`` is not one).
+    """
+    path = os.path.join(os.fspath(wal_dir), WriteAheadLog.COMMIT)
+    try:
+        with open(path, "rb") as fp:
+            raw = fp.read()
+    except FileNotFoundError:
+        return 0, 0
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:
+        raise StoreCorruptionError(
+            f"WAL commit pointer {path} is not valid JSON: {exc}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise StoreCorruptionError(f"WAL commit pointer {path} is not a JSON object")
+    for name in ("offset", "seq"):
+        value = doc.get(name)
+        if type(value) is not int or value < 0:
+            raise StoreCorruptionError(
+                f"WAL commit pointer {path} has {name} {value!r}, not a "
+                "non-negative integer"
+            )
+    return doc["offset"], doc["seq"]
+
+
 class WriteAheadLog:
     """The per-store WAL: ``wal.log`` + the ``COMMIT`` pointer file."""
 
@@ -254,18 +286,6 @@ class WriteAheadLog:
     # Recovery
     # ------------------------------------------------------------------ #
 
-    def _read_pointer(self) -> tuple[int, int]:
-        try:
-            with open(self.commit_path, "rb") as fp:
-                data = json.loads(fp.read())
-            return int(data["offset"]), int(data["seq"])
-        except FileNotFoundError:
-            return 0, 0
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreCorruptionError(
-                f"WAL commit pointer {self.commit_path} is unreadable: {exc}"
-            ) from exc
-
     def recover(self, *, min_seq: int = 0) -> list[tuple[int, bytes]]:
         """Repair the log and return the committed records to replay.
 
@@ -276,7 +296,7 @@ class WriteAheadLog:
         are already folded into segments), in log order, for
         :func:`read_record`.
         """
-        committed, pointer_seq = self._read_pointer()
+        committed, pointer_seq = read_pointer(self.dir)
         try:
             with open(self.log_path, "rb") as fp:
                 raw = fp.read()

@@ -15,7 +15,7 @@ The planner (:mod:`repro.core.plan`) uses these numbers to pick hash
 join build sides, estimate equality selectivities and decide between a
 full scan and an index lookup.
 
-When planning without a store (e.g. ``repro explain --physical`` with no
+When planning without a store (e.g. ``repro explain`` with no
 data file), :data:`DEFAULT_STATS` supplies fixed textbook assumptions so
 cost estimates are still well-defined, just unanchored.
 """

@@ -447,14 +447,6 @@ def test_cli_lint_subcommand(two_rule_tree):
     assert cli_main(["lint", "--root", str(REPO_ROOT)]) == 0
 
 
-def test_cli_lint_plan_subcommand(capsys):
-    from repro.cli import main as cli_main
-
-    rc = cli_main(["lint-plan", "join[1,2,3'; 3=1'](E, E)"])
-    assert rc == 0
-    assert "plan verified" in capsys.readouterr().err
-
-
 def test_scripts_lint_wrapper():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")

@@ -180,19 +180,6 @@ def test_sem_unknown_rel_needs_a_store():
     assert analyze_expr(R("E"), STORE) == []
 
 
-def test_select_ignore_filter_and_validation():
-    expr = select(Diff(R("E"), R("E")), "1=2 & 2=1")
-    assert rules_of(analyze_expr(expr)) == ["SEM-EMPTY", "SEM-REDUNDANT"]
-    only = analyze_expr(expr, select=["SEM-EMPTY"])
-    assert rules_of(only) == ["SEM-EMPTY"]
-    none = analyze_expr(expr, ignore=["SEM-EMPTY", "SEM-REDUNDANT"])
-    assert none == []
-    with pytest.raises(ValueError, match="SEM-BOGUS"):
-        analyze_expr(expr, select=["SEM-BOGUS"])
-    # Any unified-namespace rule is accepted (even if never produced).
-    assert analyze_expr(expr, select=["PLAN-ARITY"]) == []
-
-
 def test_every_sem_rule_has_a_trigger_in_this_corpus():
     """The corpus above covers the whole SEM-* catalog (SEM-DEAD-RULE
     lives in the Datalog tests below)."""
@@ -326,7 +313,7 @@ def test_provably_empty_queries_compile_to_empty_plans(backend):
     from repro.db import Database
 
     with Database(STORE, backend=backend) as db:
-        report = db.explain_report("select[1='a' & 1='b'](E)")
+        report = db.explain("select[1='a' & 1='b'](E)")
         assert report.plan["op"] == "Empty"
         assert report.plan["est_rows"] == 0.0
         assert list(db.query("select[1='a' & 1='b'](E)")) == []
@@ -356,11 +343,11 @@ def test_explain_report_carries_analysis_findings():
     from repro.db import Database
 
     with Database(STORE, optimize=False) as db:
-        report = db.explain_report("select[1='a' & 1='b'](E)")
+        report = db.explain("select[1='a' & 1='b'](E)")
         rules = {f["rule"] for f in report.analysis}
         assert "SEM-UNSAT" in rules and "SEM-EMPTY" in rules
         assert "analysis" in report.to_dict()
-        clean = db.explain_report("E")
+        clean = db.explain("E")
         assert clean.analysis == ()
 
 
@@ -388,30 +375,8 @@ def test_finding_to_dict_is_minimal():
 
 
 # --------------------------------------------------------------------- #
-# CLI and service surfaces
+# Service surface
 # --------------------------------------------------------------------- #
-
-
-def test_cli_analyze_exit_codes(capsys):
-    from repro.cli import main as cli_main
-
-    assert cli_main(["analyze", "select[1='a' & 1='b'](E)"]) == 1
-    out = capsys.readouterr()
-    assert "SEM-UNSAT" in out.out and "finding(s)" in out.err
-    assert cli_main(["analyze", "E"]) == 0
-    assert "no findings" in capsys.readouterr().err
-    assert cli_main(["analyze", "(E - E)", "--ignore", "SEM-EMPTY"]) == 0
-    assert (
-        cli_main(["analyze", "select[1=2 & 2=1](E)", "--select", "SEM-REDUNDANT"])
-        == 1
-    )
-
-
-def test_cli_analyze_optimized_consumes_findings(capsys):
-    from repro.cli import main as cli_main
-
-    assert cli_main(["analyze", "select[1=2 & 2=1](E)", "--optimize"]) == 0
-    capsys.readouterr()
 
 
 def test_service_envelopes_carry_analysis_warnings():

@@ -497,7 +497,7 @@ class TestThreadSafety:
 class TestExplainReport:
     def test_report_round_trips_through_json(self):
         db = Database(STORE)
-        report = db.explain_report("join[1,2,3'; 3=1'](select[2='p'](E), F)")
+        report = db.explain("join[1,2,3'; 3=1'](select[2='p'](E), F)")
         data = json.loads(report.to_json())
         assert data["logical"]["fragment"].startswith("TriAL")
         assert data["statistics"] == {"triples": len(STORE), "objects": STORE.n_objects}
@@ -513,27 +513,27 @@ class TestExplainReport:
         assert {"HashJoin", "IndexLookup", "Scan"} <= kinds
 
     def test_report_shows_parameters(self):
-        report = Database(STORE).explain_report("select[2=$x](E)")
+        report = Database(STORE).explain("select[2=$x](E)")
         assert report.parameters == ("x",)
         assert "$x" in report.to_json()
 
     def test_sharded_report_names_backend_over_the_set_plan(self):
         query = "join[1,2,3'; 3=1'](E, E)"
         data = json.loads(
-            Database(STORE, backend="sharded", shards=3).explain_report(query).to_json()
+            Database(STORE, backend="sharded", shards=3).explain(query).to_json()
         )
         assert data["backend"].startswith("sharded(3-way")
-        assert data["plan"] == Database(STORE).explain_report(query).to_dict()["plan"]
+        assert data["plan"] == Database(STORE).explain(query).to_dict()["plan"]
 
     def test_columnar_report_names_backend_over_the_set_plan(self):
         query = "star[1,2,3'; 3=1'](E)"
         data = json.loads(
-            Database(STORE, backend="columnar").explain_report(query).to_json()
+            Database(STORE, backend="columnar").explain(query).to_json()
         )
         assert data["backend"] == "columnar"
         assert data["plan"]["op"] == "ReachStar"
         assert "strategy" not in data["plan"]
-        assert data["plan"] == Database(STORE).explain_report(query).to_dict()["plan"]
+        assert data["plan"] == Database(STORE).explain(query).to_dict()["plan"]
 
     def test_function_form_without_store(self):
         report = explain_report(parse("star[1,2,3'; 3=1'](E)"))

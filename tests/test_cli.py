@@ -46,6 +46,13 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "optimized" in err
 
+    def test_explain_flag_prints_the_report(self, store_path, capsys):
+        code = main(["query", store_path, "select[1='a' & 1='b'](E)", "--explain"])
+        assert code == 0  # the findings inform; the query still runs
+        err = capsys.readouterr().err
+        assert "physical plan (rows = output estimate" in err
+        assert "finding    : SEM-UNSAT" in err
+
     def test_limit_truncates(self, store_path, capsys):
         assert main(["query", store_path, "E", "--limit", "2"]) == 0
         out = capsys.readouterr().out
@@ -134,6 +141,7 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "reachTA=" in out
         assert "Proposition 5" in out
+        assert "ReachStar" in out
 
     def test_explain_with_optimize(self, capsys):
         assert main(["explain", "select[](E) | select[](E)", "--optimize"]) == 0
@@ -149,6 +157,7 @@ class TestExplain:
         data = json.loads(capsys.readouterr().out)
         assert data["plan"]["op"] == "HashJoin"
         assert data["statistics"] == {"triples": 7, "objects": 11}
+        assert data["violations"] == [] and data["analysis"] == []
 
     def test_explain_json_operator_kinds(self, capsys):
         import json
@@ -161,3 +170,125 @@ class TestExplain:
             "op", "label", "est_rows", "est_cost", "out", "conditions",
             "build_side", "access", "children",
         }
+
+    def test_explain_json_names_the_session_plan(self, store_path, capsys):
+        """With no engine, the report compiles as a default session does:
+        reach stars run as ReachStar, not as a semi-naive Star."""
+        import json
+
+        from repro import Database
+        from repro.api import plan_to_dict
+        from repro.triplestore import load_path
+
+        query = "(star[1,2,3'; 3=1'](E) | select[1!=3](E))"
+        assert main(["explain", query, "--json", "--store", store_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        expected = plan_to_dict(Database(load_path(store_path)).plan(query))
+        assert data["plan"] == expected
+        assert data["plan"]["children"][0]["op"] == "ReachStar"
+
+    def test_explain_store_directory(self, tmp_path, capsys):
+        from repro import Database
+
+        root = tmp_path / "durable"
+        db = Database(path=root)
+        db.install("E", figure1().relation("E"))
+        db.close()
+        assert main(["explain", "E", "--store", str(root)]) == 0
+        assert "|T|=7, |O|=11" in capsys.readouterr().out
+
+    # The semantic findings of the query as written.
+
+    def test_findings_exit_one(self, capsys):
+        assert main(["explain", "select[1='a' & 1='b'](E)"]) == 1
+        out = capsys.readouterr()
+        assert "finding    : SEM-UNSAT" in out.out
+        assert "0 violation(s), 2 finding(s)" in out.err
+        assert main(["explain", "(E - E)"]) == 1
+        assert "finding    : SEM-EMPTY" in capsys.readouterr().out
+        assert main(["explain", "select[1=2 & 2=1](E)"]) == 1
+        assert "finding    : SEM-REDUNDANT" in capsys.readouterr().out
+
+    def test_findings_describe_the_query_as_written(self, capsys):
+        """--optimize changes the plan, not the findings: the pruning
+        rewrites would otherwise consume them."""
+        assert main(["explain", "select[1=2 & 2=1](E)", "--optimize"]) == 1
+        out = capsys.readouterr().out
+        assert "expression : select[2=1](E)" in out
+        assert "finding    : SEM-REDUNDANT" in out
+
+    def test_findings_in_json(self, capsys):
+        import json
+
+        assert main(["explain", "(E - E)", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in data["analysis"]] == ["SEM-EMPTY"]
+
+    def test_unknown_relation_needs_a_store(self, store_path, capsys):
+        assert main(["explain", "Zzz"]) == 0
+        capsys.readouterr()
+        assert main(["explain", "Zzz", "--store", store_path]) == 1
+        assert "SEM-UNKNOWN-REL" in capsys.readouterr().out
+
+    # The plan verifier's violations.
+
+    def test_clean_plan_exits_zero(self, capsys):
+        assert main(["explain", "join[1,2,3'; 3=1'](E, E)"]) == 0
+        out = capsys.readouterr()
+        assert "violation" not in out.out and out.err == ""
+
+    def test_violations_exit_one(self, capsys, monkeypatch):
+        from repro.analysis.invariants import Violation
+
+        bad = Violation("PLAN-COST", "negative cost", op="Scan(E)")
+        monkeypatch.setattr(
+            "repro.analysis.verify.verify_compiled", lambda expr, plan: (bad,)
+        )
+        assert main(["explain", "E"]) == 1
+        out = capsys.readouterr()
+        assert "violation  : PLAN-COST negative cost (at Scan(E))" in out.out
+        assert "1 violation(s), 0 finding(s)" in out.err
+
+    def test_compile_time_rejection_exits_one(self, capsys, monkeypatch):
+        """A plan REPRO_PLAN_VERIFY refuses inside compile is reported
+        as the report's violations, with no plan."""
+        import json
+
+        from repro.analysis.invariants import Violation
+        from repro.errors import PlanVerificationError
+
+        bad = Violation("PLAN-KEY", "bad key", op="Scan(E)")
+
+        def refuse(plan, *, expr=None, params=None):
+            raise PlanVerificationError("rejected", (bad,))
+
+        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
+        monkeypatch.setattr("repro.analysis.verify.assert_plan_valid", refuse)
+        assert main(["explain", "E", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["plan"] is None and data["verified"] is False
+        assert data["violations"] == [bad.to_dict()]
+
+    def test_one_explain_command(self, capsys):
+        """Plan, violations and findings are one command with one flag
+        set; no other command explains, verifies or analyzes a query."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {
+            "query", "datalog", "info", "explain", "lint", "serve", "fsck",
+            "compact", "dump", "connect",
+        }
+        flags = {
+            opt for a in sub.choices["explain"]._actions for opt in a.option_strings
+        }
+        assert flags == {"-h", "--help", "--optimize", "--json", "--store"}
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "E", "--physical"])
+        assert exc.value.code == 2
+        capsys.readouterr()

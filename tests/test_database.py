@@ -165,18 +165,18 @@ class TestCaching:
 
 
 class TestExplain:
-    def test_logical_explain(self, db):
-        text = db.explain("star[1,2,3'; 3=1'](E)")
+    def test_explain_names_the_fragment(self, db):
+        text = str(db.explain("star[1,2,3'; 3=1'](E)"))
         assert "reachTA=" in text
 
-    def test_physical_explain_shows_plan_and_costs(self, db):
-        text = db.explain("join[1,3',3; 2=1'](E, E)", physical=True)
+    def test_explain_shows_plan_and_costs(self, db):
+        text = str(db.explain("join[1,3',3; 2=1'](E, E)"))
         assert "HashJoin" in text
         assert "cost≈" in text
         assert "|T|=7" in text
 
-    def test_physical_explain_routes_reach_star(self, db):
-        text = db.explain("star[1,2,3'; 3=1'](E)", physical=True)
+    def test_explain_routes_reach_star(self, db):
+        text = str(db.explain("star[1,2,3'; 3=1'](E)"))
         assert "ReachStar" in text
 
 

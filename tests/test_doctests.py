@@ -8,7 +8,6 @@ import repro.automata.nfa
 import repro.automata.regex
 import repro.core.builder
 import repro.core.conditions
-import repro.core.explain
 import repro.core.optimizer
 import repro.core.parser
 import repro.core.positions
@@ -24,7 +23,6 @@ MODULES = [
     repro.automata.regex,
     repro.core.builder,
     repro.core.conditions,
-    repro.core.explain,
     repro.core.optimizer,
     repro.core.parser,
     repro.core.positions,

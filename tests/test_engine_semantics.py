@@ -214,12 +214,11 @@ class TestFastEngineSpecifics:
         [
             lambda db, q: db.query(q),
             lambda db, q: db.prepare(q).execute(),
-            lambda db, q: db.explain(q, physical=True),
+            lambda db, q: db.explain(q),
             lambda db, q: db.plan(q),
-            lambda db, q: db.explain_report(q),
             lambda db, q: db.engine.evaluate(db._coerce(q), db.store),
         ],
-        ids=["query", "prepare", "explain", "plan", "explain_report", "evaluate"],
+        ids=["query", "prepare", "explain", "plan", "evaluate"],
     )
     def test_strict_refuses_on_every_entry_point(self, small_store, entry):
         db = Database(small_store, FastEngine(strict=True))

@@ -1,10 +1,12 @@
-"""Golden-file tests for ``explain --physical`` and ``explain --json``.
+"""Golden-file tests for the explain report: ``repro explain``'s text
+and its ``--json`` data.
 
 Plan *shape* regressions — a lost index lookup, a flipped build side, a
 reach star degrading to a generic fixpoint — should be caught in review
 as a readable golden-file diff, not weeks later by a benchmark.  The
 goldens pin the full explain output (header + operator tree with cost
-estimates) for a fixed store whose statistics are deterministic.  Every
+estimates, then any violation or finding) for a fixed store whose
+statistics are deterministic.  Every
 backend compiles the same plan, so only the set backend has golden
 files; the columnar and sharded renders must match them below the
 header lines that name the backend.
@@ -21,10 +23,10 @@ import os
 
 import pytest
 
+from repro.api import explain_report
 from repro.core.engines.hashjoin import FastEngine
 from repro.core.engines.sharded import ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
-from repro.core.explain import explain_physical
 from repro.core.parser import parse
 from repro.triplestore.model import Triplestore
 
@@ -64,17 +66,13 @@ BACKENDS = {
 
 
 def _render(query: str, backend: str) -> str:
-    expr = parse(query)
-    engine = BACKENDS[backend]()
-    return explain_physical(expr, GOLDEN_STORE, engine=engine) + "\n"
+    report = explain_report(parse(query), GOLDEN_STORE, BACKENDS[backend]())
+    return report.text() + "\n"
 
 
 def _render_json(query: str, backend: str) -> str:
-    from repro.api import explain_report
-
-    expr = parse(query)
-    engine = BACKENDS[backend]()
-    return explain_report(expr, GOLDEN_STORE, engine=engine).to_json() + "\n"
+    report = explain_report(parse(query), GOLDEN_STORE, BACKENDS[backend]())
+    return report.to_json() + "\n"
 
 
 #: The lines above the plan that name who compiled it and what runs it.
@@ -107,7 +105,7 @@ def _golden(name: str, suffix: str, rendered: str) -> str:
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("name,query", CASES, ids=[c[0] for c in CASES])
 def test_explain_json_matches_golden(name, query, backend):
-    """The structured report (``explain --json``) is pinned like the text.
+    """The report's data form (``explain --json``) is pinned like the text.
 
     Only the set backend has golden files: every backend compiles the
     same plan, so the columnar and sharded reports must equal the set
@@ -133,18 +131,18 @@ def test_explain_json_matches_golden(name, query, backend):
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("name,query", CASES, ids=[c[0] for c in CASES])
-def test_explain_physical_matches_golden(name, query, backend):
+def test_explain_text_matches_golden(name, query, backend):
     rendered = _render(query, backend)
     if backend != "set":
         expected = _below_header(_golden(name, "txt", _render(query, "set")))
         assert _below_header(rendered) == expected, (
-            f"the {backend} physical plan differs from the set backend's "
+            f"the {backend} explain text differs from the set backend's "
             "below its header; every backend must explain the same plan"
         )
         return
     expected = _golden(name, "txt", rendered)
     assert rendered == expected, (
-        f"explain --physical output drifted from {name}_set.txt; if the plan "
+        f"explain output drifted from {name}_set.txt; if the plan "
         "change is intentional, regenerate with UPDATE_GOLDEN=1"
     )
 
@@ -162,14 +160,10 @@ def test_goldens_differ_between_backends():
     }
     assert headers == {
         "set": ["compiled by: FastEngine"],
-        "columnar": [
-            "compiled by: VectorEngine",
-            "backend    : columnar (vectorised packed-array execution)",
-        ],
+        "columnar": ["compiled by: VectorEngine", "backend    : columnar"],
         "sharded": [
             "compiled by: ShardedEngine",
-            "backend    : sharded (4-way hash-partitioned columnar "
-            "execution, key position 1)",
+            "backend    : sharded(4-way, key position 1)",
         ],
     }
     reports = {backend: json.loads(_render_json(query, backend)) for backend in BACKENDS}

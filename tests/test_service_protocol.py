@@ -349,6 +349,22 @@ def test_unknown_lang_unknown_tenant_bad_param_are_4xx(server):
             assert decoded["error"]["type"] == want_type, payload
 
 
+def test_explain_analysis_matches_query_warnings(server):
+    """/v1/explain and /v1/query report one analysis for one query: the
+    findings on the query as written, before the optimizer prunes it."""
+    query = "(E | select[1='a' & 1='b'](E))"
+    status, page = _post_raw(
+        server, "/v1/query", json.dumps({"query": query}).encode()
+    )
+    assert status == 200
+    status, report = _post_raw(
+        server, "/v1/explain", json.dumps({"query": query}).encode()
+    )
+    assert status == 200
+    assert [f["rule"] for f in page["analysis"]] == ["SEM-UNSAT", "SEM-EMPTY"]
+    assert report["analysis"] == page["analysis"]
+
+
 # --------------------------------------------------------------------- #
 # WebSocket frame fuzzing
 # --------------------------------------------------------------------- #

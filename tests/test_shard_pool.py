@@ -19,7 +19,7 @@ import pytest
 from repro.core import FastEngine, ShardedEngine, VectorEngine
 from repro.core.engines import sharded
 from repro.core.engines.sharded import ShardedExecContext
-from repro.core.explain import explain_physical
+from repro.api import explain_report
 from repro.core.parser import parse
 from repro.db import Database
 from repro.errors import UnknownRelationError
@@ -120,13 +120,10 @@ def test_small_store_never_touches_the_pool():
     refusing.map.assert_not_called()
 
 
-def test_explain_physical_names_no_executor():
+def test_explain_names_no_executor():
     expr = parse("join[1,2,3'; 3=1'](E0, E1)")
-    rendered = explain_physical(expr, STORE, engine=ShardedEngine(shards=4))
-    assert (
-        "backend    : sharded (4-way hash-partitioned columnar execution, "
-        "key position 1)"
-    ) in rendered
+    rendered = str(explain_report(expr, STORE, ShardedEngine(shards=4)))
+    assert "backend    : sharded(4-way, key position 1)" in rendered
     assert "executor" not in rendered
     assert "shm" not in rendered
 

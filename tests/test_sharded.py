@@ -398,8 +398,8 @@ class TestBackendWiring:
 
     def test_explain_mentions_backend_not_a_strategy(self, store):
         db = Database(store, backend="sharded", shards=4)
-        text = db.explain("join[1,2,3'; 3=1'](E, E)", physical=True)
-        assert "backend    : sharded (4-way hash-partitioned" in text
+        text = str(db.explain("join[1,2,3'; 3=1'](E, E)"))
+        assert "backend    : sharded(4-way, key position 1)" in text
         assert "shard=" not in text
 
     def test_cli_backend_flag(self, tmp_path, capsys):
@@ -427,17 +427,16 @@ class TestBackendWiring:
         assert main(["query", str(path), "E", "--shards", "2"]) == 1
         assert "--shards" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["explain", "lint-plan"])
     @pytest.mark.parametrize("flags", [["--backend", "sharded"], ["--shards", "4"]])
-    def test_cli_plan_commands_take_no_backend(self, command, flags, capsys):
-        """One plan for every backend: ``explain`` and ``lint-plan`` have
-        no backend to compile for."""
+    def test_cli_explain_takes_no_backend(self, flags, capsys):
+        """One plan for every backend: ``explain`` has no backend to
+        compile for."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
-            main([command, "join[1,2,3'; 3=1'](E, E)", *flags])
+            main(["explain", "join[1,2,3'; 3=1'](E, E)", *flags])
         assert exc.value.code == 2
-        assert main(["explain", "join[1,2,3'; 3=1'](E, E)", "--physical"]) == 0
+        assert main(["explain", "join[1,2,3'; 3=1'](E, E)"]) == 0
         assert "shard=" not in capsys.readouterr().out
 
 

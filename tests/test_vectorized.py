@@ -362,7 +362,7 @@ class TestBackendWiring:
 
     def test_explain_mentions_backend_not_a_strategy(self, store):
         db = Database(store, backend="columnar")
-        text = db.explain("star[1,2,3'; 3=1'](E)", physical=True)
+        text = str(db.explain("star[1,2,3'; 3=1'](E)"))
         assert "backend    : columnar" in text
         assert "[dense]" not in text and "[sparse]" not in text
 

@@ -345,6 +345,44 @@ class TestHardening:
         ds.close()
 
 
+#: Commit-pointer values that are not a non-negative ``int``.
+BAD_POINTER_VALUES = ["Infinity", "-5", '"0"', "true", "1.5", "[0, 1]"]
+
+
+class TestCommitPointer:
+    """The ``COMMIT`` pointer is checked like the manifest: a JSON
+    object whose ``offset`` and ``seq`` are non-negative ints."""
+
+    @staticmethod
+    def _restamp(root: str, text: str) -> None:
+        with open(os.path.join(root, "wal", "COMMIT"), "w") as fp:
+            fp.write(text)
+
+    @pytest.mark.parametrize("value", BAD_POINTER_VALUES)
+    @pytest.mark.parametrize("field", ["offset", "seq"])
+    def test_a_bad_field_is_corruption(self, tmp_path, field, value):
+        root = base_store(tmp_path)
+        with open(os.path.join(root, "wal", "COMMIT")) as fp:
+            pointer = json.load(fp)
+        pointer[field] = "BAD"
+        self._restamp(root, json.dumps(pointer).replace('"BAD"', value))
+        message = refused(root)
+        assert "commit pointer" in message and field in message, message
+
+    @pytest.mark.parametrize("value", BAD_POINTER_VALUES + ["{}", '{"offset": 0}'])
+    def test_a_bad_document_is_corruption(self, tmp_path, value):
+        root = base_store(tmp_path)
+        self._restamp(root, value)
+        assert "commit pointer" in refused(root)
+
+    def test_a_good_pointer_still_opens(self, tmp_path):
+        root = base_store(tmp_path)
+        assert fsck_store(root) == []
+        ds = DurableStore(root)
+        assert relations_of(ds.open())["F"] == frozenset(F)
+        ds.close()
+
+
 def _values_of(text: bytes, count: int) -> bytes:
     return struct.pack("<QQI", len(text), count, zlib.crc32(text)) + zlib.compress(text)
 
