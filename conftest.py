@@ -10,9 +10,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
-
-# Static plan verification is on for the whole test run (every compiled
-# plan is checked against the repro.analysis invariants) unless the
-# environment explicitly opts out, e.g. ``REPRO_PLAN_VERIFY=0`` to
-# benchmark the unverified hot path.
-os.environ.setdefault("REPRO_PLAN_VERIFY", "1")

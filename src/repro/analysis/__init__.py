@@ -7,9 +7,9 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
   (:mod:`repro.core.plan`) that proves, without executing, that a plan
   respects the operator typing, key, parameter, cache and cost
   invariants catalogued in :mod:`repro.analysis.invariants`.
-  Wired into ``compile_plan`` behind the ``REPRO_PLAN_VERIFY``
-  environment variable and surfaced as the ``violations`` of the
-  explain report (``repro explain``).
+  ``compile_plan`` runs it on every plan it builds; a rejection
+  surfaces as the ``violations`` of the explain report
+  (``repro explain``).
 * :mod:`repro.analysis.lint` — an ``ast``-based linter encoding the
   repository's own coding invariants (lock discipline, error-boundary
   typing, durable-write atomicity, env-var documentation).  Runnable
@@ -31,7 +31,7 @@ from repro.analysis.invariants import (
     Finding,
     Violation,
 )
-from repro.analysis.verify import assert_plan_valid, verify_compiled, verify_plan
+from repro.analysis.verify import assert_plan_valid, verify_plan
 
 __all__ = [
     "INVARIANTS",
@@ -41,6 +41,5 @@ __all__ = [
     "Finding",
     "Violation",
     "assert_plan_valid",
-    "verify_compiled",
     "verify_plan",
 ]

@@ -103,7 +103,7 @@ INVARIANTS: dict[str, str] = {
         "always resolve it"
     ),
     "PLAN-SHARD": (
-        "shard partitions are what they claim: with REPRO_PLAN_VERIFY on, "
+        "shard partitions are what they claim: "
         "the sharded executor re-hashes the actual rows of every operand "
         "a set operation or fixpoint consumes as partitioned, and raises "
         "when a shard holds rows hashed to another — a dropped exchange "

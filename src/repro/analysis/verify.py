@@ -10,15 +10,13 @@ compiled plan always verifies clean and any mutation — hand-built
 plans, future rewrite passes, bugs in a join enumerator — that breaks
 an executor assumption is caught before the executor trusts it.
 
-Three entry points:
+Two entry points:
 
 * :func:`verify_plan` — the core pass; returns the violations.
 * :func:`assert_plan_valid` — raises
   :class:`~repro.errors.PlanVerificationError` on any violation; this
-  is what ``compile_plan`` calls when ``REPRO_PLAN_VERIFY`` is on.
-* :func:`verify_compiled` — the check of a compiled query, its source
-  expression declaring the parameters; the explain report's
-  ``violations`` (``repro explain``).
+  is what ``compile_plan`` calls on every plan it builds, and what the
+  explain report's ``violations`` (``repro explain``) come from.
 
 Every backend runs the same plan, so there is one verification per
 plan.  PLAN-SHARD is checked at run time, against real shard contents,
@@ -46,7 +44,7 @@ from repro.core.plan import (
 )
 from repro.errors import PlanVerificationError
 
-__all__ = ["assert_plan_valid", "verify_compiled", "verify_plan"]
+__all__ = ["assert_plan_valid", "verify_plan"]
 
 
 def _unique_ops(plan: PlanOp) -> Iterator[PlanOp]:
@@ -311,15 +309,3 @@ def assert_plan_valid(
             f"compiled plan violates {len(violations)} invariant(s): {detail}",
             violations,
         )
-
-
-def verify_compiled(
-    expr: Expr, plan: PlanOp, *, params=None
-) -> tuple[Violation, ...]:
-    """Verify a compiled plan against the expression it was compiled from.
-
-    The verdict matches what ``REPRO_PLAN_VERIFY=1`` enforces inside
-    :func:`~repro.core.plan.compile_plan` — whichever engine compiled
-    the plan, since every engine compiles the same one.
-    """
-    return verify_plan(plan, expr=expr, params=params)

@@ -50,6 +50,7 @@ from repro.core.expressions import (
     is_equality_only,
     star_is_reach,
 )
+from repro.core.optimizer import optimize
 from repro.core.params import (
     canonicalize_constants,
     check_bindings,
@@ -332,17 +333,21 @@ class ResultSet(AbstractSet):
 class PreparedStatement:
     """One compiled query, executable under many parameter bindings.
 
-    Created by :meth:`repro.db.Database.prepare`.  The source is
-    compiled (parse → optimize → constant canonicalization → physical
-    plan) exactly once; :meth:`execute` substitutes the binding into
-    the cached plan (:func:`repro.core.params.bind_plan`) — a shallow
-    structural copy, not a recompilation — and runs it on the session's
-    backend.  Results are session-cached per binding.
+    Created by :meth:`repro.db.Database.prepare`, and once per call by
+    :meth:`repro.db.Database.query`.  The expression is optimized and
+    its constants canonicalized into parameters once; the session plans
+    the canonical expression once and caches it, and :meth:`execute`
+    substitutes the binding into that plan
+    (:func:`repro.core.params.bind_plan`) — a shallow structural copy,
+    not a recompilation — and runs it on the session's backend.  Plans
+    and results are session-cached by the canonical expression, so every
+    spelling the optimizer folds to one expression shares them.
 
     Attributes
     ----------
     expr:
-        The optimized logical expression, user ``$params`` intact.
+        The logical expression as written, user ``$params`` intact —
+        what :meth:`explain` analyzes.
     params:
         The parameter names :meth:`execute` expects as keywords.
     """
@@ -354,16 +359,13 @@ class PreparedStatement:
         self.lang = lang
         self.expr = expr
         self.params = expr_params(expr)
-        self._canonical, self._consts = canonicalize_constants(expr)
-        # Compile (and cache) the parameterized plan up front: prepare
-        # pays the planning cost once, execute only ever binds.
-        db._cached_plan(self._canonical)
+        self._canonical, self._consts = canonicalize_constants(optimize(expr))
 
     def execute(self, **bindings: Any) -> ResultSet:
         """Run the statement with ``bindings`` for its ``$params``."""
         check_bindings(self.params, bindings)
         return self.db._execute_canonical(
-            self.expr, self._canonical, {**self._consts, **bindings}
+            self._canonical, {**self._consts, **bindings}
         )
 
     def executemany(self, bindings_seq) -> list[ResultSet]:
@@ -375,7 +377,7 @@ class PreparedStatement:
         return self.db._cached_plan(self._canonical)
 
     def explain(self) -> "ExplainReport":
-        """The explain of the statement's (unbound) expression."""
+        """The explain of the statement's (unbound) expression as written."""
         return self.db.explain(self.expr)
 
     def __repr__(self) -> str:
@@ -553,29 +555,25 @@ class ExplainReport:
     __str__ = text
 
 
-def explain_report(
-    expr: Expr, store=None, engine=None, *, optimize: bool = True
-) -> ExplainReport:
+def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
     """The explain of one expression — the builder behind every surface.
 
     The semantic analyzer reads ``expr`` as written — the call
     :meth:`repro.db.Database.analyze` makes — so verdicts the pruning
     rewrites would consume are still reported.  The plan is compiled
-    from the optimized expression (``optimize=False``: as written) by
+    from the optimized expression, as every session runs it, by
     ``engine``; with no engine, or one that interprets directly, as a
     default ``FastEngine`` session compiles it.  ``store`` anchors the
-    estimates in real statistics.  A plan that ``REPRO_PLAN_VERIFY``
-    rejects inside compile reports that rejection as its violations.
+    estimates in real statistics.  Compiling verifies the plan, so its
+    only violations are those of a plan the verifier rejected inside
+    compile; that plan is ``None``.
     """
     from repro.analysis.semantics import analyze_expr
-    from repro.analysis.verify import verify_compiled
     from repro.core.engines.base import PlanEngine
-    from repro.core.optimizer import optimize as optimize_expr
     from repro.core.plan import compile_plan
 
     analysis = tuple(f.to_dict() for f in analyze_expr(expr, store))
-    if optimize:
-        expr = optimize_expr(expr)
+    expr = optimize(expr)
     planned = isinstance(engine, PlanEngine)
     compiled_by = type(engine).__name__ if planned else "FastEngine"
     if engine is not None and not planned:
@@ -584,6 +582,7 @@ def explain_report(
             "and will not run this plan"
         )
     plan: Optional[PlanOp] = None
+    violations = ()
     try:
         if planned:
             plan = engine.compile(expr, store)
@@ -591,8 +590,6 @@ def explain_report(
             plan = compile_plan(expr, store, use_reach=True)
     except PlanVerificationError as exc:
         violations = exc.violations
-    else:
-        violations = verify_compiled(expr, plan)
     backend = getattr(engine, "backend", "set")
     if backend == "sharded":
         backend = f"sharded({engine.shards}-way, key position {engine.key_pos + 1})"

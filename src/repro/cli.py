@@ -139,17 +139,13 @@ def _make_engine(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    db = Database.open(
-        args.store, engine=_make_engine(args), optimize=args.optimize
-    )
+    db = Database.open(args.store, engine=_make_engine(args))
     bindings = _parse_bindings(args.param)
     limit = None if args.limit == 0 else args.limit
     if args.lang != "trial" and bindings:
         raise ReproError("--param only applies to TriAL queries")
     source = parse_expr(args.expression) if args.lang == "trial" else args.expression
     stmt = db.prepare(source, lang=args.lang)
-    if args.optimize:
-        print(f"# optimized: {stmt.expr!r}", file=sys.stderr)
     if args.explain:
         print(db.explain(source, lang=args.lang), file=sys.stderr)
     result = stmt.execute(**bindings)
@@ -223,9 +219,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     store = _open_store(args.store) if args.store else None
-    report = explain_report(
-        parse_expr(args.expression), store, optimize=args.optimize
-    )
+    report = explain_report(parse_expr(args.expression), store)
     print(report.to_json() if args.json else report)
     if report.violations or report.analysis:
         print(
@@ -467,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
     )
-    q.add_argument("--optimize", action="store_true", help="apply rewrites first")
     q.add_argument(
         "--explain",
         action="store_true",
@@ -499,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "findings of an expression (exit 1 on any violation or finding)",
     )
     e.add_argument("expression", help="expression in the TriAL text syntax")
-    e.add_argument(
-        "--optimize",
-        action="store_true",
-        help="compile the optimized expression (findings always describe "
-        "the expression as written)",
-    )
     e.add_argument(
         "--json",
         action="store_true",

@@ -92,8 +92,9 @@ class PlanEngine(Engine):
 
     A subclass declares its configuration: ``use_reach`` and its
     :meth:`context` (which of the three execution contexts runs the
-    plan).  Everything else — ``compile``, ``execute_plan``, the
-    per-expression plan cache behind ``evaluate`` — is owned here once.
+    plan).  Everything else — ``compile``, ``execute_plan`` and
+    ``evaluate`` (the two composed) — is owned here once.  Plans are
+    cached by :class:`~repro.db.Database`, not by the engine.
     Array backends additionally expose ``execute_plan_keys(plan, store)
     -> (columnar view, packed keys)``, the undecoded twin of
     :meth:`execute_plan`; callers pick it *by presence*, so set-backed
@@ -102,13 +103,6 @@ class PlanEngine(Engine):
 
     #: Route reach-shaped stars to the Prop 4/5 operators when planning?
     use_reach = True
-
-    #: Max prepared plans kept per engine instance.
-    _PLAN_CACHE_SIZE = 64
-
-    def __init__(self, max_universe_objects: int = 400) -> None:
-        super().__init__(max_universe_objects)
-        self._plan_cache: dict[Expr, PlanOp] = {}
 
     def context(self, store: Triplestore) -> ExecContext:
         """A fresh execution context over ``store``."""
@@ -123,17 +117,7 @@ class PlanEngine(Engine):
         return self.context(store).execute(plan)
 
     def evaluate(self, expr: Expr, store: Triplestore) -> TripleSet:
-        # Prepared-statement style: a plan is *correct* for any store
-        # (execution resolves relations and indexes against the store
-        # it is given; statistics only picked the strategy), so plans
-        # are cached per expression.
-        plan = self._plan_cache.get(expr)
-        if plan is None:
-            if len(self._plan_cache) >= self._PLAN_CACHE_SIZE:
-                self._plan_cache.clear()
-            plan = self.compile(expr, store)
-            self._plan_cache[expr] = plan
-        return self.execute_plan(plan, store)
+        return self.execute_plan(self.compile(expr, store), store)
 
 
 def project_out(left: Triple, right: Triple, out: tuple[int, int, int]) -> Triple:

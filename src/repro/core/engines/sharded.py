@@ -78,7 +78,6 @@ from repro.core.plan import (
     StarOp,
     UnionOp,
     UniverseOp,
-    plan_verify_enabled,
 )
 from repro.triplestore.columnar import sorted_unique
 from repro.triplestore.model import Triplestore
@@ -259,7 +258,6 @@ class ShardedExecContext:
         "k",
         "pool",
         "_memo",
-        "_verify",
     )
 
     def __init__(
@@ -278,10 +276,6 @@ class ShardedExecContext:
         self.k = self.ss.k
         self.pool = pool
         self._memo: dict[int, ShardedKeys] = {}
-        #: Cached REPRO_PLAN_VERIFY verdict: the PLAN-SHARD check
-        #: re-checks claimed partitions where the executor relies on
-        #: them (set ops, fixpoint accumulators).
-        self._verify = plan_verify_enabled()
 
     # -- entry points --------------------------------------------------- #
 
@@ -332,17 +326,17 @@ class ShardedExecContext:
         return ShardedKeys(shards, pos)
 
     def _check_partition(self, sk: ShardedKeys, what: str) -> ShardedKeys:
-        """The PLAN-SHARD invariant, checked at run time (``REPRO_PLAN_VERIFY``).
+        """The PLAN-SHARD invariant, checked at run time.
 
         ``_repartition`` trusts ``part_pos`` and short-circuits when it
         already matches the target — exactly the step a stale partition
         claim would corrupt (shard-wise set algebra on shards that are
-        not disjoint).  With verification on, consumers that rely on the
-        disjoint-partition invariant re-check the claim against the
-        actual shard contents first.
+        not disjoint).  So consumers that rely on the disjoint-partition
+        invariant (set ops, fixpoint accumulators) re-check the claim
+        against the actual shard contents first.
         """
         pos = sk.part_pos
-        if not self._verify or pos is None:
+        if pos is None:
             return sk
         for s, shard in enumerate(sk.shards):
             if len(shard) and not (self.ss.shard_ids(shard, pos) == s).all():

@@ -30,7 +30,6 @@ plans for the same query, which is all a planner needs.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import AlgebraError, EvaluationBudgetError
@@ -69,21 +68,8 @@ __all__ = [
     "ExecContext",
     "JoinSpec",
     "compile_plan",
-    "plan_verify_enabled",
     "split_conditions",
 ]
-
-#: Environment flag gating static plan verification inside compile_plan.
-#: Off by default (the hot path pays nothing); the test suite and every
-#: CI job switch it on so no unverified plan shape ships unnoticed.
-PLAN_VERIFY_ENV = "REPRO_PLAN_VERIFY"
-
-
-def plan_verify_enabled() -> bool:
-    """Whether ``REPRO_PLAN_VERIFY`` asks for verification at compile time."""
-    return os.environ.get(PLAN_VERIFY_ENV, "").strip().lower() not in (
-        "", "0", "false", "off", "no",
-    )
 
 TripleSet = frozenset[Triple]
 
@@ -802,6 +788,10 @@ def compile_plan(
     one relation whatever represents the store.  Representation choices
     that depend on the data (dense vs sparse reachability, shard
     exchanges) are made by the executors, on the store they run over.
+
+    Every plan is checked by :func:`repro.analysis.verify.assert_plan_valid`
+    before it is returned: a plan that breaks an executor invariant
+    raises :class:`~repro.errors.PlanVerificationError` here, never runs.
     """
     if stats is None:
         stats = store.stats() if store is not None else DEFAULT_STATS
@@ -831,11 +821,10 @@ def compile_plan(
             return op
 
         plan = compile_node(expr)
-    if plan_verify_enabled():
-        # Imported lazily: repro.analysis.verify imports this module.
-        from repro.analysis.verify import assert_plan_valid
+    # Imported lazily: repro.analysis.verify imports this module.
+    from repro.analysis.verify import assert_plan_valid
 
-        assert_plan_valid(plan, expr=expr)
+    assert_plan_valid(plan, expr=expr)
     return plan
 
 

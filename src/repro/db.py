@@ -56,15 +56,7 @@ from repro.core.engines.hashjoin import FastEngine
 from repro.core.engines.sharded import ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
 from repro.core.expressions import Expr, Universe
-from repro.core.optimizer import optimize as optimize_expr
-from repro.core.params import (
-    bind_plan,
-    canonicalize_constants,
-    check_bindings,
-    expr_params,
-    substitute_params,
-)
-from repro.core.parser import parse as parse_expr
+from repro.core.params import bind_plan, substitute_params
 from repro.core.plan import PlanOp, compile_plan
 from repro.errors import ReproError
 from repro.triplestore.model import Triple, Triplestore, freeze_triples
@@ -278,9 +270,6 @@ class Database:
         executor; kept so existing callers keep working, and slated for
         removal.  Any other value raises: the process shard executor was
         removed in 3.0.0.  Invalid with any other backend.
-    optimize:
-        Apply the logical rewrites of :mod:`repro.core.optimizer` before
-        planning (default True).
     cache_size:
         Max entries in each of the plan, result and auxiliary LRU caches;
         0 disables caching.  The result cache is also bounded in rows:
@@ -297,7 +286,6 @@ class Database:
         backend: str | None = None,
         shards: int | None = None,
         executor: str | None = None,
-        optimize: bool = True,
         cache_size: int = 128,
     ) -> None:
         # Lifecycle attributes first, so close() after a failed open (or
@@ -364,7 +352,6 @@ class Database:
         self.store = store
         self.engine = engine
         self.backend = backend
-        self.optimize = optimize
         # Answers are triplestores again and no bound in |T| holds for
         # their size, so the result cache is bounded in rows by the store
         # it would be re-used against; plans and aux entries are small
@@ -439,18 +426,9 @@ class Database:
         return db
 
     # ------------------------------------------------------------------ #
-    # Core query path: compile → canonicalize → plan → bind → execute
+    # Core query path: compile → optimize → canonicalize → plan → bind →
+    # execute, for every algebraic query through a PreparedStatement
     # ------------------------------------------------------------------ #
-
-    def _coerce(self, query: Query) -> Expr:
-        if isinstance(query, str):
-            return parse_expr(query)
-        return query
-
-    def _logical(self, query: Query) -> Expr:
-        """The (optionally optimised) logical expression for ``query``."""
-        expr = self._coerce(query)
-        return optimize_expr(expr) if self.optimize else expr
 
     def _dep_token(self, expr: Expr) -> tuple:
         """The expression's dependency versions — part of every cache key.
@@ -478,13 +456,18 @@ class Database:
         the query are bound from keyword arguments.  Returns a lazy
         :class:`~repro.api.ResultSet`; binary-convention languages
         (gxpath/rpq/nre) conventionally read ``.pairs()`` off it.
+
+        An algebraic query runs as a one-shot
+        :class:`~repro.api.PreparedStatement`, so it shares plan and
+        result cache entries with :meth:`prepare` and with every
+        spelling the optimizer folds to the same expression.
         """
         compiled = get_language(lang).compile(self, query)
         if isinstance(compiled, NativeQuery):
             if bindings:
                 raise ReproError(f"{lang} queries take no $parameters")
             return ResultSet.from_set(compiled.run(self))
-        return self._run_expr(compiled, bindings)
+        return PreparedStatement(self, compiled, lang).execute(**bindings)
 
     def prepare(self, query: Any, lang: str = "trial") -> PreparedStatement:
         """Compile a (possibly ``$param``-placeholder) query once.
@@ -501,24 +484,11 @@ class Database:
                 f"{lang} query has no algebraic translation and cannot be "
                 "prepared; run it with query(...)"
             )
-        expr = optimize_expr(compiled) if self.optimize else compiled
-        return PreparedStatement(self, expr, lang)
-
-    def _run_expr(self, expr: Expr, bindings: Mapping[str, Any]) -> ResultSet:
-        """Execute a TriAL expression with ``bindings`` for its parameters."""
-        check_bindings(expr_params(expr), bindings)
-        key = (
-            expr,
-            tuple(sorted(bindings.items(), key=lambda kv: kv[0])),
-            self._dep_token(expr),
-        )
-        payload = self._results.get(key, lambda: self._compute_payload(expr, bindings))
-        return self._wrap(payload)
-
-    def _compute_payload(self, expr: Expr, bindings: Mapping[str, Any]):
-        prepared = optimize_expr(expr) if self.optimize else expr
-        canonical, consts = canonicalize_constants(prepared)
-        return self._execute_payload(canonical, {**consts, **bindings})
+        stmt = PreparedStatement(self, compiled, lang)
+        # Compile (and cache) the parameterized plan up front: prepare
+        # pays the planning cost once, execute only ever binds.
+        stmt.plan()
+        return stmt
 
     def _execute_payload(self, canonical: Expr, all_bindings: Mapping[str, Any]):
         """Run a canonical (parameterized) expression under a full binding.
@@ -553,30 +523,23 @@ class Database:
         return self._plans.get(key, lambda: compile_plan(expr, self.store))
 
     def _execute_canonical(
-        self,
-        expr: Expr,
-        canonical: Expr,
-        all_bindings: Mapping[str, Any],
+        self, canonical: Expr, all_bindings: Mapping[str, Any]
     ) -> ResultSet:
-        """Prepared-statement execution: cached per (statement, binding).
+        """Run a canonical expression, cached per (expression, binding).
 
         The key carries the *full* binding — user parameters plus the
         canonicalized constants — because statements differing only in
-        embedded constants share one canonical expression.
+        embedded constants share one canonical expression.  The
+        dependency token ends the key (:meth:`_invalidate` reads it).
         """
         key = (
-            "stmt",
             canonical,
             tuple(sorted(all_bindings.items(), key=lambda kv: kv[0])),
-            self._dep_token(expr),
+            self._dep_token(canonical),
         )
         payload = self._results.get(
             key, lambda: self._execute_payload(canonical, all_bindings)
         )
-        return self._wrap(payload)
-
-    @staticmethod
-    def _wrap(payload) -> ResultSet:
         # The rows payload object itself is what the result cache holds,
         # so its lazily-decoded state (sort order, decoded frozenset) is
         # shared across repeated queries; only the window state of the
@@ -584,15 +547,17 @@ class Database:
         return ResultSet(payload)
 
     def plan(self, query: Query) -> PlanOp:
-        """The physical plan the session's engine would execute — cached.
+        """The physical plan the session's engine executes for ``query``.
 
-        Shown with the query's own constants (the execution path shares
-        one canonicalized plan across constants; see :meth:`prepare`).
-        Raises :class:`~repro.errors.ReproError` subclasses on parse
-        errors; engines without a planner (e.g. NaiveEngine) are
-        planned with the default compiler for inspection purposes.
+        That is the statement's cached, canonical plan with the query's
+        own constants bound in (:func:`~repro.core.params.bind_plan`);
+        its ``$params`` stay unbound.  Raises
+        :class:`~repro.errors.ReproError` subclasses on parse errors;
+        engines without a planner (e.g. NaiveEngine) are planned with
+        the default compiler for inspection purposes.
         """
-        return self._cached_plan(self._logical(query))
+        stmt = PreparedStatement(self, get_language("trial").compile(self, query))
+        return bind_plan(stmt.plan(), stmt._consts)
 
     def explain(self, query: Any, lang: str = "trial") -> ExplainReport:
         """The explain of ``query``: its fragment, the plan this session
@@ -603,9 +568,7 @@ class Database:
             raise ReproError(
                 f"{lang} query has no algebraic translation to explain"
             )
-        return explain_report(
-            compiled, self.store, self.engine, optimize=self.optimize
-        )
+        return explain_report(compiled, self.store, self.engine)
 
     def analyze(self, query: Any, lang: str = "trial") -> tuple:
         """Semantic findings (``SEM-*`` rules) for a query, unexecuted.

@@ -87,11 +87,12 @@ class UnboundParameterError(AlgebraError):
 
 
 class PlanVerificationError(AlgebraError):
-    """A compiled physical plan failed static verification.
+    """A compiled physical plan failed verification.
 
-    Raised by :func:`repro.analysis.verify.assert_plan_valid` (and, when
-    ``REPRO_PLAN_VERIFY`` is enabled, by ``compile_plan`` itself) when a
-    plan violates one of the operator invariants catalogued in
+    Raised by :func:`repro.analysis.verify.assert_plan_valid` — so by
+    ``compile_plan``, which calls it on every plan — and by the sharded
+    executor's run-time partition check, when a plan violates one of
+    the operator invariants catalogued in
     :mod:`repro.analysis.invariants`.  ``violations`` carries the full
     tuple of :class:`repro.analysis.invariants.Violation` records; the
     message lists every invariant ID so logs stay actionable even where

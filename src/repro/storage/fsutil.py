@@ -10,12 +10,6 @@ through the two disciplines encoded here (and enforced by the
 * *rename is not durable by itself* — after ``os.replace`` the
   containing directory is ``fsync``'d too, so the new directory entry
   survives power loss.
-
-``REPRO_STORAGE_SYNC=0`` turns every ``fsync`` into a no-op.  That
-trades crash-durability for speed (useful for throwaway test stores on
-tmpfs); the write-ordering protocol — tmp file, rename, single-record
-WAL commits — is unchanged, so *process* crashes (as opposed to kernel
-crashes) still recover exactly.
 """
 
 from __future__ import annotations
@@ -24,36 +18,23 @@ import os
 from typing import Union
 
 __all__ = [
-    "SYNC_ENV",
     "atomic_write_bytes",
     "fsync_dir",
-    "fsync_enabled",
     "fsync_fileobj",
     "tmp_sibling",
 ]
 
-#: Environment switch: set to ``0`` to skip fsync calls (unsafe-fast mode).
-SYNC_ENV = "REPRO_STORAGE_SYNC"
-
 PathLike = Union[str, os.PathLike]
-
-
-def fsync_enabled() -> bool:
-    """Whether fsync calls are live (default) or elided (``REPRO_STORAGE_SYNC=0``)."""
-    return os.environ.get(SYNC_ENV, "1") != "0"
 
 
 def fsync_fileobj(fileobj) -> None:
     """Flush a buffered file object and fsync its descriptor."""
     fileobj.flush()
-    if fsync_enabled():
-        os.fsync(fileobj.fileno())
+    os.fsync(fileobj.fileno())
 
 
 def fsync_dir(path: PathLike) -> None:
     """Fsync a directory so renames/creations inside it are durable."""
-    if not fsync_enabled():
-        return
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -74,8 +55,6 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     tmp = tmp_sibling(path)
     with open(tmp, "wb") as fp:
         fp.write(data)
-        fp.flush()
-        if fsync_enabled():
-            os.fsync(fp.fileno())
+        fsync_fileobj(fp)
     os.replace(tmp, path)
     fsync_dir(os.path.dirname(path) or ".")

@@ -76,6 +76,22 @@ MANIFEST_NAME = "MANIFEST"
 WAL_DIR = "wal"
 
 
+def _read_wal_limit() -> int:
+    """``REPRO_STORAGE_WAL_LIMIT`` in bytes (16 MiB when unset)."""
+    raw = os.environ.get(WAL_LIMIT_ENV)
+    if raw is None:
+        return _DEFAULT_WAL_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = None
+    if limit is None or limit < 0:
+        raise StorageError(
+            f"{WAL_LIMIT_ENV} must be a non-negative int (bytes), got {raw!r}"
+        )
+    return limit
+
+
 def _is_count(value: object) -> bool:
     """A non-negative ``int`` (``bool`` is not one)."""
     return type(value) is int and value >= 0
@@ -198,16 +214,12 @@ class DurableStore:
         self.store_version = 0
         #: The generation on disk and the objects its files hold.
         self._current: Generation | None = None
+        #: Set by :meth:`open`, so a commit never reads the environment.
+        self._wal_limit = _DEFAULT_WAL_LIMIT
 
     @property
     def manifest_path(self) -> str:
         return os.path.join(self.root, MANIFEST_NAME)
-
-    def _wal_limit(self) -> int:
-        try:
-            return int(os.environ.get(WAL_LIMIT_ENV, _DEFAULT_WAL_LIMIT))
-        except ValueError:
-            return _DEFAULT_WAL_LIMIT
 
     # ------------------------------------------------------------------ #
     # Open / recover
@@ -229,8 +241,11 @@ class DurableStore:
         format (see :func:`read_manifest`), and
         :class:`StoreCorruptionError` when the committed state on disk
         cannot be trusted — the manifest of a store that committed is
-        gone, say; a torn WAL tail is repaired silently.
+        gone, say; a torn WAL tail is repaired silently.  A
+        ``REPRO_STORAGE_WAL_LIMIT`` that is not a non-negative integer
+        raises :class:`StorageError` before anything is read.
         """
+        self._wal_limit = _read_wal_limit()
         os.makedirs(self.root, exist_ok=True)
         try:
             manifest = read_manifest(self.root)
@@ -343,7 +358,7 @@ class DurableStore:
 
     def maybe_compact(self, db: "Database") -> bool:
         """Auto-compact when the WAL outgrows its limit; True if it did."""
-        if self.wal is not None and self.wal.size > self._wal_limit():
+        if self.wal is not None and self.wal.size > self._wal_limit:
             self.snapshot(db.store, db._rel_versions, db._store_version)
             return True
         return False

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.errors import StoreCorruptionError, UnknownRelationError
 from repro.storage.dictionary import _MAX_RATIO, decode_dictionary, encode_dictionary
-from repro.storage.fsutil import fsync_dir, fsync_enabled, tmp_sibling
+from repro.storage.fsutil import fsync_dir, fsync_fileobj, tmp_sibling
 from repro.triplestore.columnar import ColumnarStore
 from repro.triplestore.dictionary import ObjectIndex
 from repro.triplestore.model import DEFAULT_RELATION, Triple, Triplestore
@@ -122,9 +122,7 @@ def write_segment(path: str | os.PathLike, kind: int, payload: bytes) -> int:
     with open(tmp, "wb") as fp:
         fp.write(_pack_header(kind, len(payload), crc))
         fp.write(payload)
-        fp.flush()
-        if fsync_enabled():
-            os.fsync(fp.fileno())
+        fsync_fileobj(fp)
     os.replace(tmp, path)
     return crc
 

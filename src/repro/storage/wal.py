@@ -84,7 +84,7 @@ import numpy as np
 
 from repro.errors import StoreCorruptionError, StorageError
 from repro.storage.dictionary import decode_values, encode_values
-from repro.storage.fsutil import atomic_write_bytes, fsync_enabled
+from repro.storage.fsutil import atomic_write_bytes, fsync_fileobj
 from repro.storage.segments import check_keys
 from repro.triplestore.columnar import EncodedBatch
 
@@ -312,9 +312,7 @@ class WriteAheadLog:
             # Torn tail from a crash mid-append: drop it.
             with open(self.log_path, "r+b") as fp:
                 fp.truncate(valid_end)
-                fp.flush()
-                if fsync_enabled():
-                    os.fsync(fp.fileno())
+                fsync_fileobj(fp)
         last_seq = max([pointer_seq, min_seq] + [seq for seq, _ in records])
         if valid_end != committed or last_seq != pointer_seq:
             # Promote durable-but-unacknowledged records into the pointer.
@@ -362,8 +360,7 @@ class WriteAheadLog:
         fp.write(record)
         fp.flush()
         _fault("wal-before-sync")
-        if fsync_enabled():
-            os.fsync(fp.fileno())
+        os.fsync(fp.fileno())
         _fault("wal-before-commit")
         self.offset += len(record)
         self._write_pointer(self.offset, seq)
@@ -389,9 +386,7 @@ class WriteAheadLog:
             pass  # ensure it exists before truncating
         with open(self.log_path, "r+b") as fp:
             fp.truncate(0)
-            fp.flush()
-            if fsync_enabled():
-                os.fsync(fp.fileno())
+            fsync_fileobj(fp)
         self.offset = 0
         self._write_pointer(0, seq)
         self.next_seq = seq + 1

@@ -18,9 +18,9 @@ clock-free — what is pinned is structure and counted work:
     many rounds it runs, an index lookup evaluates its residual on the
     looked-up rows only;
 (d) *one-sided joins* touch each operand row once, not each pair;
-(e) *differential* — the engine matrix agrees with ``NaiveEngine`` under
-    ``REPRO_PLAN_VERIFY=1``, also with the offsets switched off and with
-    the composite key forced to overflow into pair conditions.
+(e) *differential* — the engine matrix agrees with ``NaiveEngine``, every
+    plan verified, also with the offsets switched off and with the
+    composite key forced to overflow into pair conditions.
 """
 
 from __future__ import annotations
@@ -538,9 +538,8 @@ def _assert_agree(failures):
     assert not failures, failures[0].snippet()
 
 
-def test_engine_matrix_agrees_with_plan_verification_on(monkeypatch):
+def test_engine_matrix_agrees_with_plan_verification_on():
     """Naive ≡ Hash ≡ Fast ≡ Vector ≡ Sharded (thread + process)."""
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
     _assert_agree(run_differential(60, seed=1501, case_kinds=("trial", "semantic")))
     _assert_agree(run_differential(20, seed=1502, case_kinds=("gxpath", "nre")))
 
@@ -556,7 +555,6 @@ def test_engine_matrix_agrees_with_plan_verification_on(monkeypatch):
     ids=["sorted-keys-only", "key-overflow"],
 )
 def test_columnar_engines_agree_on_the_less_travelled_paths(monkeypatch, patch):
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
     monkeypatch.setattr(*patch)
     from repro.core import ShardedEngine
 

@@ -342,7 +342,7 @@ def test_universe_queries_keep_their_plans():
 def test_explain_report_carries_analysis_findings():
     from repro.db import Database
 
-    with Database(STORE, optimize=False) as db:
+    with Database(STORE) as db:
         report = db.explain("select[1='a' & 1='b'](E)")
         rules = {f["rule"] for f in report.analysis}
         assert "SEM-UNSAT" in rules and "SEM-EMPTY" in rules

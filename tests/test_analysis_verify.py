@@ -21,7 +21,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import verify_compiled, verify_plan
+from repro.analysis import verify_plan
 from repro.analysis.verify import assert_plan_valid
 from repro.core.conditions import Cond
 from repro.core.expressions import Join, Rel, Select, Star
@@ -33,7 +33,6 @@ from repro.core.plan import (
     ScanOp,
     StarOp,
     compile_plan,
-    plan_verify_enabled,
 )
 from repro.core.positions import Const, Param, Pos
 from repro.errors import PlanVerificationError
@@ -94,7 +93,6 @@ def test_parameterized_plans_verify_clean(store):
     names = expr_params(canon)
     assert set(names) == set(bindings)
     assert verify_plan(plan, expr=canon, params=names) == ()
-    assert verify_compiled(canon, plan, params=names) == ()
 
 
 # --------------------------------------------------------------------- #
@@ -220,39 +218,25 @@ def test_distinct_invariants_covered():
 
 
 # --------------------------------------------------------------------- #
-# Wiring: the compile-time gate, the wire status, the runtime check
+# Wiring: the compile-time check, the wire status, the runtime check
 # --------------------------------------------------------------------- #
 
 
-def test_plan_verify_env_gate(monkeypatch):
-    for off in ("", "0", "false", "off", "no"):
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", off)
-        assert not plan_verify_enabled()
-    for on in ("1", "true", "yes", "anything"):
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", on)
-        assert plan_verify_enabled()
-    monkeypatch.delenv("REPRO_PLAN_VERIFY")
-    assert not plan_verify_enabled()
+def test_compile_plan_always_verifies(store, monkeypatch):
+    """``compile_plan`` refuses a plan that breaks an invariant, with no
+    switch to turn the check off."""
+    import repro.core.plan as plan_mod
 
+    real = plan_mod._compile
 
-def test_compile_plan_calls_verifier_when_enabled(store, monkeypatch):
-    """The compile hook fires exactly when the env gate is on."""
-    import repro.analysis.verify as verify_mod
+    def negative_cost(*args):
+        op = real(*args)
+        op.est_cost = -1.0
+        return op
 
-    calls = []
-    real = verify_mod.assert_plan_valid
-
-    def spy(plan, **kwargs):
-        calls.append(kwargs["expr"])
-        return real(plan, **kwargs)
-
-    monkeypatch.setattr(verify_mod, "assert_plan_valid", spy)
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "0")
-    compile_plan(JOIN, store)
-    assert calls == []
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-    compile_plan(JOIN, store)
-    assert calls == [JOIN]
+    monkeypatch.setattr(plan_mod, "_compile", negative_cost)
+    with pytest.raises(PlanVerificationError, match="PLAN-COST"):
+        compile_plan(JOIN, store)
 
 
 def test_plan_verification_error_status():
@@ -264,7 +248,6 @@ def test_runtime_partition_check(store):
     from repro.core.engines.sharded import ShardedExecContext, ShardedKeys
 
     ctx = ShardedExecContext(store, shards=3, key_pos=0)
-    assert ctx._verify  # conftest sets REPRO_PLAN_VERIFY=1
     good = ShardedKeys(list(ctx.ss.relation_shards("R")), 0)
     assert ctx._check_partition(good, "set-op") is good
     # The same shards claiming a partition on position 2: rows in shard
@@ -274,21 +257,12 @@ def test_runtime_partition_check(store):
         ctx._check_partition(bad, "set-op")
 
 
-def test_runtime_partition_check_disabled(store, monkeypatch):
-    from repro.core.engines.sharded import ShardedExecContext, ShardedKeys
-
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "0")
-    ctx = ShardedExecContext(store, shards=3, key_pos=0)
-    bad = ShardedKeys(list(ctx.ss.relation_shards("R")), 1)
-    assert ctx._check_partition(bad, "set-op") is bad
-
-
 # --------------------------------------------------------------------- #
-# verify_compiled: one verdict whichever engine compiled the plan
+# verify_plan: one verdict whichever engine compiled the plan
 # --------------------------------------------------------------------- #
 
 
-def test_verify_compiled_one_verdict_for_every_engine(store):
+def test_verify_plan_one_verdict_for_every_engine(store):
     from repro.core.engines.hashjoin import FastEngine
     from repro.core.engines.sharded import ShardedEngine
     from repro.core.engines.vectorized import VectorEngine
@@ -296,9 +270,9 @@ def test_verify_compiled_one_verdict_for_every_engine(store):
     engines = (FastEngine(), VectorEngine(), ShardedEngine(shards=3, key_pos=2))
     for engine in engines:
         plan = engine.compile(JOIN, store)
-        assert verify_compiled(JOIN, plan) == ()
+        assert verify_plan(plan, expr=JOIN) == ()
         plan.est_cost = -1.0
-        assert ids(verify_compiled(JOIN, plan)) == ["PLAN-COST"]
+        assert ids(verify_plan(plan, expr=JOIN)) == ["PLAN-COST"]
 
 
 def test_explain_report_carries_verified_flag(store):

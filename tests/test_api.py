@@ -99,8 +99,7 @@ class TestParams:
 
     def test_bind_plan_substitutes_and_shares(self):
         db = Database(STORE)
-        expr = db._logical(parse("select[2=$x](E)"))
-        plan = db.plan(expr)
+        plan = db.plan("select[2=$x](E)")
         assert plan_params(plan) == ("x",)
         bound = bind_plan(plan, {"x": "p"})
         assert plan_params(bound) == ()

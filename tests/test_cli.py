@@ -38,14 +38,6 @@ class TestQuery:
         assert code == 0
         assert "Brussels" in capsys.readouterr().out
 
-    def test_optimize_flag(self, store_path, capsys):
-        code = main(
-            ["query", store_path, "select[](select[2='part_of'](E))", "--optimize"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "optimized" in err
-
     def test_explain_flag_prints_the_report(self, store_path, capsys):
         code = main(["query", store_path, "select[1='a' & 1='b'](E)", "--explain"])
         assert code == 0  # the findings inform; the query still runs
@@ -143,9 +135,24 @@ class TestExplain:
         assert "Proposition 5" in out
         assert "ReachStar" in out
 
-    def test_explain_with_optimize(self, capsys):
-        assert main(["explain", "select[](E) | select[](E)", "--optimize"]) == 0
-        assert "TriAL" in capsys.readouterr().out
+    def test_explain_plans_the_optimized_expression(self, capsys):
+        assert main(["explain", "select[](E) | select[](E)"]) == 0
+        out = capsys.readouterr().out
+        assert "expression : E" in out and "TriAL" in out
+
+    def test_plans_and_runs_what_a_session_runs(self, store_path, capsys):
+        """The provably empty branch is pruned in ``repro explain``'s plan,
+        and ``repro query`` prints ``Database.query``'s rows."""
+        from repro import Database
+
+        query = "(E | select[1='a' & 1='b'](E))"
+        assert main(["explain", query]) == 1  # SEM-UNSAT, SEM-EMPTY
+        assert "IndexLookup" not in capsys.readouterr().out
+        assert main(["query", store_path, query, "--limit", "0"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["query", store_path, "E", "--limit", "0"]) == 0
+        assert printed == capsys.readouterr().out
+        assert Database.open(store_path).query(query) == Database.open(store_path).query("E")
 
     def test_explain_json_is_valid_json(self, store_path, capsys):
         import json
@@ -210,9 +217,9 @@ class TestExplain:
         assert "finding    : SEM-REDUNDANT" in capsys.readouterr().out
 
     def test_findings_describe_the_query_as_written(self, capsys):
-        """--optimize changes the plan, not the findings: the pruning
-        rewrites would otherwise consume them."""
-        assert main(["explain", "select[1=2 & 2=1](E)", "--optimize"]) == 1
+        """The plan is of the optimized expression, the findings of the
+        query as written: the pruning rewrites would consume them."""
+        assert main(["explain", "select[1=2 & 2=1](E)"]) == 1
         out = capsys.readouterr().out
         assert "expression : select[2=1](E)" in out
         assert "finding    : SEM-REDUNDANT" in out
@@ -240,18 +247,22 @@ class TestExplain:
     def test_violations_exit_one(self, capsys, monkeypatch):
         from repro.analysis.invariants import Violation
 
+        from repro.errors import PlanVerificationError
+
         bad = Violation("PLAN-COST", "negative cost", op="Scan(E)")
-        monkeypatch.setattr(
-            "repro.analysis.verify.verify_compiled", lambda expr, plan: (bad,)
-        )
+
+        def refuse(plan, *, expr=None, params=None):
+            raise PlanVerificationError("rejected", (bad,))
+
+        monkeypatch.setattr("repro.analysis.verify.assert_plan_valid", refuse)
         assert main(["explain", "E"]) == 1
         out = capsys.readouterr()
         assert "violation  : PLAN-COST negative cost (at Scan(E))" in out.out
         assert "1 violation(s), 0 finding(s)" in out.err
 
     def test_compile_time_rejection_exits_one(self, capsys, monkeypatch):
-        """A plan REPRO_PLAN_VERIFY refuses inside compile is reported
-        as the report's violations, with no plan."""
+        """A plan the verifier refuses inside compile is reported as the
+        report's violations, with no plan."""
         import json
 
         from repro.analysis.invariants import Violation
@@ -262,7 +273,6 @@ class TestExplain:
         def refuse(plan, *, expr=None, params=None):
             raise PlanVerificationError("rejected", (bad,))
 
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
         monkeypatch.setattr("repro.analysis.verify.assert_plan_valid", refuse)
         assert main(["explain", "E", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
@@ -287,7 +297,7 @@ class TestExplain:
         flags = {
             opt for a in sub.choices["explain"]._actions for opt in a.option_strings
         }
-        assert flags == {"-h", "--help", "--optimize", "--json", "--store"}
+        assert flags == {"-h", "--help", "--json", "--store"}
         with pytest.raises(SystemExit) as exc:
             main(["explain", "E", "--physical"])
         assert exc.value.code == 2

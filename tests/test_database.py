@@ -8,10 +8,12 @@ from repro.core import (
     HashJoinEngine,
     NaiveEngine,
     evaluate,
+    optimize,
     parse,
     project13,
     query_q,
 )
+from repro.core.plan import compile_plan
 from repro.datalog import parse_program, run_program, trial_to_datalog
 from repro.db import BACKENDS, Database
 from repro.errors import ReproError, UnknownRelationError
@@ -59,10 +61,6 @@ class TestQueryPath:
         for engine in (NaiveEngine(), HashJoinEngine(), FastEngine()):
             assert Database(figure1(), engine).query(query_q()) == expected
 
-    def test_optimize_off_still_correct(self):
-        db = Database(figure1(), optimize=False)
-        assert db.query(query_q()) == evaluate(query_q(), figure1())
-
 
 class TestCaching:
     def test_repeated_query_hits_cache(self, db):
@@ -71,6 +69,30 @@ class TestCaching:
         before = db.cache_info()["results"].hits
         db.query(q)
         assert db.cache_info()["results"].hits == before + 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_answer_is_computed_and_held_once(self, backend):
+        """A query, its prepared statement and two spellings the optimizer
+        folds to it share one result entry: 1 miss, 3 hits, and the cache
+        holds the answer's rows once."""
+        db = Database(figure1(), backend=backend)
+        q = "select[2='part_of'](E)"
+        answer = db.query(q)
+        assert db.prepare(q).execute() == answer
+        assert db.query(f"({q} | {q})") == answer
+        assert db.query("select[2='part_of' & 2='part_of'](E)") == answer
+        info = db.cache_info()["results"]
+        assert (info.misses, info.hits, info.size) == (1, 3, 1)
+        assert db.result_cache_rows() == len(answer) > 0
+
+    def test_plan_is_the_prepared_statements_plan(self, db):
+        """``plan(q)`` binds the statement's cached plan: no second plan
+        entry, and the same plan text as compiling ``q`` directly."""
+        q = "join[1,2,3'; 3=1'](select[2='part_of'](E), E)"
+        db.prepare(q)
+        plan = db.plan(q)
+        assert db.cache_info()["plans"].size == 1
+        assert plan.pretty() == compile_plan(optimize(parse(q)), db.store).pretty()
 
     def test_results_are_cached_by_expression_identity(self, db):
         db.query("E")
@@ -151,7 +173,7 @@ class TestCaching:
     def test_lru_evicts_oldest(self):
         db = Database(figure1(), cache_size=2)
         db.query("E")
-        db.query("(E | E)")
+        db.query("select[1=3](E)")
         db.query("(E - E)")  # evicts "E"
         db.query("E")
         assert db.cache_info()["results"].hits == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import verify_compiled
+from repro.analysis import verify_plan
 from repro.db import Database
 from repro.errors import EvaluationBudgetError, FragmentError
 from repro.core import (
@@ -22,6 +22,7 @@ from repro.core import (
     intersect_as_join,
     join,
     lstar,
+    parse,
     permute,
     select,
     star,
@@ -216,7 +217,7 @@ class TestFastEngineSpecifics:
             lambda db, q: db.prepare(q).execute(),
             lambda db, q: db.explain(q),
             lambda db, q: db.plan(q),
-            lambda db, q: db.engine.evaluate(db._coerce(q), db.store),
+            lambda db, q: db.engine.evaluate(parse(q), db.store),
         ],
         ids=["query", "prepare", "explain", "plan", "evaluate"],
     )
@@ -291,13 +292,13 @@ class TestOnePlanEngine:
         ],
         ids=lambda e: type(e).__name__,
     )
-    def test_verify_compiled_is_clean_for_every_engines_plan(self, engine, small_store):
+    def test_verify_plan_is_clean_for_every_engines_plan(self, engine, small_store):
         """Every engine's plan verifies clean, with or without the store
         that anchored its statistics — there is no per-engine lowering
         left for the verifier to re-derive."""
         expr = join(star(R("E"), "1,2,3'", "3=1'"), R("E"), "1,2,3'", "3=1'")
         for store in (small_store, None):
-            assert verify_compiled(expr, engine.compile(expr, store)) == ()
+            assert verify_plan(engine.compile(expr, store), expr=expr) == ()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), with_store=st.booleans())

@@ -46,7 +46,7 @@ class TestFragments:
         assert "Proposition 4" in report["guarantee"]
 
     def test_semijoin_fragment_detected(self):
-        report = explain_report(semijoin(R("E"), R("F"), "3=1'"), optimize=False)
+        report = explain_report(semijoin(R("E"), R("F"), "3=1'"))
         assert report.logical["fragment"].startswith("semijoin")
 
     def test_inequalities_leave_the_equality_fragments(self):
@@ -135,6 +135,7 @@ class TestOneExplain:
         expected = tuple(f.to_dict() for f in db.analyze(query))
         assert expected
         assert db.explain(query).analysis == expected
+        assert db.prepare(query).explain().analysis == expected
         assert db.prepare(query).explain().plan == db.explain(query).plan
 
     def test_text_lists_findings(self):
@@ -142,8 +143,8 @@ class TestOneExplain:
         assert "finding    : SEM-REDUNDANT" in text
 
     def test_verifier_rejection_becomes_violations(self, monkeypatch):
-        """A plan REPRO_PLAN_VERIFY refuses inside compile is reported,
-        not raised."""
+        """A plan the verifier refuses inside compile is reported, not
+        raised."""
         from repro.analysis.invariants import Violation
         from repro.errors import PlanVerificationError
 
@@ -152,7 +153,6 @@ class TestOneExplain:
         def refuse(plan, *, expr=None, params=None):
             raise PlanVerificationError("rejected", (bad,))
 
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
         monkeypatch.setattr("repro.analysis.verify.assert_plan_valid", refuse)
         report = explain_report(R("E"))
         assert report.violations == (bad.to_dict(),)

@@ -132,7 +132,6 @@ def columnar_engines(monkeypatch):
 def test_every_join_shape_and_fixpoint_agrees_across_block_boundaries(
     monkeypatch, blocks, patch
 ):
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
     patch_blocks(monkeypatch, *blocks)
     if patch is not None:
         monkeypatch.setattr(*patch)

@@ -84,12 +84,11 @@ def test_http_explain_matches_explain_goldens(name, query, backend):
     """HTTP parity: ``POST /v1/explain`` returns exactly the report the
     in-process API renders for the same (query, backend) pair.
 
-    ``optimize=False`` because the goldens render the raw expression;
-    there is no UPDATE path here — the goldens belong to
+    There is no UPDATE path here — the goldens belong to
     ``test_explain_golden.py`` and this test only asserts parity.
     """
     expected = json.loads(_render_json(query, backend))
-    db = Database(GOLDEN_STORE, BACKENDS[backend](), optimize=False)
+    db = Database(GOLDEN_STORE, BACKENDS[backend]())
     with QueryServer(db, ServiceConfig(port=0)) as server:
         with ServiceClient(server.url) as client:
             report = client.explain(query)

@@ -350,8 +350,9 @@ def test_unknown_lang_unknown_tenant_bad_param_are_4xx(server):
 
 
 def test_explain_analysis_matches_query_warnings(server):
-    """/v1/explain and /v1/query report one analysis for one query: the
-    findings on the query as written, before the optimizer prunes it."""
+    """/v1/explain, /v1/query and /v1/execute of a prepared statement
+    report one analysis for one query: the findings on the query as
+    written, before the optimizer prunes it."""
     query = "(E | select[1='a' & 1='b'](E))"
     status, page = _post_raw(
         server, "/v1/query", json.dumps({"query": query}).encode()
@@ -363,6 +364,17 @@ def test_explain_analysis_matches_query_warnings(server):
     assert status == 200
     assert [f["rule"] for f in page["analysis"]] == ["SEM-UNSAT", "SEM-EMPTY"]
     assert report["analysis"] == page["analysis"]
+    status, prepared = _post_raw(
+        server, "/v1/prepare", json.dumps({"query": query}).encode()
+    )
+    assert status == 200
+    status, executed = _post_raw(
+        server,
+        "/v1/execute",
+        json.dumps({"statement": prepared["statement"]}).encode(),
+    )
+    assert status == 200
+    assert executed["analysis"] == page["analysis"]
 
 
 # --------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.core.engines.hashjoin import FastEngine, HashJoinEngine
 from repro.core.plan import StarOp
 from repro.db import Database
-from repro.errors import FragmentError, ReproError, StoreCorruptionError
+from repro.errors import FragmentError, ReproError, StorageError, StoreCorruptionError
 from repro.rdf.datasets import figure1
 from repro.storage import DurableStore, SegmentStore, WriteAheadLog, fsck_store
 from repro.storage.fsutil import atomic_write_bytes
@@ -360,6 +360,20 @@ class TestDatabasePath:
         db.install("R", (("x", "y", "z"),))
         assert db._storage.wal.size == 0  # folded automatically
         assert db._storage.generation > 1
+        db.close()
+
+    @pytest.mark.parametrize("value", ["16MiB", "-1"])
+    def test_bad_wal_limit_is_refused_at_open(self, tmp_path, monkeypatch, value):
+        """Not a non-negative integer: the open names the variable; the
+        limit is read there once, so a commit never reads it."""
+        monkeypatch.setenv("REPRO_STORAGE_WAL_LIMIT", value)
+        with pytest.raises(StorageError, match="REPRO_STORAGE_WAL_LIMIT"):
+            Database(path=tmp_path / "s")
+        monkeypatch.delenv("REPRO_STORAGE_WAL_LIMIT")
+        db = Database(path=tmp_path / "s")
+        monkeypatch.setenv("REPRO_STORAGE_WAL_LIMIT", value)
+        db.install("E", TRIPLES)  # logged; maybe_compact does not raise
+        assert db._storage.wal.size > 0
         db.close()
 
     def test_close_is_idempotent(self, tmp_path):
