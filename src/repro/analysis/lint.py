@@ -404,7 +404,7 @@ def _check_env_doc(root: Path) -> Iterator[Finding]:
     """ENV-DOC: the README tables and the REPRO_* vars read under src/ agree.
 
     The repo threads all configuration through ``REPRO_*`` env-var name
-    constants (``_BACKEND_ENV = "REPRO_BACKEND"`` and friends), so the
+    constants (``STORE_PATH_ENV = "REPRO_STORE_PATH"`` and friends), so the
     read sites are exactly the string literals matching the name shape.
     Both directions are checked: a variable read under src/ needs a
     README table row, and a row must name a variable something under

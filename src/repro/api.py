@@ -563,20 +563,22 @@ def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
     rewrites would consume are still reported.  The plan is compiled
     from the optimized expression, as every session runs it, by
     ``engine``; with no engine, or one that interprets directly, as a
-    default ``FastEngine`` session compiles it.  ``store`` anchors the
-    estimates in real statistics.  Compiling verifies the plan, so its
-    only violations are those of a plan the verifier rejected inside
-    compile; that plan is ``None``.
+    default session compiles it (``VectorEngine``, columnar).  ``store``
+    anchors the estimates in real statistics.  Compiling verifies the
+    plan, so its only violations are those of a plan the verifier
+    rejected inside compile; that plan is ``None``.
     """
     from repro.analysis.semantics import analyze_expr
     from repro.core.engines.base import PlanEngine
-    from repro.core.plan import compile_plan
+    from repro.core.engines.vectorized import VectorEngine
 
     analysis = tuple(f.to_dict() for f in analyze_expr(expr, store))
     expr = optimize(expr)
-    planned = isinstance(engine, PlanEngine)
-    compiled_by = type(engine).__name__ if planned else "FastEngine"
-    if engine is not None and not planned:
+    planner = engine if isinstance(engine, PlanEngine) else VectorEngine()
+    compiled_by = type(planner).__name__
+    if engine is None:
+        engine = planner
+    elif engine is not planner:
         compiled_by += (
             f" — note: {type(engine).__name__} interprets directly "
             "and will not run this plan"
@@ -584,10 +586,7 @@ def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
     plan: Optional[PlanOp] = None
     violations = ()
     try:
-        if planned:
-            plan = engine.compile(expr, store)
-        else:
-            plan = compile_plan(expr, store, use_reach=True)
+        plan = planner.compile(expr, store)
     except PlanVerificationError as exc:
         violations = exc.violations
     backend = getattr(engine, "backend", "set")

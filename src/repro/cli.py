@@ -18,11 +18,10 @@ Usage (after installation, or via ``python -m repro.cli``)::
     # Other registered languages through the same front door
     python -m repro.cli query store.tstore "a/b-" --lang gxpath
 
-    # Vectorised columnar execution of the same plans
-    python -m repro.cli query store.tstore "star[1,2,3'; 3=1'](E)" --backend columnar
-
-    # Shard-parallel execution over the k-way hash-partitioned store
-    python -m repro.cli query store.tstore "join[1,2,3'; 3=1'](E, E)" --backend sharded --shards 4
+    # The same plan on another engine (default: vector, the columnar
+    # backend): tuple-at-a-time sets, or shard-parallel arrays
+    python -m repro.cli query store.tstore "star[1,2,3'; 3=1'](E)" --engine fast
+    python -m repro.cli query store.tstore "join[1,2,3'; 3=1'](E, E)" --engine sharded
 
     # Fragment, physical plan with cost estimates, plan violations and
     # semantic findings (store optional: anchors stats); exit 1 on any
@@ -61,7 +60,7 @@ import threading
 from typing import Sequence
 
 from repro.api import ResultSet, explain_report
-from repro.core import ENGINE_REGISTRY, ShardedEngine
+from repro.core import ENGINE_REGISTRY
 from repro.core.parser import parse as parse_expr
 from repro.datalog import parse_program, validate_fragment
 from repro.db import BACKENDS, Database
@@ -69,6 +68,17 @@ from repro.errors import ReproError
 from repro.triplestore import load_path
 
 ENGINES = ENGINE_REGISTRY
+
+
+def _row_limit(raw: str) -> int | None:
+    """The ``--limit`` type: a row count >= 0; ``None`` (all rows) for 0."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a row count >= 0, got {raw!r}")
+    return value or None
 
 
 def _print_result(result: ResultSet, limit: int | None) -> None:
@@ -107,41 +117,9 @@ def _parse_bindings(raw_params: Sequence[str] | None) -> dict:
     return bindings
 
 
-#: Which engine each non-set backend request resolves to.
-_BACKEND_ENGINES = {"columnar": "vector", "sharded": "sharded"}
-
-
-def _make_engine(args: argparse.Namespace):
-    name = args.engine
-    backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
-    if backend in _BACKEND_ENGINES:
-        # The backend names its engine; --engine may agree or be left at
-        # its default, but any other engine contradicts the request.
-        target = _BACKEND_ENGINES[backend]
-        if name not in ("fast", target):
-            raise ReproError(
-                f"--backend {backend} runs the {target} engine; "
-                f"drop --engine {name} or use --backend set"
-            )
-        name = target
-    elif backend == "set" and name in _BACKEND_ENGINES.values():
-        raise ReproError(
-            f"--engine {name} runs the "
-            f"{'columnar' if name == 'vector' else name} backend; "
-            "drop --backend set or pick another engine"
-        )
-    if shards is not None and name != "sharded":
-        raise ReproError("--shards only applies with --backend sharded")
-    if name == "sharded":
-        return ShardedEngine(shards=shards)
-    return ENGINES[name]()
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    db = Database.open(args.store, engine=_make_engine(args))
+    db = Database.open(args.store, engine=ENGINES[args.engine]())
     bindings = _parse_bindings(args.param)
-    limit = None if args.limit == 0 else args.limit
     if args.lang != "trial" and bindings:
         raise ReproError("--param only applies to TriAL queries")
     source = parse_expr(args.expression) if args.lang == "trial" else args.expression
@@ -150,9 +128,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(db.explain(source, lang=args.lang), file=sys.stderr)
     result = stmt.execute(**bindings)
     if args.lang != "trial":
-        _print_pairs(result.pairs(), limit)
+        _print_pairs(result.pairs(), args.limit)
     else:
-        _print_result(result, limit)
+        _print_result(result, args.limit)
     return 0
 
 
@@ -168,7 +146,7 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     for finding in analyze_program(program):
         print(f"# warning: {finding}", file=sys.stderr)
     result = db.query(program, lang="datalog")
-    _print_result(result, None if args.limit == 0 else args.limit)
+    _print_result(result, args.limit)
     return 0
 
 
@@ -322,19 +300,13 @@ def _serve_tenants(args: argparse.Namespace) -> dict:
         specs.append((name, path))
     tenants = {}
     for name, path in specs:
-        tenants[name] = Database.open(
-            path,
-            backend=args.backend,
-            shards=args.shards if args.backend == "sharded" else None,
-        )
+        tenants[name] = Database.open(path, backend=args.backend)
     return tenants
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueryServer, ServiceConfig
 
-    if args.backend != "sharded" and args.shards is not None:
-        raise ReproError("--shards only applies with --backend sharded")
     config = ServiceConfig.from_env(
         host=args.host,
         port=args.port,
@@ -398,7 +370,6 @@ def _cmd_connect(args: argparse.Namespace) -> int:
 
         print(_json.dumps(client.explain(args.expression, lang=args.lang), indent=2))
         return 0
-    limit = None if args.limit == 0 else args.limit
     if args.stream:
         shown = 0
         total = 0
@@ -413,14 +384,14 @@ def _cmd_connect(args: argparse.Namespace) -> int:
                 print(f"# {total} rows in {message['pages']} page(s)")
                 break
             for row in message["rows"]:
-                if limit is None or shown < limit:
+                if args.limit is None or shown < args.limit:
                     print("\t".join(repr(v) for v in row))
                     shown += 1
         return 0
     body = client.query(
-        args.expression, lang=args.lang, params=bindings, limit=limit
+        args.expression, lang=args.lang, params=bindings, limit=args.limit
     )
-    _print_remote_rows(body, limit)
+    _print_remote_rows(body, args.limit)
     return 0
 
 
@@ -446,20 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="bind a $NAME placeholder (repeatable; TriAL only)",
     )
-    q.add_argument("--engine", choices=sorted(ENGINES), default="fast")
     q.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="execution backend: tuple-at-a-time sets (default), "
-        "vectorised columnar arrays (--engine vector implies columnar), "
-        "or shard-parallel hash-partitioned arrays",
-    )
-    q.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --backend sharded (default: REPRO_SHARDS or 4)",
+        "--engine",
+        choices=sorted(ENGINES),
+        default="vector",
+        help="what executes: vector (default; columnar arrays), fast or "
+        "hash (tuple-at-a-time sets), sharded (hash-partitioned arrays), "
+        "naive (the reference interpreter)",
     )
     q.add_argument(
         "--explain",
@@ -467,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the explain report (plan with cost estimates, "
         "violations, findings) to stderr first",
     )
-    q.add_argument("--limit", type=int, default=20, help="max rows (0 = all)")
+    q.add_argument("--limit", type=_row_limit, default=20, help="max rows (0 = all)")
     q.set_defaults(func=_cmd_query)
 
     d = sub.add_parser("datalog", help="run a TripleDatalog¬ program")
@@ -479,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["TripleDatalog", "ReachTripleDatalog"],
         help="require fragment membership before running",
     )
-    d.add_argument("--limit", type=int, default=20)
+    d.add_argument("--limit", type=_row_limit, default=20, help="max rows (0 = all)")
     d.set_defaults(func=_cmd_datalog)
 
     i = sub.add_parser("info", help="store statistics")
@@ -566,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="execution backend for every tenant (default: set)",
+        help="execution backend for every tenant (default: columnar)",
     )
-    s.add_argument("--shards", type=int, default=None)
     s.add_argument(
         "--max-inflight",
         type=int,
@@ -648,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind a $NAME placeholder (repeatable)",
     )
     c.add_argument("--tenant", default="default", help="tenant session name")
-    c.add_argument("--limit", type=int, default=20, help="max rows (0 = all)")
+    c.add_argument("--limit", type=_row_limit, default=20, help="max rows (0 = all)")
     c.add_argument(
         "--stream",
         action="store_true",

@@ -90,11 +90,7 @@ __all__ = [
     "ShardedKeys",
 ]
 
-#: Environment override for the default shard count (used by CI to run
-#: the whole suite shard-wise: ``REPRO_BACKEND=sharded REPRO_SHARDS=4``).
-_SHARDS_ENV = "REPRO_SHARDS"
-
-#: Shard count when neither the constructor nor the environment says.
+#: Shard count when the constructor does not say.
 DEFAULT_SHARDS = 4
 
 #: The dispatch amortization threshold, in input rows: below it a shard
@@ -122,24 +118,6 @@ def _shared_pool() -> Optional[ThreadPoolExecutor]:
                 max_workers=workers, thread_name_prefix="repro-shard"
             )
     return _SHARED_POOL
-
-
-def default_shard_count() -> int:
-    """The configured shard count: ``REPRO_SHARDS`` or :data:`DEFAULT_SHARDS`."""
-    raw = os.environ.get(_SHARDS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            # Same verdict as an explicit shards=0: a configuration
-            # error, not a silent single-shard run.
-            raise ReproError(
-                f"invalid {_SHARDS_ENV}={raw!r}; expected a positive integer"
-            )
-        return value
-    return DEFAULT_SHARDS
 
 
 # --------------------------------------------------------------------- #
@@ -629,8 +607,7 @@ class ShardedEngine(PlanEngine):
     max_universe_objects:
         See :class:`~repro.core.engines.base.Engine`.
     shards:
-        Number of hash shards; defaults to the ``REPRO_SHARDS``
-        environment variable, then :data:`DEFAULT_SHARDS`.
+        Number of hash shards (:data:`DEFAULT_SHARDS` by default).
     key_pos:
         The triple position stored relations are partitioned on
         (0 = subject by default).  Joins whose key matches it run
@@ -642,12 +619,10 @@ class ShardedEngine(PlanEngine):
     def __init__(
         self,
         max_universe_objects: int = 400,
-        shards: Optional[int] = None,
+        shards: int = DEFAULT_SHARDS,
         key_pos: int = 0,
     ) -> None:
         super().__init__(max_universe_objects)
-        if shards is None:
-            shards = default_shard_count()
         if shards < 1:
             raise ReproError(f"shard count must be >= 1, got {shards}")
         if key_pos not in (0, 1, 2):

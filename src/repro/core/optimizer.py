@@ -71,6 +71,10 @@ def _empty(like: Expr) -> Select:
 #: promise to preserve fragment membership, and inequalities would not).
 _FALSE_CONDITIONS = (Cond(Const("__empty__"), Const("__never__")),)
 
+#: Bottom-up passes :func:`optimize` runs before it stops short of a
+#: fixed point.
+_MAX_PASSES = 10
+
 
 def is_empty_expr(expr: Expr) -> bool:
     """Recognise the canonical empty expression produced by the rules."""
@@ -150,24 +154,19 @@ def push_conditions(expr: Join) -> Expr:
     return Join(left, right, expr.out, rest)
 
 
-def _rewrite(expr: Expr, semantic: bool = True) -> Expr:
+def _rewrite(expr: Expr) -> Expr:
     """One bottom-up pass of all rules."""
     # Rewrite children first.
     if isinstance(expr, Select):
-        expr = Select(_rewrite(expr.expr, semantic), expr.conditions)
+        expr = Select(_rewrite(expr.expr), expr.conditions)
     elif isinstance(expr, (Union, Diff, Intersect)):
-        expr = type(expr)(
-            _rewrite(expr.left, semantic), _rewrite(expr.right, semantic)
-        )
+        expr = type(expr)(_rewrite(expr.left), _rewrite(expr.right))
     elif isinstance(expr, Join):
         expr = Join(
-            _rewrite(expr.left, semantic),
-            _rewrite(expr.right, semantic),
-            expr.out,
-            expr.conditions,
+            _rewrite(expr.left), _rewrite(expr.right), expr.out, expr.conditions
         )
     elif isinstance(expr, Star):
-        expr = Star(_rewrite(expr.expr, semantic), expr.out, expr.conditions, expr.side)
+        expr = Star(_rewrite(expr.expr), expr.out, expr.conditions, expr.side)
 
     # Node-local rules.
     if isinstance(expr, Select):
@@ -177,7 +176,7 @@ def _rewrite(expr: Expr, semantic: bool = True) -> Expr:
             return expr.expr
         if is_empty_expr(expr.expr):
             return expr.expr
-        if semantic and not is_empty_expr(expr):
+        if not is_empty_expr(expr):
             conds = _semantic_conditions(expr.conditions)
             if conds is None:
                 return _empty(expr)  # SEM-UNSAT: prune to ∅
@@ -237,12 +236,11 @@ def _rewrite(expr: Expr, semantic: bool = True) -> Expr:
                 )
                 if not holds:
                     return _empty(expr)
-        if semantic:
-            conds = _semantic_conditions(expr.conditions)
-            if conds is None:
-                return _empty(expr)  # SEM-UNSAT: prune to ∅
-            if conds != expr.conditions:
-                expr = Join(expr.left, expr.right, expr.out, conds)
+        conds = _semantic_conditions(expr.conditions)
+        if conds is None:
+            return _empty(expr)  # SEM-UNSAT: prune to ∅
+        if conds != expr.conditions:
+            expr = Join(expr.left, expr.right, expr.out, conds)
         return push_conditions(expr)
     if isinstance(expr, Star):
         inner = expr.expr
@@ -255,25 +253,20 @@ def _rewrite(expr: Expr, semantic: bool = True) -> Expr:
             return inner  # closures are idempotent
         if is_empty_expr(inner):
             return inner
-        if semantic:
-            conds = _semantic_conditions(expr.conditions)
-            if conds is None:
-                # SEM-TRIVIAL-STAR: the step join never fires, so the
-                # fixpoint accumulator never leaves the base.
-                return inner
-            if conds != expr.conditions:
-                expr = Star(inner, expr.out, conds, expr.side)
+        conds = _semantic_conditions(expr.conditions)
+        if conds is None:
+            # SEM-TRIVIAL-STAR: the step join never fires, so the
+            # fixpoint accumulator never leaves the base.
+            return inner
+        if conds != expr.conditions:
+            expr = Star(inner, expr.out, conds, expr.side)
         return expr
     return expr
 
 
-def optimize(expr: Expr, max_passes: int = 10, *, semantic: bool = True) -> Expr:
-    """Apply all rewrite rules bottom-up until a fixed point.
-
-    ``semantic=False`` disables the analyzer-gated pruning rewrites
-    (unsatisfiable-condition elimination, minimal-core reduction),
-    leaving only the purely syntactic rules — the differential tests
-    exercise both settings.
+def optimize(expr: Expr) -> Expr:
+    """Apply all rewrite rules bottom-up until a fixed point (or
+    :data:`_MAX_PASSES` passes).
 
     >>> from repro.core import R, select
     >>> optimize(select(select(R("E"), "1=2"), "2=3"))
@@ -281,8 +274,8 @@ def optimize(expr: Expr, max_passes: int = 10, *, semantic: bool = True) -> Expr
     >>> optimize(select(R("E"), "1='a' & 1='b'"))
     select['__empty__'='__never__'](E)
     """
-    for _ in range(max_passes):
-        rewritten = _rewrite(expr, semantic)
+    for _ in range(_MAX_PASSES):
+        rewritten = _rewrite(expr)
         if rewritten == expr:
             return expr
         expr = rewritten

@@ -19,6 +19,10 @@ evaluates through one seam::
         db.install("Closure", "star[1,2,3'; 3=1'](E)")
         db.install("Friends", triples)
 
+A session executes on the columnar backend — a ``VectorEngine`` over the
+store's dictionary-encoded relation arrays — unless ``engine=`` or
+``backend=`` names another (:data:`BACKENDS`).
+
 Caching is *relation-aware*: every plan/result cache key embeds the
 version of each relation the expression mentions (its dependency set),
 so :meth:`Database.install` invalidates — and evicts, at the commit —
@@ -70,10 +74,6 @@ Query = TypingUnion[Expr, str]
 #: array-at-a-time over the store's packed numpy encoding (VectorEngine),
 #: ``"sharded"`` shard-wise over its k-way hash partition (ShardedEngine).
 BACKENDS = ("set", "columnar", "sharded")
-
-#: Environment override for the default backend (used by CI to run the
-#: whole suite on the columnar executor: ``REPRO_BACKEND=columnar``).
-_BACKEND_ENV = "REPRO_BACKEND"
 
 
 @dataclass(frozen=True)
@@ -250,21 +250,22 @@ class Database:
     engine:
         Any :class:`~repro.core.engines.base.Engine`; defaults to the
         ``backend``'s engine — a
-        :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
-        (Proposition 4/5 reach operators enabled), a
         :class:`~repro.core.engines.vectorized.VectorEngine` for
         ``"columnar"``, a
+        :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
+        (Proposition 4/5 reach operators enabled), a
         :class:`~repro.core.engines.sharded.ShardedEngine` for
         ``"sharded"``.
     backend:
         One of :data:`BACKENDS`.  ``None`` (default) means: the given
-        engine's backend if an engine was passed, else the
-        ``REPRO_BACKEND`` environment variable, else ``"set"``.
+        engine's backend if an engine was passed, else ``"sharded"`` if
+        ``shards`` or ``executor`` was, else ``"columnar"`` — the
+        dictionary-encoded array view every served workload runs on.
+        ``"set"`` stays the tuple-at-a-time reference.
     shards:
         With ``backend="sharded"``: the shard count for the default
         :class:`~repro.core.engines.sharded.ShardedEngine` (``None``
-        defers to ``REPRO_SHARDS``, then the engine default).  Invalid
-        with any other backend.
+        keeps the engine default).  Invalid with any other backend.
     executor:
         ``None`` or ``"thread"``, the sharded backend's only shard
         executor; kept so existing callers keep working, and slated for
@@ -308,7 +309,7 @@ class Database:
             elif shards is not None or executor is not None:
                 backend = "sharded"
             else:
-                backend = os.environ.get(_BACKEND_ENV, "set")
+                backend = "columnar"
         if backend not in BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
@@ -332,7 +333,9 @@ class Database:
             if backend == "columnar":
                 engine = VectorEngine()
             elif backend == "sharded":
-                engine = ShardedEngine(shards=shards)
+                engine = (
+                    ShardedEngine() if shards is None else ShardedEngine(shards=shards)
+                )
             else:
                 engine = FastEngine()
         elif shards is not None and getattr(engine, "shards", shards) != shards:

@@ -273,17 +273,6 @@ def test_optimize_collapses_trivial_star():
     assert optimize(star) == R("E")
 
 
-def test_optimize_semantic_flag_off_keeps_syntax_only():
-    bad = select(R("E"), "1='a' & 1='b'")
-    assert optimize(bad, semantic=False) == bad
-    dup = select(R("E"), "1!=2 & 1!=2")
-    # Syntactic dedup still applies (merge_selects uses dict.fromkeys),
-    # but no entailment reasoning does.
-    kept = optimize(select(R("E"), "1=2 & 2=1"), semantic=False)
-    assert isinstance(kept, Select) and len(kept.conditions) == 2
-    del dup
-
-
 def test_optimize_preserves_statically_true_selects():
     # All conditions entailed → the select disappears entirely.
     assert optimize(select(R("E"), "1=1")) == R("E")

@@ -63,11 +63,48 @@ class TestQuery:
 
         monkeypatch.setattr(ColumnarStore, "decode_list", counting)
         code = main(
-            ["query", store_path, "E", "--backend", "columnar", "--limit", "2"]
+            ["query", store_path, "E", "--engine", "vector", "--limit", "2"]
         )
         assert code == 0
         assert sum(decoded) == 2  # the full 7-row relation was never decoded
         assert "# 7 triples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "STORE", "part_of", "--lang", "rpq"],
+            ["datalog", "STORE", "PROGRAM"],
+            ["connect", "http://127.0.0.1:1", "E", "--stream"],
+        ],
+        ids=["query", "datalog", "connect"],
+    )
+    def test_negative_limit_is_an_argument_error(
+        self, store_path, program_path, argv, capsys
+    ):
+        paths = {"STORE": store_path, "PROGRAM": program_path}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(arg, arg) for arg in argv] + ["--limit", "-1"])
+        assert exc.value.code == 2
+        assert "row count >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "STORE", "E", "--backend", "columnar"],
+            ["query", "STORE", "E", "--shards", "2"],
+            ["serve", "STORE", "--backend", "sharded", "--shards", "2"],
+        ],
+        ids=["query-backend", "query-shards", "serve-shards"],
+    )
+    def test_one_option_picks_what_executes(self, store_path, argv, capsys):
+        """``query`` chooses with ``--engine`` and ``serve`` with
+        ``--backend``; nothing else (parsed only: nothing is served)."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([store_path if a == "STORE" else a for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_param_binding(self, store_path, capsys):
         code = main(
@@ -172,7 +209,7 @@ class TestExplain:
         code = main(["explain", "join[1,2,3'; 3=1'](E, E)", "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "set"
+        assert data["backend"] == "columnar"
         assert set(data["plan"]) == {
             "op", "label", "est_rows", "est_cost", "out", "conditions",
             "build_side", "access", "children",

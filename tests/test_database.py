@@ -294,7 +294,6 @@ class TestConstructors:
         assert db.query("E") == {("a", "p", "b")}
 
     def test_repr_mentions_engine(self, db):
-        # The default engine depends on the session backend (REPRO_BACKEND).
         assert type(db.engine).__name__ in repr(db)
         assert f"backend={db.backend}" in repr(db)
 

@@ -6,6 +6,7 @@ import pytest
 from repro import Database
 from repro.api import explain_report, plan_to_dict
 from repro.core import (
+    FastEngine,
     R,
     Universe,
     complement,
@@ -124,8 +125,11 @@ class TestOneExplain:
 
         store = figure1()
         report = explain_report(parse(self.MIXED), store)
-        assert report.compiled_by == "FastEngine"
+        assert (report.compiled_by, report.backend) == ("VectorEngine", "columnar")
         assert report.plan == plan_to_dict(Database(store).plan(self.MIXED))
+        # Every engine with reach operators compiles the one plan.
+        fast = explain_report(parse(self.MIXED), store, FastEngine())
+        assert report.plan_text == fast.plan_text
 
     @pytest.mark.parametrize(
         "query", ["select[1=2 & 2=1](E)", "(E | select[1='a' & 1='b'](E))"]

@@ -60,7 +60,7 @@ CASES = [
 BACKENDS = {
     "set": lambda: FastEngine(),
     "columnar": lambda: VectorEngine(),
-    # Shard count pinned: the goldens must not depend on REPRO_SHARDS.
+    # Shard count pinned: the goldens must not depend on DEFAULT_SHARDS.
     "sharded": lambda: ShardedEngine(shards=4),
 }
 

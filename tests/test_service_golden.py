@@ -34,7 +34,7 @@ def _fresh_server() -> QueryServer:
     """The pinned server shape: one set tenant, one sharded tenant.
 
     Everything that shows in the exposition is fixed — tenant names,
-    backends (pinned, so ``REPRO_BACKEND`` cannot move the default
+    backends (pinned, so the session default cannot move the default
     tenant's), the shard count, and a config
     whose values do not appear in any metric.
     """

@@ -24,9 +24,9 @@ from repro.core import (
     star,
 )
 from repro.core.engines.sharded import (
+    DEFAULT_SHARDS,
     ShardedExecContext,
     choose_shard_key,
-    default_shard_count,
     shard_output_partition,
 )
 from repro.core.plan import JoinSpec
@@ -291,16 +291,9 @@ class TestShardedEngine:
         with pytest.raises(ReproError):
             ShardedEngine(shards=2, key_pos=3)
 
-    def test_env_default_shard_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "7")
-        assert default_shard_count() == 7
-        assert ShardedEngine().shards == 7
-        for bad in ("nope", "0", "-2"):
-            monkeypatch.setenv("REPRO_SHARDS", bad)
-            with pytest.raises(ReproError):
-                default_shard_count()
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert ShardedEngine(shards=2).shards == 2
+    def test_default_shard_count(self, store):
+        assert ShardedEngine().shards == DEFAULT_SHARDS
+        assert Database(store, backend="sharded").engine.shards == DEFAULT_SHARDS
 
 
 # --------------------------------------------------------------------- #
@@ -352,12 +345,6 @@ class TestBackendWiring:
     def test_shards_alone_implies_sharded_backend(self, store):
         assert Database(store, shards=2).backend == "sharded"
 
-    def test_env_var_defaults(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        db = Database(store)
-        assert db.backend == "sharded" and db.engine.shards == 2
-
     def test_shards_with_other_backend_rejected(self, store):
         with pytest.raises(ReproError):
             Database(store, backend="columnar", shards=2)
@@ -381,7 +368,7 @@ class TestBackendWiring:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["query", "STORE", "E", "--backend", "sharded", "--executor", "process"],
+            ["query", "STORE", "E", "--engine", "sharded", "--executor", "process"],
             ["serve", "STORE", "--workers", "2"],
         ],
         ids=["query-executor", "serve-workers"],
@@ -402,7 +389,7 @@ class TestBackendWiring:
         assert "backend    : sharded(4-way, key position 1)" in text
         assert "shard=" not in text
 
-    def test_cli_backend_flag(self, tmp_path, capsys):
+    def test_cli_sharded_engine(self, tmp_path, capsys):
         from repro.cli import main
         from repro.triplestore.io import dump_path
 
@@ -412,20 +399,11 @@ class TestBackendWiring:
         )
         code = main(
             ["query", str(path), "star[1,2,3'; 3=1'](E)",
-             "--backend", "sharded", "--shards", "2", "--limit", "0"]
+             "--engine", "sharded", "--limit", "0"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "# 3 triples" in out
-
-    def test_cli_rejects_shards_without_sharded_backend(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.triplestore.io import dump_path
-
-        path = tmp_path / "store.tstore"
-        dump_path(Triplestore([("a", "p", "b")]), str(path))
-        assert main(["query", str(path), "E", "--shards", "2"]) == 1
-        assert "--shards" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--backend", "sharded"], ["--shards", "4"]])
     def test_cli_explain_takes_no_backend(self, flags, capsys):

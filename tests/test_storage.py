@@ -563,12 +563,32 @@ class TestServeStorePath:
 
         monkeypatch.setenv("REPRO_STORE_PATH", durable_store)
         args = argparse.Namespace(
-            store=None, store_path=None, tenant=None, backend=None,
-            shards=None,
+            store=None, store_path=None, tenant=None, backend=None
         )
         tenants = _serve_tenants(args)
         try:
             assert tenants["default"].query(Q).to_set()
+        finally:
+            for db in tenants.values():
+                db.close()
+
+    def test_serve_without_backend_opens_columnar_sessions(
+        self, durable_store, tmp_path
+    ):
+        import argparse
+
+        from repro.cli import _serve_tenants
+        from repro.core import VectorEngine
+
+        args = argparse.Namespace(
+            store=durable_store, store_path=None, backend=None,
+            tenant=[f"extra={tmp_path / 'extra'}{os.sep}"],
+        )
+        tenants = _serve_tenants(args)
+        try:
+            for db in tenants.values():
+                assert db.backend == "columnar"
+                assert isinstance(db.engine, VectorEngine)
         finally:
             for db in tenants.values():
                 db.close()

@@ -334,11 +334,17 @@ class TestBackendWiring:
         assert Database(store, VectorEngine()).backend == "columnar"
         assert Database(store, FastEngine()).backend == "set"
 
-    def test_env_var_default(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        assert Database(store).backend == "columnar"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert Database(store).backend == "set"
+    def test_default_session_is_columnar(self, store):
+        db = Database(store)
+        assert db.backend == "columnar" and isinstance(db.engine, VectorEngine)
+
+    def test_default_durable_session_is_columnar(self, tmp_path):
+        db = Database(path=str(tmp_path / "s"))
+        try:
+            assert db.backend == "columnar"
+            assert isinstance(db.engine, VectorEngine)
+        finally:
+            db.close()
 
     def test_unknown_backend_rejected(self, store):
         with pytest.raises(ReproError):
@@ -366,27 +372,30 @@ class TestBackendWiring:
         assert "backend    : columnar" in text
         assert "[dense]" not in text and "[sparse]" not in text
 
-    def test_cli_backend_flag(self, tmp_path, capsys):
+    def test_cli_vector_engine(self, tmp_path, capsys):
         from repro.cli import main
         from repro.triplestore import dump_path
 
         path = tmp_path / "s.tstore"
         dump_path(Triplestore([("a", "p", "b"), ("b", "p", "c")]), str(path))
-        assert main(["query", str(path), "star[1,2,3'; 3=1'](E)", "--backend", "columnar"]) == 0
+        assert main(["query", str(path), "star[1,2,3'; 3=1'](E)", "--engine", "vector"]) == 0
         out = capsys.readouterr().out
         assert "# 3 triples" in out
 
-    def test_cli_backend_engine_conflict(self, tmp_path, capsys):
+    def test_cli_query_runs_vector_engine_by_default(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         from repro.triplestore import dump_path
 
         path = tmp_path / "s.tstore"
         dump_path(Triplestore([("a", "p", "b")]), str(path))
-        assert main(["query", str(path), "E", "--engine", "naive", "--backend", "columnar"]) == 1
-        assert "columnar" in capsys.readouterr().err
-        # --engine vector with an explicit set backend is contradictory...
-        assert main(["query", str(path), "E", "--engine", "vector", "--backend", "set"]) == 1
-        assert "columnar" in capsys.readouterr().err
-        # ...but --engine vector alone implies columnar and works.
-        assert main(["query", str(path), "E", "--engine", "vector"]) == 0
-        capsys.readouterr()
+        ran = []
+        real = VectorEngine.execute_plan_keys
+
+        def spy(self, plan, store):
+            ran.append(type(self))
+            return real(self, plan, store)
+
+        monkeypatch.setattr(VectorEngine, "execute_plan_keys", spy)
+        assert main(["query", str(path), "E"]) == 0
+        assert ran == [VectorEngine]
+        assert "# 1 triples" in capsys.readouterr().out
