@@ -19,9 +19,11 @@ evaluates through one seam::
         db.install("Closure", "star[1,2,3'; 3=1'](E)")
         db.install("Friends", triples)
 
-A session executes on the columnar backend — a ``VectorEngine`` over the
-store's dictionary-encoded relation arrays — unless ``engine=`` or
-``backend=`` names another (:data:`BACKENDS`).
+A session executes on the set backend — a ``FastEngine`` over the
+store's tuple sets — unless ``engine=`` or ``backend=`` names another
+(:data:`BACKENDS`).  It is the default because it keeps each triple's
+own objects: the columnar dictionary holds one object per ``==`` class,
+so ``1``, ``True`` and ``1.0`` come back as one of them.
 
 Caching is *relation-aware*: every plan/result cache key embeds the
 version of each relation the expression mentions (its dependency set),
@@ -57,7 +59,7 @@ from repro.api import (
 )
 from repro.core.engines.base import Engine, PlanEngine
 from repro.core.engines.hashjoin import FastEngine
-from repro.core.engines.sharded import ShardedEngine
+from repro.core.engines.sharded import DEFAULT_SHARDS, ShardedEngine
 from repro.core.engines.vectorized import VectorEngine
 from repro.core.expressions import Expr, Universe
 from repro.core.params import bind_plan, substitute_params
@@ -250,22 +252,21 @@ class Database:
     engine:
         Any :class:`~repro.core.engines.base.Engine`; defaults to the
         ``backend``'s engine — a
-        :class:`~repro.core.engines.vectorized.VectorEngine` for
-        ``"columnar"``, a
         :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
         (Proposition 4/5 reach operators enabled), a
+        :class:`~repro.core.engines.vectorized.VectorEngine` for
+        ``"columnar"``, a
         :class:`~repro.core.engines.sharded.ShardedEngine` for
         ``"sharded"``.
     backend:
         One of :data:`BACKENDS`.  ``None`` (default) means: the given
         engine's backend if an engine was passed, else ``"sharded"`` if
-        ``shards`` or ``executor`` was, else ``"columnar"`` — the
-        dictionary-encoded array view every served workload runs on.
-        ``"set"`` stays the tuple-at-a-time reference.
+        ``shards`` or ``executor`` was, else ``"set"``.
     shards:
         With ``backend="sharded"``: the shard count for the default
         :class:`~repro.core.engines.sharded.ShardedEngine` (``None``
-        keeps the engine default).  Invalid with any other backend.
+        means :data:`~repro.core.engines.sharded.DEFAULT_SHARDS`).
+        Invalid with any other backend.
     executor:
         ``None`` or ``"thread"``, the sharded backend's only shard
         executor; kept so existing callers keep working, and slated for
@@ -309,7 +310,7 @@ class Database:
             elif shards is not None or executor is not None:
                 backend = "sharded"
             else:
-                backend = "columnar"
+                backend = "set"
         if backend not in BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
@@ -333,8 +334,8 @@ class Database:
             if backend == "columnar":
                 engine = VectorEngine()
             elif backend == "sharded":
-                engine = (
-                    ShardedEngine() if shards is None else ShardedEngine(shards=shards)
+                engine = ShardedEngine(
+                    shards=DEFAULT_SHARDS if shards is None else shards
                 )
             else:
                 engine = FastEngine()

@@ -87,25 +87,6 @@ class TestQuery:
         assert exc.value.code == 2
         assert "row count >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["query", "STORE", "E", "--backend", "columnar"],
-            ["query", "STORE", "E", "--shards", "2"],
-            ["serve", "STORE", "--backend", "sharded", "--shards", "2"],
-        ],
-        ids=["query-backend", "query-shards", "serve-shards"],
-    )
-    def test_one_option_picks_what_executes(self, store_path, argv, capsys):
-        """``query`` chooses with ``--engine`` and ``serve`` with
-        ``--backend``; nothing else (parsed only: nothing is served)."""
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([store_path if a == "STORE" else a for a in argv])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
     def test_param_binding(self, store_path, capsys):
         code = main(
             ["query", store_path, "select[2=$label](E)", "--param", "label=part_of"]
@@ -209,7 +190,7 @@ class TestExplain:
         code = main(["explain", "join[1,2,3'; 3=1'](E, E)", "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "columnar"
+        assert data["backend"] == "set"
         assert set(data["plan"]) == {
             "op", "label", "est_rows", "est_cost", "out", "conditions",
             "build_side", "access", "children",

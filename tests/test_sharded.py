@@ -370,10 +370,18 @@ class TestBackendWiring:
         [
             ["query", "STORE", "E", "--engine", "sharded", "--executor", "process"],
             ["serve", "STORE", "--workers", "2"],
+            ["query", "STORE", "E", "--backend", "columnar"],
+            ["query", "STORE", "E", "--shards", "2"],
+            ["serve", "STORE", "--backend", "sharded", "--shards", "2"],
         ],
-        ids=["query-executor", "serve-workers"],
+        ids=[
+            "query-executor", "serve-workers", "query-backend", "query-shards",
+            "serve-shards",
+        ],
     )
-    def test_cli_executor_flags_are_gone(self, tmp_path, argv):
+    def test_cli_removed_flags_are_gone(self, tmp_path, argv):
+        """``query`` chooses with ``--engine`` and ``serve`` with
+        ``--backend``; no other flag picks what executes."""
         from repro.cli import main
         from repro.triplestore.io import dump_path
 

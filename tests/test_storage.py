@@ -572,13 +572,13 @@ class TestServeStorePath:
             for db in tenants.values():
                 db.close()
 
-    def test_serve_without_backend_opens_columnar_sessions(
+    def test_serve_without_backend_opens_set_sessions(
         self, durable_store, tmp_path
     ):
         import argparse
 
         from repro.cli import _serve_tenants
-        from repro.core import VectorEngine
+        from repro.core import FastEngine
 
         args = argparse.Namespace(
             store=durable_store, store_path=None, backend=None,
@@ -587,8 +587,8 @@ class TestServeStorePath:
         tenants = _serve_tenants(args)
         try:
             for db in tenants.values():
-                assert db.backend == "columnar"
-                assert isinstance(db.engine, VectorEngine)
+                assert db.backend == "set"
+                assert isinstance(db.engine, FastEngine)
         finally:
             for db in tenants.values():
                 db.close()
