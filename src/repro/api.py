@@ -563,20 +563,22 @@ def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
     rewrites would consume are still reported.  The plan is compiled
     from the optimized expression, as every session runs it, by
     ``engine``; with no engine, or one that interprets directly, as a
-    default ``FastEngine`` session compiles it.  ``store`` anchors the
-    estimates in real statistics.  Compiling verifies the plan, so its
-    only violations are those of a plan the verifier rejected inside
-    compile; that plan is ``None``.
+    default session compiles it (``VectorEngine``, columnar).  ``store``
+    anchors the estimates in real statistics.  Compiling verifies the
+    plan, so its only violations are those of a plan the verifier
+    rejected inside compile; that plan is ``None``.
     """
     from repro.analysis.semantics import analyze_expr
     from repro.core.engines.base import PlanEngine
-    from repro.core.engines.hashjoin import FastEngine
+    from repro.core.engines.vectorized import VectorEngine
 
     analysis = tuple(f.to_dict() for f in analyze_expr(expr, store))
     expr = optimize(expr)
-    planner = engine if isinstance(engine, PlanEngine) else FastEngine()
+    planner = engine if isinstance(engine, PlanEngine) else VectorEngine()
     compiled_by = type(planner).__name__
-    if engine is not None and engine is not planner:
+    if engine is None:
+        engine = planner
+    elif engine is not planner:
         compiled_by += (
             f" — note: {type(engine).__name__} interprets directly "
             "and will not run this plan"

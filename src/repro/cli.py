@@ -18,9 +18,9 @@ Usage (after installation, or via ``python -m repro.cli``)::
     # Other registered languages through the same front door
     python -m repro.cli query store.tstore "a/b-" --lang gxpath
 
-    # The same plan on another engine (default: fast, tuple-at-a-time
-    # sets): vectorised columnar arrays, or shard-parallel arrays
-    python -m repro.cli query store.tstore "star[1,2,3'; 3=1'](E)" --engine vector
+    # The same plan on another engine (default: vector, the columnar
+    # backend): tuple-at-a-time sets, or shard-parallel arrays
+    python -m repro.cli query store.tstore "star[1,2,3'; 3=1'](E)" --engine fast
     python -m repro.cli query store.tstore "join[1,2,3'; 3=1'](E, E)" --engine sharded
 
     # Fragment, physical plan with cost estimates, plan violations and
@@ -420,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--engine",
         choices=sorted(ENGINES),
-        default="fast",
-        help="what executes: fast (default) or hash (tuple-at-a-time "
-        "sets), vector (columnar arrays), sharded (hash-partitioned "
-        "arrays), naive (the reference interpreter)",
+        default="vector",
+        help="what executes: vector (default; columnar arrays), fast or "
+        "hash (tuple-at-a-time sets), sharded (hash-partitioned arrays), "
+        "naive (the reference interpreter)",
     )
     q.add_argument(
         "--explain",
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="execution backend for every tenant (default: set)",
+        help="execution backend for every tenant (default: columnar)",
     )
     s.add_argument(
         "--max-inflight",

@@ -19,11 +19,12 @@ evaluates through one seam::
         db.install("Closure", "star[1,2,3'; 3=1'](E)")
         db.install("Friends", triples)
 
-A session executes on the set backend — a ``FastEngine`` over the
-store's tuple sets — unless ``engine=`` or ``backend=`` names another
-(:data:`BACKENDS`).  It is the default because it keeps each triple's
-own objects: the columnar dictionary holds one object per ``==`` class,
-so ``1``, ``True`` and ``1.0`` come back as one of them.
+A session executes on the columnar backend — a ``VectorEngine`` over the
+store's dictionary-encoded relation arrays — unless ``engine=`` or
+``backend=`` names another (:data:`BACKENDS`).  Every backend answers the
+same objects: a store holds one object per ``==`` class (``1``,
+``True`` and ``1.0`` are one), chosen by one rule
+(:mod:`repro.triplestore.identity`).
 
 Caching is *relation-aware*: every plan/result cache key embeds the
 version of each relation the expression mentions (its dependency set),
@@ -252,16 +253,16 @@ class Database:
     engine:
         Any :class:`~repro.core.engines.base.Engine`; defaults to the
         ``backend``'s engine — a
-        :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
-        (Proposition 4/5 reach operators enabled), a
         :class:`~repro.core.engines.vectorized.VectorEngine` for
         ``"columnar"``, a
+        :class:`~repro.core.engines.hashjoin.FastEngine` for ``"set"``
+        (Proposition 4/5 reach operators enabled), a
         :class:`~repro.core.engines.sharded.ShardedEngine` for
         ``"sharded"``.
     backend:
         One of :data:`BACKENDS`.  ``None`` (default) means: the given
         engine's backend if an engine was passed, else ``"sharded"`` if
-        ``shards`` or ``executor`` was, else ``"set"``.
+        ``shards`` or ``executor`` was, else ``"columnar"``.
     shards:
         With ``backend="sharded"``: the shard count for the default
         :class:`~repro.core.engines.sharded.ShardedEngine` (``None``
@@ -310,7 +311,7 @@ class Database:
             elif shards is not None or executor is not None:
                 backend = "sharded"
             else:
-                backend = "set"
+                backend = "columnar"
         if backend not in BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"

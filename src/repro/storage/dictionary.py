@@ -48,6 +48,7 @@ import base64
 import json
 import struct
 import zlib
+from collections.abc import Set
 from itertools import chain
 from typing import Any, Collection, Iterable, Mapping
 
@@ -95,16 +96,16 @@ def unstorable_type(groups: Iterable[Collection[Any]]) -> type | None:
     return None
 
 
-def check_storable(mutations: Mapping[str, Collection[tuple]], values: Iterable[Any]) -> None:
+def check_storable(mutations: Mapping[str, Collection[tuple]], types: Set[type]) -> None:
     """Raise :class:`StorageError` if a relation of ``mutations`` holds an
     object the dictionary segment cannot write.
 
-    ``values`` is every object of ``mutations``, three per triple, as the
-    encoder read them: one pass over their exact types clears a batch of
+    ``types`` are the exact types of the objects of ``mutations``, which
+    the encoder took in its one pass over them: that clears a batch of
     scalars; only a batch holding something else (a tuple, or a stray)
     is searched relation by relation.
     """
-    if set(map(type, values)) <= _SCALARS:
+    if types <= _SCALARS:
         return
     for name, triples in mutations.items():
         stray = unstorable_type(triples)

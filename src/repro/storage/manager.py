@@ -322,8 +322,10 @@ class DurableStore:
         assert self.wal is not None and self.store is not None, "store is not open"
         store = self.store
         batch = store.columnar().encode(frozen)
-        check_storable(frozen, batch.values)
-        derived = store._derive({**store._relations, **frozen}, tuple(frozen), batch=batch)
+        check_storable(batch.relations, batch.types)
+        derived = store._derive(
+            {**store._relations, **batch.relations}, tuple(frozen), batch=batch
+        )
         seq = self.wal.append(batch)
         self.store = derived
         return seq

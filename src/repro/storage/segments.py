@@ -463,6 +463,13 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
             f"dictionary segment {meta_path} does not decode: {exc}"
         ) from exc
     del objects  # the index holds the universe; no second copy until asked
+    twins = index.duplicate()
+    if twins is not None:
+        a, b = (index.objects[code] for code in twins)
+        raise StoreCorruptionError(
+            f"dictionary segment {meta_path} holds {a!r} and {b!r}, which "
+            "compare equal: a store holds one object per == class"
+        )
 
     def array(entry: Mapping[str, Any], check: Callable[[np.ndarray], None]) -> np.ndarray:
         path = seg_path(entry)
@@ -498,4 +505,5 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
     store._stats = None
     store._columnar = ColumnarStore.from_encoded(index, dv_values, dv_codes, relations)
     store._sharded = {}
+    store._types = None
     return store

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
 from typing import Any, Callable, Collection, Iterable, Mapping
@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.errors import TriplestoreError
 from repro.triplestore.dictionary import ObjectIndex, hashes_of, object_array
+from repro.triplestore.identity import objects_of, respell, respellings
 from repro.triplestore.model import Obj, Triple, Triplestore
 
 __all__ = [
@@ -174,15 +175,17 @@ class EncodedBatch:
     before the ``i``-th of them (non-decreasing).  ``keys`` maps each
     relation, in application order, to its read-only sorted unique
     packed keys over the grown dictionary of ``base + len(fresh)``
-    objects.  ``values`` is the batch's objects, three per triple, as
-    the encoder read them (empty for a batch read back from a log).
+    objects.  ``relations`` is the batch's triples as the store spells
+    them (:mod:`~repro.triplestore.identity`) and ``types`` their
+    objects' exact types — both empty for a batch read back from a log.
     """
 
     base: int
     fresh: ObjectIndex
     at: np.ndarray
     keys: dict[str, np.ndarray]
-    values: list = ()
+    relations: Mapping[str, frozenset] = field(default_factory=dict)
+    types: frozenset = frozenset()
 
 
 class ColumnarStore:
@@ -289,14 +292,24 @@ class ColumnarStore:
         """``relations`` as codes against this view's dictionary: the
         first half of deriving a version of this view's store.
 
-        Every object is hashed once, in one pass over the batch, and
-        looked up once against the dictionary; the objects outside it
-        are deduplicated on those hashes (:meth:`_fresh`).  The codes
-        are those of the grown dictionary :meth:`apply` installs.
+        The batch is spelled first as every ingest is
+        (:func:`~repro.triplestore.identity.respellings`: an object the
+        dictionary holds keeps the dictionary's spelling), which costs
+        a batch of plain types one pass over their types.  Every object
+        is then hashed once, in one pass over the batch, and looked up
+        once against the dictionary; the objects outside it are
+        deduplicated on those hashes (:meth:`_fresh`).  The codes are
+        those of the grown dictionary :meth:`apply` installs.
         """
         count = 3 * sum(map(len, relations.values()))
-        values = object_array(chain.from_iterable(chain.from_iterable(relations.values())), count)
-        flat = values.tolist()
+        flat = list(objects_of(relations.values()))
+        types = frozenset(map(type, flat))
+        index = self.object_index
+        renames = respellings(flat, types, index, index.types)
+        if renames:
+            relations = {name: respell(rel, renames) for name, rel in relations.items()}
+            flat = list(objects_of(relations.values()))
+        values = object_array(flat, count)
         hashes = hashes_of(flat, count)
         codes = self.object_index.lookup(flat, hashes)
         absent = np.flatnonzero(codes < 0)
@@ -313,7 +326,7 @@ class ColumnarStore:
             hi = lo + 3 * len(rel)
             keys[name] = _readonly(sorted_unique(_pack(codes[lo:hi].reshape(-1, 3), radix)))
             lo = hi
-        return EncodedBatch(self.n, fresh, at, keys, flat)
+        return EncodedBatch(self.n, fresh, at, keys, relations, types)
 
     @staticmethod
     def _fresh(missing: np.ndarray, hashes: np.ndarray) -> tuple[ObjectIndex, np.ndarray]:
@@ -323,9 +336,11 @@ class ColumnarStore:
 
         Occurrences are grouped by hash with one sort, and each group is
         one object when all its members equal its first occurrence (as
-        dict keys do); the index is assembled from the groups, with no
-        second hash or sort.  Only a batch where two unequal objects
-        share a hash (a collision, a NaN) is deduplicated by a ``set``.
+        dict keys do; :meth:`encode` has respelled the batch, so every
+        member of an ``==`` class is spelled as that occurrence is); the
+        index is assembled from the groups, with no second hash or sort.
+        Only a batch where two unequal objects share a hash (a
+        collision, a NaN) is deduplicated by a ``set``.
         """
         if not len(missing):
             return ObjectIndex.build([]), np.empty(0, dtype=np.int64)
@@ -367,7 +382,7 @@ class ColumnarStore:
         if any(map(operator.gt, reprs, reprs[1:])):
             raise ValueError("the fresh objects are not in repr order")
         index = ObjectIndex.build(fresh)
-        if not np.array_equal(index.encode(fresh), np.arange(len(fresh))):
+        if index.duplicate() is not None:
             raise ValueError("an object is fresh twice")
         if (self.object_index.encode(fresh) >= 0).any():
             raise ValueError("a fresh object is already in the dictionary")

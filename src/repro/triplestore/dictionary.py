@@ -68,7 +68,7 @@ class ObjectIndex(Set):
     as a set-like view it is the universe ``O`` (``in``, ``len``,
     ``iter``)."""
 
-    __slots__ = ("objects", "hashes", "order")
+    __slots__ = ("objects", "hashes", "order", "_types")
 
     def __init__(self, objects: np.ndarray, hashes: np.ndarray, order: np.ndarray) -> None:
         self.objects = objects
@@ -76,6 +76,14 @@ class ObjectIndex(Set):
         self.order = order
         for arr in (objects, hashes, order):
             arr.setflags(write=False)
+        self._types: frozenset[type] | None = None
+
+    @property
+    def types(self) -> frozenset[type]:
+        """The exact types of the objects (one pass, on first use)."""
+        if self._types is None:
+            self._types = frozenset(map(type, self.objects))
+        return self._types
 
     @classmethod
     def build(cls, objs: Sequence[Any]) -> "ObjectIndex":
@@ -116,7 +124,31 @@ class ObjectIndex(Set):
         order = np.empty(n_old + n_fresh, dtype=np.int32)
         order[slots] = fresh_codes[fresh.order]
         order[kept] = remap[self.order]
-        return ObjectIndex(objects, hashes, _ascending_runs(hashes, order)), remap
+        grown = ObjectIndex(objects, hashes, _ascending_runs(hashes, order))
+        if self._types is not None:
+            grown._types = self._types | fresh.types
+        return grown, remap
+
+    def duplicate(self) -> tuple[int, int] | None:
+        """Two codes whose objects compare ``==``, or ``None``.
+
+        A dictionary holds one object per ``==`` class, so a pair means
+        damage.  Equal objects hash alike: only runs of equal hashes are
+        compared, as a dict compares its keys.
+        """
+        run: dict = {}
+        last = -2
+        for i in np.flatnonzero(self.hashes[1:] == self.hashes[:-1]).tolist():
+            if i != last + 1:  # a new run starts at i
+                first = int(self.order[i])
+                run = {self.objects[first]: first}
+            code = int(self.order[i + 1])
+            obj = self.objects[code]
+            if obj in run:
+                return run[obj], code
+            run[obj] = code
+            last = i
+        return None
 
     # -- lookups -------------------------------------------------------- #
 

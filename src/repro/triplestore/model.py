@@ -9,7 +9,10 @@ A *triplestore database* is a tuple ``T = (O, E1, ..., En, rho)`` where
 Objects may be any hashable Python values (strings in all the paper's
 examples).  Data values likewise; the paper also allows tuples of values
 (the social network of Section 2.3 uses quintuples) and our ``rho`` does
-too since tuples are hashable.
+too since tuples are hashable.  ``O`` is a set, so it holds one object
+per ``==`` class (``1``, ``True`` and ``1.0`` are one); which spelling a
+store keeps is :mod:`repro.triplestore.identity`'s rule, applied to
+every triple a store takes in.
 
 The model is deliberately closed under query evaluation: the result of a
 TriAL expression is a plain ``frozenset`` of triples over ``O`` that can be
@@ -32,6 +35,7 @@ from itertools import chain
 from typing import Any
 
 from repro.errors import TriplestoreError, UnknownRelationError
+from repro.triplestore.identity import objects_of, respell, respellings
 
 Obj = Hashable
 Triple = tuple[Any, Any, Any]
@@ -54,17 +58,28 @@ def freeze_triples(triples: Iterable[Iterable[Any]]) -> frozenset[Triple]:
 
     A batch that already is hashable 3-tuples — the common case — is
     checked by type and length over the deduplicated set instead of
-    being rebuilt triple by triple.
+    being rebuilt triple by triple.  Where two equal triples spell an
+    object apart (``(1, 'p', 'a')`` and ``(True, 'p', 'a')``), the kept
+    triple spells it as :func:`~repro.triplestore.identity.respellings`
+    says, not as the first one did.
     """
     if not isinstance(triples, Collection):
         triples = list(triples)
     try:
         frozen = frozenset(triples)
     except TypeError:  # an unhashable item (a list, say): coerce each
-        return frozenset(map(_as_triple, triples))
-    if set(map(type, frozen)) <= {tuple} and set(map(len, frozen)) <= {3}:
-        return frozen
-    return frozenset(map(_as_triple, frozen))
+        frozen = frozenset(map(_as_triple, triples))
+    else:
+        if not (set(map(type, frozen)) <= {tuple} and set(map(len, frozen)) <= {3}):
+            frozen = frozenset(map(_as_triple, frozen))
+    if len(frozen) < len(triples):
+        # Equal triples met, and the set kept the first: keep each
+        # object's least-repr spelling instead, as the batch spells it.
+        types = set(map(type, chain.from_iterable(triples)))
+        renames = respellings(chain.from_iterable(triples), types)
+        if renames:
+            frozen = respell(map(_as_triple, triples), renames)
+    return frozen
 
 
 class Triplestore:
@@ -100,6 +115,7 @@ class Triplestore:
         "_stats",
         "_columnar",
         "_sharded",
+        "_types",
     )
 
     def __init__(
@@ -119,16 +135,22 @@ class Triplestore:
         if not rel_map:
             rel_map = {DEFAULT_RELATION: frozenset()}
 
-        objects: set[Obj] = set(extra_objects)
-        for triples in rel_map.values():
-            for s, p, o in triples:
-                objects.add(s)
-                objects.add(p)
-                objects.add(o)
+        extra_objects = tuple(extra_objects)
+        types = set(map(type, chain(extra_objects, objects_of(rel_map.values()))))
+        renames = respellings(chain(extra_objects, objects_of(rel_map.values())), types)
+        if renames:
+            rel_map = {name: respell(triples, renames) for name, triples in rel_map.items()}
+            extra_objects = tuple(map(renames.get, extra_objects, extra_objects))
+        objects = frozenset(chain(extra_objects, objects_of(rel_map.values())))
 
         self._relations: dict[str, frozenset[Triple]] = rel_map
         self._rho: dict[Obj, Any] = dict(rho or {})
-        self._objects: frozenset[Obj] = frozenset(objects)
+        self._objects: frozenset[Obj] = objects
+        #: The exact types of the universe's objects, kept on the set
+        #: path (a columnar dictionary knows its own).
+        self._types: frozenset[type] | None = (
+            frozenset(map(type, objects)) if renames else frozenset(types)
+        )
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Triple]]] = {}
         self._stats = None
         self._columnar = None
@@ -247,7 +269,11 @@ class Triplestore:
         ``replaced`` names the entries whose content is new, every other
         entry is this store's own object.  ``rho`` replaces the
         data-value function when given.  Objects are retained, so the
-        universe only grows.
+        universe only grows; the replaced relations are spelled by
+        :func:`~repro.triplestore.identity.respellings` (this store's
+        objects win) — on the columnar path by
+        :meth:`ColumnarStore.encode`, whose ``batch.relations`` a caller
+        that passes ``batch`` installs.
 
         The derived store shares this store's frozensets, object set, ρ
         dictionary, hash indexes and computed statistics for every
@@ -262,20 +288,28 @@ class Triplestore:
         if not relations:
             relations, replaced = {DEFAULT_RELATION: frozenset()}, (DEFAULT_RELATION,)
         child = object.__new__(type(self))
-        child._relations = relations
         child._rho = self._rho if rho is None else rho
         if self._columnar is None:
-            fresh: Collection[Obj] = set(
-                chain.from_iterable(chain.from_iterable(relations[n] for n in replaced))
-            )
+            new = [relations[name] for name in replaced]
+            types = set(map(type, objects_of(new)))
+            renames = respellings(objects_of(new), types, self._objects, self._types)
+            if renames:
+                new = [respell(triples, renames) for triples in new]
+                relations = {**relations, **dict(zip(replaced, new))}
+            fresh: Collection[Obj] = set(objects_of(new))
             fresh -= self._objects
+            child._relations = relations
             child._columnar = None
+            child._types = self._types.union(map(type, fresh))
         else:
             view = self._columnar
             if batch is None:
                 batch = view.encode({name: relations[name] for name in replaced})
+                relations = {**relations, **batch.relations}
+            child._relations = relations
             child._columnar = view.apply(child, batch, rho is not None)
             fresh = batch.fresh.objects
+            child._types = None
         # (A universe nobody asked for yet stays unbuilt in the child: its
         # view's dictionary grew by the same new objects.)
         child._objects = (

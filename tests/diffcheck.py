@@ -70,6 +70,7 @@ __all__ = [
     "random_expression",
     "random_gxpath",
     "random_nre",
+    "random_pool",
     "random_semantic_conditions",
     "random_semantic_expression",
     "random_triplestore",
@@ -81,6 +82,14 @@ __all__ = [
 #: Object pool for random stores (small on purpose: collisions are where
 #: join/condition bugs hide, and the naive oracle is cubic).
 OBJECTS = ("a", "b", "c", "d", "e", "f")
+
+#: The pool of a share (:data:`MIXED_SHARE`) of the stores and their
+#: constants: ``==`` classes spelled several ways (``1``/``True``/``1.0``,
+#: ``0.0``/``-0.0``, ``(1,)``/``(True,)``) beside strings.  A store keeps
+#: one object per class, and every engine must answer it as the oracle
+#: spells it.  Ordered so that every prefix a store draws mixes them.
+MIXED_OBJECTS = (1, True, "a", 1.0, (1,), -0.0, "b", (True,), 0.0, "c")
+MIXED_SHARE = 0.25
 
 #: ρ-value pools, from maximal collision (one class) to near-injective.
 DATA_VALUE_POOLS = ((0,), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5))
@@ -175,16 +184,22 @@ def default_engines() -> dict[str, object]:
 # --------------------------------------------------------------------- #
 
 
-def random_triplestore(rng: random.Random) -> Triplestore:
+def random_pool(rng: random.Random) -> tuple:
+    """The object pool of one case: :data:`MIXED_OBJECTS` for a
+    :data:`MIXED_SHARE` of them, :data:`OBJECTS` otherwise."""
+    return MIXED_OBJECTS if rng.random() < MIXED_SHARE else OBJECTS
+
+
+def random_triplestore(rng: random.Random, pool: tuple = OBJECTS) -> Triplestore:
     """A random store with varied density, ρ-collisions and self-loops.
 
-    Sweeps the profile knobs per draw: triple count 0..14 over 2..6
-    objects (densities from empty to near-complete on the small end),
-    ρ drawn from pools of 1..6 distinct values (collision-heavy to
-    near-injective), forced self-loop triples half the time, and a
-    second relation ``F`` a third of the time.
+    Sweeps the profile knobs per draw: triple count 0..14 over 2 or more
+    objects of ``pool`` (densities from empty to near-complete on the
+    small end), ρ drawn from pools of 1..6 distinct values
+    (collision-heavy to near-injective), forced self-loop triples half
+    the time, and a second relation ``F`` a third of the time.
     """
-    objects = OBJECTS[: rng.randint(2, len(OBJECTS))]
+    objects = pool[: rng.randint(2, len(pool))]
     n_triples = rng.randint(0, 14)
     triples = {
         (rng.choice(objects), rng.choice(objects), rng.choice(objects))
@@ -260,13 +275,22 @@ def random_expression(
     max_depth: int = 3,
     allow_star: bool = True,
     relations: tuple[str, ...] = ("E",),
+    objects: tuple = OBJECTS,
 ) -> Expr:
-    """A random TriAL(*) expression (U excluded, as in the property tests).
+    """A random TriAL(*) expression (U excluded, as in the property tests)
+    whose constants are drawn from ``objects``.
 
     Star operands stay shallow so the naive oracle's full-re-join
     fixpoints do not dominate the run; every reach-shaped star the
     generator happens to produce exercises the Prop 4/5 operators.
     """
+
+    def sub(depth: int = max_depth - 1) -> Expr:
+        return random_expression(rng, depth, allow_star, relations, objects)
+
+    def conditions(max_pos: int, max_conds: int = 2) -> tuple[Cond, ...]:
+        return random_conditions(rng, max_pos, max_conds, objects)
+
     if max_depth <= 0:
         return Rel(rng.choice(relations))
     kind = rng.choice(
@@ -276,35 +300,24 @@ def random_expression(
     if kind == "rel":
         return Rel(rng.choice(relations))
     if kind == "select":
-        inner = random_expression(rng, max_depth - 1, allow_star, relations)
-        return Select(inner, random_conditions(rng, max_pos=2))
+        inner = sub()
+        return Select(inner, conditions(2))
     if kind in ("union", "diff", "intersect"):
         cls = {"union": Union, "diff": Diff, "intersect": Intersect}[kind]
-        return cls(
-            random_expression(rng, max_depth - 1, allow_star, relations),
-            random_expression(rng, max_depth - 1, allow_star, relations),
-        )
+        return cls(sub(), sub())
     if kind == "join":
-        return Join(
-            random_expression(rng, max_depth - 1, allow_star, relations),
-            random_expression(rng, max_depth - 1, allow_star, relations),
-            _random_out(rng),
-            random_conditions(rng, max_pos=5),
-        )
+        return Join(sub(), sub(), _random_out(rng), conditions(5))
     if kind == "onesided":
         # No cross condition and an output read from one operand (the
         # shape NRE ``a.[b]`` / GXPath ``a/[<b>]`` compile to), hit on
         # purpose: local and constant-only conditions still gate it.
         base = rng.choice((0, 3))
         out = tuple(base + rng.randint(0, 2) for _ in range(3))
-        conds = random_conditions(rng, 2, 1) + tuple(
-            c.swap_sides() for c in random_conditions(rng, 2, 1)
-        )
-        inner = random_expression(rng, max_depth - 1, allow_star, relations)
+        conds = conditions(2, 1) + tuple(c.swap_sides() for c in conditions(2, 1))
+        inner = sub()
         if allow_star and rng.random() < 0.3:
             return Star(inner, out, conds, rng.choice(("right", "left")))
-        other = random_expression(rng, max_depth - 1, allow_star, relations)
-        return Join(inner, other, out, conds)
+        return Join(inner, sub(), out, conds)
     if kind == "reach":
         # The two Proposition 5 shapes, hit on purpose (random out specs
         # almost never produce them).
@@ -313,10 +326,10 @@ def random_expression(
     inner = (
         Rel(rng.choice(relations))
         if rng.random() < 0.5
-        else Select(Rel(rng.choice(relations)), random_conditions(rng, 2, 1))
+        else Select(Rel(rng.choice(relations)), conditions(2, 1))
     )
     side = "right" if kind == "star" else "left"
-    return Star(inner, _random_out(rng), random_conditions(rng, 5), side)
+    return Star(inner, _random_out(rng), conditions(5), side)
 
 
 def random_semantic_conditions(
@@ -352,35 +365,36 @@ def random_semantic_conditions(
 
 
 def random_semantic_expression(
-    rng: random.Random, relations: tuple[str, ...] = ("E",)
+    rng: random.Random, relations: tuple[str, ...] = ("E",), objects: tuple = OBJECTS
 ) -> Expr:
-    """A TriAL(*) expression seeded with analyzer-triggering shapes."""
-    base = random_expression(rng, max_depth=2, relations=relations)
+    """A TriAL(*) expression seeded with analyzer-triggering shapes, its
+    constants drawn from ``objects``."""
+
+    def expression(depth: int) -> Expr:
+        return random_expression(rng, depth, relations=relations, objects=objects)
+
+    def conditions(max_pos: int) -> tuple[Cond, ...]:
+        return random_semantic_conditions(rng, max_pos, objects)
+
+    base = expression(2)
     shape = rng.choice(("select", "join", "star", "diff-self", "nested"))
     if shape == "select":
-        return Select(base, random_semantic_conditions(rng, 2))
+        return Select(base, conditions(2))
     if shape == "join":
-        other = random_expression(rng, max_depth=1, relations=relations)
-        return Join(base, other, _random_out(rng), random_semantic_conditions(rng, 5))
+        return Join(base, expression(1), _random_out(rng), conditions(5))
     if shape == "star":
         inner = Rel(rng.choice(relations))
-        return Star(inner, _random_out(rng), random_semantic_conditions(rng, 5))
+        return Star(inner, _random_out(rng), conditions(5))
     if shape == "diff-self":
         # Diff(e, e) is provably empty; wrapping it exercises the
         # bottom-up emptiness propagation through an enclosing operator.
         dead = Diff(base, base)
         if rng.random() < 0.5:
-            return Union(dead, random_expression(rng, 1, relations=relations))
+            return Union(dead, expression(1))
         return Join(
-            dead,
-            random_expression(rng, 1, relations=relations),
-            _random_out(rng),
-            random_conditions(rng, 5),
+            dead, expression(1), _random_out(rng), random_conditions(rng, 5, 2, objects)
         )
-    return Select(
-        Select(base, random_semantic_conditions(rng, 2)),
-        random_semantic_conditions(rng, 2),
-    )
+    return Select(Select(base, conditions(2)), conditions(2))
 
 
 def random_gxpath(rng: random.Random, max_depth: int = 3) -> gx.PathExpr:
@@ -455,6 +469,12 @@ def _evaluate(engine, expr: Expr, store: Triplestore):
         return f"raised {type(exc).__name__}"
 
 
+def spelled(outcome):
+    """An outcome as it prints: its rows' ``repr`` s, sorted (an error
+    verdict as it is).  ``==`` would take ``True`` for ``1``."""
+    return outcome if isinstance(outcome, str) else sorted(map(repr, outcome))
+
+
 def _check(engines: dict[str, object], expr: Expr, store: Triplestore):
     """Outcomes keyed by engine, or None when everyone agrees.
 
@@ -463,15 +483,16 @@ def _check(engines: dict[str, object], expr: Expr, store: Triplestore):
     passes on — both must match the *raw* naive witness, so an unsound
     rewrite (e.g. a wrong unsatisfiability verdict emptying a live
     query) shows up as a disagreement even when every engine agrees on
-    the rewritten expression.
+    the rewritten expression.  Answers agree when they print alike
+    (:func:`spelled`), objects' spellings included.
     """
     outcomes = {name: _evaluate(eng, expr, store) for name, eng in engines.items()}
     rewritten = optimize(expr)
     if rewritten != expr:
         for name, eng in engines.items():
             outcomes[f"{name}+opt"] = _evaluate(eng, rewritten, store)
-    witness = outcomes["naive"]
-    if all(v == witness for v in outcomes.values()):
+    witness = spelled(outcomes["naive"])
+    if all(spelled(v) == witness for v in outcomes.values()):
         return None
     return outcomes
 
@@ -523,7 +544,7 @@ def repro_snippet(
 ) -> str:
     """An executable snippet reproducing one disagreement."""
     relations = {
-        name: sorted(store.relation(name)) for name in store.relation_names
+        name: sorted(store.relation(name), key=repr) for name in store.relation_names
     }
     rho = {k: store.rho(k) for k in sorted(store.objects, key=repr)}
     lines = [
@@ -540,34 +561,35 @@ def repro_snippet(
         "",
         f"store = Triplestore({relations!r}, rho={rho!r})",
         f"expr = parse({repr(expr)!r})",
-        "expected = NaiveEngine().evaluate(expr, store)",
+        "spelled = lambda rows: sorted(map(repr, rows))  # 1 and True differ",
+        "expected = spelled(NaiveEngine().evaluate(expr, store))",
         "for engine in (NaiveEngine(), HashJoinEngine(), FastEngine(), VectorEngine(),",
         "               ShardedEngine(shards=3), ShardedEngine(shards=2, key_pos=2)):",
-        "    assert engine.evaluate(expr, store) == expected, type(engine).__name__",
-        "    assert engine.evaluate(optimize(expr), store) == expected, \\",
+        "    assert spelled(engine.evaluate(expr, store)) == expected, type(engine).__name__",
+        "    assert spelled(engine.evaluate(optimize(expr), store)) == expected, \\",
         "        f'{type(engine).__name__}+opt'",
         "",
         "# the sharded-pool axis: every shard task through a thread pool",
         "with ThreadPoolExecutor(max_workers=2) as pool, mock.patch.multiple(",
         "        sharded, SHARD_DISPATCH_MIN=0, _shared_pool=lambda: pool):",
         "    engine = ShardedEngine(shards=3)",
-        "    assert engine.evaluate(expr, store) == expected, 'sharded-pool'",
-        "    assert engine.evaluate(optimize(expr), store) == expected, 'sharded-pool+opt'",
+        "    assert spelled(engine.evaluate(expr, store)) == expected, 'sharded-pool'",
+        "    assert spelled(engine.evaluate(optimize(expr), store)) == expected, 'sharded-pool+opt'",
         "",
         "# the vector-blocks axis: the columnar kernel with tiny blocks",
         f"with mock.patch.multiple(vectorized, **{TINY_BLOCKS!r}):",
         "    for engine in (VectorEngine(), ShardedEngine(shards=3)):",
-        "        assert engine.evaluate(expr, store) == expected, \\",
+        "        assert spelled(engine.evaluate(expr, store)) == expected, \\",
         "            f'{type(engine).__name__}-blocks'",
-        "        assert engine.evaluate(optimize(expr), store) == expected, \\",
+        "        assert spelled(engine.evaluate(optimize(expr), store)) == expected, \\",
         "            f'{type(engine).__name__}-blocks+opt'",
         "",
         "# the vector-sparse axis: reach stars on the sparse fixpoint",
         f"with mock.patch.multiple(vectorized, **{SPARSE_REACH!r}):",
         "    for engine in (VectorEngine(), ShardedEngine(shards=3)):",
-        "        assert engine.evaluate(expr, store) == expected, \\",
+        "        assert spelled(engine.evaluate(expr, store)) == expected, \\",
         "            f'{type(engine).__name__}-sparse'",
-        "        assert engine.evaluate(optimize(expr), store) == expected, \\",
+        "        assert spelled(engine.evaluate(optimize(expr), store)) == expected, \\",
         "            f'{type(engine).__name__}-sparse+opt'",
     ]
     if outcomes is not None:
@@ -580,6 +602,8 @@ def repro_snippet(
 def _summarise(outcome) -> str:
     if isinstance(outcome, str):
         return outcome
+    if len(outcome) <= 3:  # small enough to show how it is spelled
+        return ", ".join(spelled(outcome)) or "0 triples"
     return f"{len(outcome)} triples"
 
 
@@ -608,12 +632,14 @@ def run_differential(
         rng = random.Random(f"{seed}:{index}")
         kind = kinds[index % len(kinds)]
         if kind == "trial":
-            store = random_triplestore(rng)
+            pool = random_pool(rng)
+            store = random_triplestore(rng, pool)
             names = store.relation_names
-            expr = random_expression(rng, max_depth=3, relations=names)
+            expr = random_expression(rng, max_depth=3, relations=names, objects=pool)
         elif kind == "semantic":
-            store = random_triplestore(rng)
-            expr = random_semantic_expression(rng, store.relation_names)
+            pool = random_pool(rng)
+            store = random_triplestore(rng, pool)
+            expr = random_semantic_expression(rng, store.relation_names, pool)
         elif kind == "gxpath":
             graph = random_graph(rng)
             store = graph.to_triplestore()

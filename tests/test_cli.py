@@ -190,7 +190,7 @@ class TestExplain:
         code = main(["explain", "join[1,2,3'; 3=1'](E, E)", "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "set"
+        assert data["backend"] == "columnar"
         assert set(data["plan"]) == {
             "op", "label", "est_rows", "est_cost", "out", "conditions",
             "build_side", "access", "children",

@@ -6,9 +6,9 @@ import pytest
 from repro import Database
 from repro.api import explain_report, plan_to_dict
 from repro.core import (
+    FastEngine,
     R,
     Universe,
-    VectorEngine,
     complement,
     join,
     query_q,
@@ -125,11 +125,11 @@ class TestOneExplain:
 
         store = figure1()
         report = explain_report(parse(self.MIXED), store)
-        assert (report.compiled_by, report.backend) == ("FastEngine", "set")
+        assert (report.compiled_by, report.backend) == ("VectorEngine", "columnar")
         assert report.plan == plan_to_dict(Database(store).plan(self.MIXED))
         # Every engine with reach operators compiles the one plan.
-        vector = explain_report(parse(self.MIXED), store, VectorEngine())
-        assert report.plan_text == vector.plan_text
+        fast = explain_report(parse(self.MIXED), store, FastEngine())
+        assert report.plan_text == fast.plan_text
 
     @pytest.mark.parametrize(
         "query", ["select[1=2 & 2=1](E)", "(E | select[1='a' & 1='b'](E))"]

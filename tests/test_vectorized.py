@@ -334,21 +334,14 @@ class TestBackendWiring:
         assert Database(store, VectorEngine()).backend == "columnar"
         assert Database(store, FastEngine()).backend == "set"
 
-    def test_default_session_is_set(self, store, tmp_path):
-        assert isinstance(Database(store).engine, FastEngine)
+    def test_default_session_is_columnar(self, store, tmp_path):
+        db = Database(store)
+        assert db.backend == "columnar" and isinstance(db.engine, VectorEngine)
         db = Database(path=str(tmp_path / "s"))
         try:
-            assert db.backend == "set" and isinstance(db.engine, FastEngine)
+            assert db.backend == "columnar" and isinstance(db.engine, VectorEngine)
         finally:
             db.close()
-
-    def test_default_session_keeps_one_true_and_one_point_oh(self):
-        """The set backend keeps each triple's own objects; the columnar
-        dictionary holds one object per ``==`` class, so it would answer
-        all three subjects as one of them."""
-        triples = [(1, "p", "a"), (True, "p", "b"), (1.0, "p", "c")]
-        got = Database.from_triples(triples).query("E").to_set()
-        assert {(type(s), o) for s, _, o in got} == {(int, "a"), (bool, "b"), (float, "c")}
 
     def test_unknown_backend_rejected(self, store):
         with pytest.raises(ReproError):
@@ -386,12 +379,42 @@ class TestBackendWiring:
         out = capsys.readouterr().out
         assert "# 3 triples" in out
 
-    def test_cli_query_prints_each_triples_own_objects(self, tmp_path, capsys):
+    def test_cli_query_runs_vector_engine_by_default(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         from repro.triplestore import dump_path
 
         path = tmp_path / "s.tstore"
         dump_path(Triplestore([(1, "p", "a"), (1.0, "p", "c")]), str(path))
+        ran = []
+        real = VectorEngine.execute_plan_keys
+
+        def spy(self, plan, store):
+            ran.append(type(self))
+            return real(self, plan, store)
+
+        monkeypatch.setattr(VectorEngine, "execute_plan_keys", spy)
         assert main(["query", str(path), "E"]) == 0
+        assert ran == [VectorEngine]
+        # One object per == class: 1.0 is the store's 1.
         rows = capsys.readouterr().out.splitlines()
-        assert "1\t'p'\t'a'" in rows and "1.0\t'p'\t'c'" in rows
+        assert "1\t'p'\t'a'" in rows and "1\t'p'\t'c'" in rows
+
+    def test_cli_datalog_runs_vector_engine_by_default(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.triplestore import dump_path
+
+        path = tmp_path / "s.tstore"
+        dump_path(Triplestore([("a", "p", "b"), ("b", "p", "c")]), str(path))
+        program = tmp_path / "reach.dl"
+        program.write_text("Ans(x, y, z) :- E(x, y, z).\n")
+        ran = []
+        real = VectorEngine.execute_plan_keys
+
+        def spy(self, plan, store):
+            ran.append(type(self))
+            return real(self, plan, store)
+
+        monkeypatch.setattr(VectorEngine, "execute_plan_keys", spy)
+        assert main(["datalog", str(path), str(program)]) == 0
+        assert ran == [VectorEngine]
+        assert "# 2 triples" in capsys.readouterr().out
