@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Standalone entry point for the repo-invariant linter.
+"""Run ``repro lint`` on the repository this script lives in.
 
-Equivalent to ``repro lint`` (or ``python -m repro.analysis.lint``) with
-``--root`` defaulting to the repository this script lives in, so CI and
-pre-commit hooks can run it without installing the package::
+CI and pre-commit hooks can run it without installing the package;
+every argument is passed on to ``repro lint``::
 
     python scripts/lint.py
     python scripts/lint.py --select ERR-MAP,ERR-ORDER
@@ -15,10 +14,7 @@ import sys
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
-from repro.analysis.lint import main  # noqa: E402
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    if not any(a == "--root" or a.startswith("--root=") for a in argv):
-        argv = ["--root", _ROOT] + argv
-    raise SystemExit(main(argv))
+    raise SystemExit(main(["lint", "--root", _ROOT, *sys.argv[1:]]))

@@ -9,24 +9,22 @@ checkable rules (catalogued in
 :data:`repro.analysis.invariants.LINT_RULES`) so they hold by CI
 instead of by memory.
 
-Run as ``repro lint``, ``python -m repro.analysis.lint`` or
-``scripts/lint.py``.  Output is deterministic ``path:line: RULE-ID
-message`` lines sorted by location; exit code 1 when anything fires,
-0 on a clean tree.
+Run as ``repro lint`` (``scripts/lint.py`` runs it on the repository
+it lives in).  Output is deterministic ``path:line: RULE-ID message``
+lines sorted by location; exit code 1 when anything fires, 0 on a clean
+tree, 2 on an unknown rule ID.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.analysis.invariants import LINT_RULES, RULES, Finding
+from repro.analysis.invariants import RULES, Finding
 
-__all__ = ["Finding", "lint_file", "main", "run_lint"]
+__all__ = ["Finding", "lint_file", "run_lint"]
 
 
 def _finding(path: str, line: int, rule: str, message: str) -> Finding:
@@ -372,9 +370,7 @@ def _check_status_map(
 # Cross-file rule: REPRO_* env vars ↔ README documentation
 # --------------------------------------------------------------------- #
 
-#: A REPRO_* environment-variable name as it appears in a string
-#: literal.  A trailing underscore (``"REPRO_SERVICE_"``) marks a
-#: *prefix* under which vars are read dynamically.
+#: A REPRO_* environment-variable name as it appears in a string literal.
 _ENV_VAR_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
 
@@ -403,16 +399,13 @@ def _documented_env_vars(readme_text: str) -> dict[str, int]:
 def _check_env_doc(root: Path) -> Iterator[Finding]:
     """ENV-DOC: the README tables and the REPRO_* vars read under src/ agree.
 
-    The repo threads all configuration through ``REPRO_*`` env-var name
-    constants (``STORE_PATH_ENV = "REPRO_STORE_PATH"`` and friends), so the
-    read sites are exactly the string literals matching the name shape.
-    Both directions are checked: a variable read under src/ needs a
-    README table row, and a row must name a variable something under
-    src/ reads — a row that outlived its knob is a finding at
-    ``README.md:<line>``.  A literal ending in ``_`` is a dynamic
-    *prefix* (the service config reads everything under
-    ``REPRO_SERVICE_``): it counts as documented when some row names a
-    variable under it, and every row under it counts as read.
+    The repo names every ``REPRO_*`` variable it reads as a string
+    literal (``WAL_LIMIT_ENV = "REPRO_STORAGE_WAL_LIMIT"`` and friends),
+    so the read sites are exactly the string literals matching the name
+    shape.  Both directions are checked: a variable read under src/
+    needs a README table row, and a row must name a variable something
+    under src/ reads — a row that outlived its knob is a finding at
+    ``README.md:<line>``.
     """
     readme = root / "README.md"
     if not readme.is_file():
@@ -429,22 +422,16 @@ def _check_env_doc(root: Path) -> Iterator[Finding]:
         rel = _rel_path(path, root)
         for name, line in _env_literals(tree):
             read.add(name)
-            if name.endswith("_"):
-                ok = any(doc.startswith(name) for doc in documented)
-                what = f"prefix {name}* has no documented variable under it"
-            else:
-                ok = name in documented
-                what = f"{name} is read here but missing"
-            if not ok:
+            if name not in documented:
                 yield _finding(
                     rel,
                     line,
                     "ENV-DOC",
-                    f"{what} from the README environment-variable table",
+                    f"{name} is read here but missing from the README "
+                    "environment-variable table",
                 )
-    prefixes = tuple(name for name in read if name.endswith("_"))
     for name, line in documented.items():
-        if name not in read and not name.startswith(prefixes):
+        if name not in read:
             yield _finding(
                 _rel_path(readme, root),
                 line,
@@ -551,77 +538,3 @@ def run_lint(
         findings = [f for f in findings if f.rule not in drop]
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
-
-
-def _split_rules(values: Optional[Sequence[str]]) -> Optional[list[str]]:
-    if not values:
-        return None
-    out: list[str] = []
-    for value in values:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return out
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Check the repository's own coding invariants "
-        "(see repro.analysis.invariants.LINT_RULES).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src, scripts, tests, "
-        "benchmarks under --root)",
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="repository root the rule scopes resolve against (default: cwd)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule IDs to run exclusively",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule IDs to skip",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
-        for rule, text in LINT_RULES.items():
-            print(f"{rule}: {text}")
-        return 0
-    try:
-        findings = run_lint(
-            args.root,
-            paths=args.paths or None,
-            select=_split_rules(args.select),
-            ignore=_split_rules(args.ignore),
-        )
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

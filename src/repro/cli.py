@@ -41,7 +41,7 @@ Usage (after installation, or via ``python -m repro.cli``)::
 
     # Serve a store over HTTP/WebSocket, then query it remotely
     python -m repro.cli serve store.tstore --port 8377 --backend sharded
-    python -m repro.cli serve --store-path /var/lib/repro/default --tenant eu=/var/lib/repro/eu
+    python -m repro.cli serve /var/lib/repro/default --tenant eu=/var/lib/repro/eu
     python -m repro.cli connect http://127.0.0.1:8377 "star[1,2,3'; 3=1'](E)"
     python -m repro.cli connect http://127.0.0.1:8377 "E" --stream
     python -m repro.cli connect http://127.0.0.1:8377 --metrics
@@ -150,10 +150,6 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default durable-store directory for ``serve`` (``--store-path`` wins).
-STORE_PATH_ENV = "REPRO_STORE_PATH"
-
-
 def _open_store(path: str):
     """A triplestore from a durable directory or an ``io`` text file."""
     if os.path.isdir(path):
@@ -217,8 +213,14 @@ def _rule_ids(values):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    """Exit 0 on a clean tree, 1 on findings, 2 on an unknown rule ID."""
+    from repro.analysis.invariants import LINT_RULES
     from repro.analysis.lint import run_lint
 
+    if args.list_rules:
+        for rule, text in LINT_RULES.items():
+            print(f"{rule}: {text}")
+        return 0
     try:
         findings = run_lint(
             args.root,
@@ -227,7 +229,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             ignore=_rule_ids(args.ignore),
         )
     except ValueError as exc:
-        raise ReproError(str(exc)) from None
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for finding in findings:
         print(finding)
     if findings:
@@ -285,36 +288,37 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 
 def _serve_tenants(args: argparse.Namespace) -> dict:
-    """The tenant sessions a ``serve`` invocation asks for."""
-    default = args.store or args.store_path or os.environ.get(STORE_PATH_ENV)
-    if not default:
-        raise ReproError(
-            "serve needs a default store: a positional STORE argument, "
-            "--store-path, or REPRO_STORE_PATH"
-        )
-    specs: list[tuple[str, str]] = [("default", default)]
+    """The tenant sessions a ``serve`` invocation asks for; when one
+    fails to open, the ones already open are closed."""
+    specs: list[tuple[str, str]] = [("default", args.store)]
     for raw in args.tenant or ():
         name, sep, path = raw.partition("=")
         if not sep or not name or not path:
-            raise ReproError(f"--tenant expects NAME=STORE_PATH, got {raw!r}")
+            raise ReproError(f"--tenant expects NAME=DIR, got {raw!r}")
         specs.append((name, path))
     tenants = {}
-    for name, path in specs:
-        tenants[name] = Database.open(path, backend=args.backend)
+    try:
+        for name, path in specs:
+            tenants[name] = Database.open(path, backend=args.backend)
+    except BaseException:
+        for db in tenants.values():
+            db.close()
+        raise
     return tenants
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueryServer, ServiceConfig
 
-    config = ServiceConfig.from_env(
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        queue_depth=args.queue_depth,
-        query_timeout=args.timeout,
-        page_size=args.page_size,
-    )
+    flags = {
+        "host": args.host,
+        "port": args.port,
+        "max_inflight": args.max_inflight,
+        "queue_depth": args.queue_depth,
+        "query_timeout": args.timeout,
+        "page_size": args.page_size,
+    }
+    config = ServiceConfig(**{k: v for k, v in flags.items() if v is not None})
     # SIGTERM is a clean shutdown exactly as SIGINT is: both close the
     # tenant sessions (WAL fold, catalog flush).  The main thread waits on
     # an event the handlers set, so a signal ends the wait at once.  (The
@@ -323,16 +327,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda _signum, _frame: stop.set())
+    # The server owns the tenant sessions from here on: ``stop`` closes
+    # them, also when ``start`` fails (a busy port, say).
     server = QueryServer(_serve_tenants(args), config)
-    server.start()
-    tenants = ", ".join(server.pool.names())
-    print(f"serving {tenants} on {server.url}", file=sys.stderr)
-    print(
-        "endpoints: POST /v1/query /v1/prepare /v1/execute /v1/explain | "
-        "GET /v1/ws /metrics /healthz",
-        file=sys.stderr,
-    )
     try:
+        server.start()
+        tenants = ", ".join(server.pool.names())
+        print(f"serving {tenants} on {server.url}", file=sys.stderr)
+        print(
+            "endpoints: POST /v1/query /v1/prepare /v1/execute /v1/explain | "
+            "GET /v1/ws /metrics /healthz",
+            file=sys.stderr,
+        )
         while not stop.wait(0.5):
             pass
         print("shutting down", file=sys.stderr)
@@ -494,6 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RULES",
         help="comma-separated rule IDs to skip",
     )
+    lt.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalog and exit",
+    )
     lt.set_defaults(func=_cmd_lint)
 
     s = sub.add_parser(
@@ -501,22 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "store",
-        nargs="?",
-        default=None,
         help="store for the 'default' tenant: an io text file or a "
         "durable store directory",
     )
     s.add_argument(
-        "--store-path",
-        default=None,
-        metavar="DIR",
-        help="durable store directory for the 'default' tenant when no "
-        "positional store is given (default: REPRO_STORE_PATH)",
-    )
-    s.add_argument(
         "--tenant",
         action="append",
-        metavar="NAME=STORE_PATH",
+        metavar="NAME=DIR",
         help="serve an extra isolated tenant session (repeatable)",
     )
     s.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port",
         type=int,
         default=None,
-        help="bind port (default: REPRO_SERVICE_PORT or 8377; 0 = ephemeral)",
+        help="bind port (default: 8377; 0 = ephemeral)",
     )
     s.add_argument(
         "--backend",

@@ -1,35 +1,17 @@
-"""Service configuration: one dataclass, env-var overridable.
+"""Service configuration: one dataclass, checked on construction.
 
-Every knob has a ``REPRO_SERVICE_*`` environment override (applied by
-:meth:`ServiceConfig.from_env`) so a deployment can be tuned without
-code; explicit constructor arguments always win.  The same object is
-shared by the server, the admission controller and the CLI.
+The same object is shared by the server, the admission controller and
+the CLI; ``repro serve`` builds it from its flags, leaving every flag
+not given at its default here.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
 __all__ = ["ServiceConfig"]
-
-#: Environment-variable prefix for every override.
-_ENV_PREFIX = "REPRO_SERVICE_"
-
-#: field name -> (env suffix, parser)
-_ENV_FIELDS = {
-    "host": ("HOST", str),
-    "port": ("PORT", int),
-    "max_inflight": ("MAX_INFLIGHT", int),
-    "queue_depth": ("QUEUE_DEPTH", int),
-    "queue_timeout": ("QUEUE_TIMEOUT", float),
-    "query_timeout": ("TIMEOUT", float),
-    "max_body_bytes": ("MAX_BODY", int),
-    "page_size": ("PAGE_SIZE", int),
-    "max_statements": ("MAX_STATEMENTS", int),
-}
 
 
 @dataclass
@@ -61,9 +43,6 @@ class ServiceConfig:
     page_size:
         Default rows per WebSocket streaming page (client-overridable
         per request, capped at 8× this value).
-    max_statements:
-        Prepared statements retained per tenant before ``prepare``
-        is refused.
     """
 
     host: str = "127.0.0.1"
@@ -74,9 +53,10 @@ class ServiceConfig:
     query_timeout: float | None = 60.0
     max_body_bytes: int = 4 * 1024 * 1024
     page_size: int = 256
-    max_statements: int = 1024
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ReproError(f"port must be in 0-65535, got {self.port}")
         if self.max_inflight < 1:
             raise ReproError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -89,27 +69,3 @@ class ServiceConfig:
             raise ReproError(
                 f"query_timeout must be positive (or None), got {self.query_timeout}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServiceConfig":
-        """A config from ``REPRO_SERVICE_*`` variables; kwargs win."""
-        values: dict = {}
-        for name, (suffix, parse) in _ENV_FIELDS.items():
-            raw = os.environ.get(_ENV_PREFIX + suffix)
-            if raw is None:
-                continue
-            try:
-                values[name] = parse(raw)
-            except ValueError:
-                raise ReproError(
-                    f"{_ENV_PREFIX}{suffix} must be a {parse.__name__}, "
-                    f"got {raw!r}"
-                ) from None
-        known = {f.name for f in fields(cls)}
-        for name in overrides:
-            if name not in known:
-                raise ReproError(f"unknown service config field {name!r}")
-        values.update(
-            {k: v for k, v in overrides.items() if v is not None}
-        )
-        return cls(**values)

@@ -28,16 +28,18 @@ from repro.errors import ProtocolError, ReproError, ServiceError
 
 __all__ = ["TenantPool", "TenantSession"]
 
+#: Prepared statements a tenant holds before ``prepare`` is refused.
+MAX_STATEMENTS = 1024
+
 
 class TenantSession:
     """One tenant's session: a database plus its statement registry."""
 
-    __slots__ = ("name", "db", "_statements", "_ids", "_lock", "max_statements")
+    __slots__ = ("name", "db", "_statements", "_ids", "_lock")
 
-    def __init__(self, name: str, db: Database, max_statements: int) -> None:
+    def __init__(self, name: str, db: Database) -> None:
         self.name = name
         self.db = db
-        self.max_statements = max_statements
         self._statements: dict[str, PreparedStatement] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -48,10 +50,10 @@ class TenantSession:
     def prepare(self, query, lang: str) -> tuple[str, PreparedStatement]:
         stmt = self.db.prepare(query, lang=lang)
         with self._lock:
-            if len(self._statements) >= self.max_statements:
+            if len(self._statements) >= MAX_STATEMENTS:
                 raise ServiceError(
                     f"tenant {self.name!r} already holds "
-                    f"{self.max_statements} prepared statements"
+                    f"{MAX_STATEMENTS} prepared statements"
                 )
             sid = f"stmt-{next(self._ids)}"
             self._statements[sid] = stmt
@@ -78,17 +80,11 @@ class TenantSession:
 class TenantPool:
     """The server's tenant sessions, by name."""
 
-    def __init__(
-        self,
-        tenants: Mapping[str, Database],
-        *,
-        max_statements: int = 1024,
-    ) -> None:
+    def __init__(self, tenants: Mapping[str, Database]) -> None:
         if not tenants:
             raise ReproError("a query server needs at least one tenant")
         self._sessions = {
-            name: TenantSession(name, db, max_statements)
-            for name, db in tenants.items()
+            name: TenantSession(name, db) for name, db in tenants.items()
         }
 
     def session(self, name: str) -> TenantSession:

@@ -192,9 +192,7 @@ class QueryServer:
         self.config = config or ServiceConfig()
         if isinstance(tenants, Database):
             tenants = {"default": tenants}
-        self.pool = TenantPool(
-            tenants, max_statements=self.config.max_statements
-        )
+        self.pool = TenantPool(tenants)
         self.registry = MetricsRegistry()
         self._build_metrics()
         self.admission = AdmissionController(

@@ -1,7 +1,7 @@
 """Durable storage: on-disk segments, WAL transactions, snapshots.
 
 The persistence layer behind ``Database(path=...)`` and the
-``repro fsck`` / ``repro compact`` / ``repro serve --store-path``
+``repro fsck`` / ``repro compact`` / ``repro serve DIR``
 surfaces.  A store directory holds compressed columnar segments
 (:mod:`repro.storage.segments`) beside a typed, compressed dictionary
 segment (:mod:`repro.storage.dictionary`), a write-ahead log making

@@ -53,32 +53,43 @@ def _as_triple(item: Iterable[Any]) -> Triple:
     return triple
 
 
-def freeze_triples(triples: Iterable[Iterable[Any]]) -> frozenset[Triple]:
-    """``triples`` as a frozenset of 3-tuples (:func:`_as_triple` of each).
+def _collected(triples: Iterable[Iterable[Any]]) -> Collection[Iterable[Any]]:
+    """``triples``, read once into a list unless it is a collection."""
+    return triples if isinstance(triples, Collection) else list(triples)
+
+
+def _frozen(triples: Collection[Iterable[Any]]) -> frozenset[Triple]:
+    """``triples`` as a frozenset of 3-tuples (:func:`_as_triple` of each),
+    spelled as the set kept them: of equal triples, the first.
 
     A batch that already is hashable 3-tuples — the common case — is
     checked by type and length over the deduplicated set instead of
-    being rebuilt triple by triple.  Where two equal triples spell an
-    object apart (``(1, 'p', 'a')`` and ``(True, 'p', 'a')``), the kept
-    triple spells it as :func:`~repro.triplestore.identity.respellings`
-    says, not as the first one did.
+    being rebuilt triple by triple.
     """
-    if not isinstance(triples, Collection):
-        triples = list(triples)
     try:
         frozen = frozenset(triples)
     except TypeError:  # an unhashable item (a list, say): coerce each
-        frozen = frozenset(map(_as_triple, triples))
-    else:
-        if not (set(map(type, frozen)) <= {tuple} and set(map(len, frozen)) <= {3}):
-            frozen = frozenset(map(_as_triple, frozen))
-    if len(frozen) < len(triples):
-        # Equal triples met, and the set kept the first: keep each
-        # object's least-repr spelling instead, as the batch spells it.
-        types = set(map(type, chain.from_iterable(triples)))
-        renames = respellings(chain.from_iterable(triples), types)
+        return frozenset(map(_as_triple, triples))
+    if not (set(map(type, frozen)) <= {tuple} and set(map(len, frozen)) <= {3}):
+        frozen = frozenset(map(_as_triple, frozen))
+    return frozen
+
+
+def freeze_triples(triples: Iterable[Iterable[Any]]) -> frozenset[Triple]:
+    """``triples`` as a frozenset of 3-tuples (:func:`_as_triple` of each).
+
+    Where two equal triples spell an object apart (``(1, 'p', 'a')`` and
+    ``(True, 'p', 'a')``), the kept triple spells it as
+    :func:`~repro.triplestore.identity.respellings` says, not as the
+    first one did.
+    """
+    triples = _collected(triples)
+    frozen = _frozen(triples)
+    if len(frozen) < len(triples):  # equal triples met: weigh every spelling
+        types = set(map(type, objects_of([triples])))
+        renames = respellings(objects_of([triples]), types)
         if renames:
-            frozen = respell(map(_as_triple, triples), renames)
+            frozen = respell(triples, renames)
     return frozen
 
 
@@ -125,21 +136,29 @@ class Triplestore:
         extra_objects: Iterable[Obj] = (),
     ) -> None:
         if relations is None:
-            rel_map: dict[str, frozenset[Triple]] = {DEFAULT_RELATION: frozenset()}
+            batches: dict = {}
         elif isinstance(relations, Mapping):
-            rel_map = {
-                str(name): freeze_triples(triples) for name, triples in relations.items()
-            }
+            batches = {str(name): _collected(t) for name, t in relations.items()}
         else:
-            rel_map = {DEFAULT_RELATION: freeze_triples(relations)}
-        if not rel_map:
-            rel_map = {DEFAULT_RELATION: frozenset()}
+            batches = {DEFAULT_RELATION: _collected(relations)}
+        batches = batches or {DEFAULT_RELATION: ()}
+        rel_map: dict[str, frozenset[Triple]] = {
+            name: _frozen(triples) for name, triples in batches.items()
+        }
 
+        # Every spelling given is weighed, in one respellings call: a batch
+        # whose set dropped equal triples is read as given (each item a
+        # 3-item iterable, as _frozen checked), so that a spelling the set
+        # did not keep still counts.
         extra_objects = tuple(extra_objects)
-        types = set(map(type, chain(extra_objects, objects_of(rel_map.values()))))
-        renames = respellings(chain(extra_objects, objects_of(rel_map.values())), types)
+        given = [
+            rel if len(rel) == len(batches[name]) else batches[name]
+            for name, rel in rel_map.items()
+        ]
+        types = set(map(type, chain(extra_objects, objects_of(given))))
+        renames = respellings(chain(extra_objects, objects_of(given)), types)
         if renames:
-            rel_map = {name: respell(triples, renames) for name, triples in rel_map.items()}
+            rel_map = {name: respell(g, renames) for name, g in zip(rel_map, given)}
             extra_objects = tuple(map(renames.get, extra_objects, extra_objects))
         objects = frozenset(chain(extra_objects, objects_of(rel_map.values())))
 

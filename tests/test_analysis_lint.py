@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LINT_RULES
-from repro.analysis.lint import Finding, main, run_lint
+from repro.analysis.lint import Finding, run_lint
+from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,17 +161,16 @@ def test_err_raise_not_scoped_to_other_modules(tmp_path):
     assert run_lint(tmp_path) == []
 
 
-#: A README table plus a module reading from it: one variable by name,
-#: one prefix (a dynamic read of everything under ``REPRO_SVC_``).
+#: A README table plus a module reading the two variables it names.
 ENV_DOC_README = """\
     | env var | meaning |
     |---|---|
     | `REPRO_KNOB` | read by name |
-    | `REPRO_SVC_PORT` | read under a prefix |
+    | `REPRO_SVC_PORT` | read by name |
 """
 ENV_DOC_MODULE = """\
     KNOB = "REPRO_KNOB"
-    PREFIX = "REPRO_SVC_"
+    PORT = "REPRO_SVC_PORT"
 """
 
 
@@ -424,50 +424,42 @@ def test_findings_are_sorted(two_rule_tree):
 
 
 # --------------------------------------------------------------------- #
-# Entry points: repro lint, python -m, scripts/lint.py
+# Entry points: repro lint and scripts/lint.py
 # --------------------------------------------------------------------- #
 
 
 def test_main_exit_codes(two_rule_tree, capsys):
-    assert main(["--root", str(two_rule_tree)]) == 1
+    assert main(["lint", "--root", str(two_rule_tree)]) == 1
     out = capsys.readouterr()
     assert "BARE-EXCEPT" in out.out and "STOR-ATOMIC" in out.out
     assert "2 finding(s)" in out.err
-    assert main(["--root", str(two_rule_tree), "--select", "LRU-LOCK"]) == 0
-    assert main(["--root", str(two_rule_tree), "--select", "BOGUS"]) == 2
-    assert main(["--list-rules"]) == 0
+    assert main(["lint", "--root", str(two_rule_tree), "--select", "LRU-LOCK"]) == 0
+    assert main(["lint", "--root", str(two_rule_tree), "--select", "BOGUS"]) == 2
+    assert "BOGUS" in capsys.readouterr().err
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr()
     assert all(rule in out.out for rule in LINT_RULES)
 
 
-def test_cli_lint_subcommand(two_rule_tree):
-    from repro.cli import main as cli_main
-
-    assert cli_main(["lint", "--root", str(two_rule_tree)]) == 1
-    assert cli_main(["lint", "--root", str(REPO_ROOT)]) == 0
+def test_cli_lint_subcommand():
+    assert main(["lint", "--root", str(REPO_ROOT)]) == 0
 
 
-def test_scripts_lint_wrapper():
+def _scripts_lint(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "lint.py")],
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"), *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=str(REPO_ROOT),
     )
+
+
+def test_scripts_lint_wrapper():
+    proc = _scripts_lint()
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_module_runnable():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", "--list-rules"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "BARE-EXCEPT" in proc.stdout
+    proc = _scripts_lint("--select", "BOGUS")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "BOGUS" in proc.stderr

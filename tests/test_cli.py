@@ -320,3 +320,53 @@ class TestExplain:
             main(["explain", "E", "--physical"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("port", -1),
+            ("port", 70000),
+            ("max_inflight", 0),
+            ("queue_depth", -1),
+            ("page_size", 0),
+            ("query_timeout", 0),
+        ],
+    )
+    def test_config_refuses_out_of_range_values(self, field, value):
+        from repro.errors import ReproError
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ReproError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_out_of_range_port_is_an_error_not_a_traceback(
+        self, store_path, capsys
+    ):
+        assert main(["serve", store_path, "--port", "70000"]) == 1
+        assert "error: port must be in 0-65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "STORE", "E", "--engine", "sharded", "--executor", "process"],
+            ["serve", "STORE", "--workers", "2"],
+            ["query", "STORE", "E", "--backend", "columnar"],
+            ["query", "STORE", "E", "--shards", "2"],
+            ["serve", "STORE", "--backend", "sharded", "--shards", "2"],
+            ["serve", "STORE", "--store-path", "DIR"],
+        ],
+        ids=[
+            "query-executor", "serve-workers", "query-backend", "query-shards",
+            "serve-shards", "serve-store-path",
+        ],
+    )
+    def test_cli_removed_flags_are_gone(self, store_path, argv, capsys):
+        """``query`` chooses with ``--engine`` and ``serve`` with
+        ``--backend``; no other flag picks what executes, and the
+        positional STORE is the one way to name the default tenant."""
+        with pytest.raises(SystemExit) as exc:
+            main([store_path if arg == "STORE" else arg for arg in argv])
+        assert exc.value.code == 2
+        capsys.readouterr()

@@ -365,32 +365,6 @@ class TestBackendWiring:
             "join[1,2,3'; 3=1'](E, E)"
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["query", "STORE", "E", "--engine", "sharded", "--executor", "process"],
-            ["serve", "STORE", "--workers", "2"],
-            ["query", "STORE", "E", "--backend", "columnar"],
-            ["query", "STORE", "E", "--shards", "2"],
-            ["serve", "STORE", "--backend", "sharded", "--shards", "2"],
-        ],
-        ids=[
-            "query-executor", "serve-workers", "query-backend", "query-shards",
-            "serve-shards",
-        ],
-    )
-    def test_cli_removed_flags_are_gone(self, tmp_path, argv):
-        """``query`` chooses with ``--engine`` and ``serve`` with
-        ``--backend``; no other flag picks what executes."""
-        from repro.cli import main
-        from repro.triplestore.io import dump_path
-
-        path = tmp_path / "store.tstore"
-        dump_path(Triplestore([("a", "p", "b")]), str(path))
-        with pytest.raises(SystemExit) as exc:
-            main([str(path) if arg == "STORE" else arg for arg in argv])
-        assert exc.value.code == 2
-
     def test_explain_mentions_backend_not_a_strategy(self, store):
         db = Database(store, backend="sharded", shards=4)
         text = str(db.explain("join[1,2,3'; 3=1'](E, E)"))

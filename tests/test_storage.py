@@ -553,24 +553,48 @@ class TestDumpCli:
 
 class TestServeStorePath:
     def test_serve_requires_some_store(self, capsys):
-        assert cli_main(["serve"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve"])
+        assert exc.value.code == 2
         assert "store" in capsys.readouterr().err
 
-    def test_store_path_env_names_default_tenant(self, durable_store, monkeypatch):
-        import argparse
+    @pytest.mark.parametrize("failure", ["busy-port", "bad-tenant"])
+    def test_failed_start_closes_every_opened_session(
+        self, durable_store, tmp_path, monkeypatch, failure, capsys
+    ):
+        """A start-up that fails after the default tenant opened — a later
+        ``--tenant`` that will not open, a port already taken — exits 1
+        with every opened session closed: the WAL folded, not left to GC."""
+        import socket
 
-        from repro.cli import _serve_tenants
+        # Keep _cmd_serve's SIGINT/SIGTERM handlers out of this process.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        ds = DurableStore(durable_store)
+        ds.open()
+        ds.commit({"F": TRIPLES})  # one unfolded WAL record
+        ds.close()
+        wal = os.path.join(durable_store, "wal", "wal.log")
+        assert os.path.getsize(wal) > 0
+        opened, closed = [], []
+        real_open = Database.open.__func__
 
-        monkeypatch.setenv("REPRO_STORE_PATH", durable_store)
-        args = argparse.Namespace(
-            store=None, store_path=None, tenant=None, backend=None
-        )
-        tenants = _serve_tenants(args)
-        try:
-            assert tenants["default"].query(Q).to_set()
-        finally:
-            for db in tenants.values():
-                db.close()
+        def spy(cls, path, **kwargs):
+            db = real_open(cls, path, **kwargs)
+            opened.append(db)
+            db.add_close_hook(closed.append)
+            return db
+
+        monkeypatch.setattr(Database, "open", classmethod(spy))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            argv = ["serve", durable_store, "--port", str(busy.getsockname()[1])]
+            if failure == "bad-tenant":
+                argv += ["--tenant", f"bad={tmp_path / 'missing.tstore'}"]
+            assert cli_main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert len(opened) == 1 and closed == opened
+        assert os.path.getsize(wal) == 0
 
     def test_serve_without_backend_opens_columnar_sessions(
         self, durable_store, tmp_path
@@ -581,7 +605,7 @@ class TestServeStorePath:
         from repro.core import VectorEngine
 
         args = argparse.Namespace(
-            store=durable_store, store_path=None, backend=None,
+            store=durable_store, backend=None,
             tenant=[f"extra={tmp_path / 'extra'}{os.sep}"],
         )
         tenants = _serve_tenants(args)

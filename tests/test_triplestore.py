@@ -118,3 +118,26 @@ class TestIndexes:
     def test_index_cached(self):
         t = Triplestore([("a", "p", "b")])
         assert t.index("E", (0,)) is t.index("E", (0,))
+
+
+def test_a_new_store_weighs_its_spellings_once(monkeypatch):
+    """One ``respellings`` call per ``Triplestore(...)``, also for a float
+    batch whose set drops equal triples; the least repr still wins."""
+    from repro.triplestore import model
+
+    calls = []
+    real = model.respellings
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "respellings", counting)
+    batch = [(1.0, "p", "a"), (1, "p", "a"), (0.5, "q", 2.0), (0.5, "q", 2)]
+    for relations in (batch, {"E": batch[:2], "F": batch[2:]}):
+        calls.clear()
+        store = Triplestore(relations, extra_objects=[True])
+        assert len(calls) == 1
+        triples = sorted(map(repr, set().union(*map(store.relation, store.relation_names))))
+        assert triples == ["(0.5, 'q', 2)", "(1, 'p', 'a')"]
+        assert sorted(map(repr, store.objects)) == ["'a'", "'p'", "'q'", "0.5", "1", "2"]
