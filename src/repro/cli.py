@@ -294,7 +294,7 @@ def _serve_tenants(args: argparse.Namespace) -> dict:
     for raw in args.tenant or ():
         name, sep, path = raw.partition("=")
         if not sep or not name or not path:
-            raise ReproError(f"--tenant expects NAME=DIR, got {raw!r}")
+            raise ReproError(f"--tenant expects NAME=STORE, got {raw!r}")
         specs.append((name, path))
     tenants = {}
     try:
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--tenant",
         action="append",
-        metavar="NAME=DIR",
+        metavar="NAME=STORE",
         help="serve an extra isolated tenant session (repeatable)",
     )
     s.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
