@@ -63,7 +63,7 @@ from repro.errors import ReproError
 from repro.triplestore import Triplestore
 
 #: The one version declaration (pyproject.toml reads it from here).
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Cond",

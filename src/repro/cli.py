@@ -324,26 +324,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # an event the handlers set, so a signal ends the wait at once.  (The
     # wait polls because the kernel may hand the signal to a connection
     # thread, and CPython runs handlers only when the main thread wakes.)
+    # The handlers they replace are back in place when serve returns.
     stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda _signum, _frame: stop.set())
-    # The server owns the tenant sessions from here on: ``stop`` closes
-    # them, also when ``start`` fails (a busy port, say).
-    server = QueryServer(_serve_tenants(args), config)
+    previous = {
+        signum: signal.signal(signum, lambda _signum, _frame: stop.set())
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
-        server.start()
-        tenants = ", ".join(server.pool.names())
-        print(f"serving {tenants} on {server.url}", file=sys.stderr)
-        print(
-            "endpoints: POST /v1/query /v1/prepare /v1/execute /v1/explain | "
-            "GET /v1/ws /metrics /healthz",
-            file=sys.stderr,
-        )
-        while not stop.wait(0.5):
-            pass
-        print("shutting down", file=sys.stderr)
+        # The server owns the tenant sessions from here on: ``stop``
+        # closes them, also when ``start`` fails (a busy port, say).
+        server = QueryServer(_serve_tenants(args), config)
+        try:
+            server.start()
+            tenants = ", ".join(server.pool.names())
+            print(f"serving {tenants} on {server.url}", file=sys.stderr)
+            print(
+                "endpoints: POST /v1/query /v1/prepare /v1/execute /v1/explain | "
+                "GET /v1/ws /metrics /healthz",
+                file=sys.stderr,
+            )
+            while not stop.wait(0.5):
+                pass
+            print("shutting down", file=sys.stderr)
+        finally:
+            server.stop()
     finally:
-        server.stop()
+        for signum, handler in previous.items():
+            # ``None``: the handler was not installed from Python.
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
     return 0
 
 

@@ -1,15 +1,16 @@
 """The dictionary segment: a store's universe O, data values and ρ as data.
 
-``meta.seg`` of a manifest-format-3 (or later) generation is one
-``KIND_DICT`` segment.  Its payload is a fixed 20-byte preamble — the
-decoded text's length and the object count (little-endian ``uint64``)
-and its CRC-32 (``uint32``) — followed by a zlib stream of ASCII JSON
-text::
+``meta.seg`` of a manifest-format-6 generation is one ``KIND_DICT``
+segment.  Its payload is a fixed 20-byte preamble — the decoded text's
+length and the object count (little-endian ``uint64``) and its CRC-32
+(``uint32``) — followed by one raw LZMA2 stream (no container: preset
+1, a 64 KiB dictionary, :data:`_FILTERS`) of ASCII JSON text::
 
     [objects, dv_values, rho_keys, rho_values]
 
 A WAL record's dictionary tail (:mod:`repro.storage.wal`) is the same
-preamble and stream over one list of values (:func:`encode_values`).
+preamble followed by the text itself, uncompressed, over one list of
+values (:func:`encode_values`).
 
 A ``str`` is a JSON string.  Every other value is a one-key tagged
 object, so ``1``, ``True`` and ``1.0`` stay distinct and nothing is
@@ -26,19 +27,24 @@ tag hook runs only for tagged values, never once per string.  Those
 seven types (exactly — no subclasses) are all a durable store can hold;
 :func:`check_storable` refuses anything else before it reaches the WAL.
 
-zlib, not xz: xz shrinks a sorted string universe about six times more,
-but inflates it at a fifth of zlib's speed — on a 69 067-object universe
-that made the decode cost twice the ``pickle.loads`` it replaced.
+LZMA2, not zlib: the 608 241-byte text of a 69 067-object universe
+(the e2e benchmark's ``db_analytic`` store) is a 23 221-byte LZMA2
+stream and a 155 899-byte zlib (level 1) one, and its whole decode —
+inflate, CRC and ``json.loads`` — takes 7.3 ms against 6.2 ms (medians
+of 41 interleaved runs, 2-core x86-64 host): the JSON parse dominates
+both, so a sixth of the bytes costs a sixth more decode time.  A WAL tail is not compressed: an LZMA2 encoder would cost
+every commit 0.7–1 MB of peak memory and 0.3–0.4 ms, while the log is
+short-lived and its keys are raw ``int64`` already.
 
-Decoding trusts nothing: a declared length deflate could not reach from
+Decoding trusts nothing: a declared length LZMA2 could not reach from
 the compressed bytes at hand is refused before inflating, the
 decompressor never produces more than the preamble's declared length
-(plus one byte to notice a longer stream),
-every mismatch — length, object count, CRC, a truncated stream, a stray
-tag, an unhashable value (an object's is found by the object index
-built over the universe) — raises
+(plus one byte to notice a longer stream), a WAL tail's text is exactly
+as long as declared, and every mismatch — length, object count, CRC, a
+truncated or padded stream, a stray tag, an unhashable value (an
+object's is found by the object index built over the universe) — raises
 :class:`~repro.errors.StoreCorruptionError` and nothing else.  The CRC
-is the text's own: zlib's Adler-32 misses some reorderings, so a
+is the text's own: a raw LZMA2 stream carries no check at all, so a
 damaged stream could otherwise inflate to another valid document.
 """
 
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import base64
 import json
+import lzma
 import struct
 import zlib
 from collections.abc import Set
@@ -68,12 +75,19 @@ _SCALARS = frozenset({str, int, float, bool, type(None), bytes})
 
 #: Decoded text length, object count, CRC-32 of the decoded text.
 _PREAMBLE = struct.Struct("<QQI")
-#: The one compression level: the fastest to write; level 6 shrinks a
-#: sorted string universe by under 3 % more in 3.5 times the time.
-_LEVEL = 1
-#: Deflate's largest expansion: a declared length beyond this many times
-#: the compressed bytes is refused before anything is inflated.
-_MAX_RATIO = 1032
+#: The one filter chain, for writing and reading alike.  Preset 1 writes
+#: six times faster than preset 6 for the same bytes, and a wider window
+#: finds nothing more in a sorted universe, whose matches lie among its
+#: neighbours: the 69 067-object text above is 23 555 B with a 16 KiB
+#: window, 23 221 B with 64 KiB and 23 723 B with 1 MiB.
+_FILTERS = ({"id": lzma.FILTER_LZMA2, "preset": 1, "dict_size": 1 << 16},)
+#: LZMA2's largest expansion under :data:`_FILTERS`: a declared length
+#: beyond this many times the compressed bytes is refused before anything
+#: is inflated.  Zero bytes compress furthest, and the ratio levels off
+#: because an LZMA2 chunk holds at most 2 MiB: 1 MiB of them compress
+#: 4 660:1, 64 MiB (67 108 864 B) 6 820:1 and 256 MiB 6 861:1, at
+#: presets 1, 6 and 9e alike.  The bound leaves a fifth above that.
+_MAX_RATIO = 8192
 
 
 def _unstorable(kind: type, where: str) -> StorageError:
@@ -144,10 +158,11 @@ def _tagged(values: Iterable[Any]) -> list:
     return [_tag(v) for v in values]
 
 
-def _compress(doc: list, count: int) -> bytes:
+def _text(doc: list, count: int) -> tuple[bytes, bytes]:
+    """The preamble and the ASCII JSON text of ``doc``."""
     text = json.dumps(doc, ensure_ascii=True, separators=(",", ":"), allow_nan=False)
     raw = text.encode("ascii")
-    return _PREAMBLE.pack(len(raw), count, zlib.crc32(raw)) + zlib.compress(raw, _LEVEL)
+    return _PREAMBLE.pack(len(raw), count, zlib.crc32(raw)), raw
 
 
 def encode_dictionary(
@@ -156,14 +171,16 @@ def encode_dictionary(
     """The ``KIND_DICT`` payload of a universe, its data values and ρ."""
     objects = _tagged(objects)
     doc = [objects, _tagged(dv_values), _tagged(rho.keys()), _tagged(rho.values())]
-    return _compress(doc, len(objects))
+    preamble, raw = _text(doc, len(objects))
+    return preamble + lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_FILTERS)
 
 
 def encode_values(values: Iterable[Any]) -> bytes:
-    """One list of values in the same codec: the preamble, then the zlib
-    stream of one JSON list (a WAL record's dictionary tail)."""
+    """One list of values in the same codec, uncompressed: the preamble,
+    then the text of one JSON list (a WAL record's dictionary tail)."""
     values = _tagged(values)
-    return _compress(values, len(values))
+    preamble, raw = _text(values, len(values))
+    return preamble + raw
 
 
 # --------------------------------------------------------------------- #
@@ -201,17 +218,37 @@ def _bare(token: str) -> Any:
     raise ValueError(f"bare JSON number {token!r}")
 
 
-def _inflate(payload: bytes) -> tuple[Any, int]:
-    """The JSON document of a payload and the count its preamble holds."""
+def _split(payload: bytes) -> tuple[int, int, int, memoryview]:
+    """A payload's declared text length, count and CRC, and a view of
+    what follows."""
     if len(payload) < _PREAMBLE.size:
         raise ValueError("payload is shorter than its preamble")
     length, count, crc = _PREAMBLE.unpack_from(payload)
-    stream = memoryview(payload)[_PREAMBLE.size :]
+    return length, count, crc, memoryview(payload)[_PREAMBLE.size :]
+
+
+def _parse(raw: bytes | memoryview, crc: int) -> Any:
+    """The JSON document of a decoded text that must pass ``crc``."""
+    if zlib.crc32(raw) != crc:
+        raise ValueError("decoded text fails its CRC-32")
+    return json.loads(
+        str(raw, "ascii"),
+        object_hook=_untag,
+        parse_int=_bare,
+        parse_float=_bare,
+        parse_constant=_bare,
+    )
+
+
+def _inflate(payload: bytes) -> tuple[Any, int]:
+    """The JSON document of a ``KIND_DICT`` payload and the count its
+    preamble holds."""
+    length, count, crc, stream = _split(payload)
     if length > _MAX_RATIO * len(stream):
         raise ValueError(
             f"{len(stream)} compressed bytes cannot inflate to the declared {length}"
         )
-    inflate = zlib.decompressobj()
+    inflate = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_FILTERS)
     raw = inflate.decompress(stream, length + 1)
     if len(raw) > length:
         raise ValueError(f"stream inflates past its declared {length} bytes")
@@ -220,16 +257,7 @@ def _inflate(payload: bytes) -> tuple[Any, int]:
             f"stream is truncated or padded: {len(raw)} of {length} declared "
             "bytes decoded"
         )
-    if zlib.crc32(raw) != crc:
-        raise ValueError("decoded text fails its CRC-32")
-    doc = json.loads(
-        raw.decode("ascii"),
-        object_hook=_untag,
-        parse_int=_bare,
-        parse_float=_bare,
-        parse_constant=_bare,
-    )
-    return doc, count
+    return _parse(raw, crc), count
 
 
 def _decode(payload: bytes) -> tuple[list, list, dict]:
@@ -268,7 +296,10 @@ def decode_values(payload: bytes) -> list:
     """The list :func:`encode_values` wrote; any defect raises
     ``ValueError``.  The values are not hashed here (see
     :func:`decode_dictionary`)."""
-    doc, count = _inflate(payload)
+    length, count, crc, raw = _split(payload)
+    if length != len(raw):
+        raise ValueError(f"preamble declares {length} bytes of text, {len(raw)} follow")
+    doc = _parse(raw, crc)
     if type(doc) is not list or len(doc) != count:
         raise ValueError(f"text is not a list of the {count} values its preamble counts")
     return doc

@@ -12,7 +12,7 @@ A store directory is::
 :class:`repro.db.Database` drives it:
 
 * **open** — read and check the manifest (:func:`read_manifest`:
-  format 5 only, and an older store is refused before anything else is
+  format 6 only, and an older store is refused before anything else is
   read or written), decode the segments into a lazy
   :class:`~repro.storage.segments.SegmentStore`, recover the WAL and
   replay committed records on top, each through the apply half of a
@@ -107,7 +107,7 @@ def _is_file_name(value: object) -> bool:
 
 
 def _manifest_problem(manifest: dict) -> str | None:
-    """What is wrong with the fields of a format-5 ``manifest``, if anything."""
+    """What is wrong with the fields of a format-6 ``manifest``, if anything."""
     for field in ("generation", "store_version", "wal_seq"):
         if not _is_count(manifest.get(field)):
             return f"has no {field} count (it holds {manifest.get(field)!r})"
@@ -168,8 +168,10 @@ def read_manifest(root: str | os.PathLike) -> dict:
     if version < MANIFEST_FORMAT:
         raise StorageError(
             f"store {root} is manifest format {version}; this build reads format "
-            f"{MANIFEST_FORMAT} only.  Upgrade it by running `repro compact` on "
-            "it with the last 4.x build, which reads formats 1 to 5 and writes 5."
+            f"{MANIFEST_FORMAT} only.  Upgrade it by exporting it with `repro dump "
+            "STORE -o FILE` under the last 5.x build (a store older than format 5 "
+            "first needs `repro compact` under the last 4.x build); 6.x serves FILE "
+            "as it is or installs it into a new store."
         )
     problem = _manifest_problem(manifest)
     if problem is not None:

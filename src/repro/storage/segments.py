@@ -5,8 +5,8 @@ of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
 
 * ``meta.seg`` — the dictionary segment (:mod:`repro.storage.dictionary`):
   the sorted object universe, the distinct data values and the full ρ
-  assignment as typed, tagged, zlib-compressed JSON — data, never a
-  pickle;
+  assignment as typed, tagged JSON in one raw LZMA2 stream — data,
+  never a pickle;
 * ``rel-NNN.seg`` — one file per relation: its sorted unique packed-key
   array as a ``KIND_KEYS`` segment;
 * ``dv_codes.seg`` — the ρ-code array, a ``KIND_KEYS`` segment too,
@@ -18,7 +18,7 @@ first against 0) in blocks of 2¹⁵ items, each block's eight byte
 planes one after another, least significant first: sorted keys leave
 the high planes almost all zero, so a key takes 2.5–3.7 bytes.  The
 item count is the manifest's.  ``KIND_DICT`` and ``KIND_KEYS`` are the
-only payload kinds of manifest format 5, the one format this build
+only payload kinds of manifest format 6, the one format this build
 reads (:mod:`repro.storage.snapshot`).
 
 Nothing derivable is stored: the active (occurs-in-some-triple) code
@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.errors import StoreCorruptionError, UnknownRelationError
-from repro.storage.dictionary import _MAX_RATIO, decode_dictionary, encode_dictionary
+from repro.storage.dictionary import decode_dictionary, encode_dictionary
 from repro.storage.fsutil import fsync_dir, fsync_fileobj, tmp_sibling
 from repro.triplestore.columnar import ColumnarStore
 from repro.triplestore.dictionary import ObjectIndex
@@ -89,13 +89,16 @@ KIND_DICT = 3
 KIND_KEYS = 4
 
 #: Manifest schema version: the one format this build reads and writes.
-MANIFEST_FORMAT = 5
+MANIFEST_FORMAT = 6
 
 #: ``KIND_KEYS``: items a block, bytes inflated at a time, and zlib level 6
 #: with run-length matches only (high planes are runs, low ones hold
 #: nothing to match): 3.5–4 times faster to write, 1–3 % larger.
 _KEY_BLOCK, _INFLATE_CHUNK = 1 << 15, 1 << 14
 _DEFLATE = (6, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
+#: Deflate's largest expansion: a count of more than this many times the
+#: compressed bytes, over 8, is refused before anything is inflated.
+_MAX_RATIO = 1032
 
 #: magic, version, kind, reserved, payload byte length, payload CRC32,
 #: header CRC32 (of the preceding 28 bytes) — 32 bytes, 8-aligned.

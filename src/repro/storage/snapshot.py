@@ -26,15 +26,16 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 5 is the only one this build reads or writes: the
-dictionary as data (a ``KIND_DICT`` ``meta.seg``), every array as
-compressed deltas (``KIND_KEYS``), a WAL of data records only
-(:mod:`repro.storage.wal`), and nothing a reader can derive — no
+Manifest format 6 is the only one this build reads or writes: the
+dictionary as data (a ``KIND_DICT`` ``meta.seg``, one LZMA2 stream),
+every array as compressed deltas (``KIND_KEYS``), a WAL of data records
+only (:mod:`repro.storage.wal`), and nothing a reader can derive — no
 ``active`` entry, and ``dv_codes`` only when ρ takes more than one
 value.  A store of an older format is refused when it opens
-(:func:`~repro.storage.manager.read_manifest`); ``repro compact`` under
-the last 4.x build, which reads formats 1–5, upgrades it, and a format-4
-store's first 4.x snapshot rewrites its raw arrays.
+(:func:`~repro.storage.manager.read_manifest`); ``repro dump STORE -o
+FILE`` under the last 5.x build exports a format-5 store, which 6.x
+serves as it is or installs into a new store (an older one first needs
+``repro compact`` under the last 4.x build).
 """
 
 from __future__ import annotations

@@ -10,15 +10,19 @@ The payload is data, read without the pickle module: the batch as the
 commit encoded it (:class:`~repro.triplestore.columnar.EncodedBatch`),
 all integers little-endian::
 
-    "RWAL" <version u32 = 1> <base u64> <tail_len u64> <relations u64>
+    "RWAL" <version u32 = 2> <base u64> <tail_len u64> <relations u64>
     <tail: tail_len bytes> <zeros to a multiple of 8>
     per relation, in application order:
         <name_len u64> <count u64>
         <name: UTF-8, zeros to a multiple of 8> <keys: count × int64>
 
 ``base`` is the size of the dictionary the batch extends; the *tail* is
-the batch's objects outside it, in code (``repr``) order, in the codec
-of the dictionary segment (:func:`~repro.storage.dictionary.encode_values`);
+the batch's objects outside it, in code (``repr``) order, as the
+dictionary segment's preamble and tagged JSON text, uncompressed
+(:func:`~repro.storage.dictionary.encode_values`): the log is
+short-lived and its keys are raw, and an LZMA2 encoder would cost every
+commit 0.7–1 MB of peak memory and 0.3–0.4 ms (a 14 KB tail, 2-core
+x86-64 host);
 a relation's keys are its sorted unique packed keys over the grown
 dictionary of ``n = base + len(tail)`` objects.  Replay decodes a record
 and installs it through the same
@@ -29,9 +33,11 @@ in ``[0, n³)`` and the keys strictly increase (the check a relation
 segment gets too, :func:`~repro.storage.segments.check_keys`), and the
 tail must be in ``repr`` order, hold no object twice and none the
 dictionary holds —
-anything else, a record that does not start with ``RWAL`` among it, is
-:class:`~repro.errors.StoreCorruptionError`.  (Builds before manifest
-format 4 logged pickles; 5.x opens no store that old, see
+anything else, a record that does not start with ``RWAL`` or is of
+another version among it, is
+:class:`~repro.errors.StoreCorruptionError`.  (Version 1, of manifest
+formats 4 and 5, zlib-compressed the tail, and builds before format 4
+logged pickles; 6.x opens no store that old, see
 :mod:`repro.storage.snapshot`.)
 
 Commit is a two-step protocol:
@@ -107,7 +113,7 @@ RECORD_HEADER_SIZE = _RECORD.size
 #: A record's first bytes; any other start is corruption.
 MAGIC = b"RWAL"
 #: The record layout version; a reader refuses any other.
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 #: magic, version, dictionary size extended, tail bytes, relation count.
 _PREAMBLE = struct.Struct("<4sIQQQ")
 #: A relation's name length in bytes and key count.

@@ -6,10 +6,13 @@
   for universes and ρ maps alike, the empty ones included.
 * No pickle: opening, querying and reopening a store never calls
   ``pickle.loads``.
+* The stream: one raw LZMA2 stream, its bytes pinned for a 20 000-object
+  universe.
 * Hardening: truncations, bit flips under a re-stamped CRC, unknown
-  tags, count mismatches and a decompression bomb all raise
-  :class:`StoreCorruptionError` and nothing else; ``repro fsck`` reports
-  a segment that does not decode as ``STOR-SEGMENT``.
+  tags, count mismatches, a decompression bomb and a zlib stream (the
+  format-5 codec) all raise :class:`StoreCorruptionError` and nothing
+  else; ``repro fsck`` reports a segment that does not decode as
+  ``STOR-SEGMENT``.
 * The type rule: a durable commit refuses, before the WAL append, any
   object the segment could not write; an in-memory session does not.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+import lzma
 import math
 import os
 import pickle
@@ -76,10 +80,14 @@ def round_trip(objects, dv_values, rho):
     return decode_dictionary(encode_dictionary(objects, dv_values, rho), "test")
 
 
+def lzma2(text: bytes) -> bytes:
+    return lzma.compress(text, format=lzma.FORMAT_RAW, filters=dictionary._FILTERS)
+
+
 def payload_of(text: bytes, count: int, declared: int | None = None) -> bytes:
     """A ``KIND_DICT`` payload around arbitrary ``text``."""
     declared = len(text) if declared is None else declared
-    return struct.pack("<QQI", declared, count, zlib.crc32(text)) + zlib.compress(text, 9)
+    return struct.pack("<QQI", declared, count, zlib.crc32(text)) + lzma2(text)
 
 
 def rich_store() -> Triplestore:
@@ -165,10 +173,20 @@ class TestRoundTrip:
 
     def test_the_text_is_data(self):
         payload = encode_dictionary([1, "a", (b"x",)], [], {})
-        text = zlib.decompress(payload[20:])
+        text = lzma.decompress(payload[20:], format=lzma.FORMAT_RAW, filters=dictionary._FILTERS)
         assert json.loads(text) == [
             [{"int": "0x1"}, "a", {"tuple": [{"bytes": "eA=="}]}], [], [], [],
         ]
+
+    def test_a_sorted_universe_is_one_pinned_lzma2_stream(self):
+        objects = [f"n{i:05d}" for i in range(20_000)]
+        payload = encode_dictionary(objects, [], {})
+        length, count, crc = struct.unpack_from("<QQI", payload)
+        text = json.dumps([objects, [], [], []], separators=(",", ":")).encode("ascii")
+        assert (length, count, crc) == (len(text), 20_000, zlib.crc32(text))
+        assert payload[20:] == lzma2(text)
+        assert len(payload) - 20 == 3_894  # zlib level 1: 45 275 B
+        assert decode_dictionary(payload, "pinned") == (objects, [], {})
 
     def test_unstorable_values_are_refused_by_the_writer(self):
         with pytest.raises(StorageError, match="Decimal"):
@@ -252,12 +270,12 @@ class TestHardening:
                 got = decode_dictionary(bytes(flipped), "flip")
             except StoreCorruptionError:
                 continue
-            # Deflate ignores a few bits (the last byte's padding, a match
-            # copying equal bytes from elsewhere): the very same text.
+            # LZMA2 ignores a few bits (the range coder's last bits, a
+            # match copying equal bytes from elsewhere): the very same text.
             assert repr(got) == written, bit
 
     def test_a_text_that_fails_its_crc(self):
-        # zlib's own Adler-32 misses some reorderings of the text.
+        # A raw LZMA2 stream carries no check of its own.
         text = b'[["ab","ba"],[],[],[]]'
         payload = payload_of(text, 2)
         crafted = payload[:16] + struct.pack("<I", zlib.crc32(text.replace(b"ab", b"ba"))) + payload[20:]
@@ -353,15 +371,15 @@ class TestHardening:
         declared = 1000
         text = b'[["' + b"a" * (8 * 1024 * 1024) + b'"],[],[],[]]'
         bomb = payload_of(text, 1, declared)
-        assert len(bomb) * 500 < len(text)  # 8 MiB of text, a few KB compressed
+        assert len(bomb) * 5000 < len(text)  # 8 MiB of text, under 2 KB compressed
         produced: list[int] = []
-        real = zlib.decompressobj
+        real = lzma.LZMADecompressor
 
         class Spy:
             def __init__(self, *args, **kwargs):
                 self.inner = real(*args, **kwargs)
 
-            def decompress(self, data, max_length=0):
+            def decompress(self, data, max_length=-1):
                 out = self.inner.decompress(data, max_length)
                 produced.append(len(out))
                 return out
@@ -369,10 +387,37 @@ class TestHardening:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-        monkeypatch.setattr(dictionary.zlib, "decompressobj", Spy)
+        monkeypatch.setattr(dictionary.lzma, "LZMADecompressor", Spy)
         with pytest.raises(StoreCorruptionError, match="past its declared"):
             decode_dictionary(bomb, "bomb")
         assert produced == [declared + 1]
+        # LZMA2's own bound: a declared length past it is refused with not
+        # one byte inflated; one at it reaches the decompressor.
+        small = payload_of(b'[["a"],[],[],[]]', 1)
+        bound = dictionary._MAX_RATIO * (len(small) - 20)
+        del produced[:]
+        with pytest.raises(StoreCorruptionError, match="cannot inflate"):
+            decode_dictionary(payload_of(b'[["a"],[],[],[]]', 1, bound + 1), "past")
+        assert produced == []
+        with pytest.raises(StoreCorruptionError, match="truncated or padded"):
+            decode_dictionary(payload_of(b'[["a"],[],[],[]]', 1, bound), "at")
+        assert produced == [16]
+
+    def test_a_zlib_stream_is_refused_by_open_and_fsck(self, tmp_path):
+        # What a format-5 ``meta.seg`` held, under a format-6 manifest.
+        root = durable(tmp_path / "s", rich_store())
+        text = lzma.decompress(
+            segments.read_segment(meta_path(root))[20:],
+            format=lzma.FORMAT_RAW,
+            filters=dictionary._FILTERS,
+        )
+        objects = len(rich_store().columnar().objects)
+        restamp(root, struct.pack("<QQI", len(text), objects, zlib.crc32(text)) + zlib.compress(text, 1))
+        with pytest.raises(StoreCorruptionError, match="does not decode"):
+            DurableStore(root).open()
+        findings = fsck_store(root)
+        assert [f.rule for f in findings] == ["STOR-SEGMENT"]
+        assert "does not decode" in findings[0].message
 
     def test_open_refuses_a_meta_segment_of_another_kind(self, tmp_path):
         root = durable(tmp_path / "s", rich_store())

@@ -1,13 +1,15 @@
-"""5.x reads manifest format 5 and nothing else, and reads no manifest
+"""6.x reads manifest format 6 and nothing else, and reads no manifest
 it has not checked.
 
 * An older store is refused by an open, ``Database(path=)``, fsck,
   ``repro compact`` and ``repro info``: a :class:`StorageError` (for
   fsck one ``STOR-MANIFEST`` finding) that names the format and the
-  upgrade, raised before anything else under the store is read or
-  written.  The inputs are ``tests/golden/store-v4`` — written by the
-  last format-4 build, never to be regenerated with a newer writer —
-  with its manifest re-stamped to each of formats 1–4, and one pickled
+  upgrade (``repro dump`` under the last 5.x build, ``repro compact``
+  under the last 4.x build first for a store older than format 5),
+  raised before anything else under the store is read or written.  The
+  inputs are ``tests/golden/store-v4`` — written by the last format-4
+  build, never to be regenerated with a newer writer — with its
+  manifest re-stamped to each of formats 1–5, and one pickled
   WAL record whose unpickling would write a marker file.  The marker
   never appears and every file stays byte-identical.
   An older store with a torn WAL tail keeps its tail: the refusal
@@ -89,7 +91,7 @@ def refusal(surface: str, root: str, capsys) -> tuple[type, str]:
 SURFACES = ("open", "Database", "fsck", "compact", "info")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, version):
     root = str(tmp_path / "store")
     shutil.copytree(os.path.join(HERE, "golden", "store-v4"), root)
@@ -104,7 +106,8 @@ def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, ver
         assert tree(root) == before, surface
         assert kind is StorageError, surface  # the store is sound, only old
         assert f"manifest format {version};" in message, surface
-        assert "repro compact" in message and "4.x build" in message, surface
+        assert "`repro dump STORE -o FILE` under the last 5.x build" in message, surface
+        assert "6.x serves FILE" in message, surface
 
 
 def torn(root: str) -> str:
@@ -125,7 +128,7 @@ def test_an_older_store_keeps_its_torn_wal_tail(tmp_path, capsys):
     assert os.path.getsize(os.path.join(current, "wal", "wal.log")) < size
     # … an older store is refused before the log is recovered.
     root = torn(build_store(tmp_path / "older"))
-    write_manifest(root, dict(manifest_of(root), format=4))
+    write_manifest(root, dict(manifest_of(root), format=5))
     before = tree(root)
     for surface in SURFACES:
         refusal(surface, root, capsys)

@@ -1,5 +1,5 @@
 """Key segments: every array of a generation as blocked, byte-planed,
-zlib'd deltas (``KIND_KEYS``, manifest format 5).  Seeded throughout.
+zlib'd deltas (``KIND_KEYS``, manifest formats 5 and 6).  Seeded throughout.
 
 * Round trip: sorted unique keys of any count — none, one, and either
   side of the 2¹⁵-key block — and up to n³ − 1 come back exactly, from
@@ -9,7 +9,8 @@ zlib'd deltas (``KIND_KEYS``, manifest format 5).  Seeded throughout.
 * Hardening: truncations, a flipped bit, bit flips under re-stamped
   CRCs, a raw ``int64`` array (kind 1, written before format 5), a count
   that disagrees with the stream, trailing bytes, a zlib bomb under a
-  small and under a huge declared count, and arrays the dictionary
+  small and under a huge declared count and at deflate's ratio bound
+  (``segments._MAX_RATIO``, the key codec's own), and arrays the dictionary
   refutes — keys repeated, swapped, negative or ≥ n³; ρ codes out of
   range or one short — make an open raise
   :class:`StoreCorruptionError` and nothing else, and ``fsck`` report
@@ -305,6 +306,14 @@ class TestHardening:
         with pytest.raises(ValueError, match="cannot hold"):
             decode_keys(bomb, 2**40)
         assert produced == []
+        bound = segments._MAX_RATIO * len(bomb) // 8
+        with pytest.raises(ValueError, match="cannot hold"):
+            decode_keys(bomb, bound + 1)
+        assert produced == []
+        # At the bound the stream is inflated, and found short of it.
+        with pytest.raises(ValueError, match="truncated"):
+            decode_keys(bomb, bound)
+        assert sum(produced) == 8 * 1024 * 1024
         root = build(tmp_path / "s")
         for count in (1000, 2**40):
             restamp(root, "E", bomb, count=count)

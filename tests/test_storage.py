@@ -567,8 +567,6 @@ class TestServeStorePath:
         with every opened session closed: the WAL folded, not left to GC."""
         import socket
 
-        # Keep _cmd_serve's SIGINT/SIGTERM handlers out of this process.
-        monkeypatch.setattr(signal, "signal", lambda *args: None)
         ds = DurableStore(durable_store)
         ds.open()
         ds.commit({"F": TRIPLES})  # one unfolded WAL record
@@ -595,6 +593,23 @@ class TestServeStorePath:
         assert "error:" in capsys.readouterr().err
         assert len(opened) == 1 and closed == opened
         assert os.path.getsize(wal) == 0
+
+    @pytest.mark.parametrize("failure", ["busy-port", "bad-tenant"])
+    def test_serve_restores_the_signal_handlers_it_replaced(
+        self, durable_store, tmp_path, failure, capsys
+    ):
+        import socket
+
+        before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            argv = ["serve", durable_store, "--port", str(busy.getsockname()[1])]
+            if failure == "bad-tenant":
+                argv += ["--tenant", f"bad={tmp_path / 'missing.tstore'}"]
+            assert cli_main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
 
     def test_serve_without_backend_opens_columnar_sessions(
         self, durable_store, tmp_path

@@ -1,17 +1,19 @@
 """The WAL record is data: codes plus a dictionary tail, never a pickle.
 
 * Round trip: a commit logs its batch exactly as the encoder made it —
-  the dictionary size it extends, the fresh objects in code order, each
-  relation's packed keys — and replay installs it through the same
+  the dictionary size it extends, the fresh objects in code order (the
+  tail: the dictionary codec's preamble plus its text, uncompressed),
+  each relation's packed keys — and replay installs it through the same
   apply, relations left lazy.
 * No pickle: commit, replay and ``fsck`` never call ``pickle.dumps`` or
   ``pickle.loads``; a pickled record is corruption.
 * Hardening: truncations, bit flips under re-stamped CRCs and crafted
   records (keys unsorted, repeated, negative or past n³; a tail out of
   ``repr`` order, repeating an object or overlapping the dictionary; a
-  wrong base; oversized declared lengths; a zlib bomb) make an open
-  raise :class:`StoreCorruptionError` and nothing else, and ``fsck``
-  report exactly ``STOR-WAL``.
+  wrong base; oversized declared lengths; a version-1 record or a tail
+  still zlib-compressed, as format 5 logged them) make an open raise
+  :class:`StoreCorruptionError` and nothing else, and ``fsck`` report
+  exactly ``STOR-WAL``.
 * The commit order: a batch the store refuses is never logged.
 """
 
@@ -36,6 +38,7 @@ from repro.storage.segments import SegmentStore
 from repro.storage.wal import (
     MAGIC,
     RECORD_HEADER_SIZE,
+    RECORD_VERSION,
     read_record,
     scan_records,
 )
@@ -52,7 +55,7 @@ _PREAMBLE = struct.Struct("<4sIQQQ")
 _RELATION = struct.Struct("<QQ")
 
 
-def crafted(base: int, tail: list, relations: list, *, version: int = 1,
+def crafted(base: int, tail: list, relations: list, *, version: int = RECORD_VERSION,
             tail_bytes: bytes | None = None, count: int | None = None) -> bytes:
     """A record payload laid out by hand; ``relations`` holds
     ``(name, keys)`` or ``(name_bytes, keys, declared_count)``."""
@@ -156,6 +159,18 @@ class TestRoundTrip:
         assert list(record.keys) == ["F"]
         assert record.keys["F"].tolist() == expected.keys["F"].tolist()
         assert list(expected.fresh.objects) == record.fresh
+
+    def test_a_tail_is_its_preamble_plus_its_text(self, tmp_path):
+        (seq, payload), = log_records(base_store(tmp_path))
+        tail_len = _PREAMBLE.unpack_from(payload)[3]
+        tail = payload[_PREAMBLE.size : _PREAMBLE.size + tail_len]
+        tagged = [  # the fresh objects in repr order, tagged
+            "r", "t", {"tuple": ["x", {"int": "0x1"}]}, {"int": "0x1"},
+            {"float": (2.5).hex()}, {"none": None}, {"bytes": "AA=="},
+        ]
+        text = json.dumps(tagged, separators=(",", ":")).encode("ascii")
+        assert tail == struct.pack("<QQI", len(text), len(tagged), zlib.crc32(text)) + text
+        assert tail == encode_values(read_record(payload, where="t").fresh)
 
     def test_replay_applies_lazily_and_equals_a_fresh_build(self, tmp_path):
         root = base_store(tmp_path)
@@ -281,7 +296,8 @@ class TestHardening:
             (lambda n, k: crafted(n, [1, True], [("F", k)]), "twice"),
             (lambda n, k: crafted(n + 1, [], [("F", k)]), "dictionary of"),
             (lambda n, k: crafted(n - 1, ["zz"], [("F", k)]), "dictionary of"),
-            (lambda n, k: crafted(n, [], [("F", k)], version=2), "version 2"),
+            (lambda n, k: crafted(n, [], [("F", k)], version=1), "version 1"),
+            (lambda n, k: crafted(n, [], [("F", k)], version=3), "version 3"),
             (lambda n, k: crafted(n, [], [("F", k), ("F", k)]), "twice"),
             (lambda n, k: crafted(n, [], [("F", k)], count=2), "declares"),
             (lambda n, k: crafted(n, [], [("F", k)], count=2**64 - 1), "declares"),
@@ -289,9 +305,12 @@ class TestHardening:
             (lambda n, k: crafted(n, [], [("F", k, len(k) + 1)]), "declares"),
             (lambda n, k: crafted(n, [], [(b"\xff\xfe", k)]), "utf-8"),
             (lambda n, k: crafted(n, [], [(b"F" * 3, k)]) + bytes(8), "follow"),
-            (lambda n, k: _PREAMBLE.pack(MAGIC, 1, n, 2**62, 0), "declares"),
-            (lambda n, k: crafted(n, [], [], tail_bytes=_bomb(declared=200)), "past its declared"),
-            (lambda n, k: crafted(n, [], [], tail_bytes=_bomb(declared=2**40)), "cannot inflate"),
+            (lambda n, k: _PREAMBLE.pack(MAGIC, RECORD_VERSION, n, 2**62, 0), "declares"),
+            (lambda n, k: crafted(n, [], [], tail_bytes=_zlib_tail(b'["a"]', 1)), "declares"),
+            (lambda n, k: crafted(n, [], [], tail_bytes=_values_of(b'["a"]', 1, 2**40)),
+             "declares"),
+            (lambda n, k: crafted(n, [], [], tail_bytes=_values_of(b'["a"]', 1, 4)), "declares"),
+            (lambda n, k: crafted(n, [], [], tail_bytes=_values_of(b'["a"]', 2)), "preamble counts"),
             (lambda n, k: crafted(n, [], [], tail_bytes=b"\x00" * 7), "preamble"),
             (lambda n, k: crafted(n, [], [], tail_bytes=_values_of(b'["a",["b"]]', 2)),
              "unhashable"),
@@ -300,10 +319,11 @@ class TestHardening:
         ids=[
             "keys-unsorted", "keys-repeated", "key-negative", "key-past-n3",
             "tail-unsorted", "tail-repeated", "tail-overlaps", "tail-equal-values",
-            "base-too-large", "base-too-small", "unknown-version", "relation-twice",
+            "base-too-large", "base-too-small", "version-1", "version-3", "relation-twice",
             "relation-count-over", "relation-count-huge", "key-count-huge",
             "key-count-over", "name-not-utf8", "trailing-bytes", "tail-length-huge",
-            "tail-zlib-bomb", "tail-declared-huge", "tail-short", "tail-unhashable",
+            "tail-zlib", "tail-declared-huge", "tail-declared-short", "tail-count-mismatch",
+            "tail-short", "tail-unhashable",
             "short-magic",
         ],
     )
@@ -383,13 +403,15 @@ class TestCommitPointer:
         ds.close()
 
 
-def _values_of(text: bytes, count: int) -> bytes:
+def _values_of(text: bytes, count: int, declared: int | None = None) -> bytes:
+    """A tail around arbitrary ``text``, its length as ``declared``."""
+    declared = len(text) if declared is None else declared
+    return struct.pack("<QQI", declared, count, zlib.crc32(text)) + text
+
+
+def _zlib_tail(text: bytes, count: int) -> bytes:
+    """A tail as format 5 wrote it: the text zlib-compressed."""
     return struct.pack("<QQI", len(text), count, zlib.crc32(text)) + zlib.compress(text)
-
-
-def _bomb(declared: int) -> bytes:
-    text = b'["' + b"a" * (4 * 1024 * 1024) + b'"]'
-    return struct.pack("<QQI", declared, 1, zlib.crc32(text)) + zlib.compress(text, 9)
 
 
 # --------------------------------------------------------------------- #
