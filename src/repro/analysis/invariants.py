@@ -179,8 +179,8 @@ LINT_RULES: dict[str, str] = {
 #: Durable-store integrity rules (see :mod:`repro.storage.fsck`).
 STORE_RULES: dict[str, str] = {
     "STOR-MANIFEST": (
-        "the store MANIFEST exists, parses, is manifest format 6 (an older "
-        "store upgrades through `repro dump` under the last 5.x build), and its "
+        "the store MANIFEST exists, parses, is manifest format 6 (a format-5 "
+        "store upgrades by `repro upgrade`), and its "
         "counts, relation versions, segment map and generation directory "
         "have their shape"
     ),

@@ -275,6 +275,24 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_upgrade(args: argparse.Namespace) -> int:
+    from repro.storage.segments import MANIFEST_FORMAT
+    from repro.storage.upgrade import UPGRADES_FROM, upgrade_store
+
+    done = upgrade_store(args.store)
+    if done is None:
+        print(f"# {args.store}: manifest format {MANIFEST_FORMAT} already", file=sys.stderr)
+        return 0
+    before, after = done.dictionary_bytes
+    print(
+        f"# {args.store}: upgraded from manifest format {UPGRADES_FROM} to "
+        f"{MANIFEST_FORMAT} at generation {done.generation} ({done.records} WAL "
+        f"records folded; dictionary {before} -> {after} bytes)",
+        file=sys.stderr,
+    )
+    return 0
+
+
 def _cmd_dump(args: argparse.Namespace) -> int:
     from repro.triplestore.io import dump, dump_path
 
@@ -585,6 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.add_argument("store", help="durable store directory")
     cp.set_defaults(func=_cmd_compact)
+
+    up = sub.add_parser(
+        "upgrade",
+        help="rewrite a manifest-format-5 store as format 6, in place and exactly",
+    )
+    up.add_argument("store", help="durable store directory")
+    up.set_defaults(func=_cmd_upgrade)
 
     dm = sub.add_parser(
         "dump",

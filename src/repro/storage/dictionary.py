@@ -32,9 +32,10 @@ LZMA2, not zlib: the 608 241-byte text of a 69 067-object universe
 stream and a 155 899-byte zlib (level 1) one, and its whole decode —
 inflate, CRC and ``json.loads`` — takes 7.3 ms against 6.2 ms (medians
 of 41 interleaved runs, 2-core x86-64 host): the JSON parse dominates
-both, so a sixth of the bytes costs a sixth more decode time.  A WAL tail is not compressed: an LZMA2 encoder would cost
-every commit 0.7–1 MB of peak memory and 0.3–0.4 ms, while the log is
-short-lived and its keys are raw ``int64`` already.
+both, so a sixth of the bytes costs a sixth more decode time.  A WAL
+tail is not compressed: an LZMA2 encoder would cost every commit
+0.7–1 MB of peak memory and 0.3–0.4 ms, while the log is short-lived
+and its keys are raw ``int64`` already.
 
 Decoding trusts nothing: a declared length LZMA2 could not reach from
 the compressed bytes at hand is refused before inflating, the
@@ -63,6 +64,7 @@ from repro.errors import StorageError, StoreCorruptionError
 
 __all__ = [
     "check_storable",
+    "compress_text",
     "decode_dictionary",
     "decode_values",
     "encode_dictionary",
@@ -165,14 +167,25 @@ def _text(doc: list, count: int) -> tuple[bytes, bytes]:
     return _PREAMBLE.pack(len(raw), count, zlib.crc32(raw)), raw
 
 
+def _compressed(preamble: bytes, raw: bytes | memoryview) -> bytes:
+    return preamble + lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_FILTERS)
+
+
 def encode_dictionary(
     objects: Iterable[Any], dv_values: Iterable[Any], rho: Mapping[Any, Any]
 ) -> bytes:
     """The ``KIND_DICT`` payload of a universe, its data values and ρ."""
     objects = _tagged(objects)
     doc = [objects, _tagged(dv_values), _tagged(rho.keys()), _tagged(rho.values())]
-    preamble, raw = _text(doc, len(objects))
-    return preamble + lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_FILTERS)
+    return _compressed(*_text(doc, len(objects)))
+
+
+def compress_text(plain: bytes) -> bytes:
+    """The ``KIND_DICT`` form of an uncompressed payload — a preamble and
+    its text, as :func:`encode_values` writes one: the same preamble, the
+    text as one raw LZMA2 stream (:mod:`repro.storage.upgrade`)."""
+    view = memoryview(plain)
+    return _compressed(bytes(view[: _PREAMBLE.size]), view[_PREAMBLE.size :])
 
 
 def encode_values(values: Iterable[Any]) -> bytes:

@@ -63,6 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
 __all__ = [
     "DurableStore",
     "WAL_LIMIT_ENV",
+    "manifest_problem",
+    "parse_manifest",
     "read_manifest",
     "replay_record",
     "store_footprint",
@@ -106,8 +108,9 @@ def _is_file_name(value: object) -> bool:
     )
 
 
-def _manifest_problem(manifest: dict) -> str | None:
-    """What is wrong with the fields of a format-6 ``manifest``, if anything."""
+def manifest_problem(manifest: dict) -> str | None:
+    """What is wrong with the fields of a format-5 or -6 ``manifest`` (the
+    two share every field), if anything."""
     for field in ("generation", "store_version", "wal_seq"):
         if not _is_count(manifest.get(field)):
             return f"has no {field} count (it holds {manifest.get(field)!r})"
@@ -135,6 +138,29 @@ def _manifest_problem(manifest: dict) -> str | None:
     return None
 
 
+def parse_manifest(root: str | os.PathLike) -> tuple[str, dict]:
+    """The path and the JSON object of ``root``'s manifest, whose format
+    number is a count; nothing else is checked.
+
+    Raises ``FileNotFoundError`` when there is none and
+    :class:`StoreCorruptionError` when it does not parse.
+    """
+    path = os.path.join(os.fspath(root), MANIFEST_NAME)
+    with open(path, "rb") as fp:
+        raw = fp.read()
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise StoreCorruptionError(f"store manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreCorruptionError(f"store manifest {path} is not a JSON object")
+    if not _is_count(manifest.get("format")):
+        raise StoreCorruptionError(
+            f"store manifest {path} has no format number (it holds {manifest.get('format')!r})"
+        )
+    return path, manifest
+
+
 def read_manifest(root: str | os.PathLike) -> dict:
     """The manifest of the store directory ``root``, every field checked.
 
@@ -146,20 +172,8 @@ def read_manifest(root: str | os.PathLike) -> dict:
     is of a newer format, or holds a field of the wrong shape.
     """
     root = os.fspath(root)
-    path = os.path.join(root, MANIFEST_NAME)
-    with open(path, "rb") as fp:
-        raw = fp.read()
-    try:
-        manifest = json.loads(raw)
-    except ValueError as exc:
-        raise StoreCorruptionError(f"store manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise StoreCorruptionError(f"store manifest {path} is not a JSON object")
-    version = manifest.get("format")
-    if not _is_count(version):
-        raise StoreCorruptionError(
-            f"store manifest {path} has no format number (it holds {version!r})"
-        )
+    path, manifest = parse_manifest(root)
+    version = manifest["format"]
     if version > MANIFEST_FORMAT:
         raise StoreCorruptionError(
             f"store {root} is manifest format v{version}; this build reads "
@@ -168,12 +182,11 @@ def read_manifest(root: str | os.PathLike) -> dict:
     if version < MANIFEST_FORMAT:
         raise StorageError(
             f"store {root} is manifest format {version}; this build reads format "
-            f"{MANIFEST_FORMAT} only.  Upgrade it by exporting it with `repro dump "
-            "STORE -o FILE` under the last 5.x build (a store older than format 5 "
-            "first needs `repro compact` under the last 4.x build); 6.x serves FILE "
-            "as it is or installs it into a new store."
+            f"{MANIFEST_FORMAT} only.  Upgrade it in place with `repro upgrade "
+            "STORE`, which rewrites a format-5 store exactly (a store older than "
+            "format 5 first needs `repro compact` under the last 4.x build)."
         )
-    problem = _manifest_problem(manifest)
+    problem = manifest_problem(manifest)
     if problem is not None:
         raise StoreCorruptionError(f"store manifest {path} {problem}")
     return manifest

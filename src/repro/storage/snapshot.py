@@ -32,10 +32,10 @@ every array as compressed deltas (``KIND_KEYS``), a WAL of data records
 only (:mod:`repro.storage.wal`), and nothing a reader can derive — no
 ``active`` entry, and ``dv_codes`` only when ρ takes more than one
 value.  A store of an older format is refused when it opens
-(:func:`~repro.storage.manager.read_manifest`); ``repro dump STORE -o
-FILE`` under the last 5.x build exports a format-5 store, which 6.x
-serves as it is or installs into a new store (an older one first needs
-``repro compact`` under the last 4.x build).
+(:func:`~repro.storage.manager.read_manifest`); ``repro upgrade``
+rewrites a format-5 store as format 6 (:mod:`repro.storage.upgrade`),
+and an older one first needs ``repro compact`` under the last 4.x
+build.
 """
 
 from __future__ import annotations

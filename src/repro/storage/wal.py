@@ -35,10 +35,9 @@ tail must be in ``repr`` order, hold no object twice and none the
 dictionary holds —
 anything else, a record that does not start with ``RWAL`` or is of
 another version among it, is
-:class:`~repro.errors.StoreCorruptionError`.  (Version 1, of manifest
-formats 4 and 5, zlib-compressed the tail, and builds before format 4
-logged pickles; 6.x opens no store that old, see
-:mod:`repro.storage.snapshot`.)
+:class:`~repro.errors.StoreCorruptionError`.  (``repro upgrade``
+converts a format-5 log's version-1 records,
+:mod:`repro.storage.upgrade`.)
 
 Commit is a two-step protocol:
 

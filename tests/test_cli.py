@@ -310,7 +310,7 @@ class TestExplain:
         )
         assert set(sub.choices) == {
             "query", "datalog", "info", "explain", "lint", "serve", "fsck",
-            "compact", "dump", "connect",
+            "compact", "upgrade", "dump", "connect",
         }
         flags = {
             opt for a in sub.choices["explain"]._actions for opt in a.option_strings

@@ -4,8 +4,9 @@ it has not checked.
 * An older store is refused by an open, ``Database(path=)``, fsck,
   ``repro compact`` and ``repro info``: a :class:`StorageError` (for
   fsck one ``STOR-MANIFEST`` finding) that names the format and the
-  upgrade (``repro dump`` under the last 5.x build, ``repro compact``
-  under the last 4.x build first for a store older than format 5),
+  upgrade (``repro upgrade``, :mod:`tests.test_upgrade`, after
+  ``repro compact`` under the last 4.x build for a store older than
+  format 5),
   raised before anything else under the store is read or written.  The
   inputs are ``tests/golden/store-v4`` — written by the last format-4
   build, never to be regenerated with a newer writer — with its
@@ -106,8 +107,8 @@ def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, ver
         assert tree(root) == before, surface
         assert kind is StorageError, surface  # the store is sound, only old
         assert f"manifest format {version};" in message, surface
-        assert "`repro dump STORE -o FILE` under the last 5.x build" in message, surface
-        assert "6.x serves FILE" in message, surface
+        assert "`repro upgrade STORE`" in message, surface
+        assert "`repro compact` under the last 4.x build" in message, surface
 
 
 def torn(root: str) -> str:
