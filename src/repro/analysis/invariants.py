@@ -179,7 +179,7 @@ LINT_RULES: dict[str, str] = {
 #: Durable-store integrity rules (see :mod:`repro.storage.fsck`).
 STORE_RULES: dict[str, str] = {
     "STOR-MANIFEST": (
-        "the store MANIFEST exists, parses, is manifest format 6 (a format-5 "
+        "the store MANIFEST exists, parses, is manifest format 7 (a format-6 "
         "store upgrades by `repro upgrade`), and its "
         "counts, relation versions, segment map and generation directory "
         "have their shape"
@@ -187,7 +187,8 @@ STORE_RULES: dict[str, str] = {
     "STOR-SEGMENT": (
         "every segment the manifest references exists, passes its header, "
         "payload and manifest CRC32 checks and decodes: the dictionary, "
-        "and every array to the manifest's count — relation keys strictly "
+        "and every array to the manifest's count at the dictionary's radix — "
+        "relation keys strictly "
         "increasing in [0, n³), ρ codes in [0, |data values|)"
     ),
     "STOR-WAL": (

@@ -283,11 +283,11 @@ def _cmd_upgrade(args: argparse.Namespace) -> int:
     if done is None:
         print(f"# {args.store}: manifest format {MANIFEST_FORMAT} already", file=sys.stderr)
         return 0
-    before, after = done.dictionary_bytes
+    before, after = done.key_bytes
     print(
         f"# {args.store}: upgraded from manifest format {UPGRADES_FROM} to "
-        f"{MANIFEST_FORMAT} at generation {done.generation} ({done.records} WAL "
-        f"records folded; dictionary {before} -> {after} bytes)",
+        f"{MANIFEST_FORMAT} at generation {done.generation} (key segments "
+        f"{before} -> {after} bytes)",
         file=sys.stderr,
     )
     return 0
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser(
         "upgrade",
-        help="rewrite a manifest-format-5 store as format 6, in place and exactly",
+        help="rewrite a manifest-format-6 store as format 7, in place and exactly",
     )
     up.add_argument("store", help="durable store directory")
     up.set_defaults(func=_cmd_upgrade)

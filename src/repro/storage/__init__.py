@@ -9,7 +9,7 @@ segment (:mod:`repro.storage.dictionary`), a write-ahead log making
 snapshot/compaction machinery (:mod:`repro.storage.snapshot`), a
 warm-reopen catalog of statistics and query texts
 (:mod:`repro.storage.catalog`), an offline checker
-(:mod:`repro.storage.fsck`) and the upgrade of a format-5 store
+(:mod:`repro.storage.fsck`) and the upgrade of a format-6 store
 (:mod:`repro.storage.upgrade`, ``repro upgrade``).  :class:`DurableStore`
 (:mod:`repro.storage.manager`) coordinates the lifecycle.
 """

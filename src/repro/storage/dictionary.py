@@ -1,6 +1,6 @@
 """The dictionary segment: a store's universe O, data values and ρ as data.
 
-``meta.seg`` of a manifest-format-6 generation is one ``KIND_DICT``
+``meta.seg`` of a manifest-format-7 generation is one ``KIND_DICT``
 segment.  Its payload is a fixed 20-byte preamble — the decoded text's
 length and the object count (little-endian ``uint64``) and its CRC-32
 (``uint32``) — followed by one raw LZMA2 stream (no container: preset
@@ -64,7 +64,6 @@ from repro.errors import StorageError, StoreCorruptionError
 
 __all__ = [
     "check_storable",
-    "compress_text",
     "decode_dictionary",
     "decode_values",
     "encode_dictionary",
@@ -167,25 +166,14 @@ def _text(doc: list, count: int) -> tuple[bytes, bytes]:
     return _PREAMBLE.pack(len(raw), count, zlib.crc32(raw)), raw
 
 
-def _compressed(preamble: bytes, raw: bytes | memoryview) -> bytes:
-    return preamble + lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_FILTERS)
-
-
 def encode_dictionary(
     objects: Iterable[Any], dv_values: Iterable[Any], rho: Mapping[Any, Any]
 ) -> bytes:
     """The ``KIND_DICT`` payload of a universe, its data values and ρ."""
     objects = _tagged(objects)
     doc = [objects, _tagged(dv_values), _tagged(rho.keys()), _tagged(rho.values())]
-    return _compressed(*_text(doc, len(objects)))
-
-
-def compress_text(plain: bytes) -> bytes:
-    """The ``KIND_DICT`` form of an uncompressed payload — a preamble and
-    its text, as :func:`encode_values` writes one: the same preamble, the
-    text as one raw LZMA2 stream (:mod:`repro.storage.upgrade`)."""
-    view = memoryview(plain)
-    return _compressed(bytes(view[: _PREAMBLE.size]), view[_PREAMBLE.size :])
+    preamble, raw = _text(doc, len(objects))
+    return preamble + lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_FILTERS)
 
 
 def encode_values(values: Iterable[Any]) -> bytes:

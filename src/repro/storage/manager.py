@@ -12,7 +12,7 @@ A store directory is::
 :class:`repro.db.Database` drives it:
 
 * **open** — read and check the manifest (:func:`read_manifest`:
-  format 6 only, and an older store is refused before anything else is
+  format 7 only, and an older store is refused before anything else is
   read or written), decode the segments into a lazy
   :class:`~repro.storage.segments.SegmentStore`, recover the WAL and
   replay committed records on top, each through the apply half of a
@@ -109,7 +109,7 @@ def _is_file_name(value: object) -> bool:
 
 
 def manifest_problem(manifest: dict) -> str | None:
-    """What is wrong with the fields of a format-5 or -6 ``manifest`` (the
+    """What is wrong with the fields of a format-6 or -7 ``manifest`` (the
     two share every field), if anything."""
     for field in ("generation", "store_version", "wal_seq"):
         if not _is_count(manifest.get(field)):
@@ -183,8 +183,9 @@ def read_manifest(root: str | os.PathLike) -> dict:
         raise StorageError(
             f"store {root} is manifest format {version}; this build reads format "
             f"{MANIFEST_FORMAT} only.  Upgrade it in place with `repro upgrade "
-            "STORE`, which rewrites a format-5 store exactly (a store older than "
-            "format 5 first needs `repro compact` under the last 4.x build)."
+            "STORE`, which rewrites a format-6 store exactly (a format-5 store "
+            "first needs `repro upgrade STORE` under the last 6.x build, and one "
+            "older than format 5 `repro compact` under the last 4.x build before that)."
         )
     problem = manifest_problem(manifest)
     if problem is not None:

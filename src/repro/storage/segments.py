@@ -13,13 +13,30 @@ of a store (:mod:`repro.triplestore.columnar`) as flat segment files:
   present only when ρ takes more than one value (otherwise every code
   is 0 and the reader supplies the zeros).
 
-A ``KIND_KEYS`` payload is one zlib stream over the array's deltas (the
-first against 0) in blocks of 2¹⁵ items, each block's eight byte
-planes one after another, least significant first: sorted keys leave
-the high planes almost all zero, so a key takes 2.5–3.7 bytes.  The
-item count is the manifest's.  ``KIND_DICT`` and ``KIND_KEYS`` are the
-only payload kinds of manifest format 6, the one format this build
-reads (:mod:`repro.storage.snapshot`).
+A ``KIND_KEYS`` payload is the radix ``n = |O|`` the keys were packed
+with (``uint32``), then one zlib stream, level 6 with run-length
+matches only, over blocks of 2¹⁵ items.  A key ``(s·n + p)·n + o`` is
+kept field by field, in three columns a block:
+
+* s: the delta to the previous key's s (the block's first s is the
+  column's base);
+* p: the delta to the previous p where s repeats, else p minus the
+  block's least p (the base);
+* o: o minus the block's least o (the base).
+
+ρ codes, which are not sorted, are one column: the codes minus the
+block's least.  Each column starts with its base (``uint32``) and its
+plane width (one byte: 1–3, since ``n < 2²¹``), all columns' headers
+first; then come its byte planes, least significant first, each closed
+by a ``Z_BLOCK`` flush so it gets Huffman tables of its own.  No field
+mixes with another through the radix, so a relation takes the same
+bytes in any universe: ≈2.3 B a key for the benchmark's edge relation.
+The item count is the manifest's; the decoder refuses a radix other
+than the dictionary's, a width the radix cannot need, a base or field
+outside ``[0, n)``, and a stream short of, past or padded beyond the
+count.  ``KIND_DICT`` and ``KIND_KEYS`` are the only payload kinds of
+manifest format 7, the one format this build reads
+(:mod:`repro.storage.snapshot`).
 
 Nothing derivable is stored: the active (occurs-in-some-triple) code
 set is computed on first use by ``ColumnarStore.active_codes`` exactly
@@ -89,16 +106,20 @@ KIND_DICT = 3
 KIND_KEYS = 4
 
 #: Manifest schema version: the one format this build reads and writes.
-MANIFEST_FORMAT = 6
+MANIFEST_FORMAT = 7
 
 #: ``KIND_KEYS``: items a block, bytes inflated at a time, and zlib level 6
-#: with run-length matches only (high planes are runs, low ones hold
-#: nothing to match): 3.5–4 times faster to write, 1–3 % larger.
+#: with run-length matches only (s and p planes are runs, o planes hold
+#: little to match): 3.5–4 times faster to write, 1–3 % larger.
 _KEY_BLOCK, _INFLATE_CHUNK = 1 << 15, 1 << 14
 _DEFLATE = (6, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
 #: Deflate's largest expansion: a count of more than this many times the
-#: compressed bytes, over 8, is refused before anything is inflated.
+#: compressed bytes, over the planes an item takes at least (one a
+#: column), is refused before anything is inflated.
 _MAX_RATIO = 1032
+#: The radix a payload's keys were packed with, ahead of its stream; and
+#: in the stream, ahead of a block's planes, each column's base and width.
+_RADIX, _COLUMN = struct.Struct("<I"), struct.Struct("<IB")
 
 #: magic, version, kind, reserved, payload byte length, payload CRC32,
 #: header CRC32 (of the preceding 28 bytes) — 32 bytes, 8-aligned.
@@ -172,49 +193,140 @@ def read_segment(
     return payload
 
 
-def encode_keys(arr: np.ndarray) -> bytes:
-    """The ``KIND_KEYS`` payload of an ``int64`` array, one byte plane of
-    one block at a time."""
-    deflate, parts, prev = zlib.compressobj(*_DEFLATE), [], 0
+def _width(top: int) -> int:
+    """Bytes a plane needs for values up to ``top``: 1–3 below 2²¹."""
+    return max(1, (top.bit_length() + 7) // 8)
+
+
+def _columns(block: np.ndarray, n: int, fields: int) -> list[tuple[int, np.ndarray]]:
+    """A block's ``(base, values)`` per column: one for codes, s/p/o for
+    keys; each ``int64`` array is let go as soon as it is used up."""
+    if fields == 1:
+        base = int(block.min())
+        if not (base >= 0 and int(block.max()) < n):
+            raise ValueError(f"codes outside what radix {n} packs")
+        return [(base, block - base)]
+    s, po = np.divmod(block, n * n)
+    p, o = np.divmod(po, n)
+    del po
+    ds = np.diff(s, prepend=s[0])
+    fits = int(s[0]) >= 0 and int(s[-1]) < n and bool((ds >= 0).all())
+    first_s, least_p, least_o = int(s[0]), int(p.min()), int(o.min())
+    del s
+    dp = p - least_p
+    again = ds[1:] == 0  # where s repeats, p's delta; else p above the least
+    dp[1:][again] = np.diff(p)[again]
+    del p
+    o -= least_o
+    if not (fits and (dp >= 0).all()):
+        raise ValueError(f"keys out of order or outside what radix {n} packs")
+    return [(first_s, ds), (least_p, dp), (least_o, o)]
+
+
+def _deflated(deflate: Any, block: np.ndarray, n: int, fields: int) -> list[bytes]:
+    """One block's headers and byte planes, each plane closed by ``Z_BLOCK``."""
+    columns = _columns(block, n, fields)
+    widths = [_width(int(values.max())) for _base, values in columns]
+    parts = [deflate.compress(b"".join(map(_COLUMN.pack, [b for b, _ in columns], widths)))]
+    for (_base, values), w in zip(columns, widths):
+        planes = values.astype("<u4").view(np.uint8).reshape(-1, 4)
+        for j in range(w):
+            parts += [deflate.compress(np.ascontiguousarray(planes[:, j])), deflate.flush(zlib.Z_BLOCK)]
+    return parts
+
+
+def encode_keys(arr: np.ndarray, n: int, fields: int = 3) -> bytes:
+    """The ``KIND_KEYS`` payload of sorted keys packed with radix ``n``
+    (of ``n``'s ρ codes, ``fields=1``): the radix, then one column per
+    field of each block, one byte plane at a time."""
+    deflate, parts = zlib.compressobj(*_DEFLATE), [_RADIX.pack(n)]
     for lo in range(0, len(arr), _KEY_BLOCK):
-        block = arr[lo : lo + _KEY_BLOCK]
-        planes = np.diff(block, prepend=prev).astype("<i8", copy=False).view(np.uint8)
-        planes = planes.reshape(len(block), 8)
-        parts += [deflate.compress(np.ascontiguousarray(planes[:, j])) for j in range(8)]
-        prev = block[-1]
+        parts += _deflated(deflate, arr[lo : lo + _KEY_BLOCK], n, fields)
     parts.append(deflate.flush())
     return b"".join(parts)
 
 
-def decode_keys(payload: bytes | memoryview, count: int) -> np.ndarray:
-    """The ``count`` items of a ``KIND_KEYS`` payload, inflated a block at a
-    time into an anonymous mapping, off the malloc heap like the mapped
-    files it replaced; a defect raises ``ValueError`` or ``zlib.error``."""
-    if not 0 <= count <= _MAX_RATIO * len(payload) // 8:
-        raise ValueError(f"{len(payload)} compressed bytes cannot hold {count} items")
+def _run_sums(values: np.ndarray, again: np.ndarray, before: np.ndarray) -> None:
+    """Sum ``values`` in place within each run, a run starting wherever
+    ``again`` is false; ``before`` is scratch of the same shape."""
+    np.cumsum(values, out=values)
+    # Less the sum up to each run's first item, held across the run:
+    before[0], before[1:] = 0, values[:-1]
+    before[again] = 0
+    values -= np.maximum.accumulate(before, out=before)
+
+
+def decode_keys(payload: bytes | memoryview, count: int, n: int, fields: int = 3) -> np.ndarray:
+    """The ``count`` items of a ``KIND_KEYS`` payload packed with radix
+    ``n``, inflated a block at a time into an anonymous mapping, off the
+    malloc heap like the mapped files it replaced, one column of a block
+    summed into it at a time; a defect raises ``ValueError`` or
+    ``zlib.error``."""
+    if len(payload) < _RADIX.size:
+        raise ValueError("payload is shorter than its radix")
+    radix = _RADIX.unpack_from(payload)[0]
+    if radix != n:
+        raise ValueError(f"its keys are packed with radix {radix}, the dictionary's is {n}")
+    stream = memoryview(payload)[_RADIX.size :]
+    if not 0 <= count <= _MAX_RATIO * len(stream) // fields:
+        raise ValueError(f"{len(stream)} compressed bytes cannot hold {count} items")
     out = np.frombuffer(mmap.mmap(-1, 8 * count or 1), dtype="<i8", count=count)
-    stream, inflate, pending = memoryview(payload), zlib.decompressobj(), b""
     chunks = (stream[at : at + _INFLATE_CHUNK] for at in range(0, len(stream), _INFLATE_CHUNK))
+    inflate, pending, widest = zlib.decompressobj(), b"", _width(n - 1)
+    whole, spare = np.zeros((2, min(count, _KEY_BLOCK)), np.int64)  # a column, and scratch
+
+    def take(size: int, lo: int) -> bytearray:
+        nonlocal pending
+        got = bytearray()
+        while len(got) < size and (pending := pending or next(chunks, b"")):
+            got += inflate.decompress(pending, size - len(got))
+            pending = inflate.unconsumed_tail
+        if len(got) < size:
+            raise ValueError(f"stream is truncated in the block at item {lo}")
+        return got
+
     for lo in range(0, count, _KEY_BLOCK):
         size = min(_KEY_BLOCK, count - lo)
-        block = bytearray()
-        while len(block) < 8 * size and (pending := pending or next(chunks, b"")):
-            block += inflate.decompress(pending, 8 * size - len(block))
-            pending = inflate.unconsumed_tail
-        if len(block) < 8 * size:
-            raise ValueError(f"stream is truncated in the block at item {lo}")
-        planes = np.frombuffer(block, np.uint8).reshape(8, size)
-        out[lo : lo + size].view(np.uint8).reshape(size, 8)[:] = planes.T
+        dst, top = out[lo : lo + size], 0  # zeros, until the columns are summed in
+        for column, (base, w) in enumerate(_COLUMN.iter_unpack(take(_COLUMN.size * fields, lo))):
+            if not (1 <= w <= widest and base < n):
+                raise ValueError(
+                    f"the block at item {lo} has a column of base {base} and plane "
+                    f"width {w}: radix {n} needs a base below it and 1-{widest} planes"
+                )
+            planes = np.frombuffer(take(w * size, lo), np.uint8).reshape(w, size)
+            values, scratch = whole[:size], spare[:size]
+            np.copyto(values, planes[0])
+            for j in range(1, w):  # least significant plane first
+                values |= np.left_shift(planes[j], 8 * j, out=scratch, dtype=np.int64)
+            if fields == 3 and column == 0:  # s: a sum of deltas
+                np.cumsum(values, out=dst)
+                dst += base
+                top, again = int(dst[-1]), values == 0
+                again[0] = False  # a block starts a run of its own
+                dst *= n
+            elif fields == 3 and column == 1:  # p: summed within each run of one s
+                _run_sums(values, again, scratch)
+                values += base
+                top = max(top, int(values.max()))
+                dst += values
+                dst *= n
+            else:  # o, or a code
+                dst += values
+                dst += base
+                top = max(top, base + int(values.max()))
+        if top >= n:
+            raise ValueError(f"the block at item {lo} decodes a field outside [0, {n})")
     while not inflate.eof and (pending := pending or next(chunks, b"")):
         if inflate.decompress(pending, 1):
             raise ValueError(f"stream inflates past its {count} items")
         pending = inflate.unconsumed_tail
     if not inflate.eof or inflate.unused_data or next(chunks, b""):
         raise ValueError(f"stream is truncated or padded past its {count} items")
-    return np.cumsum(out, out=out)
+    return out
 
 
-def _read_keys(path: str, count: int) -> np.ndarray:
+def _read_keys(path: str, count: int, n: int, fields: int) -> np.ndarray:
     """A ``KIND_KEYS`` segment's array, inflated from the mapped file."""
     with open(path, "rb") as fp:
         mapped = mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
@@ -222,7 +334,7 @@ def _read_keys(path: str, count: int) -> np.ndarray:
     payload = memoryview(mapped)[HEADER_SIZE : HEADER_SIZE + length]
     if kind != KIND_KEYS or len(payload) != length or zlib.crc32(payload) != crc:
         raise ValueError(f"it is kind {kind} (expected {KIND_KEYS}), truncated or fails its CRC32")
-    return decode_keys(payload, count)
+    return decode_keys(payload, count, n, fields)
 
 
 def check_keys(keys: np.ndarray, n: int, what: str) -> None:
@@ -267,15 +379,15 @@ def _files(
         payload = encode_dictionary(cs.objects, cs.dv_values, store._rho)
         return {"bytes": len(payload)}, payload
 
-    def array(arr: np.ndarray, **fields: Any) -> Callable:
-        return lambda: ({**fields, "count": len(arr)}, encode_keys(arr))
+    def array(arr: np.ndarray, columns: int, **fields: Any) -> Callable:
+        return lambda: ({**fields, "count": len(arr)}, encode_keys(arr, cs.n, columns))
 
     yield "meta", None, "meta.seg", KIND_DICT, (cs.objects, cs.dv_values, store._rho), meta
     if len(cs.dv_values) > 1:  # one value (or none): every code is 0
-        yield "dv_codes", None, "dv_codes.seg", KIND_KEYS, (cs.dv_codes,), array(cs.dv_codes)
+        yield "dv_codes", None, "dv_codes.seg", KIND_KEYS, (cs.dv_codes,), array(cs.dv_codes, 1)
     for idx, name in enumerate(store.relation_names):
         keys = cs.relation_keys(name)
-        yield "relations", name, f"rel-{idx:03d}.seg", KIND_KEYS, (keys,), array(keys, name=name)
+        yield "relations", name, f"rel-{idx:03d}.seg", KIND_KEYS, (keys,), array(keys, 3, name=name)
 
 
 class Generation:
@@ -474,10 +586,12 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
             "compare equal: a store holds one object per == class"
         )
 
-    def array(entry: Mapping[str, Any], check: Callable[[np.ndarray], None]) -> np.ndarray:
+    def array(
+        entry: Mapping[str, Any], columns: int, check: Callable[[np.ndarray], None]
+    ) -> np.ndarray:
         path = seg_path(entry)
         try:
-            arr = _read_keys(path, entry["count"])
+            arr = _read_keys(path, entry["count"], len(index), columns)
             check(arr)
         except (KeyError, ValueError, TypeError, zlib.error) as exc:
             raise StoreCorruptionError(f"segment {path} does not decode: {exc}") from exc
@@ -488,7 +602,7 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
             raise ValueError(f"it is not one code in [0, {len(dv_values)}) per object")
 
     if "dv_codes" in block:
-        dv_codes = array(block["dv_codes"], codes)
+        dv_codes = array(block["dv_codes"], 1, codes)
     elif len(dv_values) > 1:
         raise StoreCorruptionError(
             f"generation {gen_dir} has {len(dv_values)} data values "
@@ -497,7 +611,7 @@ def open_store_segments(gen_dir: str | os.PathLike, block: Mapping[str, Any]) ->
     else:
         dv_codes = np.zeros(len(index), dtype=np.int64)
     relations = {
-        e["name"]: array(e, lambda keys: check_keys(keys, len(index), "it"))
+        e["name"]: array(e, 3, lambda keys: check_keys(keys, len(index), "it"))
         for e in block["relations"]
     }
     store = object.__new__(SegmentStore)

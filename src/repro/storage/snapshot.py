@@ -26,16 +26,17 @@ skipped on replay) and possibly an unreferenced old generation
 directory names all of its files itself, so removing one never reaches
 into another — the shared inode lives while any directory names it.
 
-Manifest format 6 is the only one this build reads or writes: the
+Manifest format 7 is the only one this build reads or writes: the
 dictionary as data (a ``KIND_DICT`` ``meta.seg``, one LZMA2 stream),
-every array as compressed deltas (``KIND_KEYS``), a WAL of data records
-only (:mod:`repro.storage.wal`), and nothing a reader can derive — no
-``active`` entry, and ``dv_codes`` only when ρ takes more than one
-value.  A store of an older format is refused when it opens
+every array as compressed field-wise columns (``KIND_KEYS``), a WAL of
+data records only (:mod:`repro.storage.wal`), and nothing a reader can
+derive — no ``active`` entry, and ``dv_codes`` only when ρ takes more
+than one value.  A store of an older format is refused when it opens
 (:func:`~repro.storage.manager.read_manifest`); ``repro upgrade``
-rewrites a format-5 store as format 6 (:mod:`repro.storage.upgrade`),
-and an older one first needs ``repro compact`` under the last 4.x
-build.
+rewrites a format-6 store as format 7 (:mod:`repro.storage.upgrade`),
+a format-5 one first needs ``repro upgrade`` under the last 6.x build,
+and an older one ``repro compact`` under the last 4.x build before
+that.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.storage.fsutil import atomic_write_bytes, fsync_dir
 from repro.storage.segments import MANIFEST_FORMAT, Generation, write_store_segments
 from repro.triplestore.model import Triplestore
 
-__all__ = ["MANIFEST_FORMAT", "gen_path", "sweep_generations", "write_snapshot"]
+__all__ = ["MANIFEST_FORMAT", "gen_path", "sweep_generations", "write_manifest", "write_snapshot"]
 
 _SEGMENTS_DIR = "segments"
 _MANIFEST = "MANIFEST"
@@ -103,11 +104,17 @@ def write_snapshot(
         "store_version": store_version,
         "wal_seq": wal_seq,
     }
+    write_manifest(root, manifest)
+    return manifest
+
+
+def write_manifest(root: str | os.PathLike, manifest: Mapping[str, Any]) -> None:
+    """Atomically replace ``root``'s manifest: the commit point of a
+    snapshot and of an upgrade, once the generation it names is durable."""
     atomic_write_bytes(
-        os.path.join(root, _MANIFEST),
+        os.path.join(os.fspath(root), _MANIFEST),
         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
     )
-    return manifest
 
 
 def sweep_generations(root: str | os.PathLike, keep_generation: int) -> list[str]:

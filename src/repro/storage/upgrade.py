@@ -1,201 +1,134 @@
-"""The upgrade of a manifest-format-5 store to format 6 (``repro upgrade``).
+"""The upgrade of a manifest-format-6 store to format 7 (``repro upgrade``).
 
-Formats 5 and 6 differ in two streams, which hold the same tagged JSON
-text (:mod:`repro.storage.dictionary`): a format-5 ``meta.seg`` deflates
-it where format 6 writes one raw LZMA2 stream, and a format-5 WAL record
-(record version 1) deflates its dictionary tail where version 2 keeps
-the text as it is.  Every other byte — the ``KIND_KEYS`` segments, the
-manifest's fields, a record's keys — means the same in both.  So the
-upgrade carries each text over byte for byte and decodes no object into
-another type: the store it leaves answers every query as the format-5
-store did.
+Formats 6 and 7 differ only in the ``KIND_KEYS`` payloads: format 6
+deflates an array's deltas, eight byte planes a block; format 7 keeps a
+relation's s, p and o fields in columns of their own and the ρ codes in
+one (:mod:`repro.storage.segments`).  ``meta.seg``, the manifest's fields
+and the log's records (version 2) mean the same in both.  So the upgrade
+decodes no object into another type, and the store it leaves answers
+every query as the format-6 store did.
 
 :func:`upgrade_store` runs in four steps, the generation on disk being G:
 
-1. check the manifest, and read, inflate and convert every stream it
-   rewrites — the dictionary segment and each log record past the
-   manifest's ``wal_seq``, as an open would replay them — before
+1. check the manifest, read the dictionary for the radix, decode every
+   key segment of G with the format-6 decoder — a relation's keys
+   checked as an open checks them — and encode it as format 7, before
    anything is written;
-2. write generation G + 1: the LZMA2 ``meta.seg`` beside links to every
-   other file of G; open it as any format-6 generation opens, every
-   check included, and replay the converted records on top;
-3. fold that store into generation G + 2 (:func:`write_snapshot`, which
-   links every file the records left as it was): its format-6 manifest
-   is the commit point;
-4. empty the log and sweep every other generation.
+2. write generation G + 1: those payloads beside a link to G's
+   ``meta.seg``;
+3. open G + 1 as any format-7 generation opens, every check included;
+4. swap the manifest for a format-7 one naming G + 1, with G's
+   relation versions, store version and ``wal_seq`` — the log is left
+   as it is, for the next open to replay — and sweep G.
 
-A defect found in steps 1–2 raises :class:`StoreCorruptionError` with
-the manifest untouched; a crash before step 3's manifest swap leaves
-the format-5 store as it was, beside generations that nothing names
-(the next snapshot or upgrade clears them).  After the swap the log
-holds only records the manifest has folded, which an open skips unread.
+A defect found in step 1 raises :class:`StoreCorruptionError` before
+anything under the store is written; one found in step 3 leaves the
+format-6 manifest in place beside a generation nothing names (the next
+snapshot or upgrade clears it), and so does a crash before the swap.
 
-This is the only reader of format 5: every other surface refuses it
+This is the only reader of format 6: every other surface refuses it
 (:func:`~repro.storage.manager.read_manifest`).
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import zlib
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from repro.errors import StoreCorruptionError
-from repro.storage.dictionary import _PREAMBLE as _DICT_PREAMBLE
-from repro.storage.dictionary import compress_text
+from repro.storage.dictionary import decode_dictionary
 from repro.storage.fsutil import fsync_dir
-from repro.storage.manager import (
-    WAL_DIR,
-    manifest_problem,
-    parse_manifest,
-    read_manifest,
-    replay_record,
-)
+from repro.storage.manager import manifest_problem, parse_manifest, read_manifest
 from repro.storage.segments import (
+    _INFLATE_CHUNK,
+    _KEY_BLOCK,
     _MAX_RATIO,
     KIND_DICT,
     KIND_KEYS,
-    Generation,
+    MANIFEST_FORMAT,
+    check_keys,
+    encode_keys,
     open_store_segments,
     read_segment,
     write_segment,
 )
-from repro.storage.snapshot import gen_path, sweep_generations, write_snapshot
-from repro.storage.wal import (
-    _PREAMBLE,
-    MAGIC,
-    RECORD_VERSION,
-    WriteAheadLog,
-    _pad,
-    _take,
-    read_pointer,
-    scan_records,
-)
+from repro.storage.snapshot import gen_path, sweep_generations, write_manifest
 
 __all__ = ["UPGRADES_FROM", "Upgrade", "upgrade_store"]
 
 #: The one manifest format this build upgrades from.
-UPGRADES_FROM = 5
+UPGRADES_FROM = 6
 
 
 class Upgrade(NamedTuple):
-    """What :func:`upgrade_store` did: the generation it wrote, the log
-    records it folded, and ``meta.seg``'s payload bytes before and after."""
+    """What :func:`upgrade_store` did: the generation it wrote, and the
+    payload bytes of its key segments before and after."""
 
     generation: int
-    records: int
-    dictionary_bytes: tuple[int, int]
+    key_bytes: tuple[int, int]
 
 
-def _inflated(payload: bytes | memoryview) -> bytes:
-    """A format-5 dictionary payload — the preamble, then a zlib stream
-    of the text — as the preamble and the text itself, refused on any
-    defect 5.x refused: a declared length deflate cannot reach from the
-    bytes at hand, a stream that inflates past it, stops short of it or
-    is followed by anything.  The text's CRC is checked where it is
-    decoded."""
-    if len(payload) < _DICT_PREAMBLE.size:
-        raise ValueError("payload is shorter than its preamble")
-    length = _DICT_PREAMBLE.unpack_from(payload)[0]
-    stream = memoryview(payload)[_DICT_PREAMBLE.size :]
-    if length > _MAX_RATIO * len(stream):
-        raise ValueError(
-            f"{len(stream)} compressed bytes cannot inflate to the declared {length}"
-        )
-    inflate = zlib.decompressobj()
-    try:
-        raw = inflate.decompress(stream, length + 1)
-    except zlib.error as exc:
-        raise ValueError(f"stream does not inflate: {exc}") from exc
-    if len(raw) != length or not inflate.eof or inflate.unused_data:
-        raise ValueError(
-            f"stream is truncated, padded or too long: {len(raw)} of {length} "
-            "declared bytes decoded"
-        )
-    return bytes(payload[: _DICT_PREAMBLE.size]) + raw
+def _decode_v6(payload: bytes, count: int) -> np.ndarray:
+    """The ``count`` items of a format-6 ``KIND_KEYS`` payload — one zlib
+    stream of their deltas, each block of 2¹⁵ as eight byte planes —
+    refused on any defect 6.x refused: a count deflate cannot reach from
+    the bytes at hand, a stream that stops short of it, inflates past it
+    or is followed by anything."""
+    if not 0 <= count <= _MAX_RATIO * len(payload) // 8:
+        raise ValueError(f"{len(payload)} compressed bytes cannot hold {count} items")
+    out = np.frombuffer(mmap.mmap(-1, 8 * count or 1), dtype="<i8", count=count)
+    stream, inflate, pending = memoryview(payload), zlib.decompressobj(), b""
+    chunks = (stream[at : at + _INFLATE_CHUNK] for at in range(0, len(stream), _INFLATE_CHUNK))
+    for lo in range(0, count, _KEY_BLOCK):
+        size = min(_KEY_BLOCK, count - lo)
+        block = bytearray()
+        while len(block) < 8 * size and (pending := pending or next(chunks, b"")):
+            block += inflate.decompress(pending, 8 * size - len(block))
+            pending = inflate.unconsumed_tail
+        if len(block) < 8 * size:
+            raise ValueError(f"stream is truncated in the block at item {lo}")
+        planes = np.frombuffer(block, np.uint8).reshape(8, size)
+        out[lo : lo + size].view(np.uint8).reshape(size, 8)[:] = planes.T
+    while not inflate.eof and (pending := pending or next(chunks, b"")):
+        if inflate.decompress(pending, 1):
+            raise ValueError(f"stream inflates past its {count} items")
+        pending = inflate.unconsumed_tail
+    if not inflate.eof or inflate.unused_data or next(chunks, b""):
+        raise ValueError(f"stream is truncated or padded past its {count} items")
+    return np.cumsum(out, out=out)
 
 
-def _record_v2(payload: bytes) -> bytes:
-    """A version-1 WAL record as version 2: its tail inflated, every
-    other byte as it was (the keys still start 8-aligned)."""
-    if payload[: len(MAGIC)] != MAGIC:
-        raise ValueError("it is not a data record")
-    if len(payload) < _PREAMBLE.size:
-        raise ValueError("record is shorter than its preamble")
-    _magic, version, base, tail_len, count = _PREAMBLE.unpack_from(payload)
-    if version != 1:
-        raise ValueError(f"record version {version}; a format-5 log holds version 1")
-    end = _take(payload, _PREAMBLE.size, tail_len, "the tail")
-    tail = _inflated(memoryview(payload)[_PREAMBLE.size : end])
-    rest = _take(payload, end, -end % 8, "the tail's padding")
-    head = _PREAMBLE.pack(MAGIC, RECORD_VERSION, base, len(tail), count)
-    return b"".join([head, tail, _pad(len(tail)), payload[rest:]])
-
-
-def _logged(root: str, wal_seq: int) -> tuple[list[tuple[int, bytes]], int]:
-    """The log's records past ``wal_seq`` as version 2, and the last
-    sequence number it holds; the log is read as recovery reads it (a
-    torn tail is not a record) but left as it is."""
-    wal_dir = os.path.join(root, WAL_DIR)
-    log = os.path.join(wal_dir, WriteAheadLog.LOG)
-    committed, pointer_seq = read_pointer(wal_dir)
-    try:
-        with open(log, "rb") as fp:
-            raw = fp.read()
-    except FileNotFoundError:
-        raw = b""
-    records, valid_end = scan_records(raw)
-    if valid_end < committed:
-        raise StoreCorruptionError(
-            f"WAL {log} is corrupt: commit pointer covers {committed} bytes "
-            f"but only {valid_end} verify"
-        )
+def _converted(gen_dir: str, block: dict) -> list[tuple[str, dict, bytes, int]]:
+    """Every key segment of the format-6 generation ``gen_dir`` as
+    ``(manifest key, entry, format-7 payload, format-6 payload bytes)``."""
+    meta_path = os.path.join(gen_dir, block["meta"]["file"])
+    objects, _dv_values, _rho = decode_dictionary(
+        read_segment(meta_path, expect_kind=KIND_DICT), meta_path
+    )
+    entries = [("dv_codes", block["dv_codes"])] if "dv_codes" in block else []
     converted = []
-    for seq, payload in records:
-        if seq > wal_seq:
-            try:
-                converted.append((seq, _record_v2(payload)))
-            except ValueError as exc:
-                raise StoreCorruptionError(
-                    f"WAL record seq={seq} in {log} does not decode: {exc}"
-                ) from exc
-    last_seq = max([pointer_seq, wal_seq] + [seq for seq, _ in records])
-    return converted, last_seq
-
-
-def _link(src: str, dst: str) -> None:
-    """``dst`` as another name of the ``KIND_KEYS`` segment ``src``, or a
-    copy where the link fails."""
-    try:
-        os.link(src, dst)
-    except OSError:
-        write_segment(dst, KIND_KEYS, read_segment(src, expect_kind=KIND_KEYS))
-
-
-def _stage(root: str, manifest: dict, payload: bytes) -> tuple[str, dict]:
-    """Generation G + 1 of ``manifest``'s G: ``payload`` as its
-    ``meta.seg``, every other file linked; its directory and segment map."""
-    old_dir = os.path.join(root, *manifest["gen_dir"].split("/"))
-    new_dir = os.path.join(root, *gen_path(manifest["generation"] + 1).split("/"))
-    for stale in (new_dir, new_dir + ".tmp"):  # debris of an interrupted run
-        if os.path.exists(stale):
-            shutil.rmtree(stale)
-    os.makedirs(new_dir)
-    block: dict[str, Any] = dict(manifest["segments"])
-    for entry in [block.get("dv_codes"), *block["relations"]]:
-        if entry is not None:
-            _link(os.path.join(old_dir, entry["file"]), os.path.join(new_dir, entry["file"]))
-    meta = block["meta"]
-    crc = write_segment(os.path.join(new_dir, meta["file"]), KIND_DICT, payload)
-    block["meta"] = {**meta, "bytes": len(payload), "crc": crc}
-    fsync_dir(new_dir)
-    return new_dir, block
+    for key, entry in entries + [("relations", e) for e in block["relations"]]:
+        path = os.path.join(gen_dir, entry["file"])
+        old = read_segment(path, expect_kind=KIND_KEYS)
+        try:
+            arr = _decode_v6(old, entry["count"])
+            if key == "relations":
+                check_keys(arr, len(objects), "it")
+            payload = encode_keys(arr, len(objects), 3 if key == "relations" else 1)
+        except (KeyError, TypeError, ValueError, zlib.error) as exc:
+            raise StoreCorruptionError(f"segment {path} does not decode: {exc}") from exc
+        converted.append((key, entry, payload, len(old)))
+    return converted
 
 
 def upgrade_store(root: str | os.PathLike) -> Upgrade | None:
-    """Rewrite the manifest-format-5 store at ``root`` as format 6, in
-    place and exactly; ``None`` when it is of format 6 already.
+    """Rewrite the manifest-format-6 store at ``root`` as format 7, in
+    place and exactly; ``None`` when it is of format 7 already.
 
     Any other format raises as an open does
     (:func:`~repro.storage.manager.read_manifest`); a defect in what the
@@ -210,39 +143,34 @@ def upgrade_store(root: str | os.PathLike) -> Upgrade | None:
     problem = manifest_problem(manifest)
     if problem is not None:
         raise StoreCorruptionError(f"store manifest {path} {problem}")
-    records, last_seq = _logged(root, manifest["wal_seq"])
-    gen_dir = os.path.join(root, *manifest["gen_dir"].split("/"))
-    meta_path = os.path.join(gen_dir, manifest["segments"]["meta"]["file"])
+    old_dir = os.path.join(root, *manifest["gen_dir"].split("/"))
+    generation = manifest["generation"] + 1
+    new_dir = os.path.join(root, *gen_path(generation).split("/"))
     try:
-        old = read_segment(meta_path, expect_kind=KIND_DICT)
+        converted = _converted(old_dir, manifest["segments"])
+        shutil.rmtree(new_dir, ignore_errors=True)  # debris of an interrupted run
+        os.makedirs(new_dir)
+        block: dict[str, Any] = dict(manifest["segments"], relations=[])
+        meta = block["meta"]["file"]
         try:
-            new = compress_text(_inflated(old))
-        except ValueError as exc:
-            raise StoreCorruptionError(
-                f"dictionary segment {meta_path} does not decode: {exc}"
-            ) from exc
-        stage_dir, block = _stage(root, manifest, new)
-        base = store = open_store_segments(stage_dir, block)
+            os.link(os.path.join(old_dir, meta), os.path.join(new_dir, meta))
+        except OSError:
+            payload = read_segment(os.path.join(old_dir, meta), expect_kind=KIND_DICT)
+            write_segment(os.path.join(new_dir, meta), KIND_DICT, payload)
+        for key, entry, payload, _old in converted:
+            crc = write_segment(os.path.join(new_dir, entry["file"]), KIND_KEYS, payload)
+            if key == "relations":
+                block[key].append({**entry, "crc": crc})
+            else:
+                block[key] = {**entry, "crc": crc}
+        fsync_dir(new_dir)
+        fsync_dir(os.path.dirname(new_dir))
+        open_store_segments(new_dir, block)
     except FileNotFoundError as exc:
         raise StoreCorruptionError(f"store {root} references a missing segment: {exc}") from exc
-    rel_versions = dict(manifest["rel_versions"])
-    store_version = manifest["store_version"]
-    log = os.path.join(root, WAL_DIR, WriteAheadLog.LOG)
-    for seq, payload in records:
-        store, names = replay_record(store, seq, payload, log)
-        for name in names:
-            rel_versions[name] = rel_versions.get(name, 0) + 1
-        store_version += 1
-    generation = manifest["generation"] + 2
-    write_snapshot(
-        root,
-        store,
-        generation=generation,
-        rel_versions=rel_versions,
-        store_version=store_version,
-        wal_seq=last_seq,
-        prev=Generation(stage_dir, block, base),
-    )
-    WriteAheadLog(os.path.join(root, WAL_DIR)).reset(last_seq)
+    # G's fold state, relation versions and wal_seq included, under G + 1.
+    gen = {"format": MANIFEST_FORMAT, "generation": generation, "gen_dir": gen_path(generation)}
+    write_manifest(root, {**manifest, **gen, "segments": block})
     sweep_generations(root, generation)
-    return Upgrade(generation, len(records), (len(old), len(new)))
+    before = sum(old for *_, old in converted)
+    return Upgrade(generation, (before, sum(len(payload) for _, _, payload, _ in converted)))

@@ -35,9 +35,9 @@ tail must be in ``repr`` order, hold no object twice and none the
 dictionary holds —
 anything else, a record that does not start with ``RWAL`` or is of
 another version among it, is
-:class:`~repro.errors.StoreCorruptionError`.  (``repro upgrade``
-converts a format-5 log's version-1 records,
-:mod:`repro.storage.upgrade`.)
+:class:`~repro.errors.StoreCorruptionError`.  Records are the same
+under manifest formats 6 and 7, so ``repro upgrade``
+(:mod:`repro.storage.upgrade`) leaves the log as it is.
 
 Commit is a two-step protocol:
 

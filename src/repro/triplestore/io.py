@@ -11,18 +11,36 @@ for shipping the paper's datasets as readable fixtures:
     E StAndrews BusOp1 Edinburgh
     part_of BusOp1 NatExpress      # relation name first, then s p o
 
-Tokens are whitespace-separated; quoted strings may contain spaces.
-Data values may be quoted strings, integers, floats, ``null`` (maps to
-``None``) or parenthesised tuples of those.
+Tokens are whitespace-separated.  A quoted string is a JSON string, so
+it may hold spaces and, escaped, ``"``, ``\\`` and line breaks (one
+that is not valid JSON reads as the text between its quotes, as before
+escapes).  Data values may be strings, integers, floats, ``null`` (maps
+to ``None``), ``!true`` / ``!false``, ``!bytes:`` and base64, or
+parenthesised tuples of those.  :func:`dumps` writes a string bare only
+where it reads back as itself, so ``loads(dumps(store))`` gives back
+every str, int, float, bool, None, bytes and tuple of them, each of its
+type.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import io
+import json
+import re
 from typing import Any, TextIO
 
 from repro.errors import ParseError
 from repro.triplestore.model import Triple, Triplestore
+
+
+#: The tagged tokens of the two bools.
+_BOOLS = {"!true": True, "!false": False}
+#: What JSON leaves raw but a line-oriented UTF-8 file cannot hold: the
+#: line breaks ``str.splitlines`` knows beyond the control characters,
+#: and lone surrogates.
+_UNSAFE = re.compile("[\x85\u2028\u2029\ud800-\udfff]")
 
 
 def _tokenize(line: str) -> list[str]:
@@ -35,8 +53,10 @@ def _tokenize(line: str) -> list[str]:
         elif ch == "#":
             break
         elif ch == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
+            j = i + 1
+            while j < n and line[j] != '"':
+                j += 2 if line[j] == "\\" else 1
+            if j >= n:
                 raise ParseError("unterminated string", line, i)
             tokens.append(line[i:j + 1])
             i = j + 1
@@ -68,9 +88,19 @@ def _parse_value(tokens: list[str], start: int) -> tuple[Any, int]:
             raise ParseError("unterminated tuple value")
         return tuple(items), i + 1
     if tok.startswith('"'):
-        return tok[1:-1], start + 1
+        try:
+            return json.loads(tok), start + 1
+        except ValueError:  # written before escapes: the text as it stands
+            return tok[1:-1], start + 1
     if tok == "null":
         return None, start + 1
+    if tok in _BOOLS:
+        return _BOOLS[tok], start + 1
+    if tok.startswith("!bytes:"):
+        try:
+            return base64.b64decode(tok[7:], validate=True), start + 1
+        except binascii.Error as exc:
+            raise ParseError(f"bad base64 in {tok!r}: {exc}") from exc
     try:
         return int(tok), start + 1
     except ValueError:
@@ -90,23 +120,18 @@ def loads(text: str) -> Triplestore:
         tokens = _tokenize(raw)
         if not tokens:
             continue
-        if tokens[0] == "@rho":
-            if len(tokens) < 3:
-                raise ParseError(f"line {lineno}: @rho needs an object and a value")
-            obj, _ = _parse_value(tokens, 1)
-            value, _ = _parse_value(tokens, 2)
-            rho[obj] = value
-            continue
-        if len(tokens) != 4:
-            raise ParseError(
-                f"line {lineno}: expected 'REL s p o', got {len(tokens)} tokens"
-            )
-        name = tokens[0]
-        parts = []
-        for tok in tokens[1:]:
-            value, _ = _parse_value([tok], 0)
-            parts.append(value)
-        relations.setdefault(name, set()).add(tuple(parts))
+        arity = 2 if tokens[0] == "@rho" else 3
+        values, at = [], 1
+        while at < len(tokens) and len(values) < arity:
+            value, at = _parse_value(tokens, at)
+            values.append(value)
+        if len(values) != arity or at != len(tokens):
+            shape = "@rho needs an object and a value" if arity == 2 else "expected 'REL s p o'"
+            raise ParseError(f"line {lineno}: {shape}, got {len(tokens)} tokens")
+        if arity == 2:
+            rho[values[0]] = values[1]
+        else:
+            relations.setdefault(tokens[0], set()).add(tuple(values))
     return Triplestore(relations, rho)
 
 
@@ -121,13 +146,32 @@ def load_path(path: str) -> Triplestore:
         return load(fp)
 
 
+def _bare(text: str) -> bool:
+    """Whether ``text`` may be written as it is: a UTF-8 line can hold it,
+    and it is read back as this very string."""
+    try:
+        return (
+            not _UNSAFE.search(text)
+            and _tokenize(text) == [text]
+            and _parse_value([text], 0)[0] == text
+        )
+    except ParseError:
+        return False
+
+
 def _format_value(value: Any) -> str:
     if value is None:
         return "null"
     if isinstance(value, tuple):
         return "(" + ", ".join(_format_value(v) for v in value) + ")"
-    if isinstance(value, str):
-        return f'"{value}"' if (" " in value or value == "null") else value
+    if type(value) is str:
+        if _bare(value):
+            return value
+        return _UNSAFE.sub(lambda m: f"\\u{ord(m.group()):04x}", json.dumps(value, ensure_ascii=False))
+    if type(value) is bool:
+        return "!true" if value else "!false"
+    if type(value) is bytes:
+        return "!bytes:" + base64.b64encode(value).decode("ascii")
     return repr(value)
 
 

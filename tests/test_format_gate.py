@@ -1,16 +1,17 @@
-"""6.x reads manifest format 6 and nothing else, and reads no manifest
+"""7.x reads manifest format 7 and nothing else, and reads no manifest
 it has not checked.
 
 * An older store is refused by an open, ``Database(path=)``, fsck,
   ``repro compact`` and ``repro info``: a :class:`StorageError` (for
   fsck one ``STOR-MANIFEST`` finding) that names the format and the
   upgrade (``repro upgrade``, :mod:`tests.test_upgrade`, after
-  ``repro compact`` under the last 4.x build for a store older than
-  format 5),
+  ``repro upgrade`` under the last 6.x build for a format-5 store, and
+  ``repro compact`` under the last 4.x build before that for an older
+  one),
   raised before anything else under the store is read or written.  The
   inputs are ``tests/golden/store-v4`` — written by the last format-4
   build, never to be regenerated with a newer writer — with its
-  manifest re-stamped to each of formats 1–5, and one pickled
+  manifest re-stamped to each of formats 1–6, and one pickled
   WAL record whose unpickling would write a marker file.  The marker
   never appears and every file stays byte-identical.
   An older store with a torn WAL tail keeps its tail: the refusal
@@ -92,7 +93,7 @@ def refusal(surface: str, root: str, capsys) -> tuple[type, str]:
 SURFACES = ("open", "Database", "fsck", "compact", "info")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, version):
     root = str(tmp_path / "store")
     shutil.copytree(os.path.join(HERE, "golden", "store-v4"), root)
@@ -108,6 +109,7 @@ def test_an_older_store_is_refused_before_anything_is_read(tmp_path, capsys, ver
         assert kind is StorageError, surface  # the store is sound, only old
         assert f"manifest format {version};" in message, surface
         assert "`repro upgrade STORE`" in message, surface
+        assert "`repro upgrade STORE` under the last 6.x build" in message, surface
         assert "`repro compact` under the last 4.x build" in message, surface
 
 
@@ -129,7 +131,7 @@ def test_an_older_store_keeps_its_torn_wal_tail(tmp_path, capsys):
     assert os.path.getsize(os.path.join(current, "wal", "wal.log")) < size
     # … an older store is refused before the log is recovered.
     root = torn(build_store(tmp_path / "older"))
-    write_manifest(root, dict(manifest_of(root), format=5))
+    write_manifest(root, dict(manifest_of(root), format=6))
     before = tree(root)
     for surface in SURFACES:
         refusal(surface, root, capsys)

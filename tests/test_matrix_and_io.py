@@ -1,9 +1,17 @@
 """Tests for the §5 array representation and the text I/O format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError, TriplestoreError
 from repro.triplestore import MatrixStore, Triplestore, dumps, loads
+from tests.diffcheck import MIXED_OBJECTS
+
+#: Objects of every type a dump used to change, and strings of the
+#: characters the text format gives a meaning.
+DUMPED = st.sampled_from(MIXED_OBJECTS + (b"x", b"", "1", "True", "null", "!true", "1e5")) | st.text(
+    ' ,()#"\\', max_size=5
+)
 
 
 class TestMatrixStore:
@@ -86,3 +94,27 @@ class TestTextIO:
     def test_unterminated_string(self):
         with pytest.raises(ParseError):
             loads('E "a p b')
+
+    def test_a_file_written_before_escapes_still_loads(self):
+        text = 'E "St. Andrews" "C:\\Program Files" x\\y\n@rho x\\y ("a b", 2)\n'
+        t = loads(text)
+        assert t.relation("E") == {("St. Andrews", "C:\\Program Files", "x\\y")}
+        assert t.rho("x\\y") == ("a b", 2)
+
+    def test_typed_values_are_tagged(self):
+        out = dumps(Triplestore([("1", True, b"x")], rho={"1": False}))
+        assert out == '@rho "1" !false\nE "1" !true !bytes:eA==\n'
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        triples=st.lists(st.tuples(DUMPED, DUMPED, DUMPED), min_size=1, max_size=8),
+        rho=st.dictionaries(DUMPED, DUMPED, max_size=4),
+    )
+    def test_dump_round_trips_every_object_by_repr(self, triples, rho):
+        store = Triplestore({"E": triples}, rho=rho)
+        back = loads(dumps(store))
+        assert sorted(map(repr, back.relation("E"))) == sorted(map(repr, store.relation("E")))
+        assert sorted(map(repr, back.objects)) == sorted(map(repr, store.objects))
+        assert {repr(o): repr(back.rho(o)) for o in back.objects} == {
+            repr(o): repr(store.rho(o)) for o in store.objects
+        }

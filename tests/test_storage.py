@@ -62,7 +62,7 @@ class TestSegmentFiles:
 
     def test_corrupt_payload_detected(self, tmp_path):
         path = tmp_path / "c.seg"
-        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64)))
+        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64), 2))
         with open(path, "r+b") as fp:
             fp.seek(40)
             fp.write(b"\xff")
@@ -72,7 +72,7 @@ class TestSegmentFiles:
 
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "t.seg"
-        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64)))
+        write_segment(path, KIND_KEYS, encode_keys(np.arange(8, dtype=np.int64), 2))
         with open(path, "r+b") as fp:
             fp.truncate(40)
         with pytest.raises(StoreCorruptionError, match="truncated"):
