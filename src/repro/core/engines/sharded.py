@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +56,8 @@ from repro.core.engines.vectorized import (
     _EMPTY,
     _REACH_SPEC_ANY,
     _REACH_SPEC_SAME,
+    MappedArrays,
+    _Accumulator,
     _absorb,
     _diff_sorted,
     _intersect_sorted,
@@ -235,6 +238,7 @@ class ShardedExecContext:
         "max_universe_objects",
         "k",
         "pool",
+        "mem",
         "_memo",
     )
 
@@ -253,6 +257,7 @@ class ShardedExecContext:
         self.max_universe_objects = max_universe_objects
         self.k = self.ss.k
         self.pool = pool
+        self.mem = MappedArrays()
         self._memo: dict[int, ShardedKeys] = {}
 
     # -- entry points --------------------------------------------------- #
@@ -443,13 +448,12 @@ class ShardedExecContext:
         target = left.part_pos if left.part_pos is not None else 0
         left = self._check_partition(self._repartition(left, target), "set-op")
         right = self._check_partition(self._repartition(right, target), "set-op")
-        shards = self._map(
-            merge, left.shards, right.shards, rows=left.total + right.total
-        )
+        rows = left.total + right.total
+        shards = self._map(partial(merge, mem=self.mem), left.shards, right.shards, rows=rows)
         return ShardedKeys(shards, target)
 
     def _join(self, op: HashJoinOp) -> ShardedKeys:
-        cs = self.cs
+        cs, mem = self.cs, self.mem
         spec = op.spec
         # Children run before the constant gate is consulted, mirroring
         # the other backends — a closed gate must not suppress a child's
@@ -466,7 +470,7 @@ class ShardedExecContext:
             # Cartesian product: broadcast the gathered right operand.
             rall = np.concatenate(rcols)
             pieces = self._map(
-                lambda lc: _merge_join(cs, spec, lc, rall), lcols, rows=rows
+                lambda lc: _merge_join(cs, spec, lc, rall, mem=mem), lcols, rows=rows
             )
         else:
             li, ri = cond.left.index, cond.right.index - 3
@@ -475,7 +479,7 @@ class ShardedExecContext:
             if cond.on_data or right.part_pos != ri:
                 rcols = self._exchange_cols(rcols, ri, cond.on_data)
             pieces = self._map(
-                lambda lc, rc: _merge_join(cs, spec, lc, rc), lcols, rcols, rows=rows
+                lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem), lcols, rcols, rows=rows
             )
         # A lost partition key stays raw (part_pos=None): the next join
         # exchanges by value anyway, and set-op consumers re-partition
@@ -520,7 +524,8 @@ class ShardedExecContext:
         # star, constant for a left one) and the accumulator sit on
         # position 0, so that is the left_part the output derives from.
         out_part = shard_output_partition(spec, cond, 0)
-        acc = base
+        mem = self.mem
+        accs = [_Accumulator(shard, mem) for shard in base.shards]
         frontier = base
         while frontier.total:
             vcols = self._operand_cols(frontier, varying_local)
@@ -531,17 +536,17 @@ class ShardedExecContext:
                     vcols = self._exchange_cols(vcols, vkey, cond.on_data)
                 if side == RIGHT:
                     pieces = self._map(
-                        lambda lc, rc: _merge_join(cs, spec, lc, rc),
+                        lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem),
                         vcols, const_cols, rows=rows,
                     )
                 else:
                     pieces = self._map(
-                        lambda lc, rc: _merge_join(cs, spec, lc, rc),
+                        lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem),
                         const_cols, vcols, rows=rows,
                     )
             elif side == RIGHT:
                 pieces = self._map(
-                    lambda lc: _merge_join(cs, spec, lc, const_gathered),
+                    lambda lc: _merge_join(cs, spec, lc, const_gathered, mem=mem),
                     vcols, rows=rows,
                 )
             else:
@@ -549,7 +554,7 @@ class ShardedExecContext:
                 # sharded, the varying right is gathered per round.
                 vall = np.concatenate(vcols)
                 pieces = self._map(
-                    lambda lc: _merge_join(cs, spec, lc, vall),
+                    lambda lc: _merge_join(cs, spec, lc, vall, mem=mem),
                     const_cols, rows=rows,
                 )
             produced = (
@@ -559,12 +564,9 @@ class ShardedExecContext:
             )
             # Shard-wise too the frontier is sorted and disjoint from the
             # accumulator: merged in, not sorted in.
-            absorbed = self._map(
-                _absorb, acc.shards, produced.shards, rows=acc.total + produced.total
-            )
-            acc = ShardedKeys([merged for merged, _ in absorbed], 0)
-            frontier = ShardedKeys([fresh for _, fresh in absorbed], 0)
-        return acc
+            fresh = self._map(_absorb, accs, produced.shards, rows=produced.total)
+            frontier = ShardedKeys(fresh, 0)
+        return ShardedKeys([mem.settle(acc.buf, acc.size) for acc in accs], 0)
 
     def _reach_star(self, op: ReachStarOp) -> ShardedKeys:
         base = self.run(op.child)

@@ -49,7 +49,11 @@ oracle) is enforced by the randomized differential harness in
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import mmap
+import threading
+import weakref
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -82,9 +86,71 @@ from repro.core.positions import Const, Param
 from repro.triplestore.columnar import AccessPath, ColumnarStore, KeyPart, sorted_unique
 from repro.triplestore.model import Triplestore
 
-__all__ = ["VectorEngine", "VectorExecContext"]
+__all__ = ["MappedArrays", "VectorEngine", "VectorExecContext"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: A kernel array of at least this many bytes is an anonymous mapping of
+#: its own (:class:`MappedArrays`); anything smaller stays on malloc.
+_MAP_MIN = 1 << 20
+
+#: An accumulator reserves this many times the keys it is grown to; the
+#: untouched pages of a mapping are not resident.
+_HEADROOM = 4
+
+
+class MappedArrays:
+    """The large int64 arrays of one execution context — results, held
+    join output, folds, operand key columns, accumulators — each its own
+    anonymous mapping, as :func:`~repro.storage.segments.decode_keys`
+    inflates into.  A mapping goes back to the OS when its last view
+    dies and malloc never sees it, so it neither raises glibc's dynamic
+    mmap threshold nor leaves freed heap resident; block temporaries stay
+    on malloc.  ``live`` counts the bytes the live mappings hold (not the
+    headroom reserved past them), ``high_water`` the most ever held.
+    """
+
+    __slots__ = ("live", "high_water", "_held", "_lock")
+
+    def __init__(self) -> None:
+        self.live = self.high_water = 0
+        self._held: dict[int, int] = {}
+        self._lock = threading.RLock()  # sharded workers share a context
+
+    def empty(self, count: int, capacity: Optional[int] = None) -> np.ndarray:
+        """An array of ``capacity`` (default ``count``) items, the first
+        ``count`` of them held."""
+        capacity = count if capacity is None else capacity
+        if 8 * capacity < _MAP_MIN:
+            return np.empty(capacity, dtype=np.int64)
+        buf = mmap.mmap(-1, 8 * capacity)
+        weakref.finalize(buf, self._count, id(buf), 0)
+        self._count(id(buf), 8 * count)
+        return np.frombuffer(buf, dtype=np.int64)
+
+    def hold(self, arr: np.ndarray, count: int) -> None:
+        """The first ``count`` items of ``arr`` (one of :meth:`empty`'s)
+        are what it holds now; the pages wholly past them go back."""
+        if isinstance(arr.base, memoryview):
+            buf, start = arr.base.obj, -(-8 * count // mmap.PAGESIZE) * mmap.PAGESIZE
+            if start < min(len(buf), self._held.get(id(buf), 0)):
+                buf.madvise(mmap.MADV_DONTNEED, start, len(buf) - start)
+            self._count(id(buf), 8 * count)
+
+    def settle(self, arr: np.ndarray, count: int) -> np.ndarray:
+        """``arr[:count]``, held (:meth:`hold`); a malloc'd ``arr`` more
+        than half unused is copied instead."""
+        self.hold(arr, count)
+        if 2 * count < len(arr) and not isinstance(arr.base, memoryview):
+            return arr[:count].copy()
+        return arr[:count]
+
+    def _count(self, key: int, nbytes: int) -> None:
+        with self._lock:
+            self.live += nbytes - self._held.pop(key, 0)
+            if nbytes:
+                self._held[key] = nbytes
+            self.high_water = max(self.high_water, self.live)
 
 
 # --------------------------------------------------------------------- #
@@ -100,61 +166,107 @@ def _member_mask(keys: np.ndarray, within: np.ndarray) -> np.ndarray:
     """Boolean mask: which of ``keys`` occur in sorted-unique ``within``."""
     if len(within) == 0:
         return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(within, keys).clip(0, len(within) - 1)
-    return within[idx] == keys
+    idx = np.searchsorted(within, keys)
+    return within[np.minimum(idx, len(within) - 1, out=idx)] == keys
 
 
-def _union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _where(keys: np.ndarray, mask_of: Callable, mem: MappedArrays) -> np.ndarray:
+    """The ``keys`` that ``mask_of`` keeps, asked a row block at a time."""
+    out, kept = mem.empty(0, len(keys)), 0
+    for lo in range(0, len(keys), _ROW_BLOCK):
+        block = keys[lo : lo + _ROW_BLOCK]
+        block = block[mask_of(block)]
+        out[kept : kept + len(block)] = block
+        kept += len(block)
+    return mem.settle(out, kept)
+
+
+def _fold(parts: list[np.ndarray], mem: MappedArrays) -> np.ndarray:
+    """``sorted_unique`` of the parts concatenated — once that is large,
+    sorted and rid of its duplicates in place, a row block at a time."""
+    total = sum(map(len, parts))
+    if 8 * total < _MAP_MIN:
+        return sorted_unique(np.concatenate(parts) if len(parts) > 1 else parts[0])
+    out, kept, last = mem.empty(total), 0, None
+    np.concatenate(parts, out=out)
+    out.sort()
+    for lo in range(0, len(out), _ROW_BLOCK):
+        block = out[lo : lo + _ROW_BLOCK]
+        keep = np.empty(len(block), dtype=bool)
+        keep[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        last, block = block[-1], block[keep]
+        out[kept : kept + len(block)] = block
+        kept += len(block)
+    return mem.settle(out, kept)
+
+
+def _union_sorted(a: np.ndarray, b: np.ndarray, mem: MappedArrays) -> np.ndarray:
     if len(a) == 0:
         return b
     if len(b) == 0:
         return a
-    return sorted_unique(np.concatenate((a, b)))
+    return _fold([a, b], mem)
 
 
-def _merge_disjoint(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Union of two sorted unique arrays with no key in common, given
-    ``rank = searchsorted(a, b)``.
+class _Accumulator:
+    """A fixpoint's sorted unique keys, grown in place (:func:`_absorb`).
 
-    Each key of ``b`` lands at its rank in ``a`` plus its own index,
-    ``a`` fills the slots left — a scatter, no sort.
+    They fill the front of one array reserved with :data:`_HEADROOM`
+    times the keys it was last grown for; a frontier is written after
+    them and the two sorted runs merged where they lie, so a round
+    neither re-sorts the keys nor copies them to a second array (except
+    to outgrow the reservation).
     """
-    if len(b) == 0:
-        return a
-    at = rank + np.arange(len(b))
-    out = np.empty(len(a) + len(b), dtype=np.int64)
-    from_a = np.ones(len(out), dtype=bool)
-    from_a[at] = False
-    out[at] = b
-    out[from_a] = a
-    return out
+
+    __slots__ = ("mem", "buf", "size")
+
+    def __init__(self, keys: np.ndarray, mem: MappedArrays) -> None:
+        self.mem, self.buf, self.size = mem, _EMPTY, 0
+        self.merge(keys)
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.buf[: self.size]
+
+    def merge(self, fresh: np.ndarray) -> None:
+        """Merge sorted unique keys none of which it holds."""
+        j, size = self.size, self.size + len(fresh)
+        if size > len(self.buf):
+            buf = self.mem.empty(j, _HEADROOM * size)
+            buf[:j] = self.buf[:j]
+            self.buf = buf
+        self.buf[j:size] = fresh
+        # Two sorted runs: the stable sort (timsort) finds them and merges
+        # them, from the back through a buffer the size of the frontier.
+        self.buf[:size].sort(kind="stable")
+        self.size = size
+        self.mem.hold(self.buf, size)
 
 
-def _absorb(acc: np.ndarray, produced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One fixpoint round's bookkeeping: ``(acc ∪ produced, produced − acc)``.
+def _absorb(acc: _Accumulator, produced: np.ndarray) -> np.ndarray:
+    """One fixpoint round's bookkeeping: grow ``acc`` by ``produced −
+    acc`` and return that (the frontier).
 
-    One binary search of ``produced`` in ``acc`` says both which keys
-    are new (the frontier) and where they go: the frontier is sorted and
-    disjoint from the accumulator, so it is merged in, not sorted in.
+    The fresh keys are found a row block at a time, by binary search in
+    the accumulator; taken in order they are sorted and disjoint from it,
+    so they are merged in, not sorted in.
     """
-    if len(acc) == 0 or len(produced) == 0:
-        return (acc if len(acc) else produced), produced
-    rank = np.searchsorted(acc, produced)
-    fresh = acc[np.minimum(rank, len(acc) - 1)] != produced
-    frontier = produced[fresh]
-    return _merge_disjoint(acc, frontier, rank[fresh]), frontier
+    frontier = _where(produced, lambda block, held=acc.keys: ~_member_mask(block, held), acc.mem)
+    acc.merge(frontier)
+    return frontier
 
 
-def _diff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _diff_sorted(a: np.ndarray, b: np.ndarray, mem: MappedArrays) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return a
-    return a[~_member_mask(a, b)]
+    return _where(a, lambda block: ~_member_mask(block, b), mem)
 
 
-def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _intersect_sorted(a: np.ndarray, b: np.ndarray, mem: MappedArrays) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return _EMPTY
-    return a[_member_mask(a, b)]
+    return _where(a, partial(_member_mask, within=b), mem)
 
 
 # --------------------------------------------------------------------- #
@@ -167,14 +279,15 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # needs.
 # --------------------------------------------------------------------- #
 
-#: Probe rows per block.  2¹⁵ int64 are 256 KiB: numpy's per-call cost is
-#: noise against a kernel that long, a block's dozen temporaries stay
-#: inside the L2 cache, and the allocator sees the same sizes again.
-_ROW_BLOCK = 1 << 15
+#: Probe rows per block.  2¹⁴ int64 are 128 KiB: numpy's per-call cost is
+#: noise against a kernel that long (timings are flat from this size up),
+#: a block's dozen temporaries stay inside the L2 cache, and the
+#: allocator sees the same sizes again.
+_ROW_BLOCK = 1 << 14
 
 #: Matched pairs per block — twice the row block, so a key-to-key join
 #: (about one match per probe row) still emits one pair block per row block.
-_PAIR_BLOCK = 1 << 16
+_PAIR_BLOCK = 1 << 15
 
 
 def _column(cs: ColumnarStore, rows: np.ndarray, pos: int) -> np.ndarray:
@@ -195,16 +308,24 @@ def _gather(
 
 
 def _operand_path(
-    cs: ColumnarStore, rows: np.ndarray, key: tuple[KeyPart, ...], presorted: bool
+    cs: ColumnarStore,
+    rows: np.ndarray,
+    key: tuple[KeyPart, ...],
+    presorted: bool,
+    mem: MappedArrays,
 ) -> AccessPath:
     """The access path of a join operand, built for this join — the key
-    column of a packed operand filled a row block at a time."""
-    column = None
-    if rows.ndim == 1 and len(rows) > _ROW_BLOCK:
-        column = np.empty(len(rows), dtype=np.int64)
+    column of a packed operand, when the path needs one, filled a row
+    block at a time."""
+
+    def column() -> np.ndarray:
+        out = mem.empty(len(rows))
         for lo in range(0, len(rows), _ROW_BLOCK):
-            column[lo : lo + _ROW_BLOCK] = cs.key_column(rows[lo : lo + _ROW_BLOCK], key)
-    return cs.build_path(rows, key, presorted, column)
+            out[lo : lo + _ROW_BLOCK] = cs.key_column(rows[lo : lo + _ROW_BLOCK], key)
+        return out
+
+    packed = rows.ndim == 1 and len(rows) > _ROW_BLOCK
+    return cs.build_path(rows, key, presorted, column if packed else None)
 
 
 # --------------------------------------------------------------------- #
@@ -329,19 +450,24 @@ def _pair_blocks(
         if path is None:
             lo = np.zeros(len(block), dtype=np.int64)
             counts = np.full(len(block), n_build, dtype=np.int64)
+        elif path.offsets is not None:
+            code = _column(cs, block, key[0][0])
+            lo, hi = path.offsets[code], path.offsets[code + 1]
+            counts = (hi - lo).astype(np.int64)
+            del code, hi
         else:
-            if path.offsets is not None:
-                code = _column(cs, block, key[0][0])
-                lo, hi = path.offsets[code], path.offsets[code + 1]
-            else:
-                # Sorted needles make both binary searches walk the key
-                # column front to back instead of jumping through it.
-                needles = cs.key_column(block, key)
-                rows = np.argsort(needles)
-                needles = needles[rows]
-                lo = np.searchsorted(path.keys, needles, side="left")
-                hi = np.searchsorted(path.keys, needles, side="right")
-            counts = (hi - lo).astype(np.int64, copy=False)
+            # Sorted needles make both binary searches walk the key
+            # column front to back instead of jumping through it; a key
+            # that is a prefix of the packed keys is searched in them,
+            # scaled.
+            needles = cs.key_column(block, key)
+            rows = np.argsort(needles)
+            needles = needles[rows]
+            needles *= path.scale
+            lo = np.searchsorted(path.keys, needles)
+            needles += path.scale
+            counts = np.searchsorted(path.keys, needles) - lo
+            del needles
         if rows is None:
             rows = np.arange(r0, r0 + len(block))
         elif r0:
@@ -351,6 +477,7 @@ def _pair_blocks(
         # Pair t (numbered through the block) of the row with range
         # [lo, hi) is the build path's slot lo + (t - starts).
         slot0 = lo - starts
+        del lo
         total = int(ends[-1])
         for p0 in range(0, total, _PAIR_BLOCK):
             p1 = min(p0 + _PAIR_BLOCK, total)
@@ -378,6 +505,7 @@ def _merge_join(
     rrows: np.ndarray,
     build_side: str = RIGHT,
     path: Optional[AccessPath] = None,
+    mem: Optional[MappedArrays] = None,
 ) -> np.ndarray:
     """Join two pre-filtered operands; packed-key output.
 
@@ -397,11 +525,13 @@ def _merge_join(
     projection as per-column gathers packed into keys, ``sorted_unique``.
     Scratch is O(block); what is held between blocks is sorted unique
     output keys, folded whenever they exceed twice the distinct keys
-    seen, so a projection that collapses never piles up its duplicates.
+    seen, so a projection that collapses never piles up its duplicates;
+    folds and the output are ``mem``'s (a fresh one without it).
     """
     n_left, n_right = len(lrows), len(rrows)
     if n_left == 0 or n_right == 0:
         return _EMPTY
+    mem = MappedArrays() if mem is None else mem
     lkey, rkey, pairwise = _join_key(cs, spec)
     side = None if lkey else spec.one_sided()
     if side is not None:
@@ -414,38 +544,48 @@ def _merge_join(
         )
     elif build_side == RIGHT:
         if path is None and rkey:
-            path = _operand_path(cs, rrows, rkey, presorted=False)
+            path = _operand_path(cs, rrows, rkey, False, mem)
         blocks = _pair_blocks(cs, path, lkey, lrows, n_right)
     else:
         if path is None and lkey:
-            path = _operand_path(cs, lrows, lkey, presorted=False)
+            path = _operand_path(cs, lrows, lkey, False, mem)
         blocks = ((li, ri) for ri, li in _pair_blocks(cs, path, rkey, rrows, n_left))
-    # The positions read: the output's and the pair conditions'.
-    reads = {*spec.out, *(t.index for c in pairwise for t in (c.left, c.right))}
-    lreads = [pos for pos in reads if pos < 3]
-    rreads = [pos for pos in reads if pos >= 3]
     i, j, k = spec.out
     n = cs.radix
+    # Output positions 1–2 that are a packed operand's: its keys' leading digits.
+    lead = {(0, 1): lrows, (3, 4): rrows}.get((i, j))
+    lead = lead if lead is not None and lead.ndim == 1 else None
+    # The positions read: the output's and the pair conditions'.
+    reads = {*spec.out, *(t.index for c in pairwise for t in (c.left, c.right))}
+    if lead is not None and not pairwise:
+        reads = {k}
+    lreads = [pos for pos in reads if pos < 3]
+    rreads = [pos for pos in reads if pos >= 3]
+    # The sorted unique keys of the last fold, then the blocks' raw keys.
     parts: list[np.ndarray] = []
-    held = 0
+    held = distinct = 0
     for li, ri in blocks:
         cols = {**_gather(cs, lrows, li, lreads), **_gather(cs, rrows, ri, rreads)}
         # Pack the projection from the gathered columns — no (M, 3)
         # intermediate; this is the join's hot path.
-        keys = cols[i] * n
-        keys += cols[j]
+        if lead is None:
+            keys = cols[i] * n
+            keys += cols[j]
+        else:
+            keys = lead[li if i == 0 else ri] // n
         keys *= n
         keys += cols[k]
         if pairwise:
             keys = keys[_pair_mask(cs, pairwise, cols)]
-        parts.append(sorted_unique(keys))
-        held += len(parts[-1])
-        if len(parts) > 1 and held > 2 * max(len(parts[0]), _PAIR_BLOCK):
-            parts = [sorted_unique(np.concatenate(parts))]
-            held = len(parts[0])
-    if len(parts) <= 1:
+        del li, ri, cols  # a block's scratch does not outlive its keys
+        parts.append(keys)
+        held += len(keys)
+        if held > 2 * max(distinct, _PAIR_BLOCK):
+            parts = [_fold(parts, mem)]
+            held = distinct = len(parts[0])
+    if held == distinct:  # nothing since the last fold
         return parts[0] if parts else _EMPTY
-    return sorted_unique(np.concatenate(parts))
+    return _fold(parts, mem)
 
 
 #: Object-count guard for dense boolean reachability matrices (mirrors
@@ -557,17 +697,19 @@ def _reach_dense_emit(cs: ColumnarStore, keys: np.ndarray) -> np.ndarray:
 class VectorExecContext:
     """Columnar twin of :class:`repro.core.plan.ExecContext`.
 
-    Holds the store's columnar view, the budgets and the operator memo;
-    every operator result is a sorted unique packed-key array.
+    Holds the store's columnar view, the budgets, the operator memo and
+    the context's :class:`MappedArrays`; every operator result is a
+    sorted unique packed-key array.
     """
 
-    __slots__ = ("store", "cs", "rho", "max_universe_objects", "_memo")
+    __slots__ = ("store", "cs", "rho", "max_universe_objects", "mem", "_memo")
 
     def __init__(self, store: Triplestore, max_universe_objects: int = 400) -> None:
         self.store = store
         self.cs = store.columnar()
         self.rho = store.rho
         self.max_universe_objects = max_universe_objects
+        self.mem = MappedArrays()
         self._memo: dict[int, np.ndarray] = {}
 
     # -- entry points --------------------------------------------------- #
@@ -594,11 +736,11 @@ class VectorExecContext:
         if isinstance(op, FilterOp):
             return self._filter(op)
         if isinstance(op, UnionOp):
-            return _union_sorted(self.run(op.left), self.run(op.right))
+            return _union_sorted(self.run(op.left), self.run(op.right), self.mem)
         if isinstance(op, DiffOp):
-            return _diff_sorted(self.run(op.left), self.run(op.right))
+            return _diff_sorted(self.run(op.left), self.run(op.right), self.mem)
         if isinstance(op, IntersectOp):
-            return _intersect_sorted(self.run(op.left), self.run(op.right))
+            return _intersect_sorted(self.run(op.left), self.run(op.right), self.mem)
         if isinstance(op, HashJoinOp):
             return self._join(op)
         if isinstance(op, StarOp):
@@ -620,12 +762,14 @@ class VectorExecContext:
         keys = cs.relation_keys(op.name)[rows]
         if op.residual:
             # Evaluated on the looked-up rows only.
-            keys = keys[_local_mask(cs, op.residual, keys)]
+            keys = self._select(keys, op.residual)
         return keys
 
     def _filter(self, op: FilterOp) -> np.ndarray:
-        keys = self.run(op.child)
-        return keys[_local_mask(self.cs, op.conditions, keys)]
+        return self._select(self.run(op.child), op.conditions)
+
+    def _select(self, keys: np.ndarray, conds: tuple[Cond, ...]) -> np.ndarray:
+        return _where(keys, partial(_local_mask, self.cs, conds), self.mem)
 
     def _join(self, op: HashJoinOp) -> np.ndarray:
         cs = self.cs
@@ -638,9 +782,9 @@ class VectorExecContext:
         if not spec.gate_open(self.rho):
             return _EMPTY
         if spec.left_local:
-            left = left[_local_mask(cs, spec.left_local, left)]
+            left = self._select(left, spec.left_local)
         if spec.right_local:
-            right = right[_local_mask(cs, spec.right_local, right)]
+            right = self._select(right, spec.right_local)
         build_right = op.build_side == RIGHT
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if build_right else lkey
@@ -652,8 +796,8 @@ class VectorExecContext:
             name = (op.right if build_right else op.left).name
             path = cs.access_path(name, tuple(pos for pos, _ in key))
         else:
-            path = _operand_path(cs, right if build_right else left, key, presorted=True)
-        return _merge_join(cs, spec, left, right, op.build_side, path)
+            path = _operand_path(cs, right if build_right else left, key, True, self.mem)
+        return _merge_join(cs, spec, left, right, op.build_side, path, self.mem)
 
     def _star(self, op: StarOp) -> np.ndarray:
         base = self.run(op.child)
@@ -668,7 +812,7 @@ class VectorExecContext:
         one) is filtered and indexed once, outside the loop — the
         columnar analogue of :class:`StarOp`'s hoisted hash index; each
         round probes it with the frontier, as packed keys, and
-        :func:`_absorb` folds what it produced into the accumulator.
+        :func:`_absorb` merges what it produced into the one accumulator.
         """
         cs = self.cs
         const_right = side == RIGHT
@@ -676,22 +820,20 @@ class VectorExecContext:
         varying_local = spec.left_local if const_right else spec.right_local
         const = base
         if const_local:
-            const = const[_local_mask(cs, const_local, const)]
+            const = self._select(const, const_local)
         lkey, rkey, _ = _join_key(cs, spec)
         key = rkey if const_right else lkey
-        path = _operand_path(cs, const, key, presorted=True) if key and len(const) else None
-        acc = varying = base
+        mem = self.mem
+        path = _operand_path(cs, const, key, True, mem) if key and len(const) else None
+        acc, varying = _Accumulator(base, mem), base
         while True:
             if varying_local:
-                varying = varying[_local_mask(cs, varying_local, varying)]
-            if const_right:
-                produced = _merge_join(cs, spec, varying, const, RIGHT, path)
-            else:
-                produced = _merge_join(cs, spec, const, varying, LEFT, path)
-            acc, frontier = _absorb(acc, produced)
-            if not frontier.size:
-                return acc
-            varying = frontier
+                varying = self._select(varying, varying_local)
+            left, right = (varying, const) if const_right else (const, varying)
+            # What the round produced lives only as long as the absorb.
+            varying = _absorb(acc, _merge_join(cs, spec, left, right, side, path, mem))
+            if not varying.size:
+                return mem.settle(acc.buf, acc.size)
 
     # -- reachability stars --------------------------------------------- #
 

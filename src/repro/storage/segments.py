@@ -108,10 +108,11 @@ KIND_KEYS = 4
 #: Manifest schema version: the one format this build reads and writes.
 MANIFEST_FORMAT = 7
 
-#: ``KIND_KEYS``: items a block, bytes inflated at a time, and zlib level 6
-#: with run-length matches only (s and p planes are runs, o planes hold
-#: little to match): 3.5–4 times faster to write, 1–3 % larger.
-_KEY_BLOCK, _INFLATE_CHUNK = 1 << 15, 1 << 14
+#: ``KIND_KEYS``: items a block, items split into fields at a time, bytes
+#: inflated at a time, and zlib level 6 with run-length matches only (s and
+#: p planes are runs, o planes hold little to match): 3.5–4 times faster to
+#: write, 1–3 % larger.
+_KEY_BLOCK, _SPLIT, _INFLATE_CHUNK = 1 << 15, 1 << 12, 1 << 14
 _DEFLATE = (6, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
 #: Deflate's largest expansion: a count of more than this many times the
 #: compressed bytes, over the planes an item takes at least (one a
@@ -200,27 +201,29 @@ def _width(top: int) -> int:
 
 def _columns(block: np.ndarray, n: int, fields: int) -> list[tuple[int, np.ndarray]]:
     """A block's ``(base, values)`` per column: one for codes, s/p/o for
-    keys; each ``int64`` array is let go as soon as it is used up."""
+    keys, each a ``uint32`` column as its field is split off."""
     if fields == 1:
         base = int(block.min())
         if not (base >= 0 and int(block.max()) < n):
             raise ValueError(f"codes outside what radix {n} packs")
         return [(base, block - base)]
-    s, po = np.divmod(block, n * n)
-    p, o = np.divmod(po, n)
-    del po
-    ds = np.diff(s, prepend=s[0])
-    fits = int(s[0]) >= 0 and int(s[-1]) < n and bool((ds >= 0).all())
+    fits = int(block.min()) >= 0 and int(block.max()) < n**3
+    s, p, o = (np.empty(len(block), np.uint32) for _ in range(3))
+    for lo in range(0, len(block), _SPLIT):
+        high, o[lo : lo + _SPLIT] = np.divmod(block[lo : lo + _SPLIT], n)
+        s[lo : lo + _SPLIT], p[lo : lo + _SPLIT] = np.divmod(high, n)
+    again = s[1:] == s[:-1]  # where s repeats, p's delta; else p above the least
+    fits = fits and bool((s[1:] >= s[:-1]).all())
     first_s, least_p, least_o = int(s[0]), int(p.min()), int(o.min())
-    del s
-    dp = p - least_p
-    again = ds[1:] == 0  # where s repeats, p's delta; else p above the least
-    dp[1:][again] = np.diff(p)[again]
-    del p
+    s[1:] -= s[:-1]
+    s[0] = 0
+    dp = p[1:] - p[:-1]  # a p below its predecessor in a run wraps past n
+    p -= least_p
+    p[1:][again] = dp[again]
     o -= least_o
-    if not (fits and (dp >= 0).all()):
+    if not (fits and int(p.max()) < n):
         raise ValueError(f"keys out of order or outside what radix {n} packs")
-    return [(first_s, ds), (least_p, dp), (least_o, o)]
+    return [(first_s, s), (least_p, p), (least_o, o)]
 
 
 def _deflated(deflate: Any, block: np.ndarray, n: int, fields: int) -> list[bytes]:
@@ -229,7 +232,7 @@ def _deflated(deflate: Any, block: np.ndarray, n: int, fields: int) -> list[byte
     widths = [_width(int(values.max())) for _base, values in columns]
     parts = [deflate.compress(b"".join(map(_COLUMN.pack, [b for b, _ in columns], widths)))]
     for (_base, values), w in zip(columns, widths):
-        planes = values.astype("<u4").view(np.uint8).reshape(-1, 4)
+        planes = values.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
         for j in range(w):
             parts += [deflate.compress(np.ascontiguousarray(planes[:, j])), deflate.flush(zlib.Z_BLOCK)]
     return parts

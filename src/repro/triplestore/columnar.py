@@ -138,14 +138,18 @@ class AccessPath:
     position 1 and its prefixes need no permutation).  A single θ
     position addresses its groups by code — the rows
     ``perm[offsets[c]:offsets[c + 1]]`` hold code ``c``; every other key
-    keeps ``keys``, the sorted composite key column, to be probed with
-    ``np.searchsorted``.  Exactly one of ``offsets`` and ``keys`` is set;
-    all arrays are read-only.
+    keeps ``keys``, sorted, to be probed with ``np.searchsorted``: key
+    ``k``'s rows are those of ``keys`` in ``[k·scale, (k + 1)·scale)``.
+    A θ prefix of rows in packed-key order keeps the packed keys
+    themselves (``scale`` is ``n²``, ``n`` or 1): no key column at all.
+    Exactly one of ``offsets`` and ``keys`` is set; every array the path
+    built is read-only.
     """
 
     perm: np.ndarray | None
     offsets: np.ndarray | None
     keys: np.ndarray | None
+    scale: int = 1
 
     def rows(self, needle: int) -> slice | np.ndarray:
         """The rows whose key equals ``needle``, ascending (an index).
@@ -158,8 +162,8 @@ class AccessPath:
         elif self.offsets is not None:
             lo, hi = self.offsets[needle], self.offsets[needle + 1]
         else:
-            lo = np.searchsorted(self.keys, needle, side="left")
-            hi = np.searchsorted(self.keys, needle, side="right")
+            lo = np.searchsorted(self.keys, needle * self.scale)
+            hi = np.searchsorted(self.keys, (needle + 1) * self.scale)
         return slice(lo, hi) if self.perm is None else self.perm[lo:hi]
 
 
@@ -709,29 +713,38 @@ class ColumnarStore:
         rows: np.ndarray,
         key: tuple[KeyPart, ...],
         presorted: bool = False,
-        column: np.ndarray | None = None,
+        column: Callable[[], np.ndarray] | None = None,
     ) -> AccessPath:
         """Group ``rows`` by ``key`` (see :class:`AccessPath`).
 
-        ``rows`` is whatever :meth:`key_column` reads; ``column`` is that
-        key column when the caller already holds it.  ``presorted`` says
-        the rows are in packed-key order, as every relation and operator
+        ``rows`` is whatever :meth:`key_column` reads; ``column`` makes
+        that key column as an array the path may keep and sort in place,
+        when the caller wants it made otherwise.  ``presorted`` says the
+        rows are in packed-key order, as every relation and operator
         result is; a θ key on position 1 or one of its prefixes then
-        needs no permutation.
+        needs no permutation, and unless it is addressed by code, no key
+        column either.
         """
-        if column is None:
-            column = self.key_column(rows, key)
+        in_order = presorted and key == _THETA_PREFIX[: len(key)]
         theta = not any(on_data for _, on_data in key)
+        by_code = theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(rows)
+        if in_order and not by_code and rows.ndim == 1:
+            return AccessPath(None, None, rows, self.radix ** (3 - len(key)))
+        owned = column is not None
+        column = column() if owned else self.key_column(rows, key)
         # Row indices and counts: the narrowest signed dtype holding them.
         narrow = np.min_scalar_type(-(len(rows) + 1))
         perm = None
-        if not (presorted and key == _THETA_PREFIX[: len(key)]):
+        if not in_order:
             perm = _readonly(np.argsort(column, kind="stable").astype(narrow))
-        if theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(rows):
+        if by_code:
+            counts = np.bincount(column, minlength=self.n)
             offsets = np.zeros(self.n + 1, dtype=narrow)
-            np.cumsum(np.bincount(column, minlength=self.n), out=offsets[1:])
+            offsets[1:] = np.cumsum(counts, out=counts)  # no temporary at the wide dtype
             return AccessPath(perm, _readonly(offsets), None)
-        keys = np.ascontiguousarray(column) if perm is None else column[perm]
+        if perm is not None and owned:
+            column.sort()  # column[perm], with no second array
+        keys = np.ascontiguousarray(column) if perm is None or owned else column[perm]
         return AccessPath(perm, None, _readonly(keys))
 
     def access_path(self, name: str, positions: tuple[int, ...]) -> AccessPath:

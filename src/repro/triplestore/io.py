@@ -16,10 +16,10 @@ it may hold spaces and, escaped, ``"``, ``\\`` and line breaks (one
 that is not valid JSON reads as the text between its quotes, as before
 escapes).  Data values may be strings, integers, floats, ``null`` (maps
 to ``None``), ``!true`` / ``!false``, ``!bytes:`` and base64, or
-parenthesised tuples of those.  :func:`dumps` writes a string bare only
-where it reads back as itself, so ``loads(dumps(store))`` gives back
-every str, int, float, bool, None, bytes and tuple of them, each of its
-type.
+parenthesised tuples of those.  :func:`dumps` writes a string — an
+object or a relation name — bare only where it reads back as itself, so
+``loads(dumps(store))`` gives back every relation name and every str,
+int, float, bool, None, bytes and tuple of them, each of its type.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def loads(text: str) -> Triplestore:
         if arity == 2:
             rho[values[0]] = values[1]
         else:
-            relations.setdefault(tokens[0], set()).add(tuple(values))
+            name = _parse_value(tokens, 0)[0] if tokens[0].startswith('"') else tokens[0]
+            relations.setdefault(name, set()).add(tuple(values))
     return Triplestore(relations, rho)
 
 
@@ -183,9 +184,11 @@ def dumps(store: Triplestore) -> str:
         if value is not None:
             out.write(f"@rho {_format_value(obj)} {_format_value(value)}\n")
     for name in store.relation_names:
+        # A name is quoted as objects are where it would not read back.
+        label = _format_value(name) if name != "@rho" else json.dumps(name)
         for triple in sorted(store.relation(name), key=repr):
             s, p, o = (_format_value(x) for x in triple)
-            out.write(f"{name} {s} {p} {o}\n")
+            out.write(f"{label} {s} {p} {o}\n")
     return out.getvalue()
 
 

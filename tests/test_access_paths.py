@@ -83,7 +83,7 @@ def check_path(cs: ColumnarStore, cols: np.ndarray, key, path: AccessPath) -> No
         for code in range(cs.n):
             assert np.all(ordered[offsets[code] : offsets[code + 1]] == code)
     else:
-        assert np.array_equal(path.keys, ordered)
+        assert np.array_equal(path.keys // path.scale, ordered)
     # rows(needle) is the ascending row set of the needle, for hits and misses.
     for needle in {-1, *column.tolist(), int(column.max(initial=0)) + 1}:
         if path.offsets is not None and needle >= cs.n:
@@ -114,6 +114,9 @@ def test_path_groups_its_key_column_stably(triples, rho, with_offsets):
             assert (path.offsets is not None) == (
                 single_theta and with_offsets and cs.n <= fanout * len(cols)
             )
+            # Searched by key: a prefix path's keys are the relation's own.
+            if theta_prefix and path.offsets is None:
+                assert path.keys is cols and path.scale == cs.radix ** (3 - len(key))
             # Rows in arbitrary order, packed or as the (N, 3) block of a
             # sharded exchange: never skipped.
             for shuffled in (cols[::-1], cs.unpack(cols)[::-1]):
@@ -413,13 +416,23 @@ def test_star_indexes_its_constant_operand_once(monkeypatch, text, op_type):
     engine = VectorEngine()
     plan = engine.compile(parse_expr(text), store)
     assert find(plan, op_type)
-    with Spy(ColumnarStore, "build_path", lambda *a, **k: len(a[1])) as builds, Spy(
-        vectorized, "_merge_join", lambda *a, **k: 0
+    built = []
+    build_path = ColumnarStore.build_path
+
+    def spied(self, rows, key, *rest):
+        built.append(build_path(self, rows, key, *rest))
+        return built[-1]
+
+    # Every round's join is handed the one path (argument 6), over the
+    # constant operand — a prefix path is that operand itself.
+    with mock.patch.object(ColumnarStore, "build_path", spied), Spy(
+        vectorized, "_merge_join", lambda *a, **k: id(a[5])
     ) as rounds:
         result = engine.execute_plan(plan, store)
     assert result == NaiveEngine().evaluate(parse_expr(text), store)
     assert len(rounds.lengths) >= 4, "the chain needs several rounds"
-    assert len(builds.lengths) == 1, "the constant operand is indexed once, outside the loop"
+    assert len(built) == 1, "the constant operand is indexed once, outside the loop"
+    assert set(rounds.lengths) == {id(built[0])}
 
 
 def test_index_lookup_evaluates_its_residual_on_the_slice():
@@ -437,7 +450,8 @@ def test_index_lookup_evaluates_its_residual_on_the_slice():
         with Spy(vectorized, "_local_mask") as masks:
             result = engine.execute_plan(plan, store)
         assert result == NaiveEngine().evaluate(parse_expr(text), store)
-        assert masks.lengths == [matched]
+        # Only the slice's rows are masked — none when the slice is empty.
+        assert masks.lengths == ([matched] if matched else [])
 
 
 # --------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import FastEngine, NaiveEngine, ShardedEngine, VectorEngine
 from repro.core.engines import sharded, vectorized
-from repro.core.engines.vectorized import _absorb, _merge_disjoint, _merge_join
+from repro.core.engines.vectorized import (
+    MappedArrays,
+    _Accumulator,
+    _absorb,
+    _merge_join,
+)
 from repro.core.expressions import LEFT, RIGHT
 from repro.core.parser import parse as parse_expr
 from repro.core.plan import HashJoinOp, JoinSpec
@@ -205,27 +211,34 @@ def test_kernel_agrees_with_the_set_join_in_both_layouts(monkeypatch, blocks, bu
 
 
 def test_held_output_is_folded_when_a_projection_collapses(monkeypatch):
-    """Between blocks the kernel holds sorted unique output keys, and folds
-    them once they exceed twice the distinct keys seen: a projection onto
-    the build side repeats the same few keys block after block."""
+    """Between blocks the kernel holds the sorted unique keys of its last
+    fold and the raw keys of the blocks since, and folds them once the
+    raw keys pass twice the distinct keys seen (or twice a pair block): a
+    projection onto the build side repeats the same few keys block after
+    block, and no fold is fed more than that bound plus one pair block."""
     patch_blocks(monkeypatch, 4, 8)
     store = small_store()
     cs = store.columnar()
     spec = spec_of("join[1',1',1'; 1!=1'](E, F)")
-    held = []
-    concatenate = np.concatenate
+    fed = []  # (keys a fold is given, the distinct keys it returns)
+    fold = vectorized._fold
 
-    def spied(parts, *args, **kwargs):
-        held.append(sum(len(p) for p in parts))
-        return concatenate(parts, *args, **kwargs)
+    def spied(parts, mem):
+        out = fold(parts, mem)
+        fed.append((sum(map(len, parts)), len(out)))
+        return out
 
-    with mock.patch.object(np, "concatenate", spied):
+    with mock.patch.object(vectorized, "_fold", spied):
         keys = _merge_join(cs, spec, cs.unpack(cs.relation_keys("E")), cs.relation_keys("F"))
     expected = spec.execute(store.relation("E"), store.relation("F"), store.rho)
     assert cs.decode_triples(keys) == expected
     n_pairs = len(store.relation("E")) * len(store.relation("F"))
     assert n_pairs >= 30 * 8, "dozens of pair blocks"
-    assert len(held) >= 4 and max(held) <= 2 * 8 + len(expected)
+    assert len(fed) >= 4 and fed[-1][1] == len(expected)
+    distinct = 0
+    for given, out in fed:
+        assert given <= distinct + 2 * max(distinct, 8) + 8
+        distinct = out
 
 
 # --------------------------------------------------------------------- #
@@ -240,22 +253,26 @@ def as_keys(values) -> np.ndarray:
 
 
 @settings(max_examples=200, deadline=None)
-@given(key_sets, key_sets)
-@example(frozenset(), frozenset())
-@example(frozenset({5}), frozenset())
-@example(frozenset(), frozenset({5}))
-@example(frozenset({10, 11, 12}), frozenset({1, 2}))  # frontier entirely below
-@example(frozenset({1, 2}), frozenset({10, 11, 12}))  # frontier entirely above
-@example(frozenset({1, 3, 5}), frozenset({0, 2, 4, 6}))  # interleaved, both ends
-def test_disjoint_merge_is_the_sorted_union(left, right):
-    acc, frontier = as_keys(left), as_keys(right - left)
-    expected = sorted_unique(np.concatenate((acc, frontier)))
-    merged = _merge_disjoint(acc, frontier, np.searchsorted(acc, frontier))
-    assert np.array_equal(merged, expected) and merged.dtype == np.int64
-    # One round's bookkeeping: what was produced may overlap the accumulator.
+@given(key_sets, key_sets, st.sampled_from([1, 2, 3, 1 << 14]))
+@example(frozenset(), frozenset(), 3)
+@example(frozenset({5}), frozenset(), 3)
+@example(frozenset(), frozenset({5}), 3)
+@example(frozenset({10, 11, 12}), frozenset({1, 2}), 1)  # frontier entirely below
+@example(frozenset({1, 2}), frozenset({10, 11, 12}), 1)  # frontier entirely above
+@example(frozenset({1, 3, 5}), frozenset({0, 2, 4, 6}), 2)  # interleaved, both ends
+def test_disjoint_merge_is_the_sorted_union(left, right, block):
+    acc = as_keys(left)
+    # A disjoint frontier merged into the accumulator where it lies.
+    merged = _Accumulator(acc, MappedArrays())
+    merged.merge(as_keys(right - left))
+    assert np.array_equal(merged.keys, as_keys(left | right)) and merged.keys.dtype == np.int64
+    # One round's bookkeeping, at any block size: what was produced may
+    # overlap the accumulator.
     produced = as_keys(right)
-    grown, fresh = _absorb(acc, produced)
-    assert np.array_equal(grown, as_keys(left | right))
+    with mock.patch.object(vectorized, "_ROW_BLOCK", block):
+        grown = _Accumulator(acc, MappedArrays())
+        fresh = _absorb(grown, produced)
+    assert np.array_equal(grown.keys, as_keys(left | right))
     assert np.array_equal(fresh, as_keys(right - left))
     # Inputs are shared with cached results and other versions: never written.
     assert np.array_equal(acc, as_keys(left)) and np.array_equal(produced, as_keys(right))
@@ -277,19 +294,32 @@ def chain(n: int) -> Triplestore:
 def test_after_round_one_a_star_sorts_nothing_as_long_as_its_accumulator(
     monkeypatch, text
 ):
+    """A round merges its frontier into the accumulator where it lies: the
+    accumulator's one sort a round is a stable sort (timsort) of two
+    sorted runs, its keys then the fresh ones — a merge — and nothing
+    else sorted after round one is as long as the accumulator."""
     store = chain(24)
     monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
     engine = VectorEngine()
     plan = engine.compile(parse_expr(text), store)
     log = []  # ("round", |acc|) markers between the ("sort", length) events
-    absorb = vectorized._absorb
+    absorb, merge = vectorized._absorb, vectorized._Accumulator.merge
 
     def spied_absorb(acc, produced):
-        log.append(("round", len(acc)))
+        log.append(("round", acc.size))
         return absorb(acc, produced)
 
-    with mock.patch.object(vectorized, "_absorb", spied_absorb), Spy(
-        np, "sort", lambda a, *r, **k: log.append(("sort", len(a)))
+    def spied_merge(acc, fresh):
+        held = acc.keys
+        assert np.all(held[1:] > held[:-1]) and np.all(fresh[1:] > fresh[:-1])
+        assert not np.isin(fresh, held).any(), "two disjoint runs"
+        return merge(acc, fresh)
+
+    # A fold sorts its concatenation in place, out of np.sort's sight.
+    with mock.patch.object(vectorized, "_absorb", spied_absorb), mock.patch.object(
+        vectorized._Accumulator, "merge", spied_merge
+    ), Spy(np, "sort", lambda a, *r, **k: log.append(("sort", len(a)))), Spy(
+        vectorized, "_fold", lambda parts, mem: log.append(("sort", sum(map(len, parts))))
     ):
         result = engine.execute_plan(plan, store)
     assert result == NaiveEngine().evaluate(parse_expr(text), store)
@@ -307,6 +337,29 @@ def test_after_round_one_a_star_sorts_nothing_as_long_as_its_accumulator(
     assert later_sorts and all(length < acc for length, acc in later_sorts)
 
 
+def test_a_star_round_holds_one_accumulator(monkeypatch):
+    """The accumulator grows inside one array reserved with headroom; when
+    a round outgrows it the keys move to a larger one and the old one is
+    let go — no round begins with two accumulators alive."""
+    store = chain(60)
+    monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
+    engine = VectorEngine()
+    expr = parse_expr("star[1,2,3'; 3=1' & 1!=3'](E)")
+    seen = []  # a weak reference to every accumulator array a round began with
+    absorb = vectorized._absorb
+
+    def spied(acc, produced):
+        if not seen or seen[-1]() is not acc.buf:
+            seen.append(weakref.ref(acc.buf))
+        assert sum(ref() is not None for ref in seen) == 1
+        return absorb(acc, produced)
+
+    with mock.patch.object(vectorized, "_absorb", spied):
+        result = engine.evaluate(expr, store)
+    assert result == FastEngine().evaluate(expr, store)
+    assert len(seen) >= 3, "the chain outgrows the reservation more than once"
+
+
 def test_sharded_round_merges_without_union_sorted(monkeypatch):
     store = chain(24)
     monkeypatch.setattr(vectorized, "DENSE_MATRIX_MAX_OBJECTS", 0)
@@ -322,38 +375,59 @@ def test_sharded_round_merges_without_union_sorted(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def traced_peak(run):
-    """``(result, peak bytes allocated while run() ran)``."""
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
+def held_at_once(run):
+    """``(result, the most bytes run() held at once)``: traced heap plus
+    the bytes live in :class:`MappedArrays` mappings, which tracemalloc
+    does not see.  The mapped bytes change only when a mapping is made,
+    grown, trimmed or let go, so the traced peak between two such
+    changes plus the mapped bytes over that stretch is the stretch's
+    most — read at every change."""
+    count, live, most = MappedArrays._count, {}, 0
+
+    def spied(self, key, nbytes):
+        nonlocal most
+        most = max(most, tracemalloc.get_traced_memory()[1] - before + sum(live.values()))
+        count(self, key, nbytes)
+        live[id(self)] = self.live
         tracemalloc.reset_peak()
-        result = run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - before
+
+    with mock.patch.object(MappedArrays, "_count", spied):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return result, max(most, peak - before + sum(live.values()))
+
+
+def example_3() -> tuple[Triplestore, str]:
+    """The paper's Example 3 on a Figure 1-shaped network whose outer
+    star's base (117 334 rows) spans eight row blocks."""
+    store = transport_network(20_000, 900, 25, hierarchy_depth=2, extra_routes=18_000, seed=7)
+    return store, "star[1,2,3'; 3=1' & 2=2'](star[1,3',3; 2=1'](E))"
 
 
 def test_example_3_allocates_a_small_multiple_of_its_result():
-    """``Q = star[1,2,3'; 3=1' & 2=2'](star[1,3',3; 2=1'](E))`` on a
-    Figure 1-shaped network: the outer star's base (117 334 rows) spans
-    four row blocks at the real constants.
+    """``Q = star[1,2,3'; 3=1' & 2=2'](star[1,3',3; 2=1'](E))``.
 
     One execution used to hold 11.61× its result in numpy scratch on this
     network (whole-operand probe arrays, an (N, 3) unpack, a re-sort of
-    the accumulator per round); the block kernel measures 5.4×.  The
-    bound is 0.65 of the old ratio.
+    the accumulator per round); the block kernel took that to 5.4×.  With
+    every large array mapped once and each accumulator grown in place it
+    holds 3.2× — the inner star's result, which the outer star reads to
+    its end, beside the outer accumulator, and one join's block scratch.
     """
-    store = transport_network(20_000, 900, 25, hierarchy_depth=2, extra_routes=18_000, seed=7)
-    text = "star[1,2,3'; 3=1' & 2=2'](star[1,3',3; 2=1'](E))"
+    store, text = example_3()
     engine = VectorEngine()
     plan = engine.compile(parse_expr(text), store)
     inner = engine.compile(parse_expr("star[1,3',3; 2=1'](E)"), store)
     _, base = engine.execute_plan_keys(inner, store)  # also warms the store's paths
-    assert len(base) > 3 * vectorized._ROW_BLOCK
-    (cs, keys), peak = traced_peak(lambda: engine.execute_plan_keys(plan, store))
-    assert peak / keys.nbytes <= 0.65 * 11.61, f"{peak / keys.nbytes:.2f}x"
+    assert len(base) > 7 * vectorized._ROW_BLOCK
+    (cs, keys), held = held_at_once(lambda: engine.execute_plan_keys(plan, store))
+    assert held / keys.nbytes <= 3.5, f"{held / keys.nbytes:.2f}x"
     assert cs.decode_triples(keys) == FastEngine().evaluate(parse_expr(text), store)
 
 
@@ -376,7 +450,7 @@ def test_cross_product_scratch_does_not_grow_with_the_pairs():
         ("join[1',1',1'; 1!=1'](A, B)", n_b),
     ):
         plan = engine.compile(parse_expr(text), store)
-        (cs, keys), peak = traced_peak(lambda: engine.execute_plan_keys(plan, store))
+        (cs, keys), peak = held_at_once(lambda: engine.execute_plan_keys(plan, store))
         assert len(keys) == rows
         column = cs.column(keys, 0)
         assert np.array_equal(column, cs.column(keys, 1)) and np.array_equal(column, cs.column(keys, 2))
@@ -437,3 +511,65 @@ def test_an_intermediate_operand_is_never_unpacked_more_than_a_block_at_a_time(
     assert unpack.lengths == []
     assert column.lengths and max(column.lengths) <= pairs
     assert max(key_column.lengths, default=0) <= rows
+
+
+# --------------------------------------------------------------------- #
+# (f) spies on Example 3 at the real constants: no key column beside a
+# prefix path, no block array past a pair block
+# --------------------------------------------------------------------- #
+
+
+def test_a_prefix_path_keeps_the_operand_itself():
+    """The outer star's constant operand is indexed on positions 1–2,
+    a prefix of its packed keys: the path searches the operand at
+    ``needle·n``, and holds no key column of its own."""
+    store, text = example_3()
+    engine = VectorEngine()
+    plan = engine.compile(parse_expr(text), store)
+    built = []
+    build_path = ColumnarStore.build_path
+
+    def spied(self, rows, key, presorted=False, column=None):
+        path = build_path(self, rows, key, presorted, column)
+        built.append((rows, key, presorted, path))
+        return path
+
+    with mock.patch.object(ColumnarStore, "build_path", spied):
+        cs, keys = engine.execute_plan_keys(plan, store)
+    prefix = [(rows, path) for rows, key, presorted, path in built if key == ((0, False), (1, False))]
+    assert prefix and all(presorted for _, key, presorted, _ in built if key == ((0, False), (1, False)))
+    for rows, path in prefix:
+        assert path.keys is rows and path.perm is None and path.scale == cs.radix
+    assert cs.decode_triples(keys) == FastEngine().evaluate(parse_expr(text), store)
+
+
+def test_no_block_array_exceeds_a_pair_block():
+    """At ``_ROW_BLOCK = 2¹⁴`` and ``_PAIR_BLOCK = 2¹⁵``, every array the
+    kernel handles a block at a time — pairs, the columns gathered for
+    them, key columns, masks, the keys a fixpoint tests for freshness —
+    is at most 2¹⁵ rows, while the operands run to 117 334."""
+    assert (vectorized._ROW_BLOCK, vectorized._PAIR_BLOCK) == (2**14, 2**15)
+    store, text = example_3()
+    engine = VectorEngine()
+    plan = engine.compile(parse_expr(text), store)
+    engine.execute_plan_keys(plan, store)  # the base relation's paths
+    pairs = []
+    pair_blocks = vectorized._pair_blocks
+
+    def spied_pair_blocks(*args):
+        for li, ri in pair_blocks(*args):
+            pairs.append(len(li))
+            yield li, ri
+
+    with mock.patch.object(vectorized, "_pair_blocks", spied_pair_blocks), Spy(
+        ColumnarStore, "column", lambda self, keys, pos: len(keys)
+    ) as column, Spy(
+        ColumnarStore, "key_column", lambda self, rows, key: len(rows)
+    ) as key_column, Spy(vectorized, "_member_mask", lambda keys, within: len(keys)) as fresh, Spy(
+        vectorized, "_merge_join", lambda cs, spec, left, right, *rest, **k: max(len(left), len(right))
+    ) as joins:
+        cs, keys = engine.execute_plan_keys(plan, store)
+    assert cs.decode_triples(keys) == FastEngine().evaluate(parse_expr(text), store)
+    assert max(joins.lengths) > 7 * 2**14
+    for lengths in (pairs, column.lengths, key_column.lengths, fresh.lengths):
+        assert lengths and max(lengths) <= 2**15

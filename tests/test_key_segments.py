@@ -13,7 +13,8 @@
   kind.
 * Size, clock-free: a relation takes the same bytes in a universe of
   20 000 objects and in one of 69 000 (the radix no longer mixes its
-  fields), under 2.45 bytes a key.
+  fields), under 2.45 bytes a key; encoding 10⁵ keys holds under
+  1.25 MiB of traced heap.
 * Hardening: truncations, a flipped bit, bit flips under re-stamped
   CRCs, a raw ``int64`` array (kind 1, written before format 5), a count
   that disagrees with the stream, trailing bytes, a radix other than
@@ -33,6 +34,7 @@ import os
 import random
 import shutil
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -205,6 +207,25 @@ def test_a_relation_takes_the_same_bytes_in_any_universe():
 def test_an_e_shaped_relation_takes_under_2_45_bytes_a_key():
     keys = e_keys(20_000, 0)
     assert len(encode_keys(keys, 20_000)) < 2.45 * len(keys)
+
+
+def test_the_encoder_splits_each_field_off_into_a_uint32_column():
+    """A block's s, p and o become ``uint32`` columns as each is split
+    off, a few thousand keys at a time: encoding 10⁵ keys over 69 067
+    objects peaks at 1.16 MiB of traced heap, where int64 fields and
+    their deltas peaked at 1.96 MiB.  The bytes are the layout's still
+    (:func:`test_the_layout_is_the_one_spelled_out`)."""
+    keys = sorted_keys(10**5, 69_067, 12, 40, False)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        payload = encode_keys(keys, 69_067)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * 2**20, f"{(peak - before) / 2**20:.2f} MiB"
+    assert decode_keys(payload, len(keys), 69_067).tolist() == keys.tolist()
 
 
 def big_store() -> Triplestore:

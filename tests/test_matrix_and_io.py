@@ -1,7 +1,7 @@
 """Tests for the §5 array representation and the text I/O format."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParseError, TriplestoreError
 from repro.triplestore import MatrixStore, Triplestore, dumps, loads
@@ -117,4 +117,28 @@ class TestTextIO:
         assert sorted(map(repr, back.objects)) == sorted(map(repr, store.objects))
         assert {repr(o): repr(back.rho(o)) for o in back.objects} == {
             repr(o): repr(store.rho(o)) for o in store.objects
+        }
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        names=st.lists(
+            st.text(alphabet=st.sampled_from(' #"\\@()!,0aZé\u2028'), max_size=6),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @example(names=["@rho", "my rel", "12", "null", "!true", ""])
+    def test_dump_round_trips_every_relation_name(self, names):
+        # Spaces, comments, quotes, "@rho", numerals: a name that would
+        # not read back as itself is quoted as an object would be.
+        store = Triplestore({name: [(name, "p", i)] for i, name in enumerate(names)})
+        back = loads(dumps(store))
+        assert sorted(back.relation_names) == sorted(names)
+        for name in names:
+            assert back.relation(name) == store.relation(name)
+
+    def test_a_relation_name_with_a_space_loads_back(self):
+        assert loads(dumps(Triplestore({"my rel": [("a", "p", "b")]}))).relation("my rel") == {
+            ("a", "p", "b")
         }
