@@ -129,8 +129,7 @@ class MappedArrays:
         return np.frombuffer(buf, dtype=np.int64)
 
     def hold(self, arr: np.ndarray, count: int) -> None:
-        """The first ``count`` items of ``arr`` (one of :meth:`empty`'s)
-        are what it holds now; the pages wholly past them go back."""
+        """``arr`` (one of :meth:`empty`'s) holds ``count`` items; pages past them go back."""
         if isinstance(arr.base, memoryview):
             buf, start = arr.base.obj, -(-8 * count // mmap.PAGESIZE) * mmap.PAGESIZE
             if start < min(len(buf), self._held.get(id(buf), 0)):
@@ -138,8 +137,7 @@ class MappedArrays:
             self._count(id(buf), 8 * count)
 
     def settle(self, arr: np.ndarray, count: int) -> np.ndarray:
-        """``arr[:count]``, held (:meth:`hold`); a malloc'd ``arr`` more
-        than half unused is copied instead."""
+        """``arr[:count]``, held; copied from a malloc'd ``arr`` more than half unused."""
         self.hold(arr, count)
         if 2 * count < len(arr) and not isinstance(arr.base, memoryview):
             return arr[:count].copy()
@@ -210,14 +208,10 @@ def _union_sorted(a: np.ndarray, b: np.ndarray, mem: MappedArrays) -> np.ndarray
 
 
 class _Accumulator:
-    """A fixpoint's sorted unique keys, grown in place (:func:`_absorb`).
-
-    They fill the front of one array reserved with :data:`_HEADROOM`
-    times the keys it was last grown for; a frontier is written after
-    them and the two sorted runs merged where they lie, so a round
-    neither re-sorts the keys nor copies them to a second array (except
-    to outgrow the reservation).
-    """
+    """A fixpoint's sorted unique keys at the front of one array reserved
+    with :data:`_HEADROOM` times the keys it was last grown for: a round
+    merges its frontier in where they lie, and only outgrowing the
+    reservation moves them to a second array."""
 
     __slots__ = ("mem", "buf", "size")
 
@@ -246,13 +240,12 @@ class _Accumulator:
 
 def _absorb(acc: _Accumulator, produced: np.ndarray) -> np.ndarray:
     """One fixpoint round's bookkeeping: grow ``acc`` by ``produced −
-    acc`` and return that (the frontier).
-
-    The fresh keys are found a row block at a time, by binary search in
-    the accumulator; taken in order they are sorted and disjoint from it,
-    so they are merged in, not sorted in.
-    """
-    frontier = _where(produced, lambda block, held=acc.keys: ~_member_mask(block, held), acc.mem)
+    acc`` and return that (the frontier), found a row block at a time by
+    binary search; taken in order it is sorted and disjoint from ``acc``,
+    so it is merged in, not sorted in."""
+    held = acc.keys
+    frontier = _where(produced, lambda block: ~_member_mask(block, held), acc.mem)
+    del held
     acc.merge(frontier)
     return frontier
 
@@ -308,11 +301,7 @@ def _gather(
 
 
 def _operand_path(
-    cs: ColumnarStore,
-    rows: np.ndarray,
-    key: tuple[KeyPart, ...],
-    presorted: bool,
-    mem: MappedArrays,
+    cs: ColumnarStore, rows: np.ndarray, key: tuple[KeyPart, ...], presorted: bool, mem: MappedArrays
 ) -> AccessPath:
     """The access path of a join operand, built for this join — the key
     column of a packed operand, when the path needs one, filled a row
@@ -456,10 +445,8 @@ def _pair_blocks(
             counts = (hi - lo).astype(np.int64)
             del code, hi
         else:
-            # Sorted needles make both binary searches walk the key
-            # column front to back instead of jumping through it; a key
-            # that is a prefix of the packed keys is searched in them,
-            # scaled.
+            # Sorted needles make both binary searches walk the key column
+            # front to back; a prefix key is searched in the keys, scaled.
             needles = cs.key_column(block, key)
             rows = np.argsort(needles)
             needles = needles[rows]

@@ -24,6 +24,7 @@ oracle across block boundaries, counted work and traced bytes:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import tracemalloc
 import weakref
@@ -429,6 +430,25 @@ def test_example_3_allocates_a_small_multiple_of_its_result():
     (cs, keys), held = held_at_once(lambda: engine.execute_plan_keys(plan, store))
     assert held / keys.nbytes <= 3.5, f"{held / keys.nbytes:.2f}x"
     assert cs.decode_triples(keys) == FastEngine().evaluate(parse_expr(text), store)
+
+
+def test_example_3_maps_its_large_arrays_and_gives_them_back():
+    """Both stars' accumulators pass 1 MiB with their headroom, so each
+    is a mapping of the query context's :class:`MappedArrays`: at the
+    outer star's end the context holds the inner answer and the outer
+    one at once, and once the answers are let go it holds nothing."""
+    store, text = example_3()
+    engine = VectorEngine()
+    plan = engine.compile(parse_expr(text), store)
+    inner = engine.execute_plan_keys(engine.compile(parse_expr("star[1,3',3; 2=1'](E)"), store), store)[1]
+    ctx = vectorized.VectorExecContext(store)
+    keys, mem = ctx.run(plan), ctx.mem
+    assert np.array_equal(keys, engine.execute_plan_keys(plan, store)[1])
+    assert mem.high_water >= inner.nbytes + keys.nbytes
+    assert mem.live >= inner.nbytes + keys.nbytes  # the memo holds both
+    del keys, ctx
+    gc.collect()
+    assert mem.live == 0
 
 
 def test_cross_product_scratch_does_not_grow_with_the_pairs():

@@ -13,6 +13,8 @@ this file five times in a row.
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import Database
+from repro.core.engines.vectorized import MappedArrays
 from repro.workloads import transport_network
 
 #: Example 3 over a no-op filter that carries the nonce.
@@ -58,13 +61,43 @@ def test_eight_threads_answer_as_the_serial_run(network, options):
     start = threading.Barrier(THREADS)
 
     def worker(index: int) -> list[tuple[str, list]]:
-        start.wait()
+        start.wait(timeout=60)
         names = [("example3", "step2")[(index + call) % 2] for call in range(CALLS)]
         return [(name, run(name)) for name in names]
 
     with ThreadPoolExecutor(THREADS) as pool:
-        answers = [answer for batch in pool.map(worker, range(THREADS)) for answer in batch]
+        batches = pool.map(worker, range(THREADS), timeout=300)
+        answers = [answer for batch in batches for answer in batch]
     assert len(answers) == THREADS * CALLS
     for name, rows in answers:
         assert rows == expected[name], name
     db.close()
+
+
+def test_a_shared_count_loses_no_update():
+    """Sharded shard tasks count their mappings in their context's one
+    :class:`MappedArrays`: with the interpreter switching threads as
+    often as it can, eight threads that map, trim and let go of arrays
+    leave it holding exactly nothing, and its high-water no less than
+    what they held at once."""
+    mem, rounds = MappedArrays(), 40
+    start = threading.Barrier(THREADS)
+
+    def worker(_index: int) -> None:
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            arr = mem.empty(2**17)  # 1 MiB: a mapping
+            arr[:] = 1
+            mem.settle(arr, 2**15)
+            del arr
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(THREADS) as pool:
+            list(pool.map(worker, range(THREADS), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    gc.collect()
+    assert mem.live == 0
+    assert 2**20 <= mem.high_water <= THREADS * 2**20
