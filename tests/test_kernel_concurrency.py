@@ -77,27 +77,29 @@ def test_eight_threads_answer_as_the_serial_run(network, options):
 def test_a_shared_count_loses_no_update():
     """Sharded shard tasks count their mappings in their context's one
     :class:`MappedArrays`: with the interpreter switching threads as
-    often as it can, eight threads that map, trim and let go of arrays
-    leave it holding exactly nothing, and its high-water no less than
-    what they held at once."""
-    mem, rounds = MappedArrays(), 40
+    often as it can, eight threads that each trim and regrow their own
+    mapping thousands of times leave it counting exactly what they hold,
+    and once they let go, nothing."""
+    mem, rounds, held = MappedArrays(), 3000, 2**16
     start = threading.Barrier(THREADS)
 
-    def worker(_index: int) -> None:
+    def worker(_index: int) -> object:
         start.wait(timeout=60)
-        for _ in range(rounds):
-            arr = mem.empty(2**17)  # 1 MiB: a mapping
-            arr[:] = 1
-            mem.settle(arr, 2**15)
-            del arr
+        arr = mem.empty(2**17)  # 1 MiB: a mapping
+        for i in range(rounds):
+            mem.hold(arr, held - 4096 * (i % 3))
+        mem.hold(arr, held)
+        return arr
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(THREADS) as pool:
-            list(pool.map(worker, range(THREADS), timeout=120))
+            arrays = list(pool.map(worker, range(THREADS), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    assert mem.live == THREADS * 8 * held
+    assert mem.high_water >= mem.live
+    del arrays
     gc.collect()
     assert mem.live == 0
-    assert 2**20 <= mem.high_water <= THREADS * 2**20
