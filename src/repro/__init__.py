@@ -24,84 +24,59 @@ See ARCHITECTURE.md for the system inventory;
 4–5 bound.
 """
 
-from repro.core import (
-    Cond,
-    Const,
-    Diff,
-    Engine,
-    Expr,
-    FastEngine,
-    HashJoinEngine,
-    Intersect,
-    Join,
-    NaiveEngine,
-    Pos,
-    R,
-    Rel,
-    Select,
-    Star,
-    Union,
-    Universe,
-    complement,
-    evaluate,
-    example2_expr,
-    example2_extended,
-    join,
-    lstar,
-    parse,
-    project13,
-    query_q,
-    reach_down,
-    reach_forward,
-    select,
-    star,
-)
-from repro.api import ExplainReport, PreparedStatement, ResultSet
-from repro.core.positions import Param
-from repro.db import Database
-from repro.errors import ReproError
-from repro.triplestore import Triplestore
+import importlib
+import sys
 
 #: The one version declaration (pyproject.toml reads it from here).
 __version__ = "7.0.0"
 
-__all__ = [
-    "Cond",
-    "Const",
-    "Database",
-    "Diff",
-    "Engine",
-    "ExplainReport",
-    "Expr",
-    "FastEngine",
-    "HashJoinEngine",
-    "Intersect",
-    "Join",
-    "NaiveEngine",
-    "Param",
-    "Pos",
-    "PreparedStatement",
-    "R",
-    "Rel",
-    "ResultSet",
-    "ReproError",
-    "Select",
-    "Star",
-    "Triplestore",
-    "Union",
-    "Universe",
-    "__version__",
-    "complement",
-    "evaluate",
-    "example2_expr",
-    "example2_extended",
-    "join",
-    "lstar",
-    "parse",
-    "project13",
-    "query_q",
-    "reach_down",
-    "reach_forward",
-    "select",
-    "star",
-]
+
+def _lazy_exports(package: str, homes: dict[str, str]):
+    """``(__all__, __getattr__, __dir__)`` for a package whose public
+    names are imported from their home modules on first use (PEP 562).
+
+    ``homes`` maps each home module to the names, space-separated, that
+    the package exports from it.  A name is looked up in its module the
+    first time it is asked for and then kept in the package's namespace,
+    so every later access is a plain attribute read and ``from package
+    import name`` returns the home module's own object.  Importing the
+    package itself imports none of its modules: a process loads only the
+    code it uses.
+    """
+    where = {name: module for module, names in homes.items() for name in names.split()}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *where})
+
+    return sorted(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.api": "ExplainReport PreparedStatement ResultSet",
+        "repro.core": "evaluate project13",
+        "repro.core.builder": "R complement example2_expr example2_extended join lstar "
+        "query_q reach_down reach_forward select star",
+        "repro.core.conditions": "Cond",
+        "repro.core.engines.base": "Engine",
+        "repro.core.engines.hashjoin": "FastEngine HashJoinEngine",
+        "repro.core.engines.naive": "NaiveEngine",
+        "repro.core.expressions": "Diff Expr Intersect Join Rel Select Star Union Universe",
+        "repro.core.parser": "parse",
+        "repro.core.positions": "Const Param Pos",
+        "repro.db": "Database",
+        "repro.errors": "ReproError",
+        "repro.triplestore.model": "Triplestore",
+    },
+)
+__all__.append("__version__")

@@ -23,23 +23,12 @@ record plus one rule-ID namespace, :data:`repro.analysis.invariants.RULES`):
   of the explain report and service-envelope warnings.
 """
 
-from repro.analysis.invariants import (
-    INVARIANTS,
-    LINT_RULES,
-    RULES,
-    SEM_RULES,
-    Finding,
-    Violation,
-)
-from repro.analysis.verify import assert_plan_valid, verify_plan
+from repro import _lazy_exports
 
-__all__ = [
-    "INVARIANTS",
-    "LINT_RULES",
-    "RULES",
-    "SEM_RULES",
-    "Finding",
-    "Violation",
-    "assert_plan_valid",
-    "verify_plan",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.invariants": "LINT_RULES",
+        "repro.analysis.verify": "verify_plan",
+    },
+)

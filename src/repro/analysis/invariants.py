@@ -173,6 +173,14 @@ LINT_RULES: dict[str, str] = {
         "typed data, and a store directory or a client must never be able "
         "to run code by what it hands over"
     ),
+    "IMPORT-LAYER": (
+        "importing a module loads only what it runs: at module level, "
+        "repro/errors.py, service/ws.py, service/client.py and every lazy "
+        "package __init__.py import only the stdlib and one another, and "
+        "cli.py only repro.errors and repro.core.engines (the engine and "
+        "backend names); the client then runs on the stdlib alone, and "
+        "each subcommand imports what it uses"
+    ),
 }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -273,6 +274,80 @@ def _check_stor_nopickle(tree: ast.AST, rel: str) -> Iterator[Finding]:
             )
 
 
+#: The modules a client process loads, and every package init that
+#: resolves its names on first use: at module level each may import only
+#: the stdlib and the others.
+_LEAN_MODULES = frozenset(
+    {
+        "repro",
+        "repro.analysis",
+        "repro.core",
+        "repro.core.engines",
+        "repro.errors",
+        "repro.service",
+        "repro.service.client",
+        "repro.service.ws",
+        "repro.storage",
+        "repro.triplestore",
+    }
+)
+#: ``cli.py``'s module level: the parser's choices and the error it
+#: catches.  Each subcommand imports what it runs.
+_CLI_IMPORTS = frozenset({"repro.core.engines", "repro.errors"})
+
+
+def _module_imports(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """The import statements a module runs when it is imported: those in
+    its body and in module-level ``if``/``try`` blocks, but not under
+    ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            test = node.test
+            if (test.id if isinstance(test, ast.Name) else getattr(test, "attr", "")) != "TYPE_CHECKING":
+                yield from _module_imports(node.body)
+            yield from _module_imports(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, *(h.body for h in node.handlers), node.orelse, node.finalbody):
+                yield from _module_imports(block)
+
+
+def _import_targets(node: ast.stmt, src: Path) -> list[str]:
+    """The modules an import statement loads: ``from package import
+    name`` loads ``package.name`` when that is a module of the tree (a
+    relative import is named as written, and so never allowed)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    assert isinstance(node, ast.ImportFrom)
+    base = "." * node.level + (node.module or "")
+    targets = []
+    for alias in node.names:
+        sub = src / base.replace(".", "/") / alias.name
+        is_module = sub.with_suffix(".py").is_file() or (sub / "__init__.py").is_file()
+        targets.append(f"{base}.{alias.name}" if is_module else base)
+    return targets
+
+
+def _check_import_layer(tree: ast.Module, module: str, rel: str, root: Path) -> Iterator[Finding]:
+    """IMPORT-LAYER: the module-level imports of a lean module or of
+    ``cli.py`` name only the stdlib and what :data:`_LEAN_MODULES` /
+    :data:`_CLI_IMPORTS` allow."""
+    allowed = _CLI_IMPORTS if module == "repro.cli" else _LEAN_MODULES
+    for node in _module_imports(tree.body):
+        for target in dict.fromkeys(_import_targets(node, root / "src")):
+            if target.split(".")[0] in sys.stdlib_module_names or target in allowed:
+                continue
+            yield _finding(
+                rel,
+                node.lineno,
+                "IMPORT-LAYER",
+                f"imports {target} at module level; {module} may import only "
+                f"the stdlib and {', '.join(sorted(allowed))}, so that "
+                "importing it loads no more (import it where it is used)",
+            )
+
+
 # --------------------------------------------------------------------- #
 # Cross-file rules: the errors.py ↔ protocol.py contract
 # --------------------------------------------------------------------- #
@@ -469,6 +544,9 @@ def lint_file(
         findings.extend(_check_stor_atomic(tree, rel))
     if "repro/storage/" in rel or "repro/service/" in rel:
         findings.extend(_check_stor_nopickle(tree, rel))
+    module = rel.removeprefix("src/").removesuffix(".py").replace("/", ".").removesuffix(".__init__")
+    if rel.startswith("src/") and module in _LEAN_MODULES | {"repro.cli"}:
+        findings.extend(_check_import_layer(tree, module, rel, root))
     return findings
 
 

@@ -57,17 +57,13 @@ import os
 import signal
 import sys
 import threading
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.api import ResultSet, explain_report
-from repro.core import ENGINE_REGISTRY
-from repro.core.parser import parse as parse_expr
-from repro.datalog import parse_program, validate_fragment
-from repro.db import BACKENDS, Database
+from repro.core.engines import BACKENDS, ENGINE_CLASSES, engine_class
 from repro.errors import ReproError
-from repro.triplestore import load_path
 
-ENGINES = ENGINE_REGISTRY
+if TYPE_CHECKING:
+    from repro.api import ResultSet
 
 
 def _row_limit(raw: str) -> int | None:
@@ -118,7 +114,10 @@ def _parse_bindings(raw_params: Sequence[str] | None) -> dict:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    db = Database.open(args.store, engine=ENGINES[args.engine]())
+    from repro.core.parser import parse as parse_expr
+    from repro.db import Database
+
+    db = Database.open(args.store, engine=engine_class(args.engine)())
     bindings = _parse_bindings(args.param)
     if args.lang != "trial" and bindings:
         raise ReproError("--param only applies to TriAL queries")
@@ -135,14 +134,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_datalog(args: argparse.Namespace) -> int:
+    from repro.datalog import parse_program, validate_fragment
+    from repro.datalog.validate import analyze_program
+    from repro.db import Database
+
     db = Database.open(args.store)
     with open(args.program, encoding="utf-8") as fp:
         program = parse_program(fp.read(), answer=args.answer)
     if args.validate:
         validate_fragment(program, args.validate)
         print(f"# program is valid {args.validate}¬", file=sys.stderr)
-    from repro.datalog.validate import analyze_program
-
     for finding in analyze_program(program):
         print(f"# warning: {finding}", file=sys.stderr)
     result = db.query(program, lang="datalog")
@@ -159,6 +160,8 @@ def _open_store(path: str):
         store = storage.open()
         storage.close()
         return store
+    from repro.triplestore.io import load_path
+
     return load_path(path)
 
 
@@ -192,6 +195,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.api import explain_report
+    from repro.core.parser import parse as parse_expr
+
     store = _open_store(args.store) if args.store else None
     report = explain_report(parse_expr(args.expression), store)
     print(report.to_json() if args.json else report)
@@ -308,6 +314,8 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 def _serve_tenants(args: argparse.Namespace) -> dict:
     """The tenant sessions a ``serve`` invocation asks for; when one
     fails to open, the ones already open are closed."""
+    from repro.db import Database
+
     specs: list[tuple[str, str]] = [("default", args.store)]
     for raw in args.tenant or ():
         name, sep, path = raw.partition("=")
@@ -326,7 +334,8 @@ def _serve_tenants(args: argparse.Namespace) -> dict:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import QueryServer, ServiceConfig
+    from repro.service.config import ServiceConfig
+    from repro.service.server import QueryServer
 
     flags = {
         "host": args.host,
@@ -384,7 +393,7 @@ def _print_remote_rows(body: dict, limit: int | None) -> None:
 
 
 def _cmd_connect(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     client = ServiceClient(args.url, tenant=args.tenant)
     bindings = _parse_bindings(args.param)
@@ -398,9 +407,7 @@ def _cmd_connect(args: argparse.Namespace) -> int:
     if args.expression is None:
         raise ReproError("connect needs an expression (or --metrics/--health)")
     if args.explain:
-        import json as _json
-
-        print(_json.dumps(client.explain(args.expression, lang=args.lang), indent=2))
+        print(json.dumps(client.explain(args.expression, lang=args.lang), indent=2))
         return 0
     if args.stream:
         shown = 0
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--engine",
-        choices=sorted(ENGINES),
+        choices=sorted(ENGINE_CLASSES),
         default="vector",
         help="what executes: vector (default; columnar arrays), fast or "
         "hash (tuple-at-a-time sets), sharded (hash-partitioned arrays), "

@@ -10,67 +10,29 @@ Quick use::
     evaluate(e, t)
 """
 
-from repro.core.builder import (
-    R,
-    complement,
-    diagonal,
-    distinct_objects_at_least,
-    example2_expr,
-    example2_extended,
-    example3_left,
-    example3_right,
-    intersect_as_join,
-    join,
-    lstar,
-    permute,
-    query_q,
-    reach_down,
-    reach_forward,
-    select,
-    star,
-    union_all,
-    universe,
-    universe_as_joins,
-)
-from repro.core.conditions import Cond, as_conditions, eta, parse_conditions, theta
-from repro.core.engines import (
-    ENGINE_REGISTRY,
-    Engine,
-    FastEngine,
-    HashJoinEngine,
-    NaiveEngine,
-    ShardedEngine,
-    TripleSet,
-    VectorEngine,
-)
-from repro.core.expressions import (
-    Diff,
-    Expr,
-    Intersect,
-    Join,
-    Rel,
-    Select,
-    Star,
-    Union,
-    Universe,
-    in_reach_ta_eq,
-    in_trial,
-    in_trial_eq,
-    is_equality_only,
-    star_is_reach,
-)
-from repro.core.optimizer import optimize
-from repro.core.parser import parse
-from repro.core.semijoin import antijoin, in_semijoin_algebra, semijoin
-from repro.core.positions import Const, Pos
-from repro.triplestore.model import Triplestore
+from __future__ import annotations
 
-_DEFAULT_ENGINE = HashJoinEngine()
+import functools
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.engines.base import Engine, TripleSet
+    from repro.core.expressions import Expr
+    from repro.triplestore.model import Triplestore
+
+
+@functools.cache
+def _default_engine() -> Engine:
+    from repro.core.engines.hashjoin import HashJoinEngine
+
+    return HashJoinEngine()
 
 
 def evaluate(expr: Expr, store: Triplestore, engine: Engine | None = None) -> TripleSet:
     """Evaluate ``expr`` over ``store`` (default: the hash-join engine)."""
-    return (engine or _DEFAULT_ENGINE).evaluate(expr, store)
+    return (engine or _default_engine()).evaluate(expr, store)
 
 
 def project13(triples) -> frozenset:
@@ -79,62 +41,25 @@ def project13(triples) -> frozenset:
     return frozenset((s, o) for s, _, o in triples)
 
 
-__all__ = [
-    "Cond",
-    "Const",
-    "Diff",
-    "ENGINE_REGISTRY",
-    "Engine",
-    "Expr",
-    "FastEngine",
-    "HashJoinEngine",
-    "Intersect",
-    "Join",
-    "NaiveEngine",
-    "Pos",
-    "R",
-    "Rel",
-    "Select",
-    "ShardedEngine",
-    "Star",
-    "TripleSet",
-    "Triplestore",
-    "Union",
-    "Universe",
-    "VectorEngine",
-    "as_conditions",
-    "complement",
-    "diagonal",
-    "distinct_objects_at_least",
-    "eta",
-    "evaluate",
-    "example2_expr",
-    "example2_extended",
-    "example3_left",
-    "example3_right",
-    "in_reach_ta_eq",
-    "in_trial",
-    "in_trial_eq",
-    "intersect_as_join",
-    "is_equality_only",
-    "join",
-    "lstar",
-    "optimize",
-    "parse",
-    "parse_conditions",
-    "permute",
-    "project13",
-    "query_q",
-    "reach_down",
-    "reach_forward",
-    "select",
-    "star",
-    "star_is_reach",
-    "theta",
-    "union_all",
-    "universe",
-    "universe_as_joins",
-    "antijoin",
-    "in_semijoin_algebra",
-    "semijoin",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.builder": "R complement diagonal distinct_objects_at_least "
+        "example2_expr example2_extended example3_left example3_right "
+        "intersect_as_join join lstar permute query_q reach_down reach_forward "
+        "select star universe universe_as_joins",
+        "repro.core.conditions": "Cond",
+        "repro.core.engines.registry": "ENGINE_REGISTRY",
+        "repro.core.engines.base": "Engine",
+        "repro.core.engines.hashjoin": "FastEngine HashJoinEngine",
+        "repro.core.engines.naive": "NaiveEngine",
+        "repro.core.engines.sharded": "ShardedEngine",
+        "repro.core.engines.vectorized": "VectorEngine",
+        "repro.core.expressions": "Diff Expr Intersect Join Rel Select Star Union "
+        "Universe in_reach_ta_eq in_trial in_trial_eq is_equality_only star_is_reach",
+        "repro.core.optimizer": "optimize",
+        "repro.core.parser": "parse",
+        "repro.core.positions": "Const Pos",
+    },
+)
+__all__ += ["evaluate", "project13"]

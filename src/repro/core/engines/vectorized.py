@@ -431,7 +431,10 @@ def _pair_blocks(
     algebra demands of a join with no cross equality).  The probe operand
     is read :data:`_ROW_BLOCK` rows at a time: each block finds its
     rows' match ranges in the path, then enumerates the matches
-    :data:`_PAIR_BLOCK` at a time.  No array here is longer than a block.
+    :data:`_PAIR_BLOCK` at a time.  No array here is longer than a block,
+    and across the pair blocks it yields a row block holds two or three:
+    each row's first slot and its pair count, or — when its pairs fill
+    more than one pair block — where they start and end.
     """
     for r0 in range(0, len(probe), _ROW_BLOCK):
         block = probe[r0 : r0 + _ROW_BLOCK]
@@ -455,26 +458,30 @@ def _pair_blocks(
             needles += path.scale
             counts = np.searchsorted(path.keys, needles) - lo
             del needles
-        if rows is None:
-            rows = np.arange(r0, r0 + len(block))
-        elif r0:
+        if rows is not None and r0:
             rows += r0
         ends = np.cumsum(counts)
-        starts = ends - counts
-        # Pair t (numbered through the block) of the row with range
-        # [lo, hi) is the build path's slot lo + (t - starts).
-        slot0 = lo - starts
-        del lo
         total = int(ends[-1])
+        # Pair t (numbered through the block) of the row with range
+        # [lo, hi) is the build path's slot lo + (t - starts), where
+        # starts = ends - counts.
+        slot0 = np.subtract(lo, ends, dtype=np.int64)
+        slot0 += counts
+        del lo
+        if total <= _PAIR_BLOCK:
+            del ends  # the usual case: one pair block holds them all
+        else:
+            # The row block splits: the rows whose pairs [starts, ends)
+            # overlap [p0, p1), each clipped to it, make a pair block; a
+            # row with more matches than one pair block holds is spread
+            # over several.
+            starts = ends - counts
+            del counts
         for p0 in range(0, total, _PAIR_BLOCK):
             p1 = min(p0 + _PAIR_BLOCK, total)
-            if p1 - p0 == total:
-                # The usual case: all of the row block's pairs at once.
+            if total <= _PAIR_BLOCK:
                 ra, rb, span = 0, len(block), counts
             else:
-                # The rows whose pairs [starts, ends) overlap [p0, p1),
-                # each clipped to it: a row with more matches than one
-                # pair block holds is spread over several.
                 ra = int(np.searchsorted(ends, p0, side="right"))
                 rb = int(np.searchsorted(starts, p1, side="left"))
                 span = np.minimum(ends[ra:rb], p1) - np.maximum(starts[ra:rb], p0)
@@ -482,7 +489,9 @@ def _pair_blocks(
             at += np.repeat(slot0[ra:rb], span)
             if path is not None and path.perm is not None:
                 at = path.perm[at].astype(np.intp)
-            yield np.repeat(rows[ra:rb], span), at
+            # Probe row numbers, as they lie unless sorted for the search.
+            probe_rows = np.arange(r0 + ra, r0 + rb) if rows is None else rows[ra:rb]
+            yield np.repeat(probe_rows, span), at
 
 
 def _merge_join(

@@ -58,10 +58,8 @@ from repro.api import (
     explain_report,
     get_language,
 )
+from repro.core.engines import BACKEND_ENGINES, BACKENDS, engine_class
 from repro.core.engines.base import Engine, PlanEngine
-from repro.core.engines.hashjoin import FastEngine
-from repro.core.engines.sharded import DEFAULT_SHARDS, ShardedEngine
-from repro.core.engines.vectorized import VectorEngine
 from repro.core.expressions import Expr, Universe
 from repro.core.params import bind_plan, substitute_params
 from repro.core.plan import PlanOp, compile_plan
@@ -71,12 +69,6 @@ from repro.triplestore.model import Triple, Triplestore, freeze_triples
 __all__ = ["BACKENDS", "CacheInfo", "Database", "MutationBatch"]
 
 Query = TypingUnion[Expr, str]
-
-#: Execution backends a session can run on: ``"set"`` executes plans
-#: tuple-at-a-time over Python sets (HashJoin/Fast engines), ``"columnar"``
-#: array-at-a-time over the store's packed numpy encoding (VectorEngine),
-#: ``"sharded"`` shard-wise over its k-way hash partition (ShardedEngine).
-BACKENDS = ("set", "columnar", "sharded")
 
 
 @dataclass(frozen=True)
@@ -332,14 +324,9 @@ class Database:
                 f"not {backend!r}"
             )
         if engine is None:
-            if backend == "columnar":
-                engine = VectorEngine()
-            elif backend == "sharded":
-                engine = ShardedEngine(
-                    shards=DEFAULT_SHARDS if shards is None else shards
-                )
-            else:
-                engine = FastEngine()
+            # Only the backend's own engine module is imported.
+            cls = engine_class(BACKEND_ENGINES[backend])
+            engine = cls() if shards is None else cls(shards=shards)
         elif shards is not None and getattr(engine, "shards", shards) != shards:
             raise ReproError(
                 f"engine runs {engine.shards} shards, not {shards}; "

@@ -17,27 +17,24 @@ API of :class:`repro.db.Database`:
 * :class:`~repro.service.client.ServiceClient` — the matching client,
   used by ``repro connect`` and the test suite.
 
+Importing this package imports none of its modules (each name is
+imported from its home module on first use), so a client process —
+:mod:`repro.service.client` imports only the stdlib, :mod:`repro.errors`
+and :mod:`repro.service.ws` — loads neither the server nor the engines.
+
 Errors cross the wire as structured JSON (``{"error": {"type": ...,
 "message": ...}}``) reusing the :mod:`repro.errors` classes, so a
 failed query degrades to a clean, typed client error while the server
 keeps serving.
 """
 
-from repro.service.admission import AdmissionController
-from repro.service.client import ServiceClient
-from repro.service.config import ServiceConfig
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.pool import TenantPool
-from repro.service.server import QueryServer
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QueryServer",
-    "ServiceClient",
-    "ServiceConfig",
-    "TenantPool",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.service.client": "ServiceClient",
+        "repro.service.config": "ServiceConfig",
+        "repro.service.server": "QueryServer",
+    },
+)

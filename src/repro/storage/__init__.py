@@ -14,15 +14,14 @@ warm-reopen catalog of statistics and query texts
 (:mod:`repro.storage.manager`) coordinates the lifecycle.
 """
 
-from repro.storage.fsck import fsck_store
-from repro.storage.manager import DurableStore, store_footprint
-from repro.storage.segments import SegmentStore
-from repro.storage.wal import WriteAheadLog
+from repro import _lazy_exports
 
-__all__ = [
-    "DurableStore",
-    "SegmentStore",
-    "WriteAheadLog",
-    "fsck_store",
-    "store_footprint",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.storage.fsck": "fsck_store",
+        "repro.storage.manager": "DurableStore store_footprint",
+        "repro.storage.segments": "SegmentStore",
+        "repro.storage.wal": "WriteAheadLog",
+    },
+)

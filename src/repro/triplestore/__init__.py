@@ -1,27 +1,15 @@
 """Triplestore data model (Definition 1) and its array representation."""
 
-from repro.triplestore.columnar import ColumnarStore
-from repro.triplestore.io import dump, dump_path, dumps, load, load_path, loads
-from repro.triplestore.matrix import MatrixStore
-from repro.triplestore.model import DEFAULT_RELATION, Obj, Triple, Triplestore
-from repro.triplestore.sharded import ShardedColumnarStore
-from repro.triplestore.stats import DEFAULT_STATS, RelationStats, TriplestoreStats
+from repro import _lazy_exports
 
-__all__ = [
-    "ColumnarStore",
-    "DEFAULT_RELATION",
-    "DEFAULT_STATS",
-    "MatrixStore",
-    "ShardedColumnarStore",
-    "Obj",
-    "RelationStats",
-    "Triple",
-    "Triplestore",
-    "TriplestoreStats",
-    "dump",
-    "dump_path",
-    "dumps",
-    "load",
-    "load_path",
-    "loads",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.triplestore.columnar": "ColumnarStore",
+        "repro.triplestore.io": "dump_path dumps load_path loads",
+        "repro.triplestore.matrix": "MatrixStore",
+        "repro.triplestore.model": "DEFAULT_RELATION Triplestore",
+        "repro.triplestore.sharded": "ShardedColumnarStore",
+        "repro.triplestore.stats": "DEFAULT_STATS",
+    },
+)

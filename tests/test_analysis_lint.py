@@ -364,6 +364,78 @@ def test_stor_nopickle_sees_aliases_and_from_imports(tmp_path):
     assert [f.line for f in findings] == [1, 2, 3, 7]
 
 
+def test_import_layer_fires_on_numpy_in_the_client(tmp_path):
+    write_tree(tmp_path, {"src/repro/service/client.py": """\
+        import json
+        import numpy as np
+        from repro.errors import ServiceError
+        from repro.service import ws
+    """})
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["IMPORT-LAYER"]
+    assert (findings[0].path, findings[0].line) == ("src/repro/service/client.py", 2)
+    assert "imports numpy" in findings[0].message
+
+
+def test_import_layer_fires_on_an_eager_import_in_a_lazy_init(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/db.py": "",
+        "src/repro/__init__.py": """\
+            import sys
+            from typing import TYPE_CHECKING
+
+            from repro.db import Database
+
+            if TYPE_CHECKING:
+                from repro.api import ResultSet
+        """,
+    })
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["IMPORT-LAYER"]
+    assert findings[0].line == 4 and "imports repro.db" in findings[0].message
+
+
+def test_import_layer_reads_a_submodule_import_as_the_submodule(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/service/server.py": "",
+        "src/repro/service/__init__.py": """\
+            from repro.service import server
+            try:
+                from . import ws
+            except ImportError:
+                pass
+        """,
+    })
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["IMPORT-LAYER"] * 2
+    assert "imports repro.service.server" in findings[0].message
+    assert "imports . at" in findings[1].message
+
+
+def test_import_layer_holds_the_cli_to_errors_and_the_engine_names(tmp_path):
+    write_tree(tmp_path, {"src/repro/cli.py": """\
+        import argparse
+        from repro.core.engines import BACKENDS, ENGINE_CLASSES
+        from repro.errors import ReproError
+        from repro.db import Database
+
+
+        def _cmd_query(args):
+            from repro.api import ResultSet
+    """})
+    findings = run_lint(tmp_path)
+    assert rules_of(findings) == ["IMPORT-LAYER"]
+    assert findings[0].line == 4
+
+
+def test_import_layer_does_not_fire_elsewhere(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/db.py": "import numpy\nfrom repro.api import ResultSet\n",
+        "src/repro/datalog/__init__.py": "from repro.datalog.ast import Rule\n",
+    })
+    assert run_lint(tmp_path) == []
+
+
 # --------------------------------------------------------------------- #
 # Filtering, ordering, discovery
 # --------------------------------------------------------------------- #

@@ -370,3 +370,23 @@ class TestServe:
             main([store_path if arg == "STORE" else arg for arg in argv])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _choices(parser, command: str, flag: str):
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if flag in a.option_strings).choices
+
+
+def test_engine_and_backend_choices_are_the_registries():
+    """``query --engine`` offers exactly the engine registry's names and
+    ``serve --backend`` exactly ``BACKENDS``; the parser reads both from
+    plain names, and each backend's default engine runs that backend."""
+    from repro.cli import build_parser
+    from repro.core.engines import BACKEND_ENGINES, ENGINE_REGISTRY, engine_class
+    from repro.db import BACKENDS
+
+    parser = build_parser()
+    assert _choices(parser, "query", "--engine") == sorted(ENGINE_REGISTRY)
+    assert tuple(_choices(parser, "serve", "--backend")) == BACKENDS
+    assert all(ENGINE_REGISTRY[name] is engine_class(name) for name in ENGINE_REGISTRY)
+    assert [engine_class(BACKEND_ENGINES[b]).backend for b in BACKENDS] == list(BACKENDS)
