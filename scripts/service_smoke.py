@@ -103,9 +103,8 @@ def main() -> int:
     check("clean shutdown (idempotent)", server._httpd is None)
     server.stop()  # second stop is a no-op
 
-    # Handler threads are daemonic and torn down with the listener; the
-    # shard thread pool is a process-wide singleton, so thread count may
-    # keep its workers — but no unbounded growth.
+    # Handler threads are daemonic and torn down with the listener; a
+    # few may still be winding down — but no unbounded growth.
     check(
         "no thread pile-up",
         threading.active_count() <= threads_before + 4,

@@ -21,7 +21,7 @@ the value types its v2 surface trades in:
   the text ``repro explain`` prints, :meth:`~ExplainReport.to_json` the
   data ``repro explain --json``, ``/v1/explain`` and the golden tests
   read; :func:`explain_report` is its only builder.
-* :data:`LANGUAGES` — one registry mapping language names to their
+* :data:`LANGUAGES` — one table mapping language names to their
   compile step, so ``db.query(text, lang=...)`` and ``db.prepare(...)``
   share a single compile path for TriAL, Datalog, GXPath, RPQs, NREs
   and nSPARQL.
@@ -82,7 +82,6 @@ __all__ = [
     "ResultSet",
     "explain_report",
     "plan_to_dict",
-    "register_language",
 ]
 
 
@@ -591,7 +590,7 @@ def explain_report(expr: Expr, store=None, engine=None) -> ExplainReport:
         violations = exc.violations
     backend = getattr(engine, "backend", "set")
     if backend == "sharded":
-        backend = f"sharded({engine.shards}-way, key position {engine.key_pos + 1})"
+        backend = f"sharded({engine.shards}-way, key position 1)"
     return ExplainReport(
         expression=repr(expr),
         parameters=expr_params(expr),
@@ -701,28 +700,19 @@ def _compile_nsparql(db: "Database", source: Any) -> NativeQuery:
     return NativeQuery(lambda db: source.evaluate(db.document, db=db))
 
 
-#: The registered front-door languages, by ``lang=`` name.
-LANGUAGES: dict[str, Language] = {}
-
-
-def register_language(language: Language) -> None:
-    """Register (or replace) a front-door language."""
-    LANGUAGES[language.name] = language
-
-
-for _lang in (
-    Language("trial", _compile_trial),
-    Language("datalog", _compile_datalog),
-    Language("gxpath", _compile_gxpath, pairs=True),
-    Language("rpq", _compile_rpq, pairs=True),
-    Language("nre", _compile_nre, pairs=True),
-    Language("nsparql", _compile_nsparql),
-):
-    register_language(_lang)
+#: The front-door languages, by ``lang=`` name.
+LANGUAGES: dict[str, Language] = {
+    "trial": Language("trial", _compile_trial),
+    "datalog": Language("datalog", _compile_datalog),
+    "gxpath": Language("gxpath", _compile_gxpath, pairs=True),
+    "rpq": Language("rpq", _compile_rpq, pairs=True),
+    "nre": Language("nre", _compile_nre, pairs=True),
+    "nsparql": Language("nsparql", _compile_nsparql),
+}
 
 
 def get_language(name: str) -> Language:
-    """Look up a registered language, with a helpful error."""
+    """Look up a front-door language, with a helpful error."""
     try:
         return LANGUAGES[name]
     except KeyError:

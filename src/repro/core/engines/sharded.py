@@ -1,8 +1,8 @@
-"""Shard-parallel columnar execution of compiled physical plans.
+"""Shard-wise columnar execution of compiled physical plans.
 
 :class:`ShardedEngine` is the planner seam's fourth backend: it executes
 the *same* physical operator trees as every other engine, over the
-``k``-way hash-partitioned view of the store's columnar encoding
+``k``-way subject-partitioned view of the store's columnar encoding
 (:class:`~repro.triplestore.sharded.ShardedColumnarStore`).  Every
 intermediate result is a list of ``k`` sorted unique packed-key arrays,
 hash-partitioned on one triple position — which makes the shards
@@ -11,14 +11,16 @@ no cross-shard deduplication:
 
 * ``ScanOp`` fans out to the store's cached per-shard arrays (the
   partition is built once per store, like indexes and statistics);
+  ``IndexLookupOp`` partitions the columnar engine's slice of the
+  relation's access path;
 * ``HashJoinOp`` runs as ``k`` independent merge joins.  When both
   inputs are already partitioned on the join key (*co-partitioned*,
   e.g. two subject-partitioned scans joined on ``1=1'``), shard ``s``
   joins shard ``s`` directly; otherwise one *exchange* pass re-hashes
-  the misaligned side(s) on the join-key component first (ρ-codes for η
-  keys).  Joins with no cross equality broadcast the gathered right
-  operand to every left shard.  :func:`choose_shard_key` and
-  :func:`shard_output_partition` decide both;
+  the misaligned side(s)' packed keys on the join-key component first
+  (ρ-codes for η keys).  Joins with no cross equality broadcast the
+  gathered right operand to every left shard.  :func:`choose_shard_key`
+  and :func:`shard_output_partition` decide both;
 * set operations align the two partitions and merge shard-wise with the
   sorted-array algebra of :mod:`repro.core.engines.vectorized`;
 * general stars and sparse reach stars run the semi-naive fixpoint with
@@ -27,28 +29,22 @@ no cross-shard deduplication:
   frontier.  Dense reach stars — where
   :func:`~repro.core.engines.vectorized.use_dense_reach` says so for
   the store being run — gather (the boolean matrix is already the
-  compact representation) and leave the closure raw;
-* shard tasks run on a :class:`~concurrent.futures.ThreadPoolExecutor`
-  when inputs are large enough to amortise dispatch — the numpy
-  sort/searchsorted kernels inside the merge join release the GIL, so
-  shards overlap on multi-core hosts.  Small inputs run serially: a
-  thread hop costs more than a 1000-row merge join.
+  compact representation) and leave the closure raw.
 
-Cross-backend agreement with the set and columnar executors (and the
-NaiveEngine oracle) is enforced by ``tests/diffcheck.py``.
+Shard tasks run one after another on the calling thread: the engine
+starts no thread.  Cross-backend agreement with the set and columnar
+executors (and the NaiveEngine oracle) is enforced by
+``tests/diffcheck.py``.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.errors import EvaluationBudgetError, PlanVerificationError, ReproError
+from repro.errors import PlanVerificationError, ReproError
 from repro.core.conditions import Cond
 from repro.core.expressions import RIGHT
 from repro.core.engines.base import PlanEngine, TripleSet
@@ -64,7 +60,10 @@ from repro.core.engines.vectorized import (
     _local_mask,
     _merge_join,
     _union_sorted,
+    _where,
+    lookup_keys,
     reach_dense,
+    universe_keys,
     use_dense_reach,
 )
 from repro.core.plan import (
@@ -87,7 +86,6 @@ from repro.triplestore.model import Triplestore
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "SHARD_DISPATCH_MIN",
     "ShardedEngine",
     "ShardedExecContext",
     "ShardedKeys",
@@ -95,32 +93,6 @@ __all__ = [
 
 #: Shard count when the constructor does not say.
 DEFAULT_SHARDS = 4
-
-#: The dispatch amortization threshold, in input rows: below it a shard
-#: task runs inline (a thread hop costs more than a 1000-row merge
-#: join).  Read at every dispatch, so a test can patch it to 0 and reach
-#: the pool branch on a tiny store.
-SHARD_DISPATCH_MIN = 4096
-
-#: One process-wide shard pool, created lazily and shared by every
-#: engine instance — sessions are created freely (one per Database), so
-#: per-engine pools would leak a thread set each.
-_POOL_LOCK = threading.Lock()
-_SHARED_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _shared_pool() -> Optional[ThreadPoolExecutor]:
-    """The process-wide shard pool (``None`` on single-core hosts)."""
-    global _SHARED_POOL
-    workers = min(os.cpu_count() or 1, 8)
-    if workers <= 1:
-        return None
-    with _POOL_LOCK:
-        if _SHARED_POOL is None:
-            _SHARED_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-    return _SHARED_POOL
 
 
 # --------------------------------------------------------------------- #
@@ -225,38 +197,24 @@ class ShardedKeys:
 class ShardedExecContext:
     """Sharded twin of :class:`~repro.core.engines.vectorized.VectorExecContext`.
 
-    Holds the store's sharded columnar view, the budgets, the operator
-    memo and an optional thread pool; every operator result is a
-    :class:`ShardedKeys`.
+    Holds the store's sharded columnar view, the budgets and the operator
+    memo; every operator result is a :class:`ShardedKeys`.
     """
 
-    __slots__ = (
-        "store",
-        "cs",
-        "ss",
-        "rho",
-        "max_universe_objects",
-        "k",
-        "pool",
-        "mem",
-        "_memo",
-    )
+    __slots__ = ("store", "cs", "ss", "rho", "max_universe_objects", "k", "mem", "_memo")
 
     def __init__(
         self,
         store: Triplestore,
         max_universe_objects: int = 400,
         shards: int = DEFAULT_SHARDS,
-        key_pos: int = 0,
-        pool: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         self.store = store
-        self.ss = store.sharded(shards, key_pos)
+        self.ss = store.sharded(shards)
         self.cs = self.ss.cs
         self.rho = store.rho
         self.max_universe_objects = max_universe_objects
         self.k = self.ss.k
-        self.pool = pool
         self.mem = MappedArrays()
         self._memo: dict[int, ShardedKeys] = {}
 
@@ -276,12 +234,6 @@ class ShardedExecContext:
 
     # -- shard plumbing -------------------------------------------------- #
 
-    def _map(self, fn: Callable, *arg_lists, rows: int = 0) -> list:
-        """Apply ``fn`` across shards, on the pool when it pays off."""
-        if self.pool is not None and self.k > 1 and rows >= SHARD_DISPATCH_MIN:
-            return list(self.pool.map(fn, *arg_lists))
-        return [fn(*args) for args in zip(*arg_lists)]
-
     def _empty(self) -> ShardedKeys:
         return ShardedKeys([_EMPTY] * self.k, 0)
 
@@ -297,16 +249,11 @@ class ShardedExecContext:
                 np.concatenate(pieces)
             )
             return ShardedKeys([merged], pos)
-        rows = sum(len(p) for p in pieces)
-        buckets = self._map(
-            lambda piece: self.ss.partition(piece, pos), pieces, rows=rows
+        buckets = [self.ss.partition(piece, pos) for piece in pieces]
+        return ShardedKeys(
+            [sorted_unique(np.concatenate([b[t] for b in buckets])) for t in range(self.k)],
+            pos,
         )
-        shards = self._map(
-            lambda t: sorted_unique(np.concatenate([b[t] for b in buckets])),
-            range(self.k),
-            rows=rows,
-        )
-        return ShardedKeys(shards, pos)
 
     def _check_partition(self, sk: ShardedKeys, what: str) -> ShardedKeys:
         """The PLAN-SHARD invariant, checked at run time.
@@ -341,56 +288,41 @@ class ShardedExecContext:
             return sk
         return self._from_raw(sk.shards, pos)
 
-    def _operand_cols(
-        self, sk: ShardedKeys, local: tuple[Cond, ...]
-    ) -> list[np.ndarray]:
-        """Per-shard unpacked (and locally filtered) column blocks."""
-        cs = self.cs
+    def _select(self, shards: list[np.ndarray], conds: tuple[Cond, ...]) -> list[np.ndarray]:
+        """Per shard, the keys that satisfy ``conds`` (every key without any)."""
+        if not conds:
+            return shards
+        mask_of = partial(_local_mask, self.cs, conds)
+        return [_where(shard, mask_of, self.mem) for shard in shards]
 
-        def prep(shard: np.ndarray) -> np.ndarray:
-            cols = cs.unpack(shard)
-            if local:
-                cols = cols[_local_mask(cs, local, cols)]
-            return cols
-
-        return self._map(prep, sk.shards, rows=sk.total)
-
-    def _exchange_cols(
-        self, cols_list: list[np.ndarray], pos: int, on_data: bool
-    ) -> list[np.ndarray]:
-        """Re-hash column blocks on the join-key component at ``pos``.
+    def _exchange(self, shards: list[np.ndarray], pos: int, on_data: bool) -> list[np.ndarray]:
+        """Re-hash packed keys on the join-key component at ``pos``.
 
         θ keys hash the object code itself; η keys hash the ρ-code of
         the component, so both operands of an η join land in consistent
-        shards.
+        shards.  A shard comes out unsorted: the merge join builds its
+        own access path over it.
         """
-        k = self.k
+        k, cs = self.k, self.cs
         if k == 1:
-            return cols_list
-        cs = self.cs
-
-        def bucket(cols: np.ndarray) -> list[np.ndarray]:
-            comp = cols[:, pos]
-            if on_data:
-                comp = cs.dv_codes[comp]
-            ids = comp % k
-            return [cols[ids == t] for t in range(k)]
-
-        rows = sum(len(c) for c in cols_list)
-        buckets = self._map(bucket, cols_list, rows=rows)
-        return self._map(
-            lambda t: np.concatenate([b[t] for b in buckets]), range(k), rows=rows
-        )
+            return shards
+        buckets = []
+        for keys in shards:
+            comp = cs.column(keys, pos)
+            ids = (cs.dv_codes[comp] if on_data else comp) % k
+            buckets.append([keys[ids == t] for t in range(k)])
+        return [np.concatenate([b[t] for b in buckets]) for t in range(k)]
 
     # -- operator dispatch ---------------------------------------------- #
 
     def _dispatch(self, op: PlanOp) -> ShardedKeys:
         if isinstance(op, ScanOp):
-            return ShardedKeys(self.ss.relation_shards(op.name), self.ss.key_pos)
+            return ShardedKeys(self.ss.relation_shards(op.name), 0)
         if isinstance(op, IndexLookupOp):
-            return self._index_lookup(op)
+            return ShardedKeys(self.ss.partition(lookup_keys(self.cs, op, self.mem), 0), 0)
         if isinstance(op, FilterOp):
-            return self._filter(op)
+            child = self.run(op.child)
+            return ShardedKeys(self._select(child.shards, op.conditions), child.part_pos)
         if isinstance(op, UnionOp):
             return self._setop(op, _union_sorted)
         if isinstance(op, DiffOp):
@@ -406,38 +338,10 @@ class ShardedExecContext:
         if isinstance(op, EmptyOp):
             return self._empty()
         if isinstance(op, UniverseOp):
-            return self._universe()
+            keys = universe_keys(self.cs, self.max_universe_objects)
+            return ShardedKeys(self.ss.partition(keys, 0), 0)
         raise NotImplementedError(  # pragma: no cover — all ops covered
             f"no sharded execution for {type(op).__name__}"
-        )
-
-    def _index_lookup(self, op: IndexLookupOp) -> ShardedKeys:
-        cs = self.cs
-
-        def lookup(shard: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            mask = np.ones(len(cols), dtype=bool)
-            for pos, value in zip(op.positions, op.bound_key()):
-                mask &= cols[:, pos] == cs.code_of(value)
-            if op.residual:
-                mask &= _local_mask(cs, op.residual, cols)
-            return shard[mask]
-
-        shards = self.ss.relation_shards(op.name)
-        columns = self.ss.shard_columns(op.name)
-        rows = sum(len(s) for s in shards)
-        return ShardedKeys(
-            self._map(lookup, shards, columns, rows=rows), self.ss.key_pos
-        )
-
-    def _filter(self, op: FilterOp) -> ShardedKeys:
-        child = self.run(op.child)
-        cs = self.cs
-
-        def filt(shard: np.ndarray) -> np.ndarray:
-            return shard[_local_mask(cs, op.conditions, cs.unpack(shard))]
-
-        return ShardedKeys(
-            self._map(filt, child.shards, rows=child.total), child.part_pos
         )
 
     def _setop(self, op, merge: Callable) -> ShardedKeys:
@@ -448,8 +352,7 @@ class ShardedExecContext:
         target = left.part_pos if left.part_pos is not None else 0
         left = self._check_partition(self._repartition(left, target), "set-op")
         right = self._check_partition(self._repartition(right, target), "set-op")
-        rows = left.total + right.total
-        shards = self._map(partial(merge, mem=self.mem), left.shards, right.shards, rows=rows)
+        shards = [merge(a, b, mem=self.mem) for a, b in zip(left.shards, right.shards)]
         return ShardedKeys(shards, target)
 
     def _join(self, op: HashJoinOp) -> ShardedKeys:
@@ -462,25 +365,20 @@ class ShardedExecContext:
         right = self.run(op.right)
         if not spec.gate_open(self.rho):
             return self._empty()
-        lcols = self._operand_cols(left, spec.left_local)
-        rcols = self._operand_cols(right, spec.right_local)
+        lkeys = self._select(left.shards, spec.left_local)
+        rkeys = self._select(right.shards, spec.right_local)
         cond, _ = choose_shard_key(spec, left.part_pos, right.part_pos)
-        rows = left.total + right.total
         if cond is None:
             # Cartesian product: broadcast the gathered right operand.
-            rall = np.concatenate(rcols)
-            pieces = self._map(
-                lambda lc: _merge_join(cs, spec, lc, rall, mem=mem), lcols, rows=rows
-            )
+            rall = np.concatenate(rkeys)
+            pieces = [_merge_join(cs, spec, lk, rall, mem=mem) for lk in lkeys]
         else:
             li, ri = cond.left.index, cond.right.index - 3
             if cond.on_data or left.part_pos != li:
-                lcols = self._exchange_cols(lcols, li, cond.on_data)
+                lkeys = self._exchange(lkeys, li, cond.on_data)
             if cond.on_data or right.part_pos != ri:
-                rcols = self._exchange_cols(rcols, ri, cond.on_data)
-            pieces = self._map(
-                lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem), lcols, rcols, rows=rows
-            )
+                rkeys = self._exchange(rkeys, ri, cond.on_data)
+            pieces = [_merge_join(cs, spec, lk, rk, mem=mem) for lk, rk in zip(lkeys, rkeys)]
         # A lost partition key stays raw (part_pos=None): the next join
         # exchanges by value anyway, and set-op consumers re-partition
         # lazily — join chains never pay for a partition nobody reads.
@@ -506,7 +404,7 @@ class ShardedExecContext:
         base = self._check_partition(self._repartition(base, 0), "fixpoint base")
         const_local = spec.right_local if side == RIGHT else spec.left_local
         varying_local = spec.left_local if side == RIGHT else spec.right_local
-        const_cols = self._operand_cols(base, const_local)
+        const_keys = self._select(base.shards, const_local)
         # Both operands enter each round partitioned on 0 (the frontier
         # canonically, the constant via base); pick the join key once.
         cond, _ = choose_shard_key(spec, 0, 0)
@@ -515,48 +413,34 @@ class ShardedExecContext:
             if side == RIGHT:
                 # Broadcast: the varying left stays sharded, the
                 # constant right is gathered once.
-                const_gathered = np.concatenate(const_cols)
+                const_gathered = np.concatenate(const_keys)
         else:
             const_key = cond.right.index - 3 if side == RIGHT else cond.left.index
             if cond.on_data or const_key != 0:
-                const_cols = self._exchange_cols(const_cols, const_key, cond.on_data)
+                const_keys = self._exchange(const_keys, const_key, cond.on_data)
         # Both the broadcast-retained left operand (varying for a right
         # star, constant for a left one) and the accumulator sit on
         # position 0, so that is the left_part the output derives from.
         out_part = shard_output_partition(spec, cond, 0)
         mem = self.mem
+        join = partial(_merge_join, cs, spec, mem=mem)
         accs = [_Accumulator(shard, mem) for shard in base.shards]
         frontier = base
         while frontier.total:
-            vcols = self._operand_cols(frontier, varying_local)
-            rows = frontier.total + base.total
+            vkeys = self._select(frontier.shards, varying_local)
             if cond is not None:
                 vkey = cond.left.index if side == RIGHT else cond.right.index - 3
                 if cond.on_data or vkey != 0:
-                    vcols = self._exchange_cols(vcols, vkey, cond.on_data)
-                if side == RIGHT:
-                    pieces = self._map(
-                        lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem),
-                        vcols, const_cols, rows=rows,
-                    )
-                else:
-                    pieces = self._map(
-                        lambda lc, rc: _merge_join(cs, spec, lc, rc, mem=mem),
-                        const_cols, vcols, rows=rows,
-                    )
+                    vkeys = self._exchange(vkeys, vkey, cond.on_data)
+                pairs = zip(vkeys, const_keys) if side == RIGHT else zip(const_keys, vkeys)
+                pieces = [join(lk, rk) for lk, rk in pairs]
             elif side == RIGHT:
-                pieces = self._map(
-                    lambda lc: _merge_join(cs, spec, lc, const_gathered, mem=mem),
-                    vcols, rows=rows,
-                )
+                pieces = [join(lk, const_gathered) for lk in vkeys]
             else:
                 # Left star, no cross equality: the constant left stays
                 # sharded, the varying right is gathered per round.
-                vall = np.concatenate(vcols)
-                pieces = self._map(
-                    lambda lc: _merge_join(cs, spec, lc, vall, mem=mem),
-                    const_cols, rows=rows,
-                )
+                vall = np.concatenate(vkeys)
+                pieces = [join(lk, vall) for lk in const_keys]
             produced = (
                 ShardedKeys(pieces, 0)
                 if out_part == 0
@@ -564,8 +448,7 @@ class ShardedExecContext:
             )
             # Shard-wise too the frontier is sorted and disjoint from the
             # accumulator: merged in, not sorted in.
-            fresh = self._map(_absorb, accs, produced.shards, rows=produced.total)
-            frontier = ShardedKeys(fresh, 0)
+            frontier = ShardedKeys(list(map(_absorb, accs, produced.shards)), 0)
         return ShardedKeys([mem.settle(acc.buf, acc.size) for acc in accs], 0)
 
     def _reach_star(self, op: ReachStarOp) -> ShardedKeys:
@@ -580,21 +463,6 @@ class ShardedExecContext:
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
         return self._fixpoint(spec, base, RIGHT)
 
-    # -- the universal relation ----------------------------------------- #
-
-    def _universe(self) -> ShardedKeys:
-        active = self.ss.active_codes()
-        if len(active) > self.max_universe_objects:
-            raise EvaluationBudgetError(
-                f"universal relation over {len(active)} objects would hold "
-                f"{len(active) ** 3} triples (limit {self.max_universe_objects} objects); "
-                "raise max_universe_objects to proceed"
-            )
-        n = self.cs.radix
-        pairs = (active[:, None] * n + active[None, :]).reshape(-1)
-        keys = (pairs[:, None] * n + active[None, :]).reshape(-1)
-        return ShardedKeys(self.ss.partition(keys, 0), 0)
-
 
 # --------------------------------------------------------------------- #
 # The engine
@@ -604,50 +472,27 @@ class ShardedExecContext:
 class ShardedEngine(PlanEngine):
     """Hash-sharded columnar executor — same plans, shard-wise runtime.
 
+    Stored relations are partitioned on the subject: joins keyed on it
+    run co-partitioned, with no exchange pass.
+
     Parameters
     ----------
     max_universe_objects:
         See :class:`~repro.core.engines.base.Engine`.
     shards:
         Number of hash shards (:data:`DEFAULT_SHARDS` by default).
-    key_pos:
-        The triple position stored relations are partitioned on
-        (0 = subject by default).  Joins whose key matches it run
-        co-partitioned with no exchange pass.
     """
 
     backend = "sharded"
 
-    def __init__(
-        self,
-        max_universe_objects: int = 400,
-        shards: int = DEFAULT_SHARDS,
-        key_pos: int = 0,
-    ) -> None:
+    def __init__(self, max_universe_objects: int = 400, shards: int = DEFAULT_SHARDS) -> None:
         super().__init__(max_universe_objects)
         if shards < 1:
             raise ReproError(f"shard count must be >= 1, got {shards}")
-        if key_pos not in (0, 1, 2):
-            raise ReproError(
-                f"partition key position must be 0, 1 or 2, got {key_pos}"
-            )
         self.shards = int(shards)
-        self.key_pos = key_pos
 
     def context(self, store: Triplestore) -> ShardedExecContext:
-        return ShardedExecContext(
-            store,
-            self.max_universe_objects,
-            shards=self.shards,
-            key_pos=self.key_pos,
-            pool=self._shard_pool(),
-        )
-
-    def _shard_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The shared shard pool (None when parallelism cannot help)."""
-        if self.shards <= 1:
-            return None
-        return _shared_pool()
+        return ShardedExecContext(store, self.max_universe_objects, shards=self.shards)
 
     def execute_plan_keys(self, plan: PlanOp, store: Triplestore):
         """Run a compiled plan, returning ``(columnar view, packed keys)``.

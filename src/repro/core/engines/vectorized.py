@@ -115,7 +115,9 @@ class MappedArrays:
     def __init__(self) -> None:
         self.live = self.high_water = 0
         self._held: dict[int, int] = {}
-        self._lock = threading.RLock()  # sharded workers share a context
+        # A mapping's finalizer counts it on whichever thread drops its
+        # last view, which need not be the thread that holds the context.
+        self._lock = threading.RLock()
 
     def empty(self, count: int, capacity: Optional[int] = None) -> np.ndarray:
         """An array of ``capacity`` (default ``count``) items, the first
@@ -265,9 +267,8 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray, mem: MappedArrays) -> np.nda
 # --------------------------------------------------------------------- #
 # Operands and blocks
 #
-# A join operand is a 1-D packed-key array — a base relation's stored keys
-# or an intermediate result alike — or, only in the sharded exchange, an
-# ``(N, 3)`` code-column block.  Packed keys are never unpacked whole: the
+# A join operand is a packed-key array — a base relation's stored keys or
+# an intermediate result alike.  Packed keys are never unpacked whole: the
 # kernel walks an operand a row block at a time and reads the columns it
 # needs.
 # --------------------------------------------------------------------- #
@@ -283,28 +284,21 @@ _ROW_BLOCK = 1 << 14
 _PAIR_BLOCK = 1 << 15
 
 
-def _column(cs: ColumnarStore, rows: np.ndarray, pos: int) -> np.ndarray:
-    """Code column ``pos`` of an operand (block) in either layout."""
-    return cs.column(rows, pos) if rows.ndim == 1 else rows[:, pos]
-
-
 def _gather(
     cs: ColumnarStore, rows: np.ndarray, at, positions: list[int]
 ) -> dict[int, np.ndarray]:
     """Code columns of the operand rows ``at`` (an index array or a
     slice), keyed by the join positions that read them (0..2 on the left
     operand, 3..5 on the right)."""
-    if rows.ndim == 1:
-        picked = rows[at]
-        return {pos: cs.column(picked, pos % 3) for pos in positions}
-    return {pos: rows[:, pos % 3][at] for pos in positions}
+    picked = rows[at]
+    return {pos: cs.column(picked, pos % 3) for pos in positions}
 
 
 def _operand_path(
     cs: ColumnarStore, rows: np.ndarray, key: tuple[KeyPart, ...], presorted: bool, mem: MappedArrays
 ) -> AccessPath:
     """The access path of a join operand, built for this join — the key
-    column of a packed operand, when the path needs one, filled a row
+    column of a large operand, when the path needs one, filled a row
     block at a time."""
 
     def column() -> np.ndarray:
@@ -313,8 +307,7 @@ def _operand_path(
             out[lo : lo + _ROW_BLOCK] = cs.key_column(rows[lo : lo + _ROW_BLOCK], key)
         return out
 
-    packed = rows.ndim == 1 and len(rows) > _ROW_BLOCK
-    return cs.build_path(rows, key, presorted, column if packed else None)
+    return cs.build_path(rows, key, presorted, column if len(rows) > _ROW_BLOCK else None)
 
 
 # --------------------------------------------------------------------- #
@@ -355,7 +348,7 @@ def _resolve_local(cs: ColumnarStore, cond: Cond, term, rows: np.ndarray):
         return cs.dv_code_of(term.value) if cond.on_data else cs.code_of(term.value)
     if isinstance(term, Param):
         raise UnboundParameterError(term.name)
-    col = _column(cs, rows, term.index % 3)
+    col = cs.column(rows, term.index % 3)
     return cs.dv_codes[col] if cond.on_data else col
 
 
@@ -443,7 +436,7 @@ def _pair_blocks(
             lo = np.zeros(len(block), dtype=np.int64)
             counts = np.full(len(block), n_build, dtype=np.int64)
         elif path.offsets is not None:
-            code = _column(cs, block, key[0][0])
+            code = cs.column(block, key[0][0])
             lo, hi = path.offsets[code], path.offsets[code + 1]
             counts = (hi - lo).astype(np.int64)
             del code, hi
@@ -505,15 +498,15 @@ def _merge_join(
 ) -> np.ndarray:
     """Join two pre-filtered operands; packed-key output.
 
-    The one join of the columnar backends.  Each operand is a 1-D
-    packed-key array (an ``(N, 3)`` code-column block only in the sharded
-    exchange).  The ``build_side`` operand is indexed on its half of the
-    equi-join key and probed with the other; ``path`` is the build
-    operand's access path when the caller already holds one (a base
-    relation's, from the store; a fixpoint's constant operand, built once
-    outside the loop), otherwise it is built here.  Without cross equalities the join is the
-    operand's own projection when nothing links the two sides, and the
-    cartesian product the algebra demands otherwise.
+    The one join of the columnar backends.  Each operand is a packed-key
+    array, in any order (an exchanged shard is not sorted).  The
+    ``build_side`` operand is indexed on its half of the equi-join key
+    and probed with the other; ``path`` is the build operand's access
+    path when the caller already holds one (a base relation's, from the
+    store; a fixpoint's constant operand, built once outside the loop),
+    otherwise it is built here.  Without cross equalities the join is
+    the operand's own projection when nothing links the two sides, and
+    the cartesian product the algebra demands otherwise.
 
     Whatever the shape, the work arrives as blocks of (left row, right
     row) index pairs, and each block is finished before the next is
@@ -548,9 +541,8 @@ def _merge_join(
         blocks = ((li, ri) for ri, li in _pair_blocks(cs, path, rkey, rrows, n_left))
     i, j, k = spec.out
     n = cs.radix
-    # Output positions 1–2 that are a packed operand's: its keys' leading digits.
+    # Output positions 1–2 that are one operand's: its keys' leading digits.
     lead = {(0, 1): lrows, (3, 4): rrows}.get((i, j))
-    lead = lead if lead is not None and lead.ndim == 1 else None
     # The positions read: the output's and the pair conditions'.
     reads = {*spec.out, *(t.index for c in pairwise for t in (c.left, c.right))}
     if lead is not None and not pairwise:
@@ -685,6 +677,33 @@ def _reach_dense_emit(cs: ColumnarStore, keys: np.ndarray) -> np.ndarray:
     return sorted_unique(keys[row_idx] - objects[row_idx] + nodes[target_local])
 
 
+def lookup_keys(cs: ColumnarStore, op: IndexLookupOp, mem: MappedArrays) -> np.ndarray:
+    """An :class:`~repro.core.plan.IndexLookupOp`'s sorted unique keys: a
+    slice of its relation's path (whose rows ascend), the residual
+    evaluated on that slice only."""
+    needle = cs.key_of([cs.code_of(value) for value in op.bound_key()])
+    keys = cs.relation_keys(op.name)[cs.access_path(op.name, op.positions).rows(needle)]
+    if op.residual:
+        keys = _where(keys, partial(_local_mask, cs, op.residual), mem)
+    return keys
+
+
+def universe_keys(cs: ColumnarStore, max_objects: int) -> np.ndarray:
+    """The universal relation over the active domain, as sorted unique
+    packed keys; :class:`~repro.errors.EvaluationBudgetError` past
+    ``max_objects`` objects."""
+    active = cs.active_codes()
+    if len(active) > max_objects:
+        raise EvaluationBudgetError(
+            f"universal relation over {len(active)} objects would hold "
+            f"{len(active) ** 3} triples (limit {max_objects} objects); "
+            "raise max_universe_objects to proceed"
+        )
+    n = cs.radix
+    pairs = (active[:, None] * n + active[None, :]).reshape(-1)
+    return (pairs[:, None] * n + active[None, :]).reshape(-1)
+
+
 # --------------------------------------------------------------------- #
 # Execution context
 # --------------------------------------------------------------------- #
@@ -728,7 +747,7 @@ class VectorExecContext:
         if isinstance(op, ScanOp):
             return self.cs.relation_keys(op.name)
         if isinstance(op, IndexLookupOp):
-            return self._index_lookup(op)
+            return lookup_keys(self.cs, op, self.mem)
         if isinstance(op, FilterOp):
             return self._filter(op)
         if isinstance(op, UnionOp):
@@ -746,20 +765,10 @@ class VectorExecContext:
         if isinstance(op, EmptyOp):
             return _EMPTY
         if isinstance(op, UniverseOp):
-            return self._universe()
+            return universe_keys(self.cs, self.max_universe_objects)
         raise NotImplementedError(  # pragma: no cover — all ops covered
             f"no columnar execution for {type(op).__name__}"
         )
-
-    def _index_lookup(self, op: IndexLookupOp) -> np.ndarray:
-        cs = self.cs
-        needle = cs.key_of([cs.code_of(value) for value in op.bound_key()])
-        rows = cs.access_path(op.name, op.positions).rows(needle)
-        keys = cs.relation_keys(op.name)[rows]
-        if op.residual:
-            # Evaluated on the looked-up rows only.
-            keys = self._select(keys, op.residual)
-        return keys
 
     def _filter(self, op: FilterOp) -> np.ndarray:
         return self._select(self.run(op.child), op.conditions)
@@ -844,21 +853,6 @@ class VectorExecContext:
         # verbatim — rounds are bounded by the graph diameter.
         spec = _REACH_SPEC_SAME if op.same_label else _REACH_SPEC_ANY
         return self._fixpoint(spec, RIGHT, base)
-
-    # -- the universal relation ----------------------------------------- #
-
-    def _universe(self) -> np.ndarray:
-        cs = self.cs
-        active = cs.active_codes()
-        if len(active) > self.max_universe_objects:
-            raise EvaluationBudgetError(
-                f"universal relation over {len(active)} objects would hold "
-                f"{len(active) ** 3} triples (limit {self.max_universe_objects} objects); "
-                "raise max_universe_objects to proceed"
-            )
-        n = cs.radix
-        pairs = (active[:, None] * n + active[None, :]).reshape(-1)
-        return (pairs[:, None] * n + active[None, :]).reshape(-1)
 
 
 # --------------------------------------------------------------------- #

@@ -101,12 +101,12 @@ class _LRU:
     can follow whatever it is derived from.  :meth:`evict` drops the
     entries a caller knows can never be hit again.
 
-    The sharded backend runs thread-pool tasks against a shared
-    ``Database``, so get/insert/evict hold a lock; the ``compute``
-    callback runs *outside* it (a racing pair may both compute — the
-    first insert wins, which is harmless for our pure computations, and
-    the loser's value is never weighed — but no lock is ever held across
-    planning or execution).
+    Threads share a ``Database`` (the service's handler and worker
+    threads, any caller's own), so get/insert/evict hold a lock; the
+    ``compute`` callback runs *outside* it (a racing pair may both
+    compute — the first insert wins, which is harmless for our pure
+    computations, and the loser's value is never weighed — but no lock
+    is ever held across planning or execution).
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_budget", "_data", "_weight", "_lock")
@@ -261,10 +261,11 @@ class Database:
         means :data:`~repro.core.engines.sharded.DEFAULT_SHARDS`).
         Invalid with any other backend.
     executor:
-        ``None`` or ``"thread"``, the sharded backend's only shard
-        executor; kept so existing callers keep working, and slated for
-        removal.  Any other value raises: the process shard executor was
-        removed in 3.0.0.  Invalid with any other backend.
+        ``None`` or ``"thread"``: either way the sharded backend runs its
+        shards one after another on the calling thread.  Kept so existing
+        callers keep working, and slated for removal.  Any other value
+        raises: the process shard executor was removed in 3.0.0.  Invalid
+        with any other backend.
     cache_size:
         Max entries in each of the plan, result and auxiliary LRU caches;
         0 disables caching.  The result cache is also bounded in rows:
@@ -315,8 +316,8 @@ class Database:
         if executor not in (None, "thread"):
             raise ReproError(
                 f"executor={executor!r}: the process shard executor was "
-                "removed in 3.0.0; the sharded backend runs its shard tasks "
-                "on threads (pass executor='thread' or leave it out)"
+                "removed in 3.0.0; the sharded backend runs its shards on the "
+                "calling thread (pass executor='thread' or leave it out)"
             )
         if executor is not None and backend != "sharded":
             raise ReproError(

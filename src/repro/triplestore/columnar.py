@@ -677,20 +677,18 @@ class ColumnarStore:
     def key_column(self, rows: np.ndarray, key: tuple[KeyPart, ...]) -> np.ndarray:
         """The composite int64 key of each of ``rows`` on ``key``.
 
-        ``rows`` is an ``(N, 3)`` code-column block or a 1-D packed-key
-        array, of which only the columns ``key`` names are unpacked — and
-        none for a θ key on positions 1, 1–2 or 1–3, which is the packed
-        key's own leading digits.  Components fold radix by radix (``n``
-        for θ, the data-value count for η), so equal keys mean equal
-        components on any two operands of this store; the caller keeps
-        the key's range inside int64.
+        ``rows`` is a packed-key array, of which only the columns ``key``
+        names are unpacked — and none for a θ key on positions 1, 1–2 or
+        1–3, which is the packed key's own leading digits.  Components
+        fold radix by radix (``n`` for θ, the data-value count for η), so
+        equal keys mean equal components on any two operands of this
+        store; the caller keeps the key's range inside int64.
         """
-        packed = rows.ndim == 1
-        if packed and key == _THETA_PREFIX[: len(key)]:
+        if key == _THETA_PREFIX[: len(key)]:
             return rows // self.radix ** (3 - len(key))
         out = None
         for pos, on_data in key:
-            part = self.column(rows, pos) if packed else rows[:, pos]
+            part = self.column(rows, pos)
             if on_data:
                 part = self.dv_codes[part]
             radix = max(self.n_data_values, 1) if on_data else self.radix
@@ -717,9 +715,9 @@ class ColumnarStore:
     ) -> AccessPath:
         """Group ``rows`` by ``key`` (see :class:`AccessPath`).
 
-        ``rows`` is whatever :meth:`key_column` reads; ``column`` makes
-        that key column as an array the path may keep and sort in place,
-        when the caller wants it made otherwise.  ``presorted`` says the
+        ``rows`` is packed keys, as :meth:`key_column` reads; ``column``
+        makes that key column as an array the path may keep and sort in
+        place, when the caller wants it made otherwise.  ``presorted`` says the
         rows are in packed-key order, as every relation and operator
         result is; a θ key on position 1 or one of its prefixes then
         needs no permutation, and unless it is addressed by code, no key
@@ -728,7 +726,7 @@ class ColumnarStore:
         in_order = presorted and key == _THETA_PREFIX[: len(key)]
         theta = not any(on_data for _, on_data in key)
         by_code = theta and len(key) == 1 and self.n <= _OFFSETS_MAX_FANOUT * len(rows)
-        if in_order and not by_code and rows.ndim == 1:
+        if in_order and not by_code:
             return AccessPath(None, None, rows, self.radix ** (3 - len(key)))
         owned = column is not None
         column = column() if owned else self.key_column(rows, key)

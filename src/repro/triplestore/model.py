@@ -464,19 +464,18 @@ class Triplestore:
             self._columnar = ColumnarStore(self)
         return self._columnar
 
-    def sharded(self, shards: int, key_pos: int = 0) -> "ShardedColumnarStore":
-        """A hash-partitioned view of the columnar encoding, built lazily.
+    def sharded(self, shards: int) -> "ShardedColumnarStore":
+        """A subject-partitioned view of the columnar encoding, built lazily.
 
         Shares the dictionary encoding of :meth:`columnar` (codes are
-        comparable across shards) and is cached per ``(shards, key_pos)``
-        like every other derived view of the immutable store.
+        comparable across shards) and is cached per shard count like
+        every other derived view of the immutable store.
         """
-        cached = self._sharded.get((shards, key_pos))
+        cached = self._sharded.get(shards)
         if cached is None:
             from repro.triplestore.sharded import ShardedColumnarStore
 
-            cached = ShardedColumnarStore(self.columnar(), shards, key_pos)
-            self._sharded[(shards, key_pos)] = cached
+            cached = self._sharded[shards] = ShardedColumnarStore(self.columnar(), shards)
         return cached
 
     # ------------------------------------------------------------------ #

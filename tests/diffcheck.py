@@ -26,7 +26,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 from unittest import mock
@@ -41,7 +40,7 @@ from repro.core import (  # noqa: E402
     VectorEngine,
 )
 from repro.core.conditions import Cond  # noqa: E402
-from repro.core.engines import sharded, vectorized  # noqa: E402
+from repro.core.engines import vectorized  # noqa: E402
 from repro.core.expressions import (  # noqa: E402
     Diff,
     Expr,
@@ -128,36 +127,13 @@ class Patched:
             return self.engine.evaluate(expr, store)
 
 
-class PoolDispatch:
-    """A sharded engine run with every shard task on a thread pool.
-
-    Around each evaluation ``SHARD_DISPATCH_MIN`` is patched to 0 and
-    ``_shared_pool()`` to a two-thread pool of its own, so the
-    ``pool.map`` branch of ``ShardedExecContext._map`` runs on these tiny
-    stores — on a single-core runner too, where the engine would
-    otherwise run every task inline.
-    """
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def evaluate(self, expr: Expr, store: Triplestore):
-        with ThreadPoolExecutor(max_workers=2) as pool, mock.patch.multiple(
-            sharded, SHARD_DISPATCH_MIN=0, _shared_pool=lambda: pool
-        ):
-            return self.engine.evaluate(expr, store)
-
-
 def default_engines() -> dict[str, object]:
     """The engine matrix under test: oracle + set/columnar/sharded plan engines.
 
     The sharded engine runs with three shards (uneven splits over the
-    six-object pool exercise empty and skewed shards), once with the
-    partition key on the object position (so repartition joins and
-    co-partitioned joins both appear), and once with every shard task
-    dispatched to a thread pool (:class:`PoolDispatch`) — the stores
-    here are far below the dispatch threshold, so without it the pool
-    branch would never run.  The ``vector-blocks`` axis runs the
+    six-object pool exercise empty and skewed shards); its
+    subject-partitioned scans meet both co-partitioned and repartition
+    joins in the random expressions.  The ``vector-blocks`` axis runs the
     vectorised and the sharded engine once more with the kernel's block
     sizes patched tiny (:data:`TINY_BLOCKS`), and the ``vector-sparse``
     axis once more with the dense reachability guard patched to 0
@@ -170,8 +146,6 @@ def default_engines() -> dict[str, object]:
         "fast": FastEngine(),
         "vector": VectorEngine(),
         "sharded": ShardedEngine(shards=3),
-        "sharded-obj": ShardedEngine(shards=2, key_pos=2),
-        "sharded-pool": PoolDispatch(ShardedEngine(shards=3)),
         "vector-blocks": Patched(VectorEngine(), TINY_BLOCKS),
         "sharded-blocks": Patched(ShardedEngine(shards=3), TINY_BLOCKS),
         "vector-sparse": Patched(VectorEngine(), SPARSE_REACH),
@@ -549,12 +523,11 @@ def repro_snippet(
     rho = {k: store.rho(k) for k in sorted(store.objects, key=repr)}
     lines = [
         f"# differential-testing failure: {case_id}",
-        "from concurrent.futures import ThreadPoolExecutor",
         "from unittest import mock",
         "",
         "from repro.core import (FastEngine, HashJoinEngine, NaiveEngine,",
         "                        ShardedEngine, VectorEngine)",
-        "from repro.core.engines import sharded, vectorized",
+        "from repro.core.engines import vectorized",
         "from repro.core.optimizer import optimize",
         "from repro.core.parser import parse",
         "from repro.triplestore.model import Triplestore",
@@ -564,17 +537,10 @@ def repro_snippet(
         "spelled = lambda rows: sorted(map(repr, rows))  # 1 and True differ",
         "expected = spelled(NaiveEngine().evaluate(expr, store))",
         "for engine in (NaiveEngine(), HashJoinEngine(), FastEngine(), VectorEngine(),",
-        "               ShardedEngine(shards=3), ShardedEngine(shards=2, key_pos=2)):",
+        "               ShardedEngine(shards=3)):",
         "    assert spelled(engine.evaluate(expr, store)) == expected, type(engine).__name__",
         "    assert spelled(engine.evaluate(optimize(expr), store)) == expected, \\",
         "        f'{type(engine).__name__}+opt'",
-        "",
-        "# the sharded-pool axis: every shard task through a thread pool",
-        "with ThreadPoolExecutor(max_workers=2) as pool, mock.patch.multiple(",
-        "        sharded, SHARD_DISPATCH_MIN=0, _shared_pool=lambda: pool):",
-        "    engine = ShardedEngine(shards=3)",
-        "    assert spelled(engine.evaluate(expr, store)) == expected, 'sharded-pool'",
-        "    assert spelled(engine.evaluate(optimize(expr), store)) == expected, 'sharded-pool+opt'",
         "",
         "# the vector-blocks axis: the columnar kernel with tiny blocks",
         f"with mock.patch.multiple(vectorized, **{TINY_BLOCKS!r}):",

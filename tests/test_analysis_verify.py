@@ -247,7 +247,7 @@ def test_runtime_partition_check(store):
     """A stale partition claim is caught at execution time."""
     from repro.core.engines.sharded import ShardedExecContext, ShardedKeys
 
-    ctx = ShardedExecContext(store, shards=3, key_pos=0)
+    ctx = ShardedExecContext(store, shards=3)
     good = ShardedKeys(list(ctx.ss.relation_shards("R")), 0)
     assert ctx._check_partition(good, "set-op") is good
     # The same shards claiming a partition on position 2: rows in shard
@@ -267,7 +267,7 @@ def test_verify_plan_one_verdict_for_every_engine(store):
     from repro.core.engines.sharded import ShardedEngine
     from repro.core.engines.vectorized import VectorEngine
 
-    engines = (FastEngine(), VectorEngine(), ShardedEngine(shards=3, key_pos=2))
+    engines = (FastEngine(), VectorEngine(), ShardedEngine(shards=3))
     for engine in engines:
         plan = engine.compile(JOIN, store)
         assert verify_plan(plan, expr=JOIN) == ()

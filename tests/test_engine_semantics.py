@@ -288,7 +288,7 @@ class TestOnePlanEngine:
             HashJoinEngine(),
             FastEngine(),
             VectorEngine(),
-            ShardedEngine(shards=2, key_pos=2),
+            ShardedEngine(shards=2),
         ],
         ids=lambda e: type(e).__name__,
     )
@@ -304,8 +304,8 @@ class TestOnePlanEngine:
     @given(seed=st.integers(0, 2**32 - 1), with_store=st.booleans())
     def test_every_engine_compiles_the_same_plan(self, seed, with_store):
         """One expression, one physical plan: the set, columnar and
-        sharded engines (either partition key) render identical plans —
-        no dense/sparse hint, no shard strategy, nothing per backend."""
+        sharded engines render identical plans — no dense/sparse hint,
+        no shard strategy, nothing per backend."""
         rng = random.Random(seed)
         store = random_triplestore(rng) if with_store else None
         expr = random_expression(rng, max_depth=3, relations=("E", "F"))
@@ -313,7 +313,6 @@ class TestOnePlanEngine:
             FastEngine(),
             VectorEngine(),
             ShardedEngine(shards=3),
-            ShardedEngine(shards=2, key_pos=2),
         )
         rendered = {engine.compile(expr, store).pretty() for engine in engines}
         assert len(rendered) == 1, "\n\n".join(sorted(rendered))

@@ -10,8 +10,9 @@ oracle across block boundaries, counted work and traced bytes:
 (a) *tiny blocks* — with the constants patched to 3 rows / 4 pairs (and
     1 / 1) every join shape and every fixpoint agrees with
     ``NaiveEngine`` on ``VectorEngine`` and ``ShardedEngine(shards=3)``,
-    and the kernel agrees with the set backend's join in both operand
-    layouts and on both build sides;
+    and the kernel agrees with the set backend's join on sorted and on
+    shuffled operands (what a sharded exchange makes), on both build
+    sides;
 (b) *property* — the disjoint merge is the sorted union;
 (c) *spies* — after round 1 a star sorts nothing as long as its
     accumulator, the sharded round never calls ``_union_sorted``;
@@ -149,7 +150,7 @@ def test_every_join_shape_and_fixpoint_agrees_across_block_boundaries(
 
     def spied_pair_blocks(cs, path, key, probe, n_build):
         shape = "cartesian" if path is None else "offsets" if path.offsets is not None else "keys"
-        seen.add((shape, "packed" if probe.ndim == 1 else "columns"))
+        seen.add((shape, "sorted" if np.all(probe[1:] > probe[:-1]) else "shuffled"))
         for li, ri in pair_blocks(cs, path, key, probe, n_build):
             assert len(li) == len(ri) <= blocks[1]
             yield li, ri
@@ -163,10 +164,10 @@ def test_every_join_shape_and_fixpoint_agrees_across_block_boundaries(
             seen.update(op.build_side for op in find(plan, HashJoinOp))
             assert engine.execute_plan(plan, store) == expected, (name, text)
     # The list reaches what it says it reaches.
-    assert {LEFT, RIGHT, ("cartesian", "columns"), ("cartesian", "packed")} <= seen
+    assert {LEFT, RIGHT, ("cartesian", "sorted")} <= seen
     if patch is None:
         assert {
-            (shape, layout) for shape in ("offsets", "keys") for layout in ("columns", "packed")
+            (shape, layout) for shape in ("offsets", "keys") for layout in ("sorted", "shuffled")
         } <= seen
 
 
@@ -187,24 +188,23 @@ KERNEL_SPECS = [
 
 @pytest.mark.parametrize("blocks", TINY + [None], ids=str)
 @pytest.mark.parametrize("build_side", [LEFT, RIGHT])
-@pytest.mark.parametrize("layouts", list(itertools.product(("columns", "packed"), repeat=2)), ids="-".join)
-def test_kernel_agrees_with_the_set_join_in_both_layouts(monkeypatch, blocks, build_side, layouts):
-    """An operand is an (N, 3) column block — in any row order, as after a
-    sharded exchange — or a sorted packed-key array; either side builds."""
+@pytest.mark.parametrize("orders", list(itertools.product(("shuffled", "sorted"), repeat=2)), ids="-".join)
+def test_kernel_agrees_with_the_set_join_in_any_row_order(monkeypatch, blocks, build_side, orders):
+    """An operand is packed keys, sorted or in any row order (as after a
+    sharded exchange); either side builds."""
     if blocks is not None:
         patch_blocks(monkeypatch, *blocks)
     store = small_store()
     cs = store.columnar()
 
-    def operand(name, layout):
-        if layout == "packed":
-            return cs.relation_keys(name)
-        return cs.unpack(cs.relation_keys(name))[::-1]
+    def operand(name, order):
+        keys = cs.relation_keys(name)
+        return keys if order == "sorted" else keys[::-1]
 
     for text in KERNEL_SPECS:
         spec = spec_of(text)
         keys = _merge_join(
-            cs, spec, operand("E", layouts[0]), operand("F", layouts[1]), build_side
+            cs, spec, operand("E", orders[0]), operand("F", orders[1]), build_side
         )
         assert np.array_equal(keys, sorted_unique(keys)) and keys.dtype == np.int64
         expected = spec.execute(store.relation("E"), store.relation("F"), store.rho)
@@ -230,7 +230,7 @@ def test_held_output_is_folded_when_a_projection_collapses(monkeypatch):
         return out
 
     with mock.patch.object(vectorized, "_fold", spied):
-        keys = _merge_join(cs, spec, cs.unpack(cs.relation_keys("E")), cs.relation_keys("F"))
+        keys = _merge_join(cs, spec, cs.relation_keys("E"), cs.relation_keys("F"))
     expected = spec.execute(store.relation("E"), store.relation("F"), store.rho)
     assert cs.decode_triples(keys) == expected
     n_pairs = len(store.relation("E")) * len(store.relation("F"))
@@ -517,7 +517,7 @@ def test_an_intermediate_operand_is_never_unpacked_more_than_a_block_at_a_time(
 
 
     def packed(*operands):
-        return max((len(o) for o in operands if o.ndim == 1), default=0)
+        return max(map(len, operands), default=0)
 
     with Spy(ColumnarStore, "unpack") as unpack, Spy(
         ColumnarStore, "column", lambda self, keys, pos: len(keys)

@@ -2,13 +2,15 @@
 calls.
 
 Every query context owns its :class:`~repro.core.engines.vectorized.MappedArrays`
-and its accumulators; the sharded backend's shard tasks share their
-context's, on the shared shard pool.  Eight threads run the paper's
+and its accumulators, and the sharded backend runs a context's shards
+on the thread that runs the query.  Eight threads run the paper's
 Example 3 and a two-step join at once — through one columnar
-``Database`` and through one sharded ``Database`` on its thread
-executor — each call with a fresh nonce, so none is answered from the
-result cache, and every answer must equal the serial run's.  CI runs
-this file five times in a row.
+``Database`` and through one sharded ``Database`` — each call with a
+fresh nonce, so none is answered from the result cache, and every
+answer must equal the serial run's.  A mapping is counted back out by
+its finalizer on whichever thread drops its last view, so one
+:class:`MappedArrays` is counted from several threads; the count must
+lose no update.  CI runs this file five times in a row.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def network():
 
 
 @pytest.mark.parametrize(
-    "options", [{}, {"backend": "sharded", "executor": "thread"}], ids=["columnar", "sharded-thread"]
+    "options", [{}, {"backend": "sharded"}], ids=["columnar", "sharded"]
 )
 def test_eight_threads_answer_as_the_serial_run(network, options):
     store, label = network
@@ -75,11 +77,12 @@ def test_eight_threads_answer_as_the_serial_run(network, options):
 
 
 def test_a_shared_count_loses_no_update():
-    """Sharded shard tasks count their mappings in their context's one
-    :class:`MappedArrays`: with the interpreter switching threads as
-    often as it can, eight threads that each trim and regrow their own
-    mapping thousands of times leave it counting exactly what they hold,
-    and once they let go, nothing."""
+    """A mapping's finalizer counts it out of its :class:`MappedArrays`
+    on whichever thread drops its last view, so one count is kept from
+    several threads: with the interpreter switching threads as often as
+    it can, eight threads that each trim and regrow their own mapping
+    thousands of times leave it counting exactly what they hold, and
+    once they let go, nothing."""
     mem, rounds, held = MappedArrays(), 3000, 2**16
     start = threading.Barrier(THREADS)
 

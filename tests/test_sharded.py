@@ -10,6 +10,8 @@ degenerate ``n = 0`` columnar store, and the facade/CLI wiring.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core import (
     NaiveEngine,
     R,
     ShardedEngine,
+    VectorEngine,
     complement,
     join,
     select,
@@ -29,6 +32,8 @@ from repro.core.engines.sharded import (
     choose_shard_key,
     shard_output_partition,
 )
+from repro.api import explain_report
+from repro.core.parser import parse
 from repro.core.plan import JoinSpec
 from repro.db import Database
 from repro.errors import (
@@ -60,6 +65,37 @@ def store() -> Triplestore:
     )
 
 
+#: Two relations with η collisions, big enough for skewed shards.
+SKEWED = random_store(60, 4000, n_relations=2, data_values=range(6), seed=3)
+
+#: Co-partitioned and repartitioned joins, an η join, set operations,
+#: selections, and both star fixpoints, over ``SKEWED``.
+SKEWED_QUERIES = [
+    "E0",
+    "select[2='o3'](E0) | select[rho(1)=rho(3)](E0)",
+    "join[1,2,3'; 1=1'](E0, E1)",
+    "join[1,3',3; 2=1'](E0, E1)",
+    "join[1,2,3'; 3=1' & rho(2)=rho(2')](E0, E1)",
+    "(E0 | E1) - select[1=3](E0)",
+    "(E0 & E0) | (E1 & E1)",
+    "star[1,2,3'; 3=1'](E0)",
+    "star[1,2,2'; 3=1' & 1!=3'](E0)",
+]
+
+#: Over 4 096 rows — where a shard thread pool once took over — yet
+#: sparse enough that every star closes in a few thousand rows.
+LARGE = random_store(20000, 4500, seed=11)
+
+#: One query per operator family that used to dispatch shard tasks.
+LARGE_QUERIES = [
+    "join[1,2,3'; 3=1'](E, E)",
+    "join[1,3',3; 2=1' & rho(2)=rho(2')](E, E)",
+    "(E - select[2=3](E)) | (E & E)",
+    "star[1,2,3'; 3=1'](E)",
+    "star[1,2,2'; 3=1' & 1!=3'](E)",
+]
+
+
 # --------------------------------------------------------------------- #
 # ShardedColumnarStore
 # --------------------------------------------------------------------- #
@@ -67,9 +103,8 @@ def store() -> Triplestore:
 
 class TestShardedStore:
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
-    @pytest.mark.parametrize("key_pos", [0, 1, 2])
-    def test_shards_partition_the_relation(self, store, k, key_pos):
-        ss = store.sharded(k, key_pos)
+    def test_shards_partition_the_relation(self, store, k):
+        ss = store.sharded(k)
         for name in store.relation_names:
             shards = ss.relation_shards(name)
             assert len(shards) == k
@@ -82,7 +117,24 @@ class TestShardedStore:
                 # Each shard sorted unique and hash-consistent.
                 if len(shard) > 1:
                     assert np.all(np.diff(shard) > 0)
-                assert np.all(ss.shard_ids(shard, key_pos) == s)
+                assert np.all(ss.shard_ids(shard, 0) == s)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_partition_splits_on_any_position(self, k, pos):
+        """Exchanges and set operations re-partition intermediates on
+        every position, not only the stored subject."""
+        ss = SKEWED.sharded(k)
+        keys = SKEWED.columnar().relation_keys("E0")
+        shards = ss.partition(keys, pos)
+        assert len(shards) == k
+        merged = np.concatenate(shards)
+        assert len(merged) == len(keys)
+        assert set(merged.tolist()) == set(keys.tolist())
+        for s, shard in enumerate(shards):
+            if len(shard) > 1:
+                assert np.all(np.diff(shard) > 0)
+            assert np.all(ss.shard_ids(shard, pos) == s)
 
     def test_shares_the_parent_dictionary_encoding(self, store):
         assert store.sharded(3).cs is store.columnar()
@@ -90,16 +142,6 @@ class TestShardedStore:
     def test_cached_per_configuration(self, store):
         assert store.sharded(3) is store.sharded(3)
         assert store.sharded(3) is not store.sharded(4)
-        assert store.sharded(3, key_pos=0) is not store.sharded(3, key_pos=2)
-
-    def test_active_codes_match_unsharded_view(self, store):
-        expected = store.columnar().active_codes()
-        actual = store.sharded(3).active_codes()
-        assert np.array_equal(actual, expected)
-
-    def test_active_codes_sorted_unique(self, store):
-        active = store.sharded(2).active_codes()
-        assert np.all(np.diff(active) > 0)
 
     def test_more_shards_than_rows(self, store):
         ss = store.sharded(64)
@@ -110,8 +152,6 @@ class TestShardedStore:
     def test_invalid_configuration_rejected(self, store):
         with pytest.raises(TriplestoreError):
             ShardedColumnarStore(store.columnar(), 0)
-        with pytest.raises(TriplestoreError):
-            ShardedColumnarStore(store.columnar(), 2, key_pos=5)
 
     def test_unknown_relation(self, store):
         with pytest.raises(UnknownRelationError):
@@ -154,12 +194,11 @@ class TestShardKeyChoice:
         cond, _ = choose_shard_key(spec, 0, 0)
         assert shard_output_partition(spec, cond, 0) is None
 
-    @pytest.mark.parametrize("key_pos", [0, 2])
-    def test_join_plans_are_the_set_plans(self, store, key_pos):
+    def test_join_plans_are_the_set_plans(self, store):
         """Left-misaligned, both-misaligned and η joins: the sharded
         engine compiles the set engine's plan and decides its exchanges
         at run time, agreeing with the oracle."""
-        engine = ShardedEngine(shards=3, key_pos=key_pos)
+        engine = ShardedEngine(shards=3)
         for conds in ("3=1'", "3=3'", "rho(3)=rho(1')"):
             expr = join(R("E"), R("E"), "1,2,3'", conds)
             plan = engine.compile(expr, store)
@@ -192,13 +231,6 @@ class TestShardedEngine:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_agrees_on_the_fixed_workload(self, store, k):
         naive, sharded = NaiveEngine(), ShardedEngine(shards=k)
-        for expr in WORKLOAD:
-            assert sharded.evaluate(expr, store) == naive.evaluate(expr, store), expr
-
-    @pytest.mark.parametrize("key_pos", [1, 2])
-    def test_agrees_with_nondefault_partition_key(self, store, key_pos):
-        naive = NaiveEngine()
-        sharded = ShardedEngine(shards=3, key_pos=key_pos)
         for expr in WORKLOAD:
             assert sharded.evaluate(expr, store) == naive.evaluate(expr, store), expr
 
@@ -261,35 +293,52 @@ class TestShardedEngine:
             diff_expr, store
         )
 
-    def test_thread_pool_branch_agrees(self, store, monkeypatch):
-        """Force the pool.map path (normally gated on input size/cores).
+    @pytest.mark.parametrize("query", LARGE_QUERIES)
+    def test_a_large_query_starts_no_thread(self, query):
+        """Shard tasks run on the calling thread: operator inputs of
+        4 096 rows and more, where a shard thread pool once took over,
+        leave the process's threads as they were."""
+        expr = parse(query)
+        assert len(LARGE) >= 4096
+        before = set(threading.enumerate())
+        got = ShardedEngine(shards=4).evaluate(expr, LARGE)
+        after = threading.enumerate()
+        assert set(after) == before
+        assert not [t.name for t in after if t.name.startswith("repro-shard")]
+        assert got == VectorEngine().evaluate(expr, LARGE)
 
-        The whole unit suite runs below the dispatch threshold, so
-        without this test a regression confined to the parallel branch
-        would only surface in benchmark output.
-        """
-        import repro.core.engines.sharded as sharded_mod
+    @pytest.mark.parametrize("k", [3, 4], ids=["3-way", "4-way"])
+    @pytest.mark.parametrize("query", SKEWED_QUERIES)
+    def test_agrees_with_columnar_on_skewed_shards(self, query, k):
+        expr = parse(query)
+        expected = VectorEngine().evaluate(expr, SKEWED)
+        assert ShardedEngine(shards=k).evaluate(expr, SKEWED) == expected
 
-        monkeypatch.setattr(sharded_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(sharded_mod, "_SHARED_POOL", None)
-        monkeypatch.setattr(sharded_mod, "SHARD_DISPATCH_MIN", 0)
-        engine = ShardedEngine(shards=4)
-        assert engine._shard_pool() is not None
-        naive, fast = NaiveEngine(), FastEngine()
-        big = random_store(40, 500, seed=17)
-        for expr in WORKLOAD:
-            assert engine.evaluate(expr, store) == naive.evaluate(expr, store), expr
-            if "F" not in expr.relation_names():
-                # FastEngine oracle on the larger store: the naive
-                # Theorem 3 fixpoints are cubic and would dominate the
-                # suite's runtime.
-                assert engine.evaluate(expr, big) == fast.evaluate(expr, big), expr
+    def test_an_unknown_relation_raises_as_itself(self):
+        with pytest.raises(UnknownRelationError):
+            ShardedEngine(shards=4).evaluate(parse("NOPE"), SKEWED)
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    @pytest.mark.parametrize("on_data", [False, True], ids=["theta", "eta"])
+    def test_exchange_rehashes_packed_keys_on_the_join_key(self, pos, on_data):
+        """An exchange sends each packed key to the shard of its
+        component at ``pos`` — its ρ-code for an η key — and loses or
+        repeats none."""
+        ctx = ShardedExecContext(SKEWED, shards=4)
+        shards = ctx.ss.relation_shards("E0")
+        out = ctx._exchange(shards, pos, on_data)
+        assert len(out) == 4
+        assert sorted(np.concatenate(out).tolist()) == sorted(
+            np.concatenate(shards).tolist()
+        )
+        for t, keys in enumerate(out):
+            comp = ctx.cs.column(keys, pos)
+            ids = (ctx.cs.dv_codes[comp] if on_data else comp) % 4
+            assert np.all(ids == t)
 
     def test_shard_count_validated(self):
         with pytest.raises(ReproError):
             ShardedEngine(shards=0)
-        with pytest.raises(ReproError):
-            ShardedEngine(shards=2, key_pos=3)
 
     def test_default_shard_count(self, store):
         assert ShardedEngine().shards == DEFAULT_SHARDS
@@ -370,6 +419,23 @@ class TestBackendWiring:
         text = str(db.explain("join[1,2,3'; 3=1'](E, E)"))
         assert "backend    : sharded(4-way, key position 1)" in text
         assert "shard=" not in text
+
+    def test_explain_names_no_executor(self, store):
+        expr = parse("join[1,2,3'; 3=1'](E, F)")
+        rendered = str(explain_report(expr, store, ShardedEngine(shards=4)))
+        assert "backend    : sharded(4-way, key position 1)" in rendered
+        assert "executor" not in rendered
+        assert "shm" not in rendered
+
+    def test_sharded_database_close_is_idempotent_and_context_managed(self):
+        calls = []
+        with Database(random_store(10, 40, seed=9), backend="sharded", shards=2) as db:
+            db.add_close_hook(calls.append)
+        assert calls == [db]
+        db.close()  # second close is a no-op
+        assert calls == [db]
+        # The session stays usable after close.
+        assert db.query("E") == Database(db.store).query("E")
 
     def test_cli_sharded_engine(self, tmp_path, capsys):
         from repro.cli import main
