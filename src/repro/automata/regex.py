@@ -11,11 +11,10 @@ Labels are bare identifiers; quoted labels ('with spaces') are allowed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import ParseError
+from repro.core.scan import NAME, Scanner
 
 
 class Regex:
@@ -98,92 +97,53 @@ class Star(Regex):
         return f"{self.inner!r}*"
 
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|'[^']*'")
-
-
-class _RegexParser:
+class _RegexParser(Scanner):
     """Recursive-descent parser: alt > concat > postfix > atom."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> Regex:
         node = self.alt()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParseError("trailing regex input", self.text, self.pos)
+        self.end("trailing regex input")
         return node
 
     def alt(self) -> Regex:
         node = self.concat()
-        while self._peek() == "+":
-            self.pos += 1
+        while self.match("+"):
             node = Alt(node, self.concat())
         return node
 
     def concat(self) -> Regex:
         node = self.postfix()
-        while True:
-            ch = self._peek()
-            if ch == ".":
-                self.pos += 1
-                node = Concat(node, self.postfix())
-            elif ch and (ch.isalnum() or ch in "('_"):
-                # juxtaposition also concatenates: "ab" == "a.b" only for
-                # single-char labels is ambiguous, so we require '.' between
-                # bare labels but allow it before '(' groups.
-                if ch == "(":
-                    node = Concat(node, self.postfix())
-                else:
-                    return node
-            else:
-                return node
+        # Juxtaposition concatenates only before a '(' group: "ab" is one
+        # label, so '.' is required between bare labels.
+        while self.match(".") or self.peek() == "(":
+            node = Concat(node, self.postfix())
+        return node
 
     def postfix(self) -> Regex:
         node = self.atom()
         while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
+            if self.match("*"):
                 node = Star(node)
-            elif ch == "-":
-                if isinstance(node, Label):
-                    self.pos += 1
-                    node = Inverse(node.label)
-                else:
-                    raise ParseError("'-' applies to labels only", self.text, self.pos)
+            elif self.peek() == "-":
+                if not isinstance(node, Label):
+                    self.error("'-' applies to labels only")
+                self.expect("-")
+                node = Inverse(node.label)
             else:
                 return node
 
     def atom(self) -> Regex:
-        self._skip()
-        if self._peek() == "(":
-            self.pos += 1
-            if self._peek() == ")":
-                self.pos += 1
+        if self.match("("):
+            if self.match(")"):
                 return Epsilon()
             node = self.alt()
-            self._skip()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.text, self.pos)
-            self.pos += 1
+            self.expect(")")
             return node
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected a label", self.text, self.pos)
-        self.pos = m.end()
-        label = m.group()
-        if label.startswith("'"):
-            label = label[1:-1]
+        label = self.quoted("'")
+        if label is None:
+            label = self.word(NAME)
+        if label is None:
+            self.error("expected a label")
         return Label(label)
 
 

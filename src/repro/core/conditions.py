@@ -18,12 +18,12 @@ A small string syntax mirrors the paper's notation::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.errors import AlgebraError, ParseError, UnboundParameterError
-from repro.core.positions import Const, Param, Pos, Term
+from repro.errors import AlgebraError, UnboundParameterError
+from repro.core.positions import PARAM, POSITION, Const, Param, Pos, Term, read_position
+from repro.core.scan import Scanner
 
 EQ = "="
 NEQ = "!="
@@ -141,65 +141,59 @@ def equalities_only(conditions: Iterable[Cond]) -> bool:
 # The string mini-language
 # --------------------------------------------------------------------- #
 
-_TERM_RE = re.compile(
-    r"""\s*(?:
-        rho\(\s*(?P<rhopos>[123]'?)\s*\)      # rho(2')
-      | (?P<pos>[123]'?)                      # 2'
-      | \$(?P<param>[A-Za-z_]\w*)             # $city — bound at execution
-      | '(?P<sq>[^']*)'                       # 'object constant'
-      | "(?P<dq>[^"]*)"
-      | (?P<num>-?\d+(?:\.\d+)?)              # numeric constant
-    )\s*""",
-    re.VERBOSE,
-)
+def _read_term(sc: Scanner) -> tuple[Term, bool] | None:
+    """One term and whether it is a ``rho(...)``; ``None`` if none starts here."""
+    if sc.match("rho("):
+        pos = Pos(read_position(sc))
+        sc.expect(")")
+        return pos, True
+    name = sc.word(POSITION)
+    if name is not None:
+        return Pos.from_paper(name), False
+    param = sc.word(PARAM)
+    if param is not None:
+        return Param(param[1:]), False
+    value = sc.quoted("'\"")
+    if value is None:
+        value = sc.number()
+    return None if value is None else (Const(value), False)
 
 
-def _parse_term(text: str, pos: int) -> tuple[Term, bool, str, int]:
-    """Parse one term; returns (term, is_rho, raw_token, next_position)."""
-    m = _TERM_RE.match(text, pos)
-    if not m:
-        raise ParseError("expected a condition term", text, pos)
-    if m.group("rhopos"):
-        return Pos.from_paper(m.group("rhopos")), True, m.group("rhopos"), m.end()
-    if m.group("pos"):
-        return Pos.from_paper(m.group("pos")), False, m.group("pos"), m.end()
-    if m.group("param"):
-        return Param(m.group("param")), False, "", m.end()
-    if m.group("sq") is not None:
-        return Const(m.group("sq")), False, "", m.end()
-    if m.group("dq") is not None:
-        return Const(m.group("dq")), False, "", m.end()
-    num = m.group("num")
-    value = float(num) if "." in num else int(num)
-    return Const(value), False, "", m.end()
-
-
-def _parse_one(text: str, pos: int) -> tuple[Cond, int]:
-    left, left_rho, left_raw, pos = _parse_term(text, pos)
-    if text.startswith("!=", pos):
-        op, pos = NEQ, pos + 2
-    elif text.startswith("=", pos):
-        op, pos = EQ, pos + 1
+def _read_cond(sc: Scanner, first: tuple[Term, bool]) -> Cond:
+    left, left_rho = first
+    if sc.match("!="):
+        op = NEQ
+    elif sc.match("="):
+        op = EQ
     else:
-        raise ParseError("expected '=' or '!='", text, pos)
-    right, right_rho, right_raw, pos = _parse_term(text, pos)
+        sc.error("expected '=' or '!='")
+    right, right_rho = _read_term(sc) or sc.error("expected a condition term")
     on_data = left_rho or right_rho
-    if on_data and isinstance(left, Pos) and isinstance(right, Pos):
+    if left_rho != right_rho and isinstance(left, Pos) and isinstance(right, Pos):
         # "rho(1) = 2" compares ρ(1) with the data constant 2, whereas
         # "rho(1) = rho(2)" compares two positions.  A bare *unprimed*
         # digit opposite a rho-term is therefore a numeric constant;
         # primed bare positions ("rho(1) = 2'") stay an error.
-        if not left_rho and not left_raw.endswith("'"):
-            left = Const(int(left_raw))
-        elif not right_rho and not right_raw.endswith("'"):
-            right = Const(int(right_raw))
-        elif not (left_rho and right_rho):
-            raise ParseError(
-                "cannot mix rho(...) and bare primed positions in one condition",
-                text,
-                pos,
-            )
-    return Cond(left, right, op, on_data), pos
+        bare = right if left_rho else left
+        if bare.is_right:
+            sc.error("cannot mix rho(...) and bare primed positions in one condition")
+        if left_rho:
+            right = Const(bare.index + 1)
+        else:
+            left = Const(bare.index + 1)
+    return Cond(left, right, op, on_data)
+
+
+def read_conditions(sc: Scanner) -> Conditions:
+    """Read a possibly empty ``&``- (or ``,``-) separated condition list."""
+    out: list[Cond] = []
+    first = _read_term(sc)
+    while first is not None:
+        out.append(_read_cond(sc, first))
+        if not (sc.match("&") or sc.match(",")):
+            break
+        first = _read_term(sc) or sc.error("expected a condition term")
+    return tuple(out)
 
 
 def parse_conditions(spec: str) -> Conditions:
@@ -210,27 +204,15 @@ def parse_conditions(spec: str) -> Conditions:
     >>> parse_conditions("")
     ()
     """
-    spec = spec.strip()
-    if not spec:
-        return ()
-    out: list[Cond] = []
-    pos = 0
-    while True:
-        cond, pos = _parse_one(spec, pos)
-        out.append(cond)
-        rest = spec[pos:].lstrip()
-        if not rest:
-            break
-        if rest.startswith("&") or rest.startswith(","):
-            pos = len(spec) - len(rest) + 1
-        else:
-            raise ParseError("expected '&' between conditions", spec, pos)
-    return tuple(out)
+    sc = Scanner(spec)
+    conds = read_conditions(sc)
+    sc.end("expected '&' between conditions")
+    return conds
 
 
 def as_conditions(conds: str | Iterable[Cond] | None) -> Conditions:
     """Coerce user input (string, iterable, or ``None``) to conditions."""
-    if conds is None:
+    if not conds:
         return ()
     if isinstance(conds, str):
         return parse_conditions(conds)

@@ -26,10 +26,8 @@ expression yields an equal expression (tested property).
 
 from __future__ import annotations
 
-import re
-
-from repro.errors import ParseError
-from repro.core.conditions import parse_conditions
+from repro.core.builder import complement
+from repro.core.conditions import Conditions, read_conditions
 from repro.core.expressions import (
     Diff,
     Expr,
@@ -41,137 +39,75 @@ from repro.core.expressions import (
     Union,
     Universe,
 )
-from repro.core.builder import complement
-from repro.core.positions import parse_out_spec
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_KEYWORDS = {"select", "join", "star", "lstar", "compl", "U"}
+from repro.core.positions import read_out_spec
+from repro.core.scan import NAME, Scanner
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- low-level helpers ------------------------------------------------
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, token: str) -> None:
-        self._skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise ParseError(f"expected {token!r}", self.text, self.pos)
-        self.pos += len(token)
-
-    def _match(self, token: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def _name(self) -> str:
-        self._skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected a name", self.text, self.pos)
-        self.pos = m.end()
-        return m.group()
-
-    def _bracket_payload(self) -> str:
-        """Consume '[' ... ']' and return the raw inside text."""
-        self._expect("[")
-        depth = 1
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    payload = self.text[start:self.pos]
-                    self.pos += 1
-                    return payload
-            self.pos += 1
-        raise ParseError("unterminated '['", self.text, start)
-
-    @staticmethod
-    def _split_out_conds(payload: str) -> tuple[tuple[int, int, int], tuple]:
-        if ";" in payload:
-            out_part, cond_part = payload.split(";", 1)
-        else:
-            out_part, cond_part = payload, ""
-        return parse_out_spec(out_part), parse_conditions(cond_part)
-
-    # -- grammar -----------------------------------------------------------
-
+class _Parser(Scanner):
     def parse(self) -> Expr:
         expr = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("trailing input", self.text, self.pos)
+        self.end("trailing input")
         return expr
 
     def expr(self) -> Expr:
         acc = self.term()
         while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == "|":
-                self.pos += 1
+            if self.match("|"):
                 acc = Union(acc, self.term())
-            elif ch == "-":
-                self.pos += 1
+            elif self.match("-"):
                 acc = Diff(acc, self.term())
-            elif ch == "&":
-                self.pos += 1
+            elif self.match("&"):
                 acc = Intersect(acc, self.term())
             else:
                 return acc
 
     def term(self) -> Expr:
-        self._skip_ws()
-        if self._match("("):
+        if self.match("("):
             inner = self.expr()
-            self._expect(")")
+            self.expect(")")
             return inner
-        name = self._name()
+        name = self.word(NAME)
+        if name is None:
+            self.error("expected a name")
         if name == "U":
             return Universe()
         if name == "select":
-            conds = parse_conditions(self._bracket_payload())
-            self._expect("(")
-            inner = self.expr()
-            self._expect(")")
+            self.expect("[")
+            conds = read_conditions(self)
+            self.expect("]")
+            (inner,) = self._operands(1)
             return Select(inner, conds)
         if name == "join":
-            out, conds = self._split_out_conds(self._bracket_payload())
-            self._expect("(")
-            left = self.expr()
-            self._expect(",")
-            right = self.expr()
-            self._expect(")")
+            out, conds = self._out_and_conditions()
+            left, right = self._operands(2)
             return Join(left, right, out, conds)
         if name in ("star", "lstar"):
-            out, conds = self._split_out_conds(self._bracket_payload())
-            self._expect("(")
-            inner = self.expr()
-            self._expect(")")
+            out, conds = self._out_and_conditions()
+            (inner,) = self._operands(1)
             side = "right" if name == "star" else "left"
             return Star(inner, out, conds, side)
         if name == "compl":
-            self._expect("(")
-            inner = self.expr()
-            self._expect(")")
+            (inner,) = self._operands(1)
             return complement(inner)
         return Rel(name)
+
+    def _out_and_conditions(self) -> tuple[tuple[int, int, int], Conditions]:
+        """``[out]`` or ``[out; conds]``."""
+        self.expect("[")
+        out = read_out_spec(self)
+        conds = read_conditions(self) if self.match(";") else ()
+        self.expect("]")
+        return out, conds
+
+    def _operands(self, n: int) -> list[Expr]:
+        """``(expr, ...)`` with exactly ``n`` expressions."""
+        self.expect("(")
+        args = [self.expr()]
+        while len(args) < n:
+            self.expect(",")
+            args.append(self.expr())
+        self.expect(")")
+        return args
 
 
 def parse(text: str) -> Expr:

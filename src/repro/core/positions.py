@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Union
 
-from repro.errors import AlgebraError
+from repro.core.scan import Scanner
+from repro.errors import AlgebraError, ParseError
 
 #: Number of positions available to a join (3 from each operand).
 N_JOIN_POSITIONS = 6
@@ -89,7 +90,8 @@ class Const:
         return f"Const({self.value!r})"
 
 
-_PARAM_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+#: A parameter as the text syntax writes it: ``$`` and an identifier.
+PARAM = re.compile(r"\$[A-Za-z_]\w*")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class Param:
     name: str
 
     def __post_init__(self) -> None:
-        if not _PARAM_NAME_RE.match(self.name):
+        if not PARAM.fullmatch(f"${self.name}"):
             raise AlgebraError(
                 f"parameter name must be an identifier, got {self.name!r}"
             )
@@ -123,17 +125,41 @@ Term = Union[Pos, Const, Param]
 PAPER_POSITION_NAMES = _PAPER_NAMES
 
 
+#: A position in the text syntax: a bare ``1``..``3``, primed or not.  An
+#: unprimed digit followed by a digit or ``.`` starts a number instead.
+POSITION = re.compile(r"[123](?:'|(?![0-9.]))")
+
+
+def read_position(sc: Scanner) -> int:
+    """Read one position (``1``..``3'``); returns its 0-based index."""
+    name = sc.word(POSITION)
+    if name is None:
+        sc.error("expected a position (1, 2, 3, 1', 2' or 3')")
+    return _NAME_TO_INDEX[name]
+
+
+def read_out_spec(sc: Scanner) -> tuple[int, int, int]:
+    """Read an output specification: three comma-separated positions."""
+    i = read_position(sc)
+    sc.expect(",")
+    j = read_position(sc)
+    sc.expect(",")
+    return (i, j, read_position(sc))
+
+
 def parse_out_spec(spec: str) -> tuple[int, int, int]:
     """Parse an output specification like ``"1,3',3"`` into indexes.
 
     >>> parse_out_spec("1,3',3")
     (0, 5, 2)
     """
-    parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != 3:
-        raise AlgebraError(f"output spec needs exactly 3 positions, got {spec!r}")
-    i, j, k = (Pos.from_paper(p).index for p in parts)
-    return (i, j, k)
+    sc = Scanner(spec)
+    try:
+        out = read_out_spec(sc)
+        sc.end("trailing output spec input")
+    except ParseError as exc:
+        raise AlgebraError(f"output spec needs exactly 3 positions: {exc}") from None
+    return out
 
 
 def format_out_spec(out: tuple[int, int, int]) -> str:

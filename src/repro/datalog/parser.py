@@ -8,7 +8,7 @@ Example::
     Reach(x, y, w) :- Reach(x, y, z), Sub(z, u, w), y = u.
     Ans(x, y, z)  :- Reach(x, y, z), not Noise(x, y, z), ~(x, z), x != z.
 
-* comments: ``%`` or ``#`` to end of line;
+* comments: ``%`` or ``#`` to end of line, outside quoted constants;
 * constants: single- or double-quoted strings, or numbers;
 * literals: ``P(t, …)``, ``not P(t, …)``, ``~(t, t)``, ``not ~(t, t)``,
   ``t = t``, ``t != t``;
@@ -19,168 +19,82 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.core.scan import NAME, Scanner
 from repro.datalog.ast import Atom, DConst, DVar, EqLit, Program, RelLit, Rule, SimLit
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | '(?P<sq>[^']*)'
-      | "(?P<dq>[^"]*)"
-      | (?P<num>-?\d+(?:\.\d+)?)
-      | (?P<neq>!=)
-      | (?P<arrow>:-)
-      | (?P<punct>[(),.~=])
-    )""",
-    re.VERBOSE,
-)
+# Whitespace and comments; a quoted constant is read as one token first,
+# so a '%' or '#' inside it starts no comment.
+_BLANK = re.compile(r"(?:\s+|[%#][^\r\n]*)*")
 
 
-class _Lexer:
-    def __init__(self, text: str) -> None:
-        # Strip comments.
-        lines = []
-        for line in text.splitlines():
-            for marker in ("%", "#"):
-                idx = line.find(marker)
-                if idx >= 0:
-                    line = line[:idx]
-            lines.append(line)
-        self.text = "\n".join(lines)
-        self.pos = 0
-
-    def next(self) -> tuple[str, object] | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        m = _TOKEN.match(self.text, self.pos)
-        if not m or m.end() == self.pos:
-            raise ParseError("bad datalog token", self.text, self.pos)
-        self.pos = m.end()
-        if m.group("name") is not None:
-            return ("name", m.group("name"))
-        if m.group("sq") is not None:
-            return ("const", m.group("sq"))
-        if m.group("dq") is not None:
-            return ("const", m.group("dq"))
-        if m.group("num") is not None:
-            raw = m.group("num")
-            return ("const", float(raw) if "." in raw else int(raw))
-        if m.group("neq") is not None:
-            return ("punct", "!=")
-        if m.group("arrow") is not None:
-            return ("punct", ":-")
-        return ("punct", m.group("punct"))
-
-
-class _DatalogParser:
-    def __init__(self, text: str) -> None:
-        lexer = _Lexer(text)
-        self.tokens: list[tuple[str, object]] = []
-        while True:
-            tok = lexer.next()
-            if tok is None:
-                break
-            self.tokens.append(tok)
-        self.i = 0
-
-    def _peek(self) -> tuple[str, object] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> tuple[str, object]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of program")
-        self.i += 1
-        return tok
-
-    def _expect_punct(self, value: str) -> None:
-        tok = self._next()
-        if tok != ("punct", value):
-            raise ParseError(f"expected {value!r}, got {tok!r}")
+class _DatalogParser(Scanner):
+    def skip(self) -> None:
+        self.pos = _BLANK.match(self.text, self.pos).end()
 
     def parse(self, answer: str = "Ans") -> Program:
         rules = []
-        while self._peek() is not None:
+        while not self.at_end():
             rules.append(self._rule())
         return Program(tuple(rules), answer=answer)
 
     def _rule(self) -> Rule:
         head = self._atom()
-        self._expect_punct(":-")
+        self.expect(":-")
         body = [self._literal()]
-        while self._peek() == ("punct", ","):
-            self.i += 1
+        while self.match(","):
             body.append(self._literal())
-        self._expect_punct(".")
+        self.expect(".")
         return Rule(head, tuple(body))
 
     def _term(self):
-        kind, value = self._next()
-        if kind == "name":
-            return DVar(str(value))
-        if kind == "const":
-            return DConst(value)
-        raise ParseError(f"expected a term, got {value!r}")
+        name = self.word(NAME)
+        if name is not None:
+            return DVar(name)
+        value = self.quoted("'\"")
+        if value is None:
+            value = self.number()
+        if value is None:
+            self.error("expected a term")
+        return DConst(value)
 
     def _atom(self) -> Atom:
-        kind, name = self._next()
-        if kind != "name":
-            raise ParseError(f"expected a predicate name, got {name!r}")
-        self._expect_punct("(")
+        name = self.word(NAME)
+        if name is None:
+            self.error("expected a predicate name")
+        self.expect("(")
         args = [self._term()]
-        while self._peek() == ("punct", ","):
-            self.i += 1
+        while self.match(","):
             args.append(self._term())
-        self._expect_punct(")")
-        return Atom(str(name), tuple(args))
+        self.expect(")")
+        return Atom(name, tuple(args))
 
     def _sim(self, negated: bool) -> SimLit:
-        self._expect_punct("~")
-        self._expect_punct("(")
+        self.expect("(")
         left = self._term()
-        self._expect_punct(",")
+        self.expect(",")
         right = self._term()
-        self._expect_punct(")")
+        self.expect(")")
         return SimLit(left, right, negated)
 
     def _literal(self):
-        tok = self._peek()
-        if tok == ("punct", "~"):
+        if self.match("~"):
             return self._sim(negated=False)
-        if tok == ("name", "not"):
-            self.i += 1
-            if self._peek() == ("punct", "~"):
+        if self.keyword("not"):
+            if self.match("~"):
                 return self._sim(negated=True)
-            atom = self._atom()
-            return RelLit(atom, negated=True)
-        # Could be an atom P(...) or an (in)equality t op t.
-        start = self.i
-        first = self._term_or_none()
-        if first is not None:
-            nxt = self._peek()
-            if nxt in (("punct", "="), ("punct", "!=")):
-                self.i += 1
-                right = self._term()
-                return EqLit(first, right, negated=(nxt[1] == "!="))
-            self.i = start
-        atom = self._atom()
-        return RelLit(atom, negated=False)
-
-    def _term_or_none(self):
-        tok = self._peek()
-        if tok is None:
-            return None
-        kind, value = tok
-        if kind in ("name", "const"):
-            # A name followed by '(' is a predicate, not a term.
-            nxt = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else None
-            if kind == "name" and nxt == ("punct", "("):
-                return None
-            self.i += 1
-            return DVar(str(value)) if kind == "name" else DConst(value)
-        return None
+            return RelLit(self._atom(), negated=True)
+        # An atom P(...) or an (in)equality t op t: a name followed by
+        # '(' is a predicate, not a term.
+        start = self.pos
+        is_atom = self.word(NAME) is not None and self.peek() == "("
+        self.pos = start
+        if is_atom:
+            return RelLit(self._atom(), negated=False)
+        left = self._term()
+        negated = self.match("!=")
+        if not negated:
+            self.expect("=")
+        return EqLit(left, self._term(), negated=negated)
 
 
 def parse_program(text: str, answer: str = "Ans") -> Program:

@@ -28,9 +28,7 @@ Examples::
 
 from __future__ import annotations
 
-import re
-
-from repro.errors import ParseError
+from repro.core.scan import NAME, Scanner
 from repro.graphdb.gxpath import (
     Axis,
     Concat,
@@ -50,164 +48,109 @@ from repro.graphdb.gxpath import (
     Top,
 )
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|'[^']*'")
 _KEYWORDS = {"or", "and", "not", "top"}
 
 
-class _GXParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- plumbing -------------------------------------------------------
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _match(self, token: str) -> bool:
-        self._skip()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def _expect(self, token: str) -> None:
-        if not self._match(token):
-            raise ParseError(f"expected {token!r}", self.text, self.pos)
-
-    def _keyword(self, word: str) -> bool:
-        self._skip()
-        end = self.pos + len(word)
-        if self.text.startswith(word, self.pos):
-            after = self.text[end:end + 1]
-            if not (after.isalnum() or after == "_"):
-                self.pos = end
-                return True
-        return False
-
-    def _label(self) -> str | None:
-        self._skip()
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            return None
-        word = m.group()
-        if word in _KEYWORDS:
-            return None
-        self.pos = m.end()
-        return word[1:-1] if word.startswith("'") else word
+class _GXParser(Scanner):
+    def _label(self) -> str:
+        label = self.quoted("'")
+        if label is not None:
+            return label
+        start = self.pos
+        label = self.word(NAME)
+        if label is None or label in _KEYWORDS:
+            self.pos = start
+            self.error("expected a path atom")
+        return label
 
     # -- paths ------------------------------------------------------------
 
     def parse_path(self) -> PathExpr:
         node = self.path()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParseError("trailing GXPath input", self.text, self.pos)
+        self.end("trailing GXPath input")
         return node
 
     def path(self) -> PathExpr:
         node = self.concat()
-        while self._peek() == "|":
-            self.pos += 1
+        while self.match("|"):
             node = PathUnion(node, self.concat())
         return node
 
     def concat(self) -> PathExpr:
         node = self.postfix()
-        while self._peek() == "/":
-            self.pos += 1
+        while self.match("/"):
             node = Concat(node, self.postfix())
         return node
 
     def postfix(self) -> PathExpr:
         node = self.atom()
         while True:
-            if self._match("*"):
+            if self.match("*"):
                 node = StarPath(node)
-            elif self._match("{=}"):
+            elif self.match("{=}"):
                 node = DataPathTest(node, True)
-            elif self._match("{!=}"):
+            elif self.match("{!=}"):
                 node = DataPathTest(node, False)
             else:
                 return node
 
     def atom(self) -> PathExpr:
-        ch = self._peek()
-        if ch == "!":
-            self.pos += 1
+        if self.match("!"):
             return PathComplement(self.atom())
-        if ch == "(":
-            self.pos += 1
+        if self.match("("):
             inner = self.path()
-            self._expect(")")
+            self.expect(")")
             return inner
-        if ch == "[":
-            self.pos += 1
+        if self.match("["):
             inner = self.node()
-            self._expect("]")
+            self.expect("]")
             return Test(inner)
-        if ch == "_":
-            self.pos += 1
+        if self.match("_"):
             return Eps()
         label = self._label()
-        if label is None:
-            raise ParseError("expected a path atom", self.text, self.pos)
-        if self._peek() == "-":
-            self.pos += 1
-            return Axis(label, forward=False)
-        return Axis(label, forward=True)
+        return Axis(label, forward=not self.match("-"))
 
     # -- node formulas ------------------------------------------------------
 
     def parse_node(self) -> NodeExpr:
         node = self.node()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParseError("trailing GXPath node input", self.text, self.pos)
+        self.end("trailing GXPath node input")
         return node
 
     def node(self) -> NodeExpr:
         left = self.node_and()
-        while self._keyword("or"):
+        while self.keyword("or"):
             left = NodeOr(left, self.node_and())
         return left
 
     def node_and(self) -> NodeExpr:
         left = self.node_atom()
-        while self._keyword("and"):
+        while self.keyword("and"):
             left = NodeAnd(left, self.node_atom())
         return left
 
     def node_atom(self) -> NodeExpr:
-        if self._keyword("not"):
+        if self.keyword("not"):
             return NodeNot(self.node_atom())
-        if self._keyword("top"):
+        if self.keyword("top"):
             return Top()
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
+        if self.match("("):
             inner = self.node()
-            self._expect(")")
+            self.expect(")")
             return inner
-        if ch == "<":
-            self.pos += 1
+        if self.match("<"):
             alpha = self.path()
-            if self._match("!="):
+            if self.match("!="):
                 beta = self.path()
-                self._expect(">")
+                self.expect(">")
                 return DataNodeTest(alpha, beta, False)
-            if self._match("="):
+            if self.match("="):
                 beta = self.path()
-                self._expect(">")
+                self.expect(">")
                 return DataNodeTest(alpha, beta, True)
-            self._expect(">")
+            self.expect(">")
             return HasPath(alpha)
-        raise ParseError("expected a node formula", self.text, self.pos)
+        self.error("expected a node formula")
 
 
 def parse_gxpath(text: str) -> PathExpr:

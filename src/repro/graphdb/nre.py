@@ -17,11 +17,10 @@ A compact text syntax is provided::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import ParseError
+from repro.core.scan import NAME, Scanner
 from repro.graphdb import gxpath
 from repro.graphdb.model import GraphDB, Node
 
@@ -131,83 +130,50 @@ def evaluate_nre(graph: GraphDB, expr: Nre) -> frozenset[tuple[Node, Node]]:
 # Text syntax
 # --------------------------------------------------------------------- #
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|'[^']*'")
-
-
-class _NreParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
+class _NreParser(Scanner):
     def parse(self) -> Nre:
         node = self.alt()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParseError("trailing NRE input", self.text, self.pos)
+        self.end("trailing NRE input")
         return node
 
     def alt(self) -> Nre:
         node = self.concat()
-        while self._peek() == "+":
-            self.pos += 1
+        while self.match("+"):
             node = NAlt(node, self.concat())
         return node
 
     def concat(self) -> Nre:
         node = self.postfix()
-        while self._peek() == ".":
-            self.pos += 1
+        while self.match("."):
             node = NConcat(node, self.postfix())
         return node
 
     def postfix(self) -> Nre:
         node = self.atom()
         while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
+            if self.match("*"):
                 node = NStar(node)
-            elif ch == "-" and isinstance(node, NLabel) and node.forward:
-                self.pos += 1
+            elif isinstance(node, NLabel) and node.forward and self.match("-"):
                 node = NLabel(node.label, forward=False)
             else:
                 return node
 
     def atom(self) -> Nre:
-        self._skip()
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            if self._peek() == ")":
-                self.pos += 1
+        if self.match("("):
+            if self.match(")"):
                 return NEps()
             node = self.alt()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.text, self.pos)
-            self.pos += 1
+            self.expect(")")
             return node
-        if ch == "[":
-            self.pos += 1
+        if self.match("["):
             node = self.alt()
-            if self._peek() != "]":
-                raise ParseError("expected ']'", self.text, self.pos)
-            self.pos += 1
+            self.expect("]")
             return NTest(node)
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected a label", self.text, self.pos)
-        self.pos = m.end()
-        label = m.group()
-        if label.startswith("'"):
-            label = label[1:-1]
+        label = self.quoted("'")
+        if label is None:
+            label = self.word(NAME)
+        if label is None:
+            self.error("expected a label")
         return NLabel(label)
 
 

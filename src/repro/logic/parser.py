@@ -25,9 +25,7 @@ Examples::
 
 from __future__ import annotations
 
-import re
-
-from repro.errors import ParseError
+from repro.core.scan import NAME, Scanner
 from repro.logic.fo import (
     And,
     ConstT,
@@ -43,80 +41,31 @@ from repro.logic.fo import (
 )
 from repro.logic.trcl import Trcl
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _KEYWORDS = {"exists", "forall", "not", "and", "or", "trcl"}
 
 
-class _FOParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _match(self, token: str) -> bool:
-        self._skip()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def _expect(self, token: str) -> None:
-        if not self._match(token):
-            raise ParseError(f"expected {token!r}", self.text, self.pos)
-
-    def _keyword(self, word: str) -> bool:
-        self._skip()
-        if self.text.startswith(word, self.pos):
-            end = self.pos + len(word)
-            after = self.text[end:end + 1]
-            if not (after.isalnum() or after == "_"):
-                self.pos = end
-                return True
-        return False
-
-    def _peek_keyword(self, word: str) -> bool:
-        saved = self.pos
-        found = self._keyword(word)
-        self.pos = saved
-        return found
-
+class _FOParser(Scanner):
     def _name(self) -> str:
-        self._skip()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m or m.group() in _KEYWORDS:
-            raise ParseError("expected a name", self.text, self.pos)
-        self.pos = m.end()
-        return m.group()
+        start = self.pos
+        name = self.word(NAME)
+        if name is None or name in _KEYWORDS:
+            self.pos = start
+            self.error("expected a name")
+        return name
 
     def _term(self):
-        self._skip()
-        if self._peek() == "'":
-            end = self.text.find("'", self.pos + 1)
-            if end < 0:
-                raise ParseError("unterminated constant", self.text, self.pos)
-            value = self.text[self.pos + 1:end]
-            self.pos = end + 1
-            return ConstT(value)
-        return Var(self._name())
+        value = self.quoted("'")
+        return Var(self._name()) if value is None else ConstT(value)
 
     def _var_list(self) -> tuple[str, ...]:
         names = [self._name()]
-        while self._match(","):
+        while self.match(","):
             names.append(self._name())
         return tuple(names)
 
     def _term_list(self):
         terms = [self._term()]
-        while self._match(","):
+        while self.match(","):
             terms.append(self._term())
         return tuple(terms)
 
@@ -124,9 +73,7 @@ class _FOParser:
 
     def parse(self) -> Formula:
         formula = self.formula()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParseError("trailing formula input", self.text, self.pos)
+        self.end("trailing formula input")
         return formula
 
     def formula(self) -> Formula:
@@ -134,85 +81,71 @@ class _FOParser:
 
     def disj(self) -> Formula:
         left = self.conj()
-        while self._peek_keyword("or"):
-            self._keyword("or")
+        while self.keyword("or"):
             left = Or(left, self.conj())
         return left
 
     def conj(self) -> Formula:
         left = self.atomish()
-        while self._peek_keyword("and"):
-            self._keyword("and")
+        while self.keyword("and"):
             left = And(left, self.atomish())
         return left
 
     def atomish(self) -> Formula:
-        if self._keyword("not"):
+        if self.keyword("not"):
             return Not(self.atomish())
-        if self._keyword("exists"):
+        if self.keyword("exists"):
             return self._quantified(Exists)
-        if self._keyword("forall"):
+        if self.keyword("forall"):
             return self._quantified(Forall)
-        ch = self._peek()
-        if ch == "~":
-            self.pos += 1
-            self._expect("(")
+        if self.match("~"):
+            self.expect("(")
             left = self._term()
-            self._expect(",")
+            self.expect(",")
             right = self._term()
-            self._expect(")")
+            self.expect(")")
             return Sim(left, right)
-        if ch == "[":
+        if self.peek() == "[":
             return self._trcl()
-        if ch == "(":
-            self.pos += 1
+        if self.match("("):
             inner = self.formula()
-            self._expect(")")
+            self.expect(")")
             return inner
         # Relation atom or equality.
-        saved = self.pos
         first = self._term()
-        if self._peek() == "(" and isinstance(first, Var):
-            # It was a predicate name after all.
-            self.pos = saved
-            pred = self._name()
-            self._expect("(")
+        if isinstance(first, Var) and self.match("("):
             terms = self._term_list()
-            self._expect(")")
+            self.expect(")")
             if len(terms) != 3:
-                raise ParseError(
-                    f"relation atoms are ternary; {pred} got {len(terms)} terms",
-                    self.text,
-                    self.pos,
-                )
-            return RelAtom(pred, terms)
-        self._expect("=")
+                self.error(f"relation atoms are ternary; {first.name} got {len(terms)} terms")
+            return RelAtom(first.name, terms)
+        self.expect("=")
         right = self._term()
         return Eq(first, right)
 
     def _quantified(self, cls) -> Formula:
         names = self._var_list()
-        self._expect("(")
+        self.expect("(")
         body = self.formula()
-        self._expect(")")
+        self.expect(")")
         for name in reversed(names):
             body = cls(name, body)
         return body
 
     def _trcl(self) -> Formula:
-        self._expect("[")
-        if not self._keyword("trcl"):
-            raise ParseError("expected 'trcl'", self.text, self.pos)
+        self.expect("[")
+        if not self.keyword("trcl"):
+            self.error("expected 'trcl'")
         xs = self._var_list()
-        self._expect(";")
+        self.expect(";")
         ys = self._var_list()
         inner = self.formula()
-        self._expect("]")
-        self._expect("(")
+        self.expect("]")
+        self.expect("(")
         t1s = self._term_list()
-        self._expect(";")
+        self.expect(";")
         t2s = self._term_list()
-        self._expect(")")
+        self.expect(")")
         return Trcl(xs, ys, inner, t1s, t2s)
 
 

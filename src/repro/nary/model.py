@@ -76,12 +76,6 @@ class NaryStore:
     def rho(self, obj: Hashable) -> Any:
         return self._rho.get(obj)
 
-    def all_tuples(self) -> frozenset[tuple]:
-        out: set = set()
-        for rows in self._relations.values():
-            out |= rows
-        return frozenset(out)
-
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._relations.values())
 

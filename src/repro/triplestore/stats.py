@@ -51,15 +51,6 @@ class RelationStats:
         """Distinct objects at one position (0-based)."""
         return self.distinct[position]
 
-    def eq_selectivity(self, position: int) -> float:
-        """Estimated fraction of triples matching ``position = const``.
-
-        The uniform-distribution estimate ``1 / distinct`` of classical
-        optimizers; 1.0 for an empty relation (no information).
-        """
-        d = self.distinct[position]
-        return 1.0 / d if d else 1.0
-
 
 class TriplestoreStats:
     """Lazy, cached per-relation statistics of one triplestore.

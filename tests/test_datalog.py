@@ -82,6 +82,15 @@ class TestParser:
         lit = p.rules[0].body[1]
         assert lit.right == DConst("part of")
 
+    def test_comment_markers_inside_quotes_are_text(self):
+        p = parse_program(
+            'Ans(x, y, z) :- E(x, y, z), y = "http://ex.org/ns#type", x != '
+            "'50%'.  # a comment\n% another\n"
+        )
+        body = p.rules[0].body
+        assert body[1].right == DConst("http://ex.org/ns#type")
+        assert body[2].right == DConst("50%")
+
     def test_bad_syntax(self):
         from repro.errors import ParseError
 

@@ -11,6 +11,7 @@ import repro.core.conditions
 import repro.core.optimizer
 import repro.core.parser
 import repro.core.positions
+import repro.core.scan
 import repro.datalog.parser
 import repro.graphdb.gxpath_parser
 import repro.graphdb.nre
@@ -26,6 +27,7 @@ MODULES = [
     repro.core.optimizer,
     repro.core.parser,
     repro.core.positions,
+    repro.core.scan,
     repro.datalog.parser,
     repro.graphdb.gxpath_parser,
     repro.graphdb.nre,

@@ -15,6 +15,8 @@ from repro.core import (
     Universe,
     parse,
 )
+from repro.core.conditions import Cond
+from repro.core.positions import Const, Pos
 from tests.conftest import expressions
 
 
@@ -63,6 +65,13 @@ class TestBasics:
     def test_intersection(self):
         assert isinstance(parse("E & F"), Intersect)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1=10", 10), ("1=3.14", 3.14), ("2=1.0", 1.0), ("3=25", 25), ("1=42", 42)],
+    )
+    def test_numbers_that_start_with_a_position_digit(self, text, value):
+        assert parse(f"select[{text}](E)").conditions[0].right == Const(value)
+
     def test_nested_query_q(self):
         e = parse("star[1,2,3'; 3=1' & 2=2'](star[1,3',3; 2=1'](E))")
         from repro.core import query_q
@@ -95,3 +104,17 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_repr_round_trips(self, expr):
         assert parse(repr(expr)) == expr
+
+    @pytest.mark.parametrize(
+        "value",
+        ["a]b", "[x", "a;b", "a&b", "a#b", "50%", "it's", 'say "hi"', "", 10, 3.14, 0, 4, -7],
+    )
+    def test_constants_round_trip(self, value):
+        for on_data in (False, True):
+            cond = Cond(Pos(1), Const(value), "=", on_data)
+            for expr in (
+                Select(Rel("E"), (cond,)),
+                Join(Rel("E"), Rel("E"), (0, 4, 5), (cond, cond.swap_sides())),
+                Star(Rel("E"), (0, 1, 5), (cond,)),
+            ):
+                assert parse(repr(expr)) == expr
