@@ -29,6 +29,11 @@ ever assumed — so every verdict on a canonicalized expression is sound
 for *all* bindings, which is what lets the optimizer and the plan cache
 act on them.
 
+:class:`EqualityClosure` is the one equality reasoner: TripleDatalog¬
+rule bodies read as the same atoms (``SEM-UNSAT`` of a rule and the
+evaluator's equality folding, :mod:`repro.datalog.evaluator`), and the
+FO translation merges θ-equated positions by its classes.
+
 The verdict helpers (:func:`conditions_unsat`, :func:`condition_core`,
 :func:`expr_is_empty`, :func:`star_is_trivial`) gate the optimizer's
 pruning rewrites; :func:`analyze_expr` renders the verdicts as
@@ -41,7 +46,7 @@ confirmed actually-empty by ``NaiveEngine`` across a seeded sweep.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.analysis.invariants import Finding
 from repro.core.conditions import Cond, Conditions
@@ -55,9 +60,10 @@ from repro.core.expressions import (
     Star,
     Union,
 )
-from repro.core.positions import Const, Pos, Term
+from repro.core.positions import Const, Param, Pos
 
 __all__ = [
+    "EqualityClosure",
     "analyze_expr",
     "condition_core",
     "conditions_unsat",
@@ -67,127 +73,132 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# The union-find condition solver
+# The equality closure
 # --------------------------------------------------------------------- #
 
-#: A solver node: ``(kind, key)`` where kind encodes the value space
-#: ("obj" for θ — objects — or "data" for η — ρ-values) and the term
-#: sort (position / constant / parameter).
-_Node = tuple[str, object]
+#: A closure node: ``(on_data, kind, key)`` — the object (θ) or the
+#: ρ-value (η) of a position, constant, parameter or other object term.
+_Node = tuple[bool, str, Any]
 
 
-def _node(term: Term, on_data: bool) -> _Node:
-    space = "data" if on_data else "obj"
+def _node(term: object, on_data: bool) -> _Node:
     if isinstance(term, Pos):
-        return (f"{space}-pos", term.index)
+        return (on_data, "pos", term.index)
     if isinstance(term, Const):
-        return (f"{space}-const", term.value)
-    return (f"{space}-param", term.name)
+        return (on_data, "const", term.value)
+    if isinstance(term, Param):
+        return (on_data, "param", term.name)
+    return (on_data, "term", term)
 
 
-class _UnionFind:
-    """Plain union-find with path compression over solver nodes."""
-
-    __slots__ = ("_parent",)
-
-    def __init__(self) -> None:
-        self._parent: dict[_Node, _Node] = {}
-
-    def find(self, node: _Node) -> _Node:
-        parent = self._parent.setdefault(node, node)
-        if parent == node:
-            return node
-        root = self.find(parent)
-        self._parent[node] = root
-        return root
-
-    def union(self, a: _Node, b: _Node) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def nodes(self) -> Iterable[_Node]:
-        return self._parent.keys()
+def _term(node: _Node) -> object:
+    _, kind, key = node
+    if kind == "pos":
+        return Pos(key)
+    if kind == "const":
+        return Const(key)
+    return Param(key) if kind == "param" else key
 
 
-class _Solver:
-    """The equality closure of one condition conjunction.
+class EqualityClosure:
+    """The equality closure of one conjunction of (in)equalities.
 
-    Construction unions all equalities (θ in the object space, η in the
-    data space), then closes under ρ-congruence: positions forced to
-    hold the same *object* must yield the same *data value*.  The
-    reverse direction never fires — equal data values say nothing about
-    the objects — matching the paper's semantics of ρ as a function
-    from objects to data values.
+    Each atom is a :class:`Cond`: a θ-atom compares objects, an η-atom
+    ρ-values, and a constant of an η-atom is a data value.  Besides
+    positions, constants and parameters, a term may be any other
+    hashable *object term*, such as a variable of a Datalog rule body.
+
+    Construction unions all equalities (θ among objects, η among data
+    values), then closes under ρ-congruence: object terms forced to
+    hold the same *object* yield the same *data value*.  The reverse
+    never fires — equal data values say nothing about the objects —
+    matching the paper's ρ, a function from objects to data values.
     """
 
+    __slots__ = ("_parent", "static_false", "disequalities")
+
     def __init__(self, conditions: Iterable[Cond]) -> None:
-        self.uf = _UnionFind()
-        self.static_false: list[Cond] = []
+        self._parent: dict[_Node, _Node] = {}
+        self.static_false = False
         self.disequalities: list[Cond] = []
-        positions: set[int] = set()
+        objects: dict[_Node, None] = {}
         for cond in conditions:
             if isinstance(cond.left, Const) and isinstance(cond.right, Const):
                 # A constant boolean: no closure contribution either way.
                 holds = (cond.left.value == cond.right.value) == cond.is_equality
-                if not holds:
-                    self.static_false.append(cond)
+                self.static_false |= not holds
                 continue
-            positions.update(p.index for p in cond.positions())
+            left = _node(cond.left, cond.on_data)
+            right = _node(cond.right, cond.on_data)
+            for _, kind, key in (left, right):
+                if kind in ("pos", "term"):
+                    objects[(False, kind, key)] = None
             if cond.is_equality:
-                self.uf.union(
-                    _node(cond.left, cond.on_data), _node(cond.right, cond.on_data)
-                )
+                self._union(left, right)
             else:
                 self.disequalities.append(cond)
-        # ρ-congruence: i ≡θ j  ⇒  ρ(i) ≡η ρ(j).
-        ordered = sorted(positions)
-        for i in ordered:
-            for j in ordered:
-                if i < j and self.uf.find(("obj-pos", i)) == self.uf.find(
-                    ("obj-pos", j)
-                ):
-                    self.uf.union(("data-pos", i), ("data-pos", j))
+        # ρ-congruence: a ≡θ b  ⇒  ρ(a) ≡η ρ(b).
+        first: dict[_Node, _Node] = {}
+        for obj in objects:
+            rep = first.setdefault(self._find(obj), obj)
+            self._union((True,) + rep[1:], (True,) + obj[1:])
+
+    # -- the union-find -------------------------------------------------- #
+
+    def _find(self, node: _Node) -> _Node:
+        parent = self._parent.setdefault(node, node)
+        if parent == node:
+            return node
+        root = self._find(parent)
+        self._parent[node] = root
+        return root
+
+    def _union(self, a: _Node, b: _Node) -> None:
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    # -- class queries --------------------------------------------------- #
+
+    def root(self, term: object, on_data: bool = False) -> _Node:
+        """The representative of ``term``'s class (θ, or η with
+        ``on_data``); two terms share a class iff their roots are equal."""
+        return self._find(_node(term, on_data))
+
+    def _class(self, term: object, on_data: bool) -> list[_Node]:
+        root = self.root(term, on_data)
+        return [node for node in list(self._parent) if self._find(node) == root]
+
+    def members(self, term: object, on_data: bool = False) -> list[object]:
+        """Every term in ``term``'s class, in first-mention order."""
+        return [_term(node) for node in self._class(term, on_data)]
+
+    def pinned(self, term: object, on_data: bool = False) -> Optional[tuple]:
+        """The constant ``term``'s class holds, boxed, or ``None``."""
+        for node in self._class(term, on_data):
+            if node[1] == "const":
+                return (node[2],)
+        return None
 
     # -- verdicts -------------------------------------------------------- #
 
     def is_unsat(self) -> bool:
-        """No triple pair can satisfy the conjunction."""
-        if self.static_false:
+        """No assignment satisfies the conjunction."""
+        if self.static_false or self._const_clash():
             return True
-        if self._const_clash() is not None:
-            return True
-        for cond in self.disequalities:
-            if self.uf.find(_node(cond.left, cond.on_data)) == self.uf.find(
-                _node(cond.right, cond.on_data)
-            ):
-                return True
-        return False
+        return any(
+            self.root(c.left, c.on_data) == self.root(c.right, c.on_data)
+            for c in self.disequalities
+        )
 
-    def _const_clash(self) -> Optional[_Node]:
-        """A class root holding two distinct constants, if any."""
+    def _const_clash(self) -> bool:
+        """Some class holds two distinct constants."""
         values: dict[_Node, object] = {}
-        for node in list(self.uf.nodes()):
-            kind, value = node
-            if not kind.endswith("-const"):
-                continue
-            root = self.uf.find(node)
-            if root in values:
-                if values[root] != value:
-                    return root
-            else:
-                values[root] = value
-        return None
-
-    def _class_const(self, node: _Node) -> Optional[tuple[object]]:
-        """The constant value ``node``'s class is pinned to (boxed), if any."""
-        space = node[0].split("-", 1)[0]
-        root = self.uf.find(node)
-        for other in list(self.uf.nodes()):
-            kind, value = other
-            if kind == f"{space}-const" and self.uf.find(other) == root:
-                return (value,)
-        return None
+        for node in list(self._parent):
+            if node[1] == "const":
+                if values.setdefault(self._find(node), node[2]) != node[2]:
+                    return True
+        return False
 
     def entails(self, cond: Cond) -> bool:
         """The conjunction implies ``cond`` (so ``cond`` is redundant).
@@ -199,25 +210,22 @@ class _Solver:
         """
         if isinstance(cond.left, Const) and isinstance(cond.right, Const):
             return (cond.left.value == cond.right.value) == cond.is_equality
-        left = _node(cond.left, cond.on_data)
-        right = _node(cond.right, cond.on_data)
+        ends = {self.root(cond.left, cond.on_data), self.root(cond.right, cond.on_data)}
         if cond.is_equality:
-            return self.uf.find(left) == self.uf.find(right)
-        lv = self._class_const(left)
-        rv = self._class_const(right)
+            return len(ends) == 1
+        lv = self.pinned(cond.left, cond.on_data)
+        rv = self.pinned(cond.right, cond.on_data)
         if lv is not None and rv is not None and lv[0] != rv[0]:
             return True
-        ends = {self.uf.find(left), self.uf.find(right)}
-        for other in self.disequalities:
-            if other.on_data != cond.on_data:
-                continue
-            other_ends = {
-                self.uf.find(_node(other.left, other.on_data)),
-                self.uf.find(_node(other.right, other.on_data)),
+        return any(
+            other.on_data == cond.on_data
+            and {
+                self.root(other.left, other.on_data),
+                self.root(other.right, other.on_data),
             }
-            if other_ends == ends:
-                return True
-        return False
+            == ends
+            for other in self.disequalities
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -240,7 +248,7 @@ def conditions_unsat(conditions: Iterable[Cond]) -> bool:
     >>> conditions_unsat(parse_conditions("1=2 & 2=3 & 1!=3"))
     True
     """
-    return _Solver(conditions).is_unsat()
+    return EqualityClosure(conditions).is_unsat()
 
 
 def condition_core(conditions: Conditions) -> Conditions:
@@ -258,7 +266,7 @@ def condition_core(conditions: Conditions) -> Conditions:
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1 :]
-        if _Solver(rest).entails(kept[i]):
+        if EqualityClosure(rest).entails(kept[i]):
             kept.pop(i)
         else:
             i += 1

@@ -18,6 +18,8 @@ A small string syntax mirrors the paper's notation::
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -109,14 +111,46 @@ class Cond:
         return (lv == rv) if self.op == EQ else (lv != rv)
 
     def __repr__(self) -> str:
-        def fmt(t: Term) -> str:
+        def fmt(t: Term, other: Term) -> str:
             if isinstance(t, Const):
-                return repr(t.value)
+                beside_rho = self.on_data and isinstance(other, Pos)
+                return _format_constant(t.value, beside_rho)
             if isinstance(t, Param):
                 return f"${t.name}"
             name = t.paper_name
             return f"rho({name})" if self.on_data else name
-        return f"{fmt(self.left)}{self.op}{fmt(self.right)}"
+        return f"{fmt(self.left, self.right)}{self.op}{fmt(self.right, self.left)}"
+
+
+def _format_constant(value: Any, beside_rho: bool = False) -> str:
+    r"""``value`` as the condition reader reads it back, ``==`` to it.
+
+    The reader has no escapes, so a string is printed as it is between a
+    quote mark it does not contain.  A number is printed in decimal; an
+    integer 1-3 gets a leading 0, as a bare digit reads as a position,
+    except ``beside_rho`` (opposite a ``rho(...)`` term), where the
+    reader takes it as a constant.  A constant the syntax cannot hold (a
+    bool, ``None``, bytes, a tuple, an infinity, a string with both
+    quote marks) prints as Python's ``repr``, which the reader refuses.
+
+    >>> _format_constant("it's"), _format_constant(2), _format_constant(1e20)
+    ('"it\'s"', '02', '100000000000000000000.0')
+    """
+    if isinstance(value, str):
+        for quote in "'\"":
+            if quote not in value:
+                return f"{quote}{value}{quote}"
+    elif isinstance(value, bool):
+        pass
+    elif isinstance(value, numbers.Integral):
+        text = str(int(value))
+        return f"0{text}" if text in ("1", "2", "3") and not beside_rho else text
+    elif isinstance(value, numbers.Real) and math.isfinite(value):
+        from decimal import Decimal
+
+        text = format(Decimal(repr(float(value))), "f")
+        return text if "." in text else f"{text}.0"
+    return repr(value)
 
 
 Conditions = tuple[Cond, ...]

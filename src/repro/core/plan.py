@@ -81,15 +81,6 @@ _NEQ_SELECTIVITY = 0.9
 _STAR_ROUNDS = 4.0
 
 
-def _project_out(left: Triple, right: Triple, out: tuple[int, int, int]) -> Triple:
-    i, j, k = out
-    return (
-        left[i] if i < 3 else right[i - 3],
-        left[j] if j < 3 else right[j - 3],
-        left[k] if k < 3 else right[k - 3],
-    )
-
-
 def split_conditions(conditions: tuple[Cond, ...]) -> tuple[
     tuple[Cond, ...], tuple[Cond, ...], tuple[Cond, ...], tuple[Cond, ...], tuple[Cond, ...]
 ]:

@@ -1,10 +1,12 @@
 """The one cursor under every text parser in the reproduction.
 
 TriAL(*) expressions and their θ/η condition lists, FO/TrCl formulas,
-TripleDatalog¬ programs, GXPath, NREs and RPQ regexes each keep their
-own recursive-descent grammar; they share this lexical layer.  A
-:class:`Scanner` walks the caller's own text, so the offset in every
-:class:`~repro.errors.ParseError` it raises is an offset into that text.
+TripleDatalog¬ programs, GXPath, NREs, RPQ regexes, the triplestore
+text format and N-Triples each keep their own grammar; they share this
+lexical layer.  A :class:`Scanner` walks the caller's own text, so the
+offset in every :class:`~repro.errors.ParseError` it raises is an offset
+into that text (for the two line formats, :class:`LineScanner`, into the
+line it names).
 Whitespace separates tokens (:meth:`Scanner.skip`, which a grammar with
 comments overrides); a read that fails consumes nothing.
 
@@ -126,3 +128,21 @@ class Scanner:
     def error(self, message: str) -> NoReturn:
         """Raise a :class:`ParseError` at the current offset."""
         raise ParseError(message, self.text, self.pos)
+
+
+class LineScanner(Scanner):
+    """A :class:`Scanner` over one line of a line-oriented file: its
+    errors name the line, and their offset is into that line.
+
+    >>> LineScanner("E a b", 4).error("expected 'REL s p o'")
+    Traceback (most recent call last):
+        ...
+    repro.errors.ParseError: line 4: expected 'REL s p o' at position 0 (near 'E a b')
+    """
+
+    def __init__(self, line: str, lineno: int) -> None:
+        self.lineno = lineno
+        super().__init__(line)
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"line {self.lineno}: {message}", self.text, self.pos)

@@ -16,11 +16,24 @@ as their variables are bound.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import DatalogError, StratificationError
-from repro.datalog.ast import Atom, DConst, DVar, EqLit, Program, RelLit, Rule, SimLit
+from repro.datalog.ast import (
+    Atom,
+    DConst,
+    DTerm,
+    DVar,
+    EqLit,
+    Program,
+    RelLit,
+    Rule,
+    SimLit,
+)
 from repro.triplestore.model import Triplestore
+
+if TYPE_CHECKING:  # typing only: the closure is imported where it is used
+    from repro.analysis.semantics import EqualityClosure
 
 
 # --------------------------------------------------------------------- #
@@ -343,7 +356,9 @@ class DatalogEvaluator:
         The Prop 2 translation emits joins as distinct variables plus
         equality literals; folding those equalities into the atoms lets
         the matcher unify (and index) instead of generate-and-filter.
-        Results are cached per rule — rules are immutable.
+        The groups and their constants are the classes of the body's
+        :func:`comparison_closure`.  Results are cached per rule — rules
+        are immutable.
         """
         if isinstance(rule, _CanonicalRule):
             return rule
@@ -351,45 +366,17 @@ class DatalogEvaluator:
         if cached is not None:
             return cached
 
-        rep: dict[str, DTerm] = {}
-        const_of: dict[str, Any] = {}
-        # Union-find over variables; constants are sink values.
-        groups: dict[str, set[str]] = {}
-
-        def union(a: str, b: str) -> None:
-            ga = groups.setdefault(a, {a})
-            gb = groups.setdefault(b, {b})
-            if ga is gb:
-                return
-            ga |= gb
-            for member in gb:
-                groups[member] = ga
-
-        kept: list = []
-        pinned: list[tuple[str, Any]] = []
-        for lit in rule.body:
-            if isinstance(lit, EqLit) and not lit.negated:
-                lv, rv = lit.left, lit.right
-                if isinstance(lv, DVar) and isinstance(rv, DVar):
-                    union(lv.name, rv.name)
-                    continue
-                if isinstance(lv, DVar) and isinstance(rv, DConst):
-                    pinned.append((lv.name, rv.value))
-                    groups.setdefault(lv.name, {lv.name})
-                    continue
-                if isinstance(rv, DVar) and isinstance(lv, DConst):
-                    pinned.append((rv.name, lv.value))
-                    groups.setdefault(rv.name, {rv.name})
-                    continue
-            kept.append(lit)
-
-        for name, value in pinned:
-            for member in groups.get(name, {name}):
-                if member in const_of and const_of[member] != value:
-                    # Contradictory pins: the rule derives nothing; encode
-                    # with an unsatisfiable kept literal.
-                    kept.append(EqLit(DConst(value), DConst(const_of[member])))
-                const_of[member] = value
+        closure = comparison_closure(rule)
+        folded = [
+            lit
+            for lit in rule.body
+            if isinstance(lit, EqLit) and not lit.negated and lit.variables()
+        ]
+        kept: list = [lit for lit in rule.body if lit not in folded]
+        if closure.is_unsat():
+            # The comparisons contradict each other (two constants
+            # pinned to one class, say): the rule derives nothing.
+            kept.append(EqLit(DConst(0), DConst(1)))
         # Variables mentioned by any η-similarity literal: a SimLit
         # compares ρ(object) for variables but takes constants as raw
         # *data* values, so folding an object-constant pin into one
@@ -403,19 +390,19 @@ class DatalogEvaluator:
             for t in (lit.left, lit.right)
             if isinstance(t, DVar)
         }
-        for members in {id(g): g for g in groups.values()}.values():
-            representative = sorted(members)[0]
-            pinned_value = next(
-                (const_of[m] for m in members if m in const_of), _MISSING
-            )
-            if pinned_value is not _MISSING and members & sim_vars:
-                kept.append(EqLit(DVar(representative), DConst(pinned_value)))
-                pinned_value = _MISSING
+        rep: dict[str, DTerm] = {}
+        for name in sorted(set().union(*(lit.variables() for lit in folded))):
+            if name in rep:
+                continue
+            var = DVar(name)
+            members = {m.name for m in closure.members(var) if isinstance(m, DVar)}
+            representative = DVar(min(members))
+            pin = closure.pinned(var)
+            if pin is not None and members & sim_vars:
+                kept.append(EqLit(representative, DConst(pin[0])))
+                pin = None
             for member in members:
-                if pinned_value is not _MISSING:
-                    rep[member] = DConst(pinned_value)
-                else:
-                    rep[member] = DVar(representative)
+                rep[member] = representative if pin is None else DConst(pin[0])
 
         def sub_term(t: DTerm) -> DTerm:
             if isinstance(t, DVar):
@@ -486,6 +473,32 @@ class DatalogEvaluator:
 
 
 _MISSING = object()
+
+
+def comparison_closure(rule: Rule) -> "EqualityClosure":
+    """The equality closure of ``rule``'s comparison literals.
+
+    Each literal reads as a TriAL condition: ``=``/``!=`` as θ, ``∼`` as
+    η, a variable as an object term and a constant as a constant — of a
+    ``∼`` literal, a data value.
+    """
+    from repro.analysis.semantics import EqualityClosure
+    from repro.core.conditions import Cond
+    from repro.core.positions import Const
+
+    def term(t: DTerm):
+        return Const(t.value) if isinstance(t, DConst) else t
+
+    return EqualityClosure(
+        Cond(
+            term(lit.left),
+            term(lit.right),
+            "!=" if lit.negated else "=",
+            isinstance(lit, SimLit),
+        )
+        for lit in rule.body
+        if not isinstance(lit, RelLit)
+    )
 
 
 def run_program(program: Program, store: Triplestore) -> frozenset[tuple]:

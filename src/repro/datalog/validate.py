@@ -24,18 +24,8 @@ produces when translating nested stars.
 from __future__ import annotations
 
 from repro.errors import DatalogError
-from repro.datalog.ast import (
-    Atom,
-    DConst,
-    DTerm,
-    DVar,
-    EqLit,
-    Program,
-    RelLit,
-    Rule,
-    SimLit,
-)
-from repro.datalog.evaluator import dependency_edges, stratify
+from repro.datalog.ast import DVar, EqLit, Program, RelLit, Rule, SimLit
+from repro.datalog.evaluator import comparison_closure, dependency_edges, stratify
 
 
 def is_triple_datalog_rule(rule: Rule) -> bool:
@@ -156,91 +146,6 @@ def is_reach_triple_datalog(program: Program) -> bool:
 # --------------------------------------------------------------------- #
 
 
-class _RuleSolver:
-    """Union-find over one rule body's comparison literals.
-
-    Mirrors the TriAL condition solver
-    (:mod:`repro.analysis.semantics`) on Datalog terms: object
-    (in)equality literals live in the θ space, ``∼`` literals in the η
-    space, and θ-equality propagates into η (ρ is a function, so
-    object-equal terms have equal data values).  Variables are opaque
-    fixed values; only distinct constants are known-distinct, and *no*
-    two η nodes are known-distinct a priori (ρ may collide).
-    """
-
-    def __init__(self, rule: Rule) -> None:
-        self._parent: dict[tuple, tuple] = {}
-        self._disequalities: list[tuple[tuple, tuple]] = []
-        self.static_false = False
-        terms: list[DTerm] = []
-        for lit in rule.body:
-            if isinstance(lit, RelLit):
-                continue
-            terms += [lit.left, lit.right]
-            space = "data" if isinstance(lit, SimLit) else "obj"
-            left, right = self._node(lit.left, space), self._node(lit.right, space)
-            if (
-                isinstance(lit, EqLit)
-                and isinstance(lit.left, DConst)
-                and isinstance(lit.right, DConst)
-            ):
-                # Statically decided; a false one kills the whole body.
-                if (lit.left.value == lit.right.value) == lit.negated:
-                    self.static_false = True
-                continue
-            if lit.negated:
-                self._disequalities.append((left, right))
-            else:
-                self._union(left, right)
-        # θ → η congruence over every term the body mentions.
-        uniq = list(dict.fromkeys(terms))
-        for i, a in enumerate(uniq):
-            for b in uniq[i + 1:]:
-                if self._find(self._node(a, "obj")) == self._find(
-                    self._node(b, "obj")
-                ):
-                    self._union(self._node(a, "data"), self._node(b, "data"))
-
-    @staticmethod
-    def _node(term: DTerm, space: str) -> tuple:
-        kind = "var" if isinstance(term, DVar) else "const"
-        key = term.name if isinstance(term, DVar) else term.value
-        return (space, kind, key)
-
-    def _find(self, node: tuple) -> tuple:
-        parent = self._parent.setdefault(node, node)
-        if parent == node:
-            return node
-        root = self._find(parent)
-        self._parent[node] = root
-        return root
-
-    def _union(self, a: tuple, b: tuple) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def is_unsat(self) -> bool:
-        if self.static_false:
-            return True
-        # Two distinct object constants forced into one θ class.
-        by_root: dict[tuple, set] = {}
-        for node in list(self._parent):
-            space, kind, key = node
-            if space == "obj" and kind == "const":
-                by_root.setdefault(self._find(node), set()).add(key)
-        if any(len(consts) > 1 for consts in by_root.values()):
-            return True
-        return any(
-            self._find(a) == self._find(b) for a, b in self._disequalities
-        )
-
-
-def rule_body_unsat(rule: Rule) -> bool:
-    """Is the rule's comparison-literal conjunction unsatisfiable?"""
-    return _RuleSolver(rule).is_unsat()
-
-
 def _reachable_predicates(program: Program) -> frozenset[str]:
     """Predicates the answer predicate transitively depends on."""
     bodies: dict[str, set[str]] = {}
@@ -262,18 +167,19 @@ def analyze_program(program: Program) -> list:
     """Semantic findings for a Datalog program (``SEM-*`` rule IDs).
 
     ``SEM-UNSAT`` — a rule body's (in)equality/∼ literals contradict
-    each other, so the rule can never fire; ``SEM-DEAD-RULE`` — a
-    rule's head predicate is unreachable from the program's answer
-    predicate, so the rule cannot contribute to the result.  Advisory:
-    the program still evaluates (the verdicts describe work, not
-    errors).
+    each other, so the rule can never fire (the TriAL condition
+    closure's verdict, :func:`~repro.datalog.evaluator.comparison_closure`);
+    ``SEM-DEAD-RULE`` — a rule's head predicate is unreachable from the
+    program's answer predicate, so the rule cannot contribute to the
+    result.  Advisory: the program still evaluates (the verdicts
+    describe work, not errors).
     """
     from repro.analysis.invariants import Finding
 
     findings: list = []
     reachable = _reachable_predicates(program)
     for rule in program.rules:
-        if rule_body_unsat(rule):
+        if comparison_closure(rule).is_unsat():
             findings.append(
                 Finding(
                     "SEM-UNSAT",

@@ -16,43 +16,33 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.core.scan import LineScanner
 from repro.rdf.model import RDFGraph
 
-_TOKEN_RE = re.compile(r"<([^>]*)>|([^\s<>.]+)")
-
-
-def _tokens(line: str) -> list[str]:
-    out = []
-    pos = 0
-    line = line.strip()
-    if line.endswith("."):
-        line = line[:-1]
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(line, pos)
-        if not m:
-            raise ParseError("bad N-Triples token", line, pos)
-        out.append(m.group(1) if m.group(1) is not None else m.group(2))
-        pos = m.end()
-    return out
+#: A term: an angle-bracketed URI, or a bare name without ``<>.``.
+_TERM = re.compile(r"<[^>]*>|[^\s<>.]+")
 
 
 def parse_ntriples(text: str) -> RDFGraph:
-    """Parse the mini N-Triples dialect into an :class:`RDFGraph`."""
+    """Parse the mini N-Triples dialect into an :class:`RDFGraph`.
+
+    A statement is one line of three terms and an optional final ``.``;
+    a line that starts with ``#`` is a comment.
+    """
     triples = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        sc = LineScanner(line, lineno)
+        if sc.at_end() or sc.peek() == "#":
             continue
-        tokens = _tokens(stripped)
-        if len(tokens) != 3:
-            raise ParseError(
-                f"line {lineno}: expected 3 terms per statement, got {len(tokens)}"
-            )
-        triples.append(tuple(tokens))
+        terms = []
+        for _ in range(3):
+            term = sc.word(_TERM)
+            if term is None:
+                sc.error("expected 3 terms per statement")
+            terms.append(term[1:-1] if term.startswith("<") else term)
+        sc.match(".")
+        sc.end("expected 3 terms per statement")
+        triples.append(tuple(terms))
     return RDFGraph(triples)
 
 

@@ -24,6 +24,8 @@ isolated nodes.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.errors import TranslationError
 from repro.core.builder import join, select, star
 from repro.core.conditions import Cond
@@ -55,8 +57,16 @@ class _Translator:
     def __init__(self, relation: str) -> None:
         self.relation = relation
         self.rel = Rel(relation)
-        self.n = nodes_diagonal(relation)
-        self.np = node_pairs(relation)
+
+    @cached_property
+    def n(self) -> Expr:
+        """N, built when a formula first needs it (ε, ⊤, ¬, stars)."""
+        return nodes_diagonal(self.relation)
+
+    @cached_property
+    def np(self) -> Expr:
+        """NP, built when a path complement first needs it."""
+        return node_pairs(self.relation)
 
     # -- path formulas ---------------------------------------------------
 

@@ -141,32 +141,22 @@ def trial_to_fo(
     ) -> Formula:
         # Optionally merge positions linked by θ-equalities (Lemma 1's
         # variable-saving move): equated positions share one variable.
-        group_of = list(range(6))
+        from repro.analysis.semantics import EqualityClosure
 
-        def find(i: int) -> int:
-            while group_of[i] != i:
-                group_of[i] = group_of[group_of[i]]
-                i = group_of[i]
-            return i
-
-        folded: set[Cond] = set()
-        if fold_equalities:
-            for cond in conditions:
-                if (
-                    cond.is_equality
-                    and not cond.on_data
-                    and isinstance(cond.left, Pos)
-                    and isinstance(cond.right, Pos)
-                ):
-                    ra, rb = find(cond.left.index), find(cond.right.index)
-                    if ra != rb:
-                        group_of[ra] = rb
-                    folded.add(cond)
-
-        slot: dict[int, str] = {}
+        folded = [
+            cond
+            for cond in conditions
+            if fold_equalities
+            and cond.is_equality
+            and not cond.on_data
+            and isinstance(cond.left, Pos)
+            and isinstance(cond.right, Pos)
+        ]
+        closure = EqualityClosure(folded)
+        slot: dict[tuple, str] = {}
         extra_eqs: list[Formula] = []
         for var, pos in zip(OUT_VARS, out):
-            root = find(pos)
+            root = closure.root(Pos(pos))
             if root in slot:
                 # Repeated output position (or one equated to an earlier
                 # output): vⱼ equals the earlier name.  The equality
@@ -179,12 +169,12 @@ def trial_to_fo(
         spare = ["v4", "v5", "v6"] + [v for v in OUT_VARS if v not in slot.values()]
         quantified: list[str] = []
         for pos in range(6):
-            root = find(pos)
+            root = closure.root(Pos(pos))
             if root not in slot:
                 name = spare.pop(0)
                 slot[root] = name
                 quantified.append(name)
-        position_var = {pos: slot[find(pos)] for pos in range(6)}
+        position_var = {pos: slot[closure.root(Pos(pos))] for pos in range(6)}
         left = rename(
             phi_left,
             {OUT_VARS[i]: position_var[i] for i in range(3)},

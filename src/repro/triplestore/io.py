@@ -25,12 +25,12 @@ int, float, bool, None, bytes and tuple of them, each of its type.
 from __future__ import annotations
 
 import base64
-import binascii
 import io
 import json
 import re
 from typing import Any, TextIO
 
+from repro.core.scan import LineScanner
 from repro.errors import ParseError
 from repro.triplestore.model import Triple, Triplestore
 
@@ -41,98 +41,91 @@ _BOOLS = {"!true": True, "!false": False}
 #: line breaks ``str.splitlines`` knows beyond the control characters,
 #: and lone surrogates.
 _UNSAFE = re.compile("[\x85\u2028\u2029\ud800-\udfff]")
+#: Whitespace and comments: ``#`` outside a string runs to the line's end.
+_BLANK = re.compile(r"(?:\s+|#.*)*")
+#: A quoted string, to the next quote no backslash escapes: JSON, or
+#: (written before escapes) the text between its quotes.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+#: Any other token: a bare word, or a tuple mark standing alone.
+_TOKEN = re.compile(r'[^\s(),"#]+|[(),]')
 
 
-def _tokenize(line: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "#":
-            break
-        elif ch == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 2 if line[j] == "\\" else 1
-            if j >= n:
-                raise ParseError("unterminated string", line, i)
-            tokens.append(line[i:j + 1])
-            i = j + 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] not in '(),"#':
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-    return tokens
+class _LineReader(LineScanner):
+    def skip(self) -> None:
+        self.pos = _BLANK.match(self.text, self.pos).end()
 
-
-def _parse_value(tokens: list[str], start: int) -> tuple[Any, int]:
-    """Parse one data value starting at ``tokens[start]``; return (value, next)."""
-    tok = tokens[start]
-    if tok == "(":
-        items: list[Any] = []
-        i = start + 1
-        while i < len(tokens) and tokens[i] != ")":
-            if tokens[i] == ",":
-                i += 1
-                continue
-            value, i = _parse_value(tokens, i)
-            items.append(value)
-        if i >= len(tokens):
-            raise ParseError("unterminated tuple value")
-        return tuple(items), i + 1
-    if tok.startswith('"'):
+    def string(self) -> str | None:
+        """A quoted string, decoded, or ``None`` if none starts here."""
+        text = self.word(_STRING)
+        if text is None:
+            if self.peek() == '"':
+                self.error("unterminated string")
+            return None
         try:
-            return json.loads(tok), start + 1
+            return json.loads(text)
         except ValueError:  # written before escapes: the text as it stands
-            return tok[1:-1], start + 1
-    if tok == "null":
-        return None, start + 1
-    if tok in _BOOLS:
-        return _BOOLS[tok], start + 1
-    if tok.startswith("!bytes:"):
-        try:
-            return base64.b64decode(tok[7:], validate=True), start + 1
-        except binascii.Error as exc:
-            raise ParseError(f"bad base64 in {tok!r}: {exc}") from exc
-    try:
-        return int(tok), start + 1
-    except ValueError:
-        pass
-    try:
-        return float(tok), start + 1
-    except ValueError:
-        pass
-    return tok, start + 1
+            return text[1:-1]
+
+    def value(self) -> Any:
+        """One data value; a lone ``)`` or ``,`` is the string it spells."""
+        if self.match("("):
+            items: list[Any] = []
+            while not self.match(")"):
+                if self.at_end():
+                    self.error("unterminated tuple value")
+                if not self.match(","):
+                    items.append(self.value())
+            return tuple(items)
+        text = self.string()
+        if text is not None:
+            return text
+        start = self.pos
+        tok = self.word(_TOKEN)
+        if tok == "null":
+            return None
+        if tok in _BOOLS:
+            return _BOOLS[tok]
+        if tok.startswith("!bytes:"):
+            try:
+                return base64.b64decode(tok[7:], validate=True)
+            except ValueError as exc:  # not base64, or not even ASCII
+                self.pos = start
+                self.error(f"bad base64 in {tok!r}: {exc}")
+        for number in (int, float):
+            try:
+                return number(tok)
+            except ValueError:
+                pass
+        return tok
+
+    def values(self, count: int, shape: str) -> list[Any]:
+        """The line's remaining ``count`` values, and nothing after them."""
+        out = []
+        for _ in range(count):
+            if self.at_end():
+                self.error(shape)
+            out.append(self.value())
+        self.end(shape)
+        return out
 
 
 def loads(text: str) -> Triplestore:
     """Parse the text format into a :class:`Triplestore`."""
     relations: dict[str, set[Triple]] = {}
     rho: dict[Any, Any] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        sc = _LineReader(line, lineno)
+        if sc.at_end():
             continue
-        arity = 2 if tokens[0] == "@rho" else 3
-        values, at = [], 1
-        while at < len(tokens) and len(values) < arity:
-            value, at = _parse_value(tokens, at)
-            values.append(value)
-        if len(values) != arity or at != len(tokens):
-            shape = "@rho needs an object and a value" if arity == 2 else "expected 'REL s p o'"
-            raise ParseError(f"line {lineno}: {shape}, got {len(tokens)} tokens")
-        if arity == 2:
-            rho[values[0]] = values[1]
-        else:
-            name = _parse_value(tokens, 0)[0] if tokens[0].startswith('"') else tokens[0]
-            relations.setdefault(name, set()).add(tuple(values))
+        name = sc.string()
+        if name is None:
+            name = sc.word(_TOKEN)
+            if name == "@rho":
+                obj, value = sc.values(2, "@rho needs an object and a value")
+                rho[obj] = value
+                continue
+        triple = sc.values(3, "expected 'REL s p o'")
+        relations.setdefault(name, set()).add(tuple(triple))
     return Triplestore(relations, rho)
 
 
@@ -150,12 +143,10 @@ def load_path(path: str) -> Triplestore:
 def _bare(text: str) -> bool:
     """Whether ``text`` may be written as it is: a UTF-8 line can hold it,
     and it is read back as this very string."""
+    if _UNSAFE.search(text) or not _TOKEN.fullmatch(text):
+        return False
     try:
-        return (
-            not _UNSAFE.search(text)
-            and _tokenize(text) == [text]
-            and _parse_value([text], 0)[0] == text
-        )
+        return _LineReader(text, 1).value() == text
     except ParseError:
         return False
 

@@ -449,3 +449,125 @@ def test_datalog_sat_congruence_near_miss():
     # η-equality does not force θ-equality: satisfiable.
     program = parse_program("Ans(x,y,z) :- E(x,y,z), ~(x,y), x != y.")
     assert analyze_program(program) == []
+
+
+def test_datalog_object_constant_is_not_a_data_value():
+    """``x = 'a'`` pins an object, ``~(x, 'a')`` compares ρ(x) with the
+    data value 'a': the body is satisfiable, and the rule fires."""
+    from repro.datalog.evaluator import run_program
+    from repro.datalog.parser import parse_program
+    from repro.datalog.validate import analyze_program
+
+    program = parse_program("Ans(x,y,z) :- E(x,y,z), x = 'a', not ~(x, 'a').")
+    assert analyze_program(program) == []
+    store = Triplestore([("a", "p", "q")], {"a": 7})
+    assert run_program(program, store) == {("a", "p", "q")}
+
+
+@pytest.mark.parametrize(
+    "comparisons",
+    ["~(x,'a'), ~(x,'b')", "~('a','b')", "x = y, ~(x,'a'), ~(y,'b')"],
+)
+def test_datalog_data_constant_clashes_are_unsat(comparisons):
+    from repro.datalog.parser import parse_program
+    from repro.datalog.validate import analyze_program
+
+    program = parse_program(f"Ans(x,y,z) :- E(x,y,z), {comparisons}.")
+    assert [f.rule for f in analyze_program(program)] == ["SEM-UNSAT"]
+
+
+def test_datalog_verdicts_are_exact_on_two_variables():
+    """Every body of at most three distinct comparison literals over
+    ``x, y, 'a', 'b'``: ``SEM-UNSAT`` holds exactly when no choice of x,
+    y among four objects and of their ρ-values among four data values
+    satisfies it, and agrees with ``conditions_unsat`` on the same
+    literals written as TriAL conditions (x as position 1, y as 2)."""
+    from itertools import combinations, combinations_with_replacement
+
+    from repro.core.conditions import Cond
+    from repro.core.positions import Const, Pos
+    from repro.datalog.ast import (
+        Atom,
+        DConst,
+        DVar,
+        EqLit,
+        Program,
+        RelLit,
+        Rule,
+        SimLit,
+    )
+    from repro.datalog.validate import analyze_program
+
+    names = ("x", "y", "a", "b")
+    objects = values = ("a", "b", "c", "d")
+    # A world: objects for x and y, then ρ(x) and ρ(y) (equal when x = y).
+    worlds = [
+        (ox, oy, rx, ry)
+        for ox in objects
+        for oy in objects
+        for rx in values
+        for ry in values
+        if ox != oy or rx == ry
+    ]
+
+    def holds(kind, negated, left, right, world):
+        def value(name):
+            if name in ("a", "b"):
+                return name
+            index = "xy".index(name)
+            return world[index + 2] if kind is SimLit else world[index]
+
+        return (value(left) == value(right)) != negated
+
+    dterm = {"x": DVar("x"), "y": DVar("y")}
+    term = {"x": Pos(0), "y": Pos(1)}
+    literals = []
+    for kind in (EqLit, SimLit):
+        for negated in (False, True):
+            for left, right in combinations_with_replacement(names, 2):
+                mask = sum(
+                    1 << i
+                    for i, world in enumerate(worlds)
+                    if holds(kind, negated, left, right, world)
+                )
+                literals.append(
+                    (
+                        kind(
+                            dterm.get(left, DConst(left)),
+                            dterm.get(right, DConst(right)),
+                            negated,
+                        ),
+                        Cond(
+                            term.get(left, Const(left)),
+                            term.get(right, Const(right)),
+                            "!=" if negated else "=",
+                            kind is SimLit,
+                        ),
+                        mask,
+                    )
+                )
+    assert len(literals) == 40
+
+    bodies = [
+        body for size in (1, 2, 3) for body in combinations(literals, size)
+    ]
+    everything = (1 << len(worlds)) - 1
+    scan = RelLit(Atom("E", ("x", "y", "z")))
+    rules = [
+        Rule(Atom("Ans", ("x", "y", "z")), (scan,) + tuple(l[0] for l in body))
+        for body in bodies
+    ]
+    flagged = {
+        f.op for f in analyze_program(Program(rules)) if f.rule == "SEM-UNSAT"
+    }
+    wrong = []
+    for rule, body in zip(rules, bodies):
+        mask = everything
+        for _, _, literal_mask in body:
+            mask &= literal_mask
+        unsat = mask == 0
+        if (repr(rule) in flagged) != unsat:
+            wrong.append(repr(rule))
+        assert conditions_unsat([l[1] for l in body]) == unsat, repr(rule)
+    assert len(bodies) == 10_700
+    assert wrong == []

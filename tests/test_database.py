@@ -20,11 +20,8 @@ from repro.errors import ReproError, UnknownRelationError
 from repro.graphdb import (
     evaluate_gxpath,
     evaluate_rpq,
-    graph_database,
-    gxpath_pairs,
     parse_gxpath,
     parse_nre,
-    rpq_pairs,
 )
 from repro.graphdb.nre import evaluate_nre
 from repro.rdf import RDFGraph, figure1
@@ -206,21 +203,23 @@ class TestGraphFrontends:
     def test_gxpath_agrees_with_native(self):
         g = random_graph(5, 8, seed=21)
         alpha = parse_gxpath("a/b-")
-        assert gxpath_pairs(g, "a/b-") == evaluate_gxpath(g, alpha)
+        db = Database.from_graph(g)
+        assert db.query("a/b-", lang="gxpath").pairs() == evaluate_gxpath(g, alpha)
 
     def test_rpq_agrees_with_native(self):
         g = random_graph(6, 10, seed=3)
-        assert rpq_pairs(g, "a.(b)*") == evaluate_rpq(g, "a.(b)*")
+        db = Database.from_graph(g)
+        assert db.query("a.(b)*", lang="rpq").pairs() == evaluate_rpq(g, "a.(b)*")
 
     def test_nre_agrees_with_native(self):
         g = random_graph(6, 10, seed=7)
         nre = parse_nre("a.[b]")
-        db = graph_database(g)
+        db = Database.from_graph(g)
         assert db.query(nre, lang="nre").pairs() == evaluate_nre(g, nre)
 
     def test_graph_database_session_caches_across_queries(self):
         g = random_graph(5, 8, seed=21)
-        db = graph_database(g)
+        db = Database.from_graph(g)
         db.query("a/b-", lang="gxpath")
         db.query("a/b-", lang="gxpath")
         assert db.cache_info()["results"].hits >= 1

@@ -128,3 +128,24 @@ def test_rpq_translation(regex, seed):
     want = evaluate_rpq(g, regex)
     got = project13(evaluate(rpq_to_trial(regex), g.to_triplestore()))
     assert want == got
+
+
+def test_translation_builds_the_node_diagonal_only_when_used(monkeypatch):
+    """N (and NP, built over it) are made on first use: a path of two
+    axes needs neither."""
+    from repro.graphdb.gxpath_parser import parse_gxpath
+    from repro.translations import graph_to_trial
+
+    built = []
+    real = graph_to_trial.nodes_diagonal
+
+    def counting(relation="E"):
+        built.append(relation)
+        return real(relation)
+
+    monkeypatch.setattr(graph_to_trial, "nodes_diagonal", counting)
+    gxpath_to_trial(parse_gxpath("a/b-"))
+    assert built == []
+    starred = gxpath_to_trial(parse_gxpath("a*"))
+    assert built == ["E"]
+    assert real() in set(starred.walk())

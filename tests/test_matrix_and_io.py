@@ -95,6 +95,23 @@ class TestTextIO:
         with pytest.raises(ParseError):
             loads('E "a p b')
 
+    @pytest.mark.parametrize(
+        "line, offset, what",
+        [
+            ('E a "p b', 4, "unterminated string"),
+            ("E a (p b", 8, "unterminated tuple"),
+            ("E a !bytes:@@ b", 4, "bad base64"),
+            ("E a !bytes:é b", 4, "bad base64"),
+            ("E a b c d", 8, "REL s p o"),
+            ("@rho a", 6, "@rho needs"),
+        ],
+    )
+    def test_a_parse_error_names_its_line_and_offset(self, line, offset, what):
+        with pytest.raises(ParseError, match=f"line 3: .*{what}") as err:
+            loads(f"E a b c\n# comment\n{line}\n")
+        assert err.value.text == line
+        assert err.value.pos == offset
+
     def test_a_file_written_before_escapes_still_loads(self):
         text = 'E "St. Andrews" "C:\\Program Files" x\\y\n@rho x\\y ("a b", 2)\n'
         t = loads(text)

@@ -107,7 +107,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "value",
-        ["a]b", "[x", "a;b", "a&b", "a#b", "50%", "it's", 'say "hi"', "", 10, 3.14, 0, 4, -7],
+        [
+            "a]b", "[x", "a;b", "a&b", "a#b", "50%", "it's", 'say "hi"', "",
+            "a\\b", "a\tb", "two\nlines", 10, 3.14, 0, 1, 2, 3, 4, -7, 1e20, 1.5e-7,
+        ],
     )
     def test_constants_round_trip(self, value):
         for on_data in (False, True):
@@ -118,3 +121,11 @@ class TestRoundTrip:
                 Star(Rel("E"), (0, 1, 5), (cond,)),
             ):
                 assert parse(repr(expr)) == expr
+
+    @pytest.mark.parametrize(
+        "value", [True, None, b"x", ("a", 1), float("inf"), "it's \"x\""]
+    )
+    def test_constants_without_a_text_form_do_not_parse(self, value):
+        expr = Select(Rel("E"), (Cond(Pos(1), Const(value)),))
+        with pytest.raises(ParseError):
+            parse(repr(expr))

@@ -60,6 +60,15 @@ class TestNTriples:
         with pytest.raises(ParseError):
             parse_ntriples("<a> <b> .")
 
+    @pytest.mark.parametrize(
+        "line, offset", [("<a> <b> .", 8), ("<a> <b> <c> <d> .", 12), ("a.b c d", 1)]
+    )
+    def test_a_parse_error_names_its_line_and_offset(self, line, offset):
+        with pytest.raises(ParseError, match="line 2: expected 3 terms") as err:
+            parse_ntriples(f"<x> <y> <z> .\n{line}\n")
+        assert err.value.text == line
+        assert err.value.pos == offset
+
 
 class TestSigmaDetails:
     def test_edge_set_shape(self):
